@@ -5,7 +5,7 @@ from .cone_space import (
     AxiomReport, AxiomViolation, BoxCarrier, ConeMetricSpace, ConeSpec, ConfigError,
     DirectionMetric, DomainError, FinitePointsCarrier, FunctionMetric, IntervalCarrier,
     NormalConstantEstimate, Relation, SamplingPlan, TabulatedMetric, as_vector,
-    cone_membership, estimate_normal_constant, eval_metric, order_compare,
+    estimate_normal_constant, eval_metric, order_compare,
     verify_cone_axioms, verify_metric_axioms,
 )
 from .contractions import (
@@ -23,9 +23,9 @@ from .oracle import (
     generate_twu_corpus, generate_tz_corpus, random_finite_instance, tightest_constants,
 )
 from .solver import (
-    Certificate, DecayReport, FixedPointCheck, IterationTrace, StoppingRule,
+    DecayReport, FixedPointCheck, IterationTrace, StoppingRule,
     TDiagnostics, TProbes, UniquenessVerdict, certify_fixed_point, default_probes,
-    diagnose_T, geometric_decay_check, picard_iterate, uniqueness_probe, worker_count,
+    diagnose_T, geometric_decay_check, picard_iterate, uniqueness_probe,
 )
 
 __version__ = "0.1.0"

@@ -2,8 +2,7 @@
 verify / solve / oracle / fit, emitting machine-readable reports.
 
 Exit statuses: 0 every requested check passed, 1 a check failed,
-2 usage or configuration error.  CONEFIX_THREADS caps worker parallelism
-for independent iteration runs.
+2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -20,13 +19,13 @@ import numpy as np
 from . import solver
 from .cone_space import (
     BoxCarrier, ConeMetricSpace, ConeSpec, ConfigError, DirectionMetric, DomainError,
-    FinitePointsCarrier, IntervalCarrier, SamplingPlan, TabulatedMetric,
+    FinitePointsCarrier, IntervalCarrier, SamplingPlan, TabulatedMetric, point_key,
     verify_cone_axioms, verify_metric_axioms,
 )
 from .contractions import (
-    TB, TC, TK, TW, TW_DUAL, TWU, TZ,
+    CLASS_KINDS, TB, TC, TK, TW, TW_DUAL, TZ,
     AffineMap, ClassSpec, ConditionReport, DeclaredProperties, IdentityMap, MapPair,
-    PowerMap, TabulatedMap, all_pairs, check_condition, grid_pairs,
+    PowerMap, TabulatedMap, all_pairs, check_condition, constant_names, fit_constants, grid_pairs,
     rate_from_primary_form, sampled_pairs, verify_zamfirescu_reduction, zamfirescu_delta,
 )
 from .oracle import (
@@ -62,7 +61,6 @@ class RunDefaults:
     x0: object | None = None
     epsilon: float = 1e-12
     max_iter: int = 1_000_000
-    stall_window: int = 50
     rate_h: float | None = None
     normal_k: float = 1.0
 
@@ -254,12 +252,6 @@ def _parse_map(section, carrier, errors: list[str], where: str):
     return None
 
 
-_CLASS_KEYS = {
-    TB: {"a"}, TK: {"b"}, TC: {"c"}, TZ: {"a", "b", "c"},
-    TW: {"delta", "L"}, TW_DUAL: {"delta", "L"}, TWU: {"theta", "L1"},
-}
-
-
 def _parse_contraction(section, errors: list[str]) -> tuple[ClassSpec | None, bool]:
     """Returns (spec, tw_delta_pinned): a TW section carrying delta but no
     L pins delta for the fit command (L then fitted on that boundary)."""
@@ -268,11 +260,12 @@ def _parse_contraction(section, errors: list[str]) -> tuple[ClassSpec | None, bo
         errors.append(f"{where}: must be an object")
         return None, False
     kind = _get(section, "class", where, errors, required=True)
-    if kind not in _CLASS_KEYS:
+    if kind not in CLASS_KINDS:
         errors.append(f"{where}: unknown class {kind!r}")
         return None, False
-    _check_keys(section, {"class"} | _CLASS_KEYS[kind], where, errors)
-    constants = {k: section[k] for k in _CLASS_KEYS[kind] if k in section}
+    names = constant_names(kind)
+    _check_keys(section, {"class", *names}, where, errors)
+    constants = {k: section[k] for k in names if k in section}
     pinned = kind in (TW, TW_DUAL) and "delta" in constants and "L" not in constants
     if pinned:
         constants["L"] = 0.0
@@ -291,7 +284,7 @@ def _parse_run(section, errors: list[str]) -> RunDefaults:
     if not isinstance(section, dict):
         errors.append(f"{where}: must be an object")
         return run
-    allowed = {"seed", "samples", "x0", "epsilon", "max_iter", "stall_window", "rate_h", "normal_k"}
+    allowed = {"seed", "samples", "x0", "epsilon", "max_iter", "rate_h", "normal_k"}
     _check_keys(section, allowed, where, errors)
     try:
         if "seed" in section:
@@ -310,8 +303,6 @@ def _parse_run(section, errors: list[str]) -> RunDefaults:
             run.max_iter = int(section["max_iter"])
             if run.max_iter < 1:
                 errors.append(f"{where}: max_iter must be >= 1")
-        if "stall_window" in section:
-            run.stall_window = int(section["stall_window"])
         if "rate_h" in section:
             run.rate_h = float(section["rate_h"])
             if not 0.0 <= run.rate_h < 1.0:
@@ -550,10 +541,6 @@ def emit_trace(
     return text
 
 
-def parse_trace_json(text: str) -> dict:
-    return json.loads(text)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -587,8 +574,8 @@ def _default_starts(inst: LoadedInstance, x0) -> list:
         starts = [carrier.lows, 0.5 * (carrier.lows + carrier.highs), carrier.highs]
     else:
         starts = [carrier.lo, 0.5 * (carrier.lo + carrier.hi), carrier.hi]
-    keyed = {solver._point_key(s): s for s in starts}
-    keyed.setdefault(solver._point_key(x0), x0)
+    keyed = {point_key(s): s for s in starts}
+    keyed.setdefault(point_key(x0), x0)
     return list(keyed.values())
 
 
@@ -609,16 +596,16 @@ def run(command: str, inst: LoadedInstance, options: Options) -> tuple[int, dict
             "metric_axioms": _axiom_report_dict(metric_report),
         }
         ok = cone_report.passed and metric_report.passed
-        if inst.contraction is not None:
+        spec = inst.contraction
+        if spec is not None:
             pairs = _condition_pairs(inst, samples, seed)
-            cond = check_condition(inst.space, inst.maps, inst.contraction, pairs)
+            red = None
+            if spec.kind == TZ:   # the reduction check runs the TZ check first
+                red = verify_zamfirescu_reduction(inst.space, inst.maps, spec.a, spec.b, spec.c, pairs)
+            cond = red.tz_report if red else check_condition(inst.space, inst.maps, spec, pairs)
             report["condition"] = _condition_report_dict(cond)
             ok = ok and cond.holds and not cond.inconclusive
-            if inst.contraction.kind == TZ:
-                red = verify_zamfirescu_reduction(
-                    inst.space, inst.maps,
-                    inst.contraction.a, inst.contraction.b, inst.contraction.c, pairs,
-                )
+            if red is not None:
                 report["reduction"] = {
                     "delta": red.delta,
                     "rate_h": red.delta,
@@ -639,9 +626,7 @@ def run(command: str, inst: LoadedInstance, options: Options) -> tuple[int, dict
             raise UsageError("solve requires a start point (run.x0 or --x0)")
         if inst.space.carrier.finite and isinstance(x0, float) and x0.is_integer():
             x0 = int(x0)
-        rule = solver.StoppingRule(
-            epsilon=epsilon, max_iter=inst.run.max_iter, stall_window=inst.run.stall_window
-        )
+        rule = solver.StoppingRule(epsilon=epsilon, max_iter=inst.run.max_iter)
         trace = solver.picard_iterate(inst.space, inst.maps, x0, rule)
         check = solver.certify_fixed_point(inst.space, inst.maps, trace.last, epsilon)
         measured = trace.max_step_ratio()
@@ -657,26 +642,17 @@ def run(command: str, inst: LoadedInstance, options: Options) -> tuple[int, dict
             decay = solver.geometric_decay_check(trace, h, inst.run.normal_k, seed=seed)
 
         probe = solver.uniqueness_probe(inst.space, inst.maps, _default_starts(inst, x0), rule)
-        cert = solver.Certificate(
-            fixed_point=check.point if check.certified else None,
-            residual_norm=check.residual_norm,
-            rate_h=measured,
-            cauchy_bound_ok=decay.cauchy_ok if decay else None,
-            uniqueness=probe.verdict,
-            witnesses=probe.witnesses,
-            rate_h_primary=rate_from_primary_form(delta) if delta is not None else None,
-        )
         trace_text = emit_trace(trace, options.fmt, options.out, h=h, K=inst.run.normal_k)
         cert_dict = {
-            "fixed_point": _plain(cert.fixed_point),
-            "residual_norm": cert.residual_norm,
-            "rate_h": cert.rate_h,
-            "rate_h_primary_form": cert.rate_h_primary,
+            "fixed_point": _plain(check.point if check.certified else None),
+            "residual_norm": check.residual_norm,
+            "rate_h": measured,
+            "rate_h_primary_form": rate_from_primary_form(delta) if delta is not None else None,
             "bound_h": h,
             "decay_per_step_ok": decay.per_step_ok if decay else None,
-            "cauchy_bound_ok": cert.cauchy_bound_ok,
-            "uniqueness": cert.uniqueness,
-            "witnesses": _plain(cert.witnesses),
+            "cauchy_bound_ok": decay.cauchy_ok if decay else None,
+            "uniqueness": probe.verdict,
+            "witnesses": _plain(probe.witnesses),
             "stop_reason": trace.stop_reason,
             "iterations": trace.n_final,
         }
@@ -750,8 +726,6 @@ def run(command: str, inst: LoadedInstance, options: Options) -> tuple[int, dict
     if command == "fit":
         if inst.contraction is None:
             raise UsageError("fit requires a contraction section naming the class")
-        from .contractions import fit_constants
-
         kind = inst.contraction.kind
         if kind not in (TB, TK, TC, TW):
             raise UsageError(f"fit supports TB/TK/TC/TW, not {kind}")
@@ -765,7 +739,6 @@ def run(command: str, inst: LoadedInstance, options: Options) -> tuple[int, dict
             "feasible": result.feasible,
             "constants": result.spec.constants() if result.spec else None,
             "hard_witnesses": _plain(result.hard_witnesses[:50]),
-            "tolerance": result.tolerance,
             "status": "pass" if result.feasible else "fail",
         }
         _dump_json(out, options.out)
@@ -786,7 +759,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conefix",
         description="Cone metric spaces, contraction classes, and fixed-point certification.",
-        epilog="CONEFIX_THREADS caps worker parallelism for independent runs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("verify", "solve", "oracle", "fit"):

@@ -167,17 +167,21 @@ class ConeSpec:
 
     def contains_relaxed(self, v) -> bool:
         """Membership up to the declared relative slack (order/inequality tests)."""
-        v = np.asarray(v, dtype=float)
-        vals = self._ineq @ v
-        return bool(np.all(vals >= -self.slack * self.norm(v)))
+        return bool(np.all(self.inequality_mask(np.asarray(v, dtype=float), self.slack)))
+
+    def inequality_mask(self, vs: np.ndarray, slack: float) -> np.ndarray:
+        """Per row of vs and per defining inequality: does the value reach
+        -slack * ||row||?  A row lies in P up to slack when all of them do."""
+        vals = vs @ self._ineq.T
+        if slack == 0.0:
+            return vals >= 0.0
+        return vals >= -(slack * self.norm_rows(vs))[..., None]
 
     def contains_relaxed_rows(self, vs: np.ndarray) -> np.ndarray:
-        vals = vs @ self._ineq.T
-        tol = self.slack * self.norm_rows(vs)
-        return np.all(vals >= -tol[..., None], axis=-1)
+        return np.all(self.inequality_mask(vs, self.slack), axis=-1)
 
     def contains_exact_rows(self, vs: np.ndarray) -> np.ndarray:
-        return np.all(vs @ self._ineq.T >= 0.0, axis=-1)
+        return np.all(self.inequality_mask(vs, 0.0), axis=-1)
 
     def interior_point(self) -> np.ndarray | None:
         """A strictly feasible point of P, or None when Int P is empty."""
@@ -238,11 +242,6 @@ class Relation(Enum):
     GT = "GT"
     GG = "GG"
     INCOMPARABLE = "INCOMPARABLE"
-
-
-def cone_membership(cone: ConeSpec, v, mode: str = "closed") -> bool:
-    """Membership of v in P (mode 'closed') or in Int P (mode 'interior')."""
-    return cone.contains(v, mode)
 
 
 def order_compare(cone: ConeSpec, x, y) -> Relation:
@@ -352,7 +351,7 @@ def verify_cone_axioms(cone: ConeSpec, plan: SamplingPlan | None = None) -> Axio
         if cone.contains(v) and cone.contains(-v):
             violations.append(AxiomViolation("P3-pointed", (v,), cone.inequality_values(v)))
 
-    return AxiomReport(["P1", "P2", "P3"], _dedupe(violations), plan.count)
+    return AxiomReport(["P1", "P2", "P3"], _dedupe(violations), k)
 
 
 def _nullspace(a: np.ndarray, tol: float = 1e-10) -> list[np.ndarray]:
@@ -565,10 +564,13 @@ def eval_metric(space: ConeMetricSpace, x, y) -> np.ndarray:
     return space.d(x, y)
 
 
-def _points_equal(carrier, x, y) -> bool:
-    if isinstance(carrier, BoxCarrier):
-        return bool(np.array_equal(np.asarray(x), np.asarray(y)))
-    return x == y
+def point_key(x):
+    """Hashable identity of a carrier point (box points are arrays)."""
+    if isinstance(x, np.ndarray):
+        return tuple(x.tolist())
+    if isinstance(x, (np.floating, np.integer)):
+        return x.item()
+    return x
 
 
 def verify_metric_axioms(space: ConeMetricSpace, plan: SamplingPlan | None = None) -> AxiomReport:
@@ -610,7 +612,7 @@ def verify_metric_axioms(space: ConeMetricSpace, plan: SamplingPlan | None = Non
     for idx in np.flatnonzero(~in_cone):
         violations.append(AxiomViolation("d1-cone", (xs[idx], ys[idx]), dxy[idx]))
     for idx in np.flatnonzero(zero):
-        if not _points_equal(carrier, xs[idx], ys[idx]):
+        if point_key(xs[idx]) != point_key(ys[idx]):
             violations.append(AxiomViolation("d1-separation", (xs[idx], ys[idx]), dxy[idx]))
     diag = metric.pairwise(xs, xs)
     for idx in np.flatnonzero(~np.all(diag == 0.0, axis=-1)):

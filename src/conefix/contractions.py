@@ -1,4 +1,5 @@
-"""Contraction classes measured through an auxiliary map T.
+"""Contraction classes measured through an auxiliary map T, and the one
+engine that checks and fits them.
 
 A pair of self-maps (T, S) of the carrier is tested against cone-order
 inequalities of the form d(TSx, TSy) <= RHS(x, y).  Supported classes:
@@ -11,10 +12,21 @@ inequalities of the form d(TSx, TSy) <= RHS(x, y).  Supported classes:
 * TW_DUAL(delta, L)  RHS = delta d(Tx, Ty) + L d(Tx, TSy)
 * TWU(theta, L1)     RHS = theta d(Tx, Ty) + L1 d(Tx, TSx)
 
+Every inequality reads the six distances of ``PairTerms``.  The sampled
+path builds them for any pair list with ``pair_terms``; the exact oracle
+builds them for all n^2 index pairs of a finite table.  ``evaluate``
+applies the right-hand side from the one table ``_RHS`` and a cone test
+with a given slack (the cone's own slack on the sampled path, 0 in the
+oracle), so the two paths differ only in how the terms are built, the
+pair set and the slack.  ``fit_terms`` fits constants for both paths to
+the exact smallest passing float.
+
 Every TZ mapping satisfies the reduced inequality
 d(TSx, TSy) <= delta d(Tx, Ty) + 2 delta d(Tx, TSx) with
 delta = max{a, b/(1-b), c/(1-c)}, and likewise the dual form with
-d(Tx, TSy); both are checked here in a cleared-denominator form so that
+d(Tx, TSy); a TB/TK/TC source promotes to weak inequalities of the same
+shape.  All of them are checked in the cleared-denominator form
+k d(Tx, Ty) + 2k ell - s d(TSx, TSy) in P (``cleared_check``) so that
 dyadic tables verify exactly, with no division in the comparison path.
 """
 
@@ -22,12 +34,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .cone_space import ConeMetricSpace, ConfigError, DomainError
+from .cone_space import ConeMetricSpace, ConeSpec, ConfigError, DomainError, point_key
 
 TB = "TB"
 TK = "TK"
@@ -119,11 +133,35 @@ def maps_into_carrier(space: ConeMetricSpace, maps: MapPair, samples: Iterable) 
 # Class specifications
 # ---------------------------------------------------------------------------
 
-def _require_range(name: str, value: float, lo: float, hi: float, hi_open: bool = True):
-    ok = lo <= value < hi if hi_open else lo <= value <= hi
-    if not (math.isfinite(value) and ok):
-        bracket = f"[{lo:g}, {hi:g})" if hi_open else f"[{lo:g}, {hi:g}]"
-        raise ConfigError(f"{name} must be in {bracket}, got {value:g}")
+# Each class's right-hand side: (constant, terms it multiplies) per summand.
+_RHS = {
+    TB: (("a", ("d_tx_ty",)),),
+    TK: (("b", ("d_tx_tsx", "d_ty_tsy")),),
+    TC: (("c", ("d_tx_tsy", "d_ty_tsx")),),
+    TW: (("delta", ("d_tx_ty",)), ("L", ("d_ty_tsx",))),
+    TW_DUAL: (("delta", ("d_tx_ty",)), ("L", ("d_tx_tsy",))),
+    TWU: (("theta", ("d_tx_ty",)), ("L1", ("d_tx_tsx",))),
+}
+_TZ_BRANCHES = {"TZ1": TB, "TZ2": TK, "TZ3": TC}
+
+# Each constant ranges over [0, upper).  delta = 0 is admitted: it arises
+# from promoting TB(0).
+_UPPER = {"a": 1.0, "b": 0.5, "c": 0.5, "delta": 1.0, "L": math.inf, "theta": 1.0, "L1": math.inf}
+
+
+def constant_names(kind: str) -> list[str]:
+    """Names of the constants class ``kind`` takes, in checking order."""
+    kinds = _TZ_BRANCHES.values() if kind == TZ else (kind,)
+    return [name for k in kinds for name, _ in _RHS[k]]
+
+
+def _require_range(name: str, value: float):
+    upper = _UPPER[name]
+    if upper == math.inf:
+        if not value >= 0.0:
+            raise ConfigError(f"{name} must be >= 0, got {value:g}")
+    elif not (math.isfinite(value) and 0.0 <= value < upper):
+        raise ConfigError(f"{name} must be in [0, {upper:g}), got {value:g}")
 
 
 @dataclass(frozen=True)
@@ -140,25 +178,8 @@ class ClassSpec:
     def __post_init__(self):
         if self.kind not in CLASS_KINDS:
             raise ConfigError(f"unknown contraction class {self.kind!r}")
-        if self.kind == TB:
-            _require_range("a", self._need("a"), 0.0, 1.0)
-        elif self.kind == TK:
-            _require_range("b", self._need("b"), 0.0, 0.5)
-        elif self.kind == TC:
-            _require_range("c", self._need("c"), 0.0, 0.5)
-        elif self.kind == TZ:
-            _require_range("a", self._need("a"), 0.0, 1.0)
-            _require_range("b", self._need("b"), 0.0, 0.5)
-            _require_range("c", self._need("c"), 0.0, 0.5)
-        elif self.kind in (TW, TW_DUAL):
-            # delta = 0 is admitted (it arises from promoting TB(0)).
-            _require_range("delta", self._need("delta"), 0.0, 1.0)
-            if self._need("L") < 0:
-                raise ConfigError(f"L must be >= 0, got {self.L}")
-        else:
-            _require_range("theta", self._need("theta"), 0.0, 1.0)
-            if self._need("L1") < 0:
-                raise ConfigError(f"L1 must be >= 0, got {self.L1}")
+        for name in constant_names(self.kind):
+            _require_range(name, self._need(name))
 
     def _need(self, name: str) -> float:
         v = getattr(self, name)
@@ -197,15 +218,7 @@ class ClassSpec:
         return cls(TWU, theta=theta, L1=L1)
 
     def constants(self) -> dict[str, float]:
-        return {
-            k: float(v)
-            for k, v in (
-                ("a", self.a), ("b", self.b), ("c", self.c),
-                ("delta", self.delta), ("L", self.L),
-                ("theta", self.theta), ("L1", self.L1),
-            )
-            if v is not None
-        }
+        return {k: float(getattr(self, k)) for k in _UPPER if getattr(self, k) is not None}
 
 
 @dataclass
@@ -232,11 +245,16 @@ class ConditionReport:
 
 
 # ---------------------------------------------------------------------------
-# Condition evaluation
+# Pair terms and the class inequalities
 # ---------------------------------------------------------------------------
 
 @dataclass
-class _PairTerms:
+class PairTerms:
+    """The six distances the class inequalities read.  Every array ends in
+    the cone dimension m and they broadcast against each other: (k, m) for
+    a pair list, (n, n, m) or a broadcastable view for all pairs of a table.
+    """
+
     lhs: np.ndarray        # d(TSx, TSy)
     d_tx_ty: np.ndarray
     d_tx_tsx: np.ndarray
@@ -245,42 +263,136 @@ class _PairTerms:
     d_ty_tsx: np.ndarray
 
 
-def _pair_terms(space: ConeMetricSpace, maps: MapPair, x, y) -> _PairTerms:
-    T, S = maps.T, maps.S
-    sx = space.require_point(S(x), "S-image")
-    sy = space.require_point(S(y), "S-image")
-    tx = space.require_point(T(x), "T-image")
-    ty = space.require_point(T(y), "T-image")
-    tsx = space.require_point(T(sx), "TS-image")
-    tsy = space.require_point(T(sy), "TS-image")
-    d = space.d
-    return _PairTerms(
-        lhs=d(tsx, tsy),
-        d_tx_ty=d(tx, ty),
-        d_tx_tsx=d(tx, tsx),
-        d_ty_tsy=d(ty, tsy),
-        d_tx_tsy=d(tx, tsy),
-        d_ty_tsx=d(ty, tsx),
+def pair_terms(space: ConeMetricSpace, maps: MapPair, pairs: Sequence[tuple]) -> PairTerms:
+    """Terms of every pair as (k, m) arrays.  T, S and TS are evaluated once
+    per distinct point, each image checked against the carrier, and each
+    distance column comes from one ``metric.pairwise`` call."""
+    index: dict = {}
+    points: list = []
+    ix, iy = [], []
+    for x, y in pairs:
+        for p, out in ((x, ix), (y, iy)):
+            key = point_key(p)
+            if key not in index:
+                index[key] = len(points)
+                points.append(p)
+            out.append(index[key])
+    t_img, ts_img = [], []
+    for p in points:
+        sp = space.require_point(maps.S(p), "S-image")
+        t_img.append(space.require_point(maps.T(p), "T-image"))
+        ts_img.append(space.require_point(maps.T(sp), "TS-image"))
+
+    def dist(us, iu, vs, iv):
+        return np.asarray(space.metric.pairwise([us[i] for i in iu], [vs[i] for i in iv]), dtype=float)
+
+    own = np.asarray(space.metric.pairwise(t_img, ts_img), dtype=float)
+    return PairTerms(
+        lhs=dist(ts_img, ix, ts_img, iy),
+        d_tx_ty=dist(t_img, ix, t_img, iy),
+        d_tx_tsx=own[ix],
+        d_ty_tsy=own[iy],
+        d_tx_tsy=dist(t_img, ix, ts_img, iy),
+        d_ty_tsx=dist(t_img, iy, ts_img, ix),
     )
 
 
-def _rhs(spec: ClassSpec, t: _PairTerms) -> np.ndarray:
-    if spec.kind == TB:
-        return spec.a * t.d_tx_ty
-    if spec.kind == TK:
-        return spec.b * (t.d_tx_tsx + t.d_ty_tsy)
-    if spec.kind == TC:
-        return spec.c * (t.d_tx_tsy + t.d_ty_tsx)
-    if spec.kind == TW:
-        return spec.delta * t.d_tx_ty + spec.L * t.d_ty_tsx
-    if spec.kind == TW_DUAL:
-        return spec.delta * t.d_tx_ty + spec.L * t.d_tx_tsy
-    if spec.kind == TWU:
-        return spec.theta * t.d_tx_ty + spec.L1 * t.d_tx_tsx
-    raise ConfigError(f"no single inequality for class {spec.kind}")
+def class_terms(kind: str, t: PairTerms) -> list[tuple[str, np.ndarray]]:
+    """(constant name, the distance it multiplies) for each summand of the
+    class's right-hand side."""
+    out = []
+    for name, attrs in _RHS[kind]:
+        term = getattr(t, attrs[0])
+        for attr in attrs[1:]:
+            term = term + getattr(t, attr)
+        out.append((name, term))
+    return out
 
 
-_TZ_BRANCHES = ("TZ1", "TZ2", "TZ3")
+def right_hand_side(kind: str, consts, t: PairTerms) -> np.ndarray:
+    """Right-hand side of class ``kind`` with the constants read off
+    ``consts`` by name (a ClassSpec or any object with those attributes)."""
+    parts = [getattr(consts, name) * term for name, term in class_terms(kind, t)]
+    return parts[0] if len(parts) == 1 else parts[0] + parts[1]
+
+
+@dataclass
+class Verdict:
+    """One class inequality over a set of pairs.  ``residual`` is
+    rhs - scale * lhs, the vector tested for membership in the cone."""
+
+    ok: np.ndarray                      # per pair: the inequality holds
+    rhs: np.ndarray
+    residual: np.ndarray
+    branch_ok: np.ndarray | None = None  # TZ: per branch TZ1..TZ3, per pair
+
+    @property
+    def branch_stats(self) -> dict[str, int] | None:
+        if self.branch_ok is None:
+            return None
+        counts = self.branch_ok.reshape(len(_TZ_BRANCHES), -1).sum(axis=1)
+        return {name: int(n) for name, n in zip(_TZ_BRANCHES, counts)}
+
+
+def evaluate(spec, t: PairTerms, cone: ConeSpec, slack: float, scale: float = 1.0) -> Verdict:
+    """Evaluate the class inequality of ``spec`` on every pair of ``t`` as a
+    cone-order test (rhs - scale * lhs in P up to ``slack``).  For TZ a pair
+    holds when any branch does, and every branch's arrays are stacked on a
+    leading axis of length 3."""
+    kinds = _TZ_BRANCHES.values() if spec.kind == TZ else (spec.kind,)
+    rhs = np.stack([right_hand_side(kind, spec, t) for kind in kinds])
+    res = rhs - scale * t.lhs
+    ok = cone.inequality_mask(res, slack).all(axis=-1)
+    if spec.kind == TZ:
+        return Verdict(ok.any(axis=0), rhs, res, ok)
+    return Verdict(ok[0], rhs[0], res[0])
+
+
+def cleared_constants(source: ClassSpec) -> tuple[float, float]:
+    """(k, s) such that the weak inequality a TB/TK/TC/TZ source implies,
+    d(TSx, TSy) <= delta d(Tx, Ty) + 2 delta ell with delta = k / s, reads
+    s d(TSx, TSy) <= k d(Tx, Ty) + 2k ell once its denominator is cleared:
+    s = 1 on the a-branch (delta = a), s = 1 - k on the b- and c-branches
+    (delta = k / (1 - k)).  For TZ the branch attaining delta is used."""
+    if source.kind == TZ:
+        branch, k = delta_branch(source.a, source.b, source.c)
+    elif source.kind in (TB, TK, TC):
+        (branch,) = constant_names(source.kind)
+        k = getattr(source, branch)
+    else:
+        raise ConfigError(f"class {source.kind} has no cleared weak form")
+    return k, 1.0 if branch == "a" else 1.0 - k
+
+
+def cleared_check(source: ClassSpec, weak_kind: str, t: PairTerms, cone: ConeSpec, slack: float) -> Verdict:
+    """The weak inequality of shape ``weak_kind`` (TWU for the primary
+    reduced form, TW_DUAL for the dual, TW for the promoted weak form)
+    implied by ``source``, in cleared-denominator form."""
+    k, s = cleared_constants(source)
+    consts = dict(zip(constant_names(weak_kind), (k, 2.0 * k)))
+    return evaluate(ClassSpec(weak_kind, **consts), t, cone, slack, scale=s)
+
+
+def _condition_report(cone: ConeSpec, spec: ClassSpec, pairs: list, t: PairTerms | None) -> ConditionReport:
+    notes: tuple[str, ...] = ()
+    if spec.kind in (TK, TZ):
+        notes = ("second Kannan-style term is evaluated through T-images: d(Ty, TSy)",)
+    if t is None:
+        return ConditionReport(spec, 0, [], inconclusive=True, notes=notes)
+    v = evaluate(spec, t, cone, cone.slack)
+    bad = np.flatnonzero(~v.ok)
+    rhs, res = v.rhs, v.residual
+    if v.branch_ok is not None:
+        # witness: the branch whose residual comes closest to the cone
+        margin = np.min(res[:, bad] @ cone.ineq_matrix.T, axis=-1)
+        best = np.argmax(margin, axis=0)
+        rhs, res = rhs[best, bad], res[best, bad]
+    else:
+        rhs, res = rhs[bad], res[bad]
+    violations = [
+        ConditionViolation(*pairs[i], t.lhs[i], r, s) for i, r, s in zip(bad, rhs, res)
+    ]
+    return ConditionReport(spec, len(pairs), violations, v.branch_stats, notes=notes)
 
 
 def check_condition(
@@ -295,42 +407,7 @@ def check_condition(
     branch satisfied.
     """
     pairs = list(pairs)
-    notes: tuple[str, ...] = ()
-    if spec.kind in (TK, TZ):
-        notes = ("second Kannan-style term is evaluated through T-images: d(Ty, TSy)",)
-    if not pairs:
-        return ConditionReport(spec, 0, [], inconclusive=True, notes=notes)
-
-    cone = space.cone
-    violations: list[ConditionViolation] = []
-
-    if spec.kind != TZ:
-        for x, y in pairs:
-            t = _pair_terms(space, maps, x, y)
-            rhs = _rhs(spec, t)
-            res = rhs - t.lhs
-            if not cone.contains_relaxed(res):
-                violations.append(ConditionViolation(x, y, t.lhs, rhs, res))
-        return ConditionReport(spec, len(pairs), violations, notes=notes)
-
-    stats = {name: 0 for name in _TZ_BRANCHES}
-    branch_specs = (ClassSpec.tb(spec.a), ClassSpec.tk(spec.b), ClassSpec.tc(spec.c))
-    for x, y in pairs:
-        t = _pair_terms(space, maps, x, y)
-        passed = False
-        best = None
-        for name, bspec in zip(_TZ_BRANCHES, branch_specs):
-            rhs = _rhs(bspec, t)
-            res = rhs - t.lhs
-            if cone.contains_relaxed(res):
-                stats[name] += 1
-                passed = True
-            slack = float(np.min(cone.inequality_values(res)))
-            if best is None or slack > best[0]:
-                best = (slack, rhs, res)
-        if not passed:
-            violations.append(ConditionViolation(x, y, t.lhs, best[1], best[2]))
-    return ConditionReport(spec, len(pairs), violations, branch_stats=stats, notes=notes)
+    return _condition_report(space.cone, spec, pairs, pair_terms(space, maps, pairs) if pairs else None)
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +416,8 @@ def check_condition(
 
 def zamfirescu_delta(a: float, b: float, c: float) -> float:
     """max{a, b/(1-b), c/(1-c)}; lands in [0, 1) for in-range constants."""
-    _require_range("a", a, 0.0, 1.0)
-    _require_range("b", b, 0.0, 0.5)
-    _require_range("c", c, 0.0, 0.5)
+    for name, value in (("a", a), ("b", b), ("c", c)):
+        _require_range(name, value)
     return max(a, b / (1.0 - b), c / (1.0 - c))
 
 
@@ -358,15 +434,6 @@ def delta_branch(a: float, b: float, c: float) -> tuple[str, float]:
     if not a_ge_b and b_ge_c:
         return "b", b
     return "c", c
-
-
-def _reduction_residual(branch: str, const: float, lhs, d1, dl) -> np.ndarray:
-    # Cleared-denominator form of lhs <= delta d1 + 2 delta dl: for the
-    # b- and c-branches multiply through by (1 - const) > 0, which does
-    # not change cone membership and avoids inexact division.
-    if branch == "a":
-        return const * d1 + 2.0 * const * dl - lhs
-    return const * d1 + 2.0 * const * dl - (1.0 - const) * lhs
 
 
 @dataclass
@@ -404,31 +471,24 @@ def verify_zamfirescu_reduction(
     not applicable and carries the TZ violation witnesses.
     """
     pairs = list(pairs)
-    tz_report = check_condition(space, maps, ClassSpec.tz(a, b, c), pairs)
+    tz = ClassSpec.tz(a, b, c)
+    t = pair_terms(space, maps, pairs) if pairs else None
+    tz_report = _condition_report(space.cone, tz, pairs, t)
     delta = zamfirescu_delta(a, b, c)
     if not tz_report.holds or tz_report.inconclusive:
         return ReductionReport(delta, False, tz_report, None, None)
 
-    branch, const = delta_branch(a, b, c)
-    cone = space.cone
-    note = (f"residuals are in cleared-denominator form (branch {branch!r})",)
-
-    prim_spec = ClassSpec.twu(delta, 2.0 * delta)
-    dual_spec = ClassSpec.tw_dual(delta, 2.0 * delta)
-    prim_violations: list[ConditionViolation] = []
-    dual_violations: list[ConditionViolation] = []
-    for x, y in pairs:
-        t = _pair_terms(space, maps, x, y)
-        res_p = _reduction_residual(branch, const, t.lhs, t.d_tx_ty, t.d_tx_tsx)
-        if not cone.contains_relaxed(res_p):
-            prim_violations.append(ConditionViolation(x, y, t.lhs, res_p + t.lhs, res_p))
-        res_d = _reduction_residual(branch, const, t.lhs, t.d_tx_ty, t.d_tx_tsy)
-        if not cone.contains_relaxed(res_d):
-            dual_violations.append(ConditionViolation(x, y, t.lhs, res_d + t.lhs, res_d))
-
-    primary = ConditionReport(prim_spec, len(pairs), prim_violations, notes=note)
-    dual = ConditionReport(dual_spec, len(pairs), dual_violations, notes=note)
-    return ReductionReport(delta, True, tz_report, primary, dual)
+    note = (f"residuals are in cleared-denominator form (branch {delta_branch(a, b, c)[0]!r})",)
+    forms = []
+    for label, weak_kind in ((ClassSpec.twu(delta, 2.0 * delta), TWU),
+                             (ClassSpec.tw_dual(delta, 2.0 * delta), TW_DUAL)):
+        v = cleared_check(tz, weak_kind, t, space.cone, space.cone.slack)
+        violations = [
+            ConditionViolation(*pairs[i], t.lhs[i], v.residual[i] + t.lhs[i], v.residual[i])
+            for i in np.flatnonzero(~v.ok)
+        ]
+        forms.append(ConditionReport(label, len(pairs), violations, notes=note))
+    return ReductionReport(delta, True, tz_report, *forms)
 
 
 def rate_from_primary_form(delta: float) -> float:
@@ -456,10 +516,9 @@ def promote_to_weak(spec: ClassSpec) -> ClassSpec:
     """
     if spec.kind == TB:
         return ClassSpec.tw(spec.a, 0.0)
-    if spec.kind == TK:
-        return ClassSpec.tw(spec.b / (1.0 - spec.b), 2.0 * spec.b / (1.0 - spec.b))
-    if spec.kind == TC:
-        return ClassSpec.tw(spec.c / (1.0 - spec.c), 2.0 * spec.c / (1.0 - spec.c))
+    if spec.kind in (TK, TC):
+        k, s = cleared_constants(spec)
+        return ClassSpec.tw(k / s, 2.0 * k / s)
     if spec.kind == TZ:
         d = zamfirescu_delta(spec.a, spec.b, spec.c)
         return ClassSpec.tw(d, 2.0 * d)
@@ -472,41 +531,124 @@ def promote_to_weak(spec: ClassSpec) -> ClassSpec:
 # Constant fitting
 # ---------------------------------------------------------------------------
 
+_TOP_BITS = struct.unpack("<q", struct.pack("<d", sys.float_info.max))[0]
+
+
+def _float_at(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def _smallest_passing(check: Callable[[float], bool], candidate: float) -> float:
+    """Smallest nonnegative float passing a monotone ``check`` (inf when
+    even the largest float fails).  The search starts at ``candidate``, an
+    exact ratio supremum that is usually within an ulp of the answer: it
+    gallops away from the candidate in doubling ulp steps until the verdict
+    flips, then bisects on the bit pattern.  Nonnegative floats ordered by
+    value have increasing 63-bit patterns, so each loop needs at most 64
+    steps."""
+    start = min(candidate, sys.float_info.max) if candidate > 0.0 else 0.0
+
+    def passes(bits: int) -> bool:   # bits -1 and _TOP_BITS + 1 are sentinels
+        return bits > _TOP_BITS or (bits >= 0 and check(_float_at(bits)))
+
+    here = struct.unpack("<q", struct.pack("<d", start))[0]
+    good = passes(here)
+    step = 1
+    for _ in range(65):
+        there = min(max(here - step if good else here + step, -1), _TOP_BITS + 1)
+        if passes(there) != good:
+            break
+        here, step = there, 2 * step
+    lo, hi = (there, here) if good else (here, there)
+    for _ in range(64):
+        if hi - lo <= 1:
+            break
+        mid = (lo + hi) // 2
+        if passes(mid):
+            hi = mid
+        else:
+            lo = mid
+    return math.inf if hi > _TOP_BITS else _float_at(hi)
+
+
+def _ratio_sup(num: np.ndarray, den: np.ndarray, rows: np.ndarray) -> float:
+    """max of num / den over the selected inequality rows (0 if none)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(rows, num / np.where(rows, den, 1.0), 0.0)
+    return float(np.max(ratios)) if ratios.size else 0.0
+
+
+@dataclass
+class FitCore:
+    """What ``fit_terms`` found.  ``values`` holds the smallest passing
+    constants (or, when infeasible, as far as the fit got); ``witnesses``
+    is a per-pair mask of the pairs that no admissible constant repairs."""
+
+    feasible: bool
+    values: dict[str, float]
+    witnesses: np.ndarray
+
+
+def fit_terms(
+    kind: str,
+    t: PairTerms,
+    cone: ConeSpec,
+    slack: float,
+    pinned_delta: float | None = None,
+) -> FitCore:
+    """Smallest constants for which the class inequality holds on every
+    pair of ``t``: a for TB, b for TK, c for TC, and for TW the smallest
+    delta (constrained only by inequality rows where the L-term vanishes)
+    followed by the smallest L at that delta, unless delta is pinned.
+
+    A pair with an inequality row where every RHS term is 0 but the LHS is
+    positive is a hard witness: no constant can repair it.
+    """
+    if kind not in (TB, TK, TC, TW):
+        raise ConfigError(f"constant fitting supports TB/TK/TC/TW, not {kind!r}")
+    a_t = cone.ineq_matrix.T
+    lv = t.lhs @ a_t
+
+    def passes(rhs: np.ndarray, rows: np.ndarray | None = None) -> bool:
+        with np.errstate(over="ignore", invalid="ignore"):
+            ok = cone.inequality_mask(rhs - t.lhs, slack)
+        return bool(np.all(ok if rows is None else ok[rows]))
+
+    if kind != TW:
+        ((name, base),) = class_terms(kind, t)
+        bv = base @ a_t
+        sup = _ratio_sup(lv, bv, bv > 0.0)
+        hard = np.any((bv == 0.0) & (lv > 0.0), axis=-1)
+        if hard.any():
+            return FitCore(False, {name: sup}, hard)
+        fitted = _smallest_passing(lambda v: passes(v * base), sup)
+        return FitCore(fitted < _UPPER[name], {name: fitted}, hard)
+
+    (_, base), (_, ell) = class_terms(TW, t)
+    bv, ev = base @ a_t, ell @ a_t
+    hard = np.any((bv == 0.0) & (ev == 0.0) & (lv > 0.0), axis=-1)
+    if hard.any():
+        return FitCore(False, {}, hard)
+    free = ev == 0.0    # inequality rows the L-term cannot reach
+    if pinned_delta is None:
+        delta = _smallest_passing(lambda v: passes(v * base, free), _ratio_sup(lv, bv, free & (bv > 0.0)))
+    else:
+        delta = float(pinned_delta)
+        short = np.any(~cone.inequality_mask(delta * base - t.lhs, slack) & free, axis=-1)
+        if short.any():
+            return FitCore(False, {"delta": delta}, short)
+    fitted = _smallest_passing(
+        lambda v: passes(delta * base + v * ell), _ratio_sup(lv - delta * bv, ev, ev > 0.0)
+    )
+    return FitCore(delta < 1.0 and fitted < math.inf, {"delta": delta, "L": fitted}, hard)
+
+
 @dataclass
 class FitResult:
     kind: str
     feasible: bool
     spec: ClassSpec | None
     hard_witnesses: list[tuple]
-    tolerance: float = 1e-6
-
-
-_FIT_UPPER = {TB: 1.0, TK: 0.5, TC: 0.5}
-
-
-def _base_terms(kind: str, t: _PairTerms) -> np.ndarray:
-    if kind == TB:
-        return t.d_tx_ty
-    if kind == TK:
-        return t.d_tx_tsx + t.d_ty_tsy
-    return t.d_tx_tsy + t.d_ty_tsx
-
-
-def _bisect_constant(predicate: Callable[[float], bool], hi: float, tol: float) -> float | None:
-    """Smallest passing constant in [0, hi], assuming monotone predicate.
-    Returns None when even hi fails."""
-    if predicate(0.0):
-        return 0.0
-    if not predicate(hi):
-        return None
-    lo = 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if predicate(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def fit_constants(
@@ -516,89 +658,22 @@ def fit_constants(
     pairs: Sequence[tuple],
     *,
     pinned: dict[str, float] | None = None,
-    tol: float = 1e-6,
 ) -> FitResult:
-    """Smallest constants (bisection to absolute tolerance ``tol``) for
-    which the class inequality passes on the pair set: a for TB, b for TK,
-    c for TC, and for TW the minimal delta followed by the minimal L
-    (delta may be pinned via ``pinned={'delta': v}``).  Pairs whose RHS
-    terms are all zero but whose LHS is not are returned as hard
-    infeasibility witnesses: no constant can repair them.
+    """Smallest constants (the exact smallest passing floats) for which the
+    class inequality passes on the pair set: a for TB, b for TK, c for TC,
+    and for TW the minimal delta followed by the minimal L (delta may be
+    pinned via ``pinned={'delta': v}``).  Pairs no constant can repair are
+    returned as infeasibility witnesses.
     """
     pairs = list(pairs)
-    pinned = pinned or {}
-    if class_kind not in (TB, TK, TC, TW):
-        raise ConfigError(f"constant fitting supports TB/TK/TC/TW, not {class_kind!r}")
     if not pairs:
         raise ConfigError("constant fitting needs a nonempty pair set")
-
-    terms = [(x, y, _pair_terms(space, maps, x, y)) for x, y in pairs]
-    cone = space.cone
-
-    def zero(v) -> bool:
-        return cone.norm(v) == 0.0
-
-    if class_kind in (TB, TK, TC):
-        hard = [
-            (x, y)
-            for x, y, t in terms
-            if zero(_base_terms(class_kind, t)) and not cone.contains_relaxed(-t.lhs)
-        ]
-        if hard:
-            return FitResult(class_kind, False, None, hard, tol)
-
-        def make(v: float) -> ClassSpec:
-            return ClassSpec(class_kind, **{{"TB": "a", "TK": "b", "TC": "c"}[class_kind]: v})
-
-        def pred(v: float) -> bool:
-            return all(
-                cone.contains_relaxed(v * _base_terms(class_kind, t) - t.lhs)
-                for _, _, t in terms
-            )
-
-        upper = _FIT_UPPER[class_kind]
-        fitted = _bisect_constant(pred, math.nextafter(upper, 0.0), tol)
-        if fitted is None:
-            return FitResult(class_kind, False, None, [], tol)
-        return FitResult(class_kind, True, make(fitted), [], tol)
-
-    # TW: delta first (constrained only by pairs whose L-term vanishes),
-    # then L at that delta.
-    hard = [
-        (x, y)
-        for x, y, t in terms
-        if zero(t.d_tx_ty) and zero(t.d_ty_tsx) and not cone.contains_relaxed(-t.lhs)
-    ]
-    if hard:
-        return FitResult(TW, False, None, hard, tol)
-
-    if "delta" in pinned:
-        delta = float(pinned["delta"])
-    else:
-        pinned_pairs = [t for _, _, t in terms if zero(t.d_ty_tsx)]
-
-        def pred_delta(v: float) -> bool:
-            return all(cone.contains_relaxed(v * t.d_tx_ty - t.lhs) for t in pinned_pairs)
-
-        delta = _bisect_constant(pred_delta, math.nextafter(1.0, 0.0), tol)
-        if delta is None:
-            return FitResult(TW, False, None, [], tol)
-
-    def pred_l(v: float) -> bool:
-        return all(
-            cone.contains_relaxed(delta * t.d_tx_ty + v * t.d_ty_tsx - t.lhs)
-            for _, _, t in terms
-        )
-
-    hi = 1.0
-    while not pred_l(hi):
-        hi *= 2.0
-        if hi > 1e9:
-            return FitResult(TW, False, None, [], tol)
-    fitted_l = _bisect_constant(pred_l, hi, tol)
-    if fitted_l is None:
-        return FitResult(TW, False, None, [], tol)
-    return FitResult(TW, True, ClassSpec.tw(delta, fitted_l), [], tol)
+    fit = fit_terms(
+        class_kind, pair_terms(space, maps, pairs), space.cone, space.cone.slack,
+        (pinned or {}).get("delta"),
+    )
+    spec = ClassSpec(class_kind, **fit.values) if fit.feasible else None
+    return FitResult(class_kind, fit.feasible, spec, [pairs[i] for i in np.flatnonzero(fit.witnesses)])
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,14 @@ A finite instance is a tabulated cone metric space on at most 200 labelled
 points together with index maps for T and S.  All checks here scan every
 ordered pair (or triple) with exact cone tests: tables are built from
 dyadic values, so plain float comparisons are exact and the tolerance is
-genuinely zero.  Derived constants such as b/(1-b) are never divided out;
-inequalities are multiplied through by the positive denominator instead.
+genuinely zero.  The class inequalities, their cleared-denominator weak
+forms and the constant fit come from the engine in ``contractions``; the
+oracle only supplies the terms of all n^2 index pairs, looked up in the
+tables (``_tensors``), and runs that engine at slack 0.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -19,8 +20,8 @@ import numpy as np
 from .cone_space import ConeMetricSpace, ConeSpec, ConfigError, FinitePointsCarrier, TabulatedMetric
 from .contractions import (
     TB, TC, TK, TW, TW_DUAL, TWU, TZ,
-    ClassSpec, DeclaredProperties, MapPair, TabulatedMap,
-    delta_branch, promote_to_weak, zamfirescu_delta,
+    ClassSpec, DeclaredProperties, MapPair, PairTerms, TabulatedMap,
+    cleared_check, evaluate, fit_terms, promote_to_weak, zamfirescu_delta,
 )
 
 MAX_POINTS = 200
@@ -125,54 +126,25 @@ def enumerate_fixed_points(fin: FiniteInstance) -> list[int]:
     return [fin.points[i] for i in idx]
 
 
-def _tensors(fin: FiniteInstance):
+def _tensors(fin: FiniteInstance) -> PairTerms:
+    """The pair terms of all n^2 index pairs, looked up in the tables.  The
+    per-point terms are (n, 1, m) and (1, n, m) views, not copies."""
     d = fin.metric_table
     t = fin.t_table
     ts = fin.t_table[fin.s_table]
-    return {
-        "lhs": d[ts[:, None], ts[None, :]],
-        "d_tx_ty": d[t[:, None], t[None, :]],
-        "d_tx_tsx": d[t, ts],                 # row i, broadcast over j
-        "d_tx_tsy": d[t[:, None], ts[None, :]],
-        "d_ty_tsx": d[ts[:, None], t[None, :]],
-    }
+    own = d[t, ts]
+    return PairTerms(
+        lhs=d[ts[:, None], ts[None, :]],
+        d_tx_ty=d[t[:, None], t[None, :]],
+        d_tx_tsx=own[:, None, :],
+        d_ty_tsy=own[None, :, :],
+        d_tx_tsy=d[t[:, None], ts[None, :]],
+        d_ty_tsx=d[ts[:, None], t[None, :]],
+    )
 
 
-def _in_cone(fin: FiniteInstance, res: np.ndarray) -> np.ndarray:
-    vals = res @ fin.cone.ineq_matrix.T
-    return np.all(vals >= 0.0, axis=-1)
-
-
-def _branch_masks(fin: FiniteInstance, spec: ClassSpec):
-    t = _tensors(fin)
-    own = t["d_tx_tsx"]
-    m1 = _in_cone(fin, spec.a * t["d_tx_ty"] - t["lhs"])
-    m2 = _in_cone(fin, spec.b * (own[:, None, :] + own[None, :, :]) - t["lhs"])
-    m3 = _in_cone(fin, spec.c * (t["d_tx_tsy"] + t["d_ty_tsx"]) - t["lhs"])
-    return m1, m2, m3
-
-
-def condition_mask(fin: FiniteInstance, spec: ClassSpec) -> np.ndarray:
-    """Boolean (n, n) mask: does the class inequality hold at (x_i, x_j)?"""
-    t = _tensors(fin)
-    if spec.kind == TZ:
-        m1, m2, m3 = _branch_masks(fin, spec)
-        return m1 | m2 | m3
-    if spec.kind == TB:
-        rhs = spec.a * t["d_tx_ty"]
-    elif spec.kind == TK:
-        own = t["d_tx_tsx"]
-        rhs = spec.b * (own[:, None, :] + own[None, :, :])
-    elif spec.kind == TC:
-        rhs = spec.c * (t["d_tx_tsy"] + t["d_ty_tsx"])
-    elif spec.kind == TW:
-        rhs = spec.delta * t["d_tx_ty"] + spec.L * t["d_ty_tsx"]
-    elif spec.kind == TW_DUAL:
-        rhs = spec.delta * t["d_tx_ty"] + spec.L * t["d_tx_tsy"]
-    else:
-        own = t["d_tx_tsx"]
-        rhs = spec.theta * t["d_tx_ty"] + spec.L1 * own[:, None, :]
-    return _in_cone(fin, rhs - t["lhs"])
+def _index_pairs(mask: np.ndarray) -> list[tuple[int, int]]:
+    return [tuple(p) for p in np.argwhere(mask).tolist()]
 
 
 @dataclass
@@ -186,13 +158,8 @@ class OracleConditionReport:
 
 def exhaustive_condition_check(fin: FiniteInstance, spec: ClassSpec) -> OracleConditionReport:
     """Evaluate the class inequality on all n^2 ordered pairs, exactly."""
-    mask = condition_mask(fin, spec)
-    stats = None
-    if spec.kind == TZ:
-        m1, m2, m3 = _branch_masks(fin, spec)
-        stats = {"TZ1": int(m1.sum()), "TZ2": int(m2.sum()), "TZ3": int(m3.sum())}
-    pairs = [tuple(int(v) for v in p) for p in np.argwhere(~mask)]
-    return OracleConditionReport(spec, bool(mask.all()), pairs, fin.n ** 2, stats)
+    v = evaluate(spec, _tensors(fin), fin.cone, 0.0)
+    return OracleConditionReport(spec, bool(v.ok.all()), _index_pairs(~v.ok), fin.n ** 2, v.branch_stats)
 
 
 # ---------------------------------------------------------------------------
@@ -208,116 +175,23 @@ class TightestResult:
     infeasible_witnesses: list[tuple[int, int]]
 
 
-def _min_passing_float(check, candidate: float) -> float:
-    """Smallest float passing a monotone check, starting from a candidate
-    within a few ulps of the real infimum (the candidate comes from an
-    exact ratio supremum; float rounding can put it one ulp either side).
-    """
-    v = max(candidate, 0.0)
-    for _ in range(128):
-        if check(v):
-            break
-        v = math.nextafter(v, math.inf)
-    else:
-        raise ConfigError("tightest-constant refinement failed to bracket")
-    while v > 0.0:
-        prev = math.nextafter(v, -math.inf)
-        if prev < 0.0 or not check(prev):
-            break
-        v = prev
-    return v
-
-
-def _ratio_sup(fin: FiniteInstance, lhs: np.ndarray, base: np.ndarray):
-    """sup over pairs and cone inequalities of lhs-row / base-row, plus the
-    pairs made hard-infeasible by a zero base against a positive lhs."""
-    a_mat = fin.cone.ineq_matrix
-    lv = lhs @ a_mat.T
-    bv = base @ a_mat.T
-    hard_mask = np.any((bv == 0.0) & (lv > 0.0), axis=-1)
-    hard = [tuple(int(v) for v in p) for p in np.argwhere(hard_mask)]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(bv > 0.0, lv / bv, 0.0)
-    return float(np.max(ratios)) if ratios.size else 0.0, hard
-
-
 def tightest_constants(
     fin: FiniteInstance,
     class_kind: str,
     *,
     pinned_delta: float | None = None,
 ) -> TightestResult:
-    """Exact minimal constants by closed-form ratio supremum over all pairs
-    (refined to the smallest passing float).  For TW the minimal delta is
-    found first (constrained by pairs whose L-term vanishes), then the
-    minimal L on that boundary; pass ``pinned_delta`` to fix delta instead.
+    """Exact minimal constants over all pairs: the smallest passing floats,
+    searched from the closed-form ratio supremum.  For TW the minimal delta
+    is found first (constrained by inequality rows where the L-term
+    vanishes), then the minimal L on that boundary; pass ``pinned_delta``
+    to fix delta instead.
     """
-    t = _tensors(fin)
-    lhs = t["lhs"]
-
-    if class_kind in (TB, TK, TC):
-        if class_kind == TB:
-            base, name, upper = t["d_tx_ty"], "a", 1.0
-        elif class_kind == TK:
-            own = t["d_tx_tsx"]
-            base, name, upper = own[:, None, :] + own[None, :, :], "b", 0.5
-        else:
-            base, name, upper = t["d_tx_tsy"] + t["d_ty_tsx"], "c", 0.5
-        sup, hard = _ratio_sup(fin, lhs, base)
-        if hard:
-            return TightestResult(class_kind, False, None, {name: sup}, hard)
-        fitted = _min_passing_float(lambda v: bool(_in_cone(fin, v * base - lhs).all()), sup)
-        feasible = fitted < upper
-        return TightestResult(
-            class_kind, feasible, {name: fitted} if feasible else None, {name: fitted}, []
-        )
-
-    if class_kind != TW:
-        raise ConfigError(f"tightest constants support TB/TK/TC/TW, not {class_kind!r}")
-
-    base = t["d_tx_ty"]
-    ell = t["d_ty_tsx"]
-    a_mat = fin.cone.ineq_matrix
-    lv = lhs @ a_mat.T
-    bv = base @ a_mat.T
-    ev = ell @ a_mat.T
-
-    hard_mask = np.any((bv == 0.0) & (ev == 0.0) & (lv > 0.0), axis=-1)
-    hard = [tuple(int(v) for v in p) for p in np.argwhere(hard_mask)]
-    if hard:
-        return TightestResult(TW, False, None, {}, hard)
-
-    if pinned_delta is None:
-        # delta is constrained only where the L-term row vanishes
-        free = (ev == 0.0) & (bv > 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(free, lv / np.where(bv > 0.0, bv, 1.0), 0.0)
-        sup_d = float(np.max(ratios)) if ratios.size else 0.0
-
-        def check_delta(v: float) -> bool:
-            rows = v * bv - lv
-            return bool(np.all(rows[ev == 0.0] >= 0.0))
-
-        delta = _min_passing_float(check_delta, sup_d)
-    else:
-        delta = float(pinned_delta)
-
-    deficit = lv - delta * bv
-    pos = ev > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        l_ratios = np.where(pos, deficit / np.where(pos, ev, 1.0), 0.0)
-    sup_l = max(0.0, float(np.max(l_ratios))) if l_ratios.size else 0.0
-    if pinned_delta is not None and np.any((~pos) & (deficit > 0.0)):
-        # pinned delta too small on a pair with no L-term to compensate
-        bad = np.argwhere(np.any((~pos) & (deficit > 0.0), axis=-1))
-        return TightestResult(TW, False, None, {"delta": delta}, [tuple(map(int, p)) for p in bad])
-
-    fitted_l = _min_passing_float(
-        lambda v: bool(_in_cone(fin, delta * base + v * ell - lhs).all()), sup_l
+    fit = fit_terms(class_kind, _tensors(fin), fin.cone, 0.0, pinned_delta)
+    return TightestResult(
+        class_kind, fit.feasible, fit.values if fit.feasible else None, fit.values,
+        _index_pairs(fit.witnesses),
     )
-    feasible = delta < 1.0
-    consts = {"delta": delta, "L": fitted_l}
-    return TightestResult(TW, feasible, consts if feasible else None, consts, [])
 
 
 # ---------------------------------------------------------------------------
@@ -345,26 +219,14 @@ def exhaustive_reduction_check(fin: FiniteInstance, a: float, b: float, c: float
     Requires TZ(a, b, c) to hold exhaustively first.
     """
     delta = zamfirescu_delta(a, b, c)
-    tz = exhaustive_condition_check(fin, ClassSpec.tz(a, b, c))
-    if not tz.holds:
-        return ReductionExhaustive(delta, False, False, False, tz.violating_pairs, [])
-
-    branch, const = delta_branch(a, b, c)
+    tz = ClassSpec.tz(a, b, c)
     t = _tensors(fin)
-    own = t["d_tx_tsx"][:, None, :] + np.zeros_like(t["lhs"])
-    scale = 1.0 if branch == "a" else 1.0 - const
-
-    res_p = const * t["d_tx_ty"] + 2.0 * const * own - scale * t["lhs"]
-    res_d = const * t["d_tx_ty"] + 2.0 * const * t["d_tx_tsy"] - scale * t["lhs"]
-    ok_p = _in_cone(fin, res_p)
-    ok_d = _in_cone(fin, res_d)
+    tz_ok = evaluate(tz, t, fin.cone, 0.0).ok
+    if not tz_ok.all():
+        return ReductionExhaustive(delta, False, False, False, _index_pairs(~tz_ok), [])
+    ok_p, ok_d = (cleared_check(tz, kind, t, fin.cone, 0.0).ok for kind in (TWU, TW_DUAL))
     return ReductionExhaustive(
-        delta,
-        True,
-        bool(ok_p.all()),
-        bool(ok_d.all()),
-        [tuple(map(int, p)) for p in np.argwhere(~ok_p)],
-        [tuple(map(int, p)) for p in np.argwhere(~ok_d)],
+        delta, True, bool(ok_p.all()), bool(ok_d.all()), _index_pairs(~ok_p), _index_pairs(~ok_d)
     )
 
 
@@ -390,32 +252,12 @@ def exhaustive_promotion_check(fin: FiniteInstance, source: ClassSpec) -> Promot
     """
     if source.kind not in (TB, TK, TC, TZ):
         raise ConfigError(f"promotion oracle applies to TB/TK/TC/TZ, not {source.kind!r}")
-    src_mask = condition_mask(fin, source)
     t = _tensors(fin)
-
-    if source.kind == TB:
-        branch, const = "a", source.a
-    elif source.kind == TK:
-        branch, const = "b", source.b
-    elif source.kind == TC:
-        branch, const = "c", source.c
-    else:
-        branch, const = delta_branch(source.a, source.b, source.c)
-    scale = 1.0 if branch == "a" else 1.0 - const
-
-    def ok_for(ell: np.ndarray) -> np.ndarray:
-        res = const * t["d_tx_ty"] + 2.0 * const * ell - scale * t["lhs"]
-        return _in_cone(fin, res)
-
-    ok_w = ok_for(t["d_ty_tsx"]) | ~src_mask
-    ok_d = ok_for(t["d_tx_tsy"]) | ~src_mask
+    off_source = ~evaluate(source, t, fin.cone, 0.0).ok
+    ok_w, ok_d = (cleared_check(source, kind, t, fin.cone, 0.0).ok | off_source for kind in (TW, TW_DUAL))
     return PromotionExhaustive(
-        source,
-        promote_to_weak(source),
-        bool(ok_w.all()),
-        bool(ok_d.all()),
-        [tuple(map(int, p)) for p in np.argwhere(~ok_w)],
-        [tuple(map(int, p)) for p in np.argwhere(~ok_d)],
+        source, promote_to_weak(source), bool(ok_w.all()), bool(ok_d.all()),
+        _index_pairs(~ok_w), _index_pairs(~ok_d),
     )
 
 

@@ -8,14 +8,12 @@ rule is well defined on any carrier.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .cone_space import BoxCarrier, ConeMetricSpace, ConfigError, DomainError
+from .cone_space import BoxCarrier, ConeMetricSpace, ConfigError, DomainError, point_key
 from .contractions import MapPair
 
 CONVERGED = "converged"
@@ -27,36 +25,16 @@ NON_UNIQUE = "non_unique"
 UNKNOWN = "unknown"
 
 
-def worker_count() -> int:
-    """Worker cap from CONEFIX_THREADS (default 1 = serial)."""
-    raw = os.environ.get("CONEFIX_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _point_key(x):
-    if isinstance(x, np.ndarray):
-        return tuple(x.tolist())
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    return x
-
-
 @dataclass
 class StoppingRule:
     epsilon: float = 1e-12
     max_iter: int = 1_000_000
-    stall_window: int = 50
 
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ConfigError("epsilon must be > 0")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be >= 1")
-        if self.stall_window < 1:
-            raise ConfigError("stall_window must be >= 1")
 
 
 @dataclass
@@ -96,7 +74,8 @@ def picard_iterate(
 ) -> IterationTrace:
     """Iterate x_{n+1} = S(x_n) from x0 until the T-image gap norm drops
     to the rule's epsilon, max_iter points have been appended, or the
-    next point exactly repeats one seen within the stall window (a cycle).
+    next point exactly repeats an earlier one: S is deterministic, so any
+    repeat proves a cycle.
 
     The trace records one gap per visited point: gap[n] pairs with
     x_sequence[n] and equals d(T x_n, T S x_n); on convergence the next
@@ -108,7 +87,7 @@ def picard_iterate(
     t_images = [space.require_point(maps.T(x0), "T-image")]
     gaps: list[np.ndarray] = []
     norms: list[float] = []
-    seen = {_point_key(x0): 0}
+    seen = {point_key(x0)}
     while True:
         x = pts[-1]
         try:
@@ -119,23 +98,19 @@ def picard_iterate(
         g = space.d(t_images[-1], ty)
         gaps.append(g)
         norms.append(space.cone.norm(g))
-        if norms[-1] <= rule.epsilon:
-            pts.append(y)
-            t_images.append(ty)
-            reason = CONVERGED
-            break
-        if len(pts) >= rule.max_iter + 1:
+        if norms[-1] > rule.epsilon and len(pts) > rule.max_iter:
             reason = MAX_ITER
             break
-        key = _point_key(y)
-        if key in seen and len(pts) - seen[key] <= rule.stall_window:
-            pts.append(y)
-            t_images.append(ty)
-            reason = CYCLE_DETECTED
-            break
-        seen[key] = len(pts)
         pts.append(y)
         t_images.append(ty)
+        if norms[-1] <= rule.epsilon:
+            reason = CONVERGED
+            break
+        key = point_key(y)
+        if key in seen:
+            reason = CYCLE_DETECTED
+            break
+        seen.add(key)
     return IterationTrace(space, maps, pts, t_images, gaps, norms, reason, rule)
 
 
@@ -255,20 +230,14 @@ def uniqueness_probe(
     """Run Picard iteration from each start.  ``unique`` when all converged
     limits coincide within the carrier tolerance; ``non_unique`` when at
     least two certified, distinct fixed points emerge; ``unknown`` when any
-    run fails to converge.  Independent runs may execute on worker threads
-    (CONEFIX_THREADS); results merge in start order.
+    run fails to converge.  Runs go in start order.
     """
     if not starts:
         raise ConfigError("uniqueness probe needs at least one start point")
     rule = rule or StoppingRule()
     tol = coincide_tol if coincide_tol is not None else 10.0 * rule.epsilon
 
-    workers = worker_count()
-    if workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            traces = list(pool.map(lambda s: picard_iterate(space, maps, s, rule), starts))
-    else:
-        traces = [picard_iterate(space, maps, s, rule) for s in starts]
+    traces = [picard_iterate(space, maps, s, rule) for s in starts]
 
     if any(t.stop_reason != CONVERGED for t in traces):
         return UniquenessVerdict(UNKNOWN, None, [], traces)
@@ -285,17 +254,6 @@ def uniqueness_probe(
     if len(certified) >= 2:
         return UniquenessVerdict(NON_UNIQUE, None, certified, traces)
     return UniquenessVerdict(UNKNOWN, None, certified, traces)
-
-
-@dataclass
-class Certificate:
-    fixed_point: object | None
-    residual_norm: float | None
-    rate_h: float | None
-    cauchy_bound_ok: bool | None
-    uniqueness: str
-    witnesses: list = field(default_factory=list)
-    rate_h_primary: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -320,14 +278,9 @@ def default_probes(space: ConeMetricSpace, *, count: int = 200, seed: int = 0, l
     if isinstance(carrier, BoxCarrier):
         pts = list(carrier.sample(rng, count))
         lo, hi = carrier.lows, carrier.highs
-        seqs = [
-            ("convergent", [lo + (hi - lo) * 0.5 ** n for n in range(length)]),
-            ("alternating", [lo, hi] * (length // 2)),
-            ("boundary-approach", [hi - (hi - lo) * 0.5 ** n for n in range(length)]),
-        ]
-        return TProbes(pts, seqs)
-    lo, hi = carrier.lo, carrier.hi
-    pts = list(np.linspace(lo, hi, count))
+    else:
+        lo, hi = carrier.lo, carrier.hi
+        pts = list(np.linspace(lo, hi, count))
     seqs = [
         ("convergent", [lo + (hi - lo) * 0.5 ** n for n in range(length)]),
         ("alternating", [lo, hi] * (length // 2)),
@@ -384,7 +337,7 @@ def diagnose_T(
     images = [space.require_point(T(p), "T-image") for p in pts]
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            if _point_key(pts[i]) == _point_key(pts[j]):
+            if point_key(pts[i]) == point_key(pts[j]):
                 continue
             if space.gap_norm(images[i], images[j]) <= injectivity_tol:
                 violations.append((pts[i], pts[j]))

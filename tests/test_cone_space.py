@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conefix.cone_space import (
     ConeMetricSpace, ConeSpec, ConfigError, DirectionMetric, DomainError, FunctionMetric,
-    IntervalCarrier, Relation, SamplingPlan, cone_membership, estimate_normal_constant,
+    IntervalCarrier, Relation, SamplingPlan, estimate_normal_constant,
     eval_metric, order_compare, verify_cone_axioms, verify_metric_axioms,
 )
 
@@ -19,21 +19,21 @@ dyadic_vec = st.tuples(dyadic, dyadic).map(np.asarray)
 
 def test_orthant_membership_boundary_point():
     cone = ConeSpec.orthant(2)
-    assert cone_membership(cone, [1.0, 0.0], "closed")
-    assert not cone_membership(cone, [1.0, 0.0], "interior")
-    assert not cone_membership(cone, [-1.0, 2.0], "closed")
+    assert cone.contains([1.0, 0.0], "closed")
+    assert not cone.contains([1.0, 0.0], "interior")
+    assert not cone.contains([-1.0, 2.0], "closed")
 
 
 def test_membership_dimension_mismatch():
     cone = ConeSpec.orthant(2)
     with pytest.raises(ConfigError):
-        cone_membership(cone, [1.0, 2.0, 3.0])
+        cone.contains([1.0, 2.0, 3.0])
 
 
 def test_membership_rejects_non_finite():
     cone = ConeSpec.orthant(2)
     with pytest.raises(ConfigError):
-        cone_membership(cone, [np.nan, 0.0])
+        cone.contains([np.nan, 0.0])
 
 
 def test_order_compare_examples():
@@ -80,6 +80,7 @@ def test_orthant_axioms_pass():
     report = verify_cone_axioms(ConeSpec.orthant(2), SamplingPlan(count=100, seed=1))
     assert report.passed
     assert report.axioms_checked == ["P1", "P2", "P3"]
+    assert report.sample_count == 100
 
 
 def test_half_plane_fails_pointedness():
@@ -89,6 +90,18 @@ def test_half_plane_fails_pointedness():
     assert p3
     witnesses = [np.abs(np.asarray(v.witness[0])) for v in p3]
     assert any(np.allclose(w, [0.0, 1.0]) for w in witnesses)
+
+
+def test_thin_wedge_reports_the_points_it_drew():
+    # rejection sampling keeps only a few of the 10,000 requested points
+    # of this wedge; the report counts the pairs actually combined
+    cone = ConeSpec.polyhedral([[1.0, -100.0], [-1.0, 101.0]])
+    plan = SamplingPlan(count=10_000, seed=0)
+    rng = plan.rng()
+    drawn = min(len(cone.sample(rng, plan.count)), len(cone.sample(rng, plan.count)))
+    report = verify_cone_axioms(cone, plan)
+    assert 0 < drawn < 100
+    assert report.sample_count == drawn
 
 
 def test_collapsed_scaled_orthant_has_empty_interior():

@@ -208,6 +208,9 @@ def test_fit_tb_minimality():
     fitted = fit_constants(space, maps, "TB", pairs).spec.a
     assert check_condition(space, maps, ClassSpec.tb(fitted), pairs).holds
     assert not check_condition(space, maps, ClassSpec.tb(fitted - 2e-6), pairs).holds
+    # the fit is the exact smallest passing float
+    assert fitted == 0.5
+    assert not check_condition(space, maps, ClassSpec.tb(math.nextafter(fitted, 0.0)), pairs).holds
 
 
 def test_fit_tw_with_pinned_delta_on_instance_c():

@@ -7,7 +7,7 @@ from conefix.oracle import finite_from_values
 from conefix.solver import (
     CONVERGED, CYCLE_DETECTED, MAX_ITER, NON_UNIQUE, UNIQUE, UNKNOWN,
     StoppingRule, TProbes, certify_fixed_point, diagnose_T,
-    geometric_decay_check, picard_iterate, uniqueness_probe, worker_count,
+    geometric_decay_check, picard_iterate, uniqueness_probe,
 )
 
 
@@ -51,13 +51,17 @@ def test_quarter_map_trace_reaches_fixed_point(space_b):
 
 
 def test_cycle_detection_on_rotation():
-    fin = finite_from_values(
-        np.arange(10, dtype=float), t_table=np.arange(10), s_table=(np.arange(10) + 1) % 10
-    )
-    space, maps = fin.as_space_and_maps()
-    trace = picard_iterate(space, maps, 0, StoppingRule(max_iter=100))
-    assert trace.stop_reason == CYCLE_DETECTED
-    assert trace.x_sequence[-1] == trace.x_sequence[0]
+    # any exact repeat is a cycle, however long: the 60-point rotation
+    # must stop after one turn, not at max_iter
+    for n, max_iter in ((10, 100), (60, 2000)):
+        fin = finite_from_values(
+            np.arange(n, dtype=float), t_table=np.arange(n), s_table=(np.arange(n) + 1) % n
+        )
+        space, maps = fin.as_space_and_maps()
+        trace = picard_iterate(space, maps, 0, StoppingRule(max_iter=max_iter))
+        assert trace.stop_reason == CYCLE_DETECTED
+        assert trace.n_final == n
+        assert trace.x_sequence[-1] == trace.x_sequence[0]
 
 
 def test_escaping_map_raises_domain_error():
@@ -180,14 +184,17 @@ def test_unknown_when_runs_cycle():
     assert verdict.verdict == UNKNOWN
 
 
-def test_uniqueness_probe_merges_deterministically_across_threads(space_a, monkeypatch):
+def test_uniqueness_probe_merges_deterministically_across_threads(space_a):
+    # runs merge in start order
     space, maps = space_a
-    serial = uniqueness_probe(space, maps, [0.0, 0.3, 1.0])
-    monkeypatch.setenv("CONEFIX_THREADS", "4")
-    assert worker_count() == 4
-    threaded = uniqueness_probe(space, maps, [0.0, 0.3, 1.0])
-    assert threaded.verdict == serial.verdict
-    assert [t.x_sequence for t in threaded.traces] == [t.x_sequence for t in serial.traces]
+    starts = [0.0, 0.3, 1.0]
+    first = uniqueness_probe(space, maps, starts)
+    again = uniqueness_probe(space, maps, starts)
+    assert again.verdict == first.verdict
+    assert [t.x_sequence for t in again.traces] == [t.x_sequence for t in first.traces]
+    assert [t.x_sequence[0] for t in first.traces] == starts
+    reverse = uniqueness_probe(space, maps, starts[::-1])
+    assert [t.x_sequence for t in reverse.traces] == [t.x_sequence for t in first.traces][::-1]
 
 
 # ---------------------------------------------------------------------------
