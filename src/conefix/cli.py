@@ -11,8 +11,10 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -29,8 +31,8 @@ from .contractions import (
     rate_from_primary_form, sampled_pairs, verify_zamfirescu_reduction, zamfirescu_delta,
 )
 from .oracle import (
-    FiniteInstance, cross_validate, enumerate_fixed_points, exhaustive_condition_check,
-    exhaustive_reduction_check, tightest_constants,
+    FiniteInstance, cross_validate, enumerate_fixed_points, exhaustive_reduction_check,
+    tightest_constants,
 )
 
 SCHEMA_VERSION = "1"
@@ -76,318 +78,248 @@ class LoadedInstance:
 
 
 # ---------------------------------------------------------------------------
-# Parsing and validation (all errors accumulated, unknown keys rejected)
+# Instance schema: one table per section, read by one walker
 # ---------------------------------------------------------------------------
 
-def _check_keys(obj: dict, allowed: set[str], where: str, errors: list[str]):
-    for key in obj:
-        if key not in allowed:
-            errors.append(f"{where}: unknown key {key!r}")
+@dataclass(frozen=True)
+class Variant:
+    """The keys one variant of a section takes, and how it is built.
+
+    ``required`` and ``optional`` map each key to the coercion applied to
+    its value, or to the ``Section`` that parses it; an absent optional key
+    takes the constructor's default.  ``build`` receives the coerced keys,
+    plus the sections named in ``needs`` (parsed earlier in the walk, None
+    where they failed).
+    """
+
+    build: Callable
+    required: dict = field(default_factory=dict)
+    optional: dict = field(default_factory=dict)
+    needs: tuple = ()
 
 
-def _get(obj: dict, key: str, where: str, errors: list[str], default=None, required=False):
-    if key not in obj:
-        if required:
-            errors.append(f"{where}: missing required key {key!r}")
-        return default
-    return obj[key]
+@dataclass(frozen=True)
+class Section:
+    """A section's variants, picked by the value of its ``tag`` key (the
+    ``default`` variant when the key is absent and a default exists).  A
+    section without a tag has the single variant ``None``; ``noun`` names
+    the tag in errors."""
+
+    variants: dict
+    tag: str | None = None
+    noun: str = ""
+    default: str | None = None
 
 
-def _parse_cone(section, errors: list[str]) -> ConeSpec | None:
-    where = "cone"
-    if not isinstance(section, dict):
+_BUILD_ERRORS = (ConfigError, TypeError, ValueError, OverflowError)
+
+
+def _walk(obj, where: str, section: Section, errors: list[str], built: dict):
+    """Parse one section: pick its variant, report unknown and missing keys,
+    coerce every present key (walking nested sections) and build it.  Every
+    failure is appended to ``errors`` as "<where>: <message>"; the result
+    is then None."""
+    if not isinstance(obj, dict):
         errors.append(f"{where}: must be an object")
         return None
-    family = _get(section, "family", where, errors, default="orthant")
-    allowed = {"family", "dimension", "norm", "interior_margin", "slack"}
-    if family == "scaled_orthant":
-        allowed.add("weights")
-    elif family == "polyhedral":
-        allowed.add("matrix")
-    _check_keys(section, allowed, where, errors)
-    dim = _get(section, "dimension", where, errors, required=True)
-    kw = {}
-    if "norm" in section:
-        kw["norm_kind"] = section["norm"]
-    if "interior_margin" in section:
-        kw["interior_margin"] = section["interior_margin"]
-    if "slack" in section:
-        kw["slack"] = section["slack"]
-    if dim is None:
+    name = None
+    if section.tag is not None:
+        if section.tag not in obj and section.default is None:
+            errors.append(f"{where}: missing required key {section.tag!r}")
+            return None
+        name = obj.get(section.tag, section.default)
+    variant = section.variants.get(name) if isinstance(name, (str, type(None))) else None
+    if variant is None:
+        errors.append(f"{where}: unknown {section.noun} {name!r}")
+        return None
+    keys = {**variant.required, **variant.optional}
+    errors.extend(f"{where}: unknown key {k!r}" for k in obj if k != section.tag and k not in keys)
+    missing = [k for k in variant.required if k not in obj]
+    errors.extend(f"{where}: missing required key {k!r}" for k in missing)
+    args, failed = {}, bool(missing)
+    for key, parse in keys.items():
+        if key not in obj:
+            continue
+        if isinstance(parse, Section):
+            child = key if where == "top" else f"{where}.{key}"
+            args[key] = built[key] = _walk(obj[key], child, parse, errors, built)
+            failed |= args[key] is None
+            continue
+        try:
+            args[key] = parse(obj[key])
+        except _BUILD_ERRORS as exc:
+            errors.append(f"{where}: {exc}")
+            failed = True
+    if failed:
         return None
     try:
-        if family == "orthant":
-            return ConeSpec.orthant(int(dim), **kw)
-        if family == "scaled_orthant":
-            weights = _get(section, "weights", where, errors, required=True)
-            if weights is None:
-                return None
-            cone = ConeSpec.scaled_orthant(weights, **kw)
-            if cone.dimension != int(dim):
-                errors.append(f"{where}: weights length {cone.dimension} != dimension {dim}")
-                return None
-            return cone
-        if family == "polyhedral":
-            matrix = _get(section, "matrix", where, errors, required=True)
-            if matrix is None:
-                return None
-            a = np.asarray(matrix, dtype=float)
-            if a.ndim != 2 or a.shape[1] != int(dim):
-                errors.append(
-                    f"{where}: inequality matrix must have {dim} columns, got shape {a.shape}"
-                )
-                return None
-            return ConeSpec.polyhedral(a, **kw)
-        errors.append(f"{where}: unknown family {family!r}")
-    except (ConfigError, TypeError, ValueError) as exc:
+        return variant.build(**args, **{n: built.get(n) for n in variant.needs})
+    except _BUILD_ERRORS as exc:
         errors.append(f"{where}: {exc}")
-    return None
-
-
-def _parse_carrier(section, errors: list[str]):
-    where = "space.carrier"
-    if not isinstance(section, dict):
-        errors.append(f"{where}: must be an object")
         return None
-    kind = _get(section, "kind", where, errors, required=True)
-    try:
-        if kind == "interval":
-            _check_keys(section, {"kind", "lo", "hi", "grid"}, where, errors)
-            return IntervalCarrier(
-                float(_get(section, "lo", where, errors, required=True)),
-                float(_get(section, "hi", where, errors, required=True)),
-                int(section.get("grid", 101)),
-            )
-        if kind == "box":
-            _check_keys(section, {"kind", "lows", "highs", "grid"}, where, errors)
-            return BoxCarrier(
-                np.asarray(_get(section, "lows", where, errors, required=True), dtype=float),
-                np.asarray(_get(section, "highs", where, errors, required=True), dtype=float),
-                int(section.get("grid", 11)),
-            )
-        if kind == "finite":
-            _check_keys(section, {"kind", "points"}, where, errors)
-            pts = _get(section, "points", where, errors, required=True)
-            if pts is None:
-                return None
-            return FinitePointsCarrier(list(pts))
-        errors.append(f"{where}: unknown carrier kind {kind!r}")
-    except (ConfigError, TypeError, ValueError) as exc:
-        errors.append(f"{where}: {exc}")
-    return None
 
 
-def _parse_metric(section, carrier, cone, errors: list[str]):
-    where = "space.metric"
-    if not isinstance(section, dict):
-        errors.append(f"{where}: must be an object")
+def _as_is(value):
+    return value
+
+
+def _bounded(cast: Callable, ok: Callable, message: str) -> Callable:
+    """Coerce with ``cast``, then reject a value that fails ``ok``."""
+    def coerce(value):
+        value = cast(value)
+        if not ok(value):
+            raise ConfigError(message)
+        return value
+    return coerce
+
+
+def _schema_version(value):
+    if value is not None and str(value) != SCHEMA_VERSION:
+        raise ConfigError(f"unsupported schema_version {value!r}")
+    return value
+
+
+def _cone(family: str, **keys) -> ConeSpec:
+    if "norm" in keys:
+        keys["norm_kind"] = keys.pop("norm")
+    return ConeSpec(family=family, **keys)
+
+
+def _direction_metric(direction, scalar="absdiff", *, cone, carrier) -> DirectionMetric:
+    u = np.asarray(direction, dtype=float)
+    if cone is not None:
+        if len(u) != cone.dimension:
+            raise ConfigError(f"direction length {len(u)} != cone dimension")
+        if not cone.contains(u, "interior"):
+            raise ConfigError("direction vector must lie in the cone interior")
+    if isinstance(carrier, IntervalCarrier) and scalar != "absdiff":
+        raise ConfigError("interval carriers use the 'absdiff' scalar metric")
+    return DirectionMetric(u, scalar)
+
+
+def _tabulated_metric(table, *, carrier) -> TabulatedMetric | None:
+    if carrier is None:         # the carrier's own error is already reported
         return None
-    kind = _get(section, "kind", where, errors, required=True)
-    try:
-        if kind == "direction":
-            _check_keys(section, {"kind", "direction", "scalar"}, where, errors)
-            u = np.asarray(_get(section, "direction", where, errors, required=True), dtype=float)
-            if cone is not None:
-                if len(u) != cone.dimension:
-                    errors.append(f"{where}: direction length {len(u)} != cone dimension")
-                    return None
-                if not cone.contains(u, "interior"):
-                    errors.append(f"{where}: direction vector must lie in the cone interior")
-                    return None
-            scalar = section.get("scalar", "absdiff")
-            if isinstance(carrier, IntervalCarrier) and scalar != "absdiff":
-                errors.append(f"{where}: interval carriers use the 'absdiff' scalar metric")
-                return None
-            return DirectionMetric(u, scalar)
-        if kind == "tabulated":
-            _check_keys(section, {"kind", "table"}, where, errors)
-            table = _get(section, "table", where, errors, required=True)
-            if table is None or carrier is None:
-                return None
-            if not isinstance(carrier, FinitePointsCarrier):
-                errors.append(f"{where}: tabulated metrics require a finite carrier")
-                return None
-            return TabulatedMetric(list(carrier.points), np.asarray(table, dtype=float))
-        errors.append(f"{where}: unknown metric kind {kind!r}")
-    except (ConfigError, TypeError, ValueError) as exc:
-        errors.append(f"{where}: {exc}")
-    return None
+    if not isinstance(carrier, FinitePointsCarrier):
+        raise ConfigError("tabulated metrics require a finite carrier")
+    return TabulatedMetric(list(carrier.points), np.asarray(table, dtype=float))
 
 
-def _parse_map(section, carrier, errors: list[str], where: str):
-    if not isinstance(section, dict):
-        errors.append(f"{where}: must be an object")
+def _tabulated_map(images, *, carrier) -> TabulatedMap | None:
+    if carrier is None:
         return None
-    family = _get(section, "family", where, errors, required=True)
+    if not isinstance(carrier, FinitePointsCarrier):
+        raise ConfigError("tabulated maps require a finite carrier")
+    pts = list(carrier.points)
     try:
-        if family == "identity":
-            _check_keys(section, {"family"}, where, errors)
-            return IdentityMap()
-        if family == "affine":
-            _check_keys(section, {"family", "alpha", "beta"}, where, errors)
-            return AffineMap(
-                float(_get(section, "alpha", where, errors, required=True)),
-                float(section.get("beta", 0.0)),
-            )
-        if family == "power":
-            _check_keys(section, {"family", "exponent"}, where, errors)
-            return PowerMap(float(_get(section, "exponent", where, errors, required=True)))
-        if family == "tabulated":
-            _check_keys(section, {"family", "images"}, where, errors)
-            images = _get(section, "images", where, errors, required=True)
-            if images is None or carrier is None:
-                return None
-            if not isinstance(carrier, FinitePointsCarrier):
-                errors.append(f"{where}: tabulated maps require a finite carrier")
-                return None
-            pts = list(carrier.points)
-            try:
-                return TabulatedMap(pts, [pts[int(i)] for i in images])
-            except (IndexError, ValueError):
-                errors.append(f"{where}: images must be valid point indices")
-                return None
-        errors.append(f"{where}: unknown map family {family!r}")
-    except (ConfigError, TypeError, ValueError) as exc:
-        errors.append(f"{where}: {exc}")
-    return None
+        return TabulatedMap(pts, [pts[int(i)] for i in images])
+    except (IndexError, ValueError):
+        raise ConfigError("images must be valid point indices") from None
 
 
-def _parse_contraction(section, errors: list[str]) -> tuple[ClassSpec | None, bool]:
+def _class_spec(kind: str, **constants) -> tuple[ClassSpec, bool]:
     """Returns (spec, tw_delta_pinned): a TW section carrying delta but no
     L pins delta for the fit command (L then fitted on that boundary)."""
-    where = "contraction"
-    if not isinstance(section, dict):
-        errors.append(f"{where}: must be an object")
-        return None, False
-    kind = _get(section, "class", where, errors, required=True)
-    if kind not in CLASS_KINDS:
-        errors.append(f"{where}: unknown class {kind!r}")
-        return None, False
-    names = constant_names(kind)
-    _check_keys(section, {"class", *names}, where, errors)
-    constants = {k: section[k] for k in names if k in section}
     pinned = kind in (TW, TW_DUAL) and "delta" in constants and "L" not in constants
     if pinned:
         constants["L"] = 0.0
-    try:
-        return ClassSpec(kind, **{k: float(v) for k, v in constants.items()}), pinned
-    except (ConfigError, TypeError, ValueError) as exc:
-        errors.append(f"{where}: {exc}")
-        return None, False
+    return ClassSpec(kind, **constants), pinned
 
 
-def _parse_run(section, errors: list[str]) -> RunDefaults:
-    where = "run"
-    run = RunDefaults()
-    if section is None:
-        return run
-    if not isinstance(section, dict):
-        errors.append(f"{where}: must be an object")
-        return run
-    allowed = {"seed", "samples", "x0", "epsilon", "max_iter", "rate_h", "normal_k"}
-    _check_keys(section, allowed, where, errors)
-    try:
-        if "seed" in section:
-            run.seed = int(section["seed"])
-        if "samples" in section:
-            run.samples = int(section["samples"])
-            if run.samples < 1:
-                errors.append(f"{where}: samples must be >= 1")
-        if "x0" in section:
-            run.x0 = section["x0"]
-        if "epsilon" in section:
-            run.epsilon = float(section["epsilon"])
-            if run.epsilon <= 0:
-                errors.append(f"{where}: epsilon must be > 0")
-        if "max_iter" in section:
-            run.max_iter = int(section["max_iter"])
-            if run.max_iter < 1:
-                errors.append(f"{where}: max_iter must be >= 1")
-        if "rate_h" in section:
-            run.rate_h = float(section["rate_h"])
-            if not 0.0 <= run.rate_h < 1.0:
-                errors.append(f"{where}: rate_h must be in [0, 1)")
-        if "normal_k" in section:
-            run.normal_k = float(section["normal_k"])
-            if run.normal_k < 1.0:
-                errors.append(f"{where}: normal_k must be >= 1")
-    except (TypeError, ValueError) as exc:
-        errors.append(f"{where}: {exc}")
-    return run
+_CONE_KEYS = {"norm": _as_is, "interior_margin": _as_is, "slack": _as_is}
+CONE = Section({
+    "orthant": Variant(partial(_cone, "orthant"), {"dimension": int}, _CONE_KEYS),
+    "scaled_orthant": Variant(partial(_cone, "scaled_orthant"),
+                              {"dimension": int, "weights": _as_is}, _CONE_KEYS),
+    "polyhedral": Variant(partial(_cone, "polyhedral"), {"dimension": int, "matrix": _as_is}, _CONE_KEYS),
+}, "family", "family", default="orthant")
+
+CARRIER = Section({
+    "interval": Variant(IntervalCarrier, {"lo": float, "hi": float}, {"grid": int}),
+    "box": Variant(BoxCarrier, {"lows": _as_is, "highs": _as_is}, {"grid": int}),
+    "finite": Variant(FinitePointsCarrier, {"points": list}),
+}, "kind", "carrier kind")
+
+METRIC = Section({
+    "direction": Variant(_direction_metric, {"direction": _as_is}, {"scalar": _as_is},
+                         needs=("cone", "carrier")),
+    "tabulated": Variant(_tabulated_metric, {"table": _as_is}, needs=("carrier",)),
+}, "kind", "metric kind")
+
+MAP = Section({
+    "identity": Variant(IdentityMap),
+    "affine": Variant(AffineMap, {"alpha": float}, {"beta": float}),
+    "power": Variant(PowerMap, {"exponent": float}),
+    "tabulated": Variant(_tabulated_map, {"images": _as_is}, needs=("carrier",)),
+}, "family", "map family")
+
+DECLARED = Section({None: Variant(DeclaredProperties, optional={
+    name: bool for name in ("t_continuous", "t_injective", "t_sequentially_convergent",
+                            "t_subsequentially_convergent", "s_continuous")
+})})
+
+CONTRACTION = Section({
+    kind: Variant(partial(_class_spec, kind), optional={name: float for name in constant_names(kind)})
+    for kind in CLASS_KINDS
+}, "class", "class")
+
+RUN = Section({None: Variant(RunDefaults, optional={
+    "seed": int,
+    "samples": _bounded(int, lambda v: v >= 1, "samples must be >= 1"),
+    "x0": _as_is,
+    "epsilon": _bounded(float, lambda v: v > 0, "epsilon must be > 0"),
+    "max_iter": _bounded(int, lambda v: v >= 1, "max_iter must be >= 1"),
+    "rate_h": _bounded(float, lambda v: 0.0 <= v < 1.0, "rate_h must be in [0, 1)"),
+    "normal_k": _bounded(float, lambda v: v >= 1.0, "normal_k must be >= 1"),
+})})
+
+INSTANCE = Section({None: Variant(
+    dict,
+    {"schema_version": _schema_version, "cone": CONE,
+     "space": Section({None: Variant(lambda carrier, metric, cone: ConeMetricSpace(cone, carrier, metric),
+                                     {"carrier": CARRIER, "metric": METRIC}, needs=("cone",))}),
+     "maps": Section({None: Variant(MapPair, {"T": MAP, "S": MAP}, {"declared": DECLARED})})},
+    {"contraction": CONTRACTION, "run": RUN},
+)})
+
+
+def _reject_constant(token: str):
+    raise ValueError(f"non-finite number {token} is not admitted")
 
 
 def parse_instance(text: str) -> LoadedInstance:
     """Parse and fully validate an instance file, reporting every
     validation error at once (not just the first)."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise InstanceValidationError(
             [f"syntax: {exc.msg} at line {exc.lineno} column {exc.colno}"]
         ) from exc
-    errors: list[str] = []
+    except ValueError as exc:
+        raise InstanceValidationError([f"syntax: {exc}"]) from exc
     if not isinstance(doc, dict):
         raise InstanceValidationError(["top level must be an object"])
-    _check_keys(doc, {"schema_version", "cone", "space", "maps", "contraction", "run"}, "top", errors)
+    if "run" in doc and doc["run"] is None:     # a null run section takes every default
+        del doc["run"]
+    errors: list[str] = []
+    parts = _walk(doc, "top", INSTANCE, errors, {})
+    if errors:
+        raise InstanceValidationError(errors)
 
-    version = _get(doc, "schema_version", "top", errors, required=True)
-    if version is not None and str(version) != SCHEMA_VERSION:
-        errors.append(f"top: unsupported schema_version {version!r}")
-
-    cone = _parse_cone(_get(doc, "cone", "top", errors, required=True) or {}, errors)
-
-    space_sec = _get(doc, "space", "top", errors, required=True) or {}
-    if isinstance(space_sec, dict):
-        _check_keys(space_sec, {"carrier", "metric"}, "space", errors)
-        carrier = _parse_carrier(_get(space_sec, "carrier", "space", errors, required=True) or {}, errors)
-        metric = _parse_metric(
-            _get(space_sec, "metric", "space", errors, required=True) or {}, carrier, cone, errors
-        )
-    else:
-        errors.append("space: must be an object")
-        carrier = metric = None
-
-    maps_sec = _get(doc, "maps", "top", errors, required=True) or {}
-    t_map = s_map = None
-    declared = DeclaredProperties()
-    if isinstance(maps_sec, dict):
-        _check_keys(maps_sec, {"T", "S", "declared"}, "maps", errors)
-        t_map = _parse_map(_get(maps_sec, "T", "maps", errors, required=True) or {}, carrier, errors, "maps.T")
-        s_map = _parse_map(_get(maps_sec, "S", "maps", errors, required=True) or {}, carrier, errors, "maps.S")
-        if "declared" in maps_sec:
-            dsec = maps_sec["declared"]
-            flags = {
-                "t_continuous", "t_injective", "t_sequentially_convergent",
-                "t_subsequentially_convergent", "s_continuous",
-            }
-            _check_keys(dsec, flags, "maps.declared", errors)
-            declared = DeclaredProperties(**{k: bool(v) for k, v in dsec.items() if k in flags})
-    else:
-        errors.append("maps: must be an object")
-
-    contraction, tw_pinned = None, False
-    if "contraction" in doc:
-        contraction, tw_pinned = _parse_contraction(doc["contraction"], errors)
-
-    run = _parse_run(doc.get("run"), errors)
-
-    if errors or cone is None or carrier is None or metric is None or t_map is None or s_map is None:
-        raise InstanceValidationError(errors or ["incomplete instance"])
-
-    space = ConeMetricSpace(cone, carrier, metric)
-    maps = MapPair(t_map, s_map, declared)
-
+    space, maps = parts["space"], parts["maps"]
     finite = None
-    if isinstance(carrier, FinitePointsCarrier) and isinstance(metric, TabulatedMetric):
-        idx = {p: i for i, p in enumerate(carrier.points)}
+    if isinstance(space.metric, TabulatedMetric):
+        points = space.carrier.points
+        idx = {p: i for i, p in enumerate(points)}
         try:
-            t_tab = np.asarray([idx[t_map(p)] for p in carrier.points])
-            s_tab = np.asarray([idx[s_map(p)] for p in carrier.points])
-            finite = FiniteInstance(list(carrier.points), metric.table, t_tab, s_tab, cone)
+            t_tab = np.asarray([idx[maps.T(p)] for p in points])
+            s_tab = np.asarray([idx[maps.S(p)] for p in points])
+            finite = FiniteInstance(list(points), space.metric.table, t_tab, s_tab, space.cone)
         except (ConfigError, DomainError, KeyError) as exc:
             raise InstanceValidationError([f"space: {exc}"]) from exc
-
-    return LoadedInstance(space, maps, contraction, run, finite, tw_pinned)
+    contraction, pinned = parts.get("contraction", (None, False))
+    return LoadedInstance(space, maps, contraction, parts.get("run", RunDefaults()), finite, pinned)
 
 
 def load_instance(path: str | Path) -> LoadedInstance:
@@ -547,21 +479,17 @@ def emit_trace(
 
 @dataclass
 class Options:
-    seed: int | None = None
-    samples: int | None = None
-    x0: object | None = None
-    epsilon: float | None = None
     out: Path | None = None
     fmt: str = "csv"
 
 
-def _condition_pairs(inst: LoadedInstance, samples: int, seed: int):
+def _condition_pairs(inst: LoadedInstance):
     carrier = inst.space.carrier
     if carrier.finite:
         return all_pairs(list(carrier.points))
     pairs = grid_pairs(inst.space)
-    if len(pairs) > samples:
-        return sampled_pairs(inst.space, samples, seed)
+    if len(pairs) > inst.run.samples:
+        return sampled_pairs(inst.space, inst.run.samples, inst.run.seed)
     return pairs
 
 
@@ -581,12 +509,8 @@ def _default_starts(inst: LoadedInstance, x0) -> list:
 
 def run(command: str, inst: LoadedInstance, options: Options) -> tuple[int, dict]:
     """Dispatch one command; returns (exit status, artifacts)."""
-    seed = options.seed if options.seed is not None else inst.run.seed
-    samples = options.samples if options.samples is not None else inst.run.samples
-    epsilon = options.epsilon if options.epsilon is not None else inst.run.epsilon
-
     if command == "verify":
-        plan = SamplingPlan(count=samples, seed=seed)
+        plan = SamplingPlan(count=inst.run.samples, seed=inst.run.seed)
         cone_report = verify_cone_axioms(inst.space.cone, plan)
         metric_report = verify_metric_axioms(inst.space, plan)
         report = {
@@ -598,7 +522,7 @@ def run(command: str, inst: LoadedInstance, options: Options) -> tuple[int, dict
         ok = cone_report.passed and metric_report.passed
         spec = inst.contraction
         if spec is not None:
-            pairs = _condition_pairs(inst, samples, seed)
+            pairs = _condition_pairs(inst)
             red = None
             if spec.kind == TZ:   # the reduction check runs the TZ check first
                 red = verify_zamfirescu_reduction(inst.space, inst.maps, spec.a, spec.b, spec.c, pairs)
@@ -621,14 +545,14 @@ def run(command: str, inst: LoadedInstance, options: Options) -> tuple[int, dict
         return (0 if ok else 1), {"report": report}
 
     if command == "solve":
-        x0 = options.x0 if options.x0 is not None else inst.run.x0
+        x0 = inst.run.x0
         if x0 is None:
             raise UsageError("solve requires a start point (run.x0 or --x0)")
         if inst.space.carrier.finite and isinstance(x0, float) and x0.is_integer():
             x0 = int(x0)
-        rule = solver.StoppingRule(epsilon=epsilon, max_iter=inst.run.max_iter)
+        rule = solver.StoppingRule(epsilon=inst.run.epsilon, max_iter=inst.run.max_iter)
         trace = solver.picard_iterate(inst.space, inst.maps, x0, rule)
-        check = solver.certify_fixed_point(inst.space, inst.maps, trace.last, epsilon)
+        check = solver.certify_fixed_point(inst.space, inst.maps, trace.last, inst.run.epsilon)
         measured = trace.max_step_ratio()
 
         delta = None
@@ -639,7 +563,7 @@ def run(command: str, inst: LoadedInstance, options: Options) -> tuple[int, dict
             h = measured if (measured is not None and measured < 1.0) else 0.0
         decay = None
         if trace.t_image_gaps:
-            decay = solver.geometric_decay_check(trace, h, inst.run.normal_k, seed=seed)
+            decay = solver.geometric_decay_check(trace, h, inst.run.normal_k, seed=inst.run.seed)
 
         probe = solver.uniqueness_probe(inst.space, inst.maps, _default_starts(inst, x0), rule)
         trace_text = emit_trace(trace, options.fmt, options.out, h=h, K=inst.run.normal_k)
@@ -672,7 +596,8 @@ def run(command: str, inst: LoadedInstance, options: Options) -> tuple[int, dict
         }
         ok = True
         if inst.contraction is not None:
-            cond = exhaustive_condition_check(fin, inst.contraction)
+            cv = cross_validate(fin, inst.contraction)
+            cond = cv.condition
             out["condition"] = {
                 "class": cond.spec.kind,
                 "constants": cond.spec.constants(),
@@ -706,7 +631,6 @@ def run(command: str, inst: LoadedInstance, options: Options) -> tuple[int, dict
                     "supremum": tight.supremum,
                     "infeasible_witnesses": _plain(tight.infeasible_witnesses[:50]),
                 }
-            cv = cross_validate(fin, inst.contraction)
             out["cross_validation"] = {
                 "applicable": cv.applicable,
                 "fixed_points": _plain(cv.fixed_points),
@@ -729,7 +653,7 @@ def run(command: str, inst: LoadedInstance, options: Options) -> tuple[int, dict
         kind = inst.contraction.kind
         if kind not in (TB, TK, TC, TW):
             raise UsageError(f"fit supports TB/TK/TC/TW, not {kind}")
-        pairs = _condition_pairs(inst, samples, seed)
+        pairs = _condition_pairs(inst)
         pinned = {"delta": inst.contraction.delta} if (kind == TW and inst.tw_delta_pinned) else None
         result = fit_constants(inst.space, inst.maps, kind, pairs, pinned=pinned)
         out = {
@@ -791,24 +715,17 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  - {err}", file=sys.stderr)
         return 2
 
-    x0 = None
+    flags = {"seed": args.seed, "samples": args.samples, "epsilon": args.epsilon}
     if args.x0 is not None:
         try:
             x0 = json.loads(args.x0)
         except json.JSONDecodeError:
             print(f"error: --x0 must be a JSON literal, got {args.x0!r}", file=sys.stderr)
             return 2
-        if isinstance(x0, list):
-            x0 = np.asarray(x0, dtype=float)
+        flags["x0"] = np.asarray(x0, dtype=float) if isinstance(x0, list) else x0
+    inst.run = replace(inst.run, **{k: v for k, v in flags.items() if v is not None})
 
-    options = Options(
-        seed=args.seed,
-        samples=args.samples,
-        x0=x0,
-        epsilon=args.epsilon,
-        out=Path(args.out) if args.out else None,
-        fmt=args.fmt,
-    )
+    options = Options(out=Path(args.out) if args.out else None, fmt=args.fmt)
     try:
         status, artifacts = run(args.command, inst, options)
     except (UsageError, ConfigError, InstanceValidationError) as exc:

@@ -89,7 +89,10 @@ class ConeSpec:
         elif self.family == SCALED_ORTHANT:
             if self.weights is None:
                 raise ConfigError("scaled_orthant requires weights")
-            w = as_vector(self.weights, m)
+            w = np.asarray(self.weights, dtype=float)
+            if w.ndim == 1 and len(w) != m:
+                raise ConfigError(f"weights length {len(w)} != dimension {m}")
+            w = as_vector(w, m)
             if np.any(w < 0):
                 raise ConfigError("scaled_orthant weights must be >= 0")
             self.weights = w

@@ -1,4 +1,4 @@
-"""Canonical built-in instances used across tests, docs, and fixtures.
+"""Canonical built-in instances used across tests and docs.
 
 * A: M = [0, 1], d(x, y) = (|x-y|, 2|x-y|), T = identity, S(x) = x/2
 * B: M = [0, 1], same metric, T(x) = x^3, S(x) = x/4
@@ -49,58 +49,3 @@ def instance_c_grid(n: int = 101) -> FiniteInstance:
     values = np.arange(n, dtype=float) / 128.0
     idx = np.arange(n)
     return finite_from_values(values, idx, idx, direction=DIRECTION)
-
-
-# ---------------------------------------------------------------------------
-# Instance file dictionaries (the CLI's JSON schema)
-# ---------------------------------------------------------------------------
-
-def _base_file(maps_t: dict, maps_s: dict, run: dict) -> dict:
-    return {
-        "schema_version": "1",
-        "cone": {"family": "orthant", "dimension": 2, "norm": "max"},
-        "space": {
-            "carrier": {"kind": "interval", "lo": 0.0, "hi": 1.0, "grid": 101},
-            "metric": {"kind": "direction", "direction": list(DIRECTION), "scalar": "absdiff"},
-        },
-        "maps": {"T": maps_t, "S": maps_s},
-        "run": run,
-    }
-
-
-def instance_a_file() -> dict:
-    f = _base_file(
-        {"family": "identity"},
-        {"family": "affine", "alpha": 0.5, "beta": 0.0},
-        {"seed": 0, "samples": 10000, "x0": 1.0, "epsilon": 1e-12},
-    )
-    f["contraction"] = {"class": "TB", "a": 0.5}
-    return f
-
-
-def instance_c_file() -> dict:
-    f = _base_file(
-        {"family": "identity"},
-        {"family": "identity"},
-        {"seed": 0, "samples": 10000, "x0": 0.7, "epsilon": 1e-12},
-    )
-    f["contraction"] = {"class": "TW", "delta": 0.5, "L": 0.5}
-    return f
-
-
-def instance_d_file() -> dict:
-    fin = instance_d()
-    return {
-        "schema_version": "1",
-        "cone": {"family": "orthant", "dimension": 2, "norm": "max"},
-        "space": {
-            "carrier": {"kind": "finite", "points": list(range(10))},
-            "metric": {"kind": "tabulated", "table": fin.metric_table.tolist()},
-        },
-        "maps": {
-            "T": {"family": "tabulated", "images": fin.t_table.tolist()},
-            "S": {"family": "tabulated", "images": fin.s_table.tolist()},
-        },
-        "run": {"seed": 0, "samples": 10000, "x0": 9, "epsilon": 1e-12},
-        "contraction": {"class": "TB", "a": 0.5},
-    }

@@ -273,7 +273,7 @@ class CrossValidation:
     spec: ClassSpec
     applicable: bool
     t_injective: bool
-    precondition_violations: list[tuple[int, int]]
+    condition: OracleConditionReport
     fixed_points: list[int]
     unique_expected: bool
     exists_ok: bool
@@ -300,7 +300,7 @@ def cross_validate(fin: FiniteInstance, spec: ClassSpec) -> CrossValidation:
     multiplicity = spec.kind in (TW, TW_DUAL)
     if not report.holds or not injective:
         return CrossValidation(
-            spec, False, injective, report.violating_pairs, [], unique_expected,
+            spec, False, injective, report, [], unique_expected,
             False, False, {}, {}, False, multiplicity,
         )
 
@@ -331,7 +331,7 @@ def cross_validate(fin: FiniteInstance, spec: ClassSpec) -> CrossValidation:
         all_ok = all(t == only for t in targets.values())
     orbits_ok = all_ok and all(s <= n for s in steps.values() if s >= 0)
     return CrossValidation(
-        spec, True, injective, [], fps, unique_expected,
+        spec, True, injective, report, fps, unique_expected,
         exists_ok, unique_ok, steps, targets, orbits_ok, multiplicity,
     )
 

@@ -31,7 +31,7 @@ class StoppingRule:
     max_iter: int = 1_000_000
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        if not (self.epsilon > 0):
             raise ConfigError("epsilon must be > 0")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be >= 1")
@@ -134,6 +134,23 @@ class DecayReport:
         return self.per_step_ok and self.cauchy_ok
 
 
+def _cauchy_pairs(npts: int, samples: int, seed: int) -> list[tuple[int, int]]:
+    """The (m, n) pairs, m > n, of the Cauchy-tail check: all of them, or
+    ``samples`` drawn without replacement.  Pairs are ranked n-major (rank
+    r runs over (n+1, n), ..., (npts-1, n) for n = 0, 1, ...) and a drawn
+    rank is unranked arithmetically, so the full list is never built."""
+    total = npts * (npts - 1) // 2
+    if total > samples:
+        ranks = np.sort(np.random.default_rng(seed).choice(total, size=samples, replace=False))
+    else:
+        ranks = np.arange(total)
+    nn = np.arange(npts)
+    starts = nn * (npts - 1) - nn * (nn - 1) // 2      # rank of (n+1, n)
+    n_of = np.searchsorted(starts, ranks, side="right") - 1
+    m_of = n_of + 1 + ranks - starts[n_of]
+    return list(zip(m_of.tolist(), n_of.tolist()))
+
+
 def geometric_decay_check(
     trace: IterationTrace,
     h: float,
@@ -149,7 +166,7 @@ def geometric_decay_check(
     """
     if not (0.0 <= h < 1.0):
         raise ConfigError(f"decay factor h must be in [0, 1), got {h}")
-    if K < 1.0:
+    if not (K >= 1.0):
         raise ConfigError(f"normal constant K must be >= 1, got {K}")
     if not trace.t_image_gaps:
         raise ConfigError("trace has no monitored gaps")
@@ -163,12 +180,7 @@ def geometric_decay_check(
         if gn > bound:
             step_violations.append((n, gn, bound))
 
-    npts = len(trace.t_images)
-    pairs = [(mm, nn) for nn in range(npts) for mm in range(nn + 1, npts)]
-    if len(pairs) > cauchy_samples:
-        rng = np.random.default_rng(seed)
-        idx = rng.choice(len(pairs), size=cauchy_samples, replace=False)
-        pairs = [pairs[i] for i in sorted(idx)]
+    pairs = _cauchy_pairs(len(trace.t_images), cauchy_samples, seed)
     cauchy_violations = []
     tail = K * d0 / (1.0 - h) * headroom
     for mm, nn in pairs:

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from conefix.instances import instance_a, instance_b, instance_c, instance_d
@@ -8,6 +11,13 @@ import numpy as np
 TZ_SEED = 1021
 TWU_SEED = 2042
 PLAIN_SEED = 77
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def fixture_doc(name: str) -> dict:
+    """A committed instance file from ``fixtures/``, as a fresh dict to edit."""
+    return json.loads((FIXTURES / f"{name}.json").read_text(encoding="utf-8"))
 
 
 @pytest.fixture

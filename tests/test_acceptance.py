@@ -12,14 +12,14 @@ from conefix.contractions import (
     ClassSpec, all_pairs, check_condition, rate_from_primary_form,
     verify_zamfirescu_reduction, zamfirescu_delta,
 )
-from conefix.instances import instance_a, instance_a_file, instance_b, instance_c, instance_c_grid, instance_d_file
+from conefix.instances import instance_a, instance_b, instance_c, instance_c_grid
 from conefix.oracle import (
     cross_validate, enumerate_fixed_points, exhaustive_condition_check,
     exhaustive_promotion_check, exhaustive_reduction_check, generate_tz_corpus,
 )
 from conefix.solver import CONVERGED, NON_UNIQUE, StoppingRule, geometric_decay_check, picard_iterate, uniqueness_probe
 
-from conftest import TZ_SEED
+from conftest import TZ_SEED, fixture_doc
 
 
 def _criterion(num: int, ok: bool, detail: str = ""):
@@ -194,9 +194,9 @@ def test_criterion_10_determinism(tmp_path, tz_corpus):
     )
     # CLI artifacts are byte-identical across repeated runs
     a_path = tmp_path / "a.json"
-    a_path.write_text(json.dumps(instance_a_file()), encoding="utf-8")
+    a_path.write_text(json.dumps(fixture_doc("instance_a")), encoding="utf-8")
     d_path = tmp_path / "d.json"
-    d_path.write_text(json.dumps(instance_d_file()), encoding="utf-8")
+    d_path.write_text(json.dumps(fixture_doc("instance_d")), encoding="utf-8")
     blobs = []
     for tag in ("one", "two"):
         v = tmp_path / f"verify_{tag}.json"

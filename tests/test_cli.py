@@ -1,12 +1,17 @@
+import copy
 import json
+import math
+from pathlib import Path
 
 import pytest
 
 from conefix.cli import InstanceValidationError, emit_trace, main, parse_instance
 from conefix.cone_space import ConfigError, FinitePointsCarrier, IntervalCarrier
-from conefix.contractions import AffineMap
-from conefix.instances import instance_a, instance_a_file, instance_c_file, instance_d_file
+from conefix.contractions import CLASS_KINDS, AffineMap
+from conefix.instances import instance_a
 from conefix.solver import StoppingRule, picard_iterate
+
+from conftest import fixture_doc
 
 
 def _write(tmp_path, name, doc):
@@ -20,7 +25,7 @@ def _write(tmp_path, name, doc):
 # ---------------------------------------------------------------------------
 
 def test_parse_canonical_instance():
-    inst = parse_instance(json.dumps(instance_a_file()))
+    inst = parse_instance(json.dumps(fixture_doc("instance_a")))
     assert inst.space.cone.family == "orthant"
     assert inst.space.cone.dimension == 2
     assert isinstance(inst.space.carrier, IntervalCarrier)
@@ -30,7 +35,7 @@ def test_parse_canonical_instance():
 
 
 def test_parse_rejects_out_of_range_constant():
-    doc = instance_a_file()
+    doc = fixture_doc("instance_a")
     doc["contraction"] = {"class": "TB", "a": 1.0}
     with pytest.raises(InstanceValidationError) as exc:
         parse_instance(json.dumps(doc))
@@ -38,7 +43,7 @@ def test_parse_rejects_out_of_range_constant():
 
 
 def test_parse_accumulates_every_error():
-    doc = instance_a_file()
+    doc = fixture_doc("instance_a")
     doc["cone"] = {"family": "polyhedral", "dimension": 2, "matrix": [[1.0]]}
     doc["contraction"] = {"class": "TK", "b": 0.5}
     doc["run"] = {"samples": 0}
@@ -52,7 +57,7 @@ def test_parse_accumulates_every_error():
 
 
 def test_parse_rejects_unknown_keys():
-    doc = instance_a_file()
+    doc = fixture_doc("instance_a")
     doc["bogus"] = 1
     doc["cone"]["extra"] = True
     with pytest.raises(InstanceValidationError) as exc:
@@ -62,7 +67,7 @@ def test_parse_rejects_unknown_keys():
 
 
 def test_parse_scaled_and_polyhedral_cones():
-    doc = instance_a_file()
+    doc = fixture_doc("instance_a")
     doc["cone"] = {"family": "scaled_orthant", "dimension": 2, "weights": [1.0, 2.0], "norm": "max"}
     inst = parse_instance(json.dumps(doc))
     assert inst.space.cone.family == "scaled_orthant"
@@ -76,7 +81,7 @@ def test_parse_scaled_and_polyhedral_cones():
 
 
 def test_parse_rejects_direction_outside_interior():
-    doc = instance_a_file()
+    doc = fixture_doc("instance_a")
     doc["space"]["metric"]["direction"] = [1.0, 0.0]  # on the orthant boundary
     with pytest.raises(InstanceValidationError) as exc:
         parse_instance(json.dumps(doc))
@@ -89,18 +94,116 @@ def test_parse_reports_syntax_position():
     assert "line 2" in exc.value.errors[0]
 
 
+@pytest.mark.parametrize("key", ["samples", "seed", "max_iter", "epsilon", "normal_k"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_non_finite_numbers_are_usage_errors(tmp_path, key, value):
+    doc = fixture_doc("instance_a")
+    doc["run"].update({"rate_h": 0.1, key: value})
+    path = _write(tmp_path, "a.json", doc)
+    assert main(["solve", "--instance", str(path)]) == 2
+    with pytest.raises(InstanceValidationError) as exc:
+        parse_instance(path.read_text())
+    assert exc.value.errors == [f"syntax: non-finite number {json.dumps(value)} is not admitted"]
+
+
 def test_parse_finite_instance_builds_oracle_tables():
-    inst = parse_instance(json.dumps(instance_d_file()))
+    inst = parse_instance(json.dumps(fixture_doc("instance_d")))
     assert inst.finite is not None
     assert inst.finite.n == 10
     assert isinstance(inst.space.carrier, FinitePointsCarrier)
 
 
 def test_round_trip_of_builtin_fixtures():
-    for doc in (instance_a_file(), instance_c_file(), instance_d_file()):
+    for doc in (fixture_doc("instance_a"), fixture_doc("instance_c"), fixture_doc("instance_d")):
         text = json.dumps(doc)
         inst = parse_instance(text)
         assert parse_instance(text).run == inst.run
+
+
+# ---------------------------------------------------------------------------
+# Golden corpus of malformed files
+# ---------------------------------------------------------------------------
+
+GOLDEN = Path(__file__).with_name("golden_malformed.json")
+# null, wrong types, a negative and the non-finite numbers Python's json admits
+BAD_VALUES = (None, "x", [], {}, -1, math.inf, math.nan)
+# optional keys the fixtures leave out, given each bad value too
+ABSENT = (("cone", "interior_margin"), ("cone", "slack"), ("maps", "declared"),
+          ("run", "max_iter"), ("run", "rate_h"), ("run", "normal_k"))
+SWAPS = {
+    ("contraction", "class"): (*CLASS_KINDS, "bogus", []),
+    ("cone", "family"): ("orthant", "scaled_orthant", "polyhedral", "bogus", []),
+    ("space", "carrier", "kind"): ("interval", "box", "finite", "bogus", []),
+    ("space", "metric", "kind"): ("direction", "tabulated", "bogus", []),
+    ("maps", "T", "family"): ("identity", "affine", "power", "tabulated", "bogus", []),
+    ("maps", "S", "family"): ("identity", "affine", "power", "tabulated", "bogus", []),
+}
+
+
+def _key_paths(obj: dict, prefix=()):
+    for key, value in obj.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+def _lookup(doc: dict, path: tuple):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _mutant(base: dict, path: tuple, value=None, delete=False) -> dict:
+    doc = copy.deepcopy(base)
+    parent = _lookup(doc, path[:-1])
+    if delete:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def malformed_cases() -> dict[str, str]:
+    """Case id -> instance text.  Fixtures A and D (one interval, one finite
+    file) lose each key, gain an unknown key in each object and take each
+    bad value at each key and at each ``ABSENT`` key; all four fixtures
+    swap every discriminator."""
+    cases = {}
+    for name in ("instance_a", "instance_d"):
+        base = fixture_doc(name)
+        present = list(_key_paths(base))
+        for path in present:
+            cases[f"{name}:{'.'.join(path)} deleted"] = _mutant(base, path, delete=True)
+        for path in present + list(ABSENT):
+            for value in BAD_VALUES:
+                cases[f"{name}:{'.'.join(path)}={json.dumps(value)}"] = _mutant(base, path, value)
+        objects = [()] + [p for p in _key_paths(base) if isinstance(_lookup(base, p), dict)]
+        for path in objects:
+            cases[f"{name}:{'.'.join(path + ('bogus',))} added"] = _mutant(base, path + ("bogus",), 1)
+    for name in ("instance_a", "instance_c", "instance_d", "instance_d_twu"):
+        base = fixture_doc(name)
+        for path, values in SWAPS.items():
+            for value in values:
+                if value != _lookup(base, path):
+                    cases[f"{name}:{'.'.join(path)}={json.dumps(value)}"] = _mutant(base, path, value)
+    return {cid: json.dumps(doc, sort_keys=True) for cid, doc in cases.items()}
+
+
+def parse_outcome(text: str):
+    """"ok", or the exact error list ``parse_instance`` rejects the text with."""
+    try:
+        parse_instance(text)
+    except InstanceValidationError as exc:
+        return exc.errors
+    return "ok"
+
+
+def test_malformed_corpus_matches_golden_table():
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    got = {cid: parse_outcome(text) for cid, text in malformed_cases().items()}
+    assert sorted(got) == sorted(expected)
+    wrong = [(cid, got[cid], expected[cid]) for cid in got if got[cid] != expected[cid]]
+    assert not wrong, f"{len(wrong)} cases differ, first: {wrong[:3]}"
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +211,7 @@ def test_round_trip_of_builtin_fixtures():
 # ---------------------------------------------------------------------------
 
 def test_verify_passes_on_instance_a(tmp_path):
-    path = _write(tmp_path, "a.json", instance_a_file())
+    path = _write(tmp_path, "a.json", fixture_doc("instance_a"))
     out = tmp_path / "report.json"
     assert main(["verify", "--instance", str(path), "--out", str(out)]) == 0
     report = json.loads(out.read_text())
@@ -118,7 +221,7 @@ def test_verify_passes_on_instance_a(tmp_path):
 
 
 def test_verify_fails_with_undersized_constant(tmp_path):
-    doc = instance_a_file()
+    doc = fixture_doc("instance_a")
     doc["contraction"] = {"class": "TB", "a": 0.4}
     path = _write(tmp_path, "bad.json", doc)
     out = tmp_path / "report.json"
@@ -129,7 +232,7 @@ def test_verify_fails_with_undersized_constant(tmp_path):
 
 
 def test_verify_reduction_reported_for_tz(tmp_path):
-    doc = instance_a_file()
+    doc = fixture_doc("instance_a")
     doc["contraction"] = {"class": "TZ", "a": 0.5, "b": 0.0, "c": 0.0}
     path = _write(tmp_path, "tz.json", doc)
     out = tmp_path / "report.json"
@@ -142,7 +245,7 @@ def test_verify_reduction_reported_for_tz(tmp_path):
 
 
 def test_solve_instance_a_trace_length(tmp_path, capsys):
-    path = _write(tmp_path, "a.json", instance_a_file())
+    path = _write(tmp_path, "a.json", fixture_doc("instance_a"))
     out = tmp_path / "trace.csv"
     assert main(["solve", "--instance", str(path), "--out", str(out)]) == 0
     rows = out.read_text().strip().splitlines()
@@ -154,7 +257,7 @@ def test_solve_instance_a_trace_length(tmp_path, capsys):
 
 
 def test_solve_requires_start_point(tmp_path):
-    doc = instance_a_file()
+    doc = fixture_doc("instance_a")
     del doc["run"]["x0"]
     path = _write(tmp_path, "nox0.json", doc)
     assert main(["solve", "--instance", str(path)]) == 2
@@ -162,12 +265,12 @@ def test_solve_requires_start_point(tmp_path):
 
 
 def test_oracle_requires_finite_instance(tmp_path):
-    path = _write(tmp_path, "a.json", instance_a_file())
+    path = _write(tmp_path, "a.json", fixture_doc("instance_a"))
     assert main(["oracle", "--instance", str(path)]) == 2
 
 
 def test_oracle_reports_exact_results(tmp_path):
-    path = _write(tmp_path, "d.json", instance_d_file())
+    path = _write(tmp_path, "d.json", fixture_doc("instance_d"))
     out = tmp_path / "oracle.json"
     status = main(["oracle", "--instance", str(path), "--out", str(out)])
     report = json.loads(out.read_text())
@@ -209,7 +312,7 @@ def test_oracle_runs_exact_reduction_for_tz(tmp_path):
 
 
 def test_fit_command(tmp_path):
-    doc = instance_a_file()
+    doc = fixture_doc("instance_a")
     doc["space"]["carrier"]["grid"] = 41
     path = _write(tmp_path, "a.json", doc)
     out = tmp_path / "fit.json"
@@ -220,7 +323,7 @@ def test_fit_command(tmp_path):
 
 
 def test_fit_with_pinned_delta(tmp_path):
-    doc = instance_c_file()
+    doc = fixture_doc("instance_c")
     doc["space"]["carrier"]["grid"] = 41
     doc["contraction"] = {"class": "TW", "delta": 0.9}
     path = _write(tmp_path, "c.json", doc)
@@ -280,7 +383,7 @@ def test_trace_csv_17_digit_round_trip():
 # ---------------------------------------------------------------------------
 
 def test_repeated_runs_are_byte_identical(tmp_path):
-    path = _write(tmp_path, "a.json", instance_a_file())
+    path = _write(tmp_path, "a.json", fixture_doc("instance_a"))
     outs = []
     for name in ("r1.json", "r2.json"):
         out = tmp_path / name

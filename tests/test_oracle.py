@@ -189,7 +189,7 @@ def test_cross_validate_identity_weak_multiplicity():
 def test_cross_validate_not_applicable(fin_d):
     cv = cross_validate(fin_d, ClassSpec.tz(0.1, 0.1, 0.1))
     assert not cv.applicable
-    assert cv.precondition_violations
+    assert cv.condition.violating_pairs
 
 
 def test_oracle_and_solver_agree_bitwise(tz_corpus):

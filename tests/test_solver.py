@@ -6,7 +6,7 @@ from conefix.contractions import AffineMap, IdentityMap, MapPair, PowerMap
 from conefix.oracle import finite_from_values
 from conefix.solver import (
     CONVERGED, CYCLE_DETECTED, MAX_ITER, NON_UNIQUE, UNIQUE, UNKNOWN,
-    StoppingRule, TProbes, certify_fixed_point, diagnose_T,
+    StoppingRule, TProbes, _cauchy_pairs, certify_fixed_point, diagnose_T,
     geometric_decay_check, picard_iterate, uniqueness_probe,
 )
 
@@ -122,6 +122,25 @@ def test_decay_check_rejects_h_at_least_one(space_a):
     trace = picard_iterate(space, maps, 1.0, StoppingRule(max_iter=5))
     with pytest.raises(ConfigError):
         geometric_decay_check(trace, h=1.0)
+
+
+def test_nan_constants_are_rejected(space_a):
+    space, maps = space_a
+    trace = picard_iterate(space, maps, 1.0, StoppingRule(max_iter=5))
+    with pytest.raises(ConfigError):
+        geometric_decay_check(trace, h=0.5, K=float("nan"))
+    with pytest.raises(ConfigError):
+        StoppingRule(epsilon=float("nan"))
+
+
+@pytest.mark.parametrize("npts, samples", [(70, 2000), (100, 2000), (2, 5), (1, 5)])
+def test_cauchy_pairs_match_the_explicit_list(npts, samples):
+    # the pair list the check used to build before drawing from it
+    pairs = [(mm, nn) for nn in range(npts) for mm in range(nn + 1, npts)]
+    if len(pairs) > samples:
+        idx = np.random.default_rng(11).choice(len(pairs), size=samples, replace=False)
+        pairs = [pairs[i] for i in sorted(idx)]
+    assert _cauchy_pairs(npts, samples, 11) == pairs
 
 
 def test_step_ratios_bounded_by_half(space_a):
