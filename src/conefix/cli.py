@@ -173,6 +173,15 @@ def _bounded(cast: Callable, ok: Callable, message: str) -> Callable:
     return coerce
 
 
+def _finite_float(value) -> float:
+    """float(value), refusing inf: Python's json reads an overflowing
+    literal such as 1e400 as inf without calling ``parse_constant``."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite number {value} is not admitted")
+    return value
+
+
 def _schema_version(value):
     if value is not None and str(value) != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {value!r}")
@@ -212,7 +221,9 @@ def _tabulated_map(images, *, carrier) -> TabulatedMap | None:
         raise ConfigError("tabulated maps require a finite carrier")
     pts = list(carrier.points)
     try:
-        return TabulatedMap(pts, [pts[int(i)] for i in images])
+        if not all(type(i) is int and 0 <= i < len(pts) for i in images):
+            raise IndexError
+        return TabulatedMap(pts, [pts[i] for i in images])
     except (IndexError, ValueError):
         raise ConfigError("images must be valid point indices") from None
 
@@ -248,8 +259,8 @@ METRIC = Section({
 
 MAP = Section({
     "identity": Variant(IdentityMap),
-    "affine": Variant(AffineMap, {"alpha": float}, {"beta": float}),
-    "power": Variant(PowerMap, {"exponent": float}),
+    "affine": Variant(AffineMap, {"alpha": _finite_float}, {"beta": _finite_float}),
+    "power": Variant(PowerMap, {"exponent": _finite_float}),
     "tabulated": Variant(_tabulated_map, {"images": _as_is}, needs=("carrier",)),
 }, "family", "map family")
 
@@ -259,7 +270,7 @@ DECLARED = Section({None: Variant(DeclaredProperties, optional={
 })})
 
 CONTRACTION = Section({
-    kind: Variant(partial(_class_spec, kind), optional={name: float for name in constant_names(kind)})
+    kind: Variant(partial(_class_spec, kind), optional={name: _finite_float for name in constant_names(kind)})
     for kind in CLASS_KINDS
 }, "class", "class")
 
@@ -267,10 +278,10 @@ RUN = Section({None: Variant(RunDefaults, optional={
     "seed": int,
     "samples": _bounded(int, lambda v: v >= 1, "samples must be >= 1"),
     "x0": _as_is,
-    "epsilon": _bounded(float, lambda v: v > 0, "epsilon must be > 0"),
+    "epsilon": _bounded(_finite_float, lambda v: v > 0, "epsilon must be > 0"),
     "max_iter": _bounded(int, lambda v: v >= 1, "max_iter must be >= 1"),
     "rate_h": _bounded(float, lambda v: 0.0 <= v < 1.0, "rate_h must be in [0, 1)"),
-    "normal_k": _bounded(float, lambda v: v >= 1.0, "normal_k must be >= 1"),
+    "normal_k": _bounded(_finite_float, lambda v: v >= 1.0, "normal_k must be >= 1"),
 })})
 
 INSTANCE = Section({None: Variant(
@@ -691,7 +702,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--samples", type=int, default=None)
         p.add_argument("--x0", type=str, default=None, help="start point (JSON literal)")
-        p.add_argument("--epsilon", type=float, default=None)
+        p.add_argument("--epsilon", type=_finite_float, default=None)
         p.add_argument("--out", type=str, default=None, help="artifact path (default: stdout)")
         p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     return parser

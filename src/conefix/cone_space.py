@@ -83,6 +83,8 @@ class ConeSpec:
             raise ConfigError("interior margin must be > 0")
         if self.slack < 0:
             raise ConfigError("slack must be >= 0")
+        if not (math.isfinite(self.interior_margin) and math.isfinite(self.slack)):
+            raise ConfigError("interior margin and slack must be finite")
         m = self.dimension
         if self.family == ORTHANT:
             self._ineq = np.eye(m)
@@ -182,9 +184,6 @@ class ConeSpec:
 
     def contains_relaxed_rows(self, vs: np.ndarray) -> np.ndarray:
         return np.all(self.inequality_mask(vs, self.slack), axis=-1)
-
-    def contains_exact_rows(self, vs: np.ndarray) -> np.ndarray:
-        return np.all(self.inequality_mask(vs, 0.0), axis=-1)
 
     def interior_point(self) -> np.ndarray | None:
         """A strictly feasible point of P, or None when Int P is empty."""
@@ -420,6 +419,8 @@ class BoxCarrier:
         self.highs = np.asarray(self.highs, dtype=float)
         if self.lows.shape != self.highs.shape or np.any(self.lows >= self.highs):
             raise ConfigError("box carrier requires lows < highs componentwise")
+        if not (np.all(np.isfinite(self.lows)) and np.all(np.isfinite(self.highs))):
+            raise ConfigError("box carrier bounds must be finite")
 
     def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
@@ -576,10 +577,43 @@ def point_key(x):
     return x
 
 
+def metric_table_failures(table: np.ndarray, cone: ConeSpec, slack: float) -> dict[str, np.ndarray]:
+    """Where the metric table d[i, j] (shape (n, n, m)) breaks d1-d3, with
+    cone tests at relative ``slack``: one failure mask per axiom, in
+    reporting order.  Masks are (n, n) over pairs, (n,) over points for
+    "d1-identity", and (n, n, n) over (x, y, z) for "d3-triangle", whose
+    residual d(x, z) + d(z, y) - d(x, y) is built one z at a time."""
+    n, m = table.shape[0], table.shape[-1]
+
+    def outside(vs: np.ndarray) -> np.ndarray:
+        return ~np.all(cone.inequality_mask(vs.reshape(n * n, m), slack), axis=-1).reshape(n, n)
+
+    failing = {}
+    for k in range(n):
+        bad = outside(table[:, k, None, :] + table[None, k, :, :] - table)
+        if bad.any():
+            failing[k] = bad
+    # (z, x, y) layout.  When every triangle holds it is a read-only view
+    # of one all-False (x, y) slice: a valid table allocates no n^3 mask.
+    shape = (n, n, n)
+    triangle = np.zeros(shape, dtype=bool) if failing else np.broadcast_to(np.zeros((n, n), dtype=bool), shape)
+    for k, bad in failing.items():
+        triangle[k] = bad
+    return {
+        "d1-cone": outside(table),
+        "d1-separation": np.all(table == 0.0, axis=-1) & ~np.eye(n, dtype=bool),
+        "d1-identity": np.any(table[np.arange(n), np.arange(n)] != 0.0, axis=-1),
+        "d2-symmetry": np.any(table != np.swapaxes(table, 0, 1), axis=-1),
+        "d3-triangle": triangle.transpose(1, 2, 0),
+    }
+
+
 def verify_metric_axioms(space: ConeMetricSpace, plan: SamplingPlan | None = None) -> AxiomReport:
     """Check d1 (cone-valued, zero exactly on the diagonal), d2 (symmetry),
     and d3 (triangle inequality in the cone order) on sampled pairs and
-    triples; finite carriers are scanned exhaustively when affordable.
+    triples.  An affordable finite carrier is tabulated instead (one metric
+    call per ordered pair) and scanned by ``metric_table_failures`` at the
+    cone's slack, the scan that validates every ``FiniteInstance``.
     """
     plan = plan or SamplingPlan()
     rng = plan.rng()
@@ -589,22 +623,26 @@ def verify_metric_axioms(space: ConeMetricSpace, plan: SamplingPlan | None = Non
     if carrier.finite and len(carrier.points) ** 3 <= max(plan.count, 2_000_000):
         pts = list(carrier.points)
         n = len(pts)
-        ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        xs = [pts[i] for i in ii.ravel()]
-        ys = [pts[j] for j in jj.ravel()]
-        i3, j3, k3 = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
-        txs = [pts[i] for i in i3.ravel()]
-        tys = [pts[j] for j in j3.ravel()]
-        tzs = [pts[k] for k in k3.ravel()]
-        checked = n * n + n ** 3
-    else:
-        base = carrier.sample(rng, plan.count)
-        other = carrier.sample(rng, plan.count)
-        xs, ys = list(base), list(other)
-        txs = list(carrier.sample(rng, plan.count))
-        tys = list(carrier.sample(rng, plan.count))
-        tzs = list(carrier.sample(rng, plan.count))
-        checked = 2 * plan.count
+        d = metric.pairwise([x for x in pts for _ in pts], pts * n).reshape(n, n, -1)
+        residuals = {
+            "d1-cone": lambda i, j: d[i, j],
+            "d1-separation": lambda i, j: d[i, j],
+            "d1-identity": lambda i: d[i, i],
+            "d2-symmetry": lambda i, j: d[i, j] - d[j, i],
+            "d3-triangle": lambda i, j, k: d[i, k] + d[k, j] - d[i, j],
+        }
+        for axiom, mask in metric_table_failures(d, cone, cone.slack).items():
+            for idx in np.argwhere(mask).tolist():
+                violations.append(AxiomViolation(axiom, tuple(pts[i] for i in idx), residuals[axiom](*idx)))
+        return AxiomReport(["d1", "d2", "d3"], violations, n * n + n ** 3)
+
+    base = carrier.sample(rng, plan.count)
+    other = carrier.sample(rng, plan.count)
+    xs, ys = list(base), list(other)
+    txs = list(carrier.sample(rng, plan.count))
+    tys = list(carrier.sample(rng, plan.count))
+    tzs = list(carrier.sample(rng, plan.count))
+    checked = 2 * plan.count
 
     dxy = metric.pairwise(xs, ys)
     dyx = metric.pairwise(ys, xs)

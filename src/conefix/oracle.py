@@ -17,7 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .cone_space import ConeMetricSpace, ConeSpec, ConfigError, FinitePointsCarrier, TabulatedMetric
+from .cone_space import (
+    ConeMetricSpace, ConeSpec, ConfigError, FinitePointsCarrier, TabulatedMetric, metric_table_failures,
+)
 from .contractions import (
     TB, TC, TK, TW, TW_DUAL, TWU, TZ,
     ClassSpec, DeclaredProperties, MapPair, PairTerms, TabulatedMap,
@@ -26,13 +28,23 @@ from .contractions import (
 
 MAX_POINTS = 200
 
+# The table checks FiniteInstance raises first, in this order, before d3.
+_TABLE_ERRORS = {
+    "d1-identity": "d1: nonzero diagonal entry",
+    "d1-separation": "d1: zero distance between distinct points",
+    "d1-cone": "d1: a value leaves the cone",
+    "d2-symmetry": "d2: asymmetric entry",
+}
+
 
 @dataclass(eq=False)
 class FiniteInstance:
     """Tabulated cone metric space with index maps for T and S.
 
-    The metric table is validated exactly (all n^3 triples) at
-    construction, so every downstream check may assume d1-d3.
+    The metric table is validated exactly at construction: the first
+    failure ``metric_table_failures`` finds at slack 0 (all n^3 triples,
+    the scan ``verify_metric_axioms`` runs on finite carriers) is raised,
+    so every downstream check may assume d1-d3.
     """
 
     points: list[int]
@@ -56,7 +68,14 @@ class FiniteInstance:
         for name, tab in (("t_table", self.t_table), ("s_table", self.s_table)):
             if tab.shape != (n,) or np.any(tab < 0) or np.any(tab >= n):
                 raise ConfigError(f"{name} must map the {n} labels into themselves")
-        _validate_metric_table(self.metric_table, self.cone)
+        failures = metric_table_failures(self.metric_table, self.cone, 0.0)
+        for axiom, message in _TABLE_ERRORS.items():
+            if failures[axiom].any():
+                raise ConfigError(f"metric table violates {message}")
+        triangle = failures["d3-triangle"].transpose(2, 0, 1)   # (z, x, y): smallest z first
+        if triangle.any():
+            k, i, j = np.argwhere(triangle)[0]
+            raise ConfigError(f"metric table violates d3 at triple ({i}, {j}, {k})")
 
     @property
     def n(self) -> int:
@@ -74,29 +93,6 @@ class FiniteInstance:
         s_map = TabulatedMap(self.points, [self.points[i] for i in self.s_table])
         declared = DeclaredProperties(t_injective=self.t_injective)
         return space, MapPair(t_map, s_map, declared)
-
-
-def _validate_metric_table(table: np.ndarray, cone: ConeSpec):
-    n = table.shape[0]
-    diag = table[np.arange(n), np.arange(n)]
-    if np.any(diag != 0.0):
-        raise ConfigError("metric table violates d1: nonzero diagonal entry")
-    off = ~np.eye(n, dtype=bool)
-    if np.any(np.all(table == 0.0, axis=-1) & off):
-        raise ConfigError("metric table violates d1: zero distance between distinct points")
-    flat = table.reshape(-1, table.shape[-1])
-    if not np.all(cone.contains_exact_rows(flat)):
-        raise ConfigError("metric table violates d1: a value leaves the cone")
-    if np.any(table != np.swapaxes(table, 0, 1)):
-        raise ConfigError("metric table violates d2: asymmetric entry")
-    for k in range(n):
-        res = table[:, k, None, :] + table[None, k, :, :] - table
-        ok = cone.contains_exact_rows(res.reshape(-1, table.shape[-1]))
-        if not np.all(ok):
-            bad = np.argwhere(~ok.reshape(n, n))[0]
-            raise ConfigError(
-                f"metric table violates d3 at triple ({bad[0]}, {bad[1]}, {k})"
-            )
 
 
 def finite_from_values(

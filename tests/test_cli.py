@@ -106,6 +106,58 @@ def test_non_finite_numbers_are_usage_errors(tmp_path, key, value):
     assert exc.value.errors == [f"syntax: non-finite number {json.dumps(value)} is not admitted"]
 
 
+INF = "non-finite number inf is not admitted"
+CONE_INF = "cone: interior margin and slack must be finite"
+BOX_INF = "space.carrier: box carrier bounds must be finite"
+
+
+# Python's json reads an overflowing literal as +-inf without calling
+# parse_constant; each edit writes one such literal (the quoted "1e400"
+# and "-1e400" below are unquoted in the file text).
+@pytest.mark.parametrize("name, path, value, error", [
+    pytest.param("instance_a", ("run", "epsilon"), "1e400", f"run: {INF}", id="epsilon"),
+    pytest.param("instance_a", ("run", "normal_k"), "1e400", f"run: {INF}", id="normal_k"),
+    pytest.param("instance_c", ("contraction", "L"), "1e400", f"contraction: {INF}", id="L"),
+    pytest.param("instance_d_twu", ("contraction", "L1"), "1e400", f"contraction: {INF}", id="L1"),
+    pytest.param("instance_a", ("maps", "S", "alpha"), "1e400", f"maps.S: {INF}", id="alpha"),
+    pytest.param("instance_a", ("maps", "S", "beta"), "-1e400",
+                 "maps.S: non-finite number -inf is not admitted", id="beta"),
+    pytest.param("instance_a", ("maps", "T"), {"family": "power", "exponent": "1e400"},
+                 f"maps.T: {INF}", id="exponent"),
+    pytest.param("instance_a", ("cone", "interior_margin"), "1e400", CONE_INF, id="interior_margin"),
+    pytest.param("instance_a", ("cone", "slack"), "1e400", CONE_INF, id="slack"),
+    pytest.param("instance_a", ("space", "carrier"),
+                 {"kind": "box", "lows": ["-1e400", 0.0], "highs": [1.0, 1.0]}, BOX_INF, id="lows"),
+    pytest.param("instance_a", ("space", "carrier"),
+                 {"kind": "box", "lows": [0.0, 0.0], "highs": [1.0, "1e400"]}, BOX_INF, id="highs"),
+])
+def test_overflowing_literals_are_rejected(tmp_path, name, path, value, error):
+    doc = fixture_doc(name)
+    _lookup(doc, path[:-1])[path[-1]] = value
+    text = json.dumps(doc).replace('"1e400"', "1e400").replace('"-1e400"', "-1e400")
+    with pytest.raises(InstanceValidationError) as exc:
+        parse_instance(text)
+    assert exc.value.errors == [error]
+    file = tmp_path / "overflow.json"
+    file.write_text(text, encoding="utf-8")
+    assert main(["solve", "--instance", str(file)]) == 2
+
+
+def test_epsilon_flag_rejects_overflow(tmp_path):
+    path = _write(tmp_path, "a.json", fixture_doc("instance_a"))
+    assert main(["solve", "--instance", str(path), "--epsilon", "1e400"]) == 2
+
+
+@pytest.mark.parametrize("image", [-1, 10, 1.7])
+def test_tabulated_map_rejects_bad_image_index(image):
+    doc = fixture_doc("instance_d")
+    assert len(doc["space"]["carrier"]["points"]) == 10
+    doc["maps"]["S"]["images"][0] = image
+    with pytest.raises(InstanceValidationError) as exc:
+        parse_instance(json.dumps(doc))
+    assert exc.value.errors == ["maps.S: images must be valid point indices"]
+
+
 def test_parse_finite_instance_builds_oracle_tables():
     inst = parse_instance(json.dumps(fixture_doc("instance_d")))
     assert inst.finite is not None

@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conefix.cone_space import (
-    ConeMetricSpace, ConeSpec, ConfigError, DirectionMetric, DomainError, FunctionMetric,
-    IntervalCarrier, Relation, SamplingPlan, estimate_normal_constant,
-    eval_metric, order_compare, verify_cone_axioms, verify_metric_axioms,
+    ConeMetricSpace, ConeSpec, ConfigError, DirectionMetric, DomainError, FinitePointsCarrier,
+    FunctionMetric, IntervalCarrier, Relation, SamplingPlan, estimate_normal_constant,
+    eval_metric, metric_table_failures, order_compare, verify_cone_axioms, verify_metric_axioms,
 )
+from conefix.oracle import FiniteInstance
 
 dyadic = st.integers(-256, 256).map(lambda k: k / 64.0)
 dyadic_vec = st.tuples(dyadic, dyadic).map(np.asarray)
@@ -175,6 +176,86 @@ def test_metric_axioms_exhaustive_for_finite(fin_d):
     report = verify_metric_axioms(space, SamplingPlan(count=10_000, seed=5))
     assert report.passed
     assert report.sample_count == 10 * 10 + 10 ** 3
+
+
+def test_identity_violation_reported_once_per_point():
+    def fn(x, y):
+        return np.array([1.0, 2.0]) * abs(x - y) + (0.25 if x == y == 3 else 0.0)
+
+    space = ConeMetricSpace(ConeSpec.orthant(2), FinitePointsCarrier(list(range(6))), FunctionMetric(fn))
+    report = verify_metric_axioms(space, SamplingPlan(count=10_000, seed=0))
+    assert [(v.axiom, v.witness) for v in report.violations] == [("d1-identity", (3,))]
+    assert np.array_equal(report.violations[0].residual, [0.25, 0.25])
+
+
+# ---------------------------------------------------------------------------
+# The metric table scan
+# ---------------------------------------------------------------------------
+
+LINE = np.array([0.0, 0.125, 0.375, 0.5, 1.0])
+
+
+def _line_table(corruption: str) -> np.ndarray:
+    """d(i, j) = (1, 2) |LINE[i] - LINE[j]|, corrupted as named."""
+    table = np.abs(LINE[:, None] - LINE[None, :])[:, :, None] * np.array([1.0, 2.0])
+    if corruption == "diagonal":
+        table[2, 2] = [0.25, 0.0]
+    elif corruption == "separation":
+        table[1, 3] = table[3, 1] = 0.0
+    elif corruption == "cone":
+        table[0, 4] = table[4, 0] = [-0.5, 2.0]
+    elif corruption == "symmetry":
+        table[0, 1] = [2.0, 4.0]
+    elif corruption == "triangle":
+        table[0, 4] = table[4, 0] = [4.0, 8.0]
+    elif corruption == "two triangles":     # the first failing z is 0, on pair (1, 2)
+        table[0, 4] = table[4, 0] = [4.0, 8.0]
+        table[1, 2] = table[2, 1] = [1.0, 2.0]
+    return table
+
+
+def _brute_force_failures(table: np.ndarray, cone: ConeSpec, slack: float) -> dict:
+    """The scan's masks, one cone test per pair and per triple."""
+    ns = range(len(table))
+
+    def outside(v):
+        return bool(np.any(cone.ineq_matrix @ v < -slack * cone.norm(v)))
+
+    return {
+        "d1-cone": np.array([[outside(table[i, j]) for j in ns] for i in ns]),
+        "d1-separation": np.array([[i != j and not table[i, j].any() for j in ns] for i in ns]),
+        "d1-identity": np.array([table[i, i].any() for i in ns]),
+        "d2-symmetry": np.array([[not np.array_equal(table[i, j], table[j, i]) for j in ns] for i in ns]),
+        "d3-triangle": np.array([[[outside(table[i, k] + table[k, j] - table[i, j]) for k in ns]
+                                  for j in ns] for i in ns]),
+    }
+
+
+@pytest.mark.parametrize("slack", [0.0, 0.5])
+@pytest.mark.parametrize("corruption, message", [
+    ("none", None),
+    ("diagonal", "metric table violates d1: nonzero diagonal entry"),
+    ("separation", "metric table violates d1: zero distance between distinct points"),
+    ("cone", "metric table violates d1: a value leaves the cone"),
+    ("symmetry", "metric table violates d2: asymmetric entry"),
+    ("triangle", "metric table violates d3 at triple (0, 4, 1)"),
+    ("two triangles", "metric table violates d3 at triple (1, 2, 0)"),
+])
+def test_metric_table_scan_matches_brute_force(corruption, message, slack):
+    table = _line_table(corruption)
+    cone = ConeSpec.orthant(2, slack=0.0)
+    got = metric_table_failures(table, cone, slack)
+    want = _brute_force_failures(table, cone, slack)
+    assert list(got) == list(want)
+    for axiom in want:
+        assert np.array_equal(got[axiom], want[axiom]), axiom
+    labels = list(range(len(LINE)))
+    if message is None:
+        FiniteInstance(labels, table, labels, labels, cone)
+    else:
+        with pytest.raises(ConfigError) as exc:
+            FiniteInstance(labels, table, labels, labels, cone)
+        assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------
