@@ -3,8 +3,9 @@
 
     python scripts/artifact_digest.py PATH...
 
-Runs verify (default seed and ``--seed 7``), solve, oracle and fit
-in-process on each file and prints one line per (file, command): the exit
+Runs verify (default seed, ``--seed 7`` and ``--samples 500``), solve
+(default CSV trace, and ``--epsilon 1e-9`` with a JSON trace), oracle and
+fit in-process on each file and prints one line per (file, command): the exit
 status and the sha256 of the artifact written with ``--out``, of stdout
 and of stderr.  Run it on two checkouts (``PYTHONPATH=<checkout>/src``)
 and ``diff`` the outputs to confirm the artifacts are byte-identical.
@@ -22,7 +23,9 @@ from conefix import cli
 COMMANDS = (
     ("verify", ()),
     ("verify", ("--seed", "7")),
+    ("verify", ("--samples", "500")),
     ("solve", ()),
+    ("solve", ("--epsilon", "1e-9", "--format", "json")),
     ("oracle", ()),
     ("fit", ()),
 )

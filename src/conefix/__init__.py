@@ -16,7 +16,7 @@ from .contractions import (
     verify_zamfirescu_reduction, zamfirescu_delta,
 )
 from .oracle import (
-    CrossValidation, FiniteInstance, GeneratedInstance, GeneratorConfig,
+    CrossValidation, FiniteInstance, GeneratedInstance,
     OracleConditionReport, PromotionExhaustive, ReductionExhaustive, TightestResult,
     cross_validate, enumerate_fixed_points, exhaustive_condition_check,
     exhaustive_promotion_check, exhaustive_reduction_check, finite_from_values,

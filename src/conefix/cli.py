@@ -11,7 +11,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from typing import Callable
@@ -173,6 +173,17 @@ def _bounded(cast: Callable, ok: Callable, message: str) -> Callable:
     return coerce
 
 
+def _integer(name: str) -> Callable:
+    """int(value), refusing what int() would silently truncate: booleans
+    and non-integral numbers."""
+    def coerce(value):
+        fraction = isinstance(value, float) and math.isfinite(value) and not value.is_integer()
+        if isinstance(value, bool) or fraction:
+            raise ConfigError(f"{name} must be an integer, got {json.dumps(value)}")
+        return int(value)
+    return coerce
+
+
 def _finite_float(value) -> float:
     """float(value), refusing inf: Python's json reads an overflowing
     literal such as 1e400 as inf without calling ``parse_constant``."""
@@ -180,6 +191,11 @@ def _finite_float(value) -> float:
     if not math.isfinite(value):
         raise ConfigError(f"non-finite number {value} is not admitted")
     return value
+
+
+def _start_point(value):
+    """A JSON list is a box point: the float vector a box carrier takes."""
+    return np.asarray(value, dtype=float) if isinstance(value, list) else value
 
 
 def _schema_version(value):
@@ -203,6 +219,11 @@ def _direction_metric(direction, scalar="absdiff", *, cone, carrier) -> Directio
             raise ConfigError("direction vector must lie in the cone interior")
     if isinstance(carrier, IntervalCarrier) and scalar != "absdiff":
         raise ConfigError("interval carriers use the 'absdiff' scalar metric")
+    if isinstance(carrier, FinitePointsCarrier):
+        try:
+            np.asarray(carrier.points, dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigError("a direction metric needs numeric points") from None
     return DirectionMetric(u, scalar)
 
 
@@ -238,16 +259,18 @@ def _class_spec(kind: str, **constants) -> tuple[ClassSpec, bool]:
 
 
 _CONE_KEYS = {"norm": _as_is, "interior_margin": _as_is, "slack": _as_is}
+_DIMENSION = _integer("dimension")
 CONE = Section({
-    "orthant": Variant(partial(_cone, "orthant"), {"dimension": int}, _CONE_KEYS),
+    "orthant": Variant(partial(_cone, "orthant"), {"dimension": _DIMENSION}, _CONE_KEYS),
     "scaled_orthant": Variant(partial(_cone, "scaled_orthant"),
-                              {"dimension": int, "weights": _as_is}, _CONE_KEYS),
-    "polyhedral": Variant(partial(_cone, "polyhedral"), {"dimension": int, "matrix": _as_is}, _CONE_KEYS),
+                              {"dimension": _DIMENSION, "weights": _as_is}, _CONE_KEYS),
+    "polyhedral": Variant(partial(_cone, "polyhedral"),
+                          {"dimension": _DIMENSION, "matrix": _as_is}, _CONE_KEYS),
 }, "family", "family", default="orthant")
 
 CARRIER = Section({
-    "interval": Variant(IntervalCarrier, {"lo": float, "hi": float}, {"grid": int}),
-    "box": Variant(BoxCarrier, {"lows": _as_is, "highs": _as_is}, {"grid": int}),
+    "interval": Variant(IntervalCarrier, {"lo": float, "hi": float}, {"grid": _integer("grid")}),
+    "box": Variant(BoxCarrier, {"lows": _as_is, "highs": _as_is}, {"grid": _integer("grid")}),
     "finite": Variant(FinitePointsCarrier, {"points": list}),
 }, "kind", "carrier kind")
 
@@ -265,8 +288,9 @@ MAP = Section({
 }, "family", "map family")
 
 DECLARED = Section({None: Variant(DeclaredProperties, optional={
-    name: bool for name in ("t_continuous", "t_injective", "t_sequentially_convergent",
-                            "t_subsequentially_convergent", "s_continuous")
+    name: _bounded(_as_is, lambda v: isinstance(v, bool), f"{name} must be true or false")
+    for name in ("t_continuous", "t_injective", "t_sequentially_convergent",
+                 "t_subsequentially_convergent", "s_continuous")
 })})
 
 CONTRACTION = Section({
@@ -275,11 +299,11 @@ CONTRACTION = Section({
 }, "class", "class")
 
 RUN = Section({None: Variant(RunDefaults, optional={
-    "seed": int,
-    "samples": _bounded(int, lambda v: v >= 1, "samples must be >= 1"),
-    "x0": _as_is,
+    "seed": _bounded(_integer("seed"), lambda v: v >= 0, "seed must be >= 0"),
+    "samples": _bounded(_integer("samples"), lambda v: v >= 1, "samples must be >= 1"),
+    "x0": _start_point,
     "epsilon": _bounded(_finite_float, lambda v: v > 0, "epsilon must be > 0"),
-    "max_iter": _bounded(int, lambda v: v >= 1, "max_iter must be >= 1"),
+    "max_iter": _bounded(_integer("max_iter"), lambda v: v >= 1, "max_iter must be >= 1"),
     "rate_h": _bounded(float, lambda v: 0.0 <= v < 1.0, "rate_h must be in [0, 1)"),
     "normal_k": _bounded(_finite_float, lambda v: v >= 1.0, "normal_k must be >= 1"),
 })})
@@ -294,25 +318,37 @@ INSTANCE = Section({None: Variant(
 )})
 
 
+FLAGS = ("seed", "samples", "x0", "epsilon")     # run keys the CLI also takes as flags
+
+
 def _reject_constant(token: str):
     raise ValueError(f"non-finite number {token} is not admitted")
 
 
-def parse_instance(text: str) -> LoadedInstance:
-    """Parse and fully validate an instance file, reporting every
-    validation error at once (not just the first)."""
+def _decode(text: str, where: str):
+    """JSON text to a value, refusing Infinity and NaN; errors name ``where``."""
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
+        return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
-        raise InstanceValidationError(
-            [f"syntax: {exc.msg} at line {exc.lineno} column {exc.colno}"]
-        ) from exc
+        message = f"{exc.msg} at line {exc.lineno} column {exc.colno}"
     except ValueError as exc:
-        raise InstanceValidationError([f"syntax: {exc}"]) from exc
+        message = str(exc)
+    raise InstanceValidationError([f"{where}: {message}"])
+
+
+def parse_instance(text: str, flags: dict | None = None) -> LoadedInstance:
+    """Parse and fully validate an instance file, reporting every
+    validation error at once (not just the first).  ``flags`` maps run
+    keys to JSON texts; each one that is not null replaces the file's value
+    before the run section is coerced, so both obey the same rows."""
+    doc = _decode(text, "syntax")
     if not isinstance(doc, dict):
         raise InstanceValidationError(["top level must be an object"])
-    if "run" in doc and doc["run"] is None:     # a null run section takes every default
-        del doc["run"]
+    if doc.get("run") is None:      # a null run section takes every default
+        doc["run"] = {}
+    given = {key: _decode(arg, f"--{key}") for key, arg in (flags or {}).items() if arg is not None}
+    if isinstance(doc["run"], dict):
+        doc["run"].update((key, value) for key, value in given.items() if value is not None)
     errors: list[str] = []
     parts = _walk(doc, "top", INSTANCE, errors, {})
     if errors:
@@ -330,11 +366,11 @@ def parse_instance(text: str) -> LoadedInstance:
         except (ConfigError, DomainError, KeyError) as exc:
             raise InstanceValidationError([f"space: {exc}"]) from exc
     contraction, pinned = parts.get("contraction", (None, False))
-    return LoadedInstance(space, maps, contraction, parts.get("run", RunDefaults()), finite, pinned)
+    return LoadedInstance(space, maps, contraction, parts["run"], finite, pinned)
 
 
-def load_instance(path: str | Path) -> LoadedInstance:
-    return parse_instance(Path(path).read_text(encoding="utf-8"))
+def load_instance(path: str | Path, flags: dict | None = None) -> LoadedInstance:
+    return parse_instance(Path(path).read_text(encoding="utf-8"), flags)
 
 
 # ---------------------------------------------------------------------------
@@ -699,10 +735,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("verify", "solve", "oracle", "fit"):
         p = sub.add_parser(name)
         p.add_argument("--instance", required=True, help="path to a JSON instance file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--x0", type=str, default=None, help="start point (JSON literal)")
-        p.add_argument("--epsilon", type=_finite_float, default=None)
+        for key in FLAGS:
+            p.add_argument(f"--{key}", help=f"overrides run.{key} (JSON literal)")
         p.add_argument("--out", type=str, default=None, help="artifact path (default: stdout)")
         p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
     return parser
@@ -716,7 +750,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
 
     try:
-        inst = load_instance(args.instance)
+        inst = load_instance(args.instance, {key: getattr(args, key) for key in FLAGS})
     except FileNotFoundError:
         print(f"error: instance file not found: {args.instance}", file=sys.stderr)
         return 2
@@ -725,16 +759,6 @@ def main(argv: list[str] | None = None) -> int:
         for err in exc.errors:
             print(f"  - {err}", file=sys.stderr)
         return 2
-
-    flags = {"seed": args.seed, "samples": args.samples, "epsilon": args.epsilon}
-    if args.x0 is not None:
-        try:
-            x0 = json.loads(args.x0)
-        except json.JSONDecodeError:
-            print(f"error: --x0 must be a JSON literal, got {args.x0!r}", file=sys.stderr)
-            return 2
-        flags["x0"] = np.asarray(x0, dtype=float) if isinstance(x0, list) else x0
-    inst.run = replace(inst.run, **{k: v for k, v in flags.items() if v is not None})
 
     options = Options(out=Path(args.out) if args.out else None, fmt=args.fmt)
     try:

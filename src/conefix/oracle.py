@@ -336,15 +336,12 @@ def cross_validate(fin: FiniteInstance, spec: ClassSpec) -> CrossValidation:
 # Random finite instances (rejection sampling)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GeneratorConfig:
-    """Knobs for the rejection sampler.  Values are dyadic so that every
-    metric entry, and hence every cone test, is exact in float64."""
-
-    n_min: int = 6
-    n_max: int = 20
-    max_attempts: int = 200_000
-    direction_choices: tuple = ((1.0, 2.0), (0.5, 1.0), (1.0, 0.25), (2.0, 3.0))
+# The rejection sampler draws n in [N_MIN, N_MAX] and one metric direction.
+# Values are dyadic so that every metric entry, and hence every cone test,
+# is exact in float64.
+N_MIN, N_MAX = 6, 20
+MAX_ATTEMPTS = 200_000
+DIRECTION_CHOICES = ((1.0, 2.0), (0.5, 1.0), (1.0, 0.25), (2.0, 3.0))
 
 
 @dataclass
@@ -381,8 +378,8 @@ def _propose_s(rng: np.random.Generator, n: int) -> tuple[str, np.ndarray]:
     return "random", rng.integers(0, n, size=n)
 
 
-def _draw_instance(rng: np.random.Generator, cfg: GeneratorConfig) -> tuple[FiniteInstance, str]:
-    n = int(rng.integers(cfg.n_min, cfg.n_max + 1))
+def _draw_instance(rng: np.random.Generator) -> tuple[FiniteInstance, str]:
+    n = int(rng.integers(N_MIN, N_MAX + 1))
     values = _ladder_values(rng, n) if rng.random() < 0.6 else _grid_values(rng, n)
     name, base_s = _propose_s(rng, n)
     # T is a random permutation; conjugating the proposal keeps its
@@ -394,7 +391,7 @@ def _draw_instance(rng: np.random.Generator, cfg: GeneratorConfig) -> tuple[Fini
     inv = np.empty(n, dtype=int)
     inv[pi] = np.arange(n)
     s_table = inv[base_s[pi]]
-    direction = cfg.direction_choices[int(rng.integers(0, len(cfg.direction_choices)))]
+    direction = DIRECTION_CHOICES[int(rng.integers(0, len(DIRECTION_CHOICES)))]
     fin = finite_from_values(values, pi, s_table, direction=direction)
     return fin, name
 
@@ -403,30 +400,24 @@ def _draw_units(rng: np.random.Generator, lo: int, hi: int, denom: float) -> flo
     return float(rng.integers(lo, hi)) / denom
 
 
-def random_finite_instance(rng: np.random.Generator, cfg: GeneratorConfig | None = None) -> FiniteInstance:
+def random_finite_instance(rng: np.random.Generator) -> FiniteInstance:
     """A valid finite instance with no class requirement (metric axioms
     hold by construction and are re-validated exactly)."""
-    fin, _ = _draw_instance(rng, cfg or GeneratorConfig())
+    fin, _ = _draw_instance(rng)
     return fin
 
 
-def generate_tz_corpus(
-    count: int,
-    *,
-    seed: int = 0,
-    cfg: GeneratorConfig | None = None,
-) -> list[GeneratedInstance]:
+def generate_tz_corpus(count: int, *, seed: int = 0) -> list[GeneratedInstance]:
     """Rejection-sample finite instances exhaustively satisfying
     TZ(a, b, c) for dyadic constants drawn per instance."""
-    cfg = cfg or GeneratorConfig()
     rng = np.random.default_rng(seed)
     out: list[GeneratedInstance] = []
     attempts = 0
     while len(out) < count:
         attempts += 1
-        if attempts > cfg.max_attempts:
+        if attempts > MAX_ATTEMPTS:
             raise RuntimeError(f"TZ corpus generation starved after {attempts} attempts")
-        fin, name = _draw_instance(rng, cfg)
+        fin, name = _draw_instance(rng)
         a = _draw_units(rng, 0, 64, 64.0)
         b = _draw_units(rng, 0, 32, 64.0)
         c = _draw_units(rng, 0, 32, 64.0)
@@ -436,26 +427,20 @@ def generate_tz_corpus(
     return out
 
 
-def generate_twu_corpus(
-    count: int,
-    *,
-    seed: int = 0,
-    cfg: GeneratorConfig | None = None,
-) -> list[GeneratedInstance]:
+def generate_twu_corpus(count: int, *, seed: int = 0) -> list[GeneratedInstance]:
     """Instances exhaustively satisfying both a weak contraction TW(delta, L)
     and the uniqueness condition TWU(theta, L1).  Both are required: the
     TWU inequality alone admits fixed-point-free instances (a two-point
     swap passes it whenever theta + L1 >= 1), while the weak condition
     forces every orbit onto a fixed point."""
-    cfg = cfg or GeneratorConfig()
     rng = np.random.default_rng(seed)
     out: list[GeneratedInstance] = []
     attempts = 0
     while len(out) < count:
         attempts += 1
-        if attempts > cfg.max_attempts:
+        if attempts > MAX_ATTEMPTS:
             raise RuntimeError(f"TWU corpus generation starved after {attempts} attempts")
-        fin, name = _draw_instance(rng, cfg)
+        fin, name = _draw_instance(rng)
         delta = _draw_units(rng, 1, 64, 64.0)
         big_l = _draw_units(rng, 0, 9, 4.0)
         theta = _draw_units(rng, 1, 64, 64.0)

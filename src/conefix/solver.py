@@ -24,6 +24,17 @@ UNIQUE = "unique"
 NON_UNIQUE = "non_unique"
 UNKNOWN = "unknown"
 
+# Evidence tolerances and probe sizes of the checks below.
+DECAY_HEADROOM = 1e-9       # relative headroom of both geometric-decay bounds
+CAUCHY_SAMPLES = 2000       # Cauchy-tail pairs drawn when a trace has more
+COINCIDE_FACTOR = 10.0      # probe limits within this many epsilons coincide
+PROBE_COUNT = 200           # injectivity probe points on a continuous carrier
+PROBE_SEED = 0
+PROBE_LENGTH = 48           # length of each probe sequence
+INJECTIVITY_TOL = 1e-12     # T-images this close count as equal
+CAUCHY_WINDOW = 8           # a sequence is numerically Cauchy when its last
+CAUCHY_TOL = 1e-6           # CAUCHY_WINDOW terms lie within CAUCHY_TOL
+
 
 @dataclass
 class StoppingRule:
@@ -122,7 +133,6 @@ def picard_iterate(
 class DecayReport:
     h: float
     K: float
-    eps_r: float
     per_step_ok: bool
     per_step_violations: list[tuple[int, float, float]]
     cauchy_ok: bool
@@ -151,18 +161,11 @@ def _cauchy_pairs(npts: int, samples: int, seed: int) -> list[tuple[int, int]]:
     return list(zip(m_of.tolist(), n_of.tolist()))
 
 
-def geometric_decay_check(
-    trace: IterationTrace,
-    h: float,
-    K: float = 1.0,
-    *,
-    eps_r: float = 1e-9,
-    cauchy_samples: int = 2000,
-    seed: int = 0,
-) -> DecayReport:
+def geometric_decay_check(trace: IterationTrace, h: float, K: float = 1.0, *,
+                          seed: int = 0) -> DecayReport:
     """Check the per-step bound ||d_n|| <= K h^n ||d_0|| and the pairwise
-    Cauchy tail ||d(T x_m, T x_n)|| <= K h^n / (1 - h) ||d_0|| on sampled
-    m > n, both with relative headroom eps_r.
+    Cauchy tail ||d(T x_m, T x_n)|| <= K h^n / (1 - h) ||d_0|| on up to
+    CAUCHY_SAMPLES sampled m > n, both with relative headroom DECAY_HEADROOM.
     """
     if not (0.0 <= h < 1.0):
         raise ConfigError(f"decay factor h must be in [0, 1), got {h}")
@@ -172,7 +175,7 @@ def geometric_decay_check(
         raise ConfigError("trace has no monitored gaps")
 
     d0 = trace.gap_norms[0]
-    headroom = 1.0 + eps_r
+    headroom = 1.0 + DECAY_HEADROOM
 
     step_violations = []
     for n, gn in enumerate(trace.gap_norms):
@@ -180,7 +183,7 @@ def geometric_decay_check(
         if gn > bound:
             step_violations.append((n, gn, bound))
 
-    pairs = _cauchy_pairs(len(trace.t_images), cauchy_samples, seed)
+    pairs = _cauchy_pairs(len(trace.t_images), CAUCHY_SAMPLES, seed)
     cauchy_violations = []
     tail = K * d0 / (1.0 - h) * headroom
     for mm, nn in pairs:
@@ -192,7 +195,6 @@ def geometric_decay_check(
     return DecayReport(
         h=h,
         K=K,
-        eps_r=eps_r,
         per_step_ok=not step_violations,
         per_step_violations=step_violations,
         cauchy_ok=not cauchy_violations,
@@ -236,18 +238,16 @@ def uniqueness_probe(
     maps: MapPair,
     starts: Sequence,
     rule: StoppingRule | None = None,
-    *,
-    coincide_tol: float | None = None,
 ) -> UniquenessVerdict:
     """Run Picard iteration from each start.  ``unique`` when all converged
-    limits coincide within the carrier tolerance; ``non_unique`` when at
+    limits coincide within COINCIDE_FACTOR * epsilon; ``non_unique`` when at
     least two certified, distinct fixed points emerge; ``unknown`` when any
     run fails to converge.  Runs go in start order.
     """
     if not starts:
         raise ConfigError("uniqueness probe needs at least one start point")
     rule = rule or StoppingRule()
-    tol = coincide_tol if coincide_tol is not None else 10.0 * rule.epsilon
+    tol = COINCIDE_FACTOR * rule.epsilon
 
     traces = [picard_iterate(space, maps, s, rule) for s in starts]
 
@@ -278,25 +278,25 @@ class TProbes:
     sequences: list[tuple[str, list]]
 
 
-def default_probes(space: ConeMetricSpace, *, count: int = 200, seed: int = 0, length: int = 48) -> TProbes:
+def default_probes(space: ConeMetricSpace) -> TProbes:
     carrier = space.carrier
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(PROBE_SEED)
     if carrier.finite:
         pts = list(carrier.points)
-        seqs = [("constant", [pts[0]] * length)]
+        seqs = [("constant", [pts[0]] * PROBE_LENGTH)]
         if len(pts) >= 2:
-            seqs.append(("alternating", [pts[0], pts[-1]] * (length // 2)))
+            seqs.append(("alternating", [pts[0], pts[-1]] * (PROBE_LENGTH // 2)))
         return TProbes(pts, seqs)
     if isinstance(carrier, BoxCarrier):
-        pts = list(carrier.sample(rng, count))
+        pts = list(carrier.sample(rng, PROBE_COUNT))
         lo, hi = carrier.lows, carrier.highs
     else:
         lo, hi = carrier.lo, carrier.hi
-        pts = list(np.linspace(lo, hi, count))
+        pts = list(np.linspace(lo, hi, PROBE_COUNT))
     seqs = [
-        ("convergent", [lo + (hi - lo) * 0.5 ** n for n in range(length)]),
-        ("alternating", [lo, hi] * (length // 2)),
-        ("boundary-approach", [hi - (hi - lo) * 0.5 ** n for n in range(length)]),
+        ("convergent", [lo + (hi - lo) * 0.5 ** n for n in range(PROBE_LENGTH)]),
+        ("alternating", [lo, hi] * (PROBE_LENGTH // 2)),
+        ("boundary-approach", [hi - (hi - lo) * 0.5 ** n for n in range(PROBE_LENGTH)]),
     ]
     return TProbes(pts, seqs)
 
@@ -317,24 +317,16 @@ class TDiagnostics:
     note: str = "evidence from finite probes, not proof"
 
 
-def _numerically_cauchy(space: ConeMetricSpace, seq: list, window: int, tol: float) -> bool:
-    tail = seq[-window:]
+def _numerically_cauchy(space: ConeMetricSpace, seq: list) -> bool:
+    tail = seq[-CAUCHY_WINDOW:]
     for i in range(len(tail)):
         for j in range(i + 1, len(tail)):
-            if space.gap_norm(tail[i], tail[j]) > tol:
+            if space.gap_norm(tail[i], tail[j]) > CAUCHY_TOL:
                 return False
     return True
 
 
-def diagnose_T(
-    space: ConeMetricSpace,
-    maps: MapPair,
-    probes: TProbes | None = None,
-    *,
-    injectivity_tol: float = 1e-12,
-    cauchy_window: int = 8,
-    cauchy_tol: float = 1e-6,
-) -> TDiagnostics:
+def diagnose_T(space: ConeMetricSpace, maps: MapPair, probes: TProbes | None = None) -> TDiagnostics:
     """Probe T for injectivity counterexamples and for sequential-convergence
     evidence: for each probe sequence (y_n), test whether (T y_n) is
     numerically Cauchy and whether (y_n) is; a convergent image with a
@@ -351,14 +343,14 @@ def diagnose_T(
         for j in range(i + 1, len(pts)):
             if point_key(pts[i]) == point_key(pts[j]):
                 continue
-            if space.gap_norm(images[i], images[j]) <= injectivity_tol:
+            if space.gap_norm(images[i], images[j]) <= INJECTIVITY_TOL:
                 violations.append((pts[i], pts[j]))
 
     findings = []
     for name, seq in probes.sequences:
         t_seq = [space.require_point(T(y), "T-image") for y in seq]
-        t_conv = _numerically_cauchy(space, t_seq, cauchy_window, cauchy_tol)
-        y_conv = _numerically_cauchy(space, list(seq), cauchy_window, cauchy_tol)
+        t_conv = _numerically_cauchy(space, t_seq)
+        y_conv = _numerically_cauchy(space, list(seq))
         if not t_conv:
             cls = "not-applicable"
         elif y_conv:

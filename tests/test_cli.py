@@ -148,6 +148,109 @@ def test_epsilon_flag_rejects_overflow(tmp_path):
     assert main(["solve", "--instance", str(path), "--epsilon", "1e400"]) == 2
 
 
+# ---------------------------------------------------------------------------
+# Flags override run keys and obey the same rows
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("command, flag, value, error", [
+    ("verify", "--samples", "-5", "run: samples must be >= 1"),
+    ("verify", "--samples", "0", "run: samples must be >= 1"),
+    ("verify", "--samples", "10.5", "run: samples must be an integer, got 10.5"),
+    ("verify", "--seed", "-1", "run: seed must be >= 0"),
+    ("verify", "--seed", "true", "run: seed must be an integer, got true"),
+    ("solve", "--epsilon", "1e400", f"run: {INF}"),
+    ("solve", "--epsilon", "0", "run: epsilon must be > 0"),
+    ("solve", "--x0", "NaN", "--x0: non-finite number NaN is not admitted"),
+    ("solve", "--x0", "[0.5,", "--x0: Expecting value at line 1 column 6"),
+])
+def test_bad_flags_are_rejected_like_file_values(tmp_path, capsys, command, flag, value, error):
+    path = _write(tmp_path, "a.json", fixture_doc("instance_a"))
+    assert main([command, "--instance", str(path), flag, value]) == 2
+    assert capsys.readouterr().err == f"instance rejected:\n  - {error}\n"
+
+
+def test_negative_seed_in_the_file_is_rejected(tmp_path, capsys):
+    doc = fixture_doc("instance_a")
+    doc["run"]["seed"] = -1
+    path = _write(tmp_path, "a.json", doc)
+    assert main(["verify", "--instance", str(path)]) == 2
+    assert capsys.readouterr().err == "instance rejected:\n  - run: seed must be >= 0\n"
+
+
+def test_flags_override_the_run_section():
+    text = json.dumps(fixture_doc("instance_a"))
+    inst = parse_instance(text, {"seed": "7", "samples": "500", "x0": "0.25", "epsilon": "1e-9"})
+    assert (inst.run.seed, inst.run.samples, inst.run.x0, inst.run.epsilon) == (7, 500, 0.25, 1e-9)
+    assert parse_instance(text, {"seed": None, "samples": "null"}).run == parse_instance(text).run
+
+
+BOX = {
+    "schema_version": "1",
+    "cone": {"family": "orthant", "dimension": 2, "norm": "max"},
+    "space": {
+        "carrier": {"kind": "box", "lows": [0.0, 0.0], "highs": [1.0, 1.0], "grid": 11},
+        "metric": {"kind": "direction", "direction": [1.0, 2.0], "scalar": "max"},
+    },
+    "maps": {"T": {"family": "identity"}, "S": {"family": "affine", "alpha": 0.5}},
+}
+
+
+def test_box_start_point_from_the_file_matches_the_flag(tmp_path, capsys):
+    with_x0 = _write(tmp_path, "box.json", {**BOX, "run": {"x0": [0.5, 0.5]}})
+    without = _write(tmp_path, "box_nox0.json", BOX)
+    outputs = []
+    for argv in (["--instance", str(with_x0)], ["--instance", str(without), "--x0", "[0.5, 0.5]"]):
+        out = tmp_path / f"trace{len(outputs)}.csv"
+        assert main(["solve", *argv, "--out", str(out)]) == 0
+        outputs.append((out.read_bytes(), capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("path, value, error", [
+    (("run", "samples"), 10.5, "run: samples must be an integer, got 10.5"),
+    (("run", "seed"), 1.5, "run: seed must be an integer, got 1.5"),
+    (("run", "max_iter"), True, "run: max_iter must be an integer, got true"),
+    (("space", "carrier", "grid"), 21.9, "space.carrier: grid must be an integer, got 21.9"),
+    (("cone", "dimension"), True, "cone: dimension must be an integer, got true"),
+    (("maps", "declared"), {"t_continuous": "false"}, "maps.declared: t_continuous must be true or false"),
+    (("maps", "declared"), {"s_continuous": 1}, "maps.declared: s_continuous must be true or false"),
+])
+def test_no_silent_coercion(path, value, error):
+    doc = fixture_doc("instance_a")
+    _lookup(doc, path[:-1])[path[-1]] = value
+    with pytest.raises(InstanceValidationError) as exc:
+        parse_instance(json.dumps(doc))
+    assert exc.value.errors == [error]
+
+
+def test_integral_numbers_still_load():
+    doc = fixture_doc("instance_a")
+    doc["run"].update({"samples": 500.0, "seed": 3.0})
+    doc["maps"]["declared"] = {"t_continuous": False, "t_injective": True}
+    inst = parse_instance(json.dumps(doc))
+    assert (inst.run.samples, inst.run.seed) == (500, 3)
+    assert not inst.maps.declared.t_continuous and inst.maps.declared.t_injective
+
+
+@pytest.mark.parametrize("command", ["verify", "solve", "fit"])
+def test_direction_metric_rejects_non_numeric_labels(tmp_path, capsys, command):
+    doc = {
+        "schema_version": "1",
+        "cone": {"family": "orthant", "dimension": 2, "norm": "max"},
+        "space": {
+            "carrier": {"kind": "finite", "points": ["a", "b", "c"]},
+            "metric": {"kind": "direction", "direction": [1.0, 2.0]},
+        },
+        "maps": {"T": {"family": "identity"}, "S": {"family": "tabulated", "images": [1, 2, 2]}},
+        "contraction": {"class": "TB", "a": 0.5},
+        "run": {"x0": "a"},
+    }
+    path = _write(tmp_path, "labels.json", doc)
+    assert main([command, "--instance", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "instance rejected:\n  - space.metric: a direction metric needs numeric points\n")
+
+
 @pytest.mark.parametrize("image", [-1, 10, 1.7])
 def test_tabulated_map_rejects_bad_image_index(image):
     doc = fixture_doc("instance_d")

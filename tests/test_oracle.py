@@ -9,7 +9,7 @@ from conefix.instances import instance_c_grid
 from conefix.oracle import (
     FiniteInstance, cross_validate, enumerate_fixed_points, exhaustive_condition_check,
     exhaustive_promotion_check, exhaustive_reduction_check, finite_from_values,
-    generate_tz_corpus, tightest_constants,
+    generate_twu_corpus, generate_tz_corpus, random_finite_instance, tightest_constants,
 )
 from conefix.solver import CONVERGED, StoppingRule, picard_iterate
 
@@ -215,3 +215,30 @@ def test_generator_is_seed_deterministic():
         assert np.array_equal(g1.fin.s_table, g2.fin.s_table)
         assert np.array_equal(g1.fin.t_table, g2.fin.t_table)
         assert g1.spec == g2.spec
+
+
+# The first draws at seed 7, recorded once: a change to the sampler's
+# ranges, direction choices or draw order shows up here, where comparing
+# two calls on the same code cannot see it.
+def _drawn(fin):
+    return fin.n, fin.s_table.tolist(), fin.t_table.tolist(), fin.metric_table[0, -1].tolist()
+
+
+def test_generated_corpora_are_pinned():
+    tz = generate_tz_corpus(1, seed=7)[0]
+    assert _drawn(tz.fin) == (
+        15, [9, 7, 1, 3, 6, 3, 10, 3, 5, 8, 3, 4, 3, 12, 13],
+        [0, 7, 3, 14, 5, 12, 9, 11, 8, 4, 13, 1, 10, 6, 2], [0.5, 1.0])
+    assert tz.spec == ClassSpec.tz(0.640625, 0.296875, 0.046875)
+    assert (tz.proposal, tz.extra) == ("ladder-4", {})
+
+    twu = generate_twu_corpus(1, seed=7)[0]
+    assert _drawn(twu.fin) == (
+        11, [2, 10, 9, 5, 1, 8, 6, 4, 6, 6, 6], [1, 6, 4, 2, 3, 5, 10, 0, 8, 7, 9], [1.0, 1.5])
+    assert twu.spec == ClassSpec.twu(0.265625, 0.5)
+    assert (twu.proposal, twu.extra) == ("ladder-3", {"delta": 0.375, "L": 0.75})
+
+    plain = random_finite_instance(np.random.default_rng(7))
+    assert _drawn(plain) == (
+        20, [4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 19, 19, 19, 19],
+        list(range(20)), [0.9375, 0.234375])
