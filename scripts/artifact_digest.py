@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fingerprint every CLI command's outputs on instance files.
+"""Fingerprint every CLI command's outputs, and two API results, on instance files.
 
     python scripts/artifact_digest.py PATH...
 
@@ -7,8 +7,13 @@ Runs verify (default seed, ``--seed 7`` and ``--samples 500``), solve
 (default CSV trace, and ``--epsilon 1e-9`` with a JSON trace), oracle and
 fit in-process on each file and prints one line per (file, command): the exit
 status and the sha256 of the artifact written with ``--out``, of stdout
-and of stderr.  Run it on two checkouts (``PYTHONPATH=<checkout>/src``)
-and ``diff`` the outputs to confirm the artifacts are byte-identical.
+and of stderr.  One more line per file hashes the ``repr`` of what the API
+returns, which no CLI artifact shows in full: ``uniqueness_probe`` from the
+start points ``solve`` probes (the verdict, the certified points, and each
+run's stop reason, length and points) and ``diagnose_T`` with its default
+probes (the injectivity violations and the sequence findings).  Run it on
+two checkouts (``PYTHONPATH=<checkout>/src``) and ``diff`` the outputs to
+confirm the results are byte-identical.
 """
 
 import contextlib
@@ -18,7 +23,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from conefix import cli
+from conefix import cli, solver
 
 COMMANDS = (
     ("verify", ()),
@@ -47,6 +52,30 @@ def digest(path: str, command: str, extra: tuple) -> str:
             f"stdout={_sha(out.getvalue().encode())} stderr={_sha(err.getvalue().encode())}")
 
 
+def _api_probe(inst) -> tuple:
+    starts = [s for s in cli._default_starts(inst, inst.run.x0) if s is not None]
+    rule = solver.StoppingRule(epsilon=inst.run.epsilon, max_iter=inst.run.max_iter)
+    v = solver.uniqueness_probe(inst.space, inst.maps, starts, rule)
+    return v.verdict, v.fixed_point, v.witnesses, [
+        (t.stop_reason, t.n_final, t.x_sequence) for t in v.traces]
+
+
+def _api_diagnose(inst) -> tuple:
+    d = solver.diagnose_T(inst.space, inst.maps)
+    return d.injectivity_violations, d.sequence_findings
+
+
+def api_digest(path: str) -> str:
+    parts = []
+    for name, call in (("probe", _api_probe), ("diagnose", _api_diagnose)):
+        try:
+            text = repr(call(cli.load_instance(path)))
+        except Exception as exc:      # an invalid file or a failing run is a result too
+            text = f"{type(exc).__name__}: {exc}"
+        parts.append(f"{name}={_sha(text.encode())}")
+    return f"{path} [api] " + " ".join(parts)
+
+
 def main(paths: list[str]) -> int:
     if not paths:
         print(__doc__.strip(), file=sys.stderr)
@@ -54,6 +83,7 @@ def main(paths: list[str]) -> int:
     for path in paths:
         for command, extra in COMMANDS:
             print(digest(path, command, extra), flush=True)
+        print(api_digest(path), flush=True)
     return 0
 
 

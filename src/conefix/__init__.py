@@ -11,7 +11,7 @@ from .cone_space import (
 from .contractions import (
     AffineMap, ClassSpec, ConditionReport, ConditionViolation, DeclaredProperties,
     FitResult, IdentityMap, MapPair, PowerMap, ReductionReport, TabulatedMap,
-    all_pairs, check_condition, fit_constants, grid_pairs, maps_into_carrier,
+    all_pairs, check_condition, fit_constants, grid_pairs,
     promote_to_weak, rate_from_primary_form, sampled_pairs,
     verify_zamfirescu_reduction, zamfirescu_delta,
 )

@@ -174,19 +174,22 @@ def _bounded(cast: Callable, ok: Callable, message: str) -> Callable:
 
 
 def _integer(name: str) -> Callable:
-    """int(value), refusing what int() would silently truncate: booleans
-    and non-integral numbers."""
+    """int(value), refusing what int() would silently convert: booleans,
+    strings and non-integral numbers."""
     def coerce(value):
         fraction = isinstance(value, float) and math.isfinite(value) and not value.is_integer()
-        if isinstance(value, bool) or fraction:
+        if isinstance(value, (bool, str)) or fraction:
             raise ConfigError(f"{name} must be an integer, got {json.dumps(value)}")
         return int(value)
     return coerce
 
 
 def _finite_float(value) -> float:
-    """float(value), refusing inf: Python's json reads an overflowing
-    literal such as 1e400 as inf without calling ``parse_constant``."""
+    """float(value), refusing booleans and strings, which float() would
+    convert, and inf: Python's json reads an overflowing literal such as
+    1e400 as inf without calling ``parse_constant``."""
+    if isinstance(value, (bool, str)):
+        raise ConfigError(f"expected a number, got {json.dumps(value)}")
     value = float(value)
     if not math.isfinite(value):
         raise ConfigError(f"non-finite number {value} is not admitted")
@@ -269,7 +272,8 @@ CONE = Section({
 }, "family", "family", default="orthant")
 
 CARRIER = Section({
-    "interval": Variant(IntervalCarrier, {"lo": float, "hi": float}, {"grid": _integer("grid")}),
+    "interval": Variant(IntervalCarrier, {"lo": _finite_float, "hi": _finite_float},
+                        {"grid": _integer("grid")}),
     "box": Variant(BoxCarrier, {"lows": _as_is, "highs": _as_is}, {"grid": _integer("grid")}),
     "finite": Variant(FinitePointsCarrier, {"points": list}),
 }, "kind", "carrier kind")

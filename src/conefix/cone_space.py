@@ -381,6 +381,9 @@ def _dedupe(violations: list[AxiomViolation]) -> list[AxiomViolation]:
 # ---------------------------------------------------------------------------
 # Carriers
 # ---------------------------------------------------------------------------
+#
+# Each carrier has an array form for a list of its points (``to_array``, and
+# ``from_array`` back to point objects) and a membership ``mask`` over it.
 
 @dataclass
 class IntervalCarrier:
@@ -398,6 +401,16 @@ class IntervalCarrier:
 
     def contains(self, x) -> bool:
         return isinstance(x, (int, float, np.floating)) and self.lo <= float(x) <= self.hi
+
+    # Array form of a point list: a float vector.
+    def to_array(self, points) -> np.ndarray:
+        return np.asarray(points, dtype=float)
+
+    def from_array(self, xs: np.ndarray) -> list:
+        return xs.tolist()
+
+    def mask(self, xs: np.ndarray) -> np.ndarray:
+        return (xs >= self.lo) & (xs <= self.hi)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, size=size)
@@ -428,6 +441,16 @@ class BoxCarrier:
             np.all(x >= self.lows) and np.all(x <= self.highs)
         )
 
+    # Array form of a point list: one row per point.
+    def to_array(self, points) -> np.ndarray:
+        return np.asarray(points, dtype=float).reshape(len(points), len(self.lows))
+
+    def from_array(self, xs: np.ndarray) -> list:
+        return list(xs)
+
+    def mask(self, xs: np.ndarray) -> np.ndarray:
+        return np.all((xs >= self.lows) & (xs <= self.highs), axis=-1)
+
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.uniform(self.lows, self.highs, size=(size, len(self.lows)))
 
@@ -451,10 +474,24 @@ class FinitePointsCarrier:
             raise ConfigError("finite carrier points must be distinct")
 
     def contains(self, x) -> bool:
+        return self._position(x) >= 0
+
+    def _position(self, x) -> int:
         try:
-            return x in self.index
-        except TypeError:
-            return False
+            return self.index.get(x, -1)
+        except TypeError:       # unhashable: not a point of the carrier
+            return -1
+
+    # Array form of a point list: the point indices, -1 for a point that is
+    # not in the carrier.
+    def to_array(self, points) -> np.ndarray:
+        return np.array([self._position(p) for p in points], dtype=np.intp)
+
+    def from_array(self, xs: np.ndarray) -> list:
+        return [self.points[i] for i in xs.tolist()]
+
+    def mask(self, xs: np.ndarray) -> np.ndarray:
+        return xs >= 0
 
     def sample(self, rng: np.random.Generator, size: int) -> list:
         idx = rng.integers(0, len(self.points), size=size)
@@ -494,10 +531,11 @@ class DirectionMetric:
         ys = np.asarray(ys, dtype=float)
         if self.rho == "absdiff":
             r = np.abs(xs - ys)
-        elif self.rho == "max":
-            r = np.max(np.abs(xs - ys), axis=-1)
         else:
-            r = np.linalg.norm(xs - ys, axis=-1)
+            dx = xs - ys
+            if dx.ndim == 1:        # numbers: one 1-vector per pair, as in _scalar
+                dx = dx[:, None]
+            r = np.max(np.abs(dx), axis=-1) if self.rho == "max" else np.linalg.norm(dx, axis=-1)
         return r[..., None] * self.direction
 
 
@@ -549,6 +587,12 @@ class ConeMetricSpace:
     carrier: IntervalCarrier | BoxCarrier | FinitePointsCarrier
     metric: DirectionMetric | TabulatedMetric | FunctionMetric
 
+    def __post_init__(self):
+        # a table over the carrier's own points is indexed by the array form
+        same = isinstance(self.metric, TabulatedMetric) and self.carrier.finite \
+            and self.metric.points == list(self.carrier.points)
+        self._table = self.metric.table if same else None
+
     def require_point(self, x, what: str = "point"):
         if not self.carrier.contains(x):
             raise DomainError(f"{what} {x!r} lies outside the carrier")
@@ -556,6 +600,17 @@ class ConeMetricSpace:
 
     def d(self, x, y) -> np.ndarray:
         return np.asarray(self.metric(x, y), dtype=float)
+
+    def pairwise(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """d(xs[i], ys[i]) for two equal-length point lists in the carrier's
+        array form, one row per pair."""
+        if len(xs) == 0:
+            return np.zeros((0, self.cone.dimension))
+        if self._table is not None:
+            return self._table[xs, ys]
+        if self.carrier.finite:
+            xs, ys = self.carrier.from_array(xs), self.carrier.from_array(ys)
+        return np.asarray(self.metric.pairwise(xs, ys), dtype=float)
 
     def gap_norm(self, x, y) -> float:
         return self.cone.norm(self.d(x, y))

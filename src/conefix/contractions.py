@@ -37,7 +37,7 @@ import math
 import struct
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -57,11 +57,19 @@ CLASS_KINDS = (TB, TK, TC, TZ, TW, TW_DUAL, TWU)
 # ---------------------------------------------------------------------------
 # Map families
 # ---------------------------------------------------------------------------
+#
+# Besides the call on one point, each family has an array form that maps a
+# whole point list at once and gives the same bits as the call point by
+# point: ``on_array`` on a float array (interval or box points) and, for a
+# tabulated map, ``on_indices`` on the indices of its own points.
 
 @dataclass(frozen=True)
 class IdentityMap:
     def __call__(self, x):
         return x
+
+    def on_array(self, xs: np.ndarray) -> np.ndarray:
+        return xs
 
 
 @dataclass(frozen=True)
@@ -71,6 +79,9 @@ class AffineMap:
 
     def __call__(self, x):
         return self.alpha * x + self.beta
+
+    def on_array(self, xs: np.ndarray) -> np.ndarray:
+        return self.alpha * xs + self.beta
 
 
 @dataclass(frozen=True)
@@ -83,22 +94,39 @@ class PowerMap:
             raise DomainError(f"power map produced a non-finite value at {x!r}")
         return y
 
+    def on_array(self, xs: np.ndarray) -> np.ndarray:
+        # Python's float pow, not np.power: the two differ in the last bit
+        values = xs.tolist()
+        ys = np.array([x ** self.exponent for x in values], dtype=float)
+        bad = np.flatnonzero(~np.isfinite(ys))
+        if bad.size:
+            raise DomainError(f"power map produced a non-finite value at {values[bad[0]]!r}")
+        return ys
+
 
 class TabulatedMap:
-    """Explicit point-to-point map on a finite carrier."""
+    """Explicit point-to-point map on a finite carrier.  ``image_index[i]``
+    is the index of the image of ``points[i]`` among ``points`` (-1 when the
+    image is not one of them)."""
 
     def __init__(self, points: Sequence, images: Sequence):
         if len(points) != len(images):
             raise ConfigError("tabulated map needs one image per point")
+        self.points = list(points)
         self.mapping = dict(zip(points, images))
         if len(self.mapping) != len(points):
             raise ConfigError("tabulated map points must be distinct")
+        index = {p: i for i, p in enumerate(self.points)}
+        self.image_index = np.array([index.get(y, -1) for y in images], dtype=np.intp)
 
     def __call__(self, x):
         try:
             return self.mapping[x]
         except (KeyError, TypeError):
             raise DomainError(f"point {x!r} is not in the tabulated map") from None
+
+    def on_indices(self, idx: np.ndarray) -> np.ndarray:
+        return self.image_index[idx]
 
     def __repr__(self):
         return f"TabulatedMap({len(self.mapping)} points)"
@@ -118,15 +146,6 @@ class MapPair:
     T: Callable
     S: Callable
     declared: DeclaredProperties = field(default_factory=DeclaredProperties)
-
-
-def maps_into_carrier(space: ConeMetricSpace, maps: MapPair, samples: Iterable) -> list:
-    """Points whose T- or S-image escapes the carrier (empty list = all good)."""
-    bad = []
-    for x in samples:
-        if not space.carrier.contains(maps.T(x)) or not space.carrier.contains(maps.S(x)):
-            bad.append(x)
-    return bad
 
 
 # ---------------------------------------------------------------------------

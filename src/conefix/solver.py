@@ -4,17 +4,22 @@ The iteration x_{n+1} = S(x_n) is monitored through the T-image gap
 sequence d_n = d(T x_n, T x_{n+1}); convergence, geometric decay, and
 the Cauchy tail bound are all measured on these vectors, so the stopping
 rule is well defined on any carrier.
+
+Every check is an array pass over the carrier's array form of its points
+(see ``cone_space``): the runs from many starts step together, and the
+uniqueness merge, the Cauchy tail and the injectivity probe each take their
+distances from one ``ConeMetricSpace.pairwise`` call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .cone_space import BoxCarrier, ConeMetricSpace, ConfigError, DomainError, point_key
-from .contractions import MapPair
+from .cone_space import BoxCarrier, ConeMetricSpace, ConfigError, DomainError
+from .contractions import IdentityMap, MapPair, TabulatedMap
 
 CONVERGED = "converged"
 MAX_ITER = "max_iter"
@@ -92,37 +97,125 @@ def picard_iterate(
     x_sequence[n] and equals d(T x_n, T S x_n); on convergence the next
     point is appended so the final point carries the near-zero residual.
     """
-    rule = rule or StoppingRule()
-    space.require_point(x0, "start point")
-    pts = [x0]
-    t_images = [space.require_point(maps.T(x0), "T-image")]
-    gaps: list[np.ndarray] = []
-    norms: list[float] = []
-    seen = {point_key(x0)}
-    while True:
-        x = pts[-1]
+    return _picard_runs(space, maps, [x0], rule or StoppingRule())[0]
+
+
+def _array_map(space: ConeMetricSpace, f: Callable) -> Callable:
+    """f as a function of the carrier's array form: the map's own array
+    form where it has one, else f point by point."""
+    carrier = space.carrier
+    if carrier.finite and isinstance(f, TabulatedMap) and f.points == list(carrier.points):
+        return f.on_indices
+    if not carrier.finite and hasattr(f, "on_array"):
+        return f.on_array
+    return lambda xs: carrier.to_array([f(p) for p in carrier.from_array(xs)])
+
+
+class _Escaped(Exception):
+    """An image of the array form fell outside the carrier."""
+
+
+def _first_failure(space, maps, xs, ts, step) -> tuple[int, Exception] | None:
+    """Replay one step point by point with the scalar maps, in row order:
+    the first failing row and the error a run from it alone raises."""
+    carrier = space.carrier
+    for row, (x, tx) in enumerate(zip(carrier.from_array(xs), carrier.from_array(ts))):
         try:
-            y = space.require_point(maps.S(x), "S-image")
-            ty = space.require_point(maps.T(y), "T-image")
-        except DomainError as exc:
-            raise DomainError(f"iterate {len(pts) - 1} escaped the carrier: {exc}") from exc
-        g = space.d(t_images[-1], ty)
-        gaps.append(g)
-        norms.append(space.cone.norm(g))
-        if norms[-1] > rule.epsilon and len(pts) > rule.max_iter:
-            reason = MAX_ITER
+            try:
+                y = space.require_point(maps.S(x), "S-image")
+                ty = space.require_point(maps.T(y), "T-image")
+            except DomainError as exc:
+                raise DomainError(f"iterate {step} escaped the carrier: {exc}") from exc
+            space.gap_norm(tx, ty)
+        except Exception as exc:
+            return row, exc
+    return None
+
+
+def _picard_runs(space: ConeMetricSpace, maps: MapPair, starts: list,
+                 rule: StoppingRule) -> list[IterationTrace]:
+    """Picard runs from all starts at once, as ``picard_iterate`` runs each.
+    The active rows step together through the array forms of S, T and the
+    metric; a row leaves the array when it stops.  When any run fails, the
+    error raised is the one running the starts one after another would
+    raise first: that of the lowest-index failing start, at its own step."""
+    carrier = space.carrier
+    S, T = _array_map(space, maps.S), _array_map(space, maps.T)
+    failure = None
+    t0 = []
+    for row, x0 in enumerate(starts):
+        try:
+            space.require_point(x0, "start point")
+            t0.append(space.require_point(maps.T(x0), "T-image"))
+        except Exception as exc:
+            failure = (row, exc)
             break
-        pts.append(y)
-        t_images.append(ty)
-        if norms[-1] <= rule.epsilon:
-            reason = CONVERGED
-            break
-        key = point_key(y)
-        if key in seen:
-            reason = CYCLE_DETECTED
-            break
-        seen.add(key)
-    return IterationTrace(space, maps, pts, t_images, gaps, norms, reason, rule)
+    k = len(t0)
+    ids = np.arange(k)
+    xs, ts = carrier.to_array(starts[:k]), carrier.to_array(t0)
+    # the points a run has visited (as tuples on a box)
+    seen = [{key} for key in _keys(xs, carrier.from_array(xs))]
+    traces = [IterationTrace(space, maps, [x0], [tx0], [], [], None, rule) for x0, tx0 in zip(starts, t0)]
+    identity = isinstance(maps.S, IdentityMap)     # S returns the very point it is given
+    rows = ids.tolist()
+    pairwise, norm_rows, mask = space.pairwise, space.cone.norm_rows, carrier.mask
+    eps, max_iter, step = rule.epsilon, rule.max_iter, 0
+    with np.errstate(all="ignore"):
+        while ids.size:
+            try:
+                ys = S(xs)
+                tys = T(ys)
+                inside = mask(ys) if tys is ys else mask(ys) & mask(tys)
+                if not inside.all():
+                    raise _Escaped
+                gaps = pairwise(ts, tys)
+                norms = norm_rows(gaps)
+            except Exception as exc:
+                found = _first_failure(space, maps, xs, ts, step)
+                if found is None:
+                    raise exc
+                row, error = found
+                failure = (rows[row], error)
+                ids, xs, ts, rows = ids[:row], xs[:row], ts[:row], rows[:row]
+                continue
+            capped = step >= max_iter
+            points, images = carrier.from_array(ys), carrier.from_array(tys)
+            stopped = []
+            for pos, (row, key, norm) in enumerate(zip(rows, _keys(ys, points), norms.tolist())):
+                trace = traces[row]
+                trace.t_image_gaps.append(gaps[pos].copy())    # not a view that keeps the whole step
+                trace.gap_norms.append(norm)
+                if norm > eps and capped:       # a run stopped by max_iter keeps no new point
+                    trace.stop_reason = MAX_ITER
+                    stopped.append(pos)
+                    continue
+                trace.x_sequence.append(trace.x_sequence[0] if identity else points[pos])
+                trace.t_images.append(images[pos])
+                if norm <= eps:
+                    trace.stop_reason = CONVERGED
+                elif key in seen[row]:
+                    trace.stop_reason = CYCLE_DETECTED
+                else:
+                    seen[row].add(key)
+                    continue
+                stopped.append(pos)
+            if stopped:
+                keep = np.ones(len(ids), dtype=bool)
+                keep[stopped] = False
+                ids, xs, ts = ids[keep], ys[keep], tys[keep]
+                rows = ids.tolist()
+            else:
+                xs, ts = ys, tys
+            step += 1
+    if failure is not None:
+        raise failure[1]
+    return traces
+
+
+def _keys(xs: np.ndarray, points: list) -> list:
+    """Hashable keys of ``points``, whose array form is ``xs``: the points
+    themselves, or tuples for the rows of a box."""
+    return list(map(tuple, xs.tolist())) if xs.ndim > 1 else points
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +237,12 @@ class DecayReport:
         return self.per_step_ok and self.cauchy_ok
 
 
-def _cauchy_pairs(npts: int, samples: int, seed: int) -> list[tuple[int, int]]:
-    """The (m, n) pairs, m > n, of the Cauchy-tail check: all of them, or
-    ``samples`` drawn without replacement.  Pairs are ranked n-major (rank
-    r runs over (n+1, n), ..., (npts-1, n) for n = 0, 1, ...) and a drawn
-    rank is unranked arithmetically, so the full list is never built."""
+def _cauchy_pairs(npts: int, samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index arrays (m, n), m > n, of the Cauchy-tail pairs: all of
+    them, or ``samples`` drawn without replacement.  Pairs are ranked
+    n-major (rank r runs over (n+1, n), ..., (npts-1, n) for n = 0, 1, ...)
+    and a drawn rank is unranked arithmetically, so the full list is never
+    built."""
     total = npts * (npts - 1) // 2
     if total > samples:
         ranks = np.sort(np.random.default_rng(seed).choice(total, size=samples, replace=False))
@@ -158,7 +252,7 @@ def _cauchy_pairs(npts: int, samples: int, seed: int) -> list[tuple[int, int]]:
     starts = nn * (npts - 1) - nn * (nn - 1) // 2      # rank of (n+1, n)
     n_of = np.searchsorted(starts, ranks, side="right") - 1
     m_of = n_of + 1 + ranks - starts[n_of]
-    return list(zip(m_of.tolist(), n_of.tolist()))
+    return m_of, n_of
 
 
 def geometric_decay_check(trace: IterationTrace, h: float, K: float = 1.0, *,
@@ -176,21 +270,22 @@ def geometric_decay_check(trace: IterationTrace, h: float, K: float = 1.0, *,
 
     d0 = trace.gap_norms[0]
     headroom = 1.0 + DECAY_HEADROOM
+    powers = [h ** n for n in range(len(trace.t_images))]   # Python pow, as the bounds state
 
     step_violations = []
     for n, gn in enumerate(trace.gap_norms):
-        bound = K * h ** n * d0 * headroom
+        bound = K * powers[n] * d0 * headroom
         if gn > bound:
             step_violations.append((n, gn, bound))
 
-    pairs = _cauchy_pairs(len(trace.t_images), CAUCHY_SAMPLES, seed)
-    cauchy_violations = []
-    tail = K * d0 / (1.0 - h) * headroom
-    for mm, nn in pairs:
-        actual = trace.space.gap_norm(trace.t_images[mm], trace.t_images[nn])
-        bound = tail * h ** nn
-        if actual > bound:
-            cauchy_violations.append((mm, nn, actual, bound))
+    space = trace.space
+    mm, nn = _cauchy_pairs(len(trace.t_images), CAUCHY_SAMPLES, seed)
+    ts = space.carrier.to_array(trace.t_images)
+    actual = space.cone.norm_rows(space.pairwise(ts[mm], ts[nn]))
+    bound = K * d0 / (1.0 - h) * headroom * np.asarray(powers)[nn]
+    bad = np.flatnonzero(actual > bound)
+    cauchy_violations = list(zip(mm[bad].tolist(), nn[bad].tolist(),
+                                 actual[bad].tolist(), bound[bad].tolist()))
 
     return DecayReport(
         h=h,
@@ -199,7 +294,7 @@ def geometric_decay_check(trace: IterationTrace, h: float, K: float = 1.0, *,
         per_step_violations=step_violations,
         cauchy_ok=not cauchy_violations,
         cauchy_violations=cauchy_violations,
-        cauchy_pairs_checked=len(pairs),
+        cauchy_pairs_checked=len(mm),
     )
 
 
@@ -239,26 +334,36 @@ def uniqueness_probe(
     starts: Sequence,
     rule: StoppingRule | None = None,
 ) -> UniquenessVerdict:
-    """Run Picard iteration from each start.  ``unique`` when all converged
-    limits coincide within COINCIDE_FACTOR * epsilon; ``non_unique`` when at
-    least two certified, distinct fixed points emerge; ``unknown`` when any
-    run fails to converge.  Runs go in start order.
+    """Run Picard iteration from every start (all runs as one array).
+    ``unique`` when all converged limits coincide within COINCIDE_FACTOR *
+    epsilon; ``non_unique`` when at least two certified, distinct fixed
+    points emerge; ``unknown`` when any run fails to converge.  Limits merge
+    in start order: each joins the first earlier representative it
+    coincides with, or becomes a representative.
     """
     if not starts:
         raise ConfigError("uniqueness probe needs at least one start point")
     rule = rule or StoppingRule()
     tol = COINCIDE_FACTOR * rule.epsilon
 
-    traces = [picard_iterate(space, maps, s, rule) for s in starts]
+    traces = _picard_runs(space, maps, list(starts), rule)
 
     if any(t.stop_reason != CONVERGED for t in traces):
         return UniquenessVerdict(UNKNOWN, None, [], traces)
 
-    reps: list = []
-    for t in traces:
-        z = t.last
-        if all(space.gap_norm(z, r) > tol for r in reps):
-            reps.append(z)
+    # apart[a, b], b < a: limit a lies farther than tol from the earlier
+    # limit b (one pairwise call over the k(k-1)/2 pairs of k starts)
+    lasts = [t.last for t in traces]
+    zs = space.carrier.to_array(lasts)
+    k = len(zs)
+    a, b = np.tril_indices(k, -1)
+    apart = np.zeros((k, k), dtype=bool)
+    apart[a, b] = space.cone.norm_rows(space.pairwise(zs[a], zs[b])) > tol
+    chosen: list[int] = []
+    for z in range(k):
+        if apart[z, chosen].all():
+            chosen.append(z)
+    reps = [lasts[z] for z in chosen]
     if len(reps) == 1:
         return UniquenessVerdict(UNIQUE, reps[0], [], traces)
 
@@ -317,13 +422,28 @@ class TDiagnostics:
     note: str = "evidence from finite probes, not proof"
 
 
-def _numerically_cauchy(space: ConeMetricSpace, seq: list) -> bool:
-    tail = seq[-CAUCHY_WINDOW:]
-    for i in range(len(tail)):
-        for j in range(i + 1, len(tail)):
-            if space.gap_norm(tail[i], tail[j]) > CAUCHY_TOL:
-                return False
-    return True
+def _numerically_cauchy(space: ConeMetricSpace, xs: np.ndarray) -> bool:
+    """Whether the last CAUCHY_WINDOW points (array form) lie within
+    CAUCHY_TOL of each other."""
+    tail = xs[-CAUCHY_WINDOW:]
+    i, j = np.triu_indices(len(tail), 1)
+    return not np.any(space.cone.norm_rows(space.pairwise(tail[i], tail[j])) > CAUCHY_TOL)
+
+
+def _points(space: ConeMetricSpace, points: list) -> np.ndarray:
+    """Probe points in the carrier's array form.  A finite carrier holds
+    only its own points; an interval or a box holds any number or vector."""
+    xs = space.carrier.to_array(points)
+    if space.carrier.finite:
+        missing = np.flatnonzero(xs < 0)
+        if missing.size:
+            space.require_point(points[missing[0]], "probe point")
+    return xs
+
+
+def _t_images(space: ConeMetricSpace, T: Callable, points: list) -> np.ndarray:
+    """The T-images of ``points``, checked against the carrier, in array form."""
+    return space.carrier.to_array([space.require_point(T(p), "T-image") for p in points])
 
 
 def diagnose_T(space: ConeMetricSpace, maps: MapPair, probes: TProbes | None = None) -> TDiagnostics:
@@ -331,26 +451,29 @@ def diagnose_T(space: ConeMetricSpace, maps: MapPair, probes: TProbes | None = N
     evidence: for each probe sequence (y_n), test whether (T y_n) is
     numerically Cauchy and whether (y_n) is; a convergent image with a
     non-convergent argument is inconsistent with sequential convergence,
-    and a non-convergent image leaves the hypothesis unmet.
+    and a non-convergent image leaves the hypothesis unmet.  Injectivity
+    is checked on every pair i < j of probe points, in that order, by one
+    ``pairwise`` call.
     """
     probes = probes or default_probes(space)
-    T = maps.T
 
-    violations = []
-    pts = probes.injectivity_points
-    images = [space.require_point(T(p), "T-image") for p in pts]
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if point_key(pts[i]) == point_key(pts[j]):
-                continue
-            if space.gap_norm(images[i], images[j]) <= INJECTIVITY_TOL:
-                violations.append((pts[i], pts[j]))
+    pts = list(probes.injectivity_points)
+    xs = _points(space, pts)
+    images = _t_images(space, maps.T, pts)
+    i, j = np.triu_indices(len(pts), 1)
+    same = xs[i] == xs[j]
+    if same.ndim > 1:
+        same = same.all(axis=-1)
+    close = space.cone.norm_rows(space.pairwise(images[i], images[j])) <= INJECTIVITY_TOL
+    hits = np.flatnonzero(close & ~same)
+    violations = [(pts[a], pts[b]) for a, b in zip(i[hits].tolist(), j[hits].tolist())]
 
     findings = []
     for name, seq in probes.sequences:
-        t_seq = [space.require_point(T(y), "T-image") for y in seq]
-        t_conv = _numerically_cauchy(space, t_seq)
-        y_conv = _numerically_cauchy(space, list(seq))
+        seq = list(seq)
+        ys = _points(space, seq)
+        t_conv = _numerically_cauchy(space, _t_images(space, maps.T, seq))
+        y_conv = _numerically_cauchy(space, ys)
         if not t_conv:
             cls = "not-applicable"
         elif y_conv:

@@ -223,6 +223,25 @@ def test_no_silent_coercion(path, value, error):
     assert exc.value.errors == [error]
 
 
+@pytest.mark.parametrize("path, value, error", [
+    (("run", "epsilon"), True, "run: expected a number, got true"),
+    (("run", "normal_k"), "2", 'run: expected a number, got "2"'),
+    (("run", "samples"), "500", 'run: samples must be an integer, got "500"'),
+    (("run", "seed"), "3", 'run: seed must be an integer, got "3"'),
+    (("maps", "S", "alpha"), True, "maps.S: expected a number, got true"),
+    (("contraction", "a"), "0.5", 'contraction: expected a number, got "0.5"'),
+    (("space", "carrier", "lo"), False, "space.carrier: expected a number, got false"),
+    (("space", "carrier", "hi"), "1", 'space.carrier: expected a number, got "1"'),
+])
+def test_booleans_and_strings_are_not_numbers(tmp_path, capsys, path, value, error):
+    # "epsilon": true used to load as 1.0, and solve then certified 0.5
+    doc = fixture_doc("instance_a")
+    _lookup(doc, path[:-1])[path[-1]] = value
+    file = _write(tmp_path, "a.json", doc)
+    assert main(["solve", "--instance", str(file)]) == 2
+    assert capsys.readouterr().err == f"instance rejected:\n  - {error}\n"
+
+
 def test_integral_numbers_still_load():
     doc = fixture_doc("instance_a")
     doc["run"].update({"samples": 500.0, "seed": 3.0})
@@ -409,6 +428,30 @@ def test_solve_instance_a_trace_length(tmp_path, capsys):
     cert = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert cert["uniqueness"] == "unique"
     assert cert["stop_reason"] == "converged"
+
+
+@pytest.mark.parametrize("scalar", ["max", "euclidean"])
+def test_solve_with_scalar_metrics_on_numeric_finite_points(tmp_path, capsys, scalar):
+    # on numbers each scalar metric is |x - y|: the artifacts equal absdiff's
+    def solve(scalar):
+        doc = {
+            "schema_version": "1",
+            "cone": {"family": "orthant", "dimension": 2, "norm": "max"},
+            "space": {
+                "carrier": {"kind": "finite", "points": [0.0, 0.25, 0.5, 0.75, 1.0]},
+                "metric": {"kind": "direction", "direction": [1.0, 2.0], "scalar": scalar},
+            },
+            "maps": {"T": {"family": "identity"}, "S": {"family": "tabulated", "images": [0, 0, 1, 1, 2]}},
+            "contraction": {"class": "TB", "a": 0.5},
+            "run": {"x0": 1.0},
+        }
+        out = tmp_path / f"{scalar}.csv"
+        assert main(["solve", "--instance", str(_write(tmp_path, f"{scalar}.json", doc)), "--out", str(out)]) == 0
+        return out.read_text(), capsys.readouterr().out
+
+    trace, report = solve(scalar)
+    assert json.loads(report.strip().splitlines()[-1])["fixed_point"] == 0.0
+    assert (trace, report) == solve("absdiff")
 
 
 def test_solve_requires_start_point(tmp_path):

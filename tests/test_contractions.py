@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conefix.cone_space import ConeMetricSpace, ConeSpec, ConfigError, DirectionMetric, IntervalCarrier
 from conefix.contractions import (
     AffineMap, ClassSpec, IdentityMap, MapPair, all_pairs, check_condition, fit_constants,
-    grid_pairs, maps_into_carrier, promote_to_weak, rate_from_primary_form, sampled_pairs,
+    grid_pairs, promote_to_weak, rate_from_primary_form, sampled_pairs,
     verify_zamfirescu_reduction, zamfirescu_delta,
 )
 from conefix.instances import instance_a, instance_c
@@ -283,9 +283,9 @@ def test_uniqueness_condition_class(space_a):
     assert check_condition(space, maps, ClassSpec.twu(0.4, 0.2), [(1.0, 0.0)]).holds
 
 
-def test_maps_into_carrier_detects_escape():
-    cone = ConeSpec.orthant(2)
-    space = ConeMetricSpace(cone, IntervalCarrier(0.0, 0.5), DirectionMetric([1.0, 2.0]))
+def test_carrier_mask_detects_escape():
+    carrier = IntervalCarrier(0.0, 0.5)
     maps = MapPair(IdentityMap(), AffineMap(2.0))
-    bad = maps_into_carrier(space, maps, [0.1, 0.2, 0.4])
-    assert bad == [0.4]
+    xs = carrier.to_array([0.1, 0.2, 0.4])
+    inside = carrier.mask(maps.T.on_array(xs)) & carrier.mask(maps.S.on_array(xs))
+    assert inside.tolist() == [True, True, False]

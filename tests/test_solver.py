@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
-from conefix.cone_space import ConeMetricSpace, ConeSpec, ConfigError, DirectionMetric, DomainError, IntervalCarrier
+from conefix.cone_space import (
+    BoxCarrier, ConeMetricSpace, ConeSpec, ConfigError, DirectionMetric, DomainError,
+    FinitePointsCarrier, FunctionMetric, IntervalCarrier, point_key,
+)
 from conefix.contractions import AffineMap, IdentityMap, MapPair, PowerMap
+from conefix.instances import instance_d
 from conefix.oracle import finite_from_values
 from conefix.solver import (
-    CONVERGED, CYCLE_DETECTED, MAX_ITER, NON_UNIQUE, UNIQUE, UNKNOWN,
+    CONVERGED, CYCLE_DETECTED, INJECTIVITY_TOL, MAX_ITER, NON_UNIQUE, UNIQUE, UNKNOWN,
     StoppingRule, TProbes, _cauchy_pairs, certify_fixed_point, diagnose_T,
     geometric_decay_check, picard_iterate, uniqueness_probe,
 )
@@ -140,7 +144,8 @@ def test_cauchy_pairs_match_the_explicit_list(npts, samples):
     if len(pairs) > samples:
         idx = np.random.default_rng(11).choice(len(pairs), size=samples, replace=False)
         pairs = [pairs[i] for i in sorted(idx)]
-    assert _cauchy_pairs(npts, samples, 11) == pairs
+    mm, nn = _cauchy_pairs(npts, samples, 11)
+    assert list(zip(mm.tolist(), nn.tolist())) == pairs
 
 
 def test_step_ratios_bounded_by_half(space_a):
@@ -269,3 +274,254 @@ def test_inconsistent_evidence_for_collapsing_t():
     report = diagnose_T(space, maps)
     by_name = {f.name: f for f in report.sequence_findings}
     assert by_name["alternating"].classification == "inconsistent"
+
+
+# ---------------------------------------------------------------------------
+# Array passes against per-point reference loops
+# ---------------------------------------------------------------------------
+
+def _reference_picard(space, maps, x0, rule):
+    """Picard iteration one point at a time, the stopping rule as documented
+    on ``picard_iterate``."""
+    space.require_point(x0, "start point")
+    pts, t_images = [x0], [space.require_point(maps.T(x0), "T-image")]
+    gaps, norms, seen = [], [], {point_key(x0)}
+    while True:
+        try:
+            y = space.require_point(maps.S(pts[-1]), "S-image")
+            ty = space.require_point(maps.T(y), "T-image")
+        except DomainError as exc:
+            raise DomainError(f"iterate {len(pts) - 1} escaped the carrier: {exc}") from exc
+        gaps.append(space.d(t_images[-1], ty))
+        norms.append(space.cone.norm(gaps[-1]))
+        if norms[-1] > rule.epsilon and len(pts) > rule.max_iter:
+            return pts, t_images, gaps, norms, MAX_ITER
+        pts.append(y)
+        t_images.append(ty)
+        if norms[-1] <= rule.epsilon:
+            return pts, t_images, gaps, norms, CONVERGED
+        if point_key(y) in seen:
+            return pts, t_images, gaps, norms, CYCLE_DETECTED
+        seen.add(point_key(y))
+
+
+def _assert_same_run(trace, reference):
+    pts, t_images, gaps, norms, reason = reference
+    assert trace.stop_reason == reason
+    assert len(trace.x_sequence) == len(pts) and len(trace.t_images) == len(t_images)
+    for got, want in zip(trace.x_sequence, pts):
+        assert type(got) is type(want) and np.array_equal(got, want)
+    for got, want in zip(trace.t_images, t_images):
+        assert np.array_equal(got, want)
+    assert all(type(g) is float for g in trace.gap_norms)
+    space = trace.space
+    if space.cone.norm_kind == "euclidean" or (
+            isinstance(space.carrier, BoxCarrier) and space.metric.rho == "euclidean"):
+        # a euclidean norm over rows (numpy's row sum) may differ in the last
+        # bit from the norm of one vector (a dot product)
+        np.testing.assert_allclose(np.array(trace.t_image_gaps), np.array(gaps), rtol=1e-15, atol=0)
+        np.testing.assert_allclose(trace.gap_norms, norms, rtol=1e-15, atol=0)
+    else:
+        assert np.array_equal(np.array(trace.t_image_gaps), np.array(gaps))
+        assert trace.gap_norms == norms
+
+
+def _refusing_metric(x, y):
+    """Direction metric on [0, 0.9]; it refuses larger points."""
+    if max(x, y) > 0.9:
+        raise DomainError(f"no distance at {max(x, y)}")
+    return np.array([1.0, 2.0]) * abs(x - y)
+
+
+def _unit_interval():
+    return ConeMetricSpace(ConeSpec.orthant(2), IntervalCarrier(0.0, 1.0), DirectionMetric([1.0, 2.0]))
+
+
+def _unit_box(rho, norm_kind):
+    cone = ConeSpec.orthant(2, norm_kind=norm_kind)
+    return ConeMetricSpace(cone, BoxCarrier(np.zeros(2), np.ones(2)), DirectionMetric([1.0, 2.0], rho=rho))
+
+
+def _finite_cases():
+    rng = np.random.default_rng(5)
+    n = 12
+    values = np.sort(rng.uniform(0.0, 4.0, n))
+    rotation = finite_from_values(values, np.arange(n), (np.arange(n) + 1) % n)
+    random_maps = finite_from_values(values, rng.permutation(n), rng.integers(0, n, n))
+    yield rotation.as_space_and_maps(), list(range(n))
+    yield random_maps.as_space_and_maps(), list(range(n))
+    yield instance_d().as_space_and_maps(), [9, 0, 5, 5, 3]
+    # numeric points under a direction metric, maps given as formulas
+    points = [0.0, 0.25, 0.5, 0.75, 1.0]
+    for rho in ("absdiff", "max", "euclidean"):
+        yield (_numeric_finite(rho), MapPair(IdentityMap(), AffineMap(-1.0, 1.0))), points
+    yield (_numeric_finite("max"), MapPair(AffineMap(-1.0, 1.0), AffineMap(0.0, 0.5))), points
+
+
+def _numeric_finite(rho):
+    """Five numbers under a direction metric: on numbers every scalar metric is |x - y|."""
+    carrier = FinitePointsCarrier([0.0, 0.25, 0.5, 0.75, 1.0])
+    return ConeMetricSpace(ConeSpec.orthant(2), carrier, DirectionMetric([1.0, 2.0], rho=rho))
+
+
+def _batch_cases():
+    interval = _unit_interval()
+    starts = [0.0, 0.3, 1.0, 0.3, 0.7, 1, 0.5]     # 1 is an int: runs keep its type
+    for T in (IdentityMap(), AffineMap(0.5, 0.25), PowerMap(3)):
+        for S in (AffineMap(0.5), AffineMap(-1.0, 1.0), PowerMap(2), IdentityMap(), AffineMap(255 / 256)):
+            yield interval, MapPair(T, S), starts
+    box_starts = [np.array([1.0, 0.5]), np.array([0.2, 0.9]), np.zeros(2), np.array([1.0, 0.5])]
+    for rho, norm_kind in (("euclidean", "euclidean"), ("max", "max")):
+        for S in (AffineMap(0.5), AffineMap(-1.0, 1.0), IdentityMap()):
+            yield _unit_box(rho, norm_kind), MapPair(AffineMap(0.5, 0.25), S), box_starts
+    for (space, maps), pts in _finite_cases():
+        yield space, maps, pts
+
+
+@pytest.mark.parametrize("rule", [StoppingRule(), StoppingRule(max_iter=7), StoppingRule(epsilon=1e-3)],
+                         ids=["default", "max_iter", "coarse"])
+def test_batched_runs_equal_the_per_start_loop(rule):
+    for space, maps, starts in _batch_cases():
+        traces = uniqueness_probe(space, maps, starts, rule).traces
+        assert len(traces) == len(starts)
+        for trace, x0 in zip(traces, starts):
+            _assert_same_run(trace, _reference_picard(space, maps, x0, rule))
+        _assert_same_run(picard_iterate(space, maps, starts[-1], rule),
+                         _reference_picard(space, maps, starts[-1], rule))
+
+
+def test_batch_raises_the_error_of_the_first_failing_start():
+    # start 1 escapes at iterate 0, start 0 only at iterate 1: one start
+    # after another, start 0's error comes first
+    space = _unit_interval()
+    maps = MapPair(IdentityMap(), AffineMap(2.0))
+    with pytest.raises(DomainError) as want:
+        _reference_picard(space, maps, 0.3, StoppingRule())
+    with pytest.raises(DomainError) as got:
+        uniqueness_probe(space, maps, [0.3, 0.8, 2.0])
+    assert str(got.value) == str(want.value) == "iterate 1 escaped the carrier: S-image 1.2 lies outside the carrier"
+    with pytest.raises(DomainError, match="^start point 2.0 lies outside the carrier$"):
+        uniqueness_probe(space, MapPair(IdentityMap(), AffineMap(0.5)), [0.3, 2.0, 0.8])
+
+
+@pytest.mark.parametrize("space, maps, starts", [
+    # the S-image stays inside and the T-image leaves: 0.3 -> 0.7, T = 1.4
+    (_unit_interval(), MapPair(AffineMap(2.0), AffineMap(-1.0, 1.0)), [0.3, 0.5]),
+    # a finite carrier: 1.0 -> 0.5 -> 0.25 -> 0.125 leaves it at iterate 2
+    (ConeMetricSpace(ConeSpec.orthant(2), FinitePointsCarrier([0.0, 0.25, 0.5, 1.0]),
+                     DirectionMetric([1.0, 2.0])), MapPair(IdentityMap(), AffineMap(0.5)), [1.0, 0.25]),
+    # the metric fails on the second start's first gap, and on the first
+    # start's fourth (0.25 -> 0.5 -> 0.71 -> 0.84 -> 0.92)
+    (ConeMetricSpace(ConeSpec.orthant(2), IntervalCarrier(0.0, 1.0), FunctionMetric(_refusing_metric)),
+     MapPair(IdentityMap(), PowerMap(0.5)), [0.25, 1.0]),
+], ids=["t_image", "finite", "metric"])
+def test_batch_raises_what_the_per_start_loop_raises(space, maps, starts):
+    with pytest.raises(DomainError) as got:
+        uniqueness_probe(space, maps, starts)
+    for x0 in starts:
+        try:
+            _reference_picard(space, maps, x0, StoppingRule())
+        except DomainError as want:
+            assert str(got.value) == str(want)
+            break
+    else:
+        pytest.fail("no start fails one at a time")
+
+
+def test_diagnose_with_a_single_probe_point():
+    space = ConeMetricSpace(ConeSpec.orthant(2), IntervalCarrier(0.0, 1.0), FunctionMetric(_refusing_metric))
+    report = diagnose_T(space, MapPair(IdentityMap(), AffineMap(0.5)), TProbes([0.5], [("short", [0.5])]))
+    assert report.injective and report.sequence_findings[0].classification == "consistent"
+
+
+def test_merge_keeps_the_first_of_coinciding_limits():
+    # C-type: every start is its own limit; near and exact repeats merge
+    space, maps = _unit_interval(), MapPair(IdentityMap(), IdentityMap())
+    rng = np.random.default_rng(3)
+    base = rng.uniform(0.0, 1.0, 128).tolist()
+    starts = base + [x + 3e-12 for x in base[:64]] + base[64:]
+    starts = [starts[i] for i in rng.permutation(len(starts))]
+    rule = StoppingRule()
+    tol = 10.0 * rule.epsilon
+    reps = []
+    for z in starts:
+        if all(space.gap_norm(z, r) > tol for r in reps):
+            reps.append(z)
+    verdict = uniqueness_probe(space, maps, starts, rule)
+    assert len(starts) == 256 and 64 < len(reps) < 256
+    assert verdict.verdict == NON_UNIQUE
+    assert verdict.witnesses == reps
+
+
+def test_cauchy_violations_equal_the_per_pair_loop():
+    # S contracts by 0.9: 81 points give 3,240 pairs, of which 2,000 are drawn
+    space, maps = _unit_interval(), MapPair(IdentityMap(), AffineMap(0.9))
+    trace = picard_iterate(space, maps, 1.0, StoppingRule(max_iter=80))
+    h = 0.8
+    report = geometric_decay_check(trace, h=h, K=1.0, seed=4)
+    tail = trace.gap_norms[0] / (1.0 - h) * (1.0 + 1e-9)
+    want = []
+    for mm, nn in zip(*(a.tolist() for a in _cauchy_pairs(len(trace.t_images), 2000, 4))):
+        actual = space.gap_norm(trace.t_images[mm], trace.t_images[nn])
+        if actual > tail * h ** nn:
+            want.append((mm, nn, actual, tail * h ** nn))
+    assert want and report.cauchy_violations == want
+    assert report.cauchy_pairs_checked == 2000
+
+
+def test_injectivity_violations_equal_the_per_pair_loop():
+    space = ConeMetricSpace(ConeSpec.orthant(2), IntervalCarrier(-1.0, 1.0), DirectionMetric([1.0, 2.0]))
+    maps = MapPair(PowerMap(2), AffineMap(0.5))
+    pts = list(np.linspace(-1.0, 1.0, 200)) + [0.5, 0.5]
+    images = [maps.T(p) for p in pts]
+    want = [(pts[i], pts[j]) for i in range(len(pts)) for j in range(i + 1, len(pts))
+            if point_key(pts[i]) != point_key(pts[j])
+            and space.gap_norm(images[i], images[j]) <= INJECTIVITY_TOL]
+    report = diagnose_T(space, maps, TProbes(pts, []))
+    assert len(want) >= 100 and report.injectivity_violations == want
+
+
+def test_diagnose_on_a_finite_carrier_matches_the_loop():
+    space, maps = finite_from_values(np.arange(8.0), [0, 1, 2, 3, 3, 2, 1, 0], np.arange(8)).as_space_and_maps()
+    report = diagnose_T(space, maps)
+    pts = list(space.carrier.points)
+    want = [(pts[i], pts[j]) for i in range(8) for j in range(i + 1, 8)
+            if space.gap_norm(maps.T(pts[i]), maps.T(pts[j])) <= INJECTIVITY_TOL]
+    assert report.injectivity_violations == want == [(0, 7), (1, 6), (2, 5), (3, 4)]
+    with pytest.raises(DomainError, match="probe point 8"):
+        diagnose_T(space, maps, TProbes([0, 8], []))
+
+
+def _fold(x):
+    """x -> |x - 1/2|: on the five numbers of ``_numeric_finite`` it maps
+    0 and 1, and 1/4 and 3/4, to one image each."""
+    return abs(x - 0.5)
+
+
+@pytest.mark.parametrize("rho", ["max", "euclidean"])
+def test_scalar_metrics_on_numeric_finite_points(rho):
+    # on numbers every scalar metric is |x - y|, pair by pair
+    space, same = _numeric_finite(rho), _numeric_finite("absdiff")
+    assert np.array_equal(DirectionMetric([1.0, 2.0], rho=rho)(0.1, 0.35), same.d(0.1, 0.35))
+    pts = list(space.carrier.points)
+    maps = MapPair(_fold, AffineMap(0.0, 0.5))
+    probes = TProbes(pts, [("down", [1.0, 0.75, 0.5, 0.5, 0.5])])
+    want = [(pts[i], pts[j]) for i in range(5) for j in range(i + 1, 5)
+            if space.gap_norm(_fold(pts[i]), _fold(pts[j])) <= INJECTIVITY_TOL]
+    report = diagnose_T(space, maps, probes)
+    assert report.injectivity_violations == want == [(0.0, 1.0), (0.25, 0.75)]
+    assert report == diagnose_T(same, maps, probes)
+    verdict = uniqueness_probe(space, maps, pts)
+    for trace, x0 in zip(verdict.traces, pts):
+        _assert_same_run(trace, _reference_picard(space, maps, x0, StoppingRule()))
+    assert verdict.verdict == UNIQUE and verdict.fixed_point == 0.5
+    assert certify_fixed_point(space, maps, 0.5, 1e-12).certified
+
+
+@pytest.mark.parametrize("exponent", [3.0, 2.0, 0.5])
+def test_power_array_form_is_python_pow_bit_for_bit(exponent):
+    lo = 0.0 if exponent == 0.5 else -3.0
+    xs = np.random.default_rng(9).uniform(lo, 3.0, 100_000)
+    got = PowerMap(exponent).on_array(xs)
+    want = np.array([float(x) ** exponent for x in xs.tolist()])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
