@@ -10,8 +10,11 @@ status and the sha256 of the artifact written with ``--out``, of stdout
 and of stderr.  One more line per file hashes the ``repr`` of what the API
 returns, which no CLI artifact shows in full: ``uniqueness_probe`` from the
 start points ``solve`` probes (the verdict, the certified points, and each
-run's stop reason, length and points) and ``diagnose_T`` with its default
-probes (the injectivity violations and the sequence findings).  Run it on
+run's stop reason, length and points), ``diagnose_T`` with its default
+probes (the injectivity violations and the sequence findings), and
+``check_condition`` of the file's class over the pairs ``verify`` checks
+(every violation's x, y, lhs, rhs and residual, where the artifact keeps
+50).  Run it on
 two checkouts (``PYTHONPATH=<checkout>/src``) and ``diff`` the outputs to
 confirm the results are byte-identical.
 """
@@ -23,7 +26,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from conefix import cli, solver
+from conefix import cli, contractions, solver
 
 COMMANDS = (
     ("verify", ()),
@@ -65,9 +68,16 @@ def _api_diagnose(inst) -> tuple:
     return d.injectivity_violations, d.sequence_findings
 
 
+def _api_condition(inst) -> tuple:
+    if inst.contraction is None:
+        return ()
+    report = contractions.check_condition(inst.space, inst.maps, inst.contraction, cli._condition_pairs(inst))
+    return report.pairs_checked, cli._plain([(v.x, v.y, v.lhs, v.rhs, v.residual) for v in report.violations])
+
+
 def api_digest(path: str) -> str:
     parts = []
-    for name, call in (("probe", _api_probe), ("diagnose", _api_diagnose)):
+    for name, call in (("probe", _api_probe), ("diagnose", _api_diagnose), ("condition", _api_condition)):
         try:
             text = repr(call(cli.load_instance(path)))
         except Exception as exc:      # an invalid file or a failing run is a result too

@@ -4,13 +4,12 @@ iteration, and exact finite-instance oracles."""
 from .cone_space import (
     AxiomReport, AxiomViolation, BoxCarrier, ConeMetricSpace, ConeSpec, ConfigError,
     DirectionMetric, DomainError, FinitePointsCarrier, FunctionMetric, IntervalCarrier,
-    NormalConstantEstimate, Relation, SamplingPlan, TabulatedMetric, as_vector,
-    estimate_normal_constant, eval_metric, order_compare,
-    verify_cone_axioms, verify_metric_axioms,
+    NormalConstantEstimate, SamplingPlan, TabulatedMetric, as_vector,
+    estimate_normal_constant, verify_cone_axioms, verify_metric_axioms,
 )
 from .contractions import (
     AffineMap, ClassSpec, ConditionReport, ConditionViolation, DeclaredProperties,
-    FitResult, IdentityMap, MapPair, PowerMap, ReductionReport, TabulatedMap,
+    FitResult, IdentityMap, MapPair, PairSet, PowerMap, ReductionReport, TabulatedMap,
     all_pairs, check_condition, fit_constants, grid_pairs,
     promote_to_weak, rate_from_primary_form, sampled_pairs,
     verify_zamfirescu_reduction, zamfirescu_delta,

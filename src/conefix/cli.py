@@ -26,7 +26,7 @@ from .cone_space import (
 )
 from .contractions import (
     CLASS_KINDS, TB, TC, TK, TW, TW_DUAL, TZ,
-    AffineMap, ClassSpec, ConditionReport, DeclaredProperties, IdentityMap, MapPair,
+    AffineMap, ClassSpec, ConditionReport, DeclaredProperties, IdentityMap, MapPair, PairSet,
     PowerMap, TabulatedMap, all_pairs, check_condition, constant_names, fit_constants, grid_pairs,
     rate_from_primary_form, sampled_pairs, verify_zamfirescu_reduction, zamfirescu_delta,
 )
@@ -261,7 +261,7 @@ def _class_spec(kind: str, **constants) -> tuple[ClassSpec, bool]:
     return ClassSpec(kind, **constants), pinned
 
 
-_CONE_KEYS = {"norm": _as_is, "interior_margin": _as_is, "slack": _as_is}
+_CONE_KEYS = {"norm": _as_is, "interior_margin": _finite_float, "slack": _finite_float}
 _DIMENSION = _integer("dimension")
 CONE = Section({
     "orthant": Variant(partial(_cone, "orthant"), {"dimension": _DIMENSION}, _CONE_KEYS),
@@ -308,7 +308,7 @@ RUN = Section({None: Variant(RunDefaults, optional={
     "x0": _start_point,
     "epsilon": _bounded(_finite_float, lambda v: v > 0, "epsilon must be > 0"),
     "max_iter": _bounded(_integer("max_iter"), lambda v: v >= 1, "max_iter must be >= 1"),
-    "rate_h": _bounded(float, lambda v: 0.0 <= v < 1.0, "rate_h must be in [0, 1)"),
+    "rate_h": _bounded(_finite_float, lambda v: 0.0 <= v < 1.0, "rate_h must be in [0, 1)"),
     "normal_k": _bounded(_finite_float, lambda v: v >= 1.0, "normal_k must be >= 1"),
 })})
 
@@ -534,14 +534,15 @@ class Options:
     fmt: str = "csv"
 
 
-def _condition_pairs(inst: LoadedInstance):
-    carrier = inst.space.carrier
-    if carrier.finite:
-        return all_pairs(list(carrier.points))
-    pairs = grid_pairs(inst.space)
-    if len(pairs) > inst.run.samples:
-        return sampled_pairs(inst.space, inst.run.samples, inst.run.seed)
-    return pairs
+def _condition_pairs(inst: LoadedInstance) -> PairSet:
+    """All pairs of a finite carrier; else the grid's pairs, or sampled
+    pairs when the grid has more pairs than ``run.samples``."""
+    space = inst.space
+    if space.carrier.finite:
+        return all_pairs(space)
+    if len(space.carrier.grid_points()) ** 2 > inst.run.samples:
+        return sampled_pairs(space, inst.run.samples, inst.run.seed)
+    return grid_pairs(space)
 
 
 def _default_starts(inst: LoadedInstance, x0) -> list:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable
 
 import numpy as np
@@ -170,10 +169,6 @@ class ConeSpec:
             return nv > 0.0 and bool(np.all(vals >= self.interior_margin * nv))
         raise ConfigError(f"unknown membership mode {mode!r}")
 
-    def contains_relaxed(self, v) -> bool:
-        """Membership up to the declared relative slack (order/inequality tests)."""
-        return bool(np.all(self.inequality_mask(np.asarray(v, dtype=float), self.slack)))
-
     def inequality_mask(self, vs: np.ndarray, slack: float) -> np.ndarray:
         """Per row of vs and per defining inequality: does the value reach
         -slack * ||row||?  A row lies in P up to slack when all of them do."""
@@ -235,33 +230,6 @@ def _chebyshev_direction(ineq: np.ndarray) -> np.ndarray | None:
     if not res.success or res.x[-1] <= 1e-9:
         return None
     return res.x[:-1]
-
-
-class Relation(Enum):
-    EQ = "EQ"
-    LT = "LT"
-    LL = "LL"
-    GT = "GT"
-    GG = "GG"
-    INCOMPARABLE = "INCOMPARABLE"
-
-
-def order_compare(cone: ConeSpec, x, y) -> Relation:
-    """Strongest relation between x and y in the order induced by the cone."""
-    x = as_vector(x, cone.dimension)
-    y = as_vector(y, cone.dimension)
-    if np.array_equal(x, y):
-        return Relation.EQ
-    diff = y - x
-    if cone.contains(diff, "interior"):
-        return Relation.LL
-    if cone.contains_relaxed(diff):
-        return Relation.LT
-    if cone.contains(-diff, "interior"):
-        return Relation.GG
-    if cone.contains_relaxed(-diff):
-        return Relation.GT
-    return Relation.INCOMPARABLE
 
 
 # ---------------------------------------------------------------------------
@@ -517,14 +485,8 @@ class DirectionMetric:
         if self.rho not in ("absdiff", "euclidean", "max"):
             raise ConfigError(f"unknown scalar metric {self.rho!r}")
 
-    def _scalar(self, x, y):
-        if self.rho == "absdiff":
-            return abs(float(x) - float(y))
-        dx = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-        return float(np.max(np.abs(dx))) if self.rho == "max" else float(np.linalg.norm(dx))
-
     def __call__(self, x, y) -> np.ndarray:
-        return self.direction * self._scalar(x, y)
+        return self.pairwise([x], [y])[0]
 
     def pairwise(self, xs, ys) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
@@ -533,7 +495,7 @@ class DirectionMetric:
             r = np.abs(xs - ys)
         else:
             dx = xs - ys
-            if dx.ndim == 1:        # numbers: one 1-vector per pair, as in _scalar
+            if dx.ndim == 1:        # numbers: one 1-vector per pair
                 dx = dx[:, None]
             r = np.max(np.abs(dx), axis=-1) if self.rho == "max" else np.linalg.norm(dx, axis=-1)
         return r[..., None] * self.direction
@@ -598,6 +560,16 @@ class ConeMetricSpace:
             raise DomainError(f"{what} {x!r} lies outside the carrier")
         return x
 
+    def array_form(self, points: list, what: str = "point") -> np.ndarray:
+        """``points`` in the carrier's array form.  A finite carrier holds
+        only its own points; an interval or a box holds any number or vector."""
+        xs = self.carrier.to_array(points)
+        if self.carrier.finite:
+            missing = np.flatnonzero(xs < 0)
+            if missing.size:
+                self.require_point(points[missing[0]], what)
+        return xs
+
     def d(self, x, y) -> np.ndarray:
         return np.asarray(self.metric(x, y), dtype=float)
 
@@ -614,13 +586,6 @@ class ConeMetricSpace:
 
     def gap_norm(self, x, y) -> float:
         return self.cone.norm(self.d(x, y))
-
-
-def eval_metric(space: ConeMetricSpace, x, y) -> np.ndarray:
-    """Evaluate d(x, y), checking both points against the carrier first."""
-    space.require_point(x)
-    space.require_point(y)
-    return space.d(x, y)
 
 
 def point_key(x):

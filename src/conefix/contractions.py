@@ -13,13 +13,14 @@ inequalities of the form d(TSx, TSy) <= RHS(x, y).  Supported classes:
 * TWU(theta, L1)     RHS = theta d(Tx, Ty) + L1 d(Tx, TSx)
 
 Every inequality reads the six distances of ``PairTerms``.  The sampled
-path builds them for any pair list with ``pair_terms``; the exact oracle
-builds them for all n^2 index pairs of a finite table.  ``evaluate``
-applies the right-hand side from the one table ``_RHS`` and a cone test
-with a given slack (the cone's own slack on the sampled path, 0 in the
-oracle), so the two paths differ only in how the terms are built, the
-pair set and the slack.  ``fit_terms`` fits constants for both paths to
-the exact smallest passing float.
+path builds them for any ``PairSet`` (carrier points in array form and two
+index arrays) with ``pair_terms``; the exact oracle builds them for all
+n^2 index pairs of a finite table.  ``evaluate`` applies the right-hand
+side from the one table ``_RHS`` and a cone test with a given slack (the
+cone's own slack on the sampled path, 0 in the oracle), so the two paths
+differ only in how the terms are built, the pair set and the slack.
+``fit_terms`` fits constants for both paths to the exact smallest passing
+float.
 
 Every TZ mapping satisfies the reduced inequality
 d(TSx, TSy) <= delta d(Tx, Ty) + 2 delta d(Tx, TSx) with
@@ -32,7 +33,6 @@ dyadic tables verify exactly, with no division in the comparison path.
 
 from __future__ import annotations
 
-import itertools
 import math
 import struct
 import sys
@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cone_space import ConeMetricSpace, ConeSpec, ConfigError, DomainError, point_key
+from .cone_space import ConeMetricSpace, ConeSpec, ConfigError, DomainError
 
 TB = "TB"
 TK = "TK"
@@ -130,6 +130,17 @@ class TabulatedMap:
 
     def __repr__(self):
         return f"TabulatedMap({len(self.mapping)} points)"
+
+
+def _array_map(space: ConeMetricSpace, f: Callable) -> Callable:
+    """f as a function of the carrier's array form: the map's own array
+    form where it has one, else f point by point."""
+    carrier = space.carrier
+    if carrier.finite and isinstance(f, TabulatedMap) and f.points == list(carrier.points):
+        return f.on_indices
+    if not carrier.finite and hasattr(f, "on_array"):
+        return f.on_array
+    return lambda xs: carrier.to_array([f(p) for p in carrier.from_array(xs)])
 
 
 @dataclass
@@ -282,37 +293,37 @@ class PairTerms:
     d_ty_tsx: np.ndarray
 
 
-def pair_terms(space: ConeMetricSpace, maps: MapPair, pairs: Sequence[tuple]) -> PairTerms:
-    """Terms of every pair as (k, m) arrays.  T, S and TS are evaluated once
-    per distinct point, each image checked against the carrier, and each
-    distance column comes from one ``metric.pairwise`` call."""
-    index: dict = {}
-    points: list = []
-    ix, iy = [], []
-    for x, y in pairs:
-        for p, out in ((x, ix), (y, iy)):
-            key = point_key(p)
-            if key not in index:
-                index[key] = len(points)
-                points.append(p)
-            out.append(index[key])
-    t_img, ts_img = [], []
-    for p in points:
-        sp = space.require_point(maps.S(p), "S-image")
-        t_img.append(space.require_point(maps.T(p), "T-image"))
-        ts_img.append(space.require_point(maps.T(sp), "TS-image"))
-
-    def dist(us, iu, vs, iv):
-        return np.asarray(space.metric.pairwise([us[i] for i in iu], [vs[i] for i in iv]), dtype=float)
-
-    own = np.asarray(space.metric.pairwise(t_img, ts_img), dtype=float)
+def pair_terms(space: ConeMetricSpace, maps: MapPair, pairs: PairSet) -> PairTerms:
+    """Terms of every pair as (k, m) arrays, from one array pass: S, T and
+    TS map the pair set's points, the carrier's mask checks every image,
+    and each distance column is one ``ConeMetricSpace.pairwise`` call.
+    When an image escapes or a map fails, the points are replayed one at a
+    time in pair order (x before y; S, then T, then TS), so the error raised
+    is the first one a point-by-point pass meets."""
+    xs, mask = pairs.points, space.carrier.mask
+    T = _array_map(space, maps.T)
+    try:
+        with np.errstate(all="ignore"):
+            s = _array_map(space, maps.S)(xs)
+            t, ts = T(xs), T(s)
+            if not (mask(s) & mask(t) & mask(ts)).all():
+                raise DomainError("an image lies outside the carrier")
+    except Exception:
+        order = np.stack([pairs.ix, pairs.iy], axis=-1).ravel()
+        for p in space.carrier.from_array(xs[order]):
+            sp = space.require_point(maps.S(p), "S-image")
+            space.require_point(maps.T(p), "T-image")
+            space.require_point(maps.T(sp), "TS-image")
+        raise
+    ix, iy = pairs.ix, pairs.iy
+    own = space.pairwise(t, ts)
     return PairTerms(
-        lhs=dist(ts_img, ix, ts_img, iy),
-        d_tx_ty=dist(t_img, ix, t_img, iy),
+        lhs=space.pairwise(ts[ix], ts[iy]),
+        d_tx_ty=space.pairwise(t[ix], t[iy]),
         d_tx_tsx=own[ix],
         d_ty_tsy=own[iy],
-        d_tx_tsy=dist(t_img, ix, ts_img, iy),
-        d_ty_tsx=dist(t_img, iy, ts_img, ix),
+        d_tx_tsy=space.pairwise(t[ix], ts[iy]),
+        d_ty_tsx=space.pairwise(t[iy], ts[ix]),
     )
 
 
@@ -392,12 +403,14 @@ def cleared_check(source: ClassSpec, weak_kind: str, t: PairTerms, cone: ConeSpe
     return evaluate(ClassSpec(weak_kind, **consts), t, cone, slack, scale=s)
 
 
-def _condition_report(cone: ConeSpec, spec: ClassSpec, pairs: list, t: PairTerms | None) -> ConditionReport:
+def _condition_report(space: ConeMetricSpace, spec: ClassSpec, pairs: PairSet,
+                      t: PairTerms | None) -> ConditionReport:
     notes: tuple[str, ...] = ()
     if spec.kind in (TK, TZ):
         notes = ("second Kannan-style term is evaluated through T-images: d(Ty, TSy)",)
     if t is None:
         return ConditionReport(spec, 0, [], inconclusive=True, notes=notes)
+    cone = space.cone
     v = evaluate(spec, t, cone, cone.slack)
     bad = np.flatnonzero(~v.ok)
     rhs, res = v.rhs, v.residual
@@ -409,7 +422,8 @@ def _condition_report(cone: ConeSpec, spec: ClassSpec, pairs: list, t: PairTerms
     else:
         rhs, res = rhs[bad], res[bad]
     violations = [
-        ConditionViolation(*pairs[i], t.lhs[i], r, s) for i, r, s in zip(bad, rhs, res)
+        ConditionViolation(x, y, t.lhs[i], r, s)
+        for (x, y), i, r, s in zip(pairs.witnesses(space, bad), bad, rhs, res)
     ]
     return ConditionReport(spec, len(pairs), violations, v.branch_stats, notes=notes)
 
@@ -418,15 +432,14 @@ def check_condition(
     space: ConeMetricSpace,
     maps: MapPair,
     spec: ClassSpec,
-    pairs: Sequence[tuple],
+    pairs: PairSet,
 ) -> ConditionReport:
     """Evaluate the class inequality on every pair as a cone-order test
     (RHS - LHS in P, up to the cone's declared slack).  For TZ a pair
     passes when at least one branch does; branch statistics count every
     branch satisfied.
     """
-    pairs = list(pairs)
-    return _condition_report(space.cone, spec, pairs, pair_terms(space, maps, pairs) if pairs else None)
+    return _condition_report(space, spec, pairs, pair_terms(space, maps, pairs) if len(pairs) else None)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +491,7 @@ def verify_zamfirescu_reduction(
     a: float,
     b: float,
     c: float,
-    pairs: Sequence[tuple],
+    pairs: PairSet,
 ) -> ReductionReport:
     """Check that TZ(a, b, c) forces the reduced inequality with
     delta = max{a, b/(1-b), c/(1-c)} in both its forms:
@@ -489,10 +502,9 @@ def verify_zamfirescu_reduction(
     TZ must hold on the pair set first; otherwise the report is marked
     not applicable and carries the TZ violation witnesses.
     """
-    pairs = list(pairs)
     tz = ClassSpec.tz(a, b, c)
-    t = pair_terms(space, maps, pairs) if pairs else None
-    tz_report = _condition_report(space.cone, tz, pairs, t)
+    t = pair_terms(space, maps, pairs) if len(pairs) else None
+    tz_report = _condition_report(space, tz, pairs, t)
     delta = zamfirescu_delta(a, b, c)
     if not tz_report.holds or tz_report.inconclusive:
         return ReductionReport(delta, False, tz_report, None, None)
@@ -502,9 +514,10 @@ def verify_zamfirescu_reduction(
     for label, weak_kind in ((ClassSpec.twu(delta, 2.0 * delta), TWU),
                              (ClassSpec.tw_dual(delta, 2.0 * delta), TW_DUAL)):
         v = cleared_check(tz, weak_kind, t, space.cone, space.cone.slack)
+        bad = np.flatnonzero(~v.ok)
         violations = [
-            ConditionViolation(*pairs[i], t.lhs[i], v.residual[i] + t.lhs[i], v.residual[i])
-            for i in np.flatnonzero(~v.ok)
+            ConditionViolation(x, y, t.lhs[i], v.residual[i] + t.lhs[i], v.residual[i])
+            for (x, y), i in zip(pairs.witnesses(space, bad), bad)
         ]
         forms.append(ConditionReport(label, len(pairs), violations, notes=note))
     return ReductionReport(delta, True, tz_report, *forms)
@@ -674,7 +687,7 @@ def fit_constants(
     space: ConeMetricSpace,
     maps: MapPair,
     class_kind: str,
-    pairs: Sequence[tuple],
+    pairs: PairSet,
     *,
     pinned: dict[str, float] | None = None,
 ) -> FitResult:
@@ -684,33 +697,67 @@ def fit_constants(
     pinned via ``pinned={'delta': v}``).  Pairs no constant can repair are
     returned as infeasibility witnesses.
     """
-    pairs = list(pairs)
-    if not pairs:
+    if not len(pairs):
         raise ConfigError("constant fitting needs a nonempty pair set")
     fit = fit_terms(
         class_kind, pair_terms(space, maps, pairs), space.cone, space.cone.slack,
         (pinned or {}).get("delta"),
     )
     spec = ClassSpec(class_kind, **fit.values) if fit.feasible else None
-    return FitResult(class_kind, fit.feasible, spec, [pairs[i] for i in np.flatnonzero(fit.witnesses)])
+    return FitResult(class_kind, fit.feasible, spec, pairs.witnesses(space, np.flatnonzero(fit.witnesses)))
 
 
 # ---------------------------------------------------------------------------
 # Pair sets
 # ---------------------------------------------------------------------------
 
-def grid_pairs(space: ConeMetricSpace) -> list[tuple]:
+@dataclass(frozen=True, eq=False)
+class PairSet:
+    """Ordered pairs of carrier points: pair k is (points[ix[k]],
+    points[iy[k]]), with ``points`` in the carrier's array form."""
+
+    points: np.ndarray
+    ix: np.ndarray
+    iy: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ix)
+
+    @classmethod
+    def of(cls, space: ConeMetricSpace, pairs: Sequence[tuple]) -> "PairSet":
+        """The explicit pairs (x, y) of ``pairs``, in order."""
+        points = [p for x, y in pairs for p in (x, y)]
+        ix = np.arange(0, len(points), 2)
+        return cls(space.array_form(points, "pair point"), ix, ix + 1)
+
+    def witnesses(self, space: ConeMetricSpace, idx: np.ndarray) -> list[tuple]:
+        """The pairs at positions ``idx`` as (x, y) carrier points."""
+        from_array = space.carrier.from_array
+        return list(zip(from_array(self.points[self.ix[idx]]), from_array(self.points[self.iy[idx]])))
+
+
+def _square(xs: np.ndarray) -> PairSet:
+    """All ordered pairs of the points ``xs`` (array form), x-major."""
+    ix, iy = np.divmod(np.arange(len(xs) ** 2), len(xs))
+    return PairSet(xs, ix, iy)
+
+
+def grid_pairs(space: ConeMetricSpace) -> PairSet:
     """All ordered pairs of the carrier's grid points."""
-    pts = list(space.carrier.grid_points())
-    return list(itertools.product(pts, pts))
+    return _square(space.carrier.to_array(space.carrier.grid_points()))
 
 
-def sampled_pairs(space: ConeMetricSpace, count: int, seed: int = 0) -> list[tuple]:
-    rng = np.random.default_rng(seed)
-    xs = space.carrier.sample(rng, count)
-    ys = space.carrier.sample(rng, count)
-    return list(zip(list(xs), list(ys)))
+def sampled_pairs(space: ConeMetricSpace, count: int, seed: int = 0) -> PairSet:
+    """``count`` pairs (x, y) of independent draws from the carrier."""
+    carrier, rng = space.carrier, np.random.default_rng(seed)
+    xs = carrier.to_array(carrier.sample(rng, count))
+    ys = carrier.to_array(carrier.sample(rng, count))
+    ix = np.arange(count)
+    return PairSet(np.concatenate([xs, ys]), ix, ix + count)
 
 
-def all_pairs(points: Sequence) -> list[tuple]:
-    return list(itertools.product(points, points))
+def all_pairs(space: ConeMetricSpace) -> PairSet:
+    """All ordered pairs of a finite carrier's points."""
+    if not space.carrier.finite:
+        raise ConfigError("all_pairs needs a finite carrier")
+    return _square(space.carrier.to_array(space.carrier.points))

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .cone_space import BoxCarrier, ConeMetricSpace, ConfigError, DomainError
-from .contractions import IdentityMap, MapPair, TabulatedMap
+from .contractions import IdentityMap, MapPair, _array_map
 
 CONVERGED = "converged"
 MAX_ITER = "max_iter"
@@ -100,21 +100,6 @@ def picard_iterate(
     return _picard_runs(space, maps, [x0], rule or StoppingRule())[0]
 
 
-def _array_map(space: ConeMetricSpace, f: Callable) -> Callable:
-    """f as a function of the carrier's array form: the map's own array
-    form where it has one, else f point by point."""
-    carrier = space.carrier
-    if carrier.finite and isinstance(f, TabulatedMap) and f.points == list(carrier.points):
-        return f.on_indices
-    if not carrier.finite and hasattr(f, "on_array"):
-        return f.on_array
-    return lambda xs: carrier.to_array([f(p) for p in carrier.from_array(xs)])
-
-
-class _Escaped(Exception):
-    """An image of the array form fell outside the carrier."""
-
-
 def _first_failure(space, maps, xs, ts, step) -> tuple[int, Exception] | None:
     """Replay one step point by point with the scalar maps, in row order:
     the first failing row and the error a run from it alone raises."""
@@ -167,7 +152,7 @@ def _picard_runs(space: ConeMetricSpace, maps: MapPair, starts: list,
                 tys = T(ys)
                 inside = mask(ys) if tys is ys else mask(ys) & mask(tys)
                 if not inside.all():
-                    raise _Escaped
+                    raise DomainError("an image lies outside the carrier")
                 gaps = pairwise(ts, tys)
                 norms = norm_rows(gaps)
             except Exception as exc:
@@ -185,7 +170,8 @@ def _picard_runs(space: ConeMetricSpace, maps: MapPair, starts: list,
                 trace = traces[row]
                 trace.t_image_gaps.append(gaps[pos].copy())    # not a view that keeps the whole step
                 trace.gap_norms.append(norm)
-                if norm > eps and capped:       # a run stopped by max_iter keeps no new point
+                # "not <=" so that a NaN norm counts as not converged
+                if not norm <= eps and capped:  # a run stopped by max_iter keeps no new point
                     trace.stop_reason = MAX_ITER
                     stopped.append(pos)
                     continue
@@ -430,17 +416,6 @@ def _numerically_cauchy(space: ConeMetricSpace, xs: np.ndarray) -> bool:
     return not np.any(space.cone.norm_rows(space.pairwise(tail[i], tail[j])) > CAUCHY_TOL)
 
 
-def _points(space: ConeMetricSpace, points: list) -> np.ndarray:
-    """Probe points in the carrier's array form.  A finite carrier holds
-    only its own points; an interval or a box holds any number or vector."""
-    xs = space.carrier.to_array(points)
-    if space.carrier.finite:
-        missing = np.flatnonzero(xs < 0)
-        if missing.size:
-            space.require_point(points[missing[0]], "probe point")
-    return xs
-
-
 def _t_images(space: ConeMetricSpace, T: Callable, points: list) -> np.ndarray:
     """The T-images of ``points``, checked against the carrier, in array form."""
     return space.carrier.to_array([space.require_point(T(p), "T-image") for p in points])
@@ -458,7 +433,7 @@ def diagnose_T(space: ConeMetricSpace, maps: MapPair, probes: TProbes | None = N
     probes = probes or default_probes(space)
 
     pts = list(probes.injectivity_points)
-    xs = _points(space, pts)
+    xs = space.array_form(pts, "probe point")
     images = _t_images(space, maps.T, pts)
     i, j = np.triu_indices(len(pts), 1)
     same = xs[i] == xs[j]
@@ -471,7 +446,7 @@ def diagnose_T(space: ConeMetricSpace, maps: MapPair, probes: TProbes | None = N
     findings = []
     for name, seq in probes.sequences:
         seq = list(seq)
-        ys = _points(space, seq)
+        ys = space.array_form(seq, "probe point")
         t_conv = _numerically_cauchy(space, _t_images(space, maps.T, seq))
         y_conv = _numerically_cauchy(space, ys)
         if not t_conv:

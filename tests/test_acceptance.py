@@ -55,7 +55,7 @@ def test_criterion_02_reduction_inequality(tz_corpus):
         space, maps = g.fin.as_space_and_maps()
         assert space.cone.slack == 0.0  # zero tolerance on dyadic tables
         report = verify_zamfirescu_reduction(
-            space, maps, g.spec.a, g.spec.b, g.spec.c, all_pairs(g.fin.points)
+            space, maps, g.spec.a, g.spec.b, g.spec.c, all_pairs(space)
         )
         if not (report.applicable and report.primary.holds and report.dual.holds):
             bad += 1
@@ -132,7 +132,7 @@ def test_criterion_05_oracle_equivalence(tz_corpus):
 def test_criterion_06_non_uniqueness_of_weak_contractions():
     fin = instance_c_grid(101)
     space, maps = fin.as_space_and_maps()
-    cond = check_condition(space, maps, ClassSpec.tw(0.5, 0.5), all_pairs(fin.points))
+    cond = check_condition(space, maps, ClassSpec.tw(0.5, 0.5), all_pairs(space))
     fps = enumerate_fixed_points(fin)
     verdict = uniqueness_probe(space, maps, [fin.points[20], fin.points[80]])
     ok = cond.holds and len(fps) == 101 and verdict.verdict == NON_UNIQUE

@@ -1,11 +1,15 @@
 import copy
+import importlib.util
 import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from conefix.cli import InstanceValidationError, emit_trace, main, parse_instance
+from conefix.cli import (
+    InstanceValidationError, _condition_pairs, emit_trace, load_instance, main, parse_instance,
+)
 from conefix.cone_space import ConfigError, FinitePointsCarrier, IntervalCarrier
 from conefix.contractions import CLASS_KINDS, AffineMap
 from conefix.instances import instance_a
@@ -107,7 +111,6 @@ def test_non_finite_numbers_are_usage_errors(tmp_path, key, value):
 
 
 INF = "non-finite number inf is not admitted"
-CONE_INF = "cone: interior margin and slack must be finite"
 BOX_INF = "space.carrier: box carrier bounds must be finite"
 
 
@@ -124,8 +127,8 @@ BOX_INF = "space.carrier: box carrier bounds must be finite"
                  "maps.S: non-finite number -inf is not admitted", id="beta"),
     pytest.param("instance_a", ("maps", "T"), {"family": "power", "exponent": "1e400"},
                  f"maps.T: {INF}", id="exponent"),
-    pytest.param("instance_a", ("cone", "interior_margin"), "1e400", CONE_INF, id="interior_margin"),
-    pytest.param("instance_a", ("cone", "slack"), "1e400", CONE_INF, id="slack"),
+    pytest.param("instance_a", ("cone", "interior_margin"), "1e400", f"cone: {INF}", id="interior_margin"),
+    pytest.param("instance_a", ("cone", "slack"), "1e400", f"cone: {INF}", id="slack"),
     pytest.param("instance_a", ("space", "carrier"),
                  {"kind": "box", "lows": ["-1e400", 0.0], "highs": [1.0, 1.0]}, BOX_INF, id="lows"),
     pytest.param("instance_a", ("space", "carrier"),
@@ -232,6 +235,10 @@ def test_no_silent_coercion(path, value, error):
     (("contraction", "a"), "0.5", 'contraction: expected a number, got "0.5"'),
     (("space", "carrier", "lo"), False, "space.carrier: expected a number, got false"),
     (("space", "carrier", "hi"), "1", 'space.carrier: expected a number, got "1"'),
+    (("run", "rate_h"), False, "run: expected a number, got false"),
+    (("run", "rate_h"), "0.5", 'run: expected a number, got "0.5"'),
+    (("cone", "slack"), True, "cone: expected a number, got true"),
+    (("cone", "interior_margin"), "1e-9", 'cone: expected a number, got "1e-9"'),
 ])
 def test_booleans_and_strings_are_not_numbers(tmp_path, capsys, path, value, error):
     # "epsilon": true used to load as 1.0, and solve then certified 0.5
@@ -595,3 +602,44 @@ def test_repeated_runs_are_byte_identical(tmp_path):
         assert main(["solve", "--instance", str(path), "--out", str(out)]) == 0
         traces.append(out.read_bytes())
     assert traces[0] == traces[1]
+
+
+# ---------------------------------------------------------------------------
+# Pair sets and the digest script
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("samples", [10_200, 10_201])
+def test_condition_pairs_sample_only_a_grid_larger_than_samples(samples):
+    # instance A's 101-point grid has 10,201 pairs
+    inst = parse_instance(json.dumps(fixture_doc("instance_a")), {"samples": str(samples)})
+    pairs = _condition_pairs(inst)
+    if samples < 101 ** 2:
+        assert len(pairs) == samples and len(pairs.points) == 2 * samples
+    else:
+        assert len(pairs) == 101 ** 2 and np.array_equal(pairs.points, inst.space.carrier.grid_points())
+
+
+def test_condition_pairs_of_a_finite_file_are_all_pairs():
+    inst = parse_instance(json.dumps(fixture_doc("instance_d")))
+    pairs = _condition_pairs(inst)
+    pts = inst.space.carrier.points
+    assert len(pairs) == len(pts) ** 2
+    assert pairs.witnesses(inst.space, np.array([1, len(pts)])) == [(pts[0], pts[1]), (pts[1], pts[0])]
+
+
+def test_artifact_digest_runs_on_a_fixture(capsys):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "artifact_digest.py"
+    spec = importlib.util.spec_from_file_location("artifact_digest", script)
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    path = str(Path(__file__).resolve().parent.parent / "fixtures" / "instance_d.json")
+    assert digest.main([path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(digest.COMMANDS) + 1
+    assert all(line.startswith(f"{path} [") for line in lines)
+    assert " [oracle] exit=1 " in lines[digest.COMMANDS.index(("oracle", ()))]
+    # instance D is not TB(0.5): the condition hash covers its violations
+    pairs_checked, violations = digest._api_condition(load_instance(path))
+    assert pairs_checked == 100 and violations
+    condition = digest._sha(repr((pairs_checked, violations)).encode())
+    assert lines[-1].endswith(f" condition={condition}")

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from conefix.cone_space import (
     ConeMetricSpace, ConeSpec, ConfigError, DirectionMetric, DomainError, FinitePointsCarrier,
-    FunctionMetric, IntervalCarrier, Relation, SamplingPlan, estimate_normal_constant,
-    eval_metric, metric_table_failures, order_compare, verify_cone_axioms, verify_metric_axioms,
+    FunctionMetric, IntervalCarrier, SamplingPlan, estimate_normal_constant,
+    metric_table_failures, verify_cone_axioms, verify_metric_axioms,
 )
 from conefix.oracle import FiniteInstance
 
@@ -15,7 +15,7 @@ dyadic_vec = st.tuples(dyadic, dyadic).map(np.asarray)
 
 
 # ---------------------------------------------------------------------------
-# Membership and order
+# Membership
 # ---------------------------------------------------------------------------
 
 def test_orthant_membership_boundary_point():
@@ -37,40 +37,12 @@ def test_membership_rejects_non_finite():
         cone.contains([np.nan, 0.0])
 
 
-def test_order_compare_examples():
-    cone = ConeSpec.orthant(2)
-    assert order_compare(cone, [0.0, 0.0], [1.0, 2.0]) is Relation.LL
-    assert order_compare(cone, [1.0, 1.0], [1.0, 1.0]) is Relation.EQ
-    assert order_compare(cone, [1.0, 0.0], [0.0, 1.0]) is Relation.INCOMPARABLE
-    assert order_compare(cone, [1.0, 2.0], [1.0, 3.0]) is Relation.LT
-    assert order_compare(cone, [1.0, 2.0], [0.0, 0.0]) is Relation.GG
-
-
 @settings(max_examples=100)
 @given(v=dyadic_vec)
 def test_interior_implies_closed(v):
     for cone in (ConeSpec.orthant(2), ConeSpec.polyhedral([[0.0, 1.0], [2.0, 1.0]])):
         if cone.contains(v, "interior"):
             assert cone.contains(v, "closed")
-
-
-@settings(max_examples=100)
-@given(x=dyadic_vec, y=dyadic_vec)
-def test_order_antisymmetry(x, y):
-    cone = ConeSpec.orthant(2)
-    rel = order_compare(cone, x, y)
-    rev = order_compare(cone, y, x)
-    if rel in (Relation.LT, Relation.LL):
-        assert rev in (Relation.GT, Relation.GG)
-    if rel is Relation.EQ:
-        assert rev is Relation.EQ
-
-
-@settings(max_examples=100)
-@given(x=dyadic_vec, y=dyadic_vec, z=dyadic_vec)
-def test_order_translation_invariance(x, y, z):
-    cone = ConeSpec.orthant(2)
-    assert order_compare(cone, x, y) is order_compare(cone, x + z, y + z)
 
 
 # ---------------------------------------------------------------------------
@@ -117,16 +89,17 @@ def test_collapsed_scaled_orthant_has_empty_interior():
 
 def test_eval_metric_instance_a(space_a):
     space, _ = space_a
-    assert np.array_equal(eval_metric(space, 0.5, 0.25), [0.25, 0.5])
-    assert np.array_equal(eval_metric(space, 0.3, 0.3), [0.0, 0.0])
-    assert np.array_equal(eval_metric(space, 0.0, 1.0), eval_metric(space, 1.0, 0.0))
-    assert np.array_equal(eval_metric(space, 0.0, 1.0), [1.0, 2.0])
+    assert np.array_equal(space.d(0.5, 0.25), [0.25, 0.5])
+    assert np.array_equal(space.d(0.3, 0.3), [0.0, 0.0])
+    assert np.array_equal(space.d(0.0, 1.0), space.d(1.0, 0.0))
+    assert np.array_equal(space.d(0.0, 1.0), [1.0, 2.0])
 
 
 def test_eval_metric_outside_carrier(space_a):
     space, _ = space_a
-    with pytest.raises(DomainError):
-        eval_metric(space, -0.5, 0.25)
+    with pytest.raises(DomainError, match="outside the carrier"):
+        space.require_point(-0.5)
+    assert space.require_point(0.25) == 0.25
 
 
 def test_metric_axioms_instance_a(space_a):
@@ -340,5 +313,5 @@ def test_box_carrier_metric_axioms():
     report = verify_metric_axioms(space, SamplingPlan(count=2_000, seed=6))
     assert report.passed
     assert np.allclose(
-        eval_metric(space, np.array([0.0, 0.0]), np.array([3.0 / 8, 0.5])), [0.625, 1.25]
+        space.d(np.array([0.0, 0.0]), np.array([3.0 / 8, 0.5])), [0.625, 1.25]
     )

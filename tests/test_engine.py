@@ -49,7 +49,7 @@ def test_sampled_violations_equal_oracle_pairs(corpora, name):
     for g, fin in zip(corpora[name], _fins(corpora[name])):
         space, maps = fin.as_space_and_maps()
         assert space.cone.slack == 0.0
-        pairs = all_pairs(fin.points)
+        pairs = all_pairs(space)
         for spec in _specs(g):
             sampled = check_condition(space, maps, spec, pairs)
             exact = exhaustive_condition_check(fin, spec)
@@ -65,7 +65,7 @@ def test_sampled_fit_equals_tightest_constants_bitwise(corpora, name):
     feasible = 0
     for fin in _fins(corpora[name]):
         space, maps = fin.as_space_and_maps()
-        pairs = all_pairs(fin.points)
+        pairs = all_pairs(space)
         for kind in FIT_KINDS:
             fit = fit_constants(space, maps, kind, pairs)
             tight = tightest_constants(fin, kind)
@@ -87,7 +87,7 @@ def test_sampled_reduction_equals_oracle(tz_corpus):
     for g in tz_corpus:
         space, maps = g.fin.as_space_and_maps()
         s = g.spec
-        sampled = verify_zamfirescu_reduction(space, maps, s.a, s.b, s.c, all_pairs(g.fin.points))
+        sampled = verify_zamfirescu_reduction(space, maps, s.a, s.b, s.c, all_pairs(space))
         exact = exhaustive_reduction_check(g.fin, s.a, s.b, s.c)
         assert sampled.applicable == exact.applicable
         assert {(v.x, v.y) for v in sampled.primary.violations} == set(exact.primary_violations)
