@@ -196,9 +196,17 @@ def _finite_float(value) -> float:
     return value
 
 
+def _numbers(value) -> np.ndarray:
+    """A number or nested number list as a float array, refusing booleans and strings."""
+    for leaf in np.asarray(value, dtype=object).flat:
+        if isinstance(leaf, bool) or not isinstance(leaf, (int, float)):
+            raise ConfigError(f"expected a number, got {json.dumps(leaf)}")
+    return np.asarray(value, dtype=float)
+
+
 def _start_point(value):
     """A JSON list is a box point: the float vector a box carrier takes."""
-    return np.asarray(value, dtype=float) if isinstance(value, list) else value
+    return _numbers(value) if isinstance(value, list) else value
 
 
 def _schema_version(value):
@@ -214,20 +222,21 @@ def _cone(family: str, **keys) -> ConeSpec:
 
 
 def _direction_metric(direction, scalar="absdiff", *, cone, carrier) -> DirectionMetric:
-    u = np.asarray(direction, dtype=float)
     if cone is not None:
-        if len(u) != cone.dimension:
-            raise ConfigError(f"direction length {len(u)} != cone dimension")
-        if not cone.contains(u, "interior"):
+        if len(direction) != cone.dimension:
+            raise ConfigError(f"direction length {len(direction)} != cone dimension")
+        if not cone.contains(direction, "interior"):
             raise ConfigError("direction vector must lie in the cone interior")
     if isinstance(carrier, IntervalCarrier) and scalar != "absdiff":
         raise ConfigError("interval carriers use the 'absdiff' scalar metric")
+    if isinstance(carrier, BoxCarrier) and scalar == "absdiff":
+        raise ConfigError("box carriers use the 'euclidean' or 'max' scalar metric")
     if isinstance(carrier, FinitePointsCarrier):
         try:
             np.asarray(carrier.points, dtype=float)
         except (TypeError, ValueError):
             raise ConfigError("a direction metric needs numeric points") from None
-    return DirectionMetric(u, scalar)
+    return DirectionMetric(direction, scalar)
 
 
 def _tabulated_metric(table, *, carrier) -> TabulatedMetric | None:
@@ -266,20 +275,20 @@ _DIMENSION = _integer("dimension")
 CONE = Section({
     "orthant": Variant(partial(_cone, "orthant"), {"dimension": _DIMENSION}, _CONE_KEYS),
     "scaled_orthant": Variant(partial(_cone, "scaled_orthant"),
-                              {"dimension": _DIMENSION, "weights": _as_is}, _CONE_KEYS),
+                              {"dimension": _DIMENSION, "weights": _numbers}, _CONE_KEYS),
     "polyhedral": Variant(partial(_cone, "polyhedral"),
-                          {"dimension": _DIMENSION, "matrix": _as_is}, _CONE_KEYS),
+                          {"dimension": _DIMENSION, "matrix": _numbers}, _CONE_KEYS),
 }, "family", "family", default="orthant")
 
 CARRIER = Section({
     "interval": Variant(IntervalCarrier, {"lo": _finite_float, "hi": _finite_float},
                         {"grid": _integer("grid")}),
-    "box": Variant(BoxCarrier, {"lows": _as_is, "highs": _as_is}, {"grid": _integer("grid")}),
+    "box": Variant(BoxCarrier, {"lows": _numbers, "highs": _numbers}, {"grid": _integer("grid")}),
     "finite": Variant(FinitePointsCarrier, {"points": list}),
 }, "kind", "carrier kind")
 
 METRIC = Section({
-    "direction": Variant(_direction_metric, {"direction": _as_is}, {"scalar": _as_is},
+    "direction": Variant(_direction_metric, {"direction": _numbers}, {"scalar": _as_is},
                          needs=("cone", "carrier")),
     "tabulated": Variant(_tabulated_metric, {"table": _as_is}, needs=("carrier",)),
 }, "kind", "metric kind")

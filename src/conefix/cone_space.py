@@ -97,17 +97,9 @@ class ConeSpec:
             if np.any(w < 0):
                 raise ConfigError("scaled_orthant weights must be >= 0")
             self.weights = w
-            rows = []
-            for i in range(m):
-                e = np.zeros(m)
-                e[i] = 1.0
-                if w[i] > 0:
-                    rows.append(e)
-                else:
-                    # collapsed coordinate: v_i = 0 expressed as two inequalities
-                    rows.append(e)
-                    rows.append(-e)
-            self._ineq = np.asarray(rows)
+            # a collapsed coordinate (weight 0) is v_i = 0: the rows e_i and -e_i
+            eye = np.eye(m)
+            self._ineq = np.insert(eye, np.flatnonzero(w == 0) + 1, -eye[w == 0], axis=0)
         elif self.family == POLYHEDRAL:
             if self.matrix is None:
                 raise ConfigError("polyhedral cone requires an inequality matrix")
@@ -601,24 +593,29 @@ def metric_table_failures(table: np.ndarray, cone: ConeSpec, slack: float) -> di
     """Where the metric table d[i, j] (shape (n, n, m)) breaks d1-d3, with
     cone tests at relative ``slack``: one failure mask per axiom, in
     reporting order.  Masks are (n, n) over pairs, (n,) over points for
-    "d1-identity", and (n, n, n) over (x, y, z) for "d3-triangle", whose
-    residual d(x, z) + d(z, y) - d(x, y) is built one z at a time."""
+    "d1-identity", and (n, n, n) over (x, y, z) for "d3-triangle": where
+    a.d(x, z) + a.d(z, y) < a.d(x, y) for a cone row a, on the table
+    projected onto the rows once (exact for unit rows, and for polyhedral
+    rows on dyadic tables); at slack > 0 those triples are tested again on
+    d(x, z) + d(z, y) - d(x, y)."""
     n, m = table.shape[0], table.shape[-1]
 
     def outside(vs: np.ndarray) -> np.ndarray:
-        return ~np.all(cone.inequality_mask(vs.reshape(n * n, m), slack), axis=-1).reshape(n, n)
+        return ~np.all(cone.inequality_mask(vs.reshape(-1, m), slack), axis=-1).reshape(vs.shape[:-1])
 
-    failing = {}
-    for k in range(n):
-        bad = outside(table[:, k, None, :] + table[None, k, :, :] - table)
-        if bad.any():
-            failing[k] = bad
-    # (z, x, y) layout.  When every triangle holds it is a read-only view
+    proj = np.ascontiguousarray(np.moveaxis(table @ cone.ineq_matrix.T, -1, 0))   # (r, n, n)
+    # (z, x, y) layout.  While every triangle holds it is a read-only view
     # of one all-False (x, y) slice: a valid table allocates no n^3 mask.
-    shape = (n, n, n)
-    triangle = np.zeros(shape, dtype=bool) if failing else np.broadcast_to(np.zeros((n, n), dtype=bool), shape)
-    for k, bad in failing.items():
-        triangle[k] = bad
+    triangle = np.broadcast_to(np.zeros((n, n), dtype=bool), (n, n, n))
+    for z in range(n):
+        bad = np.any(proj[:, :, z, None] + proj[:, None, z, :] < proj, axis=0)
+        if slack > 0.0 and bad.any():
+            xs, ys = np.nonzero(bad)
+            bad[xs, ys] = outside(table[xs, z] + table[z, ys] - table[xs, ys])
+        if bad.any():
+            if not triangle.flags.writeable:
+                triangle = np.zeros((n, n, n), dtype=bool)
+            triangle[z] = bad
     return {
         "d1-cone": outside(table),
         "d1-separation": np.all(table == 0.0, axis=-1) & ~np.eye(n, dtype=bool),

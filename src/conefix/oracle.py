@@ -4,10 +4,12 @@ A finite instance is a tabulated cone metric space on at most 200 labelled
 points together with index maps for T and S.  All checks here scan every
 ordered pair (or triple) with exact cone tests: tables are built from
 dyadic values, so plain float comparisons are exact and the tolerance is
-genuinely zero.  The class inequalities, their cleared-denominator weak
-forms and the constant fit come from the engine in ``contractions``; the
-oracle only supplies the terms of all n^2 index pairs, looked up in the
-tables (``_tensors``), and runs that engine at slack 0.
+genuinely zero.  The load-time d3 scan compares the table's projections
+onto the cone's rows, exact for unit-row cones on any table.  The class
+inequalities, their cleared-denominator weak forms and the constant fit
+come from the engine in ``contractions``; the oracle only supplies the
+terms of all n^2 index pairs, looked up in the tables (``_tensors``), and
+runs that engine at slack 0.
 """
 
 from __future__ import annotations
@@ -43,8 +45,9 @@ class FiniteInstance:
 
     The metric table is validated exactly at construction: the first
     failure ``metric_table_failures`` finds at slack 0 (all n^3 triples,
-    the scan ``verify_metric_axioms`` runs on finite carriers) is raised,
-    so every downstream check may assume d1-d3.
+    the scan ``verify_metric_axioms`` runs on finite carriers, d3 on the
+    table projected onto the cone's rows) is raised, a d3 failure at its
+    smallest z, so every downstream check may assume d1-d3.
     """
 
     points: list[int]
@@ -307,18 +310,13 @@ def cross_validate(fin: FiniteInstance, spec: ClassSpec) -> CrossValidation:
     targets: dict[int, int] = {}
     all_ok = True
     for start in range(n):
-        cur = start
-        count = 0
+        cur, count = start, 0
         while cur not in fp_set and count <= n:
             cur = int(fin.s_table[cur])
             count += 1
-        if cur in fp_set:
-            steps[start] = count
-            targets[start] = cur
-        else:
-            all_ok = False
-            steps[start] = -1
-            targets[start] = -1
+        reached = cur in fp_set
+        steps[start], targets[start] = (count, cur) if reached else (-1, -1)
+        all_ok = all_ok and reached
 
     exists_ok = len(fps) >= 1
     unique_ok = (len(fps) == 1) if unique_expected else True
@@ -354,8 +352,7 @@ class GeneratedInstance:
 
 def _ladder_values(rng: np.random.Generator, n: int) -> np.ndarray:
     scale = rng.integers(1, 5) / 4.0
-    vals = [scale * 2.0 ** (-i) for i in range(n - 1)] + [0.0]
-    return np.asarray(vals)
+    return np.asarray([scale * 2.0 ** (-i) for i in range(n - 1)] + [0.0])
 
 
 def _grid_values(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -384,10 +381,7 @@ def _draw_instance(rng: np.random.Generator) -> tuple[FiniteInstance, str]:
     name, base_s = _propose_s(rng, n)
     # T is a random permutation; conjugating the proposal keeps its
     # contraction geometry when read through T-images.
-    if rng.random() < 0.3:
-        pi = np.arange(n)
-    else:
-        pi = rng.permutation(n)
+    pi = np.arange(n) if rng.random() < 0.3 else rng.permutation(n)
     inv = np.empty(n, dtype=int)
     inv[pi] = np.arange(n)
     s_table = inv[base_s[pi]]

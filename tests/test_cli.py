@@ -239,6 +239,18 @@ def test_no_silent_coercion(path, value, error):
     (("run", "rate_h"), "0.5", 'run: expected a number, got "0.5"'),
     (("cone", "slack"), True, "cone: expected a number, got true"),
     (("cone", "interior_margin"), "1e-9", 'cone: expected a number, got "1e-9"'),
+    (("space", "metric", "direction"), [True, True], "space.metric: expected a number, got true"),
+    (("space", "metric", "direction"), ["1", "2"], 'space.metric: expected a number, got "1"'),
+    (("space", "metric", "direction"), [1.0, None], "space.metric: expected a number, got null"),
+    (("cone",), {"family": "scaled_orthant", "dimension": 2, "weights": [1.0, False]},
+     "cone: expected a number, got false"),
+    (("cone",), {"family": "polyhedral", "dimension": 2, "matrix": [[1.0, 0.0], [0.0, "1"]]},
+     'cone: expected a number, got "1"'),
+    (("space", "carrier"), {"kind": "box", "lows": [False, 0.0], "highs": [1.0, 1.0]},
+     "space.carrier: expected a number, got false"),
+    (("space", "carrier"), {"kind": "box", "lows": [0.0, 0.0], "highs": ["1", 1.0]},
+     'space.carrier: expected a number, got "1"'),
+    (("run", "x0"), [True, 1.0], "run: expected a number, got true"),
 ])
 def test_booleans_and_strings_are_not_numbers(tmp_path, capsys, path, value, error):
     # "epsilon": true used to load as 1.0, and solve then certified 0.5
@@ -275,6 +287,22 @@ def test_direction_metric_rejects_non_numeric_labels(tmp_path, capsys, command):
     assert main([command, "--instance", str(path)]) == 2
     assert capsys.readouterr().err == (
         "instance rejected:\n  - space.metric: a direction metric needs numeric points\n")
+
+
+@pytest.mark.parametrize("command", ["verify", "solve", "fit"])
+def test_box_carrier_rejects_the_absdiff_scalar(tmp_path, capsys, command):
+    # absdiff on box rows gave (k, d, m) distances: IndexError in verify,
+    # TypeError in solve, and constants fitted to misshapen terms in fit
+    doc = fixture_doc("instance_a")
+    doc["space"]["carrier"] = {"kind": "box", "lows": [0.0, 0.0], "highs": [1.0, 1.0], "grid": 7}
+    doc["run"]["x0"] = [1.0, 1.0]
+    path = _write(tmp_path, "box.json", doc)
+    assert main([command, "--instance", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "instance rejected:\n  - space.metric: box carriers use the 'euclidean' or 'max' scalar metric\n")
+    doc["space"]["metric"]["scalar"] = "max"
+    path = _write(tmp_path, "box.json", doc)
+    assert main([command, "--instance", str(path)]) != 2
 
 
 @pytest.mark.parametrize("image", [-1, 10, 1.7])

@@ -167,10 +167,20 @@ def test_identity_violation_reported_once_per_point():
 
 LINE = np.array([0.0, 0.125, 0.375, 0.5, 1.0])
 
+# The three cone families, each with a dyadic direction u in the cone for
+# its tables: the scaled orthant's zero weight gives it the rows e1, e2, -e2
+# (the cone is a ray), and the polyhedral cone has rows that are not unit
+# vectors.
+CONES = {
+    "orthant": (ConeSpec.orthant(2, slack=0.0), np.array([1.0, 2.0])),
+    "scaled_orthant": (ConeSpec.scaled_orthant([1.0, 0.0], slack=0.0), np.array([1.0, 0.0])),
+    "polyhedral": (ConeSpec.polyhedral([[1.0, -0.5], [-0.25, 1.0]], slack=0.0), np.array([1.0, 0.75])),
+}
 
-def _line_table(corruption: str) -> np.ndarray:
-    """d(i, j) = (1, 2) |LINE[i] - LINE[j]|, corrupted as named."""
-    table = np.abs(LINE[:, None] - LINE[None, :])[:, :, None] * np.array([1.0, 2.0])
+
+def _line_table(corruption: str, u=np.array([1.0, 2.0])) -> np.ndarray:
+    """d(i, j) = u |LINE[i] - LINE[j]|, corrupted as named."""
+    table = np.abs(LINE[:, None] - LINE[None, :])[:, :, None] * u
     if corruption == "diagonal":
         table[2, 2] = [0.25, 0.0]
     elif corruption == "separation":
@@ -178,12 +188,45 @@ def _line_table(corruption: str) -> np.ndarray:
     elif corruption == "cone":
         table[0, 4] = table[4, 0] = [-0.5, 2.0]
     elif corruption == "symmetry":
-        table[0, 1] = [2.0, 4.0]
+        table[0, 1] = 2.0 * u
     elif corruption == "triangle":
-        table[0, 4] = table[4, 0] = [4.0, 8.0]
+        table[0, 4] = table[4, 0] = 4.0 * u
     elif corruption == "two triangles":     # the first failing z is 0, on pair (1, 2)
-        table[0, 4] = table[4, 0] = [4.0, 8.0]
-        table[1, 2] = table[2, 1] = [1.0, 2.0]
+        table[0, 4] = table[4, 0] = 4.0 * u
+        table[1, 2] = table[2, 1] = u
+    return table
+
+
+def _tree_table(rng, n: int, u: np.ndarray) -> np.ndarray:
+    """u times the path metric of a random rooted tree with dyadic edge weights."""
+    parent = [0] + [int(rng.integers(i)) for i in range(1, n)]
+    up = [0.0] * n
+    for i in range(1, n):
+        up[i] = up[parent[i]] + float(rng.integers(1, 9)) / 8.0
+    ancestors = []
+    for i in range(n):
+        chain, j = [i], i
+        while j:
+            j = parent[j]
+            chain.append(j)
+        ancestors.append(chain)
+    rho = np.array([[up[i] + up[j] - 2.0 * up[next(a for a in ancestors[i] if a in ancestors[j])]
+                     for j in range(n)] for i in range(n)])
+    return rho[:, :, None] * u
+
+
+def _corrupt(rng, table: np.ndarray, count: int) -> np.ndarray:
+    """Scale ``count`` symmetric off-diagonal entries by dyadic factors, or
+    shift one coordinate: triangles, and sometimes the cone, break."""
+    table = table.copy()
+    n = len(table)
+    for _ in range(count):
+        i, j = rng.choice(n, size=2, replace=False)
+        if rng.random() < 0.75:
+            table[i, j] *= (0.25, 0.5, 2.0, 4.0)[int(rng.integers(4))]
+        else:
+            table[i, j, int(rng.integers(2))] -= float(rng.integers(1, 9)) / 4.0
+        table[j, i] = table[i, j]
     return table
 
 
@@ -204,6 +247,17 @@ def _brute_force_failures(table: np.ndarray, cone: ConeSpec, slack: float) -> di
     }
 
 
+def _assert_scan_matches(table: np.ndarray, cone: ConeSpec, slack: float):
+    got = metric_table_failures(table, cone, slack)
+    want = _brute_force_failures(table, cone, slack)
+    assert list(got) == list(want)
+    for axiom in want:
+        assert got[axiom].shape == want[axiom].shape, axiom
+        assert np.array_equal(got[axiom], want[axiom]), axiom
+    return got
+
+
+@pytest.mark.parametrize("family", list(CONES))
 @pytest.mark.parametrize("slack", [0.0, 0.5])
 @pytest.mark.parametrize("corruption, message", [
     ("none", None),
@@ -214,14 +268,10 @@ def _brute_force_failures(table: np.ndarray, cone: ConeSpec, slack: float) -> di
     ("triangle", "metric table violates d3 at triple (0, 4, 1)"),
     ("two triangles", "metric table violates d3 at triple (1, 2, 0)"),
 ])
-def test_metric_table_scan_matches_brute_force(corruption, message, slack):
-    table = _line_table(corruption)
-    cone = ConeSpec.orthant(2, slack=0.0)
-    got = metric_table_failures(table, cone, slack)
-    want = _brute_force_failures(table, cone, slack)
-    assert list(got) == list(want)
-    for axiom in want:
-        assert np.array_equal(got[axiom], want[axiom]), axiom
+def test_metric_table_scan_matches_brute_force(corruption, message, slack, family):
+    cone, u = CONES[family]
+    table = _line_table(corruption, u)
+    _assert_scan_matches(table, cone, slack)
     labels = list(range(len(LINE)))
     if message is None:
         FiniteInstance(labels, table, labels, labels, cone)
@@ -229,6 +279,60 @@ def test_metric_table_scan_matches_brute_force(corruption, message, slack):
         with pytest.raises(ConfigError) as exc:
             FiniteInstance(labels, table, labels, labels, cone)
         assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("family", list(CONES))
+@pytest.mark.parametrize("slack", [0.0, 0.5])
+def test_metric_table_scan_differential(family, slack):
+    cone, u = CONES[family]
+    rng = np.random.default_rng([7, len(family), int(slack * 2)])
+    failing = 0
+    for trial in range(6):
+        n = int(rng.integers(3, 13))
+        base = _tree_table(rng, n, u) if trial % 2 else \
+            np.abs(np.subtract.outer(*[rng.integers(0, 64, n) / 8.0] * 2))[:, :, None] * u
+        for table in (base, _corrupt(rng, base, 1), _corrupt(rng, base, 4)):
+            got = _assert_scan_matches(table, cone, slack)
+            failing += bool(got["d3-triangle"].any())
+            labels = list(range(n))
+            triangle = got["d3-triangle"].transpose(2, 0, 1)
+            if slack == 0.0 and triangle.any() and not any(got[a].any() for a in got if a != "d3-triangle"):
+                k, i, j = np.argwhere(triangle)[0]      # smallest z first
+                with pytest.raises(ConfigError, match=rf"d3 at triple \({i}, {j}, {k}\)$"):
+                    FiniteInstance(labels, table, labels, labels, cone)
+    assert failing >= 4     # the corruptions reach the d3 scan
+
+
+@pytest.mark.parametrize("family", ["orthant", "scaled_orthant"])
+@pytest.mark.parametrize("slack", [0.0, 0.5])
+def test_metric_table_scan_is_exact_on_unit_row_cones(family, slack):
+    # non-dyadic tables: sums round, and near-collinear triples land on
+    # either side of d(x, y); the projected test must round the same way
+    cone, u = CONES[family]
+    rng = np.random.default_rng(11)
+    for n in (5, 9, 12):
+        values = rng.random(n) * 3.0
+        line = np.abs(values[:, None] - values[None, :])[:, :, None] * (u * np.pi)
+        noisy = rng.random((n, n, 2)) * u
+        for table in (line, noisy, line + noisy):
+            _assert_scan_matches(table, cone, slack)
+
+
+def test_metric_table_scan_stays_quadratic_in_memory():
+    # a valid n=200 table must not allocate anything of n^3 size (8 MB as
+    # a bool mask); the projection and one z's temporaries are O(r n^2)
+    import tracemalloc
+
+    n = 200
+    table = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))[:, :, None] / 8.0 * np.array([1.0, 2.0])
+    tracemalloc.start()
+    try:
+        failures = metric_table_failures(table, ConeSpec.orthant(2, slack=0.0), 0.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not any(mask.any() for mask in failures.values())
+    assert peak < 3 * 2 ** 20, peak
 
 
 # ---------------------------------------------------------------------------
