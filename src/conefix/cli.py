@@ -27,8 +27,8 @@ from .cone_space import (
 from .contractions import (
     CLASS_KINDS, TB, TC, TK, TW, TW_DUAL, TZ,
     AffineMap, ClassSpec, ConditionReport, DeclaredProperties, IdentityMap, MapPair, PairSet,
-    PowerMap, TabulatedMap, all_pairs, check_condition, constant_names, fit_constants, grid_pairs,
-    rate_from_primary_form, sampled_pairs, verify_zamfirescu_reduction, zamfirescu_delta,
+    PowerMap, TabulatedMap, _array_map, all_pairs, check_condition, constant_names, fit_constants,
+    grid_pairs, rate_from_primary_form, sampled_pairs, verify_zamfirescu_reduction, zamfirescu_delta,
 )
 from .oracle import (
     FiniteInstance, cross_validate, enumerate_fixed_points, exhaustive_reduction_check,
@@ -244,7 +244,9 @@ def _tabulated_metric(table, *, carrier) -> TabulatedMetric | None:
         return None
     if not isinstance(carrier, FinitePointsCarrier):
         raise ConfigError("tabulated metrics require a finite carrier")
-    return TabulatedMetric(list(carrier.points), np.asarray(table, dtype=float))
+    metric = TabulatedMetric(table)
+    metric.check_carrier(carrier)
+    return metric
 
 
 def _tabulated_map(images, *, carrier) -> TabulatedMap | None:
@@ -370,13 +372,11 @@ def parse_instance(text: str, flags: dict | None = None) -> LoadedInstance:
     space, maps = parts["space"], parts["maps"]
     finite = None
     if isinstance(space.metric, TabulatedMetric):
-        points = space.carrier.points
-        idx = {p: i for i, p in enumerate(points)}
+        indices = np.arange(len(space.carrier.points))
         try:
-            t_tab = np.asarray([idx[maps.T(p)] for p in points])
-            s_tab = np.asarray([idx[maps.S(p)] for p in points])
-            finite = FiniteInstance(list(points), space.metric.table, t_tab, s_tab, space.cone)
-        except (ConfigError, DomainError, KeyError) as exc:
+            t_tab, s_tab = (_array_map(space, f)(indices) for f in (maps.T, maps.S))
+            finite = FiniteInstance(list(space.carrier.points), space.metric.table, t_tab, s_tab, space.cone)
+        except (ConfigError, DomainError) as exc:
             raise InstanceValidationError([f"space: {exc}"]) from exc
     contraction, pinned = parts.get("contraction", (None, False))
     return LoadedInstance(space, maps, contraction, parts["run"], finite, pinned)
@@ -768,6 +768,10 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError:
         print(f"error: instance file not found: {args.instance}", file=sys.stderr)
         return 2
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = "not UTF-8 text" if isinstance(exc, UnicodeDecodeError) else exc.strerror
+        print(f"error: cannot read instance file {args.instance}: {reason}", file=sys.stderr)
+        return 2
     except InstanceValidationError as exc:
         print("instance rejected:", file=sys.stderr)
         for err in exc.errors:
@@ -783,6 +787,9 @@ def main(argv: list[str] | None = None) -> int:
     except DomainError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+        return 2
 
     if args.command == "solve":
         if options.out is None:

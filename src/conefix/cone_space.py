@@ -137,10 +137,7 @@ class ConeSpec:
         return self._ineq
 
     def norm(self, v) -> float:
-        v = np.asarray(v, dtype=float)
-        if self.norm_kind == NORM_MAX:
-            return float(np.max(np.abs(v))) if v.size else 0.0
-        return float(np.linalg.norm(v))
+        return float(self.norm_rows(np.asarray(v, dtype=float)))
 
     def norm_rows(self, vs: np.ndarray) -> np.ndarray:
         if self.norm_kind == NORM_MAX:
@@ -360,7 +357,8 @@ class IntervalCarrier:
             raise ConfigError("grid resolution must be >= 2")
 
     def contains(self, x) -> bool:
-        return isinstance(x, (int, float, np.floating)) and self.lo <= float(x) <= self.hi
+        number = isinstance(x, (int, float, np.floating)) and not isinstance(x, bool)
+        return number and self.lo <= float(x) <= self.hi
 
     # Array form of a point list: a float vector.
     def to_array(self, points) -> np.ndarray:
@@ -495,31 +493,19 @@ class DirectionMetric:
 
 @dataclass
 class TabulatedMetric:
-    """Fully tabulated metric on a finite carrier: table[i, j] = d(points[i], points[j])."""
+    """Fully tabulated metric on a finite carrier: table[i, j] = d(points[i],
+    points[j]) for the carrier's points, in the carrier's order."""
 
-    points: list
     table: np.ndarray
 
     def __post_init__(self):
         self.table = np.asarray(self.table, dtype=float)
-        n = len(self.points)
+
+    def check_carrier(self, carrier) -> None:
+        """Refuse a table that is not (n, n, m) for the carrier's n points."""
+        n = len(carrier.points) if carrier.finite else -1
         if self.table.shape[:2] != (n, n) or self.table.ndim != 3:
             raise ConfigError(f"metric table must have shape (n, n, m), got {self.table.shape}")
-        self.index = {p: i for i, p in enumerate(self.points)}
-
-    def _idx(self, x) -> int:
-        try:
-            return self.index[x]
-        except (KeyError, TypeError):
-            raise DomainError(f"point {x!r} is not tabulated") from None
-
-    def __call__(self, x, y) -> np.ndarray:
-        return self.table[self._idx(x), self._idx(y)]
-
-    def pairwise(self, xs, ys) -> np.ndarray:
-        ix = np.asarray([self._idx(x) for x in xs])
-        iy = np.asarray([self._idx(y) for y in ys])
-        return self.table[ix, iy]
 
 
 @dataclass
@@ -542,10 +528,8 @@ class ConeMetricSpace:
     metric: DirectionMetric | TabulatedMetric | FunctionMetric
 
     def __post_init__(self):
-        # a table over the carrier's own points is indexed by the array form
-        same = isinstance(self.metric, TabulatedMetric) and self.carrier.finite \
-            and self.metric.points == list(self.carrier.points)
-        self._table = self.metric.table if same else None
+        if isinstance(self.metric, TabulatedMetric):
+            self.metric.check_carrier(self.carrier)
 
     def require_point(self, x, what: str = "point"):
         if not self.carrier.contains(x):
@@ -563,6 +547,9 @@ class ConeMetricSpace:
         return xs
 
     def d(self, x, y) -> np.ndarray:
+        if isinstance(self.metric, TabulatedMetric):
+            i, j = self.array_form([x, y])
+            return self.metric.table[i, j]
         return np.asarray(self.metric(x, y), dtype=float)
 
     def pairwise(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -570,8 +557,8 @@ class ConeMetricSpace:
         array form, one row per pair."""
         if len(xs) == 0:
             return np.zeros((0, self.cone.dimension))
-        if self._table is not None:
-            return self._table[xs, ys]
+        if isinstance(self.metric, TabulatedMetric):
+            return self.metric.table[xs, ys]
         if self.carrier.finite:
             xs, ys = self.carrier.from_array(xs), self.carrier.from_array(ys)
         return np.asarray(self.metric.pairwise(xs, ys), dtype=float)
@@ -634,13 +621,14 @@ def verify_metric_axioms(space: ConeMetricSpace, plan: SamplingPlan | None = Non
     """
     plan = plan or SamplingPlan()
     rng = plan.rng()
-    carrier, metric, cone = space.carrier, space.metric, space.cone
+    carrier, cone = space.carrier, space.cone
     violations: list[AxiomViolation] = []
 
     if carrier.finite and len(carrier.points) ** 3 <= max(plan.count, 2_000_000):
         pts = list(carrier.points)
         n = len(pts)
-        d = metric.pairwise([x for x in pts for _ in pts], pts * n).reshape(n, n, -1)
+        indices = np.arange(n)
+        d = space.pairwise(np.repeat(indices, n), np.tile(indices, n)).reshape(n, n, -1)
         residuals = {
             "d1-cone": lambda i, j: d[i, j],
             "d1-separation": lambda i, j: d[i, j],
@@ -653,40 +641,25 @@ def verify_metric_axioms(space: ConeMetricSpace, plan: SamplingPlan | None = Non
                 violations.append(AxiomViolation(axiom, tuple(pts[i] for i in idx), residuals[axiom](*idx)))
         return AxiomReport(["d1", "d2", "d3"], violations, n * n + n ** 3)
 
-    base = carrier.sample(rng, plan.count)
-    other = carrier.sample(rng, plan.count)
-    xs, ys = list(base), list(other)
-    txs = list(carrier.sample(rng, plan.count))
-    tys = list(carrier.sample(rng, plan.count))
-    tzs = list(carrier.sample(rng, plan.count))
-    checked = 2 * plan.count
-
-    dxy = metric.pairwise(xs, ys)
-    dyx = metric.pairwise(ys, xs)
-
-    # d1: values live in the cone; zero exactly on the diagonal.
-    in_cone = cone.contains_relaxed_rows(dxy)
-    zero = np.all(dxy == 0.0, axis=-1)
-    for idx in np.flatnonzero(~in_cone):
-        violations.append(AxiomViolation("d1-cone", (xs[idx], ys[idx]), dxy[idx]))
-    for idx in np.flatnonzero(zero):
-        if point_key(xs[idx]) != point_key(ys[idx]):
-            violations.append(AxiomViolation("d1-separation", (xs[idx], ys[idx]), dxy[idx]))
-    diag = metric.pairwise(xs, xs)
-    for idx in np.flatnonzero(~np.all(diag == 0.0, axis=-1)):
-        violations.append(AxiomViolation("d1-identity", (xs[idx],), diag[idx]))
-
-    # d2: exact symmetry.
-    for idx in np.flatnonzero(~np.all(dxy == dyx, axis=-1)):
-        violations.append(AxiomViolation("d2-symmetry", (xs[idx], ys[idx]), dxy[idx] - dyx[idx]))
-
-    # d3: d(x,z) + d(z,y) - d(x,y) stays in the cone.
-    res = metric.pairwise(txs, tzs) + metric.pairwise(tzs, tys) - metric.pairwise(txs, tys)
-    ok = cone.contains_relaxed_rows(res)
-    for idx in np.flatnonzero(~ok):
-        violations.append(AxiomViolation("d3-triangle", (txs[idx], tys[idx], tzs[idx]), res[idx]))
-
-    return AxiomReport(["d1", "d2", "d3"], violations, checked)
+    xs, ys, txs, tys, tzs = (carrier.to_array(carrier.sample(rng, plan.count)) for _ in range(5))
+    dxy, dyx, diag = space.pairwise(xs, ys), space.pairwise(ys, xs), space.pairwise(xs, xs)
+    res = space.pairwise(txs, tzs) + space.pairwise(tzs, tys) - space.pairwise(txs, tys)
+    same = np.all((xs == ys).reshape(len(xs), -1), axis=-1)
+    # Per axiom: the failing rows, the witnesses' array forms and the residual.
+    # d1: values in the cone, zero exactly on the diagonal; d2: exact
+    # symmetry; d3: d(x,z) + d(z,y) - d(x,y) stays in the cone.
+    checks = (
+        ("d1-cone", ~cone.contains_relaxed_rows(dxy), (xs, ys), dxy),
+        ("d1-separation", np.all(dxy == 0.0, axis=-1) & ~same, (xs, ys), dxy),
+        ("d1-identity", ~np.all(diag == 0.0, axis=-1), (xs,), diag),
+        ("d2-symmetry", ~np.all(dxy == dyx, axis=-1), (xs, ys), dxy - dyx),
+        ("d3-triangle", ~cone.contains_relaxed_rows(res), (txs, tys, tzs), res),
+    )
+    for axiom, bad, forms, residual in checks:
+        for idx in np.flatnonzero(bad):
+            witness = tuple(carrier.from_array(f[idx:idx + 1])[0] for f in forms)
+            violations.append(AxiomViolation(axiom, witness, residual[idx]))
+    return AxiomReport(["d1", "d2", "d3"], violations, 2 * plan.count)
 
 
 # ---------------------------------------------------------------------------

@@ -84,12 +84,17 @@ class AffineMap:
         return self.alpha * xs + self.beta
 
 
+def _power(x: float, exponent: float) -> float:
+    """Python's float pow, with zero to a negative power (which raises there) as inf."""
+    return math.inf if x == 0.0 and exponent < 0 else x ** exponent
+
+
 @dataclass(frozen=True)
 class PowerMap:
     exponent: float
 
     def __call__(self, x):
-        y = float(x) ** self.exponent
+        y = _power(float(x), self.exponent)
         if not math.isfinite(y):
             raise DomainError(f"power map produced a non-finite value at {x!r}")
         return y
@@ -97,7 +102,7 @@ class PowerMap:
     def on_array(self, xs: np.ndarray) -> np.ndarray:
         # Python's float pow, not np.power: the two differ in the last bit
         values = xs.tolist()
-        ys = np.array([x ** self.exponent for x in values], dtype=float)
+        ys = np.array([_power(x, self.exponent) for x in values], dtype=float)
         bad = np.flatnonzero(~np.isfinite(ys))
         if bad.size:
             raise DomainError(f"power map produced a non-finite value at {values[bad[0]]!r}")

@@ -90,7 +90,7 @@ class FiniteInstance:
 
     def as_space_and_maps(self) -> tuple[ConeMetricSpace, MapPair]:
         carrier = FinitePointsCarrier(list(self.points))
-        metric = TabulatedMetric(list(self.points), self.metric_table)
+        metric = TabulatedMetric(self.metric_table)
         space = ConeMetricSpace(self.cone, carrier, metric)
         t_map = TabulatedMap(self.points, [self.points[i] for i in self.t_table])
         s_map = TabulatedMap(self.points, [self.points[i] for i in self.s_table])
@@ -304,29 +304,23 @@ def cross_validate(fin: FiniteInstance, spec: ClassSpec) -> CrossValidation:
         )
 
     fps = enumerate_fixed_points(fin)
-    fp_set = {fin.points.index(p) for p in fps}
-    n = fin.n
-    steps: dict[int, int] = {}
-    targets: dict[int, int] = {}
-    all_ok = True
-    for start in range(n):
-        cur, count = start, 0
-        while cur not in fp_set and count <= n:
-            cur = int(fin.s_table[cur])
-            count += 1
-        reached = cur in fp_set
-        steps[start], targets[start] = (count, cur) if reached else (-1, -1)
-        all_ok = all_ok and reached
-
-    exists_ok = len(fps) >= 1
-    unique_ok = (len(fps) == 1) if unique_expected else True
-    if unique_expected and unique_ok and all_ok:
-        only = next(iter(fp_set))
-        all_ok = all(t == only for t in targets.values())
-    orbits_ok = all_ok and all(s <= n for s in steps.values() if s >= 0)
+    # All orbits advance together; S leaves a fixed point where it is.  An
+    # orbit that reaches a fixed point does so within n - 1 steps.
+    fixed = fin.s_table == np.arange(fin.n)
+    cur, steps = np.arange(fin.n), np.zeros(fin.n, dtype=int)
+    for _ in range(fin.n - 1):
+        moving = ~fixed[cur]
+        if not moving.any():
+            break
+        steps += moving
+        cur = fin.s_table[cur]
+    reached = fixed[cur]
     return CrossValidation(
         spec, True, injective, report, fps, unique_expected,
-        exists_ok, unique_ok, steps, targets, orbits_ok, multiplicity,
+        len(fps) >= 1, len(fps) == 1 or not unique_expected,
+        dict(enumerate(np.where(reached, steps, -1).tolist())),
+        dict(enumerate(np.where(reached, cur, -1).tolist())),
+        bool(reached.all()), multiplicity,
     )
 
 

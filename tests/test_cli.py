@@ -1,4 +1,5 @@
 import copy
+import errno
 import importlib.util
 import json
 import math
@@ -566,8 +567,50 @@ def test_fit_with_pinned_delta(tmp_path):
     assert abs(report["constants"]["L"] - 0.1) <= 1e-6
 
 
-def test_missing_file_is_usage_error(tmp_path):
-    assert main(["verify", "--instance", str(tmp_path / "nope.json")]) == 2
+def test_missing_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "nope.json"
+    assert main(["verify", "--instance", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: instance file not found: {path}\n"
+
+
+def _denied(self, *args, **kwargs):
+    raise PermissionError(errno.EACCES, "Permission denied", str(self))
+
+
+def test_unreadable_instance_is_usage_error(tmp_path, capsys, monkeypatch):
+    assert main(["verify", "--instance", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: cannot read instance file {tmp_path}: Is a directory\n"
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"cone": "\xe9"}')
+    assert main(["verify", "--instance", str(latin)]) == 2
+    assert capsys.readouterr().err == f"error: cannot read instance file {latin}: not UTF-8 text\n"
+    path = _write(tmp_path, "d.json", fixture_doc("instance_d"))
+    monkeypatch.setattr(Path, "read_text", _denied)
+    assert main(["verify", "--instance", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: cannot read instance file {path}: Permission denied\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "solve", "oracle", "fit"])
+def test_out_path_in_a_missing_directory_is_usage_error(tmp_path, capsys, command):
+    path = _write(tmp_path, "d.json", fixture_doc("instance_d"))
+    out = tmp_path / "missing" / "artifact"
+    assert main([command, "--instance", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: cannot write {out}: No such file or directory\n")
+
+
+def test_boolean_start_point_is_outside_an_interval(tmp_path, capsys):
+    path = _write(tmp_path, "a.json", fixture_doc("instance_a"))
+    assert main(["solve", "--instance", str(path), "--x0", "true"]) == 1
+    assert capsys.readouterr().err == "check failed: start point True lies outside the carrier\n"
+
+
+def test_map_off_the_finite_labels_is_rejected():
+    doc = fixture_doc("instance_d")
+    doc["maps"]["S"] = {"family": "affine", "alpha": 0.5}
+    with pytest.raises(InstanceValidationError) as exc:
+        parse_instance(json.dumps(doc))
+    assert exc.value.errors == ["space: s_table must map the 10 labels into themselves"]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conefix.cone_space import (
     ConeMetricSpace, ConeSpec, ConfigError, DirectionMetric, DomainError, FinitePointsCarrier,
-    FunctionMetric, IntervalCarrier, SamplingPlan, estimate_normal_constant,
+    FunctionMetric, IntervalCarrier, SamplingPlan, TabulatedMetric, estimate_normal_constant,
     metric_table_failures, verify_cone_axioms, verify_metric_axioms,
 )
 from conefix.oracle import FiniteInstance
@@ -29,6 +29,21 @@ def test_membership_dimension_mismatch():
     cone = ConeSpec.orthant(2)
     with pytest.raises(ConfigError):
         cone.contains([1.0, 2.0, 3.0])
+
+
+def test_cone_norm_is_the_one_row_norm_bit_for_bit():
+    rng = np.random.default_rng(0)
+    for norm_kind in ("euclidean", "max"):
+        for dim in range(2, 9):
+            cone = ConeSpec.orthant(dim, norm_kind=norm_kind)
+            vs = rng.standard_normal((200, dim))
+            assert [cone.norm(v) for v in vs] == cone.norm_rows(vs).tolist()
+
+
+def test_booleans_are_not_interval_points():
+    assert not IntervalCarrier(0.0, 1.0).contains(True)
+    assert IntervalCarrier(0.0, 1.0).contains(1)
+    assert FinitePointsCarrier([0, 1]).contains(True)     # labels compare as Python values
 
 
 def test_membership_rejects_non_finite():
@@ -159,6 +174,32 @@ def test_identity_violation_reported_once_per_point():
     report = verify_metric_axioms(space, SamplingPlan(count=10_000, seed=0))
     assert [(v.axiom, v.witness) for v in report.violations] == [("d1-identity", (3,))]
     assert np.array_equal(report.violations[0].residual, [0.25, 0.25])
+
+
+def test_sampled_metric_check_reads_a_tabulated_carrier():
+    # 130^3 triples exceed the exhaustive budget: the default plan samples
+    n = 130
+    values = np.arange(n) / 64.0
+    table = np.abs(values[:, None] - values[None, :])[:, :, None] * np.array([1.0, 2.0])
+    rng = np.random.default_rng(11)
+    i, j = rng.integers(0, n, size=(2, 400))
+    table[i, j] *= rng.choice([-1.0, 0.0, 3.0], size=(400, 1))
+    table[5, 5] = [0.25, 0.25]
+    carrier, cone = FinitePointsCarrier(list(range(n))), ConeSpec.orthant(2)
+    tab = verify_metric_axioms(ConeMetricSpace(cone, carrier, TabulatedMetric(table)))
+    fun = verify_metric_axioms(ConeMetricSpace(cone, carrier, FunctionMetric(lambda x, y: table[x, y])))
+    assert tab.sample_count == fun.sample_count == 20_000
+    assert {v.axiom for v in tab.violations} == {
+        "d1-cone", "d1-separation", "d1-identity", "d2-symmetry", "d3-triangle"}
+    assert len(tab.violations) == len(fun.violations)
+    for got, want in zip(tab.violations, fun.violations):
+        assert (got.axiom, got.witness) == (want.axiom, want.witness)
+        assert np.array_equal(got.residual, want.residual)
+
+
+def test_tabulated_metric_must_cover_the_carrier():
+    with pytest.raises(ConfigError, match=r"got \(3, 3, 2\)"):
+        ConeMetricSpace(ConeSpec.orthant(2), FinitePointsCarrier([0, 1]), TabulatedMetric(np.zeros((3, 3, 2))))
 
 
 # ---------------------------------------------------------------------------

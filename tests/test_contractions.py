@@ -376,6 +376,14 @@ def test_pair_terms_equal_scalar_distances_bit_for_bit(build):
             assert have.dtype == want.dtype and np.array_equal(have, want), name
 
 
+def test_power_map_at_zero_to_a_negative_power_is_a_domain_error():
+    with pytest.raises(DomainError, match="non-finite value at 0$"):
+        PowerMap(-1.0)(0)
+    with pytest.raises(DomainError, match="non-finite value at 0.0$"):
+        PowerMap(-0.5).on_array(np.array([0.5, 0.0]))
+    assert PowerMap(0.0)(0) == 1.0 and PowerMap(0.5).on_array(np.zeros(1)).tolist() == [0.0]
+
+
 ESCAPE_PAIRS = [(0.25, 0.75), (0.9, 0.1)]
 
 

@@ -328,12 +328,7 @@ def _assert_same_run(trace, reference):
         assert np.array_equal(got, want)
     assert all(type(g) is float for g in trace.gap_norms)
     assert np.array_equal(np.array(trace.t_image_gaps), np.array(gaps))
-    if trace.space.cone.norm_kind == "euclidean":
-        # a euclidean cone norm over rows (numpy's row sum) may differ in the
-        # last bit from ConeSpec.norm of one vector (a dot product)
-        np.testing.assert_allclose(trace.gap_norms, norms, rtol=1e-15, atol=0)
-    else:
-        assert trace.gap_norms == norms
+    assert trace.gap_norms == norms
 
 
 def _refusing_metric(x, y):
