@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fingerprint every CLI command's outputs, and two API results, on instance files.
+"""Fingerprint every CLI command's outputs, and four API results, on instance files.
 
     python scripts/artifact_digest.py PATH...
 
@@ -8,15 +8,23 @@ Runs verify (default seed, ``--seed 7`` and ``--samples 500``), solve
 fit in-process on each file and prints one line per (file, command): the exit
 status and the sha256 of the artifact written with ``--out``, of stdout
 and of stderr.  One more line per file hashes the ``repr`` of what the API
-returns, which no CLI artifact shows in full: ``uniqueness_probe`` from the
-start points ``solve`` probes (the verdict, the certified points, and each
-run's stop reason, length and points), ``diagnose_T`` with its default
-probes (the injectivity violations and the sequence findings), and
-``check_condition`` of the file's class over the pairs ``verify`` checks
-(every violation's x, y, lhs, rhs and residual, where the artifact keeps
-50).  Run it on
-two checkouts (``PYTHONPATH=<checkout>/src``) and ``diff`` the outputs to
-confirm the results are byte-identical.
+returns, which no CLI artifact shows in full:
+
+* ``probe``: ``uniqueness_probe`` from the start points ``solve`` probes
+  (the verdict, the certified points, and each run's stop reason, length
+  and points);
+* ``diagnose``: ``diagnose_T`` with its default probes (the injectivity
+  violations and the sequence findings);
+* ``condition``: ``check_condition`` of the file's class over the pairs
+  ``verify`` checks (every violation's x, y, lhs, rhs and residual, where
+  the artifact keeps 50);
+* ``axioms``: ``verify_cone_axioms`` and ``verify_metric_axioms`` with the
+  plan ``verify`` uses (every violation's axiom, witness and residual,
+  where the artifact keeps 50), floats as their shortest repr, so every
+  bit counts, the sign of a zero included.
+
+Run it on two checkouts (``PYTHONPATH=<checkout>/src``) and ``diff`` the
+outputs to confirm the results are byte-identical.
 """
 
 import contextlib
@@ -26,7 +34,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from conefix import cli, contractions, solver
+from conefix import cli, cone_space, contractions, solver
 
 COMMANDS = (
     ("verify", ()),
@@ -75,9 +83,18 @@ def _api_condition(inst) -> tuple:
     return report.pairs_checked, cli._plain([(v.x, v.y, v.lhs, v.rhs, v.residual) for v in report.violations])
 
 
+def _api_axioms(inst) -> tuple:
+    plan = cone_space.SamplingPlan(count=inst.run.samples, seed=inst.run.seed)
+    reports = (cone_space.verify_cone_axioms(inst.space.cone, plan),
+               cone_space.verify_metric_axioms(inst.space, plan))
+    return [(r.axioms_checked, r.sample_count, cli._plain([(v.axiom, v.witness, v.residual) for v in r.violations]))
+            for r in reports]
+
+
 def api_digest(path: str) -> str:
     parts = []
-    for name, call in (("probe", _api_probe), ("diagnose", _api_diagnose), ("condition", _api_condition)):
+    for name, call in (("probe", _api_probe), ("diagnose", _api_diagnose), ("condition", _api_condition),
+                       ("axioms", _api_axioms)):
         try:
             text = repr(call(cli.load_instance(path)))
         except Exception as exc:      # an invalid file or a failing run is a result too

@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cone_space import ConeMetricSpace, ConeSpec, ConfigError, DomainError
+from .cone_space import ConeMetricSpace, ConeSpec, ConfigError, DomainError, all_last, any_last
 
 TB = "TB"
 TK = "TK"
@@ -85,8 +85,14 @@ class AffineMap:
 
 
 def _power(x: float, exponent: float) -> float:
-    """Python's float pow, with zero to a negative power (which raises there) as inf."""
-    return math.inf if x == 0.0 and exponent < 0 else x ** exponent
+    """Python's float pow, with zero to a negative power (which raises there)
+    as inf, and a negative base to a fractional power (a complex number
+    there) as nan."""
+    if x == 0.0 and exponent < 0:
+        return math.inf
+    if x < 0.0 and not float(exponent).is_integer():
+        return math.nan
+    return x ** exponent
 
 
 @dataclass(frozen=True)
@@ -377,7 +383,7 @@ def evaluate(spec, t: PairTerms, cone: ConeSpec, slack: float, scale: float = 1.
     kinds = _TZ_BRANCHES.values() if spec.kind == TZ else (spec.kind,)
     rhs = np.stack([right_hand_side(kind, spec, t) for kind in kinds])
     res = rhs - scale * t.lhs
-    ok = cone.inequality_mask(res, slack).all(axis=-1)
+    ok = all_last(cone.inequality_mask(res, slack))
     if spec.kind == TZ:
         return Verdict(ok.any(axis=0), rhs, res, ok)
     return Verdict(ok[0], rhs[0], res[0])
@@ -655,7 +661,7 @@ def fit_terms(
         ((name, base),) = class_terms(kind, t)
         bv = base @ a_t
         sup = _ratio_sup(lv, bv, bv > 0.0)
-        hard = np.any((bv == 0.0) & (lv > 0.0), axis=-1)
+        hard = any_last((bv == 0.0) & (lv > 0.0))
         if hard.any():
             return FitCore(False, {name: sup}, hard)
         fitted = _smallest_passing(lambda v: passes(v * base), sup)
@@ -663,7 +669,7 @@ def fit_terms(
 
     (_, base), (_, ell) = class_terms(TW, t)
     bv, ev = base @ a_t, ell @ a_t
-    hard = np.any((bv == 0.0) & (ev == 0.0) & (lv > 0.0), axis=-1)
+    hard = any_last((bv == 0.0) & (ev == 0.0) & (lv > 0.0))
     if hard.any():
         return FitCore(False, {}, hard)
     free = ev == 0.0    # inequality rows the L-term cannot reach
@@ -671,7 +677,7 @@ def fit_terms(
         delta = _smallest_passing(lambda v: passes(v * base, free), _ratio_sup(lv, bv, free & (bv > 0.0)))
     else:
         delta = float(pinned_delta)
-        short = np.any(~cone.inequality_mask(delta * base - t.lhs, slack) & free, axis=-1)
+        short = any_last(~cone.inequality_mask(delta * base - t.lhs, slack) & free)
         if short.any():
             return FitCore(False, {"delta": delta}, short)
     fitted = _smallest_passing(

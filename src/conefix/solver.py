@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cone_space import BoxCarrier, ConeMetricSpace, ConfigError, DomainError
+from .cone_space import BoxCarrier, ConeMetricSpace, ConfigError, DomainError, all_last
 from .contractions import IdentityMap, MapPair, _array_map
 
 CONVERGED = "converged"
@@ -438,7 +438,7 @@ def diagnose_T(space: ConeMetricSpace, maps: MapPair, probes: TProbes | None = N
     i, j = np.triu_indices(len(pts), 1)
     same = xs[i] == xs[j]
     if same.ndim > 1:
-        same = same.all(axis=-1)
+        same = all_last(same)
     close = space.cone.norm_rows(space.pairwise(images[i], images[j])) <= INJECTIVITY_TOL
     hits = np.flatnonzero(close & ~same)
     violations = [(pts[a], pts[b]) for a, b in zip(i[hits].tolist(), j[hits].tolist())]

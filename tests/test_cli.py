@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conefix import cli
 from conefix.cli import (
     InstanceValidationError, _condition_pairs, emit_trace, load_instance, main, parse_instance,
 )
@@ -260,6 +261,33 @@ def test_booleans_and_strings_are_not_numbers(tmp_path, capsys, path, value, err
     file = _write(tmp_path, "a.json", doc)
     assert main(["solve", "--instance", str(file)]) == 2
     assert capsys.readouterr().err == f"instance rejected:\n  - {error}\n"
+
+
+@pytest.mark.parametrize("entry, error", [
+    ([True, "2"], "true"),
+    ([1.0, "2"], '"2"'),
+    ([None, 2.0], "null"),
+    ([{}, 2.0], "{}"),
+    ([[1.0], 2.0], None),          # mixed depth: numpy's own refusal, as before
+])
+def test_table_leaves_must_be_numbers(tmp_path, capsys, entry, error):
+    # [true, "2"] used to load as the distance (1, 2)
+    doc = fixture_doc("instance_d")
+    table = doc["space"]["metric"]["table"]
+    table[0][1] = table[1][0] = entry
+    file = _write(tmp_path, "d.json", doc)
+    assert main(["oracle", "--instance", str(file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("instance rejected:\n  - space.metric: ")
+    if error is not None:
+        assert err == f"instance rejected:\n  - space.metric: expected a number, got {error}\n"
+
+
+def test_integer_table_entries_still_load():
+    doc = fixture_doc("instance_d")
+    doc["space"]["metric"]["table"] = [[[int(v) for v in e] for e in row] for row in doc["space"]["metric"]["table"]]
+    inst = parse_instance(json.dumps(doc))
+    assert np.array_equal(inst.space.metric.table, parse_instance(json.dumps(fixture_doc("instance_d"))).space.metric.table)
 
 
 def test_integral_numbers_still_load():
@@ -599,6 +627,36 @@ def test_out_path_in_a_missing_directory_is_usage_error(tmp_path, capsys, comman
     assert (captured.out, captured.err) == ("", f"error: cannot write {out}: No such file or directory\n")
 
 
+def test_fractional_power_of_a_negative_point_fails_the_check(tmp_path, capsys):
+    # S = x^0.5 on [-1, 1]: Python's float pow gives a complex number at a
+    # negative point, which used to end solve and verify in a TypeError
+    doc = fixture_doc("instance_a")
+    doc["space"]["carrier"]["lo"] = -1.0
+    doc["maps"]["S"] = {"family": "power", "exponent": 0.5}
+    file = _write(tmp_path, "a.json", doc)
+    assert main(["solve", "--instance", str(file), "--x0", "-0.5"]) == 1
+    assert capsys.readouterr().err == (
+        "check failed: iterate 0 escaped the carrier: power map produced a non-finite value at -0.5\n")
+    assert main(["verify", "--instance", str(file)]) == 1
+    assert capsys.readouterr().err.startswith("check failed: power map produced a non-finite value at -")
+
+
+def test_consecutive_main_calls_parse_like_fresh_parsers(tmp_path, capsys, monkeypatch):
+    # main reuses one parser; a usage error, then verify, then solve must
+    # come out as they do with a parser built for each call
+    path = str(_write(tmp_path, "a.json", fixture_doc("instance_a")))
+    calls = (["verify", "--bogus"], ["verify", "--instance", path, "--seed", "3"],
+             ["solve", "--instance", path, "--x0", "0.5"], ["fit"])
+    shared = [(main(argv), capsys.readouterr()) for argv in calls]
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_PARSER", cli._build_parser())
+        fresh.append((main(argv), capsys.readouterr()))
+    assert shared == fresh
+    assert [code for code, _ in shared] == [2, 0, 0, 2]
+    assert "the following arguments are required: --instance" in shared[0][1].err
+
+
 def test_boolean_start_point_is_outside_an_interval(tmp_path, capsys):
     path = _write(tmp_path, "a.json", fixture_doc("instance_a"))
     assert main(["solve", "--instance", str(path), "--x0", "true"]) == 1
@@ -713,4 +771,8 @@ def test_artifact_digest_runs_on_a_fixture(capsys):
     pairs_checked, violations = digest._api_condition(load_instance(path))
     assert pairs_checked == 100 and violations
     condition = digest._sha(repr((pairs_checked, violations)).encode())
-    assert lines[-1].endswith(f" condition={condition}")
+    assert f" condition={condition} " in lines[-1]
+    # the axioms hash covers every axiom violation, witness and residual
+    axioms = digest._api_axioms(load_instance(path))
+    assert [len(a) for a in axioms] == [3, 3]
+    assert lines[-1].endswith(f" axioms={digest._sha(repr(axioms).encode())}")

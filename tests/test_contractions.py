@@ -384,6 +384,16 @@ def test_power_map_at_zero_to_a_negative_power_is_a_domain_error():
     assert PowerMap(0.0)(0) == 1.0 and PowerMap(0.5).on_array(np.zeros(1)).tolist() == [0.0]
 
 
+def test_power_map_on_a_negative_base_with_a_fractional_exponent_is_a_domain_error():
+    # Python's float pow gives a complex number there, which used to escape as a TypeError
+    with pytest.raises(DomainError, match="non-finite value at -0.5$"):
+        PowerMap(0.5)(-0.5)
+    with pytest.raises(DomainError, match="non-finite value at -0.25$"):
+        PowerMap(1.5).on_array(np.array([0.25, -0.25, -1.0]))
+    assert PowerMap(2.0)(-0.5) == 0.25 and PowerMap(3).on_array(np.array([-0.5, -0.0])).tolist() == [-0.125, -0.0]
+    assert PowerMap(0.5)(-0.0) == 0.0
+
+
 ESCAPE_PAIRS = [(0.25, 0.75), (0.9, 0.1)]
 
 
