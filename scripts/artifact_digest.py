@@ -18,7 +18,7 @@ returns, which no CLI artifact shows in full:
 * ``condition``: ``check_condition`` of the file's class over the pairs
   ``verify`` checks (every violation's x, y, lhs, rhs and residual, where
   the artifact keeps 50);
-* ``axioms``: ``verify_cone_axioms`` and ``verify_metric_axioms`` with the
+* ``axioms``: ``verify_cone_axioms``, and ``verify_metric_axioms`` with the
   plan ``verify`` uses (every violation's axiom, witness and residual,
   where the artifact keeps 50), floats as their shortest repr, so every
   bit counts, the sign of a zero included.
@@ -85,7 +85,7 @@ def _api_condition(inst) -> tuple:
 
 def _api_axioms(inst) -> tuple:
     plan = cone_space.SamplingPlan(count=inst.run.samples, seed=inst.run.seed)
-    reports = (cone_space.verify_cone_axioms(inst.space.cone, plan),
+    reports = (cone_space.verify_cone_axioms(inst.space.cone),
                cone_space.verify_metric_axioms(inst.space, plan))
     return [(r.axioms_checked, r.sample_count, cli._plain([(v.axiom, v.witness, v.residual) for v in r.violations]))
             for r in reports]

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -222,16 +223,6 @@ class ConeSpec:
     def contains_relaxed_rows(self, vs: np.ndarray) -> np.ndarray:
         return all_last(self.inequality_mask(vs, self.slack))
 
-    def interior_point(self) -> np.ndarray | None:
-        """A strictly feasible point of P, or None when Int P is empty."""
-        if self.family == ORTHANT:
-            return np.ones(self.dimension)
-        if self.family == SCALED_ORTHANT:
-            if np.all(self.weights > 0):
-                return np.array(self.weights, dtype=float)
-            return None
-        return _chebyshev_direction(self._ineq)
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw up to ``size`` points of P (rejection for polyhedral cones).
 
@@ -255,23 +246,6 @@ class ConeSpec:
             scales = np.exp(rng.normal(0.0, 1.0, size=len(pts)))
             pts = pts * scales[:, None]
         return pts
-
-
-def _chebyshev_direction(ineq: np.ndarray) -> np.ndarray | None:
-    """Strictly feasible direction for {v : ineq v >= 0}, via a small LP."""
-    from scipy.optimize import linprog
-
-    q, m = ineq.shape
-    # maximize t  s.t.  ineq v - t >= 0,  -1 <= v <= 1,  0 <= t <= 1
-    c = np.zeros(m + 1)
-    c[-1] = -1.0
-    a_ub = np.hstack([-ineq, np.ones((q, 1))])
-    b_ub = np.zeros(q)
-    bounds = [(-1.0, 1.0)] * m + [(0.0, 1.0)]
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if not res.success or res.x[-1] <= 1e-9:
-        return None
-    return res.x[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -308,88 +282,78 @@ class AxiomReport:
 
 
 def verify_cone_axioms(cone: ConeSpec, plan: SamplingPlan | None = None) -> AxiomReport:
-    """Check the cone laws (zero and interior membership, closure under
-    nonnegative combinations, pointedness) on a seeded sample and on a
-    deterministic probe set.  Degenerate cones yield violation entries,
-    never exceptions.
+    """Decide the cone laws exactly from the inequality matrix A, in
+    rational arithmetic on its float entries.  P = {v : A v >= 0} holds 0
+    and every nonnegative combination of its points by construction (P1's
+    zero, P2).  Its interior is nonempty exactly when some v has A v >= 1,
+    which one phase-one simplex run decides.  It is pointed (P3) exactly
+    when A has rank m; otherwise each vector of an exact nullspace basis
+    lies in P and in -P and is reported.  Nothing is sampled, so
+    ``sample_count`` is 0; ``plan`` is accepted and unused.  Degenerate
+    cones yield violation entries, never exceptions.
     """
-    plan = plan or SamplingPlan()
-    rng = plan.rng()
-    m = cone.dimension
-    violations: list[AxiomViolation] = []
-
-    # P1: zero belongs, and the declared interior is nonempty.
-    if not cone.contains(np.zeros(m)):
-        violations.append(AxiomViolation("P1-zero", (np.zeros(m),), None))
-    ip = cone.interior_point()
-    if ip is None:
+    rows = [[Fraction(x) for x in row] for row in cone.ineq_matrix.tolist()]
+    violations = []
+    if not _has_interior(rows, cone.dimension):
         violations.append(AxiomViolation("P1-interior-nonempty", (), None))
-    elif not cone.contains(ip, "interior"):
-        violations.append(AxiomViolation("P1-interior-nonempty", (ip,), cone.inequality_values(ip)))
-
-    # P2: ax + by stays in P for a, b in [0, 10].
-    xs = cone.sample(rng, plan.count)
-    ys = cone.sample(rng, plan.count)
-    k = min(len(xs), len(ys))
-    if k:
-        coeff = rng.uniform(0.0, 10.0, size=(k, 2))
-        combos = coeff[:, :1] * xs[:k] + coeff[:, 1:] * ys[:k]
-        ok = cone.contains_relaxed_rows(combos)
-        for idx in np.flatnonzero(~ok):
-            violations.append(
-                AxiomViolation(
-                    "P2-combination",
-                    (coeff[idx, 0], coeff[idx, 1], xs[idx], ys[idx]),
-                    cone.inequality_values(combos[idx]),
-                )
-            )
-
-    # P3: pointedness.  Any nontrivial direction of the inequality
-    # matrix's nullspace lies in P together with its negative.
-    for v in _nullspace(cone.ineq_matrix):
+    for ints in _nullspace(rows, cone.dimension):
+        shift = max(0, max(map(abs, ints)).bit_length() - 1000)     # keeps a huge entry finite
+        v = np.array([x / (1 << shift) for x in ints])
         violations.append(AxiomViolation("P3-pointed", (v,), cone.inequality_values(v)))
-    # Probes +-e_i, +-1 and up to 64 sampled points, in that order.  A probe
-    # is tested once per direction: its key is the probe rounded to 12
-    # places after scaling to norm 1, and tuple equality merges -0.0 with
-    # 0.0.  Zero probes are skipped.  v and -v both lie in P exactly when
-    # every inequality value of v is 0.
-    unit = np.repeat(np.eye(m), 2, axis=0) * np.tile([1.0, -1.0], m)[:, None]
-    probes = np.concatenate([unit, np.ones((1, m)), -np.ones((1, m)), xs[:min(k, 64)]])
-    norms = cone.norm_rows(probes)
-    keys = np.round(probes / np.maximum(norms, 1e-300)[:, None], 12)
-    seen, kept = set(), []
-    for i, (key, norm) in enumerate(zip(map(tuple, keys.tolist()), norms.tolist())):
-        if key in seen or norm == 0.0:
-            continue
-        seen.add(key)
-        kept.append(i)
-    kept = np.array(kept, dtype=np.intp)
-    for i in kept[all_last(probes[kept] @ cone.ineq_matrix.T == 0.0)]:
-        violations.append(AxiomViolation("P3-pointed", (probes[i],), cone.inequality_values(probes[i])))
-
-    return AxiomReport(["P1", "P2", "P3"], _dedupe(violations), k)
+    return AxiomReport(["P1", "P2", "P3"], violations, 0)
 
 
-def _nullspace(a: np.ndarray, tol: float = 1e-10) -> list[np.ndarray]:
-    _, s, vt = np.linalg.svd(a)
-    null = [vt[i] for i in range(a.shape[1]) if i >= len(s) or s[i] <= tol * max(s[0], 1.0)]
-    cleaned = []
-    for v in null:
-        v = np.where(np.abs(v) < 1e-12, 0.0, v)
-        scale = np.max(np.abs(v))
-        if scale > 0:
-            cleaned.append(v / scale)
-    return cleaned
+def _pivot(tab: list[list[Fraction]], i: int, j: int) -> None:
+    """Scale row i to a 1 in column j and clear column j in every other row."""
+    tab[i] = [x / tab[i][j] for x in tab[i]]
+    for k, row in enumerate(tab):
+        if k != i and row[j]:
+            f = row[j]
+            tab[k] = [x - f * y for x, y in zip(row, tab[i])]
 
 
-def _dedupe(violations: list[AxiomViolation]) -> list[AxiomViolation]:
-    out, seen = [], set()
-    for v in violations:
-        key = (v.axiom, str(v.witness))
-        if key not in seen:
-            seen.add(key)
-            out.append(v)
-    return out
+def _nullspace(rows: list[list[Fraction]], m: int) -> list[list[int]]:
+    """A basis of {v : A v = 0}, one primitive integer vector per free
+    column of A's reduced row echelon form (for A = [[1, 0]]: (0, 1))."""
+    tab, pivots = [row[:] for row in rows], []
+    for j in range(m):
+        i = next((i for i in range(len(pivots), len(tab)) if tab[i][j]), None)
+        if i is not None:
+            tab[len(pivots)], tab[i] = tab[i], tab[len(pivots)]
+            _pivot(tab, len(pivots), j)
+            pivots.append(j)
+    basis = []
+    for free in sorted(set(range(m)) - set(pivots)):
+        v = [Fraction(0)] * m
+        v[free] = Fraction(1)
+        for i, j in enumerate(pivots):
+            v[j] = -tab[i][free]
+        scale = math.lcm(*(x.denominator for x in v))
+        ints = [int(x * scale) for x in v]
+        g = math.gcd(*ints)
+        basis.append([x // g for x in ints])
+    return basis
+
+
+def _has_interior(rows: list[list[Fraction]], m: int) -> bool:
+    """Is A v >= 1 feasible?  Phase one of the simplex method on
+    A p - A q - s + u = 1 with p, q, s, u >= 0, minimising sum(u) from the
+    basis u = 1; Bland's rule (lowest index enters, lowest basic index
+    leaves on a tie) rules out cycling.  An artificial u_i is dropped once
+    it leaves the basis, which does not change whether the minimum is 0."""
+    r = len(rows)
+    n = 2 * m + r
+    tab = [row + [-x for x in row] + [Fraction(-(k == i)) for k in range(r)] + [Fraction(1)]
+           for i, row in enumerate(rows)]
+    tab.append([-sum(row[k] for row in tab) for k in range(n + 1)])    # reduced costs, -sum(u)
+    basis = list(range(n, n + r))                     # u_i has index n + i
+    while True:
+        j = next((j for j in range(n) if tab[-1][j] < 0), None)
+        if j is None:
+            return tab[-1][-1] == 0
+        i = min((i for i in range(r) if tab[i][j] > 0), key=lambda i: (tab[i][-1] / tab[i][j], basis[i]))
+        _pivot(tab, i, j)
+        basis[i] = j
 
 
 # ---------------------------------------------------------------------------

@@ -304,13 +304,12 @@ class PairTerms:
     d_ty_tsx: np.ndarray
 
 
-def pair_terms(space: ConeMetricSpace, maps: MapPair, pairs: PairSet) -> PairTerms:
-    """Terms of every pair as (k, m) arrays, from one array pass: S, T and
-    TS map the pair set's points, the carrier's mask checks every image,
-    and each distance column is one ``ConeMetricSpace.pairwise`` call.
-    When an image escapes or a map fails, the points are replayed one at a
-    time in pair order (x before y; S, then T, then TS), so the error raised
-    is the first one a point-by-point pass meets."""
+def map_points(space: ConeMetricSpace, maps: MapPair, pairs: PairSet) -> tuple[np.ndarray, np.ndarray]:
+    """T and TS of the pair set's points, in the carrier's array form, from
+    one array pass: S, T and TS map the points and the carrier's mask
+    checks every image.  When an image escapes or a map fails, the points
+    are replayed one at a time in pair order (x before y; S, then T, then
+    TS), so the error raised is the first one a point-by-point pass meets."""
     xs, mask = pairs.points, space.carrier.mask
     T = _array_map(space, maps.T)
     try:
@@ -326,6 +325,13 @@ def pair_terms(space: ConeMetricSpace, maps: MapPair, pairs: PairSet) -> PairTer
             space.require_point(maps.T(p), "T-image")
             space.require_point(maps.T(sp), "TS-image")
         raise
+    return t, ts
+
+
+def pair_terms(space: ConeMetricSpace, maps: MapPair, pairs: PairSet) -> PairTerms:
+    """Terms of every pair as (k, m) arrays: the images of ``map_points``,
+    and one ``ConeMetricSpace.pairwise`` call per distance column."""
+    t, ts = map_points(space, maps, pairs)
     ix, iy = pairs.ix, pairs.iy
     own = space.pairwise(t, ts)
     return PairTerms(

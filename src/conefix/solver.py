@@ -102,15 +102,21 @@ def picard_iterate(
 
 def _first_failure(space, maps, xs, ts, step) -> tuple[int, Exception] | None:
     """Replay one step point by point with the scalar maps, in row order:
-    the first failing row and the error a run from it alone raises."""
+    the first failing row and the error a run from it alone raises.  An
+    image outside the carrier names the step; a map undefined at a point
+    raises its own error."""
     carrier = space.carrier
+
+    def inside(image, what):
+        try:
+            return space.require_point(image, what)
+        except DomainError as exc:
+            raise DomainError(f"iterate {step} escaped the carrier: {exc}") from exc
+
     for row, (x, tx) in enumerate(zip(carrier.from_array(xs), carrier.from_array(ts))):
         try:
-            try:
-                y = space.require_point(maps.S(x), "S-image")
-                ty = space.require_point(maps.T(y), "T-image")
-            except DomainError as exc:
-                raise DomainError(f"iterate {step} escaped the carrier: {exc}") from exc
+            y = inside(maps.S(x), "S-image")
+            ty = inside(maps.T(y), "T-image")
             space.gap_norm(tx, ty)
         except Exception as exc:
             return row, exc

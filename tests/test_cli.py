@@ -634,9 +634,15 @@ def test_fractional_power_of_a_negative_point_fails_the_check(tmp_path, capsys):
     doc["space"]["carrier"]["lo"] = -1.0
     doc["maps"]["S"] = {"family": "power", "exponent": 0.5}
     file = _write(tmp_path, "a.json", doc)
+    # S is undefined at -0.5 rather than mapping it outside: its own error
     assert main(["solve", "--instance", str(file), "--x0", "-0.5"]) == 1
-    assert capsys.readouterr().err == (
-        "check failed: iterate 0 escaped the carrier: power map produced a non-finite value at -0.5\n")
+    assert capsys.readouterr().err == "check failed: power map produced a non-finite value at -0.5\n"
+    assert main(["verify", "--instance", str(file)]) == 1
+    assert capsys.readouterr().err.startswith("check failed: power map produced a non-finite value at -")
+    # without a contraction section verify still applies S, T and TS to
+    # the points the condition check would read
+    del doc["contraction"]
+    file = _write(tmp_path, "a.json", doc)
     assert main(["verify", "--instance", str(file)]) == 1
     assert capsys.readouterr().err.startswith("check failed: power map produced a non-finite value at -")
 

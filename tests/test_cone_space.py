@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +15,8 @@ from conefix.cone_space import (
     metric_table_failures, verify_cone_axioms, verify_metric_axioms,
 )
 from conefix.oracle import FiniteInstance
+
+from conftest import fixture_doc
 
 dyadic = st.integers(-256, 256).map(lambda k: k / 64.0)
 dyadic_vec = st.tuples(dyadic, dyadic).map(np.asarray)
@@ -68,34 +76,96 @@ def test_orthant_axioms_pass():
     report = verify_cone_axioms(ConeSpec.orthant(2), SamplingPlan(count=100, seed=1))
     assert report.passed
     assert report.axioms_checked == ["P1", "P2", "P3"]
-    assert report.sample_count == 100
+    assert report.sample_count == 0
 
 
 def test_half_plane_fails_pointedness():
     cone = ConeSpec.polyhedral([[1.0, 0.0]])
-    report = verify_cone_axioms(cone, SamplingPlan(count=200, seed=1))
-    p3 = [v for v in report.violations if v.axiom == "P3-pointed"]
-    assert p3
-    witnesses = [np.abs(np.asarray(v.witness[0])) for v in p3]
-    assert any(np.allclose(w, [0.0, 1.0]) for w in witnesses)
+    report = verify_cone_axioms(cone)
+    assert [(v.axiom, v.witness[0].tolist(), v.residual.tolist()) for v in report.violations] == [
+        ("P3-pointed", [0.0, 1.0], [0.0])]
 
 
-def test_thin_wedge_reports_the_points_it_drew():
-    # rejection sampling keeps only a few of the 10,000 requested points
-    # of this wedge; the report counts the pairs actually combined
-    cone = ConeSpec.polyhedral([[1.0, -100.0], [-1.0, 101.0]])
-    plan = SamplingPlan(count=10_000, seed=0)
-    rng = plan.rng()
-    drawn = min(len(cone.sample(rng, plan.count)), len(cone.sample(rng, plan.count)))
-    report = verify_cone_axioms(cone, plan)
-    assert 0 < drawn < 100
-    assert report.sample_count == drawn
+@pytest.mark.parametrize("cone", [
+    ConeSpec.orthant(2),
+    ConeSpec.orthant(3, norm_kind="euclidean"),
+    ConeSpec.polyhedral([[1.0, -0.5], [-0.25, 1.0]]),
+    ConeSpec.polyhedral([[1.0, -100.0], [-1.0, 101.0]]),       # a wedge too thin to sample
+], ids=["orthant", "orthant-3d", "wide-wedge", "thin-wedge"])
+def test_pointed_cones_with_interior_pass(cone):
+    report = verify_cone_axioms(cone)
+    assert report.passed and report.sample_count == 0
 
 
-def test_collapsed_scaled_orthant_has_empty_interior():
-    cone = ConeSpec.scaled_orthant([1.0, 0.0])
-    report = verify_cone_axioms(cone, SamplingPlan(count=100, seed=1))
+@pytest.mark.parametrize("cone", [
+    ConeSpec.scaled_orthant([1.0, 0.0]),
+    ConeSpec.polyhedral([[1.0, 1.0], [-1.0, -1.0]]),
+], ids=["collapsed-scaled-orthant", "line"])
+def test_flat_cones_have_empty_interior(cone):
+    report = verify_cone_axioms(cone)
     assert any(v.axiom == "P1-interior-nonempty" for v in report.violations)
+
+
+def test_cone_without_inequalities_is_the_whole_space():
+    report = verify_cone_axioms(ConeSpec.polyhedral(np.zeros((0, 2))))
+    assert [(v.axiom, v.witness[0].tolist()) for v in report.violations] == [
+        ("P3-pointed", [1.0, 0.0]), ("P3-pointed", [0.0, 1.0])]
+
+
+small_matrix = st.integers(1, 3).flatmap(lambda m: st.lists(
+    st.lists(st.integers(-3, 3), min_size=m, max_size=m), min_size=1, max_size=5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=small_matrix)
+def test_cone_axioms_match_rank_and_lp_references(rows):
+    # P3 against numpy's rank; the interior against scipy's LP for
+    # max t s.t. A v >= t, -1 <= v <= 1, 0 <= t <= 1 (t > 0 iff Int P is nonempty)
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    a = np.array(rows, dtype=float)
+    r, m = a.shape
+    report = verify_cone_axioms(ConeSpec.polyhedral(a))
+    found = {v.axiom for v in report.violations}
+    witnesses = [v.witness[0] for v in report.violations if v.axiom == "P3-pointed"]
+    assert len(witnesses) == m - np.linalg.matrix_rank(a)
+    for v in witnesses:
+        assert np.any(v != 0.0) and np.all(a @ v == 0.0)
+    lp = linprog(np.r_[np.zeros(m), -1.0], A_ub=np.c_[-a, np.ones(r)], b_ub=np.zeros(r),
+                 bounds=[(-1.0, 1.0)] * m + [(0.0, 1.0)], method="highs")
+    assert lp.success
+    assert ("P1-interior-nonempty" not in found) == (lp.x[-1] > 1e-9)
+    assert found <= {"P1-interior-nonempty", "P3-pointed"}
+
+
+def test_cone_check_runs_exactly_on_awkward_entries():
+    # a wedge whose rows are not dyadic: exact arithmetic on their float
+    # values, and a witness that clears the thirds
+    report = verify_cone_axioms(ConeSpec.polyhedral([[0.1, 0.3, 0.0], [3.0, 1.0, 0.0]]))
+    (p3,) = report.violations
+    assert p3.axiom == "P3-pointed" and p3.witness[0].tolist() == [0.0, 0.0, 1.0]
+    report = verify_cone_axioms(ConeSpec.polyhedral([[3.0, 1.0, 0.0], [0.0, 0.0, 1.0]]))
+    assert [v.witness[0].tolist() for v in report.violations] == [[-1.0, 3.0, 0.0]]
+    # the primitive integer witness of this half-plane has an entry near
+    # 2**2100; it is scaled down by a power of two to stay finite
+    (p3,) = verify_cone_axioms(ConeSpec.polyhedral([[5e-324, 1.7e308]])).violations
+    assert p3.axiom == "P3-pointed" and np.all(np.isfinite(p3.witness[0])) and np.any(p3.witness[0] != 0.0)
+
+
+def test_verify_does_not_import_scipy(tmp_path):
+    # the cone check is exact arithmetic: verify on a polyhedral cone
+    # loads no LP solver
+    doc = fixture_doc("instance_a")
+    doc["cone"] = {"family": "polyhedral", "dimension": 2, "matrix": [[1.0, -0.5], [-0.25, 1.0]]}
+    doc["space"]["metric"]["direction"] = [1.0, 1.0]
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = ("import sys\nfrom conefix.cli import main\n"
+            f"status = main(['verify', '--instance', {str(path)!r}, '--out', {str(tmp_path / 'out.json')!r}])\n"
+            "print(status, 'scipy' in sys.modules)")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.split() == ["0", "False"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,25 +1,10 @@
-"""Column folds over a short last axis, and the P3 probe pass, held bit for
-bit against the numpy reductions and the per-probe loop they replace."""
+"""Column folds over a short last axis, held bit for bit against the numpy
+reductions they replace."""
 
 import numpy as np
 import pytest
 
-from conefix.cone_space import (
-    AxiomReport, AxiomViolation, ConeSpec, SamplingPlan, _dedupe, _nullspace, all_last, any_last,
-    norm_last, verify_cone_axioms,
-)
-
-
-def _bits(x):
-    """A comparable form that tells -0.0 from 0.0 and keeps dtype and shape."""
-    if isinstance(x, np.ndarray) or isinstance(x, np.generic):
-        x = np.asarray(x)
-        return ("array", x.dtype.str, x.shape, x.tobytes())
-    if isinstance(x, (tuple, list)):
-        return tuple(_bits(v) for v in x)
-    if isinstance(x, float):
-        return ("float", np.float64(x).tobytes())
-    return x
+from conefix.cone_space import ConeSpec, all_last, any_last, norm_last
 
 
 def _rows(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -97,100 +82,3 @@ def test_euclidean_fold_hands_over_at_eight_terms():
     assert not np.array_equal(sequential, np.linalg.norm(vs, axis=-1))
     _same_bits(norm_last(vs, "euclidean"), np.linalg.norm(vs, axis=-1))
 
-
-# ---------------------------------------------------------------------------
-# P3 as one array pass
-# ---------------------------------------------------------------------------
-
-def _reference_cone_axioms(cone: ConeSpec, plan: SamplingPlan) -> AxiomReport:
-    """verify_cone_axioms as it was with numpy's axis reductions and one
-    probe at a time: the reference the array pass must reproduce."""
-    rng = plan.rng()
-    m = cone.dimension
-    violations = []
-    if not cone.contains(np.zeros(m)):
-        violations.append(AxiomViolation("P1-zero", (np.zeros(m),), None))
-    ip = cone.interior_point()
-    if ip is None:
-        violations.append(AxiomViolation("P1-interior-nonempty", (), None))
-    elif not cone.contains(ip, "interior"):
-        violations.append(AxiomViolation("P1-interior-nonempty", (ip,), cone.inequality_values(ip)))
-    xs = cone.sample(rng, plan.count)
-    ys = cone.sample(rng, plan.count)
-    k = min(len(xs), len(ys))
-    if k:
-        coeff = rng.uniform(0.0, 10.0, size=(k, 2))
-        combos = coeff[:, :1] * xs[:k] + coeff[:, 1:] * ys[:k]
-        vals = combos @ cone.ineq_matrix.T
-        norms = np.max(np.abs(combos), axis=-1) if cone.norm_kind == "max" else np.linalg.norm(combos, axis=-1)
-        ok = np.all(vals >= -(cone.slack * norms)[:, None], axis=-1)
-        for idx in np.flatnonzero(~ok):
-            violations.append(AxiomViolation(
-                "P2-combination", (coeff[idx, 0], coeff[idx, 1], xs[idx], ys[idx]),
-                cone.inequality_values(combos[idx])))
-    for v in _nullspace(cone.ineq_matrix):
-        violations.append(AxiomViolation("P3-pointed", (v,), cone.inequality_values(v)))
-    probes = [np.eye(m)[i] * s for i in range(m) for s in (1.0, -1.0)]
-    probes.append(np.ones(m))
-    probes.append(-np.ones(m))
-    if k:
-        probes.extend(xs[: min(k, 64)])
-    seen = set()
-    for v in probes:
-        key = tuple(np.round(v / max(cone.norm(v), 1e-300), 12))
-        if key in seen or cone.norm(v) == 0.0:
-            continue
-        seen.add(key)
-        if cone.contains(v) and cone.contains(-v):
-            violations.append(AxiomViolation("P3-pointed", (v,), cone.inequality_values(v)))
-    return AxiomReport(["P1", "P2", "P3"], _dedupe(violations), k)
-
-
-def _report_bits(report: AxiomReport):
-    return (report.axioms_checked, report.sample_count,
-            [(v.axiom, _bits(v.witness), _bits(v.residual)) for v in report.violations])
-
-
-P3_CONES = {
-    "orthant": ConeSpec.orthant(2),
-    "orthant-3d-euclidean": ConeSpec.orthant(3, norm_kind="euclidean"),
-    "scaled-orthant-zero-weight": ConeSpec.scaled_orthant([2.0, 0.0]),
-    "wide-wedge": ConeSpec.polyhedral([[1.0, -0.5], [-0.25, 1.0]]),
-    "thin-wedge": ConeSpec.polyhedral([[1.0, -100.0], [-1.0, 101.0]]),
-    "half-plane": ConeSpec.polyhedral([[1.0, 0.0]]),
-    "half-plane-euclidean": ConeSpec.polyhedral([[1.0, 0.0]], norm_kind="euclidean"),
-    "half-space-3d": ConeSpec.polyhedral([[1.0, 1.0, 0.0]]),
-}
-
-
-@pytest.mark.parametrize("name", sorted(P3_CONES))
-@pytest.mark.parametrize("count, seed", [(10_000, 0), (500, 7), (40, 3), (0, 0)])
-def test_cone_axioms_match_the_per_probe_loop(name, count, seed):
-    cone, plan = P3_CONES[name], SamplingPlan(count=count, seed=seed)
-    report = verify_cone_axioms(cone, plan)
-    assert _report_bits(report) == _report_bits(_reference_cone_axioms(cone, plan))
-    if name.startswith("half-"):
-        assert any(v.axiom == "P3-pointed" for v in report.violations)
-
-
-def test_repeated_probe_directions_merge_as_tuples(monkeypatch):
-    # Sampled probes along e_2 and -e_2 repeat the unit probes' directions,
-    # some with a negative zero (the same tuple key), and (2, 1e-13) rounds
-    # onto e_1; zero rows are skipped.  The reference loop keeps none of them.
-    rows = np.array([[0.0, 2.0], [-0.0, 5.0], [0.0, 0.0], [-0.0, -0.0],
-                     [0.0, -3.0], [-0.0, -7.0], [1.0, 0.0], [2.0, 1e-13], [3.0, 1.0]])
-    monkeypatch.setattr(ConeSpec, "sample", lambda self, rng, size: rows.copy())
-    cone = ConeSpec.polyhedral([[1.0, 0.0]])
-    report = verify_cone_axioms(cone, SamplingPlan(count=9, seed=0))
-    assert _report_bits(report) == _report_bits(_reference_cone_axioms(cone, SamplingPlan(count=9, seed=0)))
-    p3 = [tuple(v.witness[0].tolist()) for v in report.violations if v.axiom == "P3-pointed"]
-    assert set(p3) == {(0.0, 1.0), (0.0, -1.0)}         # only e_2 and -e_2, each once per source
-    assert len(p3) <= 3
-
-
-def test_p3_pass_costs_one_membership_matmul(monkeypatch):
-    calls = []
-    real = ConeSpec.contains
-    monkeypatch.setattr(ConeSpec, "contains", lambda self, *a, **kw: calls.append(a) or real(self, *a, **kw))
-    verify_cone_axioms(ConeSpec.orthant(2), SamplingPlan(count=1000, seed=0))
-    assert len(calls) == 2      # P1's zero and interior tests only

@@ -300,11 +300,15 @@ def _reference_picard(space, maps, x0, rule):
     pts, t_images = [x0], [space.require_point(maps.T(x0), "T-image")]
     gaps, norms, seen = [], [], {point_key(x0)}
     while True:
-        try:
-            y = space.require_point(maps.S(pts[-1]), "S-image")
-            ty = space.require_point(maps.T(y), "T-image")
-        except DomainError as exc:
-            raise DomainError(f"iterate {len(pts) - 1} escaped the carrier: {exc}") from exc
+        # a map undefined at a point raises its own error; an image outside
+        # the carrier names the step
+        escaped = f"iterate {len(pts) - 1} escaped the carrier"
+        y = maps.S(pts[-1])
+        if not space.carrier.contains(y):
+            raise DomainError(f"{escaped}: S-image {y!r} lies outside the carrier")
+        ty = maps.T(y)
+        if not space.carrier.contains(ty):
+            raise DomainError(f"{escaped}: T-image {ty!r} lies outside the carrier")
         gaps.append(space.d(t_images[-1], ty))
         norms.append(space.cone.norm(gaps[-1]))
         if not norms[-1] <= rule.epsilon and len(pts) > rule.max_iter:
@@ -419,7 +423,10 @@ def test_batch_raises_the_error_of_the_first_failing_start():
     # start's fourth (0.25 -> 0.5 -> 0.71 -> 0.84 -> 0.92)
     (ConeMetricSpace(ConeSpec.orthant(2), IntervalCarrier(0.0, 1.0), FunctionMetric(_refusing_metric)),
      MapPair(IdentityMap(), PowerMap(0.5)), [0.25, 1.0]),
-], ids=["t_image", "finite", "metric"])
+    # S is undefined at the second start: the map's own error, unprefixed
+    (ConeMetricSpace(ConeSpec.orthant(2), IntervalCarrier(-1.0, 1.0), DirectionMetric([1.0, 2.0])),
+     MapPair(IdentityMap(), PowerMap(0.5)), [0.25, -0.5]),
+], ids=["t_image", "finite", "metric", "undefined"])
 def test_batch_raises_what_the_per_start_loop_raises(space, maps, starts):
     with pytest.raises(DomainError) as got:
         uniqueness_probe(space, maps, starts)
