@@ -112,6 +112,43 @@ def test_cone_without_inequalities_is_the_whole_space():
         ("P3-pointed", [1.0, 0.0]), ("P3-pointed", [0.0, 1.0])]
 
 
+# Each cone with the violations its matrix decides, as (axiom, witness):
+# the zero-weight scaled orthant has rows v2 >= 0 and -v2 >= 0 (rank 2, flat),
+# and x + y >= 0 in R^3 has the nullspace basis (-1, 1, 0), (0, 0, 1).
+EXACT_REPORTS = {
+    "orthant": (ConeSpec.orthant(2), []),
+    "orthant-3d-euclidean": (ConeSpec.orthant(3, norm_kind="euclidean"), []),
+    "scaled-orthant-zero-weight": (ConeSpec.scaled_orthant([2.0, 0.0]), [("P1-interior-nonempty", [])]),
+    "wide-wedge": (ConeSpec.polyhedral([[1.0, -0.5], [-0.25, 1.0]]), []),
+    "thin-wedge": (ConeSpec.polyhedral([[1.0, -100.0], [-1.0, 101.0]]), []),
+    "half-plane": (ConeSpec.polyhedral([[1.0, 0.0]]), [("P3-pointed", [[0.0, 1.0]])]),
+    "half-plane-euclidean": (ConeSpec.polyhedral([[1.0, 0.0]], norm_kind="euclidean"),
+                             [("P3-pointed", [[0.0, 1.0]])]),
+    "half-space-3d": (ConeSpec.polyhedral([[1.0, 1.0, 0.0]]),
+                      [("P3-pointed", [[-1.0, 1.0, 0.0]]), ("P3-pointed", [[0.0, 0.0, 1.0]])]),
+}
+
+
+def _report_form(report):
+    return (report.axioms_checked, report.sample_count,
+            [(v.axiom, [np.asarray(w).tolist() for w in v.witness],
+              None if v.residual is None else np.asarray(v.residual).tolist()) for v in report.violations])
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_REPORTS))
+@pytest.mark.parametrize("count, seed", [(10_000, 0), (500, 7), (40, 3), (0, 0)])
+def test_cone_report_is_exact_whatever_the_plan(name, count, seed):
+    # the plan is accepted and unused: any budget and seed give the report
+    # the matrix decides, with residual A v = 0 on every P3 witness
+    cone, expected = EXACT_REPORTS[name]
+    report = verify_cone_axioms(cone, SamplingPlan(count=count, seed=seed))
+    assert _report_form(report) == _report_form(verify_cone_axioms(cone))
+    assert _report_form(report) == (
+        ["P1", "P2", "P3"], 0,
+        [(axiom, witness, [0.0] * cone.ineq_matrix.shape[0] if witness else None)
+         for axiom, witness in expected])
+
+
 small_matrix = st.integers(1, 3).flatmap(lambda m: st.lists(
     st.lists(st.integers(-3, 3), min_size=m, max_size=m), min_size=1, max_size=5))
 
