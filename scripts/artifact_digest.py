@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fingerprint every CLI command's outputs, and four API results, on instance files.
+"""Fingerprint every CLI command's outputs, and five API results, on instance files.
 
     python scripts/artifact_digest.py PATH...
 
@@ -21,7 +21,11 @@ returns, which no CLI artifact shows in full:
 * ``axioms``: ``verify_cone_axioms``, and ``verify_metric_axioms`` with the
   plan ``verify`` uses (every violation's axiom, witness and residual,
   where the artifact keeps 50), floats as their shortest repr, so every
-  bit counts, the sign of a zero included.
+  bit counts, the sign of a zero included;
+* ``oracle``: on a finite file with a class, ``exhaustive_condition_check``
+  (every violating pair), ``tightest_constants`` for TB/TK/TC/TW (every
+  witness) and ``exhaustive_reduction_check`` for TZ (every violation),
+  where the ``oracle`` artifact keeps 50 of each list; ``()`` otherwise.
 
 Run it on two checkouts (``PYTHONPATH=<checkout>/src``) and ``diff`` the
 outputs to confirm the results are byte-identical.
@@ -34,7 +38,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from conefix import cli, cone_space, contractions, solver
+from conefix import cli, cone_space, contractions, oracle, solver
 
 COMMANDS = (
     ("verify", ()),
@@ -91,10 +95,22 @@ def _api_axioms(inst) -> tuple:
             for r in reports]
 
 
+def _api_oracle(inst) -> tuple:
+    fin, spec = inst.finite, inst.contraction
+    if fin is None or spec is None:
+        return ()
+    parts = [oracle.exhaustive_condition_check(fin, spec)]
+    if spec.kind in (contractions.TB, contractions.TK, contractions.TC, contractions.TW):
+        parts.append(oracle.tightest_constants(fin, spec.kind))
+    if spec.kind == contractions.TZ:
+        parts.append(oracle.exhaustive_reduction_check(fin, spec.a, spec.b, spec.c))
+    return tuple(parts)
+
+
 def api_digest(path: str) -> str:
     parts = []
     for name, call in (("probe", _api_probe), ("diagnose", _api_diagnose), ("condition", _api_condition),
-                       ("axioms", _api_axioms)):
+                       ("axioms", _api_axioms), ("oracle", _api_oracle)):
         try:
             text = repr(call(cli.load_instance(path)))
         except Exception as exc:      # an invalid file or a failing run is a result too

@@ -197,27 +197,30 @@ def _finite_float(value) -> float:
 
 
 def _numbers(value) -> np.ndarray:
-    """A number or nested number list as a float array, refusing booleans and strings."""
-    for leaf in np.asarray(value, dtype=object).flat:
-        if isinstance(leaf, bool) or not isinstance(leaf, (int, float)):
-            raise ConfigError(f"expected a number, got {json.dumps(leaf)}")
-    return np.asarray(value, dtype=float)
-
-
-def _number_table(value):
-    """A tabulated metric's nested lists, refusing booleans, strings and any
-    other leaf that is not a number.  One pass per nesting level collects
-    the element types, which costs about a third of np.asarray on a
-    200-point table; ``_numbers`` checks leaf by leaf and would cost 3x.  A
-    level that mixes lists and leaves is left to np.asarray to refuse."""
-    level, kinds = [value], {type(value)}
+    """A number or a rectangular nested number list as a float array.  The
+    lists are flattened one nesting level at a time, and the leaves, once
+    their types are checked, become one np.array (np.asarray on the nested
+    lists would walk them all again).  A leaf that is not a number (a
+    boolean, a string, null, an object) is refused first; then a level
+    whose items differ in length or mix lists and numbers, by its depth
+    (the items of the top list are at depth 1)."""
+    level, shape, ragged = [value], [], None
+    kinds = {type(value)}
     while kinds == {list}:
+        lengths = set(map(len, level))
+        if len(lengths) > 1 and ragged is None:
+            ragged = len(shape)
+        shape.append(max(lengths))
         level = list(chain.from_iterable(level))
         kinds = set(map(type, level))
-    if not kinds <= {int, float, list}:
-        leaf = next(x for x in level if type(x) not in (int, float, list))
-        raise ConfigError(f"expected a number, got {json.dumps(leaf)}")
-    return value
+    if not kinds <= {int, float}:
+        leaves = [x for x in level if type(x) not in (int, float, list)]
+        if leaves:
+            raise ConfigError(f"expected a number, got {json.dumps(leaves[0])}")
+        ragged = len(shape) if ragged is None else ragged
+    if ragged is not None:
+        raise ConfigError(f"ragged nested list: the items at depth {ragged} differ in length or nesting")
+    return np.array(level, dtype=float).reshape(shape)
 
 
 def _start_point(value):
@@ -308,7 +311,7 @@ CARRIER = Section({
 METRIC = Section({
     "direction": Variant(_direction_metric, {"direction": _numbers}, {"scalar": _as_is},
                          needs=("cone", "carrier")),
-    "tabulated": Variant(_tabulated_metric, {"table": _number_table}, needs=("carrier",)),
+    "tabulated": Variant(_tabulated_metric, {"table": _numbers}, needs=("carrier",)),
 }, "kind", "metric kind")
 
 MAP = Section({
@@ -498,48 +501,19 @@ def emit_trace(
     if not trace.t_image_gaps:
         raise ConfigError("refusing to emit an empty trace")
     d0 = trace.gap_norms[0]
-    rows = []
-    for n, gap in enumerate(trace.t_image_gaps):
-        rows.append(
-            {
-                "n": n,
-                "x_n": trace.x_sequence[n],
-                "gap_vector": gap,
-                "gap_norm": trace.gap_norms[n],
-                "cumulative_bound": K * h ** n * d0,
-            }
-        )
+    rows = [(n, trace.x_sequence[n], gap, trace.gap_norms[n], K * h ** n * d0)
+            for n, gap in enumerate(trace.t_image_gaps)]
     if fmt == "csv":
-        lines = ["n,x_n,gap_vector,gap_norm,cumulative_bound"]
-        for r in rows:
-            lines.append(
-                ",".join(
-                    [
-                        str(r["n"]),
-                        _point_cell(r["x_n"]),
-                        ";".join(_fmt17(c) for c in r["gap_vector"]),
-                        _fmt17(r["gap_norm"]),
-                        _fmt17(r["cumulative_bound"]),
-                    ]
-                )
-            )
+        lines = ["n,x_n,gap_vector,gap_norm,cumulative_bound"] + [
+            ",".join([str(n), _point_cell(x), ";".join(_fmt17(c) for c in gap), _fmt17(norm), _fmt17(bound)])
+            for n, x, gap, norm, bound in rows
+        ]
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
         payload = {
-            "schema_version": SCHEMA_VERSION,
-            "h": h,
-            "K": K,
-            "stop_reason": trace.stop_reason,
-            "rows": [
-                {
-                    "n": r["n"],
-                    "x_n": _plain(r["x_n"]),
-                    "gap_vector": _plain(r["gap_vector"]),
-                    "gap_norm": float(r["gap_norm"]),
-                    "cumulative_bound": float(r["cumulative_bound"]),
-                }
-                for r in rows
-            ],
+            "schema_version": SCHEMA_VERSION, "h": h, "K": K, "stop_reason": trace.stop_reason,
+            "rows": [{"n": n, "x_n": _plain(x), "gap_vector": _plain(gap), "gap_norm": float(norm),
+                      "cumulative_bound": float(bound)} for n, x, gap, norm, bound in rows],
         }
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:

@@ -8,13 +8,14 @@ genuinely zero.  The load-time d3 scan compares the table's projections
 onto the cone's rows, exact for unit-row cones on any table.  The class
 inequalities, their cleared-denominator weak forms and the constant fit
 come from the engine in ``contractions``; the oracle only supplies the
-terms of all n^2 index pairs, looked up in the tables (``_tensors``), and
-runs that engine at slack 0.
+terms of all n^2 index pairs, looked up in the tables once per instance
+(``FiniteInstance.terms``), and runs that engine at slack 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -80,6 +81,25 @@ class FiniteInstance:
             k, i, j = np.argwhere(triangle)[0]
             raise ConfigError(f"metric table violates d3 at triple ({i}, {j}, {k})")
 
+    @cached_property
+    def terms(self) -> PairTerms:
+        """The pair terms of all n^2 index pairs, looked up in the tables
+        once per instance (the tables are validated above and never
+        changed).  The per-point terms are (n, 1, m) and (1, n, m) views,
+        not copies."""
+        d = self.metric_table
+        t = self.t_table
+        ts = self.t_table[self.s_table]
+        own = d[t, ts]
+        return PairTerms(
+            lhs=d[ts[:, None], ts[None, :]],
+            d_tx_ty=d[t[:, None], t[None, :]],
+            d_tx_tsx=own[:, None, :],
+            d_ty_tsy=own[None, :, :],
+            d_tx_tsy=d[t[:, None], ts[None, :]],
+            d_ty_tsx=d[ts[:, None], t[None, :]],
+        )
+
     @property
     def n(self) -> int:
         return len(self.points)
@@ -125,25 +145,10 @@ def enumerate_fixed_points(fin: FiniteInstance) -> list[int]:
     return [fin.points[i] for i in idx]
 
 
-def _tensors(fin: FiniteInstance) -> PairTerms:
-    """The pair terms of all n^2 index pairs, looked up in the tables.  The
-    per-point terms are (n, 1, m) and (1, n, m) views, not copies."""
-    d = fin.metric_table
-    t = fin.t_table
-    ts = fin.t_table[fin.s_table]
-    own = d[t, ts]
-    return PairTerms(
-        lhs=d[ts[:, None], ts[None, :]],
-        d_tx_ty=d[t[:, None], t[None, :]],
-        d_tx_tsx=own[:, None, :],
-        d_ty_tsy=own[None, :, :],
-        d_tx_tsy=d[t[:, None], ts[None, :]],
-        d_ty_tsx=d[ts[:, None], t[None, :]],
-    )
-
-
 def _index_pairs(mask: np.ndarray) -> list[tuple[int, int]]:
-    return [tuple(p) for p in np.argwhere(mask).tolist()]
+    """The True entries of an (n, n) mask as (x, y) tuples of ints, row-major."""
+    ix, iy = np.nonzero(mask)
+    return list(zip(ix.tolist(), iy.tolist()))
 
 
 @dataclass
@@ -157,7 +162,7 @@ class OracleConditionReport:
 
 def exhaustive_condition_check(fin: FiniteInstance, spec: ClassSpec) -> OracleConditionReport:
     """Evaluate the class inequality on all n^2 ordered pairs, exactly."""
-    v = evaluate(spec, _tensors(fin), fin.cone, 0.0)
+    v = evaluate(spec, fin.terms, fin.cone, 0.0)
     return OracleConditionReport(spec, bool(v.ok.all()), _index_pairs(~v.ok), fin.n ** 2, v.branch_stats)
 
 
@@ -186,7 +191,7 @@ def tightest_constants(
     vanishes), then the minimal L on that boundary; pass ``pinned_delta``
     to fix delta instead.
     """
-    fit = fit_terms(class_kind, _tensors(fin), fin.cone, 0.0, pinned_delta)
+    fit = fit_terms(class_kind, fin.terms, fin.cone, 0.0, pinned_delta)
     return TightestResult(
         class_kind, fit.feasible, fit.values if fit.feasible else None, fit.values,
         _index_pairs(fit.witnesses),
@@ -219,7 +224,7 @@ def exhaustive_reduction_check(fin: FiniteInstance, a: float, b: float, c: float
     """
     delta = zamfirescu_delta(a, b, c)
     tz = ClassSpec.tz(a, b, c)
-    t = _tensors(fin)
+    t = fin.terms
     tz_ok = evaluate(tz, t, fin.cone, 0.0).ok
     if not tz_ok.all():
         return ReductionExhaustive(delta, False, False, False, _index_pairs(~tz_ok), [])
@@ -251,7 +256,7 @@ def exhaustive_promotion_check(fin: FiniteInstance, source: ClassSpec) -> Promot
     """
     if source.kind not in (TB, TK, TC, TZ):
         raise ConfigError(f"promotion oracle applies to TB/TK/TC/TZ, not {source.kind!r}")
-    t = _tensors(fin)
+    t = fin.terms
     off_source = ~evaluate(source, t, fin.cone, 0.0).ok
     ok_w, ok_d = (cleared_check(source, kind, t, fin.cone, 0.0).ok | off_source for kind in (TW, TW_DUAL))
     return PromotionExhaustive(

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conefix import cli
 from conefix.cli import (
@@ -263,24 +265,120 @@ def test_booleans_and_strings_are_not_numbers(tmp_path, capsys, path, value, err
     assert capsys.readouterr().err == f"instance rejected:\n  - {error}\n"
 
 
+def _ragged(depth: int) -> str:
+    return f"ragged nested list: the items at depth {depth} differ in length or nesting"
+
+
 @pytest.mark.parametrize("entry, error", [
-    ([True, "2"], "true"),
-    ([1.0, "2"], '"2"'),
-    ([None, 2.0], "null"),
-    ([{}, 2.0], "{}"),
-    ([[1.0], 2.0], None),          # mixed depth: numpy's own refusal, as before
+    ([True, "2"], "expected a number, got true"),
+    ([1.0, "2"], 'expected a number, got "2"'),
+    ([None, 2.0], "expected a number, got null"),
+    ([{}, 2.0], "expected a number, got {}"),
+    ([[1.0], 2.0], _ragged(3)),         # mixed depth: a list among an entry's numbers
+    ([1.0], _ragged(2)),                # ragged entry: one entry shorter than the rest
 ])
 def test_table_leaves_must_be_numbers(tmp_path, capsys, entry, error):
-    # [true, "2"] used to load as the distance (1, 2)
+    # [true, "2"] used to load as the distance (1, 2), and a ragged table
+    # printed numpy's "inhomogeneous shape" text
     doc = fixture_doc("instance_d")
     table = doc["space"]["metric"]["table"]
     table[0][1] = table[1][0] = entry
     file = _write(tmp_path, "d.json", doc)
     assert main(["oracle", "--instance", str(file)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("instance rejected:\n  - space.metric: ")
-    if error is not None:
-        assert err == f"instance rejected:\n  - space.metric: expected a number, got {error}\n"
+    assert capsys.readouterr().err == f"instance rejected:\n  - space.metric: {error}\n"
+
+
+def test_ragged_table_row_is_refused_by_depth(tmp_path, capsys):
+    doc = fixture_doc("instance_d")
+    doc["space"]["metric"]["table"][3].pop()
+    file = _write(tmp_path, "d.json", doc)
+    assert main(["oracle", "--instance", str(file)]) == 2
+    assert capsys.readouterr().err == f"instance rejected:\n  - space.metric: {_ragged(1)}\n"
+
+
+# Leaves the reader must refuse, and the JSON numbers it must read.
+NOT_NUMBERS = (True, False, "1", None, {})
+JSON_NUMBERS = st.one_of(st.integers(-2 ** 62, 2 ** 62), st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _levels(value) -> list[list]:
+    """The items of ``value`` by depth: [value], its items, theirs, ... down
+    to the first depth that holds no list."""
+    levels = [[value]]
+    while any(isinstance(x, list) for x in levels[-1]):
+        levels.append([y for x in levels[-1] if isinstance(x, list) for y in x])
+    return levels
+
+
+def _expected_refusal(value) -> str | None:
+    """What the reader must say about ``value``, from its levels: at the
+    first depth holding a non-list, the first leaf that is not a number;
+    else the first depth whose lists differ in length, or that one if it
+    mixes lists and numbers; None for a rectangular number list."""
+    levels = _levels(value)
+    first = next((d for d, items in enumerate(levels) if not all(isinstance(x, list) for x in items)),
+                 len(levels) - 1)
+    leaves = [x for x in levels[first] if not isinstance(x, list)]
+    bad = [x for x in leaves if isinstance(x, bool) or not isinstance(x, (int, float))]
+    if bad:
+        return f"expected a number, got {json.dumps(bad[0])}"
+    for d in range(first):
+        if len({len(x) for x in levels[d]}) > 1:
+            return _ragged(d)
+    return _ragged(first) if len(leaves) < len(levels[first]) else None
+
+
+@st.composite
+def nested_lists(draw):
+    """A rectangular list of depth 1-3 of JSON numbers, sometimes with a
+    leaf swapped for a non-number, a list cut short or lengthened, or a
+    level mixed with a list or a number."""
+    shape = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+
+    def build(dims):
+        return [build(dims[1:]) for _ in range(dims[0])] if dims else draw(JSON_NUMBERS)
+
+    value = build(shape)
+    for _ in range(draw(st.integers(0, 2))):
+        nodes = []          # (parent list, index) of every item below the top
+
+        def walk(node):
+            for i, item in enumerate(node):
+                nodes.append((node, i))
+                if isinstance(item, list):
+                    walk(item)
+        walk(value)
+        if not nodes:
+            break
+        parent, i = draw(st.sampled_from(nodes))
+        item, edit = parent[i], draw(st.sampled_from(["leaf", "cut", "grow", "wrap", "flatten"]))
+        if edit == "leaf" and not isinstance(item, list):
+            parent[i] = draw(st.sampled_from(NOT_NUMBERS))
+        elif edit == "cut" and isinstance(item, list) and item:
+            item.pop()
+        elif edit == "grow" and isinstance(item, list):
+            item.append(copy.deepcopy(item[0]) if item else draw(JSON_NUMBERS))
+        elif edit == "wrap":
+            parent[i] = [item]
+        elif edit == "flatten" and isinstance(item, list):
+            parent[i] = draw(JSON_NUMBERS)
+    return value
+
+
+@settings(max_examples=400, deadline=None)
+@given(nested_lists())
+def test_number_reader_matches_numpy_or_refuses(value):
+    expected = _expected_refusal(value)
+    if expected is None:
+        got, want = cli._numbers(value), np.asarray(value, dtype=float)
+        assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+        return
+    with pytest.raises(ConfigError) as exc:
+        cli._numbers(value)
+    assert str(exc.value) == expected
+    if expected.startswith("ragged"):
+        with pytest.raises(ValueError):     # numpy agrees the list is not rectangular
+            np.asarray(value, dtype=float)
 
 
 def test_integer_table_entries_still_load():
@@ -781,4 +879,9 @@ def test_artifact_digest_runs_on_a_fixture(capsys):
     # the axioms hash covers every axiom violation, witness and residual
     axioms = digest._api_axioms(load_instance(path))
     assert [len(a) for a in axioms] == [3, 3]
-    assert lines[-1].endswith(f" axioms={digest._sha(repr(axioms).encode())}")
+    assert f" axioms={digest._sha(repr(axioms).encode())} " in lines[-1]
+    # the oracle hash covers every violating pair of the exhaustive check
+    # and every witness of the tightest-constant fit
+    report, tight = digest._api_oracle(load_instance(path))
+    assert report.violating_pairs and report.pairs_checked == 100 and tight.kind == "TB"
+    assert lines[-1].endswith(f" oracle={digest._sha(repr((report, tight)).encode())}")

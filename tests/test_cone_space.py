@@ -432,23 +432,38 @@ def test_metric_table_scan_matches_brute_force(corruption, message, slack, famil
 @pytest.mark.parametrize("family", list(CONES))
 @pytest.mark.parametrize("slack", [0.0, 0.5])
 def test_metric_table_scan_differential(family, slack):
+    # Symmetric tables take the half scan (y >= x, mirrored); a table with
+    # one entry changed on one side only takes the full scan.  Both must
+    # match the brute force, (x, y) and (y, x) entries alike.
     cone, u = CONES[family]
     rng = np.random.default_rng([7, len(family), int(slack * 2)])
-    failing = 0
+    side = np.random.default_rng([8, len(family), int(slack * 2)])
+    failing, symmetric_failing, one_sided_failing = 0, 0, 0
     for trial in range(6):
         n = int(rng.integers(3, 13))
         base = _tree_table(rng, n, u) if trial % 2 else \
             np.abs(np.subtract.outer(*[rng.integers(0, 64, n) / 8.0] * 2))[:, :, None] * u
-        for table in (base, _corrupt(rng, base, 1), _corrupt(rng, base, 4)):
+        one_sided = base.copy()
+        p, q = side.choice(n, size=2, replace=False)
+        one_sided[p, q] = 2.0 * one_sided[p, q] + u
+        for table in (base, _corrupt(rng, base, 1), _corrupt(rng, base, 4), one_sided):
             got = _assert_scan_matches(table, cone, slack)
-            failing += bool(got["d3-triangle"].any())
+            triangle = got["d3-triangle"]
+            failing += bool(triangle.any())
+            if got["d2-symmetry"].any():
+                one_sided_failing += bool(triangle.any())
+            else:
+                assert np.array_equal(triangle, triangle.transpose(1, 0, 2))
+                symmetric_failing += bool(triangle.any())
             labels = list(range(n))
-            triangle = got["d3-triangle"].transpose(2, 0, 1)
-            if slack == 0.0 and triangle.any() and not any(got[a].any() for a in got if a != "d3-triangle"):
-                k, i, j = np.argwhere(triangle)[0]      # smallest z first
+            first = triangle.transpose(2, 0, 1)
+            if slack == 0.0 and first.any() and not any(got[a].any() for a in got if a != "d3-triangle"):
+                k, i, j = np.argwhere(first)[0]      # smallest z first
                 with pytest.raises(ConfigError, match=rf"d3 at triple \({i}, {j}, {k}\)$"):
                     FiniteInstance(labels, table, labels, labels, cone)
+        assert got["d2-symmetry"].any()     # the last table is the one-sided one
     assert failing >= 4     # the corruptions reach the d3 scan
+    assert symmetric_failing >= 2 and one_sided_failing >= 2, (symmetric_failing, one_sided_failing)
 
 
 @pytest.mark.parametrize("family", ["orthant", "scaled_orthant"])
