@@ -291,7 +291,7 @@ def _class_spec(kind: str, **constants) -> tuple[ClassSpec, bool]:
     return ClassSpec(kind, **constants), pinned
 
 
-_CONE_KEYS = {"norm": _as_is, "interior_margin": _finite_float, "slack": _finite_float}
+_CONE_KEYS = {"norm": _as_is, "slack": _finite_float}
 _DIMENSION = _integer("dimension")
 CONE = Section({
     "orthant": Variant(partial(_cone, "orthant"), {"dimension": _DIMENSION}, _CONE_KEYS),

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -111,11 +112,9 @@ def as_vector(v, dimension: int) -> np.ndarray:
 class ConeSpec:
     """A closed convex cone in R^m with an inequality description.
 
-    ``interior_margin`` is the relative margin tau used by strict
-    (interior) membership tests; ``slack`` is the relative tolerance
-    eps_p applied by order/inequality tests (a violation must exceed
-    slack * ||v|| in at least one defining inequality).  Set slack to 0
-    for exact tests on dyadic data.
+    ``slack`` is the relative tolerance eps_p applied by order/inequality
+    tests (a violation must exceed slack * ||v|| in at least one defining
+    inequality).  Set slack to 0 for exact tests on dyadic data.
     """
 
     dimension: int
@@ -123,7 +122,6 @@ class ConeSpec:
     weights: np.ndarray | None = None
     matrix: np.ndarray | None = None
     norm_kind: str = NORM_MAX
-    interior_margin: float = 1e-9
     slack: float = 1e-12
 
     def __post_init__(self):
@@ -131,12 +129,10 @@ class ConeSpec:
             raise ConfigError("cone dimension must be >= 1")
         if self.norm_kind not in (NORM_MAX, NORM_EUCLIDEAN):
             raise ConfigError(f"unknown norm kind {self.norm_kind!r}")
-        if self.interior_margin <= 0:
-            raise ConfigError("interior margin must be > 0")
         if self.slack < 0:
             raise ConfigError("slack must be >= 0")
-        if not (math.isfinite(self.interior_margin) and math.isfinite(self.slack)):
-            raise ConfigError("interior margin and slack must be finite")
+        if not math.isfinite(self.slack):
+            raise ConfigError("slack must be finite")
         m = self.dimension
         if self.family == ORTHANT:
             self._ineq = np.eye(m)
@@ -198,18 +194,21 @@ class ConeSpec:
         more on two columns); bit for bit numpy's own reduction."""
         return norm_last(vs, self.norm_kind)
 
-    def inequality_values(self, v) -> np.ndarray:
-        return self._ineq @ np.asarray(v, dtype=float)
+    @cached_property
+    def exact_rows(self) -> list[list[Fraction]]:
+        """The nonzero rows of ``ineq_matrix`` as Fractions (a zero row
+        constrains nothing): membership and the cone axioms read only these."""
+        return [[Fraction(x) for x in row] for row in self._ineq.tolist() if any(row)]
 
     def contains(self, v, mode: str = "closed") -> bool:
-        """Exact closed membership, or interior membership with margin tau * ||v||."""
-        v = as_vector(v, self.dimension)
-        vals = self._ineq @ v
+        """Exact membership: a . v >= 0 on every row ("closed"), or v != 0 and
+        a . v > 0 on every row ("interior", nonempty exactly when P1 holds)."""
+        v = [Fraction(x) for x in as_vector(v, self.dimension).tolist()]
+        vals = [sum(a * x for a, x in zip(row, v)) for row in self.exact_rows]
         if mode == "closed":
-            return bool(np.all(vals >= 0.0))
+            return all(val >= 0 for val in vals)
         if mode == "interior":
-            nv = self.norm(v)
-            return nv > 0.0 and bool(np.all(vals >= self.interior_margin * nv))
+            return any(v) and all(val > 0 for val in vals)
         raise ConfigError(f"unknown membership mode {mode!r}")
 
     def inequality_mask(self, vs: np.ndarray, slack: float) -> np.ndarray:
@@ -282,24 +281,24 @@ class AxiomReport:
 
 
 def verify_cone_axioms(cone: ConeSpec, plan: SamplingPlan | None = None) -> AxiomReport:
-    """Decide the cone laws exactly from the inequality matrix A, in
-    rational arithmetic on its float entries.  P = {v : A v >= 0} holds 0
+    """Decide the cone laws exactly from the nonzero rows A of the
+    inequality matrix, ``cone.exact_rows``.  P = {v : A v >= 0} holds 0
     and every nonnegative combination of its points by construction (P1's
     zero, P2).  Its interior is nonempty exactly when some v has A v >= 1,
     which one phase-one simplex run decides.  It is pointed (P3) exactly
     when A has rank m; otherwise each vector of an exact nullspace basis
-    lies in P and in -P and is reported.  Nothing is sampled, so
-    ``sample_count`` is 0; ``plan`` is accepted and unused.  Degenerate
-    cones yield violation entries, never exceptions.
+    lies in P and in -P and is reported with its values on all rows of
+    ``ineq_matrix``.  Nothing is sampled (``sample_count`` 0, ``plan``
+    unused).  Degenerate cones yield violation entries, never exceptions.
     """
-    rows = [[Fraction(x) for x in row] for row in cone.ineq_matrix.tolist()]
+    rows = cone.exact_rows
     violations = []
     if not _has_interior(rows, cone.dimension):
         violations.append(AxiomViolation("P1-interior-nonempty", (), None))
     for ints in _nullspace(rows, cone.dimension):
         shift = max(0, max(map(abs, ints)).bit_length() - 1000)     # keeps a huge entry finite
         v = np.array([x / (1 << shift) for x in ints])
-        violations.append(AxiomViolation("P3-pointed", (v,), cone.inequality_values(v)))
+        violations.append(AxiomViolation("P3-pointed", (v,), cone.ineq_matrix @ v))
     return AxiomReport(["P1", "P2", "P3"], violations, 0)
 
 

@@ -12,13 +12,13 @@ inequalities of the form d(TSx, TSy) <= RHS(x, y).  Supported classes:
 * TW_DUAL(delta, L)  RHS = delta d(Tx, Ty) + L d(Tx, TSy)
 * TWU(theta, L1)     RHS = theta d(Tx, Ty) + L1 d(Tx, TSx)
 
-Every inequality reads the six distances of ``PairTerms``.  The sampled
-path builds them for any ``PairSet`` (carrier points in array form and two
-index arrays) with ``pair_terms``; the exact oracle builds them for all
-n^2 index pairs of a finite table.  ``evaluate`` applies the right-hand
-side from the one table ``_RHS`` and a cone test with a given slack (the
-cone's own slack on the sampled path, 0 in the oracle), so the two paths
-differ only in how the terms are built, the pair set and the slack.
+Every inequality reads the six distances of ``PairTerms``, which
+``pair_columns`` builds for any ``PairSet`` on the sampled path
+(``pair_terms``) and for all n^2 index pairs of a finite table in the
+oracle.  ``evaluate`` applies the right-hand side from the one table
+``_RHS`` and a cone test with a given slack (the cone's own slack on the
+sampled path, 0 in the oracle), so the two paths differ only in the pair
+set and the slack.
 ``fit_terms`` fits constants for both paths to the exact smallest passing
 float.
 
@@ -328,20 +328,26 @@ def map_points(space: ConeMetricSpace, maps: MapPair, pairs: PairSet) -> tuple[n
     return t, ts
 
 
+def pair_columns(dist: Callable, t: np.ndarray, ts: np.ndarray, ix: np.ndarray, iy: np.ndarray) -> PairTerms:
+    """The six distances of the pairs (ix, iy), by ``dist(a, b)`` (each a to
+    its b) on the images t of T and ts of TS; ix and iy broadcast, so two
+    aranges on crossed axes give all n^2 pairs of a table."""
+    own = dist(t, ts)
+    return PairTerms(
+        lhs=dist(ts[ix], ts[iy]),
+        d_tx_ty=dist(t[ix], t[iy]),
+        d_tx_tsx=own[ix],
+        d_ty_tsy=own[iy],
+        d_tx_tsy=dist(t[ix], ts[iy]),
+        d_ty_tsx=dist(t[iy], ts[ix]),
+    )
+
+
 def pair_terms(space: ConeMetricSpace, maps: MapPair, pairs: PairSet) -> PairTerms:
     """Terms of every pair as (k, m) arrays: the images of ``map_points``,
     and one ``ConeMetricSpace.pairwise`` call per distance column."""
     t, ts = map_points(space, maps, pairs)
-    ix, iy = pairs.ix, pairs.iy
-    own = space.pairwise(t, ts)
-    return PairTerms(
-        lhs=space.pairwise(ts[ix], ts[iy]),
-        d_tx_ty=space.pairwise(t[ix], t[iy]),
-        d_tx_tsx=own[ix],
-        d_ty_tsy=own[iy],
-        d_tx_tsy=space.pairwise(t[ix], ts[iy]),
-        d_ty_tsx=space.pairwise(t[iy], ts[ix]),
-    )
+    return pair_columns(space.pairwise, t, ts, pairs.ix, pairs.iy)
 
 
 def class_terms(kind: str, t: PairTerms) -> list[tuple[str, np.ndarray]]:

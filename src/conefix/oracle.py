@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -25,8 +25,8 @@ from .cone_space import (
 )
 from .contractions import (
     TB, TC, TK, TW, TW_DUAL, TWU, TZ,
-    ClassSpec, DeclaredProperties, MapPair, PairTerms, TabulatedMap,
-    cleared_check, evaluate, fit_terms, promote_to_weak, zamfirescu_delta,
+    ClassSpec, DeclaredProperties, MapPair, PairTerms, TabulatedMap, Verdict,
+    cleared_check, evaluate, fit_terms, pair_columns, promote_to_weak, zamfirescu_delta,
 )
 
 MAX_POINTS = 200
@@ -56,6 +56,7 @@ class FiniteInstance:
     t_table: np.ndarray
     s_table: np.ndarray
     cone: ConeSpec
+    _verdicts: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         n = len(self.points)
@@ -85,20 +86,17 @@ class FiniteInstance:
     def terms(self) -> PairTerms:
         """The pair terms of all n^2 index pairs, looked up in the tables
         once per instance (the tables are validated above and never
-        changed).  The per-point terms are (n, 1, m) and (1, n, m) views,
-        not copies."""
-        d = self.metric_table
-        t = self.t_table
-        ts = self.t_table[self.s_table]
-        own = d[t, ts]
-        return PairTerms(
-            lhs=d[ts[:, None], ts[None, :]],
-            d_tx_ty=d[t[:, None], t[None, :]],
-            d_tx_tsx=own[:, None, :],
-            d_ty_tsy=own[None, :, :],
-            d_tx_tsy=d[t[:, None], ts[None, :]],
-            d_ty_tsx=d[ts[:, None], t[None, :]],
-        )
+        changed).  The per-point terms are (n, 1, m) and (1, n, m)."""
+        d, idx = self.metric_table, np.arange(self.n)
+        return pair_columns(lambda a, b: d[a, b], self.t_table, self.t_table[self.s_table],
+                            idx[:, None], idx[None, :])
+
+    def verdict(self, spec: ClassSpec) -> Verdict:
+        """The class inequality of ``spec`` on all n^2 pairs at slack 0,
+        evaluated once per spec and instance."""
+        if spec not in self._verdicts:
+            self._verdicts[spec] = evaluate(spec, self.terms, self.cone, 0.0)
+        return self._verdicts[spec]
 
     @property
     def n(self) -> int:
@@ -162,7 +160,7 @@ class OracleConditionReport:
 
 def exhaustive_condition_check(fin: FiniteInstance, spec: ClassSpec) -> OracleConditionReport:
     """Evaluate the class inequality on all n^2 ordered pairs, exactly."""
-    v = evaluate(spec, fin.terms, fin.cone, 0.0)
+    v = fin.verdict(spec)
     return OracleConditionReport(spec, bool(v.ok.all()), _index_pairs(~v.ok), fin.n ** 2, v.branch_stats)
 
 
@@ -224,11 +222,10 @@ def exhaustive_reduction_check(fin: FiniteInstance, a: float, b: float, c: float
     """
     delta = zamfirescu_delta(a, b, c)
     tz = ClassSpec.tz(a, b, c)
-    t = fin.terms
-    tz_ok = evaluate(tz, t, fin.cone, 0.0).ok
+    tz_ok = fin.verdict(tz).ok
     if not tz_ok.all():
         return ReductionExhaustive(delta, False, False, False, _index_pairs(~tz_ok), [])
-    ok_p, ok_d = (cleared_check(tz, kind, t, fin.cone, 0.0).ok for kind in (TWU, TW_DUAL))
+    ok_p, ok_d = (cleared_check(tz, kind, fin.terms, fin.cone, 0.0).ok for kind in (TWU, TW_DUAL))
     return ReductionExhaustive(
         delta, True, bool(ok_p.all()), bool(ok_d.all()), _index_pairs(~ok_p), _index_pairs(~ok_d)
     )
@@ -256,9 +253,9 @@ def exhaustive_promotion_check(fin: FiniteInstance, source: ClassSpec) -> Promot
     """
     if source.kind not in (TB, TK, TC, TZ):
         raise ConfigError(f"promotion oracle applies to TB/TK/TC/TZ, not {source.kind!r}")
-    t = fin.terms
-    off_source = ~evaluate(source, t, fin.cone, 0.0).ok
-    ok_w, ok_d = (cleared_check(source, kind, t, fin.cone, 0.0).ok | off_source for kind in (TW, TW_DUAL))
+    off_source = ~fin.verdict(source).ok
+    ok_w, ok_d = (cleared_check(source, kind, fin.terms, fin.cone, 0.0).ok | off_source
+                  for kind in (TW, TW_DUAL))
     return PromotionExhaustive(
         source, promote_to_weak(source), bool(ok_w.all()), bool(ok_d.all()),
         _index_pairs(~ok_w), _index_pairs(~ok_d),
@@ -396,28 +393,34 @@ def _draw_units(rng: np.random.Generator, lo: int, hi: int, denom: float) -> flo
 def random_finite_instance(rng: np.random.Generator) -> FiniteInstance:
     """A valid finite instance with no class requirement (metric axioms
     hold by construction and are re-validated exactly)."""
-    fin, _ = _draw_instance(rng)
-    return fin
+    return _draw_instance(rng)[0]
+
+
+def _rejection_corpus(count: int, seed: int, label: str, accept: Callable) -> list[GeneratedInstance]:
+    """``count`` instances of one class by rejection: each attempt draws an
+    instance, then ``accept(rng, fin, proposal)`` draws the class constants
+    and returns the GeneratedInstance, or None to reject it."""
+    rng, out = np.random.default_rng(seed), []
+    for _ in range(MAX_ATTEMPTS):
+        if len(out) == count:
+            break
+        found = accept(rng, *_draw_instance(rng))
+        if found is not None:
+            out.append(found)
+    if len(out) < count:
+        raise RuntimeError(f"{label} corpus generation starved after {MAX_ATTEMPTS} attempts")
+    return out
 
 
 def generate_tz_corpus(count: int, *, seed: int = 0) -> list[GeneratedInstance]:
     """Rejection-sample finite instances exhaustively satisfying
     TZ(a, b, c) for dyadic constants drawn per instance."""
-    rng = np.random.default_rng(seed)
-    out: list[GeneratedInstance] = []
-    attempts = 0
-    while len(out) < count:
-        attempts += 1
-        if attempts > MAX_ATTEMPTS:
-            raise RuntimeError(f"TZ corpus generation starved after {attempts} attempts")
-        fin, name = _draw_instance(rng)
-        a = _draw_units(rng, 0, 64, 64.0)
-        b = _draw_units(rng, 0, 32, 64.0)
-        c = _draw_units(rng, 0, 32, 64.0)
+    def accept(rng, fin, name):
+        a, b, c = _draw_units(rng, 0, 64, 64.0), _draw_units(rng, 0, 32, 64.0), _draw_units(rng, 0, 32, 64.0)
         spec = ClassSpec.tz(a, b, c)
-        if exhaustive_condition_check(fin, spec).holds:
-            out.append(GeneratedInstance(fin, spec, name))
-    return out
+        return GeneratedInstance(fin, spec, name) if exhaustive_condition_check(fin, spec).holds else None
+
+    return _rejection_corpus(count, seed, "TZ", accept)
 
 
 def generate_twu_corpus(count: int, *, seed: int = 0) -> list[GeneratedInstance]:
@@ -426,20 +429,11 @@ def generate_twu_corpus(count: int, *, seed: int = 0) -> list[GeneratedInstance]
     TWU inequality alone admits fixed-point-free instances (a two-point
     swap passes it whenever theta + L1 >= 1), while the weak condition
     forces every orbit onto a fixed point."""
-    rng = np.random.default_rng(seed)
-    out: list[GeneratedInstance] = []
-    attempts = 0
-    while len(out) < count:
-        attempts += 1
-        if attempts > MAX_ATTEMPTS:
-            raise RuntimeError(f"TWU corpus generation starved after {attempts} attempts")
-        fin, name = _draw_instance(rng)
-        delta = _draw_units(rng, 1, 64, 64.0)
-        big_l = _draw_units(rng, 0, 9, 4.0)
-        theta = _draw_units(rng, 1, 64, 64.0)
-        l1 = _draw_units(rng, 0, 9, 4.0)
-        twu = ClassSpec.twu(theta, l1)
-        tw = ClassSpec.tw(delta, big_l)
+    def accept(rng, fin, name):
+        tw = ClassSpec.tw(_draw_units(rng, 1, 64, 64.0), _draw_units(rng, 0, 9, 4.0))
+        twu = ClassSpec.twu(_draw_units(rng, 1, 64, 64.0), _draw_units(rng, 0, 9, 4.0))
         if exhaustive_condition_check(fin, tw).holds and exhaustive_condition_check(fin, twu).holds:
-            out.append(GeneratedInstance(fin, twu, name, extra={"delta": delta, "L": big_l}))
-    return out
+            return GeneratedInstance(fin, twu, name, extra={"delta": tw.delta, "L": tw.L})
+        return None
+
+    return _rejection_corpus(count, seed, "TWU", accept)

@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conefix import cli
+from conefix import cli, oracle
 from conefix.cli import (
     InstanceValidationError, _condition_pairs, emit_trace, load_instance, main, parse_instance,
 )
-from conefix.cone_space import ConfigError, FinitePointsCarrier, IntervalCarrier
-from conefix.contractions import CLASS_KINDS, AffineMap
+from conefix.cone_space import ConeSpec, ConfigError, FinitePointsCarrier, IntervalCarrier, verify_cone_axioms
+from conefix.contractions import CLASS_KINDS, AffineMap, ClassSpec, evaluate
 from conefix.instances import instance_a
 from conefix.solver import StoppingRule, picard_iterate
 
@@ -96,6 +96,27 @@ def test_parse_rejects_direction_outside_interior():
     assert any("interior" in e for e in exc.value.errors)
 
 
+def test_interior_margin_is_an_unknown_key():
+    doc = fixture_doc("instance_a")
+    doc["cone"]["interior_margin"] = 1e-9
+    with pytest.raises(InstanceValidationError) as exc:
+        parse_instance(json.dumps(doc))
+    assert exc.value.errors == ["cone: unknown key 'interior_margin'"]
+
+
+def test_zero_matrix_row_constrains_nothing(tmp_path):
+    # the row [0, 0] used to fail P1 (0 . v >= 1) and refuse every direction
+    matrix = [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
+    assert verify_cone_axioms(ConeSpec.polyhedral(matrix)).passed
+    doc = fixture_doc("instance_a")
+    doc["cone"] = {"family": "polyhedral", "dimension": 2, "matrix": matrix}
+    path = _write(tmp_path, "zero_row.json", doc)
+    assert load_instance(path).space.cone.ineq_matrix.tolist() == matrix
+    out = tmp_path / "report.json"
+    assert main(["verify", "--instance", str(path), "--samples", "500", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["cone_axioms"]["violation_count"] == 0
+
+
 def test_parse_reports_syntax_position():
     with pytest.raises(InstanceValidationError) as exc:
         parse_instance("{\n  broken\n}")
@@ -131,7 +152,6 @@ BOX_INF = "space.carrier: box carrier bounds must be finite"
                  "maps.S: non-finite number -inf is not admitted", id="beta"),
     pytest.param("instance_a", ("maps", "T"), {"family": "power", "exponent": "1e400"},
                  f"maps.T: {INF}", id="exponent"),
-    pytest.param("instance_a", ("cone", "interior_margin"), "1e400", f"cone: {INF}", id="interior_margin"),
     pytest.param("instance_a", ("cone", "slack"), "1e400", f"cone: {INF}", id="slack"),
     pytest.param("instance_a", ("space", "carrier"),
                  {"kind": "box", "lows": ["-1e400", 0.0], "highs": [1.0, 1.0]}, BOX_INF, id="lows"),
@@ -242,7 +262,6 @@ def test_no_silent_coercion(path, value, error):
     (("run", "rate_h"), False, "run: expected a number, got false"),
     (("run", "rate_h"), "0.5", 'run: expected a number, got "0.5"'),
     (("cone", "slack"), True, "cone: expected a number, got true"),
-    (("cone", "interior_margin"), "1e-9", 'cone: expected a number, got "1e-9"'),
     (("space", "metric", "direction"), [True, True], "space.metric: expected a number, got true"),
     (("space", "metric", "direction"), ["1", "2"], 'space.metric: expected a number, got "1"'),
     (("space", "metric", "direction"), [1.0, None], "space.metric: expected a number, got null"),
@@ -464,7 +483,7 @@ GOLDEN = Path(__file__).with_name("golden_malformed.json")
 # null, wrong types, a negative and the non-finite numbers Python's json admits
 BAD_VALUES = (None, "x", [], {}, -1, math.inf, math.nan)
 # optional keys the fixtures leave out, given each bad value too
-ABSENT = (("cone", "interior_margin"), ("cone", "slack"), ("maps", "declared"),
+ABSENT = (("cone", "slack"), ("maps", "declared"),
           ("run", "max_iter"), ("run", "rate_h"), ("run", "normal_k"))
 SWAPS = {
     ("contraction", "class"): (*CLASS_KINDS, "bogus", []),
@@ -639,6 +658,24 @@ def test_oracle_reports_exact_results(tmp_path):
     assert [1, 2] in report["condition"]["violating_pairs"]
     assert report["tightest"]["supremum"]["a"] == 1.0
     assert not report["tightest"]["feasible"]
+
+
+def test_oracle_evaluates_tz_once(tmp_path, monkeypatch):
+    # the condition check and the reduction check share one TZ verdict
+    evaluated = []
+
+    def counting(spec, *args, **kwargs):
+        evaluated.append(spec)
+        return evaluate(spec, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "evaluate", counting)
+    doc = fixture_doc("instance_d")
+    doc["contraction"] = {"class": "TZ", "a": 0.5, "b": 0.25, "c": 0.125}
+    path = _write(tmp_path, "tz.json", doc)
+    out = tmp_path / "oracle.json"
+    assert main(["oracle", "--instance", str(path), "--out", str(out)]) in (0, 1)
+    assert "reduction" in json.loads(out.read_text())
+    assert evaluated == [ClassSpec.tz(0.5, 0.25, 0.125)]
 
 
 def test_oracle_runs_exact_reduction_for_tz(tmp_path):

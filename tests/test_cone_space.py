@@ -68,6 +68,35 @@ def test_interior_implies_closed(v):
             assert cone.contains(v, "closed")
 
 
+# Integer cones in R^1..R^3 with up to 5 rows, zero rows often, and an
+# integer direction: every dot product is exact in integers.
+int_cone_and_direction = st.integers(1, 3).flatmap(lambda m: st.tuples(
+    st.lists(st.one_of(st.just([0] * m), st.lists(st.integers(-3, 3), min_size=m, max_size=m)),
+             max_size=5),
+    st.lists(st.integers(-4, 4), min_size=m, max_size=m)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=int_cone_and_direction)
+def test_interior_is_exact_and_agrees_with_p1(case):
+    rows, u = case
+    cone = ConeSpec.polyhedral(np.array(rows, dtype=float).reshape(-1, len(u)))
+    live = [row for row in rows if any(row)]
+    expected = any(u) and all(sum(a * x for a, x in zip(row, u)) > 0 for row in live)
+    assert cone.contains(u, "interior") == expected
+    assert cone.contains(u, "closed") == all(sum(a * x for a, x in zip(row, u)) >= 0 for row in rows)
+    if expected:
+        assert "P1-interior-nonempty" not in {v.axiom for v in verify_cone_axioms(cone).violations}
+
+
+def test_interior_test_needs_no_margin():
+    # a direction barely inside a wedge is interior; the wedge's edge is not
+    cone = ConeSpec.polyhedral([[1.0, -1.0], [0.0, 1.0]])
+    assert cone.contains([1.0 + 2.0 ** -52, 1.0], "interior")
+    assert not cone.contains([1.0, 1.0], "interior")
+    assert cone.contains([1.0, 1.0], "closed")
+
+
 # ---------------------------------------------------------------------------
 # Cone axioms
 # ---------------------------------------------------------------------------
@@ -114,7 +143,8 @@ def test_cone_without_inequalities_is_the_whole_space():
 
 # Each cone with the violations its matrix decides, as (axiom, witness):
 # the zero-weight scaled orthant has rows v2 >= 0 and -v2 >= 0 (rank 2, flat),
-# and x + y >= 0 in R^3 has the nullspace basis (-1, 1, 0), (0, 0, 1).
+# and x + y >= 0 in R^3 has the nullspace basis (-1, 1, 0), (0, 0, 1).  A
+# zero row constrains nothing, and a P3 residual still lists it.
 EXACT_REPORTS = {
     "orthant": (ConeSpec.orthant(2), []),
     "orthant-3d-euclidean": (ConeSpec.orthant(3, norm_kind="euclidean"), []),
@@ -126,6 +156,8 @@ EXACT_REPORTS = {
                              [("P3-pointed", [[0.0, 1.0]])]),
     "half-space-3d": (ConeSpec.polyhedral([[1.0, 1.0, 0.0]]),
                       [("P3-pointed", [[-1.0, 1.0, 0.0]]), ("P3-pointed", [[0.0, 0.0, 1.0]])]),
+    "orthant-zero-row": (ConeSpec.polyhedral([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]), []),
+    "half-plane-zero-row": (ConeSpec.polyhedral([[1.0, 0.0], [0.0, 0.0]]), [("P3-pointed", [[0.0, 1.0]])]),
 }
 
 
@@ -157,17 +189,20 @@ small_matrix = st.integers(1, 3).flatmap(lambda m: st.lists(
 @given(rows=small_matrix)
 def test_cone_axioms_match_rank_and_lp_references(rows):
     # P3 against numpy's rank; the interior against scipy's LP for
-    # max t s.t. A v >= t, -1 <= v <= 1, 0 <= t <= 1 (t > 0 iff Int P is nonempty)
+    # max t s.t. A v >= t, -1 <= v <= 1, 0 <= t <= 1 over the nonzero rows A
+    # (t > 0 iff Int P is nonempty; a zero row constrains nothing)
     linprog = pytest.importorskip("scipy.optimize").linprog
     a = np.array(rows, dtype=float)
-    r, m = a.shape
+    m = a.shape[1]
+    live = a[np.any(a != 0.0, axis=1)]
+    r = len(live)
     report = verify_cone_axioms(ConeSpec.polyhedral(a))
     found = {v.axiom for v in report.violations}
     witnesses = [v.witness[0] for v in report.violations if v.axiom == "P3-pointed"]
     assert len(witnesses) == m - np.linalg.matrix_rank(a)
     for v in witnesses:
         assert np.any(v != 0.0) and np.all(a @ v == 0.0)
-    lp = linprog(np.r_[np.zeros(m), -1.0], A_ub=np.c_[-a, np.ones(r)], b_ub=np.zeros(r),
+    lp = linprog(np.r_[np.zeros(m), -1.0], A_ub=np.c_[-live, np.ones(r)], b_ub=np.zeros(r),
                  bounds=[(-1.0, 1.0)] * m + [(0.0, 1.0)], method="highs")
     assert lp.success
     assert ("P1-interior-nonempty" not in found) == (lp.x[-1] > 1e-9)
