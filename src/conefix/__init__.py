@@ -8,8 +8,8 @@ from .cone_space import (
     estimate_normal_constant, verify_cone_axioms, verify_metric_axioms,
 )
 from .contractions import (
-    AffineMap, ClassSpec, ConditionReport, ConditionViolation, DeclaredProperties,
-    FitResult, IdentityMap, MapPair, PairSet, PowerMap, ReductionReport, TabulatedMap,
+    AffineMap, ClassSpec, ConditionReport, ConditionViolation, FitResult,
+    IdentityMap, MapPair, PairSet, PowerMap, ReductionReport, TabulatedMap,
     all_pairs, check_condition, fit_constants, grid_pairs,
     promote_to_weak, rate_from_primary_form, sampled_pairs,
     verify_zamfirescu_reduction, zamfirescu_delta,

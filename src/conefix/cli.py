@@ -27,7 +27,7 @@ from .cone_space import (
 )
 from .contractions import (
     CLASS_KINDS, TB, TC, TK, TW, TW_DUAL, TZ,
-    AffineMap, ClassSpec, ConditionReport, DeclaredProperties, IdentityMap, MapPair, PairSet,
+    AffineMap, ClassSpec, ConditionReport, IdentityMap, MapPair, PairSet,
     PowerMap, TabulatedMap, _array_map, all_pairs, check_condition, constant_names, fit_constants,
     grid_pairs, map_points, rate_from_primary_form, sampled_pairs, verify_zamfirescu_reduction,
     zamfirescu_delta,
@@ -223,6 +223,24 @@ def _numbers(value) -> np.ndarray:
     return np.array(level, dtype=float).reshape(shape)
 
 
+def _json_list(name: str) -> Callable:
+    """A JSON list as it is; list() would read a string or an object as a list."""
+    def coerce(value) -> list:
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a list, got {json.dumps(value)}")
+        return value
+    return coerce
+
+
+def _labels(value) -> list:
+    """The points of a finite carrier: a JSON list of numbers or strings.
+    A boolean is not a label (a dict would find True under the label 1)."""
+    bad = [x for x in _json_list("points")(value) if type(x) not in (int, float, str)]
+    if bad:
+        raise ConfigError(f"points must be numbers or strings, got {json.dumps(bad[0])}")
+    return value
+
+
 def _start_point(value):
     """A JSON list is a box point: the float vector a box carrier takes."""
     return _numbers(value) if isinstance(value, list) else value
@@ -273,13 +291,10 @@ def _tabulated_map(images, *, carrier) -> TabulatedMap | None:
         return None
     if not isinstance(carrier, FinitePointsCarrier):
         raise ConfigError("tabulated maps require a finite carrier")
-    pts = list(carrier.points)
-    try:
-        if not all(type(i) is int and 0 <= i < len(pts) for i in images):
-            raise IndexError
-        return TabulatedMap(pts, [pts[i] for i in images])
-    except (IndexError, ValueError):
-        raise ConfigError("images must be valid point indices") from None
+    pts = carrier.points
+    if not all(type(i) is int and 0 <= i < len(pts) for i in images):
+        raise ConfigError("images must be valid point indices")
+    return TabulatedMap(pts, [pts[i] for i in images])
 
 
 def _class_spec(kind: str, **constants) -> tuple[ClassSpec, bool]:
@@ -305,7 +320,7 @@ CARRIER = Section({
     "interval": Variant(IntervalCarrier, {"lo": _finite_float, "hi": _finite_float},
                         {"grid": _integer("grid")}),
     "box": Variant(BoxCarrier, {"lows": _numbers, "highs": _numbers}, {"grid": _integer("grid")}),
-    "finite": Variant(FinitePointsCarrier, {"points": list}),
+    "finite": Variant(FinitePointsCarrier, {"points": _labels}),
 }, "kind", "carrier kind")
 
 METRIC = Section({
@@ -318,14 +333,8 @@ MAP = Section({
     "identity": Variant(IdentityMap),
     "affine": Variant(AffineMap, {"alpha": _finite_float}, {"beta": _finite_float}),
     "power": Variant(PowerMap, {"exponent": _finite_float}),
-    "tabulated": Variant(_tabulated_map, {"images": _as_is}, needs=("carrier",)),
+    "tabulated": Variant(_tabulated_map, {"images": _json_list("images")}, needs=("carrier",)),
 }, "family", "map family")
-
-DECLARED = Section({None: Variant(DeclaredProperties, optional={
-    name: _bounded(_as_is, lambda v: isinstance(v, bool), f"{name} must be true or false")
-    for name in ("t_continuous", "t_injective", "t_sequentially_convergent",
-                 "t_subsequentially_convergent", "s_continuous")
-})})
 
 CONTRACTION = Section({
     kind: Variant(partial(_class_spec, kind), optional={name: _finite_float for name in constant_names(kind)})
@@ -347,7 +356,7 @@ INSTANCE = Section({None: Variant(
     {"schema_version": _schema_version, "cone": CONE,
      "space": Section({None: Variant(lambda carrier, metric, cone: ConeMetricSpace(cone, carrier, metric),
                                      {"carrier": CARRIER, "metric": METRIC}, needs=("cone",))}),
-     "maps": Section({None: Variant(MapPair, {"T": MAP, "S": MAP}, {"declared": DECLARED})})},
+     "maps": Section({None: Variant(MapPair, {"T": MAP, "S": MAP})})},
     {"contraction": CONTRACTION, "run": RUN},
 )})
 
@@ -535,11 +544,12 @@ class Options:
 
 def _condition_pairs(inst: LoadedInstance) -> PairSet:
     """All pairs of a finite carrier; else the grid's pairs, or sampled
-    pairs when the grid has more pairs than ``run.samples``."""
-    space = inst.space
-    if space.carrier.finite:
+    pairs when the grid (sized, not built) has more pairs than ``run.samples``."""
+    space, carrier = inst.space, inst.space.carrier
+    if carrier.finite:
         return all_pairs(space)
-    if len(space.carrier.grid_points()) ** 2 > inst.run.samples:
+    points = carrier.grid if isinstance(carrier, IntervalCarrier) else carrier.grid ** len(carrier.lows)
+    if points ** 2 > inst.run.samples:
         return sampled_pairs(space, inst.run.samples, inst.run.seed)
     return grid_pairs(space)
 
@@ -593,8 +603,7 @@ def run(command: str, inst: LoadedInstance, options: Options) -> tuple[int, dict
                 }
                 ok = ok and red.holds
         report["status"] = "pass" if ok else "fail"
-        _dump_json(report, options.out)
-        return (0 if ok else 1), {"report": report}
+        return (0 if ok else 1), {"text": _dump_json(report, options.out)}
 
     if command == "solve":
         x0 = inst.run.x0
@@ -696,8 +705,7 @@ def run(command: str, inst: LoadedInstance, options: Options) -> tuple[int, dict
             }
             ok = ok and cv.passed
         out["status"] = "pass" if ok else "fail"
-        _dump_json(out, options.out)
-        return (0 if ok else 1), {"report": out}
+        return (0 if ok else 1), {"text": _dump_json(out, options.out)}
 
     if command == "fit":
         if inst.contraction is None:
@@ -717,8 +725,7 @@ def run(command: str, inst: LoadedInstance, options: Options) -> tuple[int, dict
             "hard_witnesses": _plain(result.hard_witnesses[:50]),
             "status": "pass" if result.feasible else "fail",
         }
-        _dump_json(out, options.out)
-        return (0 if result.feasible else 1), {"report": out}
+        return (0 if result.feasible else 1), {"text": _dump_json(out, options.out)}
 
     raise UsageError(f"unknown command {command!r}")
 
@@ -791,8 +798,8 @@ def main(argv: list[str] | None = None) -> int:
         if options.out is None:
             sys.stdout.write(artifacts["trace_text"])
         print(json.dumps(_plain(artifacts["certificate"]), sort_keys=True))
-    elif options.out is None and "report" in artifacts:
-        print(json.dumps(_plain(artifacts["report"]), sort_keys=True, indent=2))
+    elif options.out is None:
+        sys.stdout.write(artifacts["text"])
     return status
 
 

@@ -455,6 +455,8 @@ class FinitePointsCarrier:
         return self._position(x) >= 0
 
     def _position(self, x) -> int:
+        if isinstance(x, (bool, np.bool_)):     # never a label: the dict finds True under 1
+            return -1
         try:
             return self.index.get(x, -1)
         except TypeError:       # unhashable: not a point of the carrier

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import struct
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -155,19 +155,9 @@ def _array_map(space: ConeMetricSpace, f: Callable) -> Callable:
 
 
 @dataclass
-class DeclaredProperties:
-    t_continuous: bool = True
-    t_injective: bool = True
-    t_sequentially_convergent: bool = True
-    t_subsequentially_convergent: bool = True
-    s_continuous: bool = True
-
-
-@dataclass
 class MapPair:
     T: Callable
     S: Callable
-    declared: DeclaredProperties = field(default_factory=DeclaredProperties)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .cone_space import (
 )
 from .contractions import (
     TB, TC, TK, TW, TW_DUAL, TWU, TZ,
-    ClassSpec, DeclaredProperties, MapPair, PairTerms, TabulatedMap, Verdict,
+    ClassSpec, MapPair, PairTerms, TabulatedMap, Verdict,
     cleared_check, evaluate, fit_terms, pair_columns, promote_to_weak, zamfirescu_delta,
 )
 
@@ -112,8 +112,7 @@ class FiniteInstance:
         space = ConeMetricSpace(self.cone, carrier, metric)
         t_map = TabulatedMap(self.points, [self.points[i] for i in self.t_table])
         s_map = TabulatedMap(self.points, [self.points[i] for i in self.s_table])
-        declared = DeclaredProperties(t_injective=self.t_injective)
-        return space, MapPair(t_map, s_map, declared)
+        return space, MapPair(t_map, s_map)
 
 
 def finite_from_values(

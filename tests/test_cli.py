@@ -14,7 +14,9 @@ from conefix import cli, oracle
 from conefix.cli import (
     InstanceValidationError, _condition_pairs, emit_trace, load_instance, main, parse_instance,
 )
-from conefix.cone_space import ConeSpec, ConfigError, FinitePointsCarrier, IntervalCarrier, verify_cone_axioms
+from conefix.cone_space import (
+    BoxCarrier, ConeSpec, ConfigError, FinitePointsCarrier, IntervalCarrier, verify_cone_axioms,
+)
 from conefix.contractions import CLASS_KINDS, AffineMap, ClassSpec, evaluate
 from conefix.instances import instance_a
 from conefix.solver import StoppingRule, picard_iterate
@@ -239,8 +241,7 @@ def test_box_start_point_from_the_file_matches_the_flag(tmp_path, capsys):
     (("run", "max_iter"), True, "run: max_iter must be an integer, got true"),
     (("space", "carrier", "grid"), 21.9, "space.carrier: grid must be an integer, got 21.9"),
     (("cone", "dimension"), True, "cone: dimension must be an integer, got true"),
-    (("maps", "declared"), {"t_continuous": "false"}, "maps.declared: t_continuous must be true or false"),
-    (("maps", "declared"), {"s_continuous": 1}, "maps.declared: s_continuous must be true or false"),
+    (("maps", "declared"), {"t_injective": True}, "maps: unknown key 'declared'"),
 ])
 def test_no_silent_coercion(path, value, error):
     doc = fixture_doc("instance_a")
@@ -410,10 +411,8 @@ def test_integer_table_entries_still_load():
 def test_integral_numbers_still_load():
     doc = fixture_doc("instance_a")
     doc["run"].update({"samples": 500.0, "seed": 3.0})
-    doc["maps"]["declared"] = {"t_continuous": False, "t_injective": True}
     inst = parse_instance(json.dumps(doc))
     assert (inst.run.samples, inst.run.seed) == (500, 3)
-    assert not inst.maps.declared.t_continuous and inst.maps.declared.t_injective
 
 
 @pytest.mark.parametrize("command", ["verify", "solve", "fit"])
@@ -461,6 +460,42 @@ def test_tabulated_map_rejects_bad_image_index(image):
     assert exc.value.errors == ["maps.S: images must be valid point indices"]
 
 
+@pytest.mark.parametrize("points, error", [
+    ("abc", 'points must be a list, got "abc"'),     # list() read it as the labels a, b, c
+    ({"a": 1, "b": 2, "c": 3}, 'points must be a list, got {"a": 1, "b": 2, "c": 3}'),
+    ([0, True, 2], "points must be numbers or strings, got true"),
+    ([0, None, 2], "points must be numbers or strings, got null"),
+    ([[0], 1, 2], "points must be numbers or strings, got [0]"),
+])
+def test_finite_points_must_be_a_list_of_numbers_or_strings(points, error):
+    doc = {
+        "schema_version": "1",
+        "cone": {"family": "orthant", "dimension": 1},
+        "space": {
+            "carrier": {"kind": "finite", "points": points},
+            "metric": {"kind": "tabulated", "table": [[[abs(i - j)] for j in range(3)] for i in range(3)]},
+        },
+        "maps": {"T": {"family": "identity"}, "S": {"family": "tabulated", "images": [0, 0, 1]}},
+    }
+    with pytest.raises(InstanceValidationError) as exc:
+        parse_instance(json.dumps(doc))
+    assert exc.value.errors == [f"space.carrier: {error}"]
+
+
+@pytest.mark.parametrize("images, error", [
+    ([0, 1], "tabulated map needs one image per point"),
+    ([], "tabulated map needs one image per point"),
+    ("01", 'images must be a list, got "01"'),
+    ({"0": 1}, 'images must be a list, got {"0": 1}'),
+])
+def test_tabulated_map_images_must_be_a_list_with_one_image_per_point(images, error):
+    doc = fixture_doc("instance_d")
+    doc["maps"]["S"]["images"] = images
+    with pytest.raises(InstanceValidationError) as exc:
+        parse_instance(json.dumps(doc))
+    assert exc.value.errors == [f"maps.S: {error}"]
+
+
 def test_parse_finite_instance_builds_oracle_tables():
     inst = parse_instance(json.dumps(fixture_doc("instance_d")))
     assert inst.finite is not None
@@ -483,8 +518,7 @@ GOLDEN = Path(__file__).with_name("golden_malformed.json")
 # null, wrong types, a negative and the non-finite numbers Python's json admits
 BAD_VALUES = (None, "x", [], {}, -1, math.inf, math.nan)
 # optional keys the fixtures leave out, given each bad value too
-ABSENT = (("cone", "slack"), ("maps", "declared"),
-          ("run", "max_iter"), ("run", "rate_h"), ("run", "normal_k"))
+ABSENT = (("cone", "slack"), ("run", "max_iter"), ("run", "rate_h"), ("run", "normal_k"))
 SWAPS = {
     ("contraction", "class"): (*CLASS_KINDS, "bogus", []),
     ("cone", "family"): ("orthant", "scaled_orthant", "polyhedral", "bogus", []),
@@ -564,6 +598,18 @@ def test_malformed_corpus_matches_golden_table():
 # ---------------------------------------------------------------------------
 # Commands and exit statuses
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("command, fixture", [
+    ("verify", "instance_a"), ("oracle", "instance_d"), ("fit", "instance_a"),
+])
+def test_report_on_stdout_equals_the_out_file(tmp_path, capsys, command, fixture):
+    path = _write(tmp_path, "inst.json", fixture_doc(fixture))
+    out = tmp_path / "report.json"
+    status = main([command, "--instance", str(path), "--out", str(out)])
+    assert capsys.readouterr().out == ""
+    assert main([command, "--instance", str(path)]) == status
+    assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+
 
 def test_verify_passes_on_instance_a(tmp_path):
     path = _write(tmp_path, "a.json", fixture_doc("instance_a"))
@@ -804,6 +850,13 @@ def test_boolean_start_point_is_outside_an_interval(tmp_path, capsys):
     assert capsys.readouterr().err == "check failed: start point True lies outside the carrier\n"
 
 
+def test_boolean_start_point_is_not_a_finite_label(tmp_path, capsys):
+    # instance D has the label 1, which a dict finds under True
+    path = _write(tmp_path, "d.json", fixture_doc("instance_d"))
+    assert main(["solve", "--instance", str(path), "--x0", "true"]) == 1
+    assert capsys.readouterr().err == "check failed: start point True lies outside the carrier\n"
+
+
 def test_map_off_the_finite_labels_is_rejected():
     doc = fixture_doc("instance_d")
     doc["maps"]["S"] = {"family": "affine", "alpha": 0.5}
@@ -887,6 +940,22 @@ def test_condition_pairs_sample_only_a_grid_larger_than_samples(samples):
         assert len(pairs) == samples and len(pairs.points) == 2 * samples
     else:
         assert len(pairs) == 101 ** 2 and np.array_equal(pairs.points, inst.space.carrier.grid_points())
+
+
+@pytest.mark.parametrize("command", ["verify", "fit"])
+def test_a_box_larger_than_samples_is_sampled_without_building_its_grid(tmp_path, monkeypatch, command):
+    # 11 ** 6 grid points: building them only to count the pairs took 0.2 s
+    # and 160 MB, and at 8 coordinates would take about 14 GB
+    def no_grid(self):
+        raise AssertionError("grid built")
+    monkeypatch.setattr(BoxCarrier, "grid_points", no_grid)
+    doc = {**BOX, "contraction": {"class": "TB", "a": 0.5}, "run": {"samples": 1000}}
+    doc["space"] = {**BOX["space"], "carrier": {"kind": "box", "lows": [0.0] * 6, "highs": [1.0] * 6}}
+    inst = parse_instance(json.dumps(doc))
+    assert len(_condition_pairs(inst)) == 1000
+    out = tmp_path / "report.json"
+    assert main([command, "--instance", str(_write(tmp_path, "box6.json", doc)), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["status"] == "pass"
 
 
 def test_condition_pairs_of_a_finite_file_are_all_pairs():

@@ -51,7 +51,11 @@ def test_cone_norm_is_the_one_row_norm_bit_for_bit():
 def test_booleans_are_not_interval_points():
     assert not IntervalCarrier(0.0, 1.0).contains(True)
     assert IntervalCarrier(0.0, 1.0).contains(1)
-    assert FinitePointsCarrier([0, 1]).contains(True)     # labels compare as Python values
+    # nor points of a finite carrier, where a dict would find True under 1
+    assert FinitePointsCarrier([0, 1]).contains(1)
+    assert not FinitePointsCarrier([0, 1]).contains(True)
+    assert not FinitePointsCarrier([0, 1]).contains(np.True_)
+    assert FinitePointsCarrier([0, 1]).to_array([1, False]).tolist() == [1, -1]
 
 
 def test_membership_rejects_non_finite():
