@@ -4,15 +4,16 @@
     python scripts/artifact_digest.py PATH...
 
 Runs verify (default seed, ``--seed 7`` and ``--samples 500``), solve
-(default CSV trace, and ``--epsilon 1e-9`` with a JSON trace), oracle and
-fit in-process on each file and prints one line per (file, command): the exit
+(default CSV trace, ``--epsilon 1e-9`` with a JSON trace, and ``--x0 0``
+with a JSON trace), oracle and fit in-process on each file and prints one line per (file, command): the exit
 status and the sha256 of the artifact written with ``--out``, of stdout
 and of stderr.  One more line per file hashes the ``repr`` of what the API
 returns, which no CLI artifact shows in full:
 
 * ``probe``: ``uniqueness_probe`` from the start points ``solve`` probes
-  (the verdict, the certified points, and each run's stop reason, length
-  and points);
+  (the verdict, the certified points, and each run's stop reason, length,
+  points and T-images, then its points, T-images, gap vectors and gap
+  norms as plain numbers, floats as their shortest repr);
 * ``diagnose``: ``diagnose_T`` with its default probes (the injectivity
   violations and the sequence findings);
 * ``condition``: ``check_condition`` of the file's class over the pairs
@@ -46,6 +47,7 @@ COMMANDS = (
     ("verify", ("--samples", "500")),
     ("solve", ()),
     ("solve", ("--epsilon", "1e-9", "--format", "json")),
+    ("solve", ("--x0", "0", "--format", "json")),
     ("oracle", ()),
     ("fit", ()),
 )
@@ -72,7 +74,8 @@ def _api_probe(inst) -> tuple:
     rule = solver.StoppingRule(epsilon=inst.run.epsilon, max_iter=inst.run.max_iter)
     v = solver.uniqueness_probe(inst.space, inst.maps, starts, rule)
     return v.verdict, v.fixed_point, v.witnesses, [
-        (t.stop_reason, t.n_final, t.x_sequence) for t in v.traces]
+        (t.stop_reason, t.n_final, t.x_sequence, t.t_images,
+         cli._plain([t.x_sequence, t.t_images, t.t_image_gaps, t.gap_norms])) for t in v.traces]
 
 
 def _api_diagnose(inst) -> tuple:

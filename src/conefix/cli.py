@@ -554,7 +554,8 @@ def _condition_pairs(inst: LoadedInstance) -> PairSet:
     return grid_pairs(space)
 
 
-def _default_starts(inst: LoadedInstance, x0) -> list:
+def _carrier_starts(inst: LoadedInstance) -> dict:
+    """The carrier's first, middle and last points, by ``point_key``."""
     carrier = inst.space.carrier
     if carrier.finite:
         pts = list(carrier.points)
@@ -563,9 +564,26 @@ def _default_starts(inst: LoadedInstance, x0) -> list:
         starts = [carrier.lows, 0.5 * (carrier.lows + carrier.highs), carrier.highs]
     else:
         starts = [carrier.lo, 0.5 * (carrier.lo + carrier.hi), carrier.hi]
-    keyed = {point_key(s): s for s in starts}
+    return {point_key(s): s for s in starts}
+
+
+def _default_starts(inst: LoadedInstance, x0) -> list:
+    """The starts ``solve`` probes: the carrier's, then x0 unless one of
+    them has its key."""
+    keyed = _carrier_starts(inst)
     keyed.setdefault(point_key(x0), x0)
     return list(keyed.values())
+
+
+def _solve_probe(inst: LoadedInstance, x0, trace: solver.IterationTrace,
+                 rule: solver.StoppingRule) -> solver.UniquenessVerdict:
+    """``uniqueness_probe`` from ``_default_starts(inst, x0)``, with x0's
+    run taken from ``trace``: one batch runs the carrier's starts."""
+    keyed = _carrier_starts(inst)
+    runs = solver._picard_runs(inst.space, inst.maps, list(keyed.values()), rule)
+    if point_key(x0) not in keyed:
+        runs.append(trace)
+    return solver._uniqueness_verdict(inst.space, inst.maps, runs, rule)
 
 
 def run(command: str, inst: LoadedInstance, options: Options) -> tuple[int, dict]:
@@ -573,7 +591,7 @@ def run(command: str, inst: LoadedInstance, options: Options) -> tuple[int, dict
     if command == "verify":
         cone_report = verify_cone_axioms(inst.space.cone)
         plan = SamplingPlan(count=inst.run.samples, seed=inst.run.seed)
-        metric_report = verify_metric_axioms(inst.space, plan)
+        metric_report = verify_metric_axioms(inst.space, plan, scanned_by=inst.finite)
         report = {
             "schema_version": SCHEMA_VERSION,
             "command": "verify",
@@ -626,7 +644,7 @@ def run(command: str, inst: LoadedInstance, options: Options) -> tuple[int, dict
         if trace.t_image_gaps:
             decay = solver.geometric_decay_check(trace, h, inst.run.normal_k, seed=inst.run.seed)
 
-        probe = solver.uniqueness_probe(inst.space, inst.maps, _default_starts(inst, x0), rule)
+        probe = _solve_probe(inst, x0, trace, rule)
         trace_text = emit_trace(trace, options.fmt, options.out, h=h, K=inst.run.normal_k)
         cert_dict = {
             "fixed_point": _plain(check.point if check.certified else None),

@@ -6,14 +6,20 @@ the Cauchy tail bound are all measured on these vectors, so the stopping
 rule is well defined on any carrier.
 
 Every check is an array pass over the carrier's array form of its points
-(see ``cone_space``): the runs from many starts step together, and the
-uniqueness merge, the Cauchy tail and the injectivity probe each take their
-distances from one ``ConeMetricSpace.pairwise`` call.
+(see ``cone_space``).  One engine, ``_picard_runs``, runs every start
+together, step-major: each step keeps the active rows' arrays and decides
+the stops with array tests, and a trace is its row of the kept steps.
+``picard_iterate`` is its one-row case; ``uniqueness_probe`` is one engine
+call and the merge ``_uniqueness_verdict``, which ``solve`` shares.  The
+merge, the certification of its representatives, the Cauchy tail and the
+injectivity probe each take their distances from one
+``ConeMetricSpace.pairwise`` call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,24 +59,57 @@ class StoppingRule:
             raise ConfigError("max_iter must be >= 1")
 
 
-@dataclass
+@dataclass(eq=False)
 class IterationTrace:
+    """One Picard run, as a row of the batch that ran it (``_picard_runs``).
+
+    The run visited ``start`` and then, in the carrier's array form,
+    ``points`` (T-images ``images``); ``gaps[n]`` is the gap vector of the
+    n-th visited point and ``norms[n]`` its cone norm.  The lists below are
+    built from these arrays once, when first read: a probe reads only the
+    stop reasons and the last points of its runs."""
+
     space: ConeMetricSpace
     maps: MapPair
-    x_sequence: list
-    t_images: list
-    t_image_gaps: list[np.ndarray]
-    gap_norms: list[float]
-    stop_reason: str
     rule: StoppingRule
+    stop_reason: str
+    start: object
+    t_start: object
+    points: np.ndarray
+    images: np.ndarray
+    gaps: np.ndarray
+    norms: np.ndarray
+
+    @cached_property
+    def x_sequence(self) -> list:
+        """The visited points; the start object itself at every entry when
+        S is the identity (S returns the very point it is given)."""
+        if isinstance(self.maps.S, IdentityMap):
+            return [self.start] * (len(self.points) + 1)
+        return [self.start, *self.space.carrier.from_array(self.points)]
+
+    @cached_property
+    def t_images(self) -> list:
+        return [self.t_start, *self.space.carrier.from_array(self.images)]
+
+    @cached_property
+    def t_image_gaps(self) -> list[np.ndarray]:
+        return list(self.gaps)
+
+    @cached_property
+    def gap_norms(self) -> list[float]:
+        return self.norms.tolist()
 
     @property
     def n_final(self) -> int:
-        return len(self.x_sequence) - 1
+        return len(self.points)
 
     @property
     def last(self):
-        return self.x_sequence[-1]
+        """``x_sequence[-1]``, read without building the list."""
+        if not len(self.points) or isinstance(self.maps.S, IdentityMap):
+            return self.start
+        return self.space.carrier.from_array(self.points[-1:])[0]
 
     def step_ratios(self) -> list[float]:
         """Consecutive gap-norm ratios where the denominator is nonzero."""
@@ -123,13 +162,23 @@ def _first_failure(space, maps, xs, ts, step) -> tuple[int, Exception] | None:
     return None
 
 
+# The engine merges its kept steps into one array per field every STEP_CHUNK
+# steps, so a kept step costs its data, not three small arrays (about 0.3 KB).
+STEP_CHUNK = 512
+
+
 def _picard_runs(space: ConeMetricSpace, maps: MapPair, starts: list,
                  rule: StoppingRule) -> list[IterationTrace]:
     """Picard runs from all starts at once, as ``picard_iterate`` runs each.
     The active rows step together through the array forms of S, T and the
     metric; a row leaves the array when it stops.  When any run fails, the
     error raised is the one running the starts one after another would
-    raise first: that of the lowest-index failing start, at its own step."""
+    raise first: that of the lowest-index failing start, at its own step.
+
+    Each step is kept as arrays (S-images, T-images, gaps; the active rows
+    only when they change) and the stops are array tests, so no statement
+    runs per row in the loop; after it, each trace takes its row of the
+    kept steps."""
     carrier = space.carrier
     S, T = _array_map(space, maps.S), _array_map(space, maps.T)
     failure = None
@@ -143,13 +192,13 @@ def _picard_runs(space: ConeMetricSpace, maps: MapPair, starts: list,
             break
     k = len(t0)
     ids = np.arange(k)
+    rowkeys = ids * 1j                          # each row's part of its visits' keys
     xs, ts = carrier.to_array(starts[:k]), carrier.to_array(t0)
-    # the points a run has visited (as tuples on a box)
-    seen = [{key} for key in _keys(xs, carrier.from_array(xs))]
-    traces = [IterationTrace(space, maps, [x0], [tx0], [], [], None, rule) for x0, tx0 in zip(starts, t0)]
-    identity = isinstance(maps.S, IdentityMap)     # S returns the very point it is given
-    rows = ids.tolist()
-    pairwise, norm_rows, mask = space.pairwise, space.cone.norm_rows, carrier.mask
+    seen = set(_visits(rowkeys, xs))            # (row, point) for every point a run visited
+    reasons = np.full(k, None, dtype=object)
+    changes = [(0, ids)]                        # (first step, the rows active from it)
+    steps, recent = [], []                      # (S-images, T-images, gaps)
+    pairwise, norm_rows, mask, count = space.pairwise, space.cone.norm_rows, carrier.mask, np.count_nonzero
     eps, max_iter, step = rule.epsilon, rule.max_iter, 0
     with np.errstate(all="ignore"):
         while ids.size:
@@ -157,7 +206,7 @@ def _picard_runs(space: ConeMetricSpace, maps: MapPair, starts: list,
                 ys = S(xs)
                 tys = T(ys)
                 inside = mask(ys) if tys is ys else mask(ys) & mask(tys)
-                if not inside.all():
+                if count(inside) < len(inside):
                     raise DomainError("an image lies outside the carrier")
                 gaps = pairwise(ts, tys)
                 norms = norm_rows(gaps)
@@ -166,48 +215,73 @@ def _picard_runs(space: ConeMetricSpace, maps: MapPair, starts: list,
                 if found is None:
                     raise exc
                 row, error = found
-                failure = (rows[row], error)
-                ids, xs, ts, rows = ids[:row], xs[:row], ts[:row], rows[:row]
+                failure = (int(ids[row]), error)
+                ids, rowkeys, xs, ts = ids[:row], rowkeys[:row], xs[:row], ts[:row]
+                changes.append((step, ids))
                 continue
-            capped = step >= max_iter
-            points, images = carrier.from_array(ys), carrier.from_array(tys)
-            stopped = []
-            for pos, (row, key, norm) in enumerate(zip(rows, _keys(ys, points), norms.tolist())):
-                trace = traces[row]
-                trace.t_image_gaps.append(gaps[pos].copy())    # not a view that keeps the whole step
-                trace.gap_norms.append(norm)
-                # "not <=" so that a NaN norm counts as not converged
-                if not norm <= eps and capped:  # a run stopped by max_iter keeps no new point
-                    trace.stop_reason = MAX_ITER
-                    stopped.append(pos)
-                    continue
-                trace.x_sequence.append(trace.x_sequence[0] if identity else points[pos])
-                trace.t_images.append(images[pos])
-                if norm <= eps:
-                    trace.stop_reason = CONVERGED
-                elif key in seen[row]:
-                    trace.stop_reason = CYCLE_DETECTED
-                else:
-                    seen[row].add(key)
-                    continue
-                stopped.append(pos)
-            if stopped:
-                keep = np.ones(len(ids), dtype=bool)
-                keep[stopped] = False
-                ids, xs, ts = ids[keep], ys[keep], tys[keep]
-                rows = ids.tolist()
-            else:
-                xs, ts = ys, tys
+            recent.append((ys, tys, gaps))
+            if len(recent) == STEP_CHUNK:
+                steps.append(tuple(map(np.concatenate, zip(*recent))))
+                recent = []
+            done = norms <= eps          # a NaN norm is not converged
+            if count(done):
+                reasons[ids[done]] = CONVERGED
+                going = ~done
+                ids, rowkeys, ys, tys = ids[going], rowkeys[going], ys[going], tys[going]
+                changes.append((step + 1, ids))
+            if step >= max_iter:         # a run stopped by max_iter keeps no new point
+                reasons[ids] = MAX_ITER
+                break
+            visits = _visits(rowkeys, ys)
+            if not seen.isdisjoint(visits):     # S is deterministic: a repeat is a cycle
+                cycled = np.array([visit in seen for visit in visits])
+                reasons[ids[cycled]] = CYCLE_DETECTED
+                going = ~cycled
+                ids, rowkeys, ys, tys = ids[going], rowkeys[going], ys[going], tys[going]
+                changes.append((step + 1, ids))
+            seen.update(visits)
+            xs, ts = ys, tys
             step += 1
     if failure is not None:
         raise failure[1]
+    steps += recent
+    # the rows of each kept step, from the steps on which the rows changed
+    firsts = [first for first, _ in changes[1:]] + [step + 1]
+    rows = [np.tile(active, end - first) for (first, active), end in zip(changes, firsts)]
+    return _traces(space, maps, starts, t0, reasons.tolist(), rows, steps, rule)
+
+
+def _traces(space: ConeMetricSpace, maps: MapPair, starts: list, t0: list, reasons: list,
+            rows: list, steps: list, rule: StoppingRule) -> list[IterationTrace]:
+    """Each start's trace: its entries of the kept steps (whose rows are
+    ``rows``), grouped by row in step order.  A run stopped by max_iter
+    keeps the gap of its last step but not the point."""
+    rows = np.concatenate(rows)
+    order = np.argsort(rows, kind="stable")
+    ends = np.cumsum(np.bincount(rows, minlength=len(starts))).tolist()
+    ys, tys, gaps = (np.concatenate([s[i] for s in steps])[order] for i in range(3))
+    norms = space.cone.norm_rows(gaps)          # row by row: each step's norms, bit for bit
+    traces, begin = [], 0
+    for x0, tx0, reason, end in zip(starts, t0, reasons, ends):
+        kept = end - (reason == MAX_ITER)
+        traces.append(IterationTrace(space, maps, rule, reason, x0, tx0, ys[begin:kept], tys[begin:kept],
+                                     gaps[begin:end], norms[begin:end]))
+        begin = end
     return traces
 
 
-def _keys(xs: np.ndarray, points: list) -> list:
-    """Hashable keys of ``points``, whose array form is ``xs``: the points
-    themselves, or tuples for the rows of a box."""
-    return list(map(tuple, xs.tolist())) if xs.ndim > 1 else points
+def _visits(rowkeys: np.ndarray, xs: np.ndarray) -> list:
+    """Hashable keys of the pairs (row, point), points in array form and
+    rows in ``rowkeys``, a complex array whose imaginary parts are the
+    rows; its real parts are overwritten.  A number x (an index on a finite
+    carrier) keys as the complex number x + row * 1j, exact in both parts
+    and cheaper to make and hash than a tuple; a box point as the tuple of
+    its coordinates with the row added to the first."""
+    if xs.ndim == 1:
+        rowkeys.real = xs
+        return rowkeys.tolist()
+    rowkeys.real = xs[:, 0]
+    return list(zip(rowkeys.tolist(), *xs[:, 1:].T.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -336,15 +410,20 @@ def uniqueness_probe(
     if not starts:
         raise ConfigError("uniqueness probe needs at least one start point")
     rule = rule or StoppingRule()
-    tol = COINCIDE_FACTOR * rule.epsilon
+    return _uniqueness_verdict(space, maps, _picard_runs(space, maps, list(starts), rule), rule)
 
-    traces = _picard_runs(space, maps, list(starts), rule)
 
+def _uniqueness_verdict(space: ConeMetricSpace, maps: MapPair, traces: list[IterationTrace],
+                        rule: StoppingRule) -> UniquenessVerdict:
+    """The verdict ``uniqueness_probe`` gives on the runs ``traces``, merged
+    in their order (``solve`` passes the runs of its carrier starts and of
+    x0, in ``_default_starts`` order)."""
     if any(t.stop_reason != CONVERGED for t in traces):
         return UniquenessVerdict(UNKNOWN, None, [], traces)
 
     # apart[a, b], b < a: limit a lies farther than tol from the earlier
     # limit b (one pairwise call over the k(k-1)/2 pairs of k starts)
+    tol = COINCIDE_FACTOR * rule.epsilon
     lasts = [t.last for t in traces]
     zs = space.carrier.to_array(lasts)
     k = len(zs)
@@ -359,10 +438,27 @@ def uniqueness_probe(
     if len(reps) == 1:
         return UniquenessVerdict(UNIQUE, reps[0], [], traces)
 
-    certified = [r for r in reps if certify_fixed_point(space, maps, r, rule.epsilon).certified]
+    certified = _certified(space, maps, reps, zs[chosen], rule.epsilon)
     if len(certified) >= 2:
         return UniquenessVerdict(NON_UNIQUE, None, certified, traces)
     return UniquenessVerdict(UNKNOWN, None, certified, traces)
+
+
+def _certified(space: ConeMetricSpace, maps: MapPair, points: list, zs: np.ndarray,
+               epsilon: float) -> list:
+    """The carrier points (array form ``zs``) that ``certify_fixed_point``
+    certifies, from one S pass and one ``pairwise`` call.  When S fails or
+    an S-image leaves the carrier, each point is certified in turn, which
+    raises the error of the first failing point."""
+    try:
+        with np.errstate(all="ignore"):
+            szs = _array_map(space, maps.S)(zs)
+            if not space.carrier.mask(szs).all():
+                raise DomainError("an S-image lies outside the carrier")
+            fixed = space.cone.norm_rows(space.pairwise(szs, zs)) <= epsilon
+    except Exception:
+        return [z for z in points if certify_fixed_point(space, maps, z, epsilon).certified]
+    return [points[i] for i in np.flatnonzero(fixed).tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -10,16 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conefix import cli, oracle
+from conefix import cli, cone_space, oracle, solver
 from conefix.cli import (
     InstanceValidationError, _condition_pairs, emit_trace, load_instance, main, parse_instance,
 )
 from conefix.cone_space import (
-    BoxCarrier, ConeSpec, ConfigError, FinitePointsCarrier, IntervalCarrier, verify_cone_axioms,
+    BoxCarrier, ConeSpec, ConfigError, DomainError, FinitePointsCarrier, IntervalCarrier, SamplingPlan,
+    verify_cone_axioms, verify_metric_axioms,
 )
 from conefix.contractions import CLASS_KINDS, AffineMap, ClassSpec, evaluate
 from conefix.instances import instance_a
-from conefix.solver import StoppingRule, picard_iterate
+from conefix.solver import StoppingRule, certify_fixed_point, picard_iterate, uniqueness_probe
 
 from conftest import fixture_doc
 
@@ -681,6 +682,114 @@ def test_solve_with_scalar_metrics_on_numeric_finite_points(tmp_path, capsys, sc
     assert (trace, report) == solve("absdiff")
 
 
+# solve runs x0 once, and its probe reuses x0's run: the trace and the
+# certificate must equal those of picard_iterate from x0, the check of its
+# last point, and uniqueness_probe from _default_starts, run in that order.
+
+B_MAPS = {"T": {"family": "power", "exponent": 3.0}, "S": {"family": "affine", "alpha": 0.25, "beta": 0.0}}
+# T is constant: a run converges at once, at S(x0); S doubles, so S(S(x0))
+# leaves [0, 1] for x0 > 1/4, and the carrier start 1.0 leaves it at once
+ESCAPING_MAPS = {"T": {"family": "affine", "alpha": 0.0, "beta": 0.5},
+                 "S": {"family": "affine", "alpha": 2.0, "beta": 0.0}}
+SOLVE_CASES = [
+    *[("instance_a", None, x0) for x0 in (None, 0, 0.0, 1, 0.3, 1.5)],
+    *[("instance_a", B_MAPS, x0) for x0 in (None, 0, 0.5)],
+    *[("instance_c", None, x0) for x0 in (None, 0, 0.0, 1, 0.5)],
+    *[("instance_d", None, x0) for x0 in (None, 0, 5, 9.0, 10)],
+    *[("instance_d_twu", None, x0) for x0 in (None, 0)],
+    *[("instance_a", ESCAPING_MAPS, x0) for x0 in (0.3, 0.5, 0.0, 1.5)],
+]
+
+
+def _solve_instance(name, maps, x0):
+    doc = fixture_doc(name)
+    if maps is not None:
+        doc["maps"] = maps
+    return parse_instance(json.dumps(doc), None if x0 is None else {"x0": json.dumps(x0)})
+
+
+def _composed_solve(inst):
+    """picard_iterate from x0, certify_fixed_point of its last point, then
+    uniqueness_probe from _default_starts."""
+    x0 = inst.run.x0
+    if inst.space.carrier.finite and isinstance(x0, float) and x0.is_integer():
+        x0 = int(x0)
+    rule = StoppingRule(epsilon=inst.run.epsilon, max_iter=inst.run.max_iter)
+    trace = picard_iterate(inst.space, inst.maps, x0, rule)
+    check = certify_fixed_point(inst.space, inst.maps, trace.last, inst.run.epsilon)
+    return trace, check, uniqueness_probe(inst.space, inst.maps, cli._default_starts(inst, x0), rule)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name, maps, x0", SOLVE_CASES)
+def test_solve_equals_picard_iterate_then_uniqueness_probe(name, maps, x0, fmt):
+    inst = _solve_instance(name, maps, x0)
+    try:
+        trace, check, probe = _composed_solve(inst)
+    except DomainError as want:
+        with pytest.raises(DomainError) as got:
+            cli.run("solve", inst, cli.Options(fmt=fmt))
+        assert str(got.value) == str(want)
+        return
+    status, artifacts = cli.run("solve", inst, cli.Options(fmt=fmt))
+    cert = artifacts["certificate"]
+    assert artifacts["trace_text"] == emit_trace(trace, fmt, h=cert["bound_h"], K=inst.run.normal_k)
+    got = [cert[key] for key in ("fixed_point", "residual_norm", "uniqueness", "witnesses", "stop_reason",
+                                 "iterations")]
+    want = [check.point if check.certified else None, check.residual_norm, probe.verdict, probe.witnesses,
+            trace.stop_reason, trace.n_final]
+    assert json.dumps(cli._plain(got)) == json.dumps(cli._plain(want))    # 0 and 0.0 print apart
+    assert status == (0 if trace.stop_reason == "converged" and check.certified else 1)
+
+
+def test_solve_keeps_an_integer_start_apart_from_the_equal_carrier_start():
+    # S is the identity: every run stays at its start object, and x0 = 0
+    # shares its key with lo = 0.0, so the probe runs 0.0, not 0
+    inst = _solve_instance("instance_c", None, 0)
+    assert [(s, type(s)) for s in cli._default_starts(inst, 0)] == [(0.0, float), (0.5, float), (1.0, float)]
+    status, artifacts = cli.run("solve", inst, cli.Options(fmt="json"))
+    cert = artifacts["certificate"]
+    assert status == 0 and type(cert["fixed_point"]) is int and cert["fixed_point"] == 0
+    assert cert["uniqueness"] == "non_unique" and json.dumps(cert["witnesses"]) == "[0.0, 0.5, 1.0]"
+    assert [type(row["x_n"]) for row in json.loads(artifacts["trace_text"])["rows"]] == [int]
+
+
+def test_solve_runs_x0_once(monkeypatch, tmp_path, capsys):
+    # picard_iterate runs x0 for the trace, and one more engine call runs
+    # the carrier's starts for the probe, x0's equal among them included
+    calls = []
+    engine = solver._picard_runs
+
+    def counted(space, maps, starts, rule):
+        calls.append(starts)
+        return engine(space, maps, starts, rule)
+
+    monkeypatch.setattr(solver, "_picard_runs", counted)
+    for name, x0 in (("instance_a", "0.3"), ("instance_c", "0"), ("instance_d", "9"), ("instance_d_twu", "0")):
+        path = _write(tmp_path, f"{name}.json", fixture_doc(name))
+        calls.clear()
+        main(["solve", "--instance", str(path), "--x0", x0])
+        assert calls == [[json.loads(x0)], list(cli._carrier_starts(load_instance(path)).values())]
+
+
+def test_a_start_outside_the_carrier_keeps_its_own_error(tmp_path, capsys):
+    # the carrier start 1.0 leaves [0, 1] at iterate 0, but x0 is checked first
+    path = _write(tmp_path, "escape.json", {**fixture_doc("instance_a"), "maps": ESCAPING_MAPS})
+    assert main(["solve", "--instance", str(path), "--x0", "1.5"]) == 1
+    assert capsys.readouterr().err == "check failed: start point 1.5 lies outside the carrier\n"
+    # x0 = 0.3 stops at 0.6, and the check of 0.6 fails before the probe does
+    assert main(["solve", "--instance", str(path), "--x0", "0.3"]) == 1
+    assert capsys.readouterr().err == "check failed: S-image 1.2 lies outside the carrier\n"
+    # x0 = 0.0 is fixed, so the probe's first failing start names the error
+    assert main(["solve", "--instance", str(path), "--x0", "0.0"]) == 1
+    assert capsys.readouterr().err == ("check failed: iterate 0 escaped the carrier: "
+                                       "S-image 2.0 lies outside the carrier\n")
+    # a start that is not even hashable as a box point is refused as a start
+    path = _write(tmp_path, "box.json", BOX)
+    assert main(["solve", "--instance", str(path), "--x0", "[[1, 2]]"]) == 1
+    assert capsys.readouterr().err == "check failed: start point array([[1., 2.]]) lies outside the carrier\n"
+
+
 def test_solve_requires_start_point(tmp_path):
     doc = fixture_doc("instance_a")
     del doc["run"]["x0"]
@@ -991,3 +1100,19 @@ def test_artifact_digest_runs_on_a_fixture(capsys):
     report, tight = digest._api_oracle(load_instance(path))
     assert report.violating_pairs and report.pairs_checked == 100 and tight.kind == "TB"
     assert lines[-1].endswith(f" oracle={digest._sha(repr((report, tight)).encode())}")
+
+
+def test_verify_scans_a_tabulated_table_once(monkeypatch, tmp_path):
+    # the file's FiniteInstance scans the table when it loads; verify's
+    # metric report follows from that scan
+    scans = []
+    for module in (cone_space, oracle):
+        scan = module.metric_table_failures
+        monkeypatch.setattr(module, "metric_table_failures", lambda *a, scan=scan: scans.append(a) or scan(*a))
+    path = _write(tmp_path, "d.json", fixture_doc("instance_d"))
+    out = tmp_path / "verify.json"
+    main(["verify", "--instance", str(path), "--out", str(out)])
+    assert len(scans) == 1
+    inst = load_instance(path)
+    full = verify_metric_axioms(inst.space, SamplingPlan(count=inst.run.samples, seed=inst.run.seed))
+    assert json.loads(out.read_text())["metric_axioms"] == json.loads(json.dumps(cli._axiom_report_dict(full)))

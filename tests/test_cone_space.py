@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conefix import cone_space
 from conefix.cone_space import (
     ConeMetricSpace, ConeSpec, ConfigError, DirectionMetric, DomainError, FinitePointsCarrier,
     FunctionMetric, IntervalCarrier, SamplingPlan, TabulatedMetric, estimate_normal_constant,
@@ -310,6 +312,36 @@ def test_metric_axioms_exhaustive_for_finite(fin_d):
     report = verify_metric_axioms(space, SamplingPlan(count=10_000, seed=5))
     assert report.passed
     assert report.sample_count == 10 * 10 + 10 ** 3
+
+
+@pytest.mark.parametrize("slack", [0.0, 1e-12, 0.3])
+def test_a_scanned_table_reports_what_its_scan_reports(slack, plain_corpus, tz_corpus):
+    # the FiniteInstance refused every failure at slack 0, and a failure at
+    # a larger slack is one at slack 0, so skipping the scan changes nothing
+    for fin in [*plain_corpus, *(g.fin for g in tz_corpus[:10])]:
+        fin = dataclasses.replace(fin, cone=dataclasses.replace(fin.cone, slack=slack))
+        space = ConeMetricSpace(fin.cone, FinitePointsCarrier(list(fin.points)), TabulatedMetric(fin.metric_table))
+        for plan in (SamplingPlan(), SamplingPlan(count=0)):
+            full = verify_metric_axioms(space, plan)
+            assert verify_metric_axioms(space, plan, scanned_by=fin) == full and full.passed
+
+
+def test_a_table_the_instance_did_not_scan_is_scanned(fin_d, monkeypatch):
+    # fin_d scanned its own table: not this copy with d(0, 1) halved
+    table = fin_d.metric_table.copy()
+    table[0, 1] /= 2.0
+    space = ConeMetricSpace(fin_d.cone, FinitePointsCarrier(list(fin_d.points)), TabulatedMetric(table))
+    report = verify_metric_axioms(space, SamplingPlan(), scanned_by=fin_d)
+    assert "d2-symmetry" in {v.axiom for v in report.violations}
+    # nor its table under another cone object, equal as it may be
+    scans = []
+    scan = cone_space.metric_table_failures
+    monkeypatch.setattr(cone_space, "metric_table_failures", lambda *a: scans.append(a) or scan(*a))
+    cone = dataclasses.replace(fin_d.cone)
+    space = ConeMetricSpace(cone, FinitePointsCarrier(list(fin_d.points)), TabulatedMetric(fin_d.metric_table))
+    assert verify_metric_axioms(space, SamplingPlan(), scanned_by=fin_d).passed and len(scans) == 1
+    space = ConeMetricSpace(fin_d.cone, FinitePointsCarrier(list(fin_d.points)), TabulatedMetric(fin_d.metric_table))
+    assert verify_metric_axioms(space, SamplingPlan(), scanned_by=fin_d).passed and len(scans) == 1
 
 
 def test_identity_violation_reported_once_per_point():

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conefix.cone_space import (
     BoxCarrier, ConeMetricSpace, ConeSpec, ConfigError, DirectionMetric, DomainError,
     FinitePointsCarrier, FunctionMetric, IntervalCarrier, point_key,
 )
-from conefix.contractions import AffineMap, IdentityMap, MapPair, PowerMap
+from conefix.contractions import AffineMap, IdentityMap, MapPair, PowerMap, TabulatedMap
 from conefix.instances import instance_d
 from conefix.oracle import finite_from_values
 from conefix.solver import (
     CONVERGED, CYCLE_DETECTED, INJECTIVITY_TOL, MAX_ITER, NON_UNIQUE, UNIQUE, UNKNOWN,
-    StoppingRule, TProbes, _cauchy_pairs, certify_fixed_point, diagnose_T,
+    StoppingRule, TProbes, _cauchy_pairs, _picard_runs, certify_fixed_point, diagnose_T,
     geometric_decay_check, picard_iterate, uniqueness_probe,
 )
 
@@ -331,8 +333,14 @@ def _assert_same_run(trace, reference):
     for got, want in zip(trace.t_images, t_images):
         assert np.array_equal(got, want)
     assert all(type(g) is float for g in trace.gap_norms)
-    assert np.array_equal(np.array(trace.t_image_gaps), np.array(gaps))
-    assert trace.gap_norms == norms
+    assert all(g.shape == (trace.space.cone.dimension,) for g in trace.t_image_gaps)
+    assert _bits(trace.t_image_gaps) == _bits(gaps) and _bits(trace.gap_norms) == _bits(norms)
+
+
+def _bits(values):
+    """The float bits of ``values``, so that NaN equals NaN and -0.0 differs from 0.0."""
+    arr = np.asarray(values, dtype=float)
+    return arr.shape, arr.view(np.int64).tolist()
 
 
 def _refusing_metric(x, y):
@@ -537,3 +545,111 @@ def test_power_array_form_is_python_pow_bit_for_bit(exponent):
     got = PowerMap(exponent).on_array(xs)
     want = np.array([float(x) ** exponent for x in xs.tolist()])
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# ---------------------------------------------------------------------------
+# The batch engine against the per-start loop
+# ---------------------------------------------------------------------------
+
+def _nan_metric(x, y):
+    return [np.nan, np.nan]
+
+
+@st.composite
+def engine_cases(draw):
+    """A space, maps, 1-300 starts (with repeats, and sometimes points
+    outside the carrier) and a stopping rule.  The families give fixed
+    starts (identity S), period-2 cycles, rotations of up to 70 points
+    (cycles longer than 50 steps), slow runs stopped by max_iter, NaN gap
+    norms, and runs that leave the carrier, or reach a point the metric
+    refuses, at a step that depends on the start."""
+    kind = draw(st.sampled_from(["interval", "box", "tabulated", "numeric", "nan", "refusing"]))
+    rule = StoppingRule(epsilon=draw(st.sampled_from([1e-12, 1e-3])),
+                        max_iter=draw(st.sampled_from([1, 3, 60, 300])))
+    outside = draw(st.booleans())
+    floats = st.floats(0.0, 1.0)
+    if kind == "interval":
+        space = _unit_interval()
+        T = draw(st.sampled_from([IdentityMap(), AffineMap(0.5, 0.25), PowerMap(3)]))
+        S = draw(st.sampled_from([AffineMap(0.5), AffineMap(-1.0, 1.0), PowerMap(2), IdentityMap(),
+                                  AffineMap(255 / 256), AffineMap(2.0), AffineMap(-0.5, 0.75)]))
+        pool = [0.0, 0, 1, 1.0, 0.5, 0.3, 0.7, 0.01] + draw(st.lists(floats, max_size=8))
+        pool += [1.5, -0.25] if outside else []
+    elif kind == "box":
+        space = _unit_box(*draw(st.sampled_from([("euclidean", "euclidean"), ("max", "max")])))
+        T = AffineMap(0.5, 0.25)
+        S = draw(st.sampled_from([AffineMap(0.5), AffineMap(-1.0, 1.0), IdentityMap(), AffineMap(2.0)]))
+        pool = [np.array(p) for p in ([1.0, 0.5], [0.2, 0.9], [0.0, 0.0], [0.5, 0.5], [0.1, 0.01])]
+        pool += [np.array([1.5, 0.0])] if outside else []
+    elif kind == "tabulated":
+        n = draw(st.sampled_from([2, 5, 12, 51, 70]))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+        s_table = (np.arange(n) + 1) % n if draw(st.booleans()) else rng.integers(0, n, n)
+        fin = finite_from_values(np.sort(rng.uniform(0.0, 4.0, n)), rng.integers(0, n, n), s_table)
+        (space, maps), pool = fin.as_space_and_maps(), list(range(n + outside))    # label n is not a point
+    elif kind == "numeric":
+        space = _numeric_finite(draw(st.sampled_from(["absdiff", "max", "euclidean"])))
+        T = draw(st.sampled_from([IdentityMap(), AffineMap(-1.0, 1.0)]))
+        S = draw(st.sampled_from([AffineMap(-1.0, 1.0), AffineMap(0.0, 0.5), AffineMap(0.5), IdentityMap()]))
+        pool = [0.0, 0.25, 0.5, 0.75, 1.0] + ([0.3] if outside else [])
+    elif kind == "nan":
+        space = ConeMetricSpace(ConeSpec.orthant(2), IntervalCarrier(0.0, 1.0), FunctionMetric(_nan_metric))
+        T, S = IdentityMap(), draw(st.sampled_from([AffineMap(255 / 256), IdentityMap(), AffineMap(-1.0, 1.0)]))
+        pool = [0.0, 0.5, 1.0, 0.3] + draw(st.lists(floats, max_size=4))
+    else:
+        space = ConeMetricSpace(ConeSpec.orthant(2), IntervalCarrier(0.0, 1.0), FunctionMetric(_refusing_metric))
+        T, S = IdentityMap(), PowerMap(0.5)
+        pool = [0.0, 0.25, 0.5, 0.01, 0.8] + draw(st.lists(floats, max_size=4)) + ([1.0] if outside else [])
+    if kind != "tabulated":
+        maps = MapPair(T, S)
+    size = draw(st.sampled_from([1, 2, 5, 50, 300]))
+    starts = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+    return space, maps, starts, rule
+
+
+def _rotation_case(n, starts, max_iter):
+    fin = finite_from_values(np.arange(n, dtype=float), np.arange(n), (np.arange(n) + 1) % n)
+    return (*fin.as_space_and_maps(), starts, StoppingRule(max_iter=max_iter))
+
+
+def _long_rotation_case():
+    """A 700-point rotation under a direction metric: its cycles span more
+    than one chunk of kept steps (STEP_CHUNK)."""
+    points = list(range(700))
+    space = ConeMetricSpace(ConeSpec.orthant(2), FinitePointsCarrier(points), DirectionMetric([1.0, 2.0]))
+    maps = MapPair(IdentityMap(), TabulatedMap(points, points[1:] + points[:1]))
+    return space, maps, [0, 350, 699, 0], StoppingRule(max_iter=1000)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=engine_cases())
+@example(case=_rotation_case(60, [7 * k % 60 for k in range(300)], 300))   # 300 cycles of 60 steps
+@example(case=_rotation_case(60, list(range(60)) + [60] + list(range(60)), 300))   # label 60 is outside
+@example(case=_long_rotation_case())
+@example(case=(_unit_interval(), MapPair(IdentityMap(), AffineMap(255 / 256)), [1.0, 0.5, 0.0, 1.0],
+               StoppingRule(max_iter=1300)))    # runs of 1,300 steps stopped by max_iter
+def test_batch_engine_equals_the_per_start_loop(case):
+    # every row as a run of its own start, or, when a start fails, the
+    # error of the first failing start, at its own step
+    space, maps, starts, rule = case
+    want, first_error, memo = [], None, {}
+    for x0 in starts:
+        key = (type(x0), point_key(x0))
+        if key not in memo:
+            try:
+                memo[key] = _reference_picard(space, maps, x0, rule)
+            except DomainError as exc:
+                memo[key] = exc
+        if isinstance(memo[key], Exception):
+            first_error = memo[key]
+            break
+        want.append(memo[key])
+    if first_error is not None:
+        with pytest.raises(DomainError) as got:
+            _picard_runs(space, maps, list(starts), rule)
+        assert (type(got.value), str(got.value)) == (type(first_error), str(first_error))
+        return
+    runs = _picard_runs(space, maps, list(starts), rule)
+    assert len(runs) == len(want)
+    for trace, reference in zip(runs, want):
+        _assert_same_run(trace, reference)
