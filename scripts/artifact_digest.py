@@ -18,7 +18,9 @@ returns, which no CLI artifact shows in full:
   violations and the sequence findings);
 * ``condition``: ``check_condition`` of the file's class over the pairs
   ``verify`` checks (every violation's x, y, lhs, rhs and residual, where
-  the artifact keeps 50);
+  the artifact keeps 50), and on a TZ file the primary and dual forms of
+  ``verify_zamfirescu_reduction`` over the same pairs (every violation of
+  each, or None for a form not checked);
 * ``axioms``: ``verify_cone_axioms``, and ``verify_metric_axioms`` with the
   plan ``verify`` uses (every violation's axiom, witness and residual,
   where the artifact keeps 50), floats as their shortest repr, so every
@@ -83,11 +85,21 @@ def _api_diagnose(inst) -> tuple:
     return d.injectivity_violations, d.sequence_findings
 
 
+def _rows(report) -> list:
+    return cli._plain([(v.x, v.y, v.lhs, v.rhs, v.residual) for v in report.violations])
+
+
 def _api_condition(inst) -> tuple:
-    if inst.contraction is None:
+    spec = inst.contraction
+    if spec is None:
         return ()
-    report = contractions.check_condition(inst.space, inst.maps, inst.contraction, cli._condition_pairs(inst))
-    return report.pairs_checked, cli._plain([(v.x, v.y, v.lhs, v.rhs, v.residual) for v in report.violations])
+    pairs = cli._condition_pairs(inst)
+    report = contractions.check_condition(inst.space, inst.maps, spec, pairs)
+    if spec.kind != contractions.TZ:
+        return report.pairs_checked, _rows(report)
+    red = contractions.verify_zamfirescu_reduction(inst.space, inst.maps, spec.a, spec.b, spec.c, pairs)
+    forms = [_rows(form) if form is not None else None for form in (red.primary, red.dual)]
+    return report.pairs_checked, _rows(report), forms
 
 
 def _api_axioms(inst) -> tuple:

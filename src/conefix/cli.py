@@ -443,8 +443,8 @@ def _axiom_report_dict(report) -> dict:
             {
                 "check": v.axiom,
                 "description": CHECK_DESCRIPTIONS.get(v.axiom, v.axiom),
-                "witness": _plain(v.witness),
-                "residual": _plain(v.residual),
+                "witness": v.witness,
+                "residual": v.residual,
             }
             for v in report.violations[:50]
         ],
@@ -462,18 +462,76 @@ def _condition_report_dict(report: ConditionReport) -> dict:
         "branch_stats": report.branch_stats,
         "notes": list(report.notes),
         "violations": [
-            {
-                "x": _plain(v.x), "y": _plain(v.y),
-                "lhs": _plain(v.lhs), "rhs": _plain(v.rhs), "residual": _plain(v.residual),
-            }
+            {"x": v.x, "y": v.y, "lhs": v.lhs, "rhs": v.rhs, "residual": v.residual}
             for v in report.violations[:50]
         ],
         "violation_count": len(report.violations),
     }
 
 
+_ascii = json.encoder.encode_basestring_ascii     # json's own string encoder (C when built)
+
+
+def _json(value, nl: str, out: list[str]) -> None:
+    """Append to ``out`` the text of ``value`` as ``json.dumps(_plain(value),
+    sort_keys=True, indent=2)`` writes it, for the values reports hold:
+    dicts, lists, tuples, strings, numbers, booleans, None, and numpy arrays
+    and scalars, converted as ``_plain`` converts them.  A non-finite float
+    becomes the string of its repr, and a list of finite floats is written
+    by one ``join``.  ``nl`` is the newline and indentation the value
+    starts on."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    kind = type(value)
+    if kind is str:
+        out.append(_ascii(value))
+    elif kind is float:
+        text = float.__repr__(value)
+        out.append(text if math.isfinite(value) else _ascii(text))
+    elif kind is dict or kind is list or kind is tuple:
+        if not value:
+            out.append("{}" if kind is dict else "[]")
+            return
+        inner = nl + "  "
+        sep = "," + inner
+        if kind is dict:
+            head = "{" + inner
+            for k, v in sorted({str(k): v for k, v in value.items()}.items()):    # keys are distinct
+                out.append(head + _ascii(k) + ": ")
+                head = sep
+                _json(v, inner, out)
+            out.append(nl + "}")
+            return
+        head = "[" + inner
+        if set(map(type, value)) == {float}:
+            text = sep.join(map(float.__repr__, value))
+            if "n" not in text:         # every repr is finite: no nan, inf or -inf
+                out.append(head + text + nl + "]")
+                return
+        for v in value:
+            out.append(head)
+            head = sep
+            _json(v, inner, out)
+        out.append(nl + "]")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif kind is int or isinstance(value, np.integer):
+        out.append(int.__repr__(int(value)))
+    elif isinstance(value, np.floating):
+        _json(float(value), nl, out)
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def _dump_json(obj, path: Path | None) -> str:
-    text = json.dumps(_plain(obj), sort_keys=True, indent=2) + "\n"
+    out: list[str] = []
+    _json(obj, "\n", out)
+    out.append("\n")
+    text = "".join(out)
     if path is not None:
         path.write_text(text, encoding="utf-8")
     return text
@@ -521,10 +579,10 @@ def emit_trace(
     elif fmt == "json":
         payload = {
             "schema_version": SCHEMA_VERSION, "h": h, "K": K, "stop_reason": trace.stop_reason,
-            "rows": [{"n": n, "x_n": _plain(x), "gap_vector": _plain(gap), "gap_norm": float(norm),
-                      "cumulative_bound": float(bound)} for n, x, gap, norm, bound in rows],
+            "rows": [{"n": n, "x_n": x, "gap_vector": gap, "gap_norm": norm, "cumulative_bound": bound}
+                     for n, x, gap, norm, bound in rows],
         }
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = _dump_json(payload, None)        # a non-finite number is written as a string
     else:
         raise ConfigError(f"unknown trace format {fmt!r}")
     if path is not None:
@@ -670,7 +728,7 @@ def run(command: str, inst: LoadedInstance, options: Options) -> tuple[int, dict
             "schema_version": SCHEMA_VERSION,
             "command": "oracle",
             "points": fin.n,
-            "fixed_points": _plain(enumerate_fixed_points(fin)),
+            "fixed_points": enumerate_fixed_points(fin),
             "t_injective": fin.t_injective,
         }
         ok = True
@@ -682,7 +740,7 @@ def run(command: str, inst: LoadedInstance, options: Options) -> tuple[int, dict
                 "constants": cond.spec.constants(),
                 "holds": cond.holds,
                 "pairs_checked": cond.pairs_checked,
-                "violating_pairs": _plain(cond.violating_pairs[:50]),
+                "violating_pairs": cond.violating_pairs[:50],
                 "violation_count": len(cond.violating_pairs),
                 "branch_stats": cond.branch_stats,
             }
@@ -697,8 +755,8 @@ def run(command: str, inst: LoadedInstance, options: Options) -> tuple[int, dict
                     "holds": red.holds,
                     "primary_ok": red.primary_ok,
                     "dual_ok": red.dual_ok,
-                    "primary_violations": _plain(red.primary_violations[:50]),
-                    "dual_violations": _plain(red.dual_violations[:50]),
+                    "primary_violations": red.primary_violations[:50],
+                    "dual_violations": red.dual_violations[:50],
                 }
                 ok = ok and red.holds
             if inst.contraction.kind in (TB, TK, TC, TW):
@@ -708,11 +766,11 @@ def run(command: str, inst: LoadedInstance, options: Options) -> tuple[int, dict
                     "feasible": tight.feasible,
                     "constants": tight.constants,
                     "supremum": tight.supremum,
-                    "infeasible_witnesses": _plain(tight.infeasible_witnesses[:50]),
+                    "infeasible_witnesses": tight.infeasible_witnesses[:50],
                 }
             out["cross_validation"] = {
                 "applicable": cv.applicable,
-                "fixed_points": _plain(cv.fixed_points),
+                "fixed_points": cv.fixed_points,
                 "unique_expected": cv.unique_expected,
                 "exists_ok": cv.exists_ok,
                 "unique_ok": cv.unique_ok,
@@ -740,7 +798,7 @@ def run(command: str, inst: LoadedInstance, options: Options) -> tuple[int, dict
             "kind": result.kind,
             "feasible": result.feasible,
             "constants": result.spec.constants() if result.spec else None,
-            "hard_witnesses": _plain(result.hard_witnesses[:50]),
+            "hard_witnesses": result.hard_witnesses[:50],
             "status": "pass" if result.feasible else "fail",
         }
         return (0 if result.feasible else 1), {"text": _dump_json(out, options.out)}

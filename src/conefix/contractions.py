@@ -34,10 +34,11 @@ dyadic tables verify exactly, with no division in the comparison path.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 import sys
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -261,11 +262,46 @@ class ConditionViolation:
     residual: np.ndarray
 
 
+class Violations(Sequence):
+    """The violations of a condition check as a read-only sequence.  It
+    keeps only the violating rows: the pairs' points in array form and
+    their lhs, rhs and residual rows.  A ``ConditionViolation`` is built
+    for each row read, so counting the violations builds none."""
+
+    def __init__(self, space: ConeMetricSpace, pairs: PairSet, bad: np.ndarray, lhs: np.ndarray,
+                 rhs: np.ndarray, residual: np.ndarray):
+        """The pairs at positions ``bad`` of ``pairs``, with their rows."""
+        xs, ys = pairs.points[pairs.ix[bad]], pairs.points[pairs.iy[bad]]
+        self._carrier, self._rows = space.carrier, (xs, ys, lhs, rhs, residual)
+
+    def __len__(self) -> int:
+        return len(self._rows[0])
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return self._build(key)
+        n, i = len(self), operator.index(key)
+        if not -n <= i < n:
+            raise IndexError("violation index out of range")
+        return self._build(slice(i % n, i % n + 1))[0]
+
+    def __iter__(self):
+        return iter(self._build(slice(None)))
+
+    def __repr__(self) -> str:
+        return f"Violations({len(self)} rows)"
+
+    def _build(self, rows: slice) -> list[ConditionViolation]:
+        xs, ys, lhs, rhs, res = (a[rows] for a in self._rows)
+        from_array = self._carrier.from_array
+        return list(map(ConditionViolation, from_array(xs), from_array(ys), lhs, rhs, res))
+
+
 @dataclass
 class ConditionReport:
     spec: ClassSpec
     pairs_checked: int
-    violations: list[ConditionViolation]
+    violations: Sequence[ConditionViolation]
     branch_stats: dict[str, int] | None = None
     inconclusive: bool = False
     notes: tuple[str, ...] = ()
@@ -434,10 +470,7 @@ def _condition_report(space: ConeMetricSpace, spec: ClassSpec, pairs: PairSet,
         rhs, res = rhs[best, bad], res[best, bad]
     else:
         rhs, res = rhs[bad], res[bad]
-    violations = [
-        ConditionViolation(x, y, t.lhs[i], r, s)
-        for (x, y), i, r, s in zip(pairs.witnesses(space, bad), bad, rhs, res)
-    ]
+    violations = Violations(space, pairs, bad, t.lhs[bad], rhs, res)
     return ConditionReport(spec, len(pairs), violations, v.branch_stats, notes=notes)
 
 
@@ -528,11 +561,9 @@ def verify_zamfirescu_reduction(
                              (ClassSpec.tw_dual(delta, 2.0 * delta), TW_DUAL)):
         v = cleared_check(tz, weak_kind, t, space.cone, space.cone.slack)
         bad = np.flatnonzero(~v.ok)
-        violations = [
-            ConditionViolation(x, y, t.lhs[i], v.residual[i] + t.lhs[i], v.residual[i])
-            for (x, y), i in zip(pairs.witnesses(space, bad), bad)
-        ]
-        forms.append(ConditionReport(label, len(pairs), violations, notes=note))
+        lhs, res = t.lhs[bad], v.residual[bad]
+        forms.append(ConditionReport(label, len(pairs), Violations(space, pairs, bad, lhs, res + lhs, res),
+                                     notes=note))
     return ReductionReport(delta, True, tz_report, *forms)
 
 

@@ -11,9 +11,11 @@ together, step-major: each step keeps the active rows' arrays and decides
 the stops with array tests, and a trace is its row of the kept steps.
 ``picard_iterate`` is its one-row case; ``uniqueness_probe`` is one engine
 call and the merge ``_uniqueness_verdict``, which ``solve`` shares.  The
-merge, the certification of its representatives, the Cauchy tail and the
-injectivity probe each take their distances from one
-``ConeMetricSpace.pairwise`` call.
+merge tests every limit against the first with one
+``ConeMetricSpace.pairwise`` call, and pairs all limits in a second one
+only when some limit lies apart; the certification of its
+representatives, the Cauchy tail and the injectivity probe each take
+their distances from one ``pairwise`` call.
 """
 
 from __future__ import annotations
@@ -331,25 +333,27 @@ def geometric_decay_check(trace: IterationTrace, h: float, K: float = 1.0, *,
         raise ConfigError(f"decay factor h must be in [0, 1), got {h}")
     if not (K >= 1.0):
         raise ConfigError(f"normal constant K must be >= 1, got {K}")
-    if not trace.t_image_gaps:
+    norms = trace.norms
+    if not len(norms):
         raise ConfigError("trace has no monitored gaps")
 
-    d0 = trace.gap_norms[0]
+    # A NaN norm or bound is a violation: each test is "not actual <= bound".
+    d0 = float(norms[0])
     headroom = 1.0 + DECAY_HEADROOM
-    powers = [h ** n for n in range(len(trace.t_images))]   # Python pow, as the bounds state
+    powers = np.array([h ** n for n in range(len(trace.images) + 1)])   # Python pow, as the bounds state
 
-    step_violations = []
-    for n, gn in enumerate(trace.gap_norms):
-        bound = K * powers[n] * d0 * headroom
-        if gn > bound:
-            step_violations.append((n, gn, bound))
+    with np.errstate(invalid="ignore", over="ignore"):     # 0 * inf is NaN, as in Python floats
+        bounds = K * powers[:len(norms)] * d0 * headroom
+    bad = np.flatnonzero(~(norms <= bounds))
+    step_violations = list(zip(bad.tolist(), norms[bad].tolist(), bounds[bad].tolist()))
 
     space = trace.space
-    mm, nn = _cauchy_pairs(len(trace.t_images), CAUCHY_SAMPLES, seed)
-    ts = space.carrier.to_array(trace.t_images)
+    ts = np.concatenate([space.carrier.to_array([trace.t_start]), trace.images])
+    mm, nn = _cauchy_pairs(len(ts), CAUCHY_SAMPLES, seed)
     actual = space.cone.norm_rows(space.pairwise(ts[mm], ts[nn]))
-    bound = K * d0 / (1.0 - h) * headroom * np.asarray(powers)[nn]
-    bad = np.flatnonzero(actual > bound)
+    with np.errstate(invalid="ignore"):
+        bound = K * d0 / (1.0 - h) * headroom * powers[nn]
+    bad = np.flatnonzero(~(actual <= bound))
     cauchy_violations = list(zip(mm[bad].tolist(), nn[bad].tolist(),
                                  actual[bad].tolist(), bound[bad].tolist()))
 
@@ -421,11 +425,15 @@ def _uniqueness_verdict(space: ConeMetricSpace, maps: MapPair, traces: list[Iter
     if any(t.stop_reason != CONVERGED for t in traces):
         return UniquenessVerdict(UNKNOWN, None, [], traces)
 
+    # A converged run ends on a point it kept, so its limit is its last row.
+    tol = COINCIDE_FACTOR * rule.epsilon
+    zs = np.stack([t.points[-1] for t in traces])
+    first = zs[np.zeros(len(zs) - 1, dtype=np.intp)]
+    if not np.any(space.cone.norm_rows(space.pairwise(zs[1:], first)) > tol):
+        return UniquenessVerdict(UNIQUE, traces[0].last, [], traces)   # every limit joins limit 0
+
     # apart[a, b], b < a: limit a lies farther than tol from the earlier
     # limit b (one pairwise call over the k(k-1)/2 pairs of k starts)
-    tol = COINCIDE_FACTOR * rule.epsilon
-    lasts = [t.last for t in traces]
-    zs = space.carrier.to_array(lasts)
     k = len(zs)
     a, b = np.tril_indices(k, -1)
     apart = np.zeros((k, k), dtype=bool)
@@ -434,9 +442,7 @@ def _uniqueness_verdict(space: ConeMetricSpace, maps: MapPair, traces: list[Iter
     for z in range(k):
         if apart[z, chosen].all():
             chosen.append(z)
-    reps = [lasts[z] for z in chosen]
-    if len(reps) == 1:
-        return UniquenessVerdict(UNIQUE, reps[0], [], traces)
+    reps = [traces[z].last for z in chosen]
 
     certified = _certified(space, maps, reps, zs[chosen], rule.epsilon)
     if len(certified) >= 2:

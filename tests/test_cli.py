@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conefix import cli, cone_space, oracle, solver
 from conefix.cli import (
@@ -1013,6 +1014,58 @@ def test_trace_csv_17_digit_round_trip():
     text = emit_trace(trace, "csv", None, h=0.5, K=1.0)
     for line, expected in zip(text.strip().splitlines()[1:], trace.gap_norms):
         assert float(line.split(",")[3]) == expected
+
+
+def _refuse_constant(token):
+    raise ValueError(f"bare {token} in strict JSON")
+
+
+def test_json_trace_writes_non_finite_numbers_as_strings(tmp_path, capsys):
+    # S = -x from 1e308: every gap overflows to inf, and with h = 0 the
+    # bound after the first is K * 0 * inf = NaN
+    doc = fixture_doc("instance_a")
+    doc["space"]["carrier"].update(lo=-1e308, hi=1e308)
+    doc["maps"]["S"] = {"family": "affine", "alpha": -1.0}
+    path, out = _write(tmp_path, "swap.json", doc), tmp_path / "trace.json"
+    status = main(["solve", "--instance", str(path), "--x0", "1e308", "--format", "json", "--out", str(out)])
+    assert status == 1
+    rows = json.loads(out.read_text(encoding="utf-8"), parse_constant=_refuse_constant)["rows"]
+    assert [(r["gap_norm"], r["cumulative_bound"], r["gap_vector"]) for r in rows] == [
+        ("inf", "inf", ["inf", "inf"]), ("inf", "nan", ["inf", "inf"])]
+    cert = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    assert cert["decay_per_step_ok"] is False and cert["cauchy_bound_ok"] is False
+
+
+# ---------------------------------------------------------------------------
+# Report serialization
+# ---------------------------------------------------------------------------
+
+_NUMPY_SCALARS = st.one_of(
+    st.floats(width=32).map(np.float32), st.floats().map(np.float64),
+    st.integers(-2 ** 31, 2 ** 31 - 1).map(np.int32), st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+)
+_NUMPY_ARRAYS = hnp.arrays(
+    st.sampled_from([np.float64, np.float32, np.int64, np.int32, np.bool_]),
+    hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4),
+)
+_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70),
+    st.floats(), st.sampled_from([-0.0, 5e-324, math.inf, -math.inf, math.nan, 1e308, 1e16]),
+    st.text(st.characters(max_codepoint=0x1F0FF), max_size=8),
+    st.sampled_from(["", "\x00\x1f\x7f", "quote \" and \\ slash", "line\nbreak\ttab", "é€😀"]),
+    _NUMPY_SCALARS, _NUMPY_ARRAYS,
+)
+_REPORTS = st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=5), st.lists(inner, max_size=3).map(tuple),
+    st.lists(st.floats(), max_size=5),
+    st.dictionaries(st.text(max_size=4) | st.integers(-3, 3), inner, max_size=5),
+), max_leaves=25)
+
+
+@settings(max_examples=400, deadline=None)
+@given(obj=_REPORTS)
+def test_report_writer_equals_json_dumps_of_plain(obj):
+    assert cli._dump_json(obj, None) == json.dumps(cli._plain(obj), sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

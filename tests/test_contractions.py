@@ -3,17 +3,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conefix.cone_space import (
     BoxCarrier, ConeMetricSpace, ConeSpec, ConfigError, DirectionMetric, DomainError, FinitePointsCarrier,
-    IntervalCarrier,
+    IntervalCarrier, TabulatedMetric,
 )
 from conefix.contractions import (
-    AffineMap, ClassSpec, IdentityMap, MapPair, PairSet, PowerMap, TabulatedMap, all_pairs,
-    check_condition, fit_constants, grid_pairs, pair_terms, promote_to_weak, rate_from_primary_form,
-    sampled_pairs, verify_zamfirescu_reduction, zamfirescu_delta,
+    CLASS_KINDS, TW_DUAL, TWU, AffineMap, ClassSpec, ConditionViolation, IdentityMap, MapPair, PairSet,
+    PowerMap, TabulatedMap, all_pairs, check_condition, cleared_check, constant_names, evaluate,
+    fit_constants, grid_pairs, pair_terms, promote_to_weak, rate_from_primary_form, sampled_pairs,
+    verify_zamfirescu_reduction, zamfirescu_delta,
 )
 from conefix.instances import instance_a, instance_c
 from conefix.oracle import exhaustive_promotion_check, finite_from_values
@@ -440,3 +441,125 @@ def test_all_pairs_needs_a_finite_carrier(space_a):
     space, _ = space_a
     with pytest.raises(ConfigError):
         all_pairs(space)
+
+
+# ---------------------------------------------------------------------------
+# Violation views against eagerly built lists
+# ---------------------------------------------------------------------------
+
+def _eager_violations(space, spec, pairs, t) -> list:
+    """Every violation of ``spec``, built as a list: for TZ the witness is
+    the branch whose residual comes closest to the cone."""
+    cone = space.cone
+    v = evaluate(spec, t, cone, cone.slack)
+    bad = np.flatnonzero(~v.ok)
+    rhs, res = v.rhs, v.residual
+    if v.branch_ok is not None:
+        best = np.argmax(np.min(res[:, bad] @ cone.ineq_matrix.T, axis=-1), axis=0)
+        rhs, res = rhs[best, bad], res[best, bad]
+    else:
+        rhs, res = rhs[bad], res[bad]
+    return [ConditionViolation(x, y, t.lhs[i], r, e)
+            for (x, y), i, r, e in zip(pairs.witnesses(space, bad), bad, rhs, res)]
+
+
+def _eager_forms(space, tz, pairs, t) -> list[list]:
+    """The violations of the primary and dual reduced forms, as lists."""
+    forms = []
+    for weak in (TWU, TW_DUAL):
+        v = cleared_check(tz, weak, t, space.cone, space.cone.slack)
+        bad = np.flatnonzero(~v.ok)
+        forms.append([ConditionViolation(x, y, t.lhs[i], v.residual[i] + t.lhs[i], v.residual[i])
+                      for (x, y), i in zip(pairs.witnesses(space, bad), bad)])
+    return forms
+
+
+def _violation_bits(v: ConditionViolation) -> tuple:
+    def bits(value):
+        if isinstance(value, np.ndarray):
+            return value.dtype.str, value.shape, value.tobytes()
+        return type(value), repr(value)
+    return tuple(bits(getattr(v, name)) for name in ("x", "y", "lhs", "rhs", "residual"))
+
+
+def _assert_view_equals(view, want: list):
+    n = len(want)
+    assert len(view) == n and bool(view) == bool(want)
+    assert [_violation_bits(v) for v in view] == [_violation_bits(v) for v in want]
+    for i in range(-n, n):
+        assert _violation_bits(view[i]) == _violation_bits(want[i])
+    for s in (slice(None), slice(None, 50), slice(1, None, 2), slice(None, None, -1), slice(-3, None),
+              slice(-1, -n - 1, -3), slice(n, None), slice(2, 1)):
+        assert [_violation_bits(v) for v in view[s]] == [_violation_bits(v) for v in want[s]]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            view[i]
+
+
+@st.composite
+def condition_cases(draw):
+    """A space, maps and pair set: an interval or a box under affine and
+    power maps, or a small finite carrier whose random table need not be a
+    metric (so TZ can hold while a reduced form fails)."""
+    family = draw(st.sampled_from(["interval", "box", "table"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    cone = draw(st.sampled_from([ConeSpec.orthant(2), ConeSpec.polyhedral([[1.0, -0.5], [-0.25, 1.0]])]))
+    if family == "table":
+        n = int(rng.integers(3, 6))
+        table = rng.integers(0, 5, (n, n, 1)) * np.array([1.0, 2.0])
+        table[np.arange(n), np.arange(n)] = 0.0
+        points = [f"p{i}" for i in range(n)] if draw(st.booleans()) else list(range(n))
+        space = ConeMetricSpace(cone, FinitePointsCarrier(points), TabulatedMetric(table))
+        maps = MapPair(*(TabulatedMap(points, [points[i] for i in rng.integers(0, n, n)]) for _ in "TS"))
+        return space, maps, all_pairs(space)
+    if family == "interval":
+        space = ConeMetricSpace(cone, IntervalCarrier(0.0, 1.0, grid=9), DirectionMetric([1.0, 1.0]))
+        T = draw(st.sampled_from([IdentityMap(), AffineMap(0.5, 0.25), PowerMap(3.0)]))
+    else:
+        space = ConeMetricSpace(cone, BoxCarrier(np.zeros(2), np.ones(2), grid=3),
+                                DirectionMetric([1.0, 1.0], rho="euclidean"))
+        T = draw(st.sampled_from([IdentityMap(), AffineMap(0.5, 0.25)]))
+    S = AffineMap(*draw(st.sampled_from([(0.25, 0.125), (0.9, 0.05), (-0.75, 0.75)])))
+    pairs = grid_pairs(space) if draw(st.booleans()) else sampled_pairs(space, 60, seed=int(rng.integers(9)))
+    return space, MapPair(T, S), pairs
+
+
+def _table_case(seed):
+    """The table family at a seed where TZ(3/4, 3/8, 3/8) holds on all
+    pairs and both reduced forms fail on some."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 6))
+    table = rng.integers(0, 5, (n, n, 1)) * np.array([1.0, 2.0])
+    table[np.arange(n), np.arange(n)] = 0.0
+    points = list(range(n))
+    space = ConeMetricSpace(ConeSpec.orthant(2), FinitePointsCarrier(points), TabulatedMetric(table))
+    maps = MapPair(*(TabulatedMap(points, list(rng.integers(0, n, n))) for _ in "TS"))
+    return space, maps, all_pairs(space)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=condition_cases(), scale=st.sampled_from([0.125, 0.5, 0.99]))
+@example(case=_table_case(403), scale=1.0)
+@example(case=_table_case(2878), scale=1.0)
+def test_violation_views_equal_the_eager_lists(case, scale):
+    space, maps, pairs = case
+    t = pair_terms(space, maps, pairs)
+    uppers = {"a": 0.75, "b": 0.375, "c": 0.375, "delta": 0.75, "L": 1.5, "theta": 0.75, "L1": 1.5}
+    for kind in CLASS_KINDS:
+        spec = ClassSpec(kind, **{name: uppers[name] * scale for name in constant_names(kind)})
+        report = check_condition(space, maps, spec, pairs)
+        _assert_view_equals(report.violations, _eager_violations(space, spec, pairs, t))
+        assert report.holds == (not len(report.violations))
+    tz = ClassSpec.tz(0.75 * scale, 0.375 * scale, 0.375 * scale)
+    red = verify_zamfirescu_reduction(space, maps, tz.a, tz.b, tz.c, pairs)
+    if red.applicable:
+        for view, want in zip((red.primary.violations, red.dual.violations), _eager_forms(space, tz, pairs, t)):
+            _assert_view_equals(view, want)
+
+
+def test_reduction_views_are_exercised():
+    # the two explicit table cases of the view test fail both reduced forms
+    for seed in (403, 2878):
+        space, maps, pairs = _table_case(seed)
+        red = verify_zamfirescu_reduction(space, maps, 0.75, 0.375, 0.375, pairs)
+        assert red.applicable and red.primary.violations and red.dual.violations

@@ -11,9 +11,9 @@ from conefix.contractions import AffineMap, IdentityMap, MapPair, PowerMap, Tabu
 from conefix.instances import instance_d
 from conefix.oracle import finite_from_values
 from conefix.solver import (
-    CONVERGED, CYCLE_DETECTED, INJECTIVITY_TOL, MAX_ITER, NON_UNIQUE, UNIQUE, UNKNOWN,
-    StoppingRule, TProbes, _cauchy_pairs, _picard_runs, certify_fixed_point, diagnose_T,
-    geometric_decay_check, picard_iterate, uniqueness_probe,
+    COINCIDE_FACTOR, CONVERGED, CYCLE_DETECTED, DECAY_HEADROOM, INJECTIVITY_TOL, MAX_ITER, NON_UNIQUE,
+    UNIQUE, UNKNOWN, StoppingRule, TProbes, _cauchy_pairs, _certified, _picard_runs, _uniqueness_verdict,
+    certify_fixed_point, diagnose_T, geometric_decay_check, picard_iterate, uniqueness_probe,
 )
 
 
@@ -653,3 +653,106 @@ def test_batch_engine_equals_the_per_start_loop(case):
     assert len(runs) == len(want)
     for trace, reference in zip(runs, want):
         _assert_same_run(trace, reference)
+
+
+def _overflowing_swap():
+    """S = -x on [-1e308, 1e308]: from 1e308 every gap overflows to inf."""
+    space = ConeMetricSpace(ConeSpec.orthant(2), IntervalCarrier(-1e308, 1e308), DirectionMetric([1.0, 2.0]))
+    return space, MapPair(IdentityMap(), AffineMap(-1.0))
+
+
+def test_decay_check_counts_nan_bounds_as_violations():
+    # h = 0 and d_0 = inf make every bound after the first K * 0 * inf = NaN
+    space, maps = _overflowing_swap()
+    trace = picard_iterate(space, maps, 1e308)
+    assert trace.stop_reason == CYCLE_DETECTED and trace.gap_norms == [np.inf, np.inf]
+    report = geometric_decay_check(trace, h=0.0)
+    assert not report.per_step_ok and not report.cauchy_ok
+    ((n, gn, bound),) = report.per_step_violations
+    assert (n, gn) == (1, np.inf) and np.isnan(bound)
+
+
+def _reference_decay(trace, h, K, seed):
+    """The decay check one step and one pair at a time, with Python floats:
+    a pair fails unless its value is at most its bound, so NaN fails."""
+    d0, headroom = trace.gap_norms[0], 1.0 + DECAY_HEADROOM
+    powers = [h ** n for n in range(len(trace.t_images))]
+    steps = []
+    for n, gn in enumerate(trace.gap_norms):
+        bound = K * powers[n] * d0 * headroom
+        if not gn <= bound:
+            steps.append((n, gn, bound))
+    pairs, tail = [], K * d0 / (1.0 - h) * headroom
+    for m, n in zip(*(a.tolist() for a in _cauchy_pairs(len(trace.t_images), 2000, seed))):
+        actual = trace.space.gap_norm(trace.t_images[m], trace.t_images[n])
+        if not actual <= tail * powers[n]:
+            pairs.append((m, n, actual, tail * powers[n]))
+    return steps, pairs
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=engine_cases(), h=st.sampled_from([0.0, 0.25, 0.5, 0.9]), K=st.sampled_from([1.0, 3.0]),
+       seed=st.integers(0, 3))
+@example(case=(*_overflowing_swap(), [1e308], StoppingRule()), h=0.0, K=1.0, seed=0)
+def test_decay_check_equals_the_per_step_loop(case, h, K, seed):
+    space, maps, starts, rule = case
+    try:
+        runs = _picard_runs(space, maps, list(starts), rule)
+    except DomainError:
+        return
+    for trace in runs[:2]:
+        report = geometric_decay_check(trace, h, K, seed=seed)
+        steps, pairs = _reference_decay(trace, h, K, seed)
+        assert _bits(report.per_step_violations) == _bits(steps)
+        assert _bits(report.cauchy_violations) == _bits(pairs)
+        assert (report.per_step_ok, report.cauchy_ok) == (not steps, not pairs)
+
+
+def _greedy_merge(space, maps, traces, rule):
+    """The merge over all k(k-1)/2 pairs of limits, as ``uniqueness_probe``
+    documents it: each limit joins the first earlier representative within
+    tolerance, or becomes one."""
+    if any(t.stop_reason != CONVERGED for t in traces):
+        return UNKNOWN, None, []
+    tol = COINCIDE_FACTOR * rule.epsilon
+    lasts = [t.last for t in traces]
+    zs = space.carrier.to_array(lasts)
+    k = len(zs)
+    a, b = np.tril_indices(k, -1)
+    apart = np.zeros((k, k), dtype=bool)
+    apart[a, b] = space.cone.norm_rows(space.pairwise(zs[a], zs[b])) > tol
+    chosen = []
+    for z in range(k):
+        if apart[z, chosen].all():
+            chosen.append(z)
+    if len(chosen) == 1:
+        return UNIQUE, lasts[chosen[0]], []
+    certified = _certified(space, maps, [lasts[z] for z in chosen], zs[chosen], rule.epsilon)
+    return (NON_UNIQUE if len(certified) >= 2 else UNKNOWN), None, certified
+
+
+def _fixed_starts(starts, epsilon=1e-3):
+    """Identity S on [0, 1]: every start is its own limit.  Two limits
+    coincide within 10 epsilon in the max norm of (1, 2)|x - y|, so when
+    |x - y| <= 0.005."""
+    return _unit_interval(), MapPair(IdentityMap(), IdentityMap()), starts, StoppingRule(epsilon=epsilon)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=engine_cases())
+@example(case=_fixed_starts([0.5, 0.5045, 0.4955, 0.5, 0.50245]))     # all within tolerance of the first
+@example(case=_fixed_starts([0.9, 0.5, 0.5, 0.5025]))               # one outlier, first
+@example(case=_fixed_starts([0.5, 0.5, 0.5025, 0.9]))               # one outlier, last
+@example(case=_fixed_starts([0.1, 0.2, 0.3, 0.4, 0.5]))            # all distinct
+@example(case=_fixed_starts([0.5, 0.5045, 0.509, 0.5135]))           # a chain: each near the last
+@example(case=_fixed_starts([0.5, 0.5048828125], 2 ** -10))        # exactly at the tolerance: coincide
+def test_merge_equals_the_greedy_merge_over_all_pairs(case):
+    space, maps, starts, rule = case
+    try:
+        runs = _picard_runs(space, maps, list(starts), rule)
+    except DomainError:
+        return
+    got = _uniqueness_verdict(space, maps, runs, rule)
+    verdict, point, witnesses = _greedy_merge(space, maps, runs, rule)
+    assert (got.verdict, repr(got.fixed_point), repr(got.witnesses)) == (verdict, repr(point), repr(witnesses))
+    assert type(got.fixed_point) is type(point)
