@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fingerprint every CLI command's outputs, and five API results, on instance files.
+"""Fingerprint every CLI command's outputs, and six API results, on instance files.
 
     python scripts/artifact_digest.py PATH...
 
@@ -25,6 +25,10 @@ returns, which no CLI artifact shows in full:
   plan ``verify`` uses (every violation's axiom, witness and residual,
   where the artifact keeps 50), floats as their shortest repr, so every
   bit counts, the sign of a zero included;
+* ``terms``: on a finite file, the six pair-term columns of
+  ``FiniteInstance.terms`` (each one's name, dtype, shape and the sha256 of
+  its bytes), so the table gathers are compared bit for bit, not only
+  through the verdicts they lead to; ``()`` otherwise;
 * ``oracle``: on a finite file with a class, ``exhaustive_condition_check``
   (every violating pair), ``tightest_constants`` for TB/TK/TC/TW (every
   witness) and ``exhaustive_reduction_check`` for TZ (every violation),
@@ -35,6 +39,7 @@ outputs to confirm the results are byte-identical.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import sys
@@ -110,6 +115,13 @@ def _api_axioms(inst) -> tuple:
             for r in reports]
 
 
+def _api_terms(inst) -> tuple:
+    if inst.finite is None:
+        return ()
+    columns = [(f.name, getattr(inst.finite.terms, f.name)) for f in dataclasses.fields(inst.finite.terms)]
+    return tuple((name, a.dtype.str, a.shape, _sha(a.tobytes())) for name, a in columns)
+
+
 def _api_oracle(inst) -> tuple:
     fin, spec = inst.finite, inst.contraction
     if fin is None or spec is None:
@@ -125,7 +137,7 @@ def _api_oracle(inst) -> tuple:
 def api_digest(path: str) -> str:
     parts = []
     for name, call in (("probe", _api_probe), ("diagnose", _api_diagnose), ("condition", _api_condition),
-                       ("axioms", _api_axioms), ("oracle", _api_oracle)):
+                       ("axioms", _api_axioms), ("terms", _api_terms), ("oracle", _api_oracle)):
         try:
             text = repr(call(cli.load_instance(path)))
         except Exception as exc:      # an invalid file or a failing run is a result too

@@ -8,6 +8,7 @@ Exit statuses: 0 every requested check passed, 1 a check failed,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -277,6 +278,8 @@ def _direction_metric(direction, scalar="absdiff", *, cone, carrier) -> Directio
 
 
 def _tabulated_metric(table, *, carrier) -> TabulatedMetric | None:
+    if not np.isfinite(table).all():    # an overflowing literal such as 1e400 reads as inf
+        raise ConfigError(f"non-finite number {table[~np.isfinite(table)][0]} is not admitted")
     if carrier is None:         # the carrier's own error is already reported
         return None
     if not isinstance(carrier, FinitePointsCarrier):
@@ -384,30 +387,37 @@ def parse_instance(text: str, flags: dict | None = None) -> LoadedInstance:
     validation error at once (not just the first).  ``flags`` maps run
     keys to JSON texts; each one that is not null replaces the file's value
     before the run section is coerced, so both obey the same rows."""
-    doc = _decode(text, "syntax")
-    if not isinstance(doc, dict):
-        raise InstanceValidationError(["top level must be an object"])
-    if doc.get("run") is None:      # a null run section takes every default
-        doc["run"] = {}
-    given = {key: _decode(arg, f"--{key}") for key, arg in (flags or {}).items() if arg is not None}
-    if isinstance(doc["run"], dict):
-        doc["run"].update((key, value) for key, value in given.items() if value is not None)
-    errors: list[str] = []
-    parts = _walk(doc, "top", INSTANCE, errors, {})
-    if errors:
-        raise InstanceValidationError(errors)
+    enabled = gc.isenabled()
+    gc.disable()        # a JSON document holds no cycle; it is released before the collector resumes
+    try:
+        doc = _decode(text, "syntax")
+        if not isinstance(doc, dict):
+            raise InstanceValidationError(["top level must be an object"])
+        if doc.get("run") is None:      # a null run section takes every default
+            doc["run"] = {}
+        given = {key: _decode(arg, f"--{key}") for key, arg in (flags or {}).items() if arg is not None}
+        if isinstance(doc["run"], dict):
+            doc["run"].update((key, value) for key, value in given.items() if value is not None)
+        errors: list[str] = []
+        parts = _walk(doc, "top", INSTANCE, errors, {})
+        del doc, given
+        if errors:
+            raise InstanceValidationError(errors)
 
-    space, maps = parts["space"], parts["maps"]
-    finite = None
-    if isinstance(space.metric, TabulatedMetric):
-        indices = np.arange(len(space.carrier.points))
-        try:
-            t_tab, s_tab = (_array_map(space, f)(indices) for f in (maps.T, maps.S))
-            finite = FiniteInstance(list(space.carrier.points), space.metric.table, t_tab, s_tab, space.cone)
-        except (ConfigError, DomainError) as exc:
-            raise InstanceValidationError([f"space: {exc}"]) from exc
-    contraction, pinned = parts.get("contraction", (None, False))
-    return LoadedInstance(space, maps, contraction, parts["run"], finite, pinned)
+        space, maps = parts["space"], parts["maps"]
+        finite = None
+        if isinstance(space.metric, TabulatedMetric):
+            pts = list(space.carrier.points)
+            try:
+                t_tab, s_tab = (_array_map(space, f)(np.arange(len(pts))) for f in (maps.T, maps.S))
+                finite = FiniteInstance(pts, space.metric.table, t_tab, s_tab, space.cone)
+            except (ConfigError, DomainError) as exc:
+                raise InstanceValidationError([f"space: {exc}"]) from exc
+        contraction, pinned = parts.get("contraction", (None, False))
+        return LoadedInstance(space, maps, contraction, parts["run"], finite, pinned)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def load_instance(path: str | Path, flags: dict | None = None) -> LoadedInstance:
@@ -836,6 +846,7 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()
 
 
+@np.errstate(over="ignore", invalid="ignore")     # a non-finite value goes to the artifacts, not stderr
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _PARSER.parse_args(argv)

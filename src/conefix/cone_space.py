@@ -516,6 +516,11 @@ class DirectionMetric:
         return r[..., None] * self.direction
 
 
+def table_take(table: np.ndarray, i, j) -> np.ndarray:
+    """table[i, j] for in-range index arrays, by one flat take (2-D fancy indexing costs 6-8x more)."""
+    return table.reshape(-1, table.shape[-1]).take(i * len(table) + j, axis=0)
+
+
 @dataclass
 class TabulatedMetric:
     """Fully tabulated metric on a finite carrier: table[i, j] = d(points[i],
@@ -583,7 +588,7 @@ class ConeMetricSpace:
         if len(xs) == 0:
             return np.zeros((0, self.cone.dimension))
         if isinstance(self.metric, TabulatedMetric):
-            return self.metric.table[xs, ys]
+            return table_take(self.metric.table, xs, ys)
         if self.carrier.finite:
             xs, ys = self.carrier.from_array(xs), self.carrier.from_array(ys)
         return np.asarray(self.metric.pairwise(xs, ys), dtype=float)
@@ -628,9 +633,12 @@ def metric_table_failures(table: np.ndarray, cone: ConeSpec, slack: float) -> di
     triangle = np.broadcast_to(np.zeros((n, n), dtype=bool), (n, n, n))
     for x in range(n):
         lo = x if half else 0
+        # some (y, z) fails iff min_z a.d(x, z) + a.d(z, y) < a.d(x, y) for a row a (fmin skips NaN)
+        if not (np.fmin.reduce(proj[:, x, None, :] + proj_t[:, lo:], axis=2) < proj[:, x, lo:]).any():
+            continue
         # bad[y - lo, z]: a.d(x, z) + a.d(z, y) < a.d(x, y) for some row a
         bad = np.any(proj[:, x, None, :] + proj_t[:, lo:] < proj[:, x, lo:, None], axis=0)
-        if slack > 0.0 and bad.any():
+        if slack > 0.0:
             ys, zs = np.nonzero(bad)
             bad[ys, zs] = outside(table[x, zs] + table[zs, ys + lo] - table[x, ys + lo])
         if bad.any():

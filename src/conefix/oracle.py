@@ -15,13 +15,14 @@ terms of all n^2 index pairs, looked up in the tables once per instance
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .cone_space import (
     ConeMetricSpace, ConeSpec, ConfigError, FinitePointsCarrier, TabulatedMetric, metric_table_failures,
+    table_take,
 )
 from .contractions import (
     TB, TC, TK, TW, TW_DUAL, TWU, TZ,
@@ -87,8 +88,8 @@ class FiniteInstance:
         """The pair terms of all n^2 index pairs, looked up in the tables
         once per instance (the tables are validated above and never
         changed).  The per-point terms are (n, 1, m) and (1, n, m)."""
-        d, idx = self.metric_table, np.arange(self.n)
-        return pair_columns(lambda a, b: d[a, b], self.t_table, self.t_table[self.s_table],
+        idx = np.arange(self.n)
+        return pair_columns(partial(table_take, self.metric_table), self.t_table, self.t_table[self.s_table],
                             idx[:, None], idx[None, :])
 
     def verdict(self, spec: ClassSpec) -> Verdict:

@@ -120,7 +120,7 @@ class IterationTrace:
 
     def max_step_ratio(self) -> float | None:
         r = self.step_ratios()
-        return max(r) if r else None
+        return float(np.max(r)) if r else None      # NaN wherever a NaN ratio (inf / inf) sits
 
 
 def picard_iterate(

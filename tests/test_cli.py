@@ -1,9 +1,14 @@
 import copy
 import errno
+import gc
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -161,6 +166,8 @@ BOX_INF = "space.carrier: box carrier bounds must be finite"
                  {"kind": "box", "lows": ["-1e400", 0.0], "highs": [1.0, 1.0]}, BOX_INF, id="lows"),
     pytest.param("instance_a", ("space", "carrier"),
                  {"kind": "box", "lows": [0.0, 0.0], "highs": [1.0, "1e400"]}, BOX_INF, id="highs"),
+    pytest.param("instance_d", ("space", "metric", "table", 0, 1, 0), "1e400", f"space.metric: {INF}",
+                 marks=pytest.mark.filterwarnings("error::RuntimeWarning"), id="table"),
 ])
 def test_overflowing_literals_are_rejected(tmp_path, name, path, value, error):
     doc = fixture_doc(name)
@@ -177,6 +184,79 @@ def test_overflowing_literals_are_rejected(tmp_path, name, path, value, error):
 def test_epsilon_flag_rejects_overflow(tmp_path):
     path = _write(tmp_path, "a.json", fixture_doc("instance_a"))
     assert main(["solve", "--instance", str(path), "--epsilon", "1e400"]) == 2
+
+
+def _d3_failing_doc() -> dict:
+    doc = fixture_doc("instance_d")
+    table = doc["space"]["metric"]["table"]
+    table[0][9] = table[9][0] = [64.0, 128.0]     # far beyond any detour through a third point
+    return doc
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("text, error", [
+    pytest.param(json.dumps(fixture_doc("instance_d")), None, id="valid"),
+    pytest.param('{"cone": ', "syntax: Expecting value at line 1 column 10", id="syntax"),
+    pytest.param(json.dumps(_d3_failing_doc()), "space: metric table violates d3 at triple (0, 9, 1)", id="d3"),
+])
+def test_parse_instance_leaves_the_collector_as_it_found_it(monkeypatch, enabled, text, error):
+    # the collector is paused while a file is parsed and restored after,
+    # also when the parse raises
+    seen, real = [], cli.FiniteInstance
+
+    def build(*args):
+        seen.append(gc.isenabled())
+        return real(*args)
+
+    monkeypatch.setattr(cli, "FiniteInstance", build)
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        if error is None:
+            assert parse_instance(text).finite is not None
+        else:
+            with pytest.raises(InstanceValidationError) as exc:
+                parse_instance(text)
+            assert exc.value.errors == [error]
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == ([] if error and error.startswith("syntax") else [False])
+
+
+def test_parse_instance_runs_no_collection_and_releases_the_document(monkeypatch):
+    # a 60-point table decodes to about 3,700 lists, enough to start
+    # several young collections; none runs, and the decoded document is
+    # gone when the collector resumes, so it leaves no allocation debt
+    n = 60
+    doc = fixture_doc("instance_d")
+    doc["space"]["carrier"]["points"] = list(range(n))
+    gaps = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) / 8.0
+    doc["space"]["metric"]["table"] = (gaps[:, :, None] * [1.0, 2.0]).tolist()
+    doc["maps"] = {"T": {"family": "identity"}, "S": {"family": "tabulated", "images": [0] * n}}
+    text = json.dumps(doc)
+    starts, pending = [], []
+
+    def callback(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    def resume():       # what the young generation still owes when parsing ends
+        pending.append(gc.get_count()[0])
+        gc.enable()
+
+    monkeypatch.setattr(cli, "gc", SimpleNamespace(isenabled=gc.isenabled, disable=gc.disable, enable=resume))
+    was = gc.isenabled()
+    gc.enable()
+    gc.collect()
+    gc.callbacks.append(callback)
+    try:
+        inst = parse_instance(text)
+    finally:
+        gc.callbacks.remove(callback)
+        (gc.enable if was else gc.disable)()
+    assert inst.finite.n == n and starts == []
+    assert len(pending) == 1 and pending[0] < n * n // 10, pending
 
 
 # ---------------------------------------------------------------------------
@@ -1036,6 +1116,22 @@ def test_json_trace_writes_non_finite_numbers_as_strings(tmp_path, capsys):
     assert cert["decay_per_step_ok"] is False and cert["cauchy_bound_ok"] is False
 
 
+def test_overflowing_gaps_write_nothing_to_stderr(tmp_path):
+    # the same repro in a fresh interpreter with the default warning filters:
+    # the overflowing gap is inf in the artifact, and numpy says nothing
+    doc = fixture_doc("instance_a")
+    doc["space"]["carrier"].update(lo=-1e308, hi=1e308)
+    doc["maps"]["S"] = {"family": "affine", "alpha": -1.0}
+    path, out = _write(tmp_path, "swap.json", doc), tmp_path / "trace.json"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run([sys.executable, "-m", "conefix.cli", "solve", "--instance", str(path), "--x0", "1e308",
+                           "--format", "json", "--out", str(out)], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stderr) == (1, "")
+    assert json.loads(out.read_text(encoding="utf-8"))["rows"][0]["gap_norm"] == "inf"
+
+
 # ---------------------------------------------------------------------------
 # Report serialization
 # ---------------------------------------------------------------------------
@@ -1153,6 +1249,14 @@ def test_artifact_digest_runs_on_a_fixture(capsys):
     report, tight = digest._api_oracle(load_instance(path))
     assert report.violating_pairs and report.pairs_checked == 100 and tight.kind == "TB"
     assert lines[-1].endswith(f" oracle={digest._sha(repr((report, tight)).encode())}")
+    # the terms hash covers the bytes, dtype and shape of each of the six
+    # pair-term columns the oracle reads off the table
+    terms = digest._api_terms(load_instance(path))
+    assert [(name, shape) for name, _, shape, _ in terms] == [
+        ("lhs", (10, 10, 2)), ("d_tx_ty", (10, 10, 2)), ("d_tx_tsx", (10, 1, 2)),
+        ("d_ty_tsy", (1, 10, 2)), ("d_tx_tsy", (10, 10, 2)), ("d_ty_tsx", (10, 10, 2))]
+    assert all(dtype == "<f8" for _, dtype, _, _ in terms)
+    assert f" terms={digest._sha(repr(terms).encode())} " in lines[-1]
 
 
 def test_verify_scans_a_tabulated_table_once(monkeypatch, tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -16,7 +17,8 @@ from conefix.cone_space import (
     FunctionMetric, IntervalCarrier, SamplingPlan, TabulatedMetric, estimate_normal_constant,
     metric_table_failures, verify_cone_axioms, verify_metric_axioms,
 )
-from conefix.oracle import FiniteInstance
+from conefix.contractions import pair_columns
+from conefix.oracle import FiniteInstance, finite_from_values
 
 from conftest import fixture_doc
 
@@ -537,6 +539,47 @@ def test_metric_table_scan_differential(family, slack):
     assert symmetric_failing >= 2 and one_sided_failing >= 2, (symmetric_failing, one_sided_failing)
 
 
+def _overflowing_table(one_sided: bool) -> np.ndarray:
+    """Points 0-2 break d3 only at (0, 1, 2) and its mirror (1, 0, 2).  Point
+    3 lies about 2^1022 away: on the rows (2, -1) and (-1, 2) the entries
+    NEAR = d(i, 3) project to (inf, -inf) and FAR to (-inf, inf), so every
+    d(x, 3) + d(3, y) that pairs them projects to inf + -inf = NaN, beside
+    the failing z = 2, while the sums themselves stay finite.  One-sided
+    (d(3, i) = FAR) no other triple fails and the full scan runs; symmetric
+    (only d(1, 3) = FAR) the half scan runs."""
+    q = 2.0 ** 1022
+    near, far = np.array([1.5, -1.5]) * q, np.array([-1.25, 1.75]) * q
+    table = np.zeros((4, 4, 2))
+    table[0, 1] = table[1, 0] = 4.0
+    table[0, 2] = table[2, 0] = table[1, 2] = table[2, 1] = 1.0
+    table[:3, 3] = near
+    table[3, :3] = far if one_sided else near
+    if not one_sided:
+        table[1, 3] = table[3, 1] = far
+    return table
+
+
+@pytest.mark.parametrize("one_sided", [False, True])
+@pytest.mark.parametrize("slack", [0.0, 0.5])
+def test_metric_table_scan_skips_nan_sums_beside_a_failing_triple(one_sided, slack):
+    # The scan reduces a.d(x, z) + a.d(z, y) over z before it builds any
+    # mask; a NaN sum there must not hide the failing z, whichever side of
+    # it the NaN sits on (every relabelling of the four points is scanned).
+    cone = ConeSpec.polyhedral([[2.0, -1.0], [-1.0, 2.0]], slack=0.0)
+    base = _overflowing_table(one_sided)
+    with np.errstate(over="ignore", invalid="ignore"):
+        proj = base @ cone.ineq_matrix.T
+        assert np.isnan(proj[0, 3] + proj[3, 1]).all() and np.isinf(proj).any()
+        assert np.isfinite(base[0, 3] + base[3, 1]).all()
+        for order in itertools.permutations(range(4)):
+            table = base[list(order)][:, list(order)]
+            got = _assert_scan_matches(table, cone, slack)
+            x, y, z = (order.index(i) for i in (0, 1, 2))
+            assert got["d3-triangle"][x, y, z] and got["d3-triangle"][y, x, z]
+            if one_sided:
+                assert np.argwhere(got["d3-triangle"]).tolist() == sorted([[x, y, z], [y, x, z]])
+
+
 @pytest.mark.parametrize("family", ["orthant", "scaled_orthant"])
 @pytest.mark.parametrize("slack", [0.0, 0.5])
 def test_metric_table_scan_is_exact_on_unit_row_cones(family, slack):
@@ -550,6 +593,37 @@ def test_metric_table_scan_is_exact_on_unit_row_cones(family, slack):
         noisy = rng.random((n, n, 2)) * u
         for table in (line, noisy, line + noisy):
             _assert_scan_matches(table, cone, slack)
+
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+_SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e308])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 3), st.integers(0, 12), st.integers(0, 2 ** 32 - 1))
+def test_flat_gathers_equal_fancy_indexing(n, m, k, seed):
+    # pairwise and FiniteInstance.terms read a table by one flat take; it
+    # must return what table[i, j] returns, bit for bit and shape for shape
+    rng = np.random.default_rng(seed)
+    table = rng.standard_normal((n, n, m))
+    odd = rng.random((n, n, m)) < 0.2       # NaN, inf, signed zeros, subnormals
+    table[odd] = rng.choice(_SPECIAL, size=int(odd.sum()))
+    xs, ys = rng.integers(0, n, k), rng.integers(0, n, k)       # empty when k = 0
+    space = ConeMetricSpace(ConeSpec.orthant(m), FinitePointsCarrier(list(range(n))), TabulatedMetric(table))
+    assert _same_bits(space.pairwise(xs, ys), table[xs, ys])
+    for i, j in ((xs, ys), (xs[:, None], ys[None, :]), (xs[:, None], ys[:0]), (n - 1, ys)):
+        assert _same_bits(cone_space.table_take(table, i, j), table[i, j])
+    # the terms of a valid table: a line metric with distinct dyadic values
+    values = rng.permutation(64)[:n] / 8.0
+    fin = finite_from_values(values, rng.integers(0, n, n), rng.integers(0, n, n),
+                             direction=rng.integers(1, 8, m) / 4.0)
+    d, idx = fin.metric_table, np.arange(n)
+    want = pair_columns(lambda a, b: d[a, b], fin.t_table, fin.t_table[fin.s_table], idx[:, None], idx[None, :])
+    for name in ("lhs", "d_tx_ty", "d_tx_tsx", "d_ty_tsy", "d_tx_tsy", "d_ty_tsx"):
+        assert _same_bits(getattr(fin.terms, name), getattr(want, name)), name
 
 
 def test_metric_table_scan_stays_quadratic_in_memory():

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -167,6 +170,18 @@ def test_step_ratios_bounded_by_half(space_a):
     space, maps = space_a
     trace = picard_iterate(space, maps, 1.0, StoppingRule(max_iter=30))
     assert trace.max_step_ratio() == 0.5
+
+
+@pytest.mark.parametrize("norms, ratios", [
+    ([math.inf, math.inf, 1.0, 0.5], [math.nan, 0.0, 0.5]),
+    ([1.0, 0.5, math.inf, math.inf], [0.5, math.inf, math.nan]),
+])
+def test_max_step_ratio_is_nan_wherever_the_nan_ratio_sits(space_a, norms, ratios):
+    # inf / inf is a NaN ratio; Python's max would keep it only in front
+    space, maps = space_a
+    trace = dataclasses.replace(picard_iterate(space, maps, 1.0, StoppingRule(max_iter=3)), norms=np.array(norms))
+    assert np.array_equal(trace.step_ratios(), ratios, equal_nan=True)
+    assert math.isnan(trace.max_step_ratio())
 
 
 # ---------------------------------------------------------------------------
