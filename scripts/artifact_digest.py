@@ -77,7 +77,7 @@ def digest(path: str, command: str, extra: tuple) -> str:
 
 
 def _api_probe(inst) -> tuple:
-    starts = [s for s in cli._default_starts(inst, inst.run.x0) if s is not None]
+    starts = solver.solve_starts(inst.space.carrier, inst.run.x0)
     rule = solver.StoppingRule(epsilon=inst.run.epsilon, max_iter=inst.run.max_iter)
     v = solver.uniqueness_probe(inst.space, inst.maps, starts, rule)
     return v.verdict, v.fixed_point, v.witnesses, [

@@ -31,11 +31,11 @@ def measure(instance):
     return ratios
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--count", type=int, default=200)
     parser.add_argument("--seed", type=int, default=31)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     corpus = generate_tz_corpus(args.count, seed=args.seed)
     print(f"{'delta':>8} {'max ratio':>10} {'primary-form':>13} {'ratio<=delta':>13}")

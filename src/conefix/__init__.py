@@ -24,7 +24,7 @@ from .oracle import (
 from .solver import (
     DecayReport, FixedPointCheck, IterationTrace, StoppingRule,
     TDiagnostics, TProbes, UniquenessVerdict, certify_fixed_point, default_probes,
-    diagnose_T, geometric_decay_check, picard_iterate, uniqueness_probe,
+    diagnose_T, geometric_decay_check, picard_iterate, solve, solve_starts, uniqueness_probe,
 )
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ import numpy as np
 from . import solver
 from .cone_space import (
     BoxCarrier, ConeMetricSpace, ConeSpec, ConfigError, DirectionMetric, DomainError,
-    FinitePointsCarrier, IntervalCarrier, SamplingPlan, TabulatedMetric, point_key,
+    FinitePointsCarrier, IntervalCarrier, SamplingPlan, TabulatedMetric,
     verify_cone_axioms, verify_metric_axioms,
 )
 from .contractions import (
@@ -622,38 +622,6 @@ def _condition_pairs(inst: LoadedInstance) -> PairSet:
     return grid_pairs(space)
 
 
-def _carrier_starts(inst: LoadedInstance) -> dict:
-    """The carrier's first, middle and last points, by ``point_key``."""
-    carrier = inst.space.carrier
-    if carrier.finite:
-        pts = list(carrier.points)
-        starts = [pts[0], pts[len(pts) // 2], pts[-1]]
-    elif isinstance(carrier, BoxCarrier):
-        starts = [carrier.lows, 0.5 * (carrier.lows + carrier.highs), carrier.highs]
-    else:
-        starts = [carrier.lo, 0.5 * (carrier.lo + carrier.hi), carrier.hi]
-    return {point_key(s): s for s in starts}
-
-
-def _default_starts(inst: LoadedInstance, x0) -> list:
-    """The starts ``solve`` probes: the carrier's, then x0 unless one of
-    them has its key."""
-    keyed = _carrier_starts(inst)
-    keyed.setdefault(point_key(x0), x0)
-    return list(keyed.values())
-
-
-def _solve_probe(inst: LoadedInstance, x0, trace: solver.IterationTrace,
-                 rule: solver.StoppingRule) -> solver.UniquenessVerdict:
-    """``uniqueness_probe`` from ``_default_starts(inst, x0)``, with x0's
-    run taken from ``trace``: one batch runs the carrier's starts."""
-    keyed = _carrier_starts(inst)
-    runs = solver._picard_runs(inst.space, inst.maps, list(keyed.values()), rule)
-    if point_key(x0) not in keyed:
-        runs.append(trace)
-    return solver._uniqueness_verdict(inst.space, inst.maps, runs, rule)
-
-
 def run(command: str, inst: LoadedInstance, options: Options) -> tuple[int, dict]:
     """Dispatch one command; returns (exit status, artifacts)."""
     if command == "verify":
@@ -695,33 +663,21 @@ def run(command: str, inst: LoadedInstance, options: Options) -> tuple[int, dict
         x0 = inst.run.x0
         if x0 is None:
             raise UsageError("solve requires a start point (run.x0 or --x0)")
-        if inst.space.carrier.finite and isinstance(x0, float) and x0.is_integer():
-            x0 = int(x0)
+        spec = inst.contraction
+        delta = zamfirescu_delta(spec.a, spec.b, spec.c) if spec is not None and spec.kind == TZ else None
         rule = solver.StoppingRule(epsilon=inst.run.epsilon, max_iter=inst.run.max_iter)
-        trace = solver.picard_iterate(inst.space, inst.maps, x0, rule)
-        check = solver.certify_fixed_point(inst.space, inst.maps, trace.last, inst.run.epsilon)
-        measured = trace.max_step_ratio()
-
-        delta = None
-        if inst.contraction is not None and inst.contraction.kind == TZ:
-            delta = zamfirescu_delta(inst.contraction.a, inst.contraction.b, inst.contraction.c)
-        h = inst.run.rate_h if inst.run.rate_h is not None else delta
-        if h is None:
-            h = measured if (measured is not None and measured < 1.0) else 0.0
-        decay = None
-        if trace.t_image_gaps:
-            decay = solver.geometric_decay_check(trace, h, inst.run.normal_k, seed=inst.run.seed)
-
-        probe = _solve_probe(inst, x0, trace, rule)
-        trace_text = emit_trace(trace, options.fmt, options.out, h=h, K=inst.run.normal_k)
+        trace, check, decay, probe = solver.solve(
+            inst.space, inst.maps, x0, rule, h=inst.run.rate_h if inst.run.rate_h is not None else delta,
+            K=inst.run.normal_k, seed=inst.run.seed)
+        trace_text = emit_trace(trace, options.fmt, options.out, h=decay.h, K=inst.run.normal_k)
         cert_dict = {
             "fixed_point": _plain(check.point if check.certified else None),
             "residual_norm": check.residual_norm,
-            "rate_h": measured,
+            "rate_h": trace.max_step_ratio(),
             "rate_h_primary_form": rate_from_primary_form(delta) if delta is not None else None,
-            "bound_h": h,
-            "decay_per_step_ok": decay.per_step_ok if decay else None,
-            "cauchy_bound_ok": decay.cauchy_ok if decay else None,
+            "bound_h": decay.h,
+            "decay_per_step_ok": decay.per_step_ok,
+            "cauchy_bound_ok": decay.cauchy_ok,
             "uniqueness": probe.verdict,
             "witnesses": _plain(probe.witnesses),
             "stop_reason": trace.stop_reason,

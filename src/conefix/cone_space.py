@@ -365,6 +365,16 @@ def _has_interior(rows: list[list[Fraction]], m: int) -> bool:
 # Each carrier has an array form for a list of its points (``to_array``, and
 # ``from_array`` back to point objects) and a membership ``mask`` over it.
 
+def spread(place: Callable, lo, hi):
+    """``place(lo, hi)`` for a rule placing points lo + (hi - lo) t (a draw,
+    a grid).  Where some hi - lo overflows, twice its points between lo / 2
+    and hi / 2, from the same draws: near the float limit halving and
+    doubling are exact, so every point is finite and between lo and hi."""
+    with np.errstate(over="ignore"):
+        wide = np.isinf(np.subtract(hi, lo)).any()
+    return 2.0 * place(0.5 * lo, 0.5 * hi) if wide else place(lo, hi)
+
+
 @dataclass
 class IntervalCarrier:
     lo: float
@@ -394,10 +404,10 @@ class IntervalCarrier:
         return (xs >= self.lo) & (xs <= self.hi)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.uniform(self.lo, self.hi, size=size)
+        return spread(lambda lo, hi: rng.uniform(lo, hi, size=size), self.lo, self.hi)
 
     def grid_points(self) -> np.ndarray:
-        return np.linspace(self.lo, self.hi, self.grid)
+        return spread(lambda lo, hi: np.linspace(lo, hi, self.grid), self.lo, self.hi)
 
 
 @dataclass
@@ -433,10 +443,11 @@ class BoxCarrier:
         return all_last((xs >= self.lows) & (xs <= self.highs))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.uniform(self.lows, self.highs, size=(size, len(self.lows)))
+        return spread(lambda lo, hi: rng.uniform(lo, hi, size=(size, len(lo))), self.lows, self.highs)
 
     def grid_points(self) -> np.ndarray:
-        axes = [np.linspace(lo, hi, self.grid) for lo, hi in zip(self.lows, self.highs)]
+        axes = [spread(lambda a, b: np.linspace(a, b, self.grid), lo, hi)
+                for lo, hi in zip(self.lows, self.highs)]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
@@ -733,13 +744,9 @@ class NormalConstantEstimate:
         return self.value
 
 
-def estimate_normal_constant(
-    cone: ConeSpec,
-    sampler: Callable[[np.random.Generator, int], np.ndarray] | None = None,
-    n: int = 100_000,
-    *,
-    seed: int = 0,
-) -> NormalConstantEstimate:
+def estimate_normal_constant(cone: ConeSpec,
+                             sampler: Callable[[np.random.Generator, int], np.ndarray] | None = None,
+                             n: int = 100_000, *, seed: int = 0) -> NormalConstantEstimate:
     """Supremum of ||x|| / ||y|| over n sampled ordered pairs 0 <= x <= y.
 
     Pairs are built as (p, p + q) with p, q sampled from P, so both order
@@ -759,15 +766,15 @@ def estimate_normal_constant(
     chunk = 4096
     while remaining > 0:
         take = min(chunk, remaining)
+        remaining -= take
         u = rng.random(take)
         p = np.asarray(draw(rng, take), dtype=float)
         q = np.asarray(draw(rng, take), dtype=float)
         k = min(len(p), len(q), take)
         if k == 0:
-            remaining -= take
             continue
         degenerate = u[:k] < 0.25
-        if first and k:
+        if first:
             degenerate[0] = True
             first = False
         x = p[:k]
@@ -778,5 +785,4 @@ def estimate_normal_constant(
         if np.any(keep):
             best = max(best, float(np.max(nx[keep] / ny[keep])))
             used += int(np.count_nonzero(keep))
-        remaining -= take
     return NormalConstantEstimate(value=best, pairs_used=used, inconclusive=used == 0)

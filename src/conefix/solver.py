@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cone_space import BoxCarrier, ConeMetricSpace, ConfigError, DomainError, all_last
+from .cone_space import BoxCarrier, ConeMetricSpace, ConfigError, DomainError, all_last, point_key, spread
 from .contractions import IdentityMap, MapPair, _array_map
 
 CONVERGED = "converged"
@@ -119,16 +119,14 @@ class IterationTrace:
         return [g[i + 1] / g[i] for i in range(len(g) - 1) if g[i] > 0.0]
 
     def max_step_ratio(self) -> float | None:
-        r = self.step_ratios()
-        return float(np.max(r)) if r else None      # NaN wherever a NaN ratio (inf / inf) sits
+        g = self.norms          # the ratios of step_ratios, as one array division
+        with np.errstate(over="ignore", invalid="ignore"):     # inf and NaN, as Python floats give them
+            r = g[1:][g[:-1] > 0.0] / g[:-1][g[:-1] > 0.0]
+        return float(np.max(r)) if len(r) else None      # NaN wherever a NaN ratio (inf / inf) sits
 
 
-def picard_iterate(
-    space: ConeMetricSpace,
-    maps: MapPair,
-    x0,
-    rule: StoppingRule | None = None,
-) -> IterationTrace:
+def picard_iterate(space: ConeMetricSpace, maps: MapPair, x0,
+                   rule: StoppingRule | None = None) -> IterationTrace:
     """Iterate x_{n+1} = S(x_n) from x0 until the T-image gap norm drops
     to the rule's epsilon, max_iter points have been appended, or the
     next point exactly repeats an earlier one: S is deterministic, so any
@@ -333,10 +331,7 @@ def geometric_decay_check(trace: IterationTrace, h: float, K: float = 1.0, *,
         raise ConfigError(f"decay factor h must be in [0, 1), got {h}")
     if not (K >= 1.0):
         raise ConfigError(f"normal constant K must be >= 1, got {K}")
-    norms = trace.norms
-    if not len(norms):
-        raise ConfigError("trace has no monitored gaps")
-
+    norms = trace.norms         # every trace has a gap: the engine keeps step 0's before any stop
     # A NaN norm or bound is a violation: each test is "not actual <= bound".
     d0 = float(norms[0])
     headroom = 1.0 + DECAY_HEADROOM
@@ -398,12 +393,8 @@ class UniquenessVerdict:
     traces: list[IterationTrace]
 
 
-def uniqueness_probe(
-    space: ConeMetricSpace,
-    maps: MapPair,
-    starts: Sequence,
-    rule: StoppingRule | None = None,
-) -> UniquenessVerdict:
+def uniqueness_probe(space: ConeMetricSpace, maps: MapPair, starts: Sequence,
+                     rule: StoppingRule | None = None) -> UniquenessVerdict:
     """Run Picard iteration from every start (all runs as one array).
     ``unique`` when all converged limits coincide within COINCIDE_FACTOR *
     epsilon; ``non_unique`` when at least two certified, distinct fixed
@@ -420,8 +411,7 @@ def uniqueness_probe(
 def _uniqueness_verdict(space: ConeMetricSpace, maps: MapPair, traces: list[IterationTrace],
                         rule: StoppingRule) -> UniquenessVerdict:
     """The verdict ``uniqueness_probe`` gives on the runs ``traces``, merged
-    in their order (``solve`` passes the runs of its carrier starts and of
-    x0, in ``_default_starts`` order)."""
+    in their order (``solve`` passes the runs of ``solve_starts``)."""
     if any(t.stop_reason != CONVERGED for t in traces):
         return UniquenessVerdict(UNKNOWN, None, [], traces)
 
@@ -467,6 +457,48 @@ def _certified(space: ConeMetricSpace, maps: MapPair, points: list, zs: np.ndarr
     return [points[i] for i in np.flatnonzero(fixed).tolist()]
 
 
+def solve_starts(carrier, x0=None) -> list:
+    """The starts ``solve`` probes: the carrier's first, middle and last
+    points, then x0 unless it is None or one of them has its ``point_key``.
+    The middle of an interval or a box is 0.5 (lo + hi), or 0.5 lo + 0.5 hi
+    where lo + hi overflows (both halves are exact there), so it is finite."""
+    if carrier.finite:
+        pts = list(carrier.points)
+        starts = [pts[0], pts[len(pts) // 2], pts[-1]]
+    else:
+        lo, hi = (carrier.lows, carrier.highs) if isinstance(carrier, BoxCarrier) else (carrier.lo, carrier.hi)
+        with np.errstate(over="ignore"):
+            mid = np.where(np.isinf(0.5 * (lo + hi)), 0.5 * lo + 0.5 * hi, 0.5 * (lo + hi))
+        starts = [lo, mid if mid.ndim else float(mid), hi]
+    keyed = {point_key(s): s for s in starts}
+    if x0 is not None:
+        keyed.setdefault(point_key(x0), x0)
+    return list(keyed.values())
+
+
+def solve(space: ConeMetricSpace, maps: MapPair, x0, rule: StoppingRule, *, h: float | None = None,
+          K: float = 1.0, seed: int = 0) -> tuple:
+    """What ``conefix solve`` reports, computed in this order: x0's
+    ``IterationTrace``, the ``FixedPointCheck`` of its last point, its
+    ``DecayReport`` at rate h (else the largest step ratio if below 1,
+    else 0) and the ``UniquenessVerdict`` on ``solve_starts(space.carrier,
+    x0)``, whose engine call runs the carrier's starts and reuses x0's run.
+    On a finite carrier an integral float x0 is the integer point."""
+    if space.carrier.finite and isinstance(x0, float) and x0.is_integer():
+        x0 = int(x0)
+    trace = picard_iterate(space, maps, x0, rule)
+    check = certify_fixed_point(space, maps, trace.last, rule.epsilon)
+    if h is None:
+        measured = trace.max_step_ratio()
+        h = measured if (measured is not None and measured < 1.0) else 0.0
+    decay = geometric_decay_check(trace, h, K, seed=seed)
+    starts = solve_starts(space.carrier)
+    runs = _picard_runs(space, maps, starts, rule)
+    if point_key(x0) not in map(point_key, starts):
+        runs.append(trace)
+    return trace, check, decay, _uniqueness_verdict(space, maps, runs, rule)
+
+
 # ---------------------------------------------------------------------------
 # T diagnostics
 # ---------------------------------------------------------------------------
@@ -491,11 +523,16 @@ def default_probes(space: ConeMetricSpace) -> TProbes:
         lo, hi = carrier.lows, carrier.highs
     else:
         lo, hi = carrier.lo, carrier.hi
-        pts = list(np.linspace(lo, hi, PROBE_COUNT))
+        pts = list(spread(lambda a, b: np.linspace(a, b, PROBE_COUNT), lo, hi))
+    halvings = 0.5 ** np.arange(PROBE_LENGTH)
+
+    def approach(limit, start):     # limit + (start - limit) 2^-n
+        return carrier.from_array(spread(lambda a, b: a + np.multiply.outer(halvings, b - a), limit, start))
+
     seqs = [
-        ("convergent", [lo + (hi - lo) * 0.5 ** n for n in range(PROBE_LENGTH)]),
+        ("convergent", approach(lo, hi)),
         ("alternating", [lo, hi] * (PROBE_LENGTH // 2)),
-        ("boundary-approach", [hi - (hi - lo) * 0.5 ** n for n in range(PROBE_LENGTH)]),
+        ("boundary-approach", approach(hi, lo)),
     ]
     return TProbes(pts, seqs)
 

@@ -24,9 +24,11 @@ from conefix.cone_space import (
     BoxCarrier, ConeSpec, ConfigError, DomainError, FinitePointsCarrier, IntervalCarrier, SamplingPlan,
     verify_cone_axioms, verify_metric_axioms,
 )
-from conefix.contractions import CLASS_KINDS, AffineMap, ClassSpec, evaluate
+from conefix.contractions import CLASS_KINDS, AffineMap, ClassSpec, evaluate, zamfirescu_delta
 from conefix.instances import instance_a
-from conefix.solver import StoppingRule, certify_fixed_point, picard_iterate, uniqueness_probe
+from conefix.solver import (
+    StoppingRule, certify_fixed_point, geometric_decay_check, picard_iterate, uniqueness_probe,
+)
 
 from conftest import fixture_doc
 
@@ -763,9 +765,10 @@ def test_solve_with_scalar_metrics_on_numeric_finite_points(tmp_path, capsys, sc
     assert (trace, report) == solve("absdiff")
 
 
-# solve runs x0 once, and its probe reuses x0's run: the trace and the
-# certificate must equal those of picard_iterate from x0, the check of its
-# last point, and uniqueness_probe from _default_starts, run in that order.
+# solve runs x0 once, and its probe reuses x0's run: solver.solve and the
+# CLI artifacts must equal picard_iterate from x0, the check of its last
+# point, the decay check and uniqueness_probe from solve_starts, run in
+# that order.
 
 B_MAPS = {"T": {"family": "power", "exponent": 3.0}, "S": {"family": "affine", "alpha": 0.25, "beta": 0.0}}
 # T is constant: a run converges at once, at S(x0); S doubles, so S(S(x0))
@@ -790,15 +793,35 @@ def _solve_instance(name, maps, x0):
 
 
 def _composed_solve(inst):
-    """picard_iterate from x0, certify_fixed_point of its last point, then
-    uniqueness_probe from _default_starts."""
+    """picard_iterate from x0, certify_fixed_point of its last point,
+    geometric_decay_check at the stated rate (else the measured one below
+    1, else 0), then uniqueness_probe from solve_starts."""
     x0 = inst.run.x0
     if inst.space.carrier.finite and isinstance(x0, float) and x0.is_integer():
         x0 = int(x0)
     rule = StoppingRule(epsilon=inst.run.epsilon, max_iter=inst.run.max_iter)
     trace = picard_iterate(inst.space, inst.maps, x0, rule)
     check = certify_fixed_point(inst.space, inst.maps, trace.last, inst.run.epsilon)
-    return trace, check, uniqueness_probe(inst.space, inst.maps, cli._default_starts(inst, x0), rule)
+    h = _stated_rate(inst)
+    if h is None:
+        measured = trace.max_step_ratio()
+        h = measured if measured is not None and measured < 1.0 else 0.0
+    decay = geometric_decay_check(trace, h, inst.run.normal_k, seed=inst.run.seed)
+    probe = uniqueness_probe(inst.space, inst.maps, solver.solve_starts(inst.space.carrier, x0), rule)
+    return trace, check, decay, probe
+
+
+def _stated_rate(inst):
+    spec = inst.contraction
+    if inst.run.rate_h is not None:
+        return inst.run.rate_h
+    return zamfirescu_delta(spec.a, spec.b, spec.c) if spec is not None and spec.kind == "TZ" else None
+
+
+def _library_solve(inst):
+    rule = StoppingRule(epsilon=inst.run.epsilon, max_iter=inst.run.max_iter)
+    return solver.solve(inst.space, inst.maps, inst.run.x0, rule, h=_stated_rate(inst), K=inst.run.normal_k,
+                        seed=inst.run.seed)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -806,19 +829,28 @@ def _composed_solve(inst):
 def test_solve_equals_picard_iterate_then_uniqueness_probe(name, maps, x0, fmt):
     inst = _solve_instance(name, maps, x0)
     try:
-        trace, check, probe = _composed_solve(inst)
+        trace, check, decay, probe = _composed_solve(inst)
     except DomainError as want:
-        with pytest.raises(DomainError) as got:
-            cli.run("solve", inst, cli.Options(fmt=fmt))
-        assert str(got.value) == str(want)
+        for call in (lambda: _library_solve(inst), lambda: cli.run("solve", inst, cli.Options(fmt=fmt))):
+            with pytest.raises(DomainError) as got:
+                call()
+            assert str(got.value) == str(want)
         return
+    got = _library_solve(inst)
+    assert emit_trace(got[0], fmt, h=got[2].h) == emit_trace(trace, fmt, h=decay.h)
+    assert repr(got[1:3]) == repr((check, decay))
+    assert [(t.stop_reason, t.x_sequence) for t in got[3].traces] == [(t.stop_reason, t.x_sequence)
+                                                                      for t in probe.traces]
+    assert json.dumps(cli._plain([got[3].verdict, got[3].fixed_point, got[3].witnesses])) == json.dumps(
+        cli._plain([probe.verdict, probe.fixed_point, probe.witnesses]))
+
     status, artifacts = cli.run("solve", inst, cli.Options(fmt=fmt))
     cert = artifacts["certificate"]
-    assert artifacts["trace_text"] == emit_trace(trace, fmt, h=cert["bound_h"], K=inst.run.normal_k)
-    got = [cert[key] for key in ("fixed_point", "residual_norm", "uniqueness", "witnesses", "stop_reason",
-                                 "iterations")]
-    want = [check.point if check.certified else None, check.residual_norm, probe.verdict, probe.witnesses,
-            trace.stop_reason, trace.n_final]
+    assert artifacts["trace_text"] == emit_trace(trace, fmt, h=decay.h, K=inst.run.normal_k)
+    got = [cert[key] for key in ("fixed_point", "residual_norm", "bound_h", "decay_per_step_ok", "cauchy_bound_ok",
+                                 "uniqueness", "witnesses", "stop_reason", "iterations")]
+    want = [check.point if check.certified else None, check.residual_norm, decay.h, decay.per_step_ok,
+            decay.cauchy_ok, probe.verdict, probe.witnesses, trace.stop_reason, trace.n_final]
     assert json.dumps(cli._plain(got)) == json.dumps(cli._plain(want))    # 0 and 0.0 print apart
     assert status == (0 if trace.stop_reason == "converged" and check.certified else 1)
 
@@ -827,7 +859,8 @@ def test_solve_keeps_an_integer_start_apart_from_the_equal_carrier_start():
     # S is the identity: every run stays at its start object, and x0 = 0
     # shares its key with lo = 0.0, so the probe runs 0.0, not 0
     inst = _solve_instance("instance_c", None, 0)
-    assert [(s, type(s)) for s in cli._default_starts(inst, 0)] == [(0.0, float), (0.5, float), (1.0, float)]
+    starts = solver.solve_starts(inst.space.carrier, 0)
+    assert [(s, type(s)) for s in starts] == [(0.0, float), (0.5, float), (1.0, float)]
     status, artifacts = cli.run("solve", inst, cli.Options(fmt="json"))
     cert = artifacts["certificate"]
     assert status == 0 and type(cert["fixed_point"]) is int and cert["fixed_point"] == 0
@@ -835,22 +868,27 @@ def test_solve_keeps_an_integer_start_apart_from_the_equal_carrier_start():
     assert [type(row["x_n"]) for row in json.loads(artifacts["trace_text"])["rows"]] == [int]
 
 
-def test_solve_runs_x0_once(monkeypatch, tmp_path, capsys):
-    # picard_iterate runs x0 for the trace, and one more engine call runs
-    # the carrier's starts for the probe, x0's equal among them included
-    calls = []
-    engine = solver._picard_runs
+@pytest.mark.parametrize("command, samples", [("verify", 10_000), ("verify", 100), ("fit", 100)])
+def test_verify_and_fit_run_on_a_carrier_whose_width_overflows(tmp_path, capsys, command, samples):
+    # [-1e308, 1e308] with S = -x: rng.uniform raised OverflowError on the
+    # sampled pairs, and the grid of 11 points held nan and inf
+    doc = fixture_doc("instance_a")
+    doc["space"]["carrier"].update(lo=-1e308, hi=1e308, grid=11)
+    doc["maps"]["S"] = {"family": "affine", "alpha": -1.0}
+    path = _write(tmp_path, "wide.json", doc)
+    assert main([command, "--instance", str(path), "--samples", str(samples)]) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out)["status"] == "fail"
 
-    def counted(space, maps, starts, rule):
-        calls.append(starts)
-        return engine(space, maps, starts, rule)
 
-    monkeypatch.setattr(solver, "_picard_runs", counted)
-    for name, x0 in (("instance_a", "0.3"), ("instance_c", "0"), ("instance_d", "9"), ("instance_d_twu", "0")):
-        path = _write(tmp_path, f"{name}.json", fixture_doc(name))
-        calls.clear()
-        main(["solve", "--instance", str(path), "--x0", x0])
-        assert calls == [[json.loads(x0)], list(cli._carrier_starts(load_instance(path)).values())]
+def test_solve_starts_in_the_carrier_where_lo_plus_hi_overflows(tmp_path, capsys):
+    # the carrier's middle start was 0.5 * (lo + hi) = inf
+    doc = {**fixture_doc("instance_a"), "maps": {"T": {"family": "identity"}, "S": {"family": "identity"}}}
+    doc["space"]["carrier"].update(lo=1e308, hi=1.5e308)
+    del doc["contraction"]
+    assert main(["solve", "--instance", str(_write(tmp_path, "mid.json", doc)), "--x0", "1.2e308"]) == 0
+    cert = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert cert["uniqueness"] == "non_unique" and cert["witnesses"] == [1e308, 1.25e308, 1.5e308, 1.2e308]
 
 
 def test_a_start_outside_the_carrier_keeps_its_own_error(tmp_path, capsys):
@@ -1224,11 +1262,21 @@ def test_condition_pairs_of_a_finite_file_are_all_pairs():
     assert pairs.witnesses(inst.space, np.array([1, len(pts)])) == [(pts[0], pts[1]), (pts[1], pts[0])]
 
 
+def _script(name):
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_rate_study_runs(capsys):
+    assert _script("rate_study").main(["--count", "3"]) == 0
+    assert "offenders vs delta: 0" in capsys.readouterr().out
+
+
 def test_artifact_digest_runs_on_a_fixture(capsys):
-    script = Path(__file__).resolve().parent.parent / "scripts" / "artifact_digest.py"
-    spec = importlib.util.spec_from_file_location("artifact_digest", script)
-    digest = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(digest)
+    digest = _script("artifact_digest")
     path = str(Path(__file__).resolve().parent.parent / "fixtures" / "instance_d.json")
     assert digest.main([path]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conefix import cone_space
@@ -727,3 +728,48 @@ def test_box_carrier_metric_axioms():
     assert np.allclose(
         space.d(np.array([0.0, 0.0]), np.array([3.0 / 8, 0.5])), [0.625, 1.25]
     )
+
+
+# ---------------------------------------------------------------------------
+# Carrier draws and grids
+# ---------------------------------------------------------------------------
+
+_bound = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _carriers(lo, hi, grid):
+    """An interval and a box with [lo, hi] as one side (the other [0, 1]),
+    each with the numpy calls it drew and gridded with before any width
+    could overflow."""
+    from conefix.cone_space import BoxCarrier
+
+    return [(IntervalCarrier(lo, hi, grid), lambda rng, n: rng.uniform(lo, hi, size=n),
+             lambda: np.linspace(lo, hi, grid)),
+            (BoxCarrier([lo, 0.0], [hi, 1.0], grid), lambda rng, n: rng.uniform([lo, 0.0], [hi, 1.0], size=(n, 2)),
+             lambda: np.stack([m.ravel() for m in np.meshgrid(np.linspace(lo, hi, grid), np.linspace(0.0, 1.0, grid),
+                                                               indexing="ij")], axis=-1))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(lo=_bound, hi=_bound, seed=st.integers(0, 2 ** 16), size=st.integers(0, 30), grid=st.integers(2, 12))
+@example(lo=-1e308, hi=1e308, seed=0, size=1000, grid=11)        # hi - lo overflows
+@example(lo=-1.7976931348623157e308, hi=1.7976931348623157e308, seed=1, size=1000, grid=2)
+@example(lo=1e308, hi=1.5e308, seed=2, size=100, grid=101)       # lo + hi overflows, hi - lo does not
+def test_carrier_draws_and_grids_lie_in_the_carrier(lo, hi, seed, size, grid):
+    # every point is finite and in the carrier, from the same random draws;
+    # where hi - lo is finite the points are the numpy calls' own, bit for bit
+    assume(lo < hi)
+    with np.errstate(over="ignore"):
+        wide = math.isinf(hi - lo)
+    for carrier, draw, mesh in _carriers(lo, hi, grid):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        xs, gs = carrier.sample(rng, size), carrier.grid_points()
+        for pts in (xs, gs):
+            assert np.isfinite(pts).all() and carrier.mask(pts).all()
+        if wide:
+            ref.random(xs.shape)
+        else:
+            assert xs.tobytes() == draw(ref, size).tobytes()
+            assert gs.tobytes() == mesh().tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
+

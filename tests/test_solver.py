@@ -1,22 +1,28 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conefix import solver
+from conefix.cli import parse_instance
 from conefix.cone_space import (
     BoxCarrier, ConeMetricSpace, ConeSpec, ConfigError, DirectionMetric, DomainError,
     FinitePointsCarrier, FunctionMetric, IntervalCarrier, point_key,
 )
 from conefix.contractions import AffineMap, IdentityMap, MapPair, PowerMap, TabulatedMap
-from conefix.instances import instance_d
+from conefix.instances import instance_a, instance_d
 from conefix.oracle import finite_from_values
+
+from conftest import fixture_doc
 from conefix.solver import (
     COINCIDE_FACTOR, CONVERGED, CYCLE_DETECTED, DECAY_HEADROOM, INJECTIVITY_TOL, MAX_ITER, NON_UNIQUE,
     UNIQUE, UNKNOWN, StoppingRule, TProbes, _cauchy_pairs, _certified, _picard_runs, _uniqueness_verdict,
-    certify_fixed_point, diagnose_T, geometric_decay_check, picard_iterate, uniqueness_probe,
+    certify_fixed_point, default_probes, diagnose_T, geometric_decay_check, picard_iterate, solve,
+    solve_starts, uniqueness_probe,
 )
 
 
@@ -182,6 +188,22 @@ def test_max_step_ratio_is_nan_wherever_the_nan_ratio_sits(space_a, norms, ratio
     trace = dataclasses.replace(picard_iterate(space, maps, 1.0, StoppingRule(max_iter=3)), norms=np.array(norms))
     assert np.array_equal(trace.step_ratios(), ratios, equal_nan=True)
     assert math.isnan(trace.max_step_ratio())
+
+
+_HALVING_TRACE = picard_iterate(*instance_a(), 1.0, StoppingRule(max_iter=3))
+_norm = st.one_of(st.floats(0.0, allow_infinity=True),
+                  st.sampled_from([0.0, math.inf, math.nan, 5e-324, 1e-300, 1e300, 1.7976931348623157e308]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(norms=st.lists(_norm, max_size=12))
+def test_max_step_ratio_is_the_largest_step_ratio(norms):
+    # the array division gives the bits of the Python ratios, overflows and NaNs included
+    trace = dataclasses.replace(_HALVING_TRACE, norms=np.array(norms))
+    ratios = trace.step_ratios()
+    want = float(np.max(ratios)) if ratios else None
+    got = trace.max_step_ratio()
+    assert got is want is None or np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -771,3 +793,105 @@ def test_merge_equals_the_greedy_merge_over_all_pairs(case):
     verdict, point, witnesses = _greedy_merge(space, maps, runs, rule)
     assert (got.verdict, repr(got.fixed_point), repr(got.witnesses)) == (verdict, repr(point), repr(witnesses))
     assert type(got.fixed_point) is type(point)
+
+
+# ---------------------------------------------------------------------------
+# solve
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(case=engine_cases())
+@example(case=(_unit_interval(), MapPair(IdentityMap(), AffineMap(0.5)), [1.0, 0.0], StoppingRule(max_iter=1)))
+@example(case=_fixed_starts([0.5, 0.25]))      # identity S: each run converges at step 0
+@example(case=(ConeMetricSpace(ConeSpec.orthant(2), IntervalCarrier(0.0, 1.0), FunctionMetric(_nan_metric)),
+               MapPair(IdentityMap(), IdentityMap()), [0.5], StoppingRule()))    # NaN gap: cycles at step 0
+@example(case=(_unit_interval(), MapPair(IdentityMap(), AffineMap(255 / 256)), [1.0], StoppingRule(max_iter=3)))
+def test_every_trace_has_a_gap(case):
+    # step 0's gap is kept before any stop is decided, so the decay check
+    # and the trace writer always have a d_0
+    space, maps, starts, rule = case
+    try:
+        runs = _picard_runs(space, maps, list(starts), rule)
+    except DomainError:
+        return
+    assert all(len(t.gaps) >= 1 and len(t.norms) == len(t.gaps) for t in runs)
+    assert {len(t.gaps) - t.n_final for t in runs} <= {0, 1}
+    for t in runs:
+        geometric_decay_check(t, 0.5)
+
+
+@pytest.mark.parametrize("name, x0", [("instance_a", 0.3), ("instance_c", 0), ("instance_d", 9),
+                                      ("instance_d_twu", 0)])
+def test_solve_runs_x0_once(monkeypatch, name, x0):
+    # picard_iterate runs x0 for the trace, and one more engine call runs
+    # the carrier's starts for the probe, x0's equal among them included
+    inst = parse_instance(json.dumps(fixture_doc(name)))
+    calls, engine = [], _picard_runs
+
+    def counted(space, maps, starts, rule):
+        calls.append(list(starts))
+        return engine(space, maps, starts, rule)
+
+    monkeypatch.setattr(solver, "_picard_runs", counted)
+    trace, _, _, probe = solve(inst.space, inst.maps, x0, StoppingRule())
+    assert calls == [[x0], solve_starts(inst.space.carrier)]
+    assert (trace in probe.traces) == (len(solve_starts(inst.space.carrier, x0)) > len(calls[1]))
+
+
+def test_solve_reads_an_integral_float_as_the_integer_point():
+    space, maps = instance_d().as_space_and_maps()
+    trace, check, decay, probe = solve(space, maps, 9.0, StoppingRule())
+    assert type(trace.start) is int and trace.x_sequence[0] == 9
+    assert decay.h == 0.0 and probe.verdict == UNIQUE
+
+
+_bound = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lo=_bound, hi=_bound)
+@example(lo=1e308, hi=1.5e308)              # lo + hi overflows
+@example(lo=-1.7976931348623157e308, hi=-1e308)
+@example(lo=-1e308, hi=1e308)               # hi - lo overflows, lo + hi does not
+@example(lo=5e-324, hi=2.5e-323)           # 0.5 lo + 0.5 hi rounds apart from 0.5 (lo + hi)
+def test_solve_starts_have_a_finite_middle_in_the_carrier(lo, hi):
+    assume(lo < hi)
+    with np.errstate(over="ignore"):
+        today = 0.5 * (lo + hi)
+    interval, box = IntervalCarrier(lo, hi), BoxCarrier([lo, -1.0], [hi, 1.0])
+    for carrier in (interval, box):
+        assert all(carrier.contains(s) and np.isfinite(s).all() for s in solve_starts(carrier))
+    starts, (_, middle, _) = solve_starts(interval), solve_starts(box)   # a box middle ends in 0: never merged
+    assert {type(s) for s in starts} == {float} and middle[1] == 0.0
+    if math.isfinite(today):    # today's bits (an interval's middle may merge with an end of its key)
+        assert middle[0].tobytes() == np.float64(today).tobytes()
+        assert np.float64(today).tobytes() in [np.float64(s).tobytes() for s in starts]
+
+
+@settings(max_examples=100, deadline=None)
+@given(lo=_bound, hi=_bound)
+@example(lo=-1e308, hi=1e308)
+@example(lo=-1.7976931348623157e308, hi=1.7976931348623157e308)
+def test_default_probes_are_finite_where_the_width_overflows(lo, hi):
+    # where hi - lo is finite the points are today's, bit for bit; where it
+    # overflows (it was inf and nan there) every point lies in the carrier
+    assume(lo < hi)
+    with np.errstate(over="ignore"):
+        wide = math.isinf(hi - lo)
+    for space in (ConeMetricSpace(ConeSpec.orthant(2), IntervalCarrier(lo, hi), DirectionMetric([1.0, 2.0])),
+                  ConeMetricSpace(ConeSpec.orthant(2), BoxCarrier([lo, 0.0], [hi, 1.0]),
+                                  DirectionMetric([1.0, 2.0], rho="max"))):
+        carrier, probes = space.carrier, default_probes(space)
+        seqs = dict(probes.sequences)
+        lows, highs = (lo, hi) if isinstance(carrier, IntervalCarrier) else (carrier.lows, carrier.highs)
+        if wide:
+            points = list(probes.injectivity_points) + [p for seq in seqs.values() for p in seq]
+            assert all(carrier.contains(p) and np.isfinite(p).all() for p in points)
+            continue
+        want = {"convergent": [lows + (highs - lows) * 0.5 ** n for n in range(48)],
+                "boundary-approach": [highs - (highs - lows) * 0.5 ** n for n in range(48)]}
+        for name, seq in want.items():
+            assert [type(v) for v in seqs[name]] == [type(v) for v in seq]
+            assert np.array(seqs[name]).tobytes() == np.array(seq).tobytes()
+        if isinstance(carrier, IntervalCarrier):
+            assert np.array(probes.injectivity_points).tobytes() == np.linspace(lo, hi, 200).tobytes()
