@@ -6,8 +6,9 @@
 Runs verify (default seed, ``--seed 7`` and ``--samples 500``), solve
 (default CSV trace, ``--epsilon 1e-9`` with a JSON trace, and ``--x0 0``
 with a JSON trace), oracle and fit in-process on each file and prints one line per (file, command): the exit
-status and the sha256 of the artifact written with ``--out``, of stdout
-and of stderr.  One more line per file hashes the ``repr`` of what the API
+status (or, when the command raises, the exception's type and the sha256
+of its message) and the sha256 of the artifact written with ``--out``, of
+stdout and of stderr.  One more line per file hashes the ``repr`` of what the API
 returns, which no CLI artifact shows in full:
 
 * ``probe``: ``uniqueness_probe`` from the start points ``solve`` probes
@@ -69,7 +70,10 @@ def digest(path: str, command: str, extra: tuple) -> str:
         artifact = Path(tmp) / "artifact"
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main([command, "--instance", path, "--out", str(artifact), *extra])
+            try:
+                code = cli.main([command, "--instance", path, "--out", str(artifact), *extra])
+            except Exception as exc:      # a command that raises is a result too
+                code = f"{type(exc).__name__}:{_sha(str(exc).encode())}"
         written = _sha(artifact.read_bytes()) if artifact.exists() else "-"
     label = " ".join((command, *extra))
     return (f"{path} [{label}] exit={code} artifact={written} "

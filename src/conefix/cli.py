@@ -551,16 +551,14 @@ def _dump_json(obj, path: Path | None) -> str:
 # Trace export
 # ---------------------------------------------------------------------------
 
-def _fmt17(v) -> str:
-    return format(float(v), ".17g")
-
-
 def _point_cell(x) -> str:
+    if isinstance(x, str):
+        return '"' + x.replace('"', '""') + '"' if any(c in x for c in ',"\r\n') else x
     if isinstance(x, np.ndarray):
-        return ";".join(_fmt17(c) for c in x)
+        return ";".join(["%.17g"] * len(x)) % tuple(x)
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    return _fmt17(x)
+    return "%.17g" % x
 
 
 def emit_trace(
@@ -573,24 +571,23 @@ def emit_trace(
 ) -> str:
     """Serialize a trace with one row per monitored gap.  CSV columns:
     n, x_n, gap_vector, gap_norm, cumulative_bound (= K h^n ||d_0||);
-    floats carry 17 significant digits so values round-trip exactly.
+    floats carry 17 significant digits so values round-trip exactly.  A
+    string label is written as it is, quoted RFC 4180 style when it holds a
+    comma, a double quote or a line break.
     """
     if not trace.t_image_gaps:
         raise ConfigError("refusing to emit an empty trace")
-    d0 = trace.gap_norms[0]
-    rows = [(n, trace.x_sequence[n], gap, trace.gap_norms[n], K * h ** n * d0)
-            for n, gap in enumerate(trace.t_image_gaps)]
+    xs, gaps, norms = trace.x_sequence, trace.gaps.tolist(), trace.norms.tolist()
+    bounds = [K * h ** n * norms[0] for n in range(len(gaps))]
     if fmt == "csv":
-        lines = ["n,x_n,gap_vector,gap_norm,cumulative_bound"] + [
-            ",".join([str(n), _point_cell(x), ";".join(_fmt17(c) for c in gap), _fmt17(norm), _fmt17(bound)])
-            for n, x, gap, norm, bound in rows
-        ]
-        text = "\n".join(lines) + "\n"
+        row = "%d,%s," + ";".join(["%.17g"] * trace.gaps.shape[1]) + ",%.17g,%.17g"
+        text = "\n".join(["n,x_n,gap_vector,gap_norm,cumulative_bound"] + [
+            row % (n, _point_cell(xs[n]), *gap, norms[n], bounds[n]) for n, gap in enumerate(gaps)]) + "\n"
     elif fmt == "json":
         payload = {
             "schema_version": SCHEMA_VERSION, "h": h, "K": K, "stop_reason": trace.stop_reason,
-            "rows": [{"n": n, "x_n": x, "gap_vector": gap, "gap_norm": norm, "cumulative_bound": bound}
-                     for n, x, gap, norm, bound in rows],
+            "rows": [dict(n=n, x_n=xs[n], gap_vector=gap, gap_norm=norms[n], cumulative_bound=bounds[n])
+                     for n, gap in enumerate(gaps)],
         }
         text = _dump_json(payload, None)        # a non-finite number is written as a string
     else:

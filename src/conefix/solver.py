@@ -115,14 +115,13 @@ class IterationTrace:
 
     def step_ratios(self) -> list[float]:
         """Consecutive gap-norm ratios where the denominator is nonzero."""
-        g = self.gap_norms
-        return [g[i + 1] / g[i] for i in range(len(g) - 1) if g[i] > 0.0]
+        g = self.norms
+        with np.errstate(over="ignore", invalid="ignore"):     # inf and NaN, as Python floats give them
+            return (g[1:][g[:-1] > 0.0] / g[:-1][g[:-1] > 0.0]).tolist()
 
     def max_step_ratio(self) -> float | None:
-        g = self.norms          # the ratios of step_ratios, as one array division
-        with np.errstate(over="ignore", invalid="ignore"):     # inf and NaN, as Python floats give them
-            r = g[1:][g[:-1] > 0.0] / g[:-1][g[:-1] > 0.0]
-        return float(np.max(r)) if len(r) else None      # NaN wherever a NaN ratio (inf / inf) sits
+        r = self.step_ratios()
+        return float(np.max(r)) if r else None      # NaN wherever a NaN ratio (inf / inf) sits
 
 
 def picard_iterate(space: ConeMetricSpace, maps: MapPair, x0,
@@ -162,8 +161,8 @@ def _first_failure(space, maps, xs, ts, step) -> tuple[int, Exception] | None:
     return None
 
 
-# The engine merges its kept steps into one array per field every STEP_CHUNK
-# steps, so a kept step costs its data, not three small arrays (about 0.3 KB).
+# The engine merges its kept step records into one array per field every
+# STEP_CHUNK steps, so a kept step costs its data, not five small arrays (about 0.5 KB).
 STEP_CHUNK = 512
 
 
@@ -175,10 +174,10 @@ def _picard_runs(space: ConeMetricSpace, maps: MapPair, starts: list,
     error raised is the one running the starts one after another would
     raise first: that of the lowest-index failing start, at its own step.
 
-    Each step is kept as arrays (S-images, T-images, gaps; the active rows
-    only when they change) and the stops are array tests, so no statement
-    runs per row in the loop; after it, each trace takes its row of the
-    kept steps."""
+    Each step is kept as one record of arrays (the active rows, their
+    S-images, T-images, gaps and gap norms) and the stops are array tests,
+    so no statement runs per row in the loop; after it, each trace takes
+    its row of the kept steps."""
     carrier = space.carrier
     S, T = _array_map(space, maps.S), _array_map(space, maps.T)
     failure = None
@@ -196,8 +195,7 @@ def _picard_runs(space: ConeMetricSpace, maps: MapPair, starts: list,
     xs, ts = carrier.to_array(starts[:k]), carrier.to_array(t0)
     seen = set(_visits(rowkeys, xs))            # (row, point) for every point a run visited
     reasons = np.full(k, None, dtype=object)
-    changes = [(0, ids)]                        # (first step, the rows active from it)
-    steps, recent = [], []                      # (S-images, T-images, gaps)
+    steps, recent = [], []                      # (rows, S-images, T-images, gaps, gap norms)
     pairwise, norm_rows, mask, count = space.pairwise, space.cone.norm_rows, carrier.mask, np.count_nonzero
     eps, max_iter, step = rule.epsilon, rule.max_iter, 0
     with np.errstate(all="ignore"):
@@ -217,9 +215,8 @@ def _picard_runs(space: ConeMetricSpace, maps: MapPair, starts: list,
                 row, error = found
                 failure = (int(ids[row]), error)
                 ids, rowkeys, xs, ts = ids[:row], rowkeys[:row], xs[:row], ts[:row]
-                changes.append((step, ids))
                 continue
-            recent.append((ys, tys, gaps))
+            recent.append((ids, ys, tys, gaps, norms))
             if len(recent) == STEP_CHUNK:
                 steps.append(tuple(map(np.concatenate, zip(*recent))))
                 recent = []
@@ -228,7 +225,6 @@ def _picard_runs(space: ConeMetricSpace, maps: MapPair, starts: list,
                 reasons[ids[done]] = CONVERGED
                 going = ~done
                 ids, rowkeys, ys, tys = ids[going], rowkeys[going], ys[going], tys[going]
-                changes.append((step + 1, ids))
             if step >= max_iter:         # a run stopped by max_iter keeps no new point
                 reasons[ids] = MAX_ITER
                 break
@@ -238,29 +234,23 @@ def _picard_runs(space: ConeMetricSpace, maps: MapPair, starts: list,
                 reasons[ids[cycled]] = CYCLE_DETECTED
                 going = ~cycled
                 ids, rowkeys, ys, tys = ids[going], rowkeys[going], ys[going], tys[going]
-                changes.append((step + 1, ids))
             seen.update(visits)
             xs, ts = ys, tys
             step += 1
     if failure is not None:
         raise failure[1]
-    steps += recent
-    # the rows of each kept step, from the steps on which the rows changed
-    firsts = [first for first, _ in changes[1:]] + [step + 1]
-    rows = [np.tile(active, end - first) for (first, active), end in zip(changes, firsts)]
-    return _traces(space, maps, starts, t0, reasons.tolist(), rows, steps, rule)
+    return _traces(space, maps, starts, t0, reasons.tolist(), steps + recent, rule)
 
 
 def _traces(space: ConeMetricSpace, maps: MapPair, starts: list, t0: list, reasons: list,
-            rows: list, steps: list, rule: StoppingRule) -> list[IterationTrace]:
-    """Each start's trace: its entries of the kept steps (whose rows are
-    ``rows``), grouped by row in step order.  A run stopped by max_iter
-    keeps the gap of its last step but not the point."""
-    rows = np.concatenate(rows)
+            steps: list, rule: StoppingRule) -> list[IterationTrace]:
+    """Each start's trace: its entries of the kept steps, grouped by row in
+    step order.  A run stopped by max_iter keeps the gap of its last step
+    but not the point."""
+    rows, ys, tys, gaps, norms = (np.concatenate([s[i] for s in steps]) for i in range(5))
     order = np.argsort(rows, kind="stable")
     ends = np.cumsum(np.bincount(rows, minlength=len(starts))).tolist()
-    ys, tys, gaps = (np.concatenate([s[i] for s in steps])[order] for i in range(3))
-    norms = space.cone.norm_rows(gaps)          # row by row: each step's norms, bit for bit
+    ys, tys, gaps, norms = ys[order], tys[order], gaps[order], norms[order]
     traces, begin = [], 0
     for x0, tx0, reason, end in zip(starts, t0, reasons, ends):
         kept = end - (reason == MAX_ITER)
@@ -526,8 +516,9 @@ def default_probes(space: ConeMetricSpace) -> TProbes:
         pts = list(spread(lambda a, b: np.linspace(a, b, PROBE_COUNT), lo, hi))
     halvings = 0.5 ** np.arange(PROBE_LENGTH)
 
-    def approach(limit, start):     # limit + (start - limit) 2^-n
-        return carrier.from_array(spread(lambda a, b: a + np.multiply.outer(halvings, b - a), limit, start))
+    def approach(limit, start):     # limit + (start - limit) 2^-n; a coordinate rounded out moves to its bound
+        xs = spread(lambda a, b: a + np.multiply.outer(halvings, b - a), limit, start)
+        return carrier.from_array(np.where(xs < lo, lo, np.where(xs > hi, hi, xs)))
 
     seqs = [
         ("convergent", approach(lo, hi)),

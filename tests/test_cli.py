@@ -1,7 +1,9 @@
 import copy
+import csv
 import errno
 import gc
 import importlib.util
+import io
 import json
 import math
 import os
@@ -1126,6 +1128,41 @@ def test_trace_json_round_trip_is_exact(tmp_path):
     assert [r["x_n"] for r in parsed["rows"]] == trace.x_sequence[: len(parsed["rows"])]
 
 
+def _string_label_doc(labels):
+    """Instance D with its ten points relabelled ``labels``: the tabulated
+    maps and the metric table index the points, so only the names change."""
+    doc = fixture_doc("instance_d")
+    doc["space"]["carrier"]["points"] = labels
+    doc["run"]["x0"] = labels[3]
+    return doc
+
+
+@pytest.mark.parametrize("labels, cell", [
+    ([f"p{i}" for i in range(10)], "p1"),
+    (["p0", "a,b", 'say "hi"', "p3", "line\nbreak", "cr\rlf", "p6", "p7", "p8", "p9"], '"a,b"'),
+    (["p0", 'say "hi"', "a,b", "p3", "p4", "p5", "p6", "p7", "p8", "p9"], '"say ""hi"""'),
+    (["p0", "line\nbreak", "cr\rlf", "p3", "p4", "p5", "p6", "p7", "p8", "p9"], '"line\nbreak"'),
+])
+def test_solve_writes_string_labels_to_a_csv_trace(tmp_path, labels, cell):
+    # the CSV writer formatted every x_n as a float and died on 'p3'; a
+    # label is written as it is, quoted where CSV needs it, and reads back
+    # as the JSON trace's labels
+    path = _write(tmp_path, "labels.json", _string_label_doc(labels))
+    traces = {}
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"trace.{fmt}"
+        assert main(["solve", "--instance", str(path), "--out", str(out), "--format", fmt]) == 0
+        traces[fmt] = out.read_text(encoding="utf-8")
+    rows = json.loads(traces["json"])["rows"]
+    assert [r["x_n"] for r in rows] == [labels[3], labels[1], labels[0]]
+    parsed = list(csv.reader(io.StringIO(traces["csv"], newline="")))
+    assert parsed[0] == ["n", "x_n", "gap_vector", "gap_norm", "cumulative_bound"]
+    assert [r[1] for r in parsed[1:]] == [r["x_n"] for r in rows]
+    assert [float(r[3]) for r in parsed[1:]] == [r["gap_norm"] for r in rows]
+    header = "n,x_n,gap_vector,gap_norm,cumulative_bound\n"
+    assert traces["csv"] == header + f"0,p3,2;4,4,4\n1,{cell},1;2,2,2\n2,p0,0;0,0,1\n"
+
+
 def test_trace_csv_17_digit_round_trip():
     space, maps = instance_a()
     trace = picard_iterate(space, maps, 0.7, StoppingRule(max_iter=25))
@@ -1305,6 +1342,30 @@ def test_artifact_digest_runs_on_a_fixture(capsys):
         ("d_ty_tsy", (1, 10, 2)), ("d_tx_tsy", (10, 10, 2)), ("d_ty_tsx", (10, 10, 2))]
     assert all(dtype == "<f8" for _, dtype, _, _ in terms)
     assert f" terms={digest._sha(repr(terms).encode())} " in lines[-1]
+
+
+def test_artifact_digest_records_a_raising_command_and_goes_on(monkeypatch, capsys):
+    # a command that raises is that line's result; the next file is still hashed
+    digest = _script("artifact_digest")
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    first, second = str(fixtures / "instance_a.json"), str(fixtures / "instance_d.json")
+    real, message = cli.main, "could not convert string to float: 'p3'"
+
+    def failing(argv):
+        if first in argv and argv[0] == "solve":
+            raise ValueError(message)
+        return real(argv)
+
+    monkeypatch.setattr(cli, "main", failing)
+    assert digest.main([first, second]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 * (len(digest.COMMANDS) + 1)
+    raised = f"ValueError:{digest._sha(message.encode())}"
+    solves = [i for i, (command, _) in enumerate(digest.COMMANDS) if command == "solve"]
+    assert [f" exit={raised} " in lines[i] for i in solves] == [True] * len(solves)
+    assert sum(" exit=ValueError:" in line for line in lines) == len(solves)
+    assert all(line.startswith(f"{second} [") for line in lines[len(digest.COMMANDS) + 1:])
+    assert " [oracle] exit=1 " in lines[len(digest.COMMANDS) + 1 + digest.COMMANDS.index(("oracle", ()))]
 
 
 def test_verify_scans_a_tabulated_table_once(monkeypatch, tmp_path):

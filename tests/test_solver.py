@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import math
 
@@ -8,10 +10,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conefix import solver
-from conefix.cli import parse_instance
+from conefix.cli import SCHEMA_VERSION, _dump_json, emit_trace, parse_instance
 from conefix.cone_space import (
     BoxCarrier, ConeMetricSpace, ConeSpec, ConfigError, DirectionMetric, DomainError,
-    FinitePointsCarrier, FunctionMetric, IntervalCarrier, point_key,
+    FinitePointsCarrier, FunctionMetric, IntervalCarrier, TabulatedMetric, point_key, spread,
 )
 from conefix.contractions import AffineMap, IdentityMap, MapPair, PowerMap, TabulatedMap
 from conefix.instances import instance_a, instance_d
@@ -200,7 +202,8 @@ _norm = st.one_of(st.floats(0.0, allow_infinity=True),
 def test_max_step_ratio_is_the_largest_step_ratio(norms):
     # the array division gives the bits of the Python ratios, overflows and NaNs included
     trace = dataclasses.replace(_HALVING_TRACE, norms=np.array(norms))
-    ratios = trace.step_ratios()
+    ratios = [norms[i + 1] / norms[i] for i in range(len(norms) - 1) if norms[i] > 0.0]
+    assert _bits(trace.step_ratios()) == _bits(ratios)
     want = float(np.max(ratios)) if ratios else None
     got = trace.max_step_ratio()
     assert got is want is None or np.float64(got).tobytes() == np.float64(want).tobytes()
@@ -868,30 +871,152 @@ def test_solve_starts_have_a_finite_middle_in_the_carrier(lo, hi):
         assert np.float64(today).tobytes() in [np.float64(s).tobytes() for s in starts]
 
 
-@settings(max_examples=100, deadline=None)
+def _todays_sequences(lows, highs):
+    """The two approach sequences as limit + (start - limit) 2^-n gives
+    them (through ``spread`` where the width overflows), before any point
+    that rounds out of the carrier is moved to its bound."""
+    halvings = 0.5 ** np.arange(48)
+
+    def approach(limit, start):
+        return spread(lambda a, b: a + np.multiply.outer(halvings, b - a), limit, start)
+    return {"convergent": approach(lows, highs), "boundary-approach": approach(highs, lows)}
+
+
+@settings(max_examples=200, deadline=None)
 @given(lo=_bound, hi=_bound)
 @example(lo=-1e308, hi=1e308)
 @example(lo=-1.7976931348623157e308, hi=1.7976931348623157e308)
-def test_default_probes_are_finite_where_the_width_overflows(lo, hi):
-    # where hi - lo is finite the points are today's, bit for bit; where it
-    # overflows (it was inf and nan there) every point lies in the carrier
+@example(lo=-0.1, hi=0.3)                   # the convergent sequence started at 0.30000000000000004
+@example(lo=0.1, hi=0.7)                    # the boundary approach started at 0.09999999999999998
+@example(lo=7.578101458719354e-305, hi=1.0)     # ... and at 0.0
+@example(lo=-0.0, hi=1.0)                   # 0.0 lies in the carrier and keeps its sign
+def test_default_probes_lie_in_the_carrier(lo, hi):
+    # every probe point is finite and lies in the carrier; a coordinate
+    # that lies in it by today's formula keeps today's bits, and one that
+    # rounds out sits on the bound it passed (the box's other coordinates
+    # round out on [-0.1, 0.3] and [0.1, 0.7])
     assume(lo < hi)
-    with np.errstate(over="ignore"):
-        wide = math.isinf(hi - lo)
     for space in (ConeMetricSpace(ConeSpec.orthant(2), IntervalCarrier(lo, hi), DirectionMetric([1.0, 2.0])),
-                  ConeMetricSpace(ConeSpec.orthant(2), BoxCarrier([lo, 0.0], [hi, 1.0]),
+                  ConeMetricSpace(ConeSpec.orthant(2), BoxCarrier([lo, -0.1, 0.1], [hi, 0.3, 0.7]),
                                   DirectionMetric([1.0, 2.0], rho="max"))):
         carrier, probes = space.carrier, default_probes(space)
         seqs = dict(probes.sequences)
-        lows, highs = (lo, hi) if isinstance(carrier, IntervalCarrier) else (carrier.lows, carrier.highs)
-        if wide:
-            points = list(probes.injectivity_points) + [p for seq in seqs.values() for p in seq]
-            assert all(carrier.contains(p) and np.isfinite(p).all() for p in points)
-            continue
-        want = {"convergent": [lows + (highs - lows) * 0.5 ** n for n in range(48)],
-                "boundary-approach": [highs - (highs - lows) * 0.5 ** n for n in range(48)]}
-        for name, seq in want.items():
-            assert [type(v) for v in seqs[name]] == [type(v) for v in seq]
-            assert np.array(seqs[name]).tobytes() == np.array(seq).tobytes()
-        if isinstance(carrier, IntervalCarrier):
-            assert np.array(probes.injectivity_points).tobytes() == np.linspace(lo, hi, 200).tobytes()
+        points = list(probes.injectivity_points) + [p for seq in seqs.values() for p in seq]
+        assert all(carrier.contains(p) and np.isfinite(p).all() for p in points)
+        interval = isinstance(carrier, IntervalCarrier)
+        lows, highs = (lo, hi) if interval else (carrier.lows, carrier.highs)
+        for name, today in _todays_sequences(lows, highs).items():
+            got = np.array(seqs[name])
+            assert {type(v) for v in seqs[name]} == {float if interval else np.ndarray}
+            kept = (today >= lows) & (today <= highs)
+            assert got[kept].tobytes() == today[kept].tobytes()
+            assert np.array_equal(got[~kept], np.where(today < lows, lows, highs)[~kept])
+        if interval:
+            want = spread(lambda a, b: np.linspace(a, b, 200), lo, hi)
+            assert np.array(probes.injectivity_points).tobytes() == want.tobytes()
+
+
+def test_diagnose_T_runs_where_a_probe_sequence_rounds_out_of_the_carrier():
+    # on [0.1, 0.7] the boundary approach started at 0.09999999999999998,
+    # and T (the identity) found its image outside the carrier
+    doc = fixture_doc("instance_a")
+    doc["space"]["carrier"].update(lo=0.1, hi=0.7)
+    del doc["contraction"]
+    inst = parse_instance(json.dumps(doc))
+    seqs = dict(default_probes(inst.space).sequences)
+    assert seqs["boundary-approach"][0] == 0.1 and seqs["convergent"][0] == 0.7
+    report = diagnose_T(inst.space, inst.maps)
+    assert [f.classification for f in report.sequence_findings] == ["consistent", "not-applicable", "consistent"]
+
+
+# ---------------------------------------------------------------------------
+# The trace writer against the per-number writer
+# ---------------------------------------------------------------------------
+
+def _fmt17(v):
+    return format(float(v), ".17g")
+
+
+def _reference_point_cell(x):
+    if isinstance(x, np.ndarray):
+        return ";".join(_fmt17(c) for c in x)
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return _fmt17(x)
+
+
+def _reference_emit_trace(trace, fmt, h, K):
+    """The trace writer that formats one number at a time from per-row
+    tuples; it raises ValueError on a string label in CSV."""
+    d0 = trace.gap_norms[0]
+    rows = [(n, trace.x_sequence[n], gap, trace.gap_norms[n], K * h ** n * d0)
+            for n, gap in enumerate(trace.t_image_gaps)]
+    if fmt == "csv":
+        lines = ["n,x_n,gap_vector,gap_norm,cumulative_bound"] + [
+            ",".join([str(n), _reference_point_cell(x), ";".join(_fmt17(c) for c in gap), _fmt17(norm), _fmt17(bound)])
+            for n, x, gap, norm, bound in rows
+        ]
+        return "\n".join(lines) + "\n"
+    payload = {
+        "schema_version": SCHEMA_VERSION, "h": h, "K": K, "stop_reason": trace.stop_reason,
+        "rows": [{"n": n, "x_n": x, "gap_vector": gap, "gap_norm": norm, "cumulative_bound": bound}
+                 for n, x, gap, norm, bound in rows],
+    }
+    return _dump_json(payload, None)
+
+
+_LABELS = ["p0", "a,b", 'say "hi"', "line\nbreak", "cr\rlf", "p5"]
+
+
+@st.composite
+def _string_label_cases(draw):
+    """A finite carrier of string labels, some of which CSV must quote,
+    under a drawn tabulated S and a tabulated metric."""
+    n = len(_LABELS)
+    table = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))[:, :, None] * np.array([1.0, 2.0])
+    space = ConeMetricSpace(ConeSpec.orthant(2), FinitePointsCarrier(_LABELS), TabulatedMetric(table))
+    images = draw(st.lists(st.sampled_from(_LABELS), min_size=n, max_size=n))
+    starts = draw(st.lists(st.sampled_from(_LABELS), min_size=1, max_size=6))
+    rule = StoppingRule(max_iter=draw(st.sampled_from([1, 3, 60])))
+    return space, MapPair(IdentityMap(), TabulatedMap(_LABELS, images)), starts, rule
+
+
+def _identity_starts(starts, hi=1.0):
+    """Identity S on [0, hi]: every run stays at its start, of its own type."""
+    space = ConeMetricSpace(ConeSpec.orthant(2), IntervalCarrier(0.0, hi), DirectionMetric([1.0, 2.0]))
+    return space, MapPair(IdentityMap(), IdentityMap()), starts, StoppingRule()
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.one_of(engine_cases(), _string_label_cases()),
+       h=st.one_of(st.sampled_from([0.0, 0.5, 0.9]), st.floats(0.0, 1.0, exclude_max=True)),
+       K=st.one_of(st.just(1.0), st.floats(1.0, 10.0)))
+@example(case=(*_overflowing_swap(), [1e308, -1e308], StoppingRule()), h=0.0, K=1.0)    # inf gaps
+@example(case=_identity_starts([1, 0, 10 ** 20], hi=1e20), h=0.5, K=3.0)       # int starts under identity S
+@example(case=(_unit_interval(), MapPair(IdentityMap(), AffineMap(255 / 256)), [1.0, 1], StoppingRule(max_iter=3)),
+         h=0.25, K=1.0)     # max_iter stops
+@example(case=_long_rotation_case(), h=0.9, K=2.0)
+def test_trace_writer_equals_the_per_number_writer(case, h, K):
+    # the CSV and JSON text equal the per-number writer's wherever it runs;
+    # where it dies on a string label, the CSV reads back as the labels and
+    # the per-number writer's other cells
+    space, maps, starts, rule = case
+    try:
+        runs = _picard_runs(space, maps, list(starts), rule)
+    except DomainError:
+        return
+    for trace in runs[:3]:
+        for fmt in ("csv", "json"):
+            got = emit_trace(trace, fmt, h=h, K=K)
+            try:
+                want = _reference_emit_trace(trace, fmt, h, K)
+            except ValueError:
+                assert fmt == "csv" and {type(x) for x in trace.x_sequence} == {str}
+                numbered = dataclasses.replace(trace)
+                numbered.x_sequence = list(range(len(trace.x_sequence)))
+                rows = list(csv.reader(io.StringIO(got, newline="")))
+                reference = list(csv.reader(io.StringIO(_reference_emit_trace(numbered, fmt, h, K))))
+                assert [r[1] for r in rows[1:]] == trace.x_sequence[:len(rows) - 1]
+                assert [r[:1] + r[2:] for r in rows] == [r[:1] + r[2:] for r in reference]
+                continue
+            assert got == want
