@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Empirical step-ratio study on randomly generated TZ instances.
 
-For each instance the Picard orbits are run from every start and the
-consecutive T-image gap ratios are measured.  Two candidate bounds are
+For each instance the Picard orbits are run from every start, in one
+``uniqueness_probe`` call, and the consecutive T-image gap ratios are
+measured.  Two candidate bounds are
 compared:
 
 * the enforced bound  h = delta            (valid for every delta < 1)
@@ -19,16 +20,13 @@ import math
 
 from conefix.contractions import rate_from_primary_form, zamfirescu_delta
 from conefix.oracle import generate_tz_corpus
-from conefix.solver import StoppingRule, picard_iterate
+from conefix.solver import StoppingRule, uniqueness_probe
 
 
 def measure(instance):
     space, maps = instance.fin.as_space_and_maps()
-    ratios = []
-    for start in instance.fin.points:
-        trace = picard_iterate(space, maps, start, StoppingRule(max_iter=200))
-        ratios.extend(trace.step_ratios())
-    return ratios
+    traces = uniqueness_probe(space, maps, instance.fin.points, StoppingRule(max_iter=200)).traces
+    return [r for trace in traces for r in trace.step_ratios()]
 
 
 def main(argv: list[str] | None = None) -> int:

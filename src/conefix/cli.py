@@ -575,7 +575,7 @@ def emit_trace(
     string label is written as it is, quoted RFC 4180 style when it holds a
     comma, a double quote or a line break.
     """
-    if not trace.t_image_gaps:
+    if not len(trace.norms):
         raise ConfigError("refusing to emit an empty trace")
     xs, gaps, norms = trace.x_sequence, trace.gaps.tolist(), trace.norms.tolist()
     bounds = [K * h ** n * norms[0] for n in range(len(gaps))]

@@ -7,8 +7,9 @@ rule is well defined on any carrier.
 
 Every check is an array pass over the carrier's array form of its points
 (see ``cone_space``).  One engine, ``_picard_runs``, runs every start
-together, step-major: each step keeps the active rows' arrays and decides
-the stops with array tests, and a trace is its row of the kept steps.
+together, step-major, in blocks of steps when the batch is narrow (a block
+that fails is replayed step by step), and decides the stops with array
+tests; a trace is its row of the kept records.
 ``picard_iterate`` is its one-row case; ``uniqueness_probe`` is one engine
 call and the merge ``_uniqueness_verdict``, which ``solve`` shares.  The
 merge tests every limit against the first with one
@@ -26,8 +27,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cone_space import BoxCarrier, ConeMetricSpace, ConfigError, DomainError, all_last, point_key, spread
-from .contractions import IdentityMap, MapPair, _array_map
+from .cone_space import (BoxCarrier, ConeMetricSpace, ConfigError, DomainError, FunctionMetric, all_last, point_key,
+                         spread)
+from .contractions import IdentityMap, MapPair, _array_form, _array_map
 
 CONVERGED = "converged"
 MAX_ITER = "max_iter"
@@ -113,15 +115,18 @@ class IterationTrace:
             return self.start
         return self.space.carrier.from_array(self.points[-1:])[0]
 
-    def step_ratios(self) -> list[float]:
-        """Consecutive gap-norm ratios where the denominator is nonzero."""
+    def _ratios(self) -> np.ndarray:
         g = self.norms
         with np.errstate(over="ignore", invalid="ignore"):     # inf and NaN, as Python floats give them
-            return (g[1:][g[:-1] > 0.0] / g[:-1][g[:-1] > 0.0]).tolist()
+            return g[1:][g[:-1] > 0.0] / g[:-1][g[:-1] > 0.0]
+
+    def step_ratios(self) -> list[float]:
+        """Consecutive gap-norm ratios where the denominator is nonzero."""
+        return self._ratios().tolist()
 
     def max_step_ratio(self) -> float | None:
-        r = self.step_ratios()
-        return float(np.max(r)) if r else None      # NaN wherever a NaN ratio (inf / inf) sits
+        r = self._ratios()
+        return float(np.max(r)) if r.size else None     # NaN wherever a NaN ratio (inf / inf) sits
 
 
 def picard_iterate(space: ConeMetricSpace, maps: MapPair, x0,
@@ -161,9 +166,13 @@ def _first_failure(space, maps, xs, ts, step) -> tuple[int, Exception] | None:
     return None
 
 
-# The engine merges its kept step records into one array per field every
-# STEP_CHUNK steps, so a kept step costs its data, not five small arrays (about 0.5 KB).
+# The engine merges its kept records (one per single step or block) into one array per field
+# every STEP_CHUNK records, so a kept record costs its data, not five small arrays (about 0.5 KB).
 STEP_CHUNK = 512
+
+# Block stepping (``_picard_runs``): after BLOCK_AFTER single steps, a batch of at most BLOCK_ROWS rows
+# steps in blocks of BLOCK_MIN steps, doubling up to BLOCK_CELLS (step, row) cells.
+BLOCK_AFTER, BLOCK_MIN, BLOCK_ROWS, BLOCK_CELLS = 16, 8, 16, 256
 
 
 def _picard_runs(space: ConeMetricSpace, maps: MapPair, starts: list,
@@ -174,12 +183,22 @@ def _picard_runs(space: ConeMetricSpace, maps: MapPair, starts: list,
     error raised is the one running the starts one after another would
     raise first: that of the lowest-index failing start, at its own step.
 
-    Each step is kept as one record of arrays (the active rows, their
-    S-images, T-images, gaps and gap norms) and the stops are array tests,
-    so no statement runs per row in the loop; after it, each trace takes
-    its row of the kept steps."""
+    The loop advances n steps at a time: the active rows apply S and T n
+    times, and the carrier mask, one ``pairwise`` and one ``norm_rows`` call
+    and the stop tests then run once over the n x k block.  A row stops at
+    its first converged step, the max_iter step or its first repeat, in
+    that order at a tie, and keeps its cells up to its stop, step-major, in
+    one record of arrays (rows, S-images, T-images, gaps and gap norms), so
+    no statement runs per row; each trace takes its row of the records.  n
+    is 1 for the first BLOCK_AFTER steps, for more than BLOCK_ROWS rows and
+    for a map or metric without an array form.  A block that raises, or
+    has an image outside the carrier (a tabulated map's -1 wraps around),
+    keeps nothing and is replayed one step at a time, which finds and
+    names a failure at its own step."""
     carrier = space.carrier
-    S, T = _array_map(space, maps.S), _array_map(space, maps.T)
+    S, T = _array_form(space, maps.S), _array_form(space, maps.T)
+    narrow = BLOCK_ROWS if S and T and not isinstance(space.metric, FunctionMetric) else 0
+    S, T = S or _array_map(space, maps.S), T or _array_map(space, maps.T)
     failure = None
     t0 = []
     for row, x0 in enumerate(starts):
@@ -198,17 +217,34 @@ def _picard_runs(space: ConeMetricSpace, maps: MapPair, starts: list,
     steps, recent = [], []                      # (rows, S-images, T-images, gaps, gap norms)
     pairwise, norm_rows, mask, count = space.pairwise, space.cone.norm_rows, carrier.mask, np.count_nonzero
     eps, max_iter, step = rule.epsilon, rule.max_iter, 0
+    grown, single = BLOCK_MIN // 2, BLOCK_AFTER     # the last block's size; steps before `single` go one by one
     with np.errstate(all="ignore"):
         while ids.size:
+            n = 1
+            if step >= single and len(ids) <= narrow:
+                n = min(2 * grown, BLOCK_CELLS // len(ids), max_iter + 1 - step)
+                n, grown = (n, n) if n >= BLOCK_MIN else (1, grown)
             try:
                 ys = S(xs)
                 tys = T(ys)
+                if n > 1:               # the block's cells, step-major
+                    ylist, tlist = [ys], [tys]
+                    for _ in range(n - 1):
+                        ylist.append(S(ylist[-1]))
+                        tlist.append(T(ylist[-1]))
+                    ends = ylist[-1], tlist[-1]
+                    ys = np.concatenate(ylist)
+                    tys = ys if tlist[0] is ylist[0] else np.concatenate(tlist)
+                    prev = np.concatenate([ts, tys[:-len(ids)]])
                 inside = mask(ys) if tys is ys else mask(ys) & mask(tys)
                 if count(inside) < len(inside):
                     raise DomainError("an image lies outside the carrier")
-                gaps = pairwise(ts, tys)
+                gaps = pairwise(ts if n == 1 else prev, tys)
                 norms = norm_rows(gaps)
             except Exception as exc:
+                if n > 1:               # replay the block one step at a time
+                    single = step + n
+                    continue
                 found = _first_failure(space, maps, xs, ts, step)
                 if found is None:
                     raise exc
@@ -216,27 +252,47 @@ def _picard_runs(space: ConeMetricSpace, maps: MapPair, starts: list,
                 failure = (int(ids[row]), error)
                 ids, rowkeys, xs, ts = ids[:row], rowkeys[:row], xs[:row], ts[:row]
                 continue
-            recent.append((ids, ys, tys, gaps, norms))
+            rows, keys = (ids, rowkeys) if n == 1 else (np.tile(ids, n), np.tile(rowkeys, n))
+            done = norms <= eps         # a NaN norm is not converged
+            converged = count(done)
+            live = ~done if converged else slice(None)      # a converged cell's visit decides nothing
+            visits = _visits(keys[live], ys[live]) if converged else _visits(keys, ys)
+            # S is deterministic: a repeat of an earlier visit, before or in the block, is a cycle
+            repeats = None if seen.isdisjoint(visits) else np.fromiter(map(seen.__contains__, visits), bool)
+            seen.update(visits)
+            if n > 1 and len(set(visits)) < len(visits):
+                first = dict(zip(visits[::-1], range(len(visits) - 1, -1, -1)))
+                again = np.fromiter(map(first.__getitem__, visits), np.intp) != np.arange(len(visits))
+                repeats = again if repeats is None else again | repeats
+            last = step + n > max_iter  # the block ends on the max_iter step, which keeps no new point
+            xs, ts = (ys, tys) if n == 1 else ends
+            if repeats is not None or last or converged:
+                k = len(ids)
+                stop, going, reached = done, live, ids      # reached: the rows at the block's last step
+                if repeats is not None or last:
+                    stop = done.copy()
+                    if repeats is not None:
+                        stop[live] |= repeats
+                    if last:
+                        stop[-k:] = True
+                    going = ~stop
+                if n > 1:               # a row's cells after its first stop are dropped
+                    ended = np.logical_or.accumulate(stop.reshape(n, k))
+                    keep = np.concatenate([np.ones(k, dtype=bool), ~ended[:-1].ravel()])
+                    rows, ys, tys, gaps, norms, stop, done = (
+                        a[keep] for a in (rows, ys, tys, gaps, norms, stop, done))
+                    going, reached = ~ended[-1], ids[~ended[-2]]
+                if repeats is not None:
+                    reasons[rows[stop]] = CYCLE_DETECTED
+                if last:                # at one step, max_iter wins over a cycle, converged over both
+                    reasons[reached] = MAX_ITER
+                reasons[rows[done]] = CONVERGED
+                ids, rowkeys, xs, ts = ids[going], rowkeys[going], xs[going], ts[going]
+            recent.append((rows, ys, tys, gaps, norms))
             if len(recent) == STEP_CHUNK:
                 steps.append(tuple(map(np.concatenate, zip(*recent))))
                 recent = []
-            done = norms <= eps          # a NaN norm is not converged
-            if count(done):
-                reasons[ids[done]] = CONVERGED
-                going = ~done
-                ids, rowkeys, ys, tys = ids[going], rowkeys[going], ys[going], tys[going]
-            if step >= max_iter:         # a run stopped by max_iter keeps no new point
-                reasons[ids] = MAX_ITER
-                break
-            visits = _visits(rowkeys, ys)
-            if not seen.isdisjoint(visits):     # S is deterministic: a repeat is a cycle
-                cycled = np.array([visit in seen for visit in visits])
-                reasons[ids[cycled]] = CYCLE_DETECTED
-                going = ~cycled
-                ids, rowkeys, ys, tys = ids[going], rowkeys[going], ys[going], tys[going]
-            seen.update(visits)
-            xs, ts = ys, tys
-            step += 1
+            step += n
     if failure is not None:
         raise failure[1]
     return _traces(space, maps, starts, t0, reasons.tolist(), steps + recent, rule)
@@ -449,7 +505,7 @@ def _certified(space: ConeMetricSpace, maps: MapPair, points: list, zs: np.ndarr
 
 def solve_starts(carrier, x0=None) -> list:
     """The starts ``solve`` probes: the carrier's first, middle and last
-    points, then x0 unless it is None or one of them has its ``point_key``.
+    points and x0 (unless None), each unless an earlier one has its ``point_key``.
     The middle of an interval or a box is 0.5 (lo + hi), or 0.5 lo + 0.5 hi
     where lo + hi overflows (both halves are exact there), so it is finite."""
     if carrier.finite:
@@ -460,9 +516,9 @@ def solve_starts(carrier, x0=None) -> list:
         with np.errstate(over="ignore"):
             mid = np.where(np.isinf(0.5 * (lo + hi)), 0.5 * lo + 0.5 * hi, 0.5 * (lo + hi))
         starts = [lo, mid if mid.ndim else float(mid), hi]
-    keyed = {point_key(s): s for s in starts}
-    if x0 is not None:
-        keyed.setdefault(point_key(x0), x0)
+    keyed = {}
+    for s in starts if x0 is None else [*starts, x0]:
+        keyed.setdefault(point_key(s), s)
     return list(keyed.values())
 
 

@@ -1114,7 +1114,7 @@ def test_emit_trace_rows_match_halving(tmp_path):
 def test_emit_trace_refuses_empty():
     space, maps = instance_a()
     trace = picard_iterate(space, maps, 1.0, StoppingRule(max_iter=2))
-    trace.t_image_gaps = []
+    trace.gaps, trace.norms = trace.gaps[:0], trace.norms[:0]
     with pytest.raises(ConfigError):
         emit_trace(trace, "csv", None)
 

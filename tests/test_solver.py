@@ -661,8 +661,61 @@ def _long_rotation_case():
     return space, maps, [0, 350, 699, 0], StoppingRule(max_iter=1000)
 
 
+def _tabulated_case(images: dict, n: int, starts: list, max_iter: int = 1_000_000):
+    """Points 0..n-1 under a direction metric, T the identity table and S
+    the table ``images`` (a point missing from it is fixed; an image that
+    is not a point leaves the carrier): both maps have array forms, so
+    long runs step in blocks."""
+    points = list(range(n))
+    space = ConeMetricSpace(ConeSpec.orthant(2), FinitePointsCarrier(points), DirectionMetric([1.0, 2.0]))
+    maps = MapPair(TabulatedMap(points, points), TabulatedMap(points, [images.get(i, i) for i in points]))
+    return space, maps, starts, StoppingRule(max_iter=max_iter)
+
+
+def _path(a, b) -> dict:
+    return {i: i + 1 for i in range(a, b)}
+
+
+def _block_cases() -> list:
+    """Events after step 32, inside blocks (which start at step 16)."""
+    # x^2 on [0, 1.5]: the first run converges at step 34, and the second
+    # leaves the carrier at step 35, in the same block
+    escape = (ConeMetricSpace(ConeSpec.orthant(2), IntervalCarrier(0.0, 1.5), DirectionMetric([1.0, 2.0])),
+              MapPair(IdentityMap(), PowerMap(2)), [1 - 2.0 ** -29, 1 + 2.0 ** -37], StoppingRule())
+    # image 100 is not a point (index -1, which wraps to the last point
+    # inside a block): starts 3 and 0 reach it at steps 41 and 44
+    wrap = _tabulated_case(_path(0, 44) | {44: 100}, 60, [0, 46, 3])
+    # T = 1/x: the runs converge at steps 35 and 38 as x grows; inside
+    # the block, the first run's squares overflow after its stop
+    overflow = (ConeMetricSpace(ConeSpec.orthant(2), IntervalCarrier(0.0, 1.7976931348623157e308),
+                                DirectionMetric([1.0, 2.0])),
+                MapPair(PowerMap(-1), PowerMap(2)), [1 + 2.0 ** -30, 1 + 2.0 ** -33], StoppingRule())
+    # max_iter 50 ends a block cut to 11 steps.  Start 0 first repeats
+    # point 33 (seen at step 32) at step 37; start 40 repeats point 45
+    # (seen at step 4) at step 39; start 270 repeats point 300 at step 45,
+    # in the last block; the 51-point rotation from 80 repeats at step 50,
+    # where max_iter wins; the path from 131 reaches its fixed point at
+    # step 50, where converged wins; the path from 182 runs on.
+    rho = _path(0, 37) | {37: 33} | _path(40, 79) | {79: 45} | _path(270, 315) | {315: 300}
+    stops = _tabulated_case(rho | _path(80, 130) | {130: 80} | _path(131, 181) | _path(182, 260), 316,
+                            [0, 40, 80, 131, 182, 270], 50)
+    # box carriers: runs that converge at steps 39 and 40, and runs that
+    # max_iter 300 stops at the end of a block cut to 37 steps
+    box = (_unit_box("euclidean", "euclidean"), MapPair(AffineMap(0.5, 0.25), AffineMap(0.5)),
+           [np.array([1.0, 0.5]), np.array([0.2, 0.9]), np.zeros(2)], StoppingRule())
+    slow_box = (_unit_box("max", "max"), MapPair(AffineMap(0.5, 0.25), AffineMap(255 / 256)),
+                [np.array([1.0, 0.5]), np.array([0.2, 0.9])], StoppingRule(max_iter=300))
+    return [escape, wrap, overflow, stops, box, slow_box]
+
+
 @settings(max_examples=100, deadline=None)
 @given(case=engine_cases())
+@example(case=_block_cases()[0])
+@example(case=_block_cases()[1])
+@example(case=_block_cases()[2])
+@example(case=_block_cases()[3])
+@example(case=_block_cases()[4])
+@example(case=_block_cases()[5])
 @example(case=_rotation_case(60, [7 * k % 60 for k in range(300)], 300))   # 300 cycles of 60 steps
 @example(case=_rotation_case(60, list(range(60)) + [60] + list(range(60)), 300))   # label 60 is outside
 @example(case=_long_rotation_case())
@@ -693,6 +746,18 @@ def test_batch_engine_equals_the_per_start_loop(case):
     assert len(runs) == len(want)
     for trace, reference in zip(runs, want):
         _assert_same_run(trace, reference)
+
+
+def test_a_long_lone_run_steps_in_blocks():
+    # 1,500 steps to max_iter take one carrier mask per single step or
+    # block: 16 single steps, then blocks of 8, 16, ..., 256 steps
+    space, maps = _unit_interval(), MapPair(IdentityMap(), AffineMap(255 / 256))
+    rule, masks, mask = StoppingRule(max_iter=1500), [], space.carrier.mask
+    space.carrier.mask = lambda xs: masks.append(len(xs)) or mask(xs)
+    trace = picard_iterate(space, maps, 0.640625, rule)
+    _assert_same_run(trace, _reference_picard(space, maps, 0.640625, rule))
+    assert trace.stop_reason == MAX_ITER and len(trace.gaps) == sum(masks) == 1501
+    assert len(masks) < 30 and max(masks) == 256
 
 
 def _overflowing_swap():
@@ -857,6 +922,7 @@ _bound = st.floats(allow_nan=False, allow_infinity=False)
 @example(lo=-1.7976931348623157e308, hi=-1e308)
 @example(lo=-1e308, hi=1e308)               # hi - lo overflows, lo + hi does not
 @example(lo=5e-324, hi=2.5e-323)           # 0.5 lo + 0.5 hi rounds apart from 0.5 (lo + hi)
+@example(lo=-5e-324, hi=0.0)                # the middle -0.0 has the key of hi, 0.0
 def test_solve_starts_have_a_finite_middle_in_the_carrier(lo, hi):
     assume(lo < hi)
     with np.errstate(over="ignore"):
