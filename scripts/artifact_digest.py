@@ -15,8 +15,8 @@ returns, which no CLI artifact shows in full:
   (the verdict, the certified points, and each run's stop reason, length,
   points and T-images, then its points, T-images, gap vectors and gap
   norms as plain numbers, floats as their shortest repr);
-* ``diagnose``: ``diagnose_T`` with its default probes (the injectivity
-  violations and the sequence findings);
+* ``diagnose``: ``diagnose_T``'s report (each of T's four verdicts, the
+  rule that decided it, and the injectivity violations);
 * ``condition``: ``check_condition`` of the file's class over the pairs
   ``verify`` checks (every violation's x, y, lhs, rhs and residual, where
   the artifact keeps 50), and on a TZ file the primary and dual forms of
@@ -91,7 +91,8 @@ def _api_probe(inst) -> tuple:
 
 def _api_diagnose(inst) -> tuple:
     d = solver.diagnose_T(inst.space, inst.maps)
-    return d.injectivity_violations, d.sequence_findings
+    verdicts = (d.continuous, d.injective, d.subsequentially_convergent, d.sequentially_convergent)
+    return verdicts, d.rules, d.injectivity_violations
 
 
 def _rows(report) -> list:

@@ -22,9 +22,8 @@ from .oracle import (
     generate_twu_corpus, generate_tz_corpus, random_finite_instance, tightest_constants,
 )
 from .solver import (
-    DecayReport, FixedPointCheck, IterationTrace, StoppingRule,
-    TDiagnostics, TProbes, UniquenessVerdict, certify_fixed_point, default_probes,
-    diagnose_T, geometric_decay_check, picard_iterate, solve, solve_starts, uniqueness_probe,
+    DecayReport, FixedPointCheck, IterationTrace, StoppingRule, TDiagnostics, UniquenessVerdict,
+    certify_fixed_point, diagnose_T, geometric_decay_check, picard_iterate, solve, solve_starts, uniqueness_probe,
 )
 
 __version__ = "0.1.0"

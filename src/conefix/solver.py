@@ -15,21 +15,21 @@ call and the merge ``_uniqueness_verdict``, which ``solve`` shares.  The
 merge tests every limit against the first with one
 ``ConeMetricSpace.pairwise`` call, and pairs all limits in a second one
 only when some limit lies apart; the certification of its
-representatives, the Cauchy tail and the injectivity probe each take
-their distances from one ``pairwise`` call.
+representatives and the Cauchy tail each take their distances from one
+``pairwise`` call.  ``diagnose_T`` decides T's hypotheses by family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .cone_space import (BoxCarrier, ConeMetricSpace, ConfigError, DomainError, FunctionMetric, all_last, point_key,
-                         spread)
-from .contractions import IdentityMap, MapPair, _array_form, _array_map
+from .cone_space import (BoxCarrier, ConeMetricSpace, ConfigError, DirectionMetric, DomainError, FunctionMetric,
+                         point_key)
+from .contractions import AffineMap, IdentityMap, MapPair, PowerMap, _array_form, _array_map
 
 CONVERGED = "converged"
 MAX_ITER = "max_iter"
@@ -43,12 +43,6 @@ UNKNOWN = "unknown"
 DECAY_HEADROOM = 1e-9       # relative headroom of both geometric-decay bounds
 CAUCHY_SAMPLES = 2000       # Cauchy-tail pairs drawn when a trace has more
 COINCIDE_FACTOR = 10.0      # probe limits within this many epsilons coincide
-PROBE_COUNT = 200           # injectivity probe points on a continuous carrier
-PROBE_SEED = 0
-PROBE_LENGTH = 48           # length of each probe sequence
-INJECTIVITY_TOL = 1e-12     # T-images this close count as equal
-CAUCHY_WINDOW = 8           # a sequence is numerically Cauchy when its last
-CAUCHY_TOL = 1e-6           # CAUCHY_WINDOW terms lie within CAUCHY_TOL
 
 
 @dataclass
@@ -448,7 +442,7 @@ def uniqueness_probe(space: ConeMetricSpace, maps: MapPair, starts: Sequence,
     in start order: each joins the first earlier representative it
     coincides with, or becomes a representative.
     """
-    if not starts:
+    if len(starts) == 0:
         raise ConfigError("uniqueness probe needs at least one start point")
     rule = rule or StoppingRule()
     return _uniqueness_verdict(space, maps, _picard_runs(space, maps, list(starts), rule), rule)
@@ -546,107 +540,84 @@ def solve(space: ConeMetricSpace, maps: MapPair, x0, rule: StoppingRule, *, h: f
 
 
 # ---------------------------------------------------------------------------
-# T diagnostics
+# T's hypotheses
 # ---------------------------------------------------------------------------
 
 @dataclass
-class TProbes:
-    injectivity_points: list
-    sequences: list[tuple[str, list]]
+class TDiagnostics:
+    """T's hypotheses in the theorems, each True, False or None (unknown),
+    the rule that decided each, and pairs x != y with T x = T y (all of them
+    on a finite carrier, one witness elsewhere).  The verdict is about the
+    real map: float T can still round two images together (x ** 3 is 0.0
+    below about 1e-108)."""
+
+    continuous: bool | None
+    injective: bool | None
+    subsequentially_convergent: bool | None
+    sequentially_convergent: bool | None
+    rules: dict[str, str]
+    injectivity_violations: list[tuple]
 
 
-def default_probes(space: ConeMetricSpace) -> TProbes:
-    carrier = space.carrier
-    rng = np.random.default_rng(PROBE_SEED)
+def _injectivity(T, lo, hi) -> tuple[bool, str, list]:
+    """Whether T, an identity, affine or power map of [lo, hi] into itself
+    (rows on a box, where a power map is undefined), is injective, by which
+    rule, and a colliding pair where it is not."""
+    if isinstance(T, IdentityMap):
+        return True, "identity map: injective", []
+    if isinstance(T, AffineMap):
+        constant, rule = T.alpha == 0, "affine map: injective exactly when alpha != 0"
+    elif T.exponent == 0:
+        constant, rule = True, "power map, exponent 0: constant"
+    elif float(T.exponent).is_integer() and T.exponent % 2 == 0:
+        m = min(-lo, hi)        # x and -x collide for 0 < x <= m
+        return not m > 0, "power map, even exponent: injective unless lo < 0 < hi", [(-m, m)] if m > 0 else []
+    else:
+        return True, "power map, odd or fractional exponent: injective", []
+    return not constant, rule, [(lo, hi)] if constant else []
+
+
+def diagnose_T(space: ConeMetricSpace, maps: MapPair) -> TDiagnostics:
+    """Decide T's continuity, injectivity and subsequential and sequential
+    convergence (Beiranvand et al.) by the carrier's kind and T's family.
+    A finite carrier is discrete, so T is continuous and subsequentially
+    convergent, and injective and sequentially convergent exactly when its
+    n image indices (one array pass) differ.  An interval or a box with a
+    direction metric is compact, so T is subsequentially convergent, and a
+    continuous T is sequentially convergent exactly when injective.  The
+    identity, affine and power maps are continuous and monotone on each
+    side of 0, coordinate by coordinate, so T's images of the bounds and of
+    0 (clipped into the carrier) decide whether T maps the carrier into
+    itself, and raise the first failure's ``DomainError`` where it does
+    not.  Any other T there is not evaluated; what it, or a function
+    metric's topology, leaves open is None."""
+    carrier, T = space.carrier, maps.T
     if carrier.finite:
         pts = list(carrier.points)
-        seqs = [("constant", [pts[0]] * PROBE_LENGTH)]
-        if len(pts) >= 2:
-            seqs.append(("alternating", [pts[0], pts[-1]] * (PROBE_LENGTH // 2)))
-        return TProbes(pts, seqs)
-    if isinstance(carrier, BoxCarrier):
-        pts = list(carrier.sample(rng, PROBE_COUNT))
-        lo, hi = carrier.lows, carrier.highs
+        images = _array_map(space, T)(np.arange(len(pts)))
+        outside = np.flatnonzero(images < 0)
+        if outside.size:
+            space.require_point(T(pts[outside[0]]), "T-image")
+        i, j = np.nonzero(np.triu(images[:, None] == images, 1))
+        violations = [(pts[a], pts[b]) for a, b in zip(i.tolist(), j.tolist())]
+        discrete = "finite carrier: discrete topology"
+        rules = {"continuous": discrete, "injective": "finite carrier: injective iff image indices differ",
+                 "subsequentially_convergent": discrete, "sequentially_convergent": "finite carrier: iff injective"}
+        return TDiagnostics(True, not violations, True, not violations, rules, violations)
+
+    box = isinstance(carrier, BoxCarrier)
+    lo, hi = (carrier.lows, carrier.highs) if box else (float(carrier.lo), float(carrier.hi))
+    topology = isinstance(space.metric, DirectionMetric)
+    family = isinstance(T, (IdentityMap, AffineMap, PowerMap))
+    if family:
+        for p in (lo, hi, np.clip(0.0, lo, hi) if box else min(max(0.0, lo), hi)):
+            space.require_point(T(p), "T-image")
+        injective, rule, violations = _injectivity(T, lo, hi)
     else:
-        lo, hi = carrier.lo, carrier.hi
-        pts = list(spread(lambda a, b: np.linspace(a, b, PROBE_COUNT), lo, hi))
-    halvings = 0.5 ** np.arange(PROBE_LENGTH)
-
-    def approach(limit, start):     # limit + (start - limit) 2^-n; a coordinate rounded out moves to its bound
-        xs = spread(lambda a, b: a + np.multiply.outer(halvings, b - a), limit, start)
-        return carrier.from_array(np.where(xs < lo, lo, np.where(xs > hi, hi, xs)))
-
-    seqs = [
-        ("convergent", approach(lo, hi)),
-        ("alternating", [lo, hi] * (PROBE_LENGTH // 2)),
-        ("boundary-approach", approach(hi, lo)),
-    ]
-    return TProbes(pts, seqs)
-
-
-@dataclass
-class SequenceFinding:
-    name: str
-    t_image_converges: bool
-    argument_converges: bool
-    classification: str  # consistent | inconsistent | not-applicable
-
-
-@dataclass
-class TDiagnostics:
-    injective: bool
-    injectivity_violations: list[tuple]
-    sequence_findings: list[SequenceFinding]
-    note: str = "evidence from finite probes, not proof"
-
-
-def _numerically_cauchy(space: ConeMetricSpace, xs: np.ndarray) -> bool:
-    """Whether the last CAUCHY_WINDOW points (array form) lie within
-    CAUCHY_TOL of each other."""
-    tail = xs[-CAUCHY_WINDOW:]
-    i, j = np.triu_indices(len(tail), 1)
-    return not np.any(space.cone.norm_rows(space.pairwise(tail[i], tail[j])) > CAUCHY_TOL)
-
-
-def _t_images(space: ConeMetricSpace, T: Callable, points: list) -> np.ndarray:
-    """The T-images of ``points``, checked against the carrier, in array form."""
-    return space.carrier.to_array([space.require_point(T(p), "T-image") for p in points])
-
-
-def diagnose_T(space: ConeMetricSpace, maps: MapPair, probes: TProbes | None = None) -> TDiagnostics:
-    """Probe T for injectivity counterexamples and for sequential-convergence
-    evidence: for each probe sequence (y_n), test whether (T y_n) is
-    numerically Cauchy and whether (y_n) is; a convergent image with a
-    non-convergent argument is inconsistent with sequential convergence,
-    and a non-convergent image leaves the hypothesis unmet.  Injectivity
-    is checked on every pair i < j of probe points, in that order, by one
-    ``pairwise`` call.
-    """
-    probes = probes or default_probes(space)
-
-    pts = list(probes.injectivity_points)
-    xs = space.array_form(pts, "probe point")
-    images = _t_images(space, maps.T, pts)
-    i, j = np.triu_indices(len(pts), 1)
-    same = xs[i] == xs[j]
-    if same.ndim > 1:
-        same = all_last(same)
-    close = space.cone.norm_rows(space.pairwise(images[i], images[j])) <= INJECTIVITY_TOL
-    hits = np.flatnonzero(close & ~same)
-    violations = [(pts[a], pts[b]) for a, b in zip(i[hits].tolist(), j[hits].tolist())]
-
-    findings = []
-    for name, seq in probes.sequences:
-        seq = list(seq)
-        ys = space.array_form(seq, "probe point")
-        t_conv = _numerically_cauchy(space, _t_images(space, maps.T, seq))
-        y_conv = _numerically_cauchy(space, ys)
-        if not t_conv:
-            cls = "not-applicable"
-        elif y_conv:
-            cls = "consistent"
-        else:
-            cls = "inconsistent"
-        findings.append(SequenceFinding(name, t_conv, y_conv, cls))
-
-    return TDiagnostics(not violations, violations, findings)
+        injective, rule, violations = None, "unknown: T is not an identity, affine or power map", []
+    continuous = True if family and topology else None
+    unknown = rule if topology else "unknown: a function metric's topology"
+    rules = {"continuous": "identity, affine and power maps: continuous where defined" if continuous else unknown,
+             "injective": rule, "subsequentially_convergent": "compact carrier" if topology else unknown,
+             "sequentially_convergent": "compact carrier, continuous T: iff injective" if continuous else unknown}
+    return TDiagnostics(continuous, injective, topology or None, injective if continuous else None, rules, violations)

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from conefix import solver
 from conefix.cli import SCHEMA_VERSION, _dump_json, emit_trace, parse_instance
 from conefix.cone_space import (
     BoxCarrier, ConeMetricSpace, ConeSpec, ConfigError, DirectionMetric, DomainError,
-    FinitePointsCarrier, FunctionMetric, IntervalCarrier, TabulatedMetric, point_key, spread,
+    FinitePointsCarrier, FunctionMetric, IntervalCarrier, TabulatedMetric, point_key,
 )
 from conefix.contractions import AffineMap, IdentityMap, MapPair, PowerMap, TabulatedMap
 from conefix.instances import instance_a, instance_d
@@ -21,9 +22,9 @@ from conefix.oracle import finite_from_values
 
 from conftest import fixture_doc
 from conefix.solver import (
-    COINCIDE_FACTOR, CONVERGED, CYCLE_DETECTED, DECAY_HEADROOM, INJECTIVITY_TOL, MAX_ITER, NON_UNIQUE,
-    UNIQUE, UNKNOWN, StoppingRule, TProbes, _cauchy_pairs, _certified, _picard_runs, _uniqueness_verdict,
-    certify_fixed_point, default_probes, diagnose_T, geometric_decay_check, picard_iterate, solve,
+    COINCIDE_FACTOR, CONVERGED, CYCLE_DETECTED, DECAY_HEADROOM, MAX_ITER, NON_UNIQUE,
+    UNIQUE, UNKNOWN, StoppingRule, _cauchy_pairs, _certified, _picard_runs, _uniqueness_verdict,
+    certify_fixed_point, diagnose_T, geometric_decay_check, picard_iterate, solve,
     solve_starts, uniqueness_probe,
 )
 
@@ -280,30 +281,98 @@ def test_uniqueness_probe_merges_deterministically_across_threads(space_a):
 # T diagnostics
 # ---------------------------------------------------------------------------
 
-def test_cubic_t_is_injective_on_grid(space_b):
+def _on_interval(lo, hi, T, metric=None):
+    space = ConeMetricSpace(ConeSpec.orthant(2), IntervalCarrier(lo, hi), metric or DirectionMetric([1.0, 2.0]))
+    return space, MapPair(T, AffineMap(0.5))
+
+
+def _verdicts(report):
+    return (report.continuous, report.injective, report.subsequentially_convergent,
+            report.sequentially_convergent)
+
+
+def test_cubic_t_is_injective(space_b):
     space, maps = space_b
-    probes = TProbes(list(np.linspace(0.0, 1.0, 1000)), [])
-    report = diagnose_T(space, maps, probes)
-    assert report.injective
+    report = diagnose_T(space, maps)
+    assert _verdicts(report) == (True, True, True, True)
+    assert report.injectivity_violations == []
+    assert report.rules["injective"] == "power map, odd or fractional exponent: injective"
+    assert report.rules["subsequentially_convergent"] == "compact carrier"
 
 
 def test_square_t_fails_injectivity():
-    cone = ConeSpec.orthant(2)
-    space = ConeMetricSpace(cone, IntervalCarrier(-1.0, 1.0), DirectionMetric([1.0, 2.0]))
-    maps = MapPair(PowerMap(2), AffineMap(0.5))
-    probes = TProbes([-0.5, 0.0, 0.5], [])
-    report = diagnose_T(space, maps, probes)
-    assert not report.injective
-    assert (-0.5, 0.5) in report.injectivity_violations
+    report = diagnose_T(*_on_interval(-1.0, 1.0, PowerMap(2)))
+    assert _verdicts(report) == (True, False, True, False)
+    assert report.injectivity_violations == [(-1.0, 1.0)]
 
 
-def test_alternating_sequence_is_not_applicable(space_c):
-    space, maps = space_c
-    report = diagnose_T(space, maps)
-    by_name = {f.name: f for f in report.sequence_findings}
-    assert by_name["alternating"].classification == "not-applicable"
-    assert not by_name["alternating"].t_image_converges
-    assert by_name["convergent"].classification == "consistent"
+def test_constant_t_is_not_sequentially_convergent():
+    # y_n alternating between x and y != x: T y_n is constant, y_n does not converge
+    report = diagnose_T(*_on_interval(0.0, 1.0, AffineMap(0.0, 0.5)))
+    assert _verdicts(report) == (True, False, True, False)
+    assert report.injectivity_violations == [(0.0, 1.0)]
+
+
+@pytest.mark.parametrize("lo, hi, T, injective, violations", [
+    (0.0, 1.0, AffineMap(1e-13, 0.5), True, []),            # images 1e-13 apart
+    (-0.001, 1.0, PowerMap(2), False, [(-0.001, 0.001)]),   # the collision sits next to 0
+    (0.0, 1e-120, PowerMap(3), True, []),                   # x ** 3 underflows to 0.0
+    (-1.0, 1.0, PowerMap(3), True, []),
+    (0.0, 1.0, PowerMap(4), True, []),
+    (0.0, 1.0, PowerMap(0), False, [(0.0, 1.0)]),
+    (0.5, 2.0, PowerMap(-1), True, []),
+    (0.0, 1.0, PowerMap(0.5), True, []),
+    (0.0, 1.0, IdentityMap(), True, []),
+])
+def test_injectivity_is_decided_by_family(lo, hi, T, injective, violations):
+    report = diagnose_T(*_on_interval(lo, hi, T))
+    assert _verdicts(report) == (True, injective, True, injective)
+    assert report.injectivity_violations == violations
+
+
+@pytest.mark.parametrize("lo, hi, T, message", [
+    (0.0, 1.0, PowerMap(-1), "power map produced a non-finite value at 0.0"),
+    (-1.0, 1.0, PowerMap(-2), "power map produced a non-finite value at 0.0"),
+    (-1.0, 1.0, PowerMap(0.5), "power map produced a non-finite value at -1.0"),
+    (0.0, 1.0, AffineMap(2.0), "T-image 2.0 lies outside the carrier"),
+    (-1.0, 0.5, PowerMap(2), "T-image 1.0 lies outside the carrier"),
+    (0.5, 1.0, PowerMap(3), "T-image 0.125 lies outside the carrier"),
+])
+def test_a_map_off_the_carrier_raises_where_it_fails(lo, hi, T, message):
+    with pytest.raises(DomainError) as got:
+        diagnose_T(*_on_interval(lo, hi, T))
+    assert str(got.value) == message
+
+
+def test_other_maps_and_function_metrics_are_undecided():
+    def never(x):
+        raise AssertionError("T was evaluated")
+
+    report = diagnose_T(*_on_interval(0.0, 1.0, never))
+    assert _verdicts(report) == (None, None, True, None)
+    assert report.injectivity_violations == []
+    assert report.rules["injective"].startswith("unknown")
+    # injectivity is a property of the map alone; the topology is the metric's
+    report = diagnose_T(*_on_interval(0.0, 1.0, AffineMap(0.0, 0.5), FunctionMetric(_refusing_metric)))
+    assert _verdicts(report) == (None, False, None, None)
+    assert report.injectivity_violations == [(0.0, 1.0)]
+    assert report.rules["continuous"] == report.rules["sequentially_convergent"] == \
+        "unknown: a function metric's topology"
+
+
+def test_diagnose_on_a_box_acts_per_coordinate():
+    space = ConeMetricSpace(ConeSpec.orthant(2), BoxCarrier([-1.0, -2.0], [1.0, 2.0]),
+                            DirectionMetric([1.0, 2.0], rho="max"))
+    assert _verdicts(diagnose_T(space, MapPair(AffineMap(-0.5), IdentityMap()))) == (True, True, True, True)
+    report = diagnose_T(space, MapPair(AffineMap(0.0, 0.5), IdentityMap()))
+    assert _verdicts(report) == (True, False, True, False)
+    [(x, y)] = report.injectivity_violations
+    assert x.tolist() == [-1.0, -2.0] and y.tolist() == [1.0, 2.0]
+    with pytest.raises(DomainError, match=r"^T-image array\(\[-2\., -4\.\]\) lies outside the carrier$"):
+        diagnose_T(space, MapPair(AffineMap(2.0), IdentityMap()))
+    # a power map takes numbers only, so its call fails on the first box point
+    with pytest.raises(TypeError):
+        diagnose_T(space, MapPair(PowerMap(3), IdentityMap()))
 
 
 def test_picard_on_a_box_carrier():
@@ -320,15 +389,50 @@ def test_picard_on_a_box_carrier():
     assert verdict.verdict == UNIQUE
 
 
-def test_inconsistent_evidence_for_collapsing_t():
-    # T constant: T(y_n) converges for every sequence, including one that
-    # does not converge itself -> inconsistent with sequential convergence.
-    cone = ConeSpec.orthant(2)
-    space = ConeMetricSpace(cone, IntervalCarrier(0.0, 1.0), DirectionMetric([1.0, 2.0]))
-    maps = MapPair(AffineMap(0.0, 0.5), IdentityMap())
-    report = diagnose_T(space, maps)
-    by_name = {f.name: f for f in report.sequence_findings}
-    assert by_name["alternating"].classification == "inconsistent"
+def _exact_images(T, lo, hi, xs):
+    """Each T x for the rationals xs, exactly, as a key (equal keys, equal
+    images), or None where T x is undefined or outside [lo, hi].  A power
+    x^(p/2), p odd, is keyed by its square x^p, which only x >= 0 has."""
+    e = Fraction(T.exponent) if isinstance(T, PowerMap) else None
+    keys = []
+    for x in xs:
+        if e is None:
+            y = x if isinstance(T, IdentityMap) else Fraction(T.alpha) * x + Fraction(T.beta)
+        elif (x == 0 and e < 0) or (x < 0 and e.denominator != 1):
+            y = None
+        elif e.denominator == 1:
+            y = x ** int(e)
+        else:
+            sq = x ** e.numerator
+            keys.append(sq if (lo <= 0 or lo * lo <= sq) and 0 <= hi and sq <= hi * hi else None)
+            continue
+        keys.append(y if y is not None and lo <= y <= hi else None)
+    return keys
+
+
+_eighths = st.integers(-16, 16).map(lambda k: k / 8)
+_families = st.one_of(st.just(IdentityMap()), st.builds(AffineMap, _eighths, _eighths),
+                      st.builds(PowerMap, st.sampled_from([0, 1, 2, 3, 4, -1, -2, 0.5, 1.5])))
+
+
+@settings(max_examples=400, deadline=None)
+@given(a=st.integers(-128, 128), b=st.integers(-128, 128), T=_families)
+def test_diagnose_equals_the_exact_check_on_a_dyadic_grid(a, b, T):
+    # carriers [a/64, b/64] in [-2, 2]: the grid of 1/64 steps holds the
+    # bounds, 0 where it lies inside, and a colliding pair when T has one
+    assume(a < b)
+    grid = [Fraction(k, 64) for k in range(a, b + 1)]
+    keys = _exact_images(T, grid[0], grid[-1], grid)
+    space, maps = _on_interval(a / 64, b / 64, T)
+    if None in keys:
+        with pytest.raises(DomainError):
+            diagnose_T(space, maps)
+    else:
+        report = diagnose_T(space, maps)
+        assert report.injective == (len(set(keys)) == len(keys)) == (not report.injectivity_violations)
+        for x, y in report.injectivity_violations:
+            kx, ky = _exact_images(T, grid[0], grid[-1], [Fraction(x), Fraction(y)])
+            assert x != y and kx is not None and kx == ky
 
 
 # ---------------------------------------------------------------------------
@@ -488,12 +592,6 @@ def test_batch_raises_what_the_per_start_loop_raises(space, maps, starts):
         pytest.fail("no start fails one at a time")
 
 
-def test_diagnose_with_a_single_probe_point():
-    space = ConeMetricSpace(ConeSpec.orthant(2), IntervalCarrier(0.0, 1.0), FunctionMetric(_refusing_metric))
-    report = diagnose_T(space, MapPair(IdentityMap(), AffineMap(0.5)), TProbes([0.5], [("short", [0.5])]))
-    assert report.injective and report.sequence_findings[0].classification == "consistent"
-
-
 def test_merge_keeps_the_first_of_coinciding_limits():
     # C-type: every start is its own limit; near and exact repeats merge
     space, maps = _unit_interval(), MapPair(IdentityMap(), IdentityMap())
@@ -513,6 +611,20 @@ def test_merge_keeps_the_first_of_coinciding_limits():
     assert verdict.witnesses == reps
 
 
+@pytest.mark.parametrize("space, starts", [
+    (_unit_interval(), np.linspace(0.0, 1.0, 5)),
+    (_unit_box("max", "max"), np.random.default_rng(2).uniform(0.0, 1.0, (4, 2))),
+])
+def test_uniqueness_probe_takes_an_array_of_starts(space, starts):
+    maps = MapPair(IdentityMap(), AffineMap(0.5))
+    got, want = uniqueness_probe(space, maps, starts), uniqueness_probe(space, maps, list(starts))
+    assert got.verdict == want.verdict == UNIQUE
+    assert np.array_equal(got.fixed_point, want.fixed_point) and got.witnesses == want.witnesses == []
+    for trace, same in zip(got.traces, want.traces, strict=True):
+        _assert_same_run(trace, (same.x_sequence, same.t_images, same.t_image_gaps, same.gap_norms,
+                                 same.stop_reason))
+
+
 def test_cauchy_violations_equal_the_per_pair_loop():
     # S contracts by 0.9: 81 points give 3,240 pairs, of which 2,000 are drawn
     space, maps = _unit_interval(), MapPair(IdentityMap(), AffineMap(0.9))
@@ -529,27 +641,29 @@ def test_cauchy_violations_equal_the_per_pair_loop():
     assert report.cauchy_pairs_checked == 2000
 
 
-def test_injectivity_violations_equal_the_per_pair_loop():
-    space = ConeMetricSpace(ConeSpec.orthant(2), IntervalCarrier(-1.0, 1.0), DirectionMetric([1.0, 2.0]))
-    maps = MapPair(PowerMap(2), AffineMap(0.5))
-    pts = list(np.linspace(-1.0, 1.0, 200)) + [0.5, 0.5]
-    images = [maps.T(p) for p in pts]
-    want = [(pts[i], pts[j]) for i in range(len(pts)) for j in range(i + 1, len(pts))
-            if point_key(pts[i]) != point_key(pts[j])
-            and space.gap_norm(images[i], images[j]) <= INJECTIVITY_TOL]
-    report = diagnose_T(space, maps, TProbes(pts, []))
-    assert len(want) >= 100 and report.injectivity_violations == want
-
-
-def test_diagnose_on_a_finite_carrier_matches_the_loop():
+def test_diagnose_on_a_finite_carrier():
     space, maps = finite_from_values(np.arange(8.0), [0, 1, 2, 3, 3, 2, 1, 0], np.arange(8)).as_space_and_maps()
     report = diagnose_T(space, maps)
-    pts = list(space.carrier.points)
-    want = [(pts[i], pts[j]) for i in range(8) for j in range(i + 1, 8)
-            if space.gap_norm(maps.T(pts[i]), maps.T(pts[j])) <= INJECTIVITY_TOL]
-    assert report.injectivity_violations == want == [(0, 7), (1, 6), (2, 5), (3, 4)]
-    with pytest.raises(DomainError, match="probe point 8"):
-        diagnose_T(space, maps, TProbes([0, 8], []))
+    assert _verdicts(report) == (True, False, True, False)
+    assert report.injectivity_violations == [(0, 7), (1, 6), (2, 5), (3, 4)]
+    assert _verdicts(diagnose_T(space, MapPair(maps.S, maps.S))) == (True, True, True, True)
+    # an image outside the carrier is named as the scalar map finds it
+    shifted = MapPair(lambda k: {5: 8}.get(k, k), maps.S)
+    with pytest.raises(DomainError, match="^T-image 8 lies outside the carrier$"):
+        diagnose_T(space, shifted)
+
+
+def test_diagnose_agrees_with_the_oracle(tz_corpus, twu_corpus, plain_corpus):
+    # every corpus T is injective, so each instance also runs with its S table as T
+    fins = [g.fin for g in tz_corpus] + [g.fin for g in twu_corpus] + list(plain_corpus)
+    fins += [dataclasses.replace(fin, t_table=fin.s_table) for fin in fins]
+    assert len(fins) == 280 and sum(not fin.t_injective for fin in fins) > 100
+    for fin in fins:
+        report = diagnose_T(*fin.as_space_and_maps())
+        t = fin.t_table.tolist()
+        want = [(i, j) for i in range(fin.n) for j in range(i + 1, fin.n) if t[i] == t[j]]
+        assert report.injective == fin.t_injective == report.sequentially_convergent
+        assert report.injectivity_violations == want
 
 
 def _fold(x):
@@ -565,12 +679,6 @@ def test_scalar_metrics_on_numeric_finite_points(rho):
     assert np.array_equal(DirectionMetric([1.0, 2.0], rho=rho)(0.1, 0.35), same.d(0.1, 0.35))
     pts = list(space.carrier.points)
     maps = MapPair(_fold, AffineMap(0.0, 0.5))
-    probes = TProbes(pts, [("down", [1.0, 0.75, 0.5, 0.5, 0.5])])
-    want = [(pts[i], pts[j]) for i in range(5) for j in range(i + 1, 5)
-            if space.gap_norm(_fold(pts[i]), _fold(pts[j])) <= INJECTIVITY_TOL]
-    report = diagnose_T(space, maps, probes)
-    assert report.injectivity_violations == want == [(0.0, 1.0), (0.25, 0.75)]
-    assert report == diagnose_T(same, maps, probes)
     verdict = uniqueness_probe(space, maps, pts)
     for trace, x0 in zip(verdict.traces, pts):
         _assert_same_run(trace, _reference_picard(space, maps, x0, StoppingRule()))
@@ -935,64 +1043,6 @@ def test_solve_starts_have_a_finite_middle_in_the_carrier(lo, hi):
     if math.isfinite(today):    # today's bits (an interval's middle may merge with an end of its key)
         assert middle[0].tobytes() == np.float64(today).tobytes()
         assert np.float64(today).tobytes() in [np.float64(s).tobytes() for s in starts]
-
-
-def _todays_sequences(lows, highs):
-    """The two approach sequences as limit + (start - limit) 2^-n gives
-    them (through ``spread`` where the width overflows), before any point
-    that rounds out of the carrier is moved to its bound."""
-    halvings = 0.5 ** np.arange(48)
-
-    def approach(limit, start):
-        return spread(lambda a, b: a + np.multiply.outer(halvings, b - a), limit, start)
-    return {"convergent": approach(lows, highs), "boundary-approach": approach(highs, lows)}
-
-
-@settings(max_examples=200, deadline=None)
-@given(lo=_bound, hi=_bound)
-@example(lo=-1e308, hi=1e308)
-@example(lo=-1.7976931348623157e308, hi=1.7976931348623157e308)
-@example(lo=-0.1, hi=0.3)                   # the convergent sequence started at 0.30000000000000004
-@example(lo=0.1, hi=0.7)                    # the boundary approach started at 0.09999999999999998
-@example(lo=7.578101458719354e-305, hi=1.0)     # ... and at 0.0
-@example(lo=-0.0, hi=1.0)                   # 0.0 lies in the carrier and keeps its sign
-def test_default_probes_lie_in_the_carrier(lo, hi):
-    # every probe point is finite and lies in the carrier; a coordinate
-    # that lies in it by today's formula keeps today's bits, and one that
-    # rounds out sits on the bound it passed (the box's other coordinates
-    # round out on [-0.1, 0.3] and [0.1, 0.7])
-    assume(lo < hi)
-    for space in (ConeMetricSpace(ConeSpec.orthant(2), IntervalCarrier(lo, hi), DirectionMetric([1.0, 2.0])),
-                  ConeMetricSpace(ConeSpec.orthant(2), BoxCarrier([lo, -0.1, 0.1], [hi, 0.3, 0.7]),
-                                  DirectionMetric([1.0, 2.0], rho="max"))):
-        carrier, probes = space.carrier, default_probes(space)
-        seqs = dict(probes.sequences)
-        points = list(probes.injectivity_points) + [p for seq in seqs.values() for p in seq]
-        assert all(carrier.contains(p) and np.isfinite(p).all() for p in points)
-        interval = isinstance(carrier, IntervalCarrier)
-        lows, highs = (lo, hi) if interval else (carrier.lows, carrier.highs)
-        for name, today in _todays_sequences(lows, highs).items():
-            got = np.array(seqs[name])
-            assert {type(v) for v in seqs[name]} == {float if interval else np.ndarray}
-            kept = (today >= lows) & (today <= highs)
-            assert got[kept].tobytes() == today[kept].tobytes()
-            assert np.array_equal(got[~kept], np.where(today < lows, lows, highs)[~kept])
-        if interval:
-            want = spread(lambda a, b: np.linspace(a, b, 200), lo, hi)
-            assert np.array(probes.injectivity_points).tobytes() == want.tobytes()
-
-
-def test_diagnose_T_runs_where_a_probe_sequence_rounds_out_of_the_carrier():
-    # on [0.1, 0.7] the boundary approach started at 0.09999999999999998,
-    # and T (the identity) found its image outside the carrier
-    doc = fixture_doc("instance_a")
-    doc["space"]["carrier"].update(lo=0.1, hi=0.7)
-    del doc["contraction"]
-    inst = parse_instance(json.dumps(doc))
-    seqs = dict(default_probes(inst.space).sequences)
-    assert seqs["boundary-approach"][0] == 0.1 and seqs["convergent"][0] == 0.7
-    report = diagnose_T(inst.space, inst.maps)
-    assert [f.classification for f in report.sequence_findings] == ["consistent", "not-applicable", "consistent"]
 
 
 # ---------------------------------------------------------------------------
