@@ -26,10 +26,11 @@ returns, which no CLI artifact shows in full:
   plan ``verify`` uses (every violation's axiom, witness and residual,
   where the artifact keeps 50), floats as their shortest repr, so every
   bit counts, the sign of a zero included;
-* ``terms``: on a finite file, the six pair-term columns of
-  ``FiniteInstance.terms`` (each one's name, dtype, shape and the sha256 of
-  its bytes), so the table gathers are compared bit for bit, not only
-  through the verdicts they lead to; ``()`` otherwise;
+* ``terms``: the six pair-term columns (each one's name, dtype, shape and
+  the sha256 of its bytes), so the row gathers and metric products are
+  compared bit for bit, not only through the verdicts they lead to: on a
+  file with a tabulated metric those of ``FiniteInstance.terms``, on any
+  other those of ``pair_terms`` over the pairs ``verify`` checks;
 * ``oracle``: on a finite file with a class, ``exhaustive_condition_check``
   (every violating pair), ``tightest_constants`` for TB/TK/TC/TW (every
   witness) and ``exhaustive_reduction_check`` for TZ (every violation),
@@ -121,9 +122,11 @@ def _api_axioms(inst) -> tuple:
 
 
 def _api_terms(inst) -> tuple:
-    if inst.finite is None:
-        return ()
-    columns = [(f.name, getattr(inst.finite.terms, f.name)) for f in dataclasses.fields(inst.finite.terms)]
+    if inst.finite is not None:
+        terms = inst.finite.terms
+    else:
+        terms = contractions.pair_terms(inst.space, inst.maps, cli._condition_pairs(inst))
+    columns = [(f.name, getattr(terms, f.name)) for f in dataclasses.fields(terms)]
     return tuple((name, a.dtype.str, a.shape, _sha(a.tobytes())) for name, a in columns)
 
 

@@ -300,6 +300,12 @@ def _tabulated_map(images, *, carrier) -> TabulatedMap | None:
     return TabulatedMap(pts, [pts[i] for i in images])
 
 
+def _power_map(exponent: float, *, carrier) -> PowerMap:
+    if isinstance(carrier, BoxCarrier):
+        raise ConfigError("a power map takes numbers, not the vectors of a box carrier")
+    return PowerMap(exponent)
+
+
 def _class_spec(kind: str, **constants) -> tuple[ClassSpec, bool]:
     """Returns (spec, tw_delta_pinned): a TW section carrying delta but no
     L pins delta for the fit command (L then fitted on that boundary)."""
@@ -335,7 +341,7 @@ METRIC = Section({
 MAP = Section({
     "identity": Variant(IdentityMap),
     "affine": Variant(AffineMap, {"alpha": _finite_float}, {"beta": _finite_float}),
-    "power": Variant(PowerMap, {"exponent": _finite_float}),
+    "power": Variant(_power_map, {"exponent": _finite_float}, needs=("carrier",)),
     "tabulated": Variant(_tabulated_map, {"images": _json_list("images")}, needs=("carrier",)),
 }, "family", "map family")
 

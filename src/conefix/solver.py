@@ -385,7 +385,8 @@ def geometric_decay_check(trace: IterationTrace, h: float, K: float = 1.0, *,
     space = trace.space
     ts = np.concatenate([space.carrier.to_array([trace.t_start]), trace.images])
     mm, nn = _cauchy_pairs(len(ts), CAUCHY_SAMPLES, seed)
-    actual = space.cone.norm_rows(space.pairwise(ts[mm], ts[nn]))
+    with np.errstate(over="ignore", invalid="ignore"):     # overflowing T-images give inf and NaN gaps
+        actual = space.cone.norm_rows(space.pairwise(ts[mm], ts[nn]))
     with np.errstate(invalid="ignore"):
         bound = K * d0 / (1.0 - h) * headroom * powers[nn]
     bad = np.flatnonzero(~(actual <= bound))

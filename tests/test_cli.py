@@ -536,6 +536,18 @@ def test_box_carrier_rejects_the_absdiff_scalar(tmp_path, capsys, command):
     assert main([command, "--instance", str(path)]) != 2
 
 
+@pytest.mark.parametrize("command", ["verify", "solve", "fit"])
+def test_box_carrier_rejects_a_power_map(tmp_path, capsys, command):
+    # a power map takes numbers: on box rows it died with an uncaught TypeError
+    doc = {**BOX, "contraction": {"class": "TB", "a": 0.75}}
+    for name in ("T", "S"):
+        doc["maps"] = {**BOX["maps"], name: {"family": "power", "exponent": 2.0}}
+        path = _write(tmp_path, "box.json", doc)
+        assert main([command, "--instance", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"instance rejected:\n  - maps.{name}: a power map takes numbers, not the vectors of a box carrier\n")
+
+
 @pytest.mark.parametrize("image", [-1, 10, 1.7])
 def test_tabulated_map_rejects_bad_image_index(image):
     doc = fixture_doc("instance_d")

@@ -12,7 +12,7 @@ from conefix.cone_space import (
 )
 from conefix.contractions import (
     CLASS_KINDS, TW_DUAL, TWU, AffineMap, ClassSpec, ConditionViolation, IdentityMap, MapPair, PairSet,
-    PowerMap, TabulatedMap, all_pairs, check_condition, cleared_check, constant_names, evaluate,
+    PowerMap, TabulatedMap, _power, all_pairs, check_condition, cleared_check, constant_names, evaluate,
     fit_constants, grid_pairs, pair_terms, promote_to_weak, rate_from_primary_form, sampled_pairs,
     verify_zamfirescu_reduction, zamfirescu_delta,
 )
@@ -393,6 +393,43 @@ def test_power_map_on_a_negative_base_with_a_fractional_exponent_is_a_domain_err
         PowerMap(1.5).on_array(np.array([0.25, -0.25, -1.0]))
     assert PowerMap(2.0)(-0.5) == 0.25 and PowerMap(3).on_array(np.array([-0.5, -0.0])).tolist() == [-0.125, -0.0]
     assert PowerMap(0.5)(-0.0) == 0.0
+
+
+def _power_loop(xs: np.ndarray, exponent: float) -> np.ndarray:
+    """PowerMap.on_array as one _power call per point."""
+    values = xs.tolist()
+    ys = np.array([_power(x, exponent) for x in values], dtype=float)
+    bad = np.flatnonzero(~np.isfinite(ys))
+    if bad.size:
+        raise DomainError(f"power map produced a non-finite value at {values[bad[0]]!r}")
+    return ys
+
+
+def _outcome(call):
+    try:
+        return call().tobytes()
+    except (DomainError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+_POWER_POINTS = st.one_of(st.floats(-1e4, 1e4), st.sampled_from(
+    [0.0, -0.0, 1e300, -1e300, 1e-300, 5e-324, -5e-324, math.inf, -math.inf, math.nan]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(xs=st.lists(_POWER_POINTS, max_size=20),
+       exponent=st.sampled_from([-3.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 7.0, 2, -1,
+                                 math.inf, -math.inf, math.nan]))
+@example(xs=[2.0, 1e300], exponent=2.0)               # an overflow on the fromiter pass
+@example(xs=[0.5, 0.0, 1e-300], exponent=-2.0)        # inf from 0 before an overflow: the overflow wins
+@example(xs=[-0.25, 1e300], exponent=1.5)             # nan from a complex power, then an overflow
+@example(xs=[1e300, 0.0], exponent=-1.0)              # 1e300 ** -1 is finite; 0 gives the DomainError
+@example(xs=[2.0, math.nan], exponent=2.0)
+@example(xs=[-math.inf], exponent=-0.5)               # pow gives 0.0, _power nan
+def test_power_array_form_equals_the_per_point_loop(xs, exponent):
+    # the values, the OverflowError and the DomainError text of the loop
+    xs = np.array(xs, dtype=float)
+    assert _outcome(lambda: PowerMap(exponent).on_array(xs)) == _outcome(lambda: _power_loop(xs, exponent))
 
 
 ESCAPE_PAIRS = [(0.25, 0.75), (0.9, 0.1)]

@@ -874,8 +874,10 @@ def _overflowing_swap():
     return space, MapPair(IdentityMap(), AffineMap(-1.0))
 
 
+@pytest.mark.filterwarnings("error")
 def test_decay_check_counts_nan_bounds_as_violations():
-    # h = 0 and d_0 = inf make every bound after the first K * 0 * inf = NaN
+    # h = 0 and d_0 = inf make every bound after the first K * 0 * inf = NaN;
+    # the overflowing gaps and bounds raise no numpy warning
     space, maps = _overflowing_swap()
     trace = picard_iterate(space, maps, 1e308)
     assert trace.stop_reason == CYCLE_DETECTED and trace.gap_norms == [np.inf, np.inf]
@@ -897,7 +899,8 @@ def _reference_decay(trace, h, K, seed):
             steps.append((n, gn, bound))
     pairs, tail = [], K * d0 / (1.0 - h) * headroom
     for m, n in zip(*(a.tolist() for a in _cauchy_pairs(len(trace.t_images), 2000, seed))):
-        actual = trace.space.gap_norm(trace.t_images[m], trace.t_images[n])
+        with np.errstate(over="ignore", invalid="ignore"):
+            actual = trace.space.gap_norm(trace.t_images[m], trace.t_images[n])
         if not actual <= tail * powers[n]:
             pairs.append((m, n, actual, tail * powers[n]))
     return steps, pairs
