@@ -14,7 +14,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Callable
 
@@ -519,6 +519,11 @@ def _json(value, nl: str, out: list[str]) -> None:
             out.append(nl + "}")
             return
         head = "[" + inner
+        if len(value) > 1 and type(value[0]) is dict:
+            text = _records(value, nl)
+            if text is not None:
+                out.append(text)
+                return
         if set(map(type, value)) == {float}:
             text = sep.join(map(float.__repr__, value))
             if "n" not in text:         # every repr is finite: no nan, inf or -inf
@@ -541,6 +546,52 @@ def _json(value, nl: str, out: list[str]) -> None:
         _json(float(value), nl, out)
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _records(records, nl: str) -> str | None:
+    """The text ``_json`` writes for a list of dicts, through one ``%``
+    template built for the whole list, or None when the template does not
+    apply and each value must be walked.  It applies when the dicts share
+    one nonempty set of ``str`` keys and each key holds one kind of value
+    in every record: finite floats (``%r`` is ``float.__repr__``), ints
+    that are not bools, strings, or flat vectors of finite floats of one
+    length (lists, tuples or 1-D float64 arrays).  Every other value
+    (None, a bool, a numpy scalar, a non-finite float, a nested list or
+    dict) is left to the walk."""
+    keys = records[0].keys()
+    if not keys or not all(type(k) is str for k in keys) or not all(
+            type(r) is dict and r.keys() == keys for r in records):
+        return None
+    inner, deep = nl + "  ", nl + "    "
+    fields, columns, floats = [], [], []     # floats: every float the template writes, to test finiteness
+    for key in sorted(keys):
+        column = [r[key] for r in records]
+        kinds = set(map(type, column))
+        if kinds == {str}:
+            field, cols = "%s", [list(map(_ascii, column))]
+        elif kinds == {int}:
+            field, cols = "%d", [column]
+        elif kinds == {float}:
+            field, cols = "%r", [column]
+            floats.append(column)
+        else:
+            vectors = [v.tolist() if type(v) is np.ndarray and v.dtype == np.float64 and v.ndim == 1 else v
+                       for v in column]
+            if not all(type(v) is list or type(v) is tuple for v in vectors) or len(set(map(len, vectors))) > 1:
+                return None
+            size = len(vectors[0])
+            element = "," + deep + "  "
+            field = "[" + element[1:] + element.join(["%r"] * size) + deep + "]" if size else "[]"
+            cols = list(zip(*vectors))
+            floats.extend(cols)
+        fields.append(_ascii(key).replace("%", "%%") + ": " + field)
+        columns.extend(cols)
+    every = list(chain.from_iterable(floats))
+    if set(map(type, every)) - {float} or not all(map(math.isfinite, every)):
+        return None
+    template = "{" + deep + ("," + deep).join(fields) + inner + "}"
+    rows = zip(*columns) if columns else repeat((), len(records))      # empty vectors only: no arguments
+    return "[" + inner + ("," + inner).join(map(template.__mod__, rows)) + nl + "]"
 
 
 def _dump_json(obj, path: Path | None) -> str:

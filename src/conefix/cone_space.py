@@ -19,10 +19,14 @@ tabulated metric on a finite carrier.
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_left
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable
+from itertools import accumulate, repeat
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -281,6 +285,27 @@ class SamplingPlan:
         return np.random.default_rng(self.seed)
 
 
+class LazyRows(Sequence):
+    """A read-only sequence of report entries kept as array rows: an entry
+    is built only when read (by index, slice or iteration), so a length or
+    a truth test builds none.  A subclass gives ``__len__`` and
+    ``_build(rows)``, the list of the entries at the positions of a slice."""
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return self._build(key)
+        n, i = len(self), operator.index(key)
+        if not -n <= i < n:
+            raise IndexError("violation index out of range")
+        return self._build(slice(i % n, i % n + 1))[0]
+
+    def __iter__(self):
+        return iter(self._build(slice(None)))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({len(self)} rows)"
+
+
 @dataclass
 class AxiomViolation:
     axiom: str
@@ -288,10 +313,47 @@ class AxiomViolation:
     residual: object
 
 
+class AxiomViolations(LazyRows):
+    """The violations of an axiom check, axiom by axiom in reporting order.
+    Each group ``(axiom, forms, residuals)`` keeps an axiom's failing
+    entries: one array per witness point, whose rows ``from_array`` turns
+    into points, and the residual of each entry (an array's rows, or a
+    list)."""
+
+    def __init__(self, from_array: Callable, groups: list[tuple[str, tuple, Sequence]]):
+        self._from_array, self._groups = from_array, groups
+        self._ends = list(accumulate(len(residuals) for _, _, residuals in groups))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __eq__(self, other):
+        """Equal to a list or a view of equal entries, as the list of its
+        entries would be, so axiom reports compare as they did when they
+        held lists."""
+        if isinstance(other, (AxiomViolations, list)):
+            return len(self) == len(other) and list(self) == list(other)
+        return NotImplemented
+
+    def _build(self, rows: slice) -> list[AxiomViolation]:
+        picked = range(len(self))[rows]
+        if picked.step < 0:
+            return self._build(slice(picked[-1], picked[0] + 1, -picked.step))[::-1] if picked else []
+        out, lo = [], 0
+        for (axiom, forms, residuals), hi in zip(self._groups, self._ends):
+            part = picked[bisect_left(picked, lo):bisect_left(picked, hi)]
+            if part:
+                at = slice(part.start - lo, part.stop - lo, part.step)
+                points = [self._from_array(f[at]) for f in forms]
+                out += map(AxiomViolation, repeat(axiom), zip(*points) if points else repeat(()), residuals[at])
+            lo = hi
+        return out
+
+
 @dataclass
 class AxiomReport:
     axioms_checked: list[str]
-    violations: list[AxiomViolation]
+    violations: Sequence[AxiomViolation]
     sample_count: int
 
     @property
@@ -303,22 +365,40 @@ def verify_cone_axioms(cone: ConeSpec, plan: SamplingPlan | None = None) -> Axio
     """Decide the cone laws exactly from the nonzero rows A of the
     inequality matrix, ``cone.exact_rows``.  P = {v : A v >= 0} holds 0
     and every nonnegative combination of its points by construction (P1's
-    zero, P2).  Its interior is nonempty exactly when some v has A v >= 1,
-    which one phase-one simplex run decides.  It is pointed (P3) exactly
+    zero, P2).  Its interior is nonempty exactly when some v has A v > 0
+    (equivalently A v >= 1).  One float witness, the sum of the rows each
+    scaled to length 1 (``_interior_witness``), is tested exactly first;
+    only when it fails does a phase-one simplex run decide, so the verdict
+    is always the simplex's (Shewchuk's pattern of a float filter with an
+    exact fallback, Discrete Comput. Geom. 18, 1997).  P is pointed (P3) exactly
     when A has rank m; otherwise each vector of an exact nullspace basis
     lies in P and in -P and is reported with its values on all rows of
     ``ineq_matrix``.  Nothing is sampled (``sample_count`` 0, ``plan``
     unused).  Degenerate cones yield violation entries, never exceptions.
     """
-    rows = cone.exact_rows
-    violations = []
-    if not _has_interior(rows, cone.dimension):
-        violations.append(AxiomViolation("P1-interior-nonempty", (), None))
-    for ints in _nullspace(rows, cone.dimension):
-        shift = max(0, max(map(abs, ints)).bit_length() - 1000)     # keeps a huge entry finite
-        v = np.array([x / (1 << shift) for x in ints])
-        violations.append(AxiomViolation("P3-pointed", (v,), cone.ineq_matrix @ v))
-    return AxiomReport(["P1", "P2", "P3"], violations, 0)
+    rows, groups = cone.exact_rows, []
+    if not (cone.contains(_interior_witness(cone), "interior") or _has_interior(rows, cone.dimension)):
+        groups.append(("P1-interior-nonempty", (), [None]))
+    basis = _nullspace(rows, cone.dimension)
+    if basis:
+        # a huge entry is scaled by a power of two to stay finite
+        vs = np.array([[x / (1 << max(0, max(map(abs, ints)).bit_length() - 1000)) for x in ints]
+                       for ints in basis])
+        groups.append(("P3-pointed", (vs,), [cone.ineq_matrix @ v for v in vs]))
+    return AxiomReport(["P1", "P2", "P3"], AxiomViolations(list, groups), 0)
+
+
+def _interior_witness(cone: ConeSpec) -> np.ndarray:
+    """The sum of the nonzero inequality rows, each scaled to euclidean
+    length 1 (after division by its largest absolute entry, so nothing
+    overflows): a float vector in the interior of every orthant and of
+    most solid cones (for two unit rows u and w, u + w is interior unless
+    w = -u; rounding can spoil that when w is nearly -u), which
+    ``ConeSpec.contains`` then decides exactly."""
+    a = cone.ineq_matrix
+    a = a[np.abs(a).max(axis=1) > 0.0]
+    a = a / np.abs(a).max(axis=1)[:, None]
+    return (a / np.sqrt((a * a).sum(axis=1))[:, None]).sum(axis=0)
 
 
 def _pivot(tab: list[list[Fraction]], i: int, j: int) -> None:
@@ -706,28 +786,27 @@ def verify_metric_axioms(space: ConeMetricSpace, plan: SamplingPlan | None = Non
     plan = plan or SamplingPlan()
     rng = plan.rng()
     carrier, cone = space.carrier, space.cone
-    violations: list[AxiomViolation] = []
+    groups: list[tuple[str, tuple, np.ndarray]] = []     # AxiomViolations' groups
 
     if carrier.finite and len(carrier.points) ** 3 <= max(plan.count, 2_000_000):
-        pts = list(carrier.points)
-        n = len(pts)
+        n = len(carrier.points)
         table = getattr(space.metric, "table", None)
         if scanned_by is not None and scanned_by.metric_table is table and scanned_by.cone is cone:
-            return AxiomReport(["d1", "d2", "d3"], [], n * n + n ** 3)
+            return AxiomReport(["d1", "d2", "d3"], AxiomViolations(carrier.from_array, groups), n * n + n ** 3)
         indices = np.arange(n)
         d = space.pairwise(np.repeat(indices, n), np.tile(indices, n)).reshape(n, n, -1)
         residuals = {
-            "d1-cone": lambda i, j: d[i, j],
-            "d1-separation": lambda i, j: d[i, j],
-            "d1-identity": lambda i: d[i, i],
-            "d2-symmetry": lambda i, j: d[i, j] - d[j, i],
-            "d3-triangle": lambda i, j, k: d[i, k] + d[k, j] - d[i, j],
+            "d1-cone": lambda i, j: table_take(d, i, j),
+            "d1-separation": lambda i, j: table_take(d, i, j),
+            "d1-identity": lambda i: table_take(d, i, i),
+            "d2-symmetry": lambda i, j: table_take(d, i, j) - table_take(d, j, i),
+            "d3-triangle": lambda i, j, k: table_take(d, i, k) + table_take(d, k, j) - table_take(d, i, j),
         }
         for axiom, mask in metric_table_failures(d, cone, cone.slack).items():
-            # on the all-False n^3 d3 mask argwhere costs ~40x mask.any()
-            for idx in np.argwhere(mask).tolist() if mask.any() else ():
-                violations.append(AxiomViolation(axiom, tuple(pts[i] for i in idx), residuals[axiom](*idx)))
-        return AxiomReport(["d1", "d2", "d3"], violations, n * n + n ** 3)
+            if mask.any():      # on the all-False n^3 d3 mask argwhere costs ~40x mask.any()
+                at = tuple(np.argwhere(mask).T)     # the failing points' indices, one array per witness point
+                groups.append((axiom, at, residuals[axiom](*at)))
+        return AxiomReport(["d1", "d2", "d3"], AxiomViolations(carrier.from_array, groups), n * n + n ** 3)
 
     xs, ys, txs, tys, tzs = (carrier.to_array(carrier.sample(rng, plan.count)) for _ in range(5))
     dxy, dyx, diag = space.pairwise(xs, ys), space.pairwise(ys, xs), space.pairwise(xs, xs)
@@ -744,10 +823,10 @@ def verify_metric_axioms(space: ConeMetricSpace, plan: SamplingPlan | None = Non
         ("d3-triangle", ~cone.contains_relaxed_rows(res), (txs, tys, tzs), res),
     )
     for axiom, bad, forms, residual in checks:
-        for idx in np.flatnonzero(bad):
-            witness = tuple(carrier.from_array(f[idx:idx + 1])[0] for f in forms)
-            violations.append(AxiomViolation(axiom, witness, residual[idx]))
-    return AxiomReport(["d1", "d2", "d3"], violations, 2 * plan.count)
+        rows = np.flatnonzero(bad)
+        if rows.size:
+            groups.append((axiom, tuple(f.take(rows, axis=0) for f in forms), residual.take(rows, axis=0)))
+    return AxiomReport(["d1", "d2", "d3"], AxiomViolations(carrier.from_array, groups), 2 * plan.count)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ dyadic tables verify exactly, with no division in the comparison path.
 from __future__ import annotations
 
 import math
-import operator
 import struct
 import sys
 from collections.abc import Callable, Sequence
@@ -43,7 +42,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .cone_space import ConeMetricSpace, ConeSpec, ConfigError, DomainError, all_last, any_last, table_take
+from .cone_space import (ConeMetricSpace, ConeSpec, ConfigError, DomainError, LazyRows, all_last, any_last,
+                         table_take)
 
 TB = "TB"
 TK = "TK"
@@ -276,7 +276,7 @@ class ConditionViolation:
     residual: np.ndarray
 
 
-class Violations(Sequence):
+class Violations(LazyRows):
     """The violations of a condition check as a read-only sequence.  It
     keeps only the violating rows: the pairs' points in array form and
     their lhs, rhs and residual rows.  A ``ConditionViolation`` is built
@@ -290,20 +290,6 @@ class Violations(Sequence):
 
     def __len__(self) -> int:
         return len(self._rows[0])
-
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            return self._build(key)
-        n, i = len(self), operator.index(key)
-        if not -n <= i < n:
-            raise IndexError("violation index out of range")
-        return self._build(slice(i % n, i % n + 1))[0]
-
-    def __iter__(self):
-        return iter(self._build(slice(None)))
-
-    def __repr__(self) -> str:
-        return f"Violations({len(self)} rows)"
 
     def _build(self, rows: slice) -> list[ConditionViolation]:
         xs, ys, lhs, rhs, res = (a[rows] for a in self._rows)

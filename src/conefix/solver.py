@@ -14,9 +14,10 @@ tests; a trace is its row of the kept records.
 call and the merge ``_uniqueness_verdict``, which ``solve`` shares.  The
 merge tests every limit against the first with one
 ``ConeMetricSpace.pairwise`` call, and pairs all limits in a second one
-only when some limit lies apart; the certification of its
-representatives and the Cauchy tail each take their distances from one
-``pairwise`` call.  ``diagnose_T`` decides T's hypotheses by family.
+only when some limit lies apart (merged over rows of bits held as Python
+ints); the certification of its representatives and the Cauchy tail
+each take their distances from one ``pairwise`` call.  ``diagnose_T``
+decides T's hypotheses by family.
 """
 
 from __future__ import annotations
@@ -468,17 +469,36 @@ def _uniqueness_verdict(space: ConeMetricSpace, maps: MapPair, traces: list[Iter
     k = len(zs)
     a, b = np.tril_indices(k, -1)
     apart = np.zeros((k, k), dtype=bool)
-    apart[a, b] = space.cone.norm_rows(space.pairwise(zs[a], zs[b])) > tol
-    chosen: list[int] = []
-    for z in range(k):
-        if apart[z, chosen].all():
-            chosen.append(z)
-    reps = [traces[z].last for z in chosen]
+    apart[a, b] = space.cone.norm_rows(space.pairwise(zs.take(a, axis=0), zs.take(b, axis=0))) > tol
+    chosen = _representatives(apart)
+    zs = zs.take(chosen, axis=0)
+    if isinstance(maps.S, IdentityMap):     # each run's last point is its start object (``last``)
+        reps = [traces[z].start for z in chosen]
+    else:
+        reps = space.carrier.from_array(zs)
 
-    certified = _certified(space, maps, reps, zs[chosen], rule.epsilon)
+    certified = _certified(space, maps, reps, zs, rule.epsilon)
     if len(certified) >= 2:
         return UniquenessVerdict(NON_UNIQUE, None, certified, traces)
     return UniquenessVerdict(UNKNOWN, None, certified, traces)
+
+
+def _representatives(apart: np.ndarray) -> list[int]:
+    """The greedy merge of k limits in order: limit z becomes a
+    representative when ``apart[z, r]`` holds for every earlier
+    representative r (else it joins the first one it does not lie apart
+    from).  Row z is packed into one Python int, bit r set where
+    ``apart[z, r]``, so each limit is tested against all representatives
+    with one ``&``."""
+    k = len(apart)
+    width = (k + 7) // 8
+    packed = np.packbits(apart, axis=1, bitorder="little").tobytes()
+    chosen, mask = [], 0
+    for z in range(k):
+        if int.from_bytes(packed[z * width:(z + 1) * width], "little") & mask == mask:
+            chosen.append(z)
+            mask |= 1 << z
+    return chosen
 
 
 def _certified(space: ConeMetricSpace, maps: MapPair, points: list, zs: np.ndarray,

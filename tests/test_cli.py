@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -1249,6 +1249,73 @@ _REPORTS = st.recursive(_LEAVES, lambda inner: st.one_of(
 @given(obj=_REPORTS)
 def test_report_writer_equals_json_dumps_of_plain(obj):
     assert cli._dump_json(obj, None) == json.dumps(cli._plain(obj), sort_keys=True, indent=2) + "\n"
+
+
+# Lists of dicts, as the record template sees them: each key takes one
+# column strategy, so its values share a kind in every record.  The
+# columns cover what the template writes (finite floats, ints, strings,
+# float vectors of one length) and what it must leave to the walk: NaN and
+# +-inf, bools and None, numpy scalars (whose %r is "np.float64(...)"),
+# float32 arrays, and vectors of unequal length.  A record may carry an
+# extra key, str or int.
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_EDGE_FLOATS = st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, -1e308, 2.0 ** 53 + 1, 1e16])
+
+
+def _vectors(n):
+    floats = st.lists(_FINITE | _EDGE_FLOATS, min_size=n, max_size=n)
+    return st.one_of(floats, floats.map(tuple), floats.map(np.array),
+                     st.lists(st.floats(), min_size=n, max_size=n).map(np.array),
+                     st.lists(st.floats(width=32), min_size=n, max_size=n).map(lambda v: np.array(v, np.float32)))
+
+
+_COLUMNS = st.one_of(
+    st.sampled_from([
+        _FINITE, _EDGE_FLOATS, st.floats(), st.integers(-2 ** 70, 2 ** 70),
+        st.integers(2 ** 53, 2 ** 53 + 3), st.booleans(), st.none(), st.none() | _FINITE,
+        st.text(max_size=6), st.sampled_from(["%s", "%%", "%(a)s", '"q"', "back\\slash", "é€😀", ""]),
+        _FINITE.map(np.float64), st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+        st.lists(_FINITE, max_size=3), st.integers(0, 9) | _FINITE,
+    ]),
+    st.integers(0, 3).map(_vectors),
+)
+
+
+@st.composite
+def _record_lists(draw):
+    keys = draw(st.lists(st.text(max_size=3) | st.sampled_from(["%", "%s", "%%d", '"', "\\", "a\nb"]),
+                         unique=True, max_size=4))
+    columns = {k: draw(_COLUMNS) for k in keys}
+    records = [{k: draw(column) for k, column in columns.items()} for _ in range(draw(st.integers(0, 5)))]
+    if records and draw(st.booleans()):
+        records[draw(st.integers(0, len(records) - 1))][draw(st.sampled_from(["extra", "", 0, -1]))] = 1.5
+    return records if draw(st.booleans()) else tuple(records)
+
+
+@settings(max_examples=500, deadline=None)
+@given(records=_record_lists())
+@example(records=[{"": None, 0: None}, {}])
+@example(records=[{}, {}])
+@example(records=[{"a": [], "b": 1}, {"a": (), "b": 2}])
+@example(records=[{"%": 1.0, '"': "%s", "\\": [1.0, -0.0]}, {"%": 5e-324, '"': "", "\\": np.array([1e308, 2.0])}])
+def test_record_lists_equal_json_dumps_of_plain(records):
+    for obj in (records, {"rows": records, "nested": [records, {"deeper": records}]}):
+        assert cli._dump_json(obj, None) == json.dumps(cli._plain(obj), sort_keys=True, indent=2) + "\n"
+
+
+def test_record_template_writes_trace_rows_and_violations():
+    # the rows of a JSON trace and a verify violation list take the template;
+    # a value of another kind sends the whole list to the walk
+    trace = [{"n": n, "x_n": 0.5 ** n, "gap_vector": [0.25 ** n, 0.5], "gap_norm": 0.5, "cumulative_bound": 1.0}
+             for n in range(3)]
+    violations = [{"x": 0.25, "y": 0.5, "lhs": np.array([0.5, 1.0]), "rhs": np.array([0.25, 0.5]),
+                   "residual": np.array([-0.25, -0.5])}] * 2
+    assert cli._records(trace, "\n") is not None and cli._records(violations, "\n  ") is not None
+    for walked in ([{"a": math.nan}, {"a": 1.0}], [{"a": np.float64(1.0)}, {"a": 1.0}], [{"a": True}, {"a": 1}],
+                   [{"a": None}, {"a": None}], [{}, {}], [{"a": 1}, {"a": 1, "b": 2}], [{0: 1.0}, {0: 2.0}],
+                   [{"a": [1.0]}, {"a": [1.0, 2.0]}], [{"a": np.zeros(2, np.float32)}, {"a": np.zeros(2)}],
+                   [{"a": [1.0, math.inf]}, {"a": [1.0, 2.0]}], [{"a": 1}, {"a": "1"}]):
+        assert cli._records(walked, "\n") is None, walked
 
 
 # ---------------------------------------------------------------------------

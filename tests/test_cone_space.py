@@ -9,16 +9,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from conefix import cone_space
 from conefix.cone_space import (
-    ConeMetricSpace, ConeSpec, ConfigError, DirectionMetric, DomainError, FinitePointsCarrier,
-    FunctionMetric, IntervalCarrier, SamplingPlan, TabulatedMetric, estimate_normal_constant,
-    metric_table_failures, verify_cone_axioms, verify_metric_axioms,
+    AxiomViolation, BoxCarrier, ConeMetricSpace, ConeSpec, ConfigError, DirectionMetric, DomainError,
+    FinitePointsCarrier, FunctionMetric, IntervalCarrier, SamplingPlan, TabulatedMetric, all_last,
+    estimate_normal_constant, metric_table_failures, verify_cone_axioms, verify_metric_axioms,
 )
-from conefix.contractions import pair_columns
+from conefix.contractions import ClassSpec, IdentityMap, MapPair, PairSet, check_condition, pair_columns
 from conefix.oracle import FiniteInstance, finite_from_values
 
 from conftest import fixture_doc
@@ -216,6 +216,38 @@ def test_cone_axioms_match_rank_and_lp_references(rows):
     assert lp.success
     assert ("P1-interior-nonempty" not in found) == (lp.x[-1] > 1e-9)
     assert found <= {"P1-interior-nonempty", "P3-pointed"}
+
+
+# Cones for the P1 witness: integer or dyadic matrices with r <= 5 rows and
+# m <= 4 columns, with zero rows and rows followed by their opposites, and
+# scaled orthants whose zero weights collapse coordinates.
+_p1_entry = st.one_of(st.integers(-3, 3), st.integers(-256, 256).map(lambda k: k / 64))
+_p1_matrix = st.integers(1, 4).flatmap(lambda m: st.lists(st.tuples(
+    st.one_of(st.just([0] * m), st.lists(_p1_entry, min_size=m, max_size=m)), st.booleans()), max_size=5).map(
+    lambda drawn: np.array([r for row, opposite in drawn for r in ([row, [-x for x in row]] if opposite else [row])],
+                           dtype=float).reshape(-1, m)[:5]))
+_p1_cones = st.one_of(
+    _p1_matrix.map(ConeSpec.polyhedral),
+    st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.0]), min_size=1, max_size=4).map(ConeSpec.scaled_orthant),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(cone=_p1_cones)
+@example(cone=ConeSpec.polyhedral([[1.0, 0.0], [-1.0, 1e-3]]))    # a thin wedge: the witness fails, the simplex decides
+@example(cone=ConeSpec.polyhedral([[1.0, 1.0], [-1.0, -1.0]]))   # opposite rows: flat
+@example(cone=ConeSpec.polyhedral(np.zeros((2, 3))))              # zero rows only: the whole space
+@example(cone=ConeSpec.scaled_orthant([2.0, 0.0]))
+def test_p1_verdict_equals_the_simplex(cone):
+    # the float witness only ever proves an interior; where it does not,
+    # the simplex decides, so the verdict is the simplex's on every cone
+    # (run with --hypothesis-show-statistics for how many draws it decided)
+    expected = cone_space._has_interior(cone.exact_rows, cone.dimension)
+    decided = cone.contains(cone_space._interior_witness(cone), "interior")
+    event(f"P1 decided by the witness: {decided}")
+    assert expected or not decided
+    found = {v.axiom for v in verify_cone_axioms(cone).violations}
+    assert ("P1-interior-nonempty" not in found) == expected
 
 
 def test_cone_check_runs_exactly_on_awkward_entries():
@@ -711,6 +743,119 @@ def test_degenerate_ray_cone_still_concludes():
     est = estimate_normal_constant(cone, n=2_000, seed=1)
     assert not est.inconclusive
     assert est.value == 1.0
+
+
+def _eager_metric_violations(space, plan):
+    """The violations of ``verify_metric_axioms`` built one by one, in
+    report order: the reference for the report's lazy view."""
+    rng = plan.rng()
+    carrier, cone = space.carrier, space.cone
+    out = []
+    if carrier.finite and len(carrier.points) ** 3 <= max(plan.count, 2_000_000):
+        pts = list(carrier.points)
+        n = len(pts)
+        indices = np.arange(n)
+        d = space.pairwise(np.repeat(indices, n), np.tile(indices, n)).reshape(n, n, -1)
+        residuals = {
+            "d1-cone": lambda i, j: d[i, j],
+            "d1-separation": lambda i, j: d[i, j],
+            "d1-identity": lambda i: d[i, i],
+            "d2-symmetry": lambda i, j: d[i, j] - d[j, i],
+            "d3-triangle": lambda i, j, k: d[i, k] + d[k, j] - d[i, j],
+        }
+        for axiom, mask in metric_table_failures(d, cone, cone.slack).items():
+            for idx in np.argwhere(mask).tolist():
+                out.append(AxiomViolation(axiom, tuple(pts[i] for i in idx), residuals[axiom](*idx)))
+        return out
+    xs, ys, txs, tys, tzs = (carrier.to_array(carrier.sample(rng, plan.count)) for _ in range(5))
+    dxy, dyx, diag = space.pairwise(xs, ys), space.pairwise(ys, xs), space.pairwise(xs, xs)
+    res = space.pairwise(txs, tzs) + space.pairwise(tzs, tys) - space.pairwise(txs, tys)
+    same = all_last((xs == ys).reshape(len(xs), -1))
+    checks = (
+        ("d1-cone", ~cone.contains_relaxed_rows(dxy), (xs, ys), dxy),
+        ("d1-separation", all_last(dxy == 0.0) & ~same, (xs, ys), dxy),
+        ("d1-identity", ~all_last(diag == 0.0), (xs,), diag),
+        ("d2-symmetry", ~all_last(dxy == dyx), (xs, ys), dxy - dyx),
+        ("d3-triangle", ~cone.contains_relaxed_rows(res), (txs, tys, tzs), res),
+    )
+    for axiom, bad, forms, residual in checks:
+        for idx in np.flatnonzero(bad):
+            out.append(AxiomViolation(axiom, tuple(carrier.from_array(f[idx:idx + 1])[0] for f in forms),
+                                      residual[idx]))
+    return out
+
+
+def _bits(v):
+    """A violation as exact data: its axiom, each witness point's type and
+    bytes, and the residual's dtype, shape and bytes (None stays None)."""
+    def exact(a):
+        return None if a is None else (type(a).__name__, np.asarray(a).dtype.str, np.shape(a), np.asarray(a).tobytes())
+
+    return v.axiom, tuple(map(exact, v.witness)), exact(v.residual)
+
+
+def _lopsided(x, y):
+    """Not a cone metric on [-1, 1]: asymmetric, nonzero at x = y > 0.5, and
+    outside the orthant where x < y."""
+    return np.array([x - y + 0.25 * (x > 0.5), abs(x - y)])
+
+
+_ORTHANT = ConeSpec.orthant(2)
+# Spaces with many violations of several axioms: a direction u = (1, -1)
+# outside the orthant (d1-cone at every pair of distinct points, d3 at every
+# strict triangle), a broken function metric, and sampled pairs (interval,
+# box, 130 points) or a scanned table (10 or 12 points).
+MANY_VIOLATIONS = {
+    "interval-direction": ConeMetricSpace(_ORTHANT, IntervalCarrier(-1.0, 1.0), DirectionMetric([1.0, -1.0])),
+    "interval-function": ConeMetricSpace(_ORTHANT, IntervalCarrier(-1.0, 1.0), FunctionMetric(_lopsided)),
+    "box-direction": ConeMetricSpace(_ORTHANT, BoxCarrier([0.0, -1.0], [1.0, 1.0]),
+                                     DirectionMetric([1.0, -1.0], rho="euclidean")),
+    "finite-table": ConeMetricSpace(_ORTHANT, FinitePointsCarrier([0, 1, 0.1, 0.7, 1 / 3, 2.2, 13.1, -1.9, -0.45, 8.8]),
+                                    DirectionMetric([1.0, -1.0])),
+    "finite-table-function": ConeMetricSpace(_ORTHANT, FinitePointsCarrier([x / 4 for x in range(-4, 8)]),
+                                             FunctionMetric(_lopsided)),
+    "finite-sampled": ConeMetricSpace(_ORTHANT, FinitePointsCarrier(list(range(130))), DirectionMetric([1.0, -1.0])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MANY_VIOLATIONS))
+def test_lazy_axiom_violations_equal_the_eager_list(name):
+    space = MANY_VIOLATIONS[name]
+    plan = SamplingPlan(count=400, seed=2)
+    view, eager = verify_metric_axioms(space, plan).violations, _eager_metric_violations(space, plan)
+    assert len(view) == len(eager) > 100 and len({v.axiom for v in eager}) >= 2
+    assert list(map(_bits, view)) == list(map(_bits, eager))
+    if space.carrier.finite:        # the witnesses are the carrier's own point objects
+        assert all(p is q for got, want in zip(view, eager) for p, q in zip(got.witness, want.witness))
+
+
+def _condition_violations():
+    space = ConeMetricSpace(_ORTHANT, IntervalCarrier(0.0, 1.0), DirectionMetric([1.0, 2.0]))
+    pairs = PairSet.of(space, [(x / 16, y / 16) for x in range(17) for y in range(17)])
+    return check_condition(space, MapPair(IdentityMap(), IdentityMap()), ClassSpec.tb(0.5), pairs).violations
+
+
+@pytest.mark.parametrize("views", ["axiom", "condition"])
+def test_lazy_views_index_as_lists_do(views):
+    # AxiomViolations (several axioms) and Violations read like the list of
+    # their entries: by index, negative index, any slice, and IndexError
+    if views == "axiom":
+        view, key = verify_metric_axioms(MANY_VIOLATIONS["interval-function"], SamplingPlan(300, 1)).violations, _bits
+        assert len({v.axiom for v in view}) >= 3
+    else:
+        view = _condition_violations()
+        key = lambda v: (v.x, v.y, v.lhs.tobytes(), v.rhs.tobytes(), v.residual.tobytes())   # noqa: E731
+    entries, n = list(view), len(view)
+    assert n == len(entries) > 50 and bool(view)
+    assert [key(view[i]) for i in range(-n, n)] == [key(entries[i]) for i in range(-n, n)]
+    for part in (slice(None, 50), slice(None, None, -1), slice(3, -2, 3), slice(-5, None), slice(n + 5, None),
+                 slice(None, None, 7), slice(None, None, -2), slice(5, 2), slice(-1, -n - 1, -3), slice(1, n - 1, n)):
+        assert list(map(key, view[part])) == list(map(key, entries[part])), part
+    for bad in (n, -n - 1):
+        with pytest.raises(IndexError):
+            view[bad]
+    with pytest.raises(TypeError):
+        view[1.0]
 
 
 # ---------------------------------------------------------------------------

@@ -974,6 +974,43 @@ def test_merge_equals_the_greedy_merge_over_all_pairs(case):
     assert type(got.fixed_point) is type(point)
 
 
+def _loop_representatives(apart):
+    """The greedy merge read off the apart matrix one row at a time."""
+    chosen = []
+    for z in range(len(apart)):
+        if apart[z, chosen].all():
+            chosen.append(z)
+    return chosen
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(1, 300), density=st.sampled_from([0.0, 0.05, 0.5, 0.95, 0.999, 1.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(k=256, density=1.0, seed=0)        # all apart: every limit is a representative
+@example(k=9, density=0.0, seed=0)          # none apart: limit 0 alone
+def test_packed_merge_equals_the_row_loop(k, density, seed):
+    apart = np.random.default_rng(seed).random((k, k)) < density
+    assert solver._representatives(apart) == _loop_representatives(apart)
+
+
+@pytest.mark.parametrize("carrier", ["interval", "finite"])
+def test_all_apart_merge_of_256_limits(carrier):
+    # every start 0, 1, ..., 255 is a fixed point: 256 representatives, all certified
+    points = list(range(256))
+    if carrier == "interval":       # identity S: a representative is its start object, here an int
+        space = ConeMetricSpace(ConeSpec.orthant(2), IntervalCarrier(0.0, 255.0), DirectionMetric([1.0, 2.0]))
+        maps = MapPair(IdentityMap(), IdentityMap())
+    else:                           # a tabulated S: representatives come from the carrier's array form
+        space = ConeMetricSpace(ConeSpec.orthant(2), FinitePointsCarrier(points), DirectionMetric([1.0, 2.0]))
+        maps = MapPair(IdentityMap(), TabulatedMap(points, points))
+    starts, rule = points, StoppingRule()
+    runs = _picard_runs(space, maps, starts, rule)
+    got = _uniqueness_verdict(space, maps, runs, rule)
+    verdict, point, witnesses = _greedy_merge(space, maps, runs, rule)
+    assert got.verdict == verdict == NON_UNIQUE and len(got.witnesses) == 256
+    assert repr(got.witnesses) == repr(witnesses) and list(map(type, got.witnesses)) == list(map(type, witnesses))
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
