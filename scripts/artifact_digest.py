@@ -11,10 +11,13 @@ of its message) and the sha256 of the artifact written with ``--out``, of
 stdout and of stderr.  One more line per file hashes the ``repr`` of what the API
 returns, which no CLI artifact shows in full:
 
-* ``probe``: ``uniqueness_probe`` from the start points ``solve`` probes
-  (the verdict, the certified points, and each run's stop reason, length,
-  points and T-images, then its points, T-images, gap vectors and gap
-  norms as plain numbers, floats as their shortest repr);
+* ``probe``: ``uniqueness_probe`` from the start points ``solve`` probes,
+  and again from 64 seeded draws (``carrier.sample`` with seed 0: carrier
+  points on a finite carrier, uniform draws in [lo, hi] as Python floats
+  on an interval, rows on a box), a batch wider than the engine's block
+  rows (the verdict, the certified points, and each run's stop reason,
+  length, points and T-images, then its points, T-images, gap vectors and
+  gap norms as plain numbers, floats as their shortest repr);
 * ``diagnose``: ``diagnose_T``'s report (each of T's four verdicts, the
   rule that decided it, and the injectivity violations);
 * ``condition``: ``check_condition`` of the file's class over the pairs
@@ -47,6 +50,8 @@ import io
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from conefix import cli, cone_space, contractions, oracle, solver
 
@@ -81,13 +86,19 @@ def digest(path: str, command: str, extra: tuple) -> str:
             f"stdout={_sha(out.getvalue().encode())} stderr={_sha(err.getvalue().encode())}")
 
 
-def _api_probe(inst) -> tuple:
-    starts = solver.solve_starts(inst.space.carrier, inst.run.x0)
+def _probe(inst, starts: list) -> tuple:
     rule = solver.StoppingRule(epsilon=inst.run.epsilon, max_iter=inst.run.max_iter)
     v = solver.uniqueness_probe(inst.space, inst.maps, starts, rule)
     return v.verdict, v.fixed_point, v.witnesses, [
         (t.stop_reason, t.n_final, t.x_sequence, t.t_images,
          cli._plain([t.x_sequence, t.t_images, t.t_image_gaps, t.gap_norms])) for t in v.traces]
+
+
+def _api_probe(inst) -> tuple:
+    carrier = inst.space.carrier
+    drawn = carrier.sample(np.random.default_rng(0), 64)
+    drawn = drawn.tolist() if isinstance(carrier, cone_space.IntervalCarrier) else list(drawn)
+    return _probe(inst, solver.solve_starts(carrier, inst.run.x0)), _probe(inst, drawn)
 
 
 def _api_diagnose(inst) -> tuple:

@@ -544,53 +544,89 @@ def _json(value, nl: str, out: list[str]) -> None:
         out.append(int.__repr__(int(value)))
     elif isinstance(value, np.floating):
         _json(float(value), nl, out)
+    elif kind is Columns:
+        text = _columns(value.columns, nl)
+        if text is None:
+            _json(value.records(), nl, out)
+        else:
+            out.append(text)
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _records(records, nl: str) -> str | None:
-    """The text ``_json`` writes for a list of dicts, through one ``%``
-    template built for the whole list, or None when the template does not
-    apply and each value must be walked.  It applies when the dicts share
-    one nonempty set of ``str`` keys and each key holds one kind of value
-    in every record: finite floats (``%r`` is ``float.__repr__``), ints
-    that are not bools, strings, or flat vectors of finite floats of one
-    length (lists, tuples or 1-D float64 arrays).  Every other value
-    (None, a bool, a numpy scalar, a non-finite float, a nested list or
-    dict) is left to the walk."""
+    """The text ``_json`` writes for a list of dicts, through ``_columns``,
+    when the dicts share one nonempty set of ``str`` keys; else None, and
+    each value must be walked."""
     keys = records[0].keys()
     if not keys or not all(type(k) is str for k in keys) or not all(
             type(r) is dict and r.keys() == keys for r in records):
         return None
+    return _columns({key: [r[key] for r in records] for key in keys}, nl)
+
+
+@dataclass
+class Columns:
+    """A nonempty list of records given by columns: record i holds
+    ``columns[key][i]`` under each key.  A column is a list, or a 2-D
+    float64 array whose rows are the records' vectors.  ``_json`` writes it
+    as the list of the records."""
+
+    columns: dict
+
+    def records(self) -> list[dict]:
+        keys = list(self.columns)
+        return [dict(zip(keys, row)) for row in zip(*(self.columns[key] for key in keys))]
+
+
+def _vector_field(size: int, nl: str) -> str:
+    """The template field of a vector of ``size`` floats starting on ``nl``."""
+    element = "," + nl + "  "
+    return "[" + element[1:] + element.join(["%r"] * size) + nl + "]" if size else "[]"
+
+
+def _columns(columns: dict, nl: str) -> str | None:
+    """The text ``_json`` writes for the nonempty list of records whose
+    values are the ``str``-keyed ``columns`` (as ``Columns`` holds them),
+    through one ``%`` template built for the whole list, or None when the
+    template does not apply and each value must be walked.  It applies
+    when each column holds one kind of value: finite floats (``%r`` is
+    ``float.__repr__``), ints that are not bools, strings, or flat vectors
+    of finite floats of one length (lists, tuples, 1-D float64 arrays, or
+    the rows of a 2-D float64 array).  Every other value (None, a bool, a
+    numpy scalar, a non-finite float, a nested list or dict) is left to the
+    walk."""
     inner, deep = nl + "  ", nl + "    "
-    fields, columns, floats = [], [], []     # floats: every float the template writes, to test finiteness
-    for key in sorted(keys):
-        column = [r[key] for r in records]
-        kinds = set(map(type, column))
-        if kinds == {str}:
-            field, cols = "%s", [list(map(_ascii, column))]
-        elif kinds == {int}:
-            field, cols = "%d", [column]
-        elif kinds == {float}:
-            field, cols = "%r", [column]
-            floats.append(column)
-        else:
-            vectors = [v.tolist() if type(v) is np.ndarray and v.dtype == np.float64 and v.ndim == 1 else v
-                       for v in column]
-            if not all(type(v) is list or type(v) is tuple for v in vectors) or len(set(map(len, vectors))) > 1:
+    fields, cells, floats = [], [], []     # floats: every float the template writes, to test finiteness
+    for key in sorted(columns):
+        column = columns[key]
+        if type(column) is np.ndarray:
+            if column.dtype != np.float64 or column.ndim != 2 or not np.isfinite(column).all():
                 return None
-            size = len(vectors[0])
-            element = "," + deep + "  "
-            field = "[" + element[1:] + element.join(["%r"] * size) + deep + "]" if size else "[]"
-            cols = list(zip(*vectors))
-            floats.extend(cols)
+            cols, field = column.T.tolist(), _vector_field(column.shape[1], deep)
+        else:
+            kinds = set(map(type, column))
+            if kinds == {str}:
+                field, cols = "%s", [list(map(_ascii, column))]
+            elif kinds == {int}:
+                field, cols = "%d", [column]
+            elif kinds == {float}:
+                field, cols = "%r", [column]
+                floats.append(column)
+            else:
+                vectors = [v.tolist() if type(v) is np.ndarray and v.dtype == np.float64 and v.ndim == 1 else v
+                           for v in column]
+                if not all(type(v) is list or type(v) is tuple for v in vectors) or len(set(map(len, vectors))) > 1:
+                    return None
+                cols, field = list(zip(*vectors)), _vector_field(len(vectors[0]), deep)
+                floats.extend(cols)
         fields.append(_ascii(key).replace("%", "%%") + ": " + field)
-        columns.extend(cols)
+        cells.extend(cols)
     every = list(chain.from_iterable(floats))
     if set(map(type, every)) - {float} or not all(map(math.isfinite, every)):
         return None
     template = "{" + deep + ("," + deep).join(fields) + inner + "}"
-    rows = zip(*columns) if columns else repeat((), len(records))      # empty vectors only: no arguments
+    rows = zip(*cells) if cells else repeat((), len(column))       # empty vectors only: no arguments
     return "[" + inner + ("," + inner).join(map(template.__mod__, rows)) + nl + "]"
 
 
@@ -634,18 +670,17 @@ def emit_trace(
     """
     if not len(trace.norms):
         raise ConfigError("refusing to emit an empty trace")
-    xs, gaps, norms = trace.x_sequence, trace.gaps.tolist(), trace.norms.tolist()
-    bounds = [K * h ** n * norms[0] for n in range(len(gaps))]
+    xs, norms = trace.x_sequence, trace.norms.tolist()
+    bounds = [K * h ** n * norms[0] for n in range(len(norms))]
     if fmt == "csv":
         row = "%d,%s," + ";".join(["%.17g"] * trace.gaps.shape[1]) + ",%.17g,%.17g"
+        gaps = trace.gaps.tolist()
         text = "\n".join(["n,x_n,gap_vector,gap_norm,cumulative_bound"] + [
             row % (n, _point_cell(xs[n]), *gap, norms[n], bounds[n]) for n, gap in enumerate(gaps)]) + "\n"
-    elif fmt == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION, "h": h, "K": K, "stop_reason": trace.stop_reason,
-            "rows": [dict(n=n, x_n=xs[n], gap_vector=gap, gap_norm=norms[n], cumulative_bound=bounds[n])
-                     for n, gap in enumerate(gaps)],
-        }
+    elif fmt == "json":     # the rows go to the record template as the trace's columns
+        rows = Columns({"n": list(range(len(norms))), "x_n": xs[:len(norms)], "gap_vector": trace.gaps,
+                        "gap_norm": norms, "cumulative_bound": bounds})
+        payload = {"schema_version": SCHEMA_VERSION, "h": h, "K": K, "stop_reason": trace.stop_reason, "rows": rows}
         text = _dump_json(payload, None)        # a non-finite number is written as a string
     else:
         raise ConfigError(f"unknown trace format {fmt!r}")

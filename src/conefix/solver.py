@@ -6,10 +6,12 @@ the Cauchy tail bound are all measured on these vectors, so the stopping
 rule is well defined on any carrier.
 
 Every check is an array pass over the carrier's array form of its points
-(see ``cone_space``).  One engine, ``_picard_runs``, runs every start
-together, step-major, in blocks of steps when the batch is narrow (a block
-that fails is replayed step by step), and decides the stops with array
-tests; a trace is its row of the kept records.
+(see ``cone_space``).  One engine, ``_picard_runs``, checks every start
+in one array pass (or, where that pass does not apply, start by start),
+runs them together, step-major, in blocks of steps from step 0 when the
+batch is narrow (a block that fails is replayed step by step) and one
+step at a time when it is wide, and decides the stops with array tests;
+a trace is its row of the kept records.
 ``picard_iterate`` is its one-row case; ``uniqueness_probe`` is one engine
 call and the merge ``_uniqueness_verdict``, which ``solve`` shares.  The
 merge tests every limit against the first with one
@@ -165,9 +167,38 @@ def _first_failure(space, maps, xs, ts, step) -> tuple[int, Exception] | None:
 # every STEP_CHUNK records, so a kept record costs its data, not five small arrays (about 0.5 KB).
 STEP_CHUNK = 512
 
-# Block stepping (``_picard_runs``): after BLOCK_AFTER single steps, a batch of at most BLOCK_ROWS rows
-# steps in blocks of BLOCK_MIN steps, doubling up to BLOCK_CELLS (step, row) cells.
-BLOCK_AFTER, BLOCK_MIN, BLOCK_ROWS, BLOCK_CELLS = 16, 8, 16, 256
+# Block stepping (``_picard_runs``): a batch of at most BLOCK_ROWS rows steps in blocks from step 0,
+# of BLOCK_MIN steps first, doubling up to BLOCK_CELLS (step, row) cells; a wider batch steps one by one.
+BLOCK_MIN, BLOCK_ROWS, BLOCK_CELLS = 8, 16, 256
+
+
+def _start_arrays(space: ConeMetricSpace, maps: MapPair, T, starts: list) -> tuple | None:
+    """The starts and their T-images in the carrier's array form, and the
+    T-images as objects, from one array pass (T's array form ``T``, or the
+    identity, which gives each start itself), when that pass is sure to
+    find what ``require_point`` and ``maps.T`` find start by start: no
+    failure, and T-images of the types ``maps.T`` gives.  None where it is
+    not: on a box, for a start of a type ``contains`` may refuse (on an
+    interval, anything but an int or a float), and where a start or a
+    T-image lies outside the carrier or the array form raises."""
+    carrier, identity = space.carrier, isinstance(maps.T, IdentityMap)
+    if isinstance(carrier, BoxCarrier) or not (identity or T):
+        return None
+    if not carrier.finite and not set(map(type, starts)) <= {int, float}:
+        return None
+    try:
+        with np.errstate(all="ignore"):
+            xs = carrier.to_array(starts)
+            if not carrier.mask(xs).all():
+                return None
+            if identity:
+                return xs, xs, starts
+            ts = T(xs)
+            if not carrier.mask(ts).all():
+                return None
+    except Exception:           # the scalar loop raises the first failing start's own error
+        return None
+    return xs, ts, carrier.from_array(ts)
 
 
 def _picard_runs(space: ConeMetricSpace, maps: MapPair, starts: list,
@@ -178,116 +209,136 @@ def _picard_runs(space: ConeMetricSpace, maps: MapPair, starts: list,
     error raised is the one running the starts one after another would
     raise first: that of the lowest-index failing start, at its own step.
 
-    The loop advances n steps at a time: the active rows apply S and T n
-    times, and the carrier mask, one ``pairwise`` and one ``norm_rows`` call
-    and the stop tests then run once over the n x k block.  A row stops at
-    its first converged step, the max_iter step or its first repeat, in
-    that order at a tie, and keeps its cells up to its stop, step-major, in
-    one record of arrays (rows, S-images, T-images, gaps and gap norms), so
-    no statement runs per row; each trace takes its row of the records.  n
-    is 1 for the first BLOCK_AFTER steps, for more than BLOCK_ROWS rows and
-    for a map or metric without an array form.  A block that raises, or
-    has an image outside the carrier (a tabulated map's -1 wraps around),
-    keeps nothing and is replayed one step at a time, which finds and
-    names a failure at its own step."""
+    The starts are checked in one array pass (``_start_arrays``), whose
+    arrays feed step 0; where that pass does not apply, each start and its
+    T-image are checked in turn, which names the first failing start.
+    A batch of more than BLOCK_ROWS rows, or with a map or metric without
+    an array form, advances one step at a time.  A narrower batch advances
+    n steps at a time from step 0: the active rows apply S and T n times,
+    and the carrier mask, one ``pairwise`` and one ``norm_rows`` call and
+    the stop tests then run once over the n x k block.  A row stops at its
+    first converged step, the max_iter step or its first repeat, in that
+    order at a tie, and keeps its cells up to its stop, step-major, in one
+    record of arrays (rows, S-images, T-images, gaps and gap norms), so no
+    statement runs per row; each trace takes its row of the records.  A
+    block that raises, or has an image outside the carrier (a tabulated
+    map's -1 wraps around), keeps nothing and is replayed one step at a
+    time, which finds and names a failure at its own step."""
     carrier = space.carrier
     S, T = _array_form(space, maps.S), _array_form(space, maps.T)
     narrow = BLOCK_ROWS if S and T and not isinstance(space.metric, FunctionMetric) else 0
+    failure, checked = None, _start_arrays(space, maps, T, starts)
+    if checked is None:
+        t0 = []
+        for row, x0 in enumerate(starts):
+            try:
+                space.require_point(x0, "start point")
+                t0.append(space.require_point(maps.T(x0), "T-image"))
+            except Exception as exc:
+                failure = (row, exc)
+                break
+        xs, ts = carrier.to_array(starts[:len(t0)]), carrier.to_array(t0)
+    else:
+        xs, ts, t0 = checked
     S, T = S or _array_map(space, maps.S), T or _array_map(space, maps.T)
-    failure = None
-    t0 = []
-    for row, x0 in enumerate(starts):
-        try:
-            space.require_point(x0, "start point")
-            t0.append(space.require_point(maps.T(x0), "T-image"))
-        except Exception as exc:
-            failure = (row, exc)
-            break
-    k = len(t0)
-    ids = np.arange(k)
+    ids = np.arange(len(t0))
     rowkeys = ids * 1j                          # each row's part of its visits' keys
-    xs, ts = carrier.to_array(starts[:k]), carrier.to_array(t0)
     seen = set(_visits(rowkeys, xs))            # (row, point) for every point a run visited
-    reasons = np.full(k, None, dtype=object)
+    reasons = np.full(len(t0), None, dtype=object)
     steps, recent = [], []                      # (rows, S-images, T-images, gaps, gap norms)
     pairwise, norm_rows, mask, count = space.pairwise, space.cone.norm_rows, carrier.mask, np.count_nonzero
     eps, max_iter, step = rule.epsilon, rule.max_iter, 0
-    grown, single = BLOCK_MIN // 2, BLOCK_AFTER     # the last block's size; steps before `single` go one by one
+    grown, single = BLOCK_MIN // 2, 0           # the last block's size; steps before `single` go one by one
     with np.errstate(all="ignore"):
         while ids.size:
-            n = 1
-            if step >= single and len(ids) <= narrow:
-                n = min(2 * grown, BLOCK_CELLS // len(ids), max_iter + 1 - step)
-                n, grown = (n, n) if n >= BLOCK_MIN else (1, grown)
-            try:
-                ys = S(xs)
-                tys = T(ys)
-                if n > 1:               # the block's cells, step-major
-                    ylist, tlist = [ys], [tys]
+            if len(ids) > narrow or step < single:      # one step: a wide batch, or a failed block's replay
+                try:
+                    ys = S(xs)
+                    tys = T(ys)
+                    inside = mask(ys) if tys is ys else mask(ys) & mask(tys)
+                    if count(inside) < len(inside):
+                        raise DomainError("an image lies outside the carrier")
+                    gaps = pairwise(ts, tys)
+                    norms = norm_rows(gaps)
+                except Exception as exc:
+                    found = _first_failure(space, maps, xs, ts, step)
+                    if found is None:
+                        raise exc
+                    row, error = found
+                    failure = (int(ids[row]), error)
+                    ids, rowkeys, xs, ts = ids[:row], rowkeys[:row], xs[:row], ts[:row]
+                    continue
+                recent.append((ids, ys, tys, gaps, norms))
+                xs, ts = ys, tys
+                done = norms <= eps     # a NaN norm is not converged
+                if count(done):
+                    reasons[ids[done]] = CONVERGED
+                    going = ~done
+                    ids, rowkeys, xs, ts = ids[going], rowkeys[going], xs[going], ts[going]
+                if step >= max_iter:    # a run stopped by max_iter keeps no new point
+                    reasons[ids] = MAX_ITER
+                    break
+                visits = _visits(rowkeys, xs)
+                if not seen.isdisjoint(visits):     # S is deterministic: a repeat is a cycle
+                    cycled = np.fromiter(map(seen.__contains__, visits), bool, len(visits))
+                    reasons[ids[cycled]] = CYCLE_DETECTED
+                    going = ~cycled
+                    ids, rowkeys, xs, ts = ids[going], rowkeys[going], xs[going], ts[going]
+                seen.update(visits)
+                step += 1
+            else:                       # a block of n steps
+                k = len(ids)
+                n = grown = min(2 * grown, BLOCK_CELLS // k, max_iter + 1 - step)
+                try:                    # the block's cells, step-major
+                    ylist = [S(xs)]
+                    tlist = [T(ylist[0])]
                     for _ in range(n - 1):
                         ylist.append(S(ylist[-1]))
                         tlist.append(T(ylist[-1]))
-                    ends = ylist[-1], tlist[-1]
                     ys = np.concatenate(ylist)
                     tys = ys if tlist[0] is ylist[0] else np.concatenate(tlist)
-                    prev = np.concatenate([ts, tys[:-len(ids)]])
-                inside = mask(ys) if tys is ys else mask(ys) & mask(tys)
-                if count(inside) < len(inside):
-                    raise DomainError("an image lies outside the carrier")
-                gaps = pairwise(ts if n == 1 else prev, tys)
-                norms = norm_rows(gaps)
-            except Exception as exc:
-                if n > 1:               # replay the block one step at a time
+                    inside = mask(ys) if tys is ys else mask(ys) & mask(tys)
+                    if count(inside) < len(inside):
+                        raise DomainError("an image lies outside the carrier")
+                    gaps = pairwise(np.concatenate([ts, tys[:-k]]), tys)
+                    norms = norm_rows(gaps)
+                except Exception:       # replay the block one step at a time
                     single = step + n
                     continue
-                found = _first_failure(space, maps, xs, ts, step)
-                if found is None:
-                    raise exc
-                row, error = found
-                failure = (int(ids[row]), error)
-                ids, rowkeys, xs, ts = ids[:row], rowkeys[:row], xs[:row], ts[:row]
-                continue
-            rows, keys = (ids, rowkeys) if n == 1 else (np.tile(ids, n), np.tile(rowkeys, n))
-            done = norms <= eps         # a NaN norm is not converged
-            converged = count(done)
-            live = ~done if converged else slice(None)      # a converged cell's visit decides nothing
-            visits = _visits(keys[live], ys[live]) if converged else _visits(keys, ys)
-            # S is deterministic: a repeat of an earlier visit, before or in the block, is a cycle
-            repeats = None if seen.isdisjoint(visits) else np.fromiter(map(seen.__contains__, visits), bool)
-            seen.update(visits)
-            if n > 1 and len(set(visits)) < len(visits):
-                first = dict(zip(visits[::-1], range(len(visits) - 1, -1, -1)))
-                again = np.fromiter(map(first.__getitem__, visits), np.intp) != np.arange(len(visits))
-                repeats = again if repeats is None else again | repeats
-            last = step + n > max_iter  # the block ends on the max_iter step, which keeps no new point
-            xs, ts = (ys, tys) if n == 1 else ends
-            if repeats is not None or last or converged:
-                k = len(ids)
-                stop, going, reached = done, live, ids      # reached: the rows at the block's last step
-                if repeats is not None or last:
+                rows, done = ids[None].repeat(n, 0).ravel(), norms <= eps       # each step's rows
+                live = ~done            # a converged cell's visit decides nothing
+                visits = _visits(rowkeys[None].repeat(n, 0).ravel()[live], ys[live])
+                # S is deterministic: a repeat of an earlier visit, before or in the block, is a cycle
+                repeats = None if seen.isdisjoint(visits) else np.fromiter(map(seen.__contains__, visits), bool)
+                seen.update(visits)
+                if len(set(visits)) < len(visits):
+                    first = dict(zip(visits[::-1], range(len(visits) - 1, -1, -1)))
+                    again = np.fromiter(map(first.__getitem__, visits), np.intp) != np.arange(len(visits))
+                    repeats = again if repeats is None else again | repeats
+                last = step + n > max_iter      # the block ends on the max_iter step, which keeps no new point
+                xs, ts = ylist[-1], tlist[-1]
+                if repeats is not None or last or count(done):
                     stop = done.copy()
                     if repeats is not None:
                         stop[live] |= repeats
                     if last:
                         stop[-k:] = True
-                    going = ~stop
-                if n > 1:               # a row's cells after its first stop are dropped
+                    # a row's cells after its first stop are dropped
                     ended = np.logical_or.accumulate(stop.reshape(n, k))
                     keep = np.concatenate([np.ones(k, dtype=bool), ~ended[:-1].ravel()])
-                    rows, ys, tys, gaps, norms, stop, done = (
-                        a[keep] for a in (rows, ys, tys, gaps, norms, stop, done))
-                    going, reached = ~ended[-1], ids[~ended[-2]]
-                if repeats is not None:
-                    reasons[rows[stop]] = CYCLE_DETECTED
-                if last:                # at one step, max_iter wins over a cycle, converged over both
-                    reasons[reached] = MAX_ITER
-                reasons[rows[done]] = CONVERGED
-                ids, rowkeys, xs, ts = ids[going], rowkeys[going], xs[going], ts[going]
-            recent.append((rows, ys, tys, gaps, norms))
+                    rows, ys, tys, gaps, norms, stop, done = (a[keep] for a in (rows, ys, tys, gaps, norms, stop, done))
+                    if repeats is not None:
+                        reasons[rows[stop]] = CYCLE_DETECTED
+                    if last:            # the rows that reach the max_iter step: there max_iter wins over
+                        reasons[ids[keep[-k:]]] = MAX_ITER      # a cycle, converged over both
+                    reasons[rows[done]] = CONVERGED
+                    going = ~ended[-1]
+                    ids, rowkeys, xs, ts = ids[going], rowkeys[going], xs[going], ts[going]
+                recent.append((rows, ys, tys, gaps, norms))
+                step += n
             if len(recent) == STEP_CHUNK:
                 steps.append(tuple(map(np.concatenate, zip(*recent))))
                 recent = []
-            step += n
     if failure is not None:
         raise failure[1]
     return _traces(space, maps, starts, t0, reasons.tolist(), steps + recent, rule)

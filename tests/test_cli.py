@@ -1303,6 +1303,39 @@ def test_record_lists_equal_json_dumps_of_plain(records):
         assert cli._dump_json(obj, None) == json.dumps(cli._plain(obj), sort_keys=True, indent=2) + "\n"
 
 
+@st.composite
+def _column_records(draw):
+    """1-5 records as ``cli.Columns`` holds them: per key a list drawn from
+    one ``_COLUMNS`` strategy, or a 2-D array of vectors (float64 with NaN
+    and +-inf, float32, int64; 0-3 wide)."""
+    count = draw(st.integers(1, 5))
+    keys = draw(st.lists(st.text(max_size=3) | st.sampled_from(["%", "%s", '"']), unique=True, min_size=1, max_size=4))
+    columns = {}
+    for key in keys:
+        if draw(st.booleans()):
+            width, dtype = draw(st.integers(0, 3)), draw(st.sampled_from([np.float64, np.float64, np.float32, np.int64]))
+            values = {np.float64: st.floats() | _EDGE_FLOATS, np.float32: st.floats(width=32),
+                      np.int64: st.integers(-9, 9)}[dtype]
+            cells = draw(st.lists(values, min_size=count * width, max_size=count * width))
+            columns[key] = np.array(cells, dtype=dtype).reshape(count, width)
+        else:
+            column = draw(_COLUMNS)
+            columns[key] = [draw(column) for _ in range(count)]
+    return cli.Columns(columns)
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=_column_records())
+@example(rows=cli.Columns({"a": np.array([[1.0, 2.0], [3.0, math.inf]]), "b": [1, 2]}))
+@example(rows=cli.Columns({"v": np.zeros((3, 0)), "w": [[], [], []]}))
+def test_column_records_equal_json_dumps_of_plain(rows):
+    # the columns are written as the list of their records
+    count = len(next(iter(rows.columns.values())))
+    records = [{key: column[i] for key, column in rows.columns.items()} for i in range(count)]
+    want = json.dumps(cli._plain({"rows": records, "n": 1}), sort_keys=True, indent=2) + "\n"
+    assert cli._dump_json({"rows": rows, "n": 1}, None) == want
+
+
 def test_record_template_writes_trace_rows_and_violations():
     # the rows of a JSON trace and a verify violation list take the template;
     # a value of another kind sends the whole list to the walk

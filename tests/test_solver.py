@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conefix import solver
-from conefix.cli import SCHEMA_VERSION, _dump_json, emit_trace, parse_instance
+from conefix.cli import SCHEMA_VERSION, _plain, emit_trace, parse_instance
 from conefix.cone_space import (
     BoxCarrier, ConeMetricSpace, ConeSpec, ConfigError, DirectionMetric, DomainError,
     FinitePointsCarrier, FunctionMetric, IntervalCarrier, TabulatedMetric, point_key,
@@ -474,6 +474,7 @@ def _assert_same_run(trace, reference):
     assert len(trace.x_sequence) == len(pts) and len(trace.t_images) == len(t_images)
     for got, want in zip(trace.x_sequence, pts):
         assert type(got) is type(want) and np.array_equal(got, want)
+    assert type(trace.t_start) is type(t_images[0])
     for got, want in zip(trace.t_images, t_images):
         assert np.array_equal(got, want)
     assert all(type(g) is float for g in trace.gap_norms)
@@ -785,7 +786,8 @@ def _path(a, b) -> dict:
 
 
 def _block_cases() -> list:
-    """Events after step 32, inside blocks (which start at step 16)."""
+    """Events after step 32, inside blocks of 16 steps or more (the blocks
+    of a narrow batch start at step 0 with 8 steps and double)."""
     # x^2 on [0, 1.5]: the first run converges at step 34, and the second
     # leaves the carrier at step 35, in the same block
     escape = (ConeMetricSpace(ConeSpec.orthant(2), IntervalCarrier(0.0, 1.5), DirectionMetric([1.0, 2.0])),
@@ -798,17 +800,17 @@ def _block_cases() -> list:
     overflow = (ConeMetricSpace(ConeSpec.orthant(2), IntervalCarrier(0.0, 1.7976931348623157e308),
                                 DirectionMetric([1.0, 2.0])),
                 MapPair(PowerMap(-1), PowerMap(2)), [1 + 2.0 ** -30, 1 + 2.0 ** -33], StoppingRule())
-    # max_iter 50 ends a block cut to 11 steps.  Start 0 first repeats
-    # point 33 (seen at step 32) at step 37; start 40 repeats point 45
-    # (seen at step 4) at step 39; start 270 repeats point 300 at step 45,
-    # in the last block; the 51-point rotation from 80 repeats at step 50,
+    # max_iter 50 ends a block cut to 27 steps (24-50).  Start 0 first
+    # repeats point 33 (seen at step 32) at step 37; start 40 repeats point
+    # 45 (seen at step 4, in the first block) at step 39; start 270 repeats
+    # point 300 at step 45; the 51-point rotation from 80 repeats at step 50,
     # where max_iter wins; the path from 131 reaches its fixed point at
     # step 50, where converged wins; the path from 182 runs on.
     rho = _path(0, 37) | {37: 33} | _path(40, 79) | {79: 45} | _path(270, 315) | {315: 300}
     stops = _tabulated_case(rho | _path(80, 130) | {130: 80} | _path(131, 181) | _path(182, 260), 316,
                             [0, 40, 80, 131, 182, 270], 50)
     # box carriers: runs that converge at steps 39 and 40, and runs that
-    # max_iter 300 stops at the end of a block cut to 37 steps
+    # max_iter 300 stops at the end of a block cut to 53 steps (248-300)
     box = (_unit_box("euclidean", "euclidean"), MapPair(AffineMap(0.5, 0.25), AffineMap(0.5)),
            [np.array([1.0, 0.5]), np.array([0.2, 0.9]), np.zeros(2)], StoppingRule())
     slow_box = (_unit_box("max", "max"), MapPair(AffineMap(0.5, 0.25), AffineMap(255 / 256)),
@@ -816,23 +818,35 @@ def _block_cases() -> list:
     return [escape, wrap, overflow, stops, box, slow_box]
 
 
-@settings(max_examples=100, deadline=None)
-@given(case=engine_cases())
-@example(case=_block_cases()[0])
-@example(case=_block_cases()[1])
-@example(case=_block_cases()[2])
-@example(case=_block_cases()[3])
-@example(case=_block_cases()[4])
-@example(case=_block_cases()[5])
-@example(case=_rotation_case(60, [7 * k % 60 for k in range(300)], 300))   # 300 cycles of 60 steps
-@example(case=_rotation_case(60, list(range(60)) + [60] + list(range(60)), 300))   # label 60 is outside
-@example(case=_long_rotation_case())
-@example(case=(_unit_interval(), MapPair(IdentityMap(), AffineMap(255 / 256)), [1.0, 0.5, 0.0, 1.0],
-               StoppingRule(max_iter=1300)))    # runs of 1,300 steps stopped by max_iter
-def test_batch_engine_equals_the_per_start_loop(case):
-    # every row as a run of its own start, or, when a start fails, the
-    # error of the first failing start, at its own step
-    space, maps, starts, rule = case
+def _first_block_cases() -> list:
+    """Events inside the first block (steps 0-7), which every narrow batch
+    takes at once."""
+    interval = _unit_interval()
+    # start 0.0 converges at step 0 beside a run of 41 steps
+    beside = (interval, MapPair(IdentityMap(), AffineMap(0.5)), [0.0, 1.0], StoppingRule())
+    # 0.3 -> 0.6 -> 1.2 leaves the carrier at step 1 (0.05 would at step 4)
+    escape = (interval, MapPair(IdentityMap(), AffineMap(2.0)), [0.3, 0.05], StoppingRule())
+    # image 100 is not a point (index -1, which wraps to the last point
+    # inside a block): start 0 reaches it at step 2, beside a fixed start
+    wrap = _tabulated_case({0: 1, 1: 2, 2: 100}, 10, [5, 0])
+    # start 0 first repeats point 1 (seen at step 0) at step 3; the path
+    # from 4 reaches its fixed point 9 and converges at step 5
+    repeat = _tabulated_case({0: 1, 1: 2, 2: 3, 3: 1} | _path(4, 9), 10, [0, 4])
+    # max_iter 5 ends the first block, cut to 6 steps: the path from 0 runs
+    # on, the 6-point rotation from 30 repeats at step 5, where max_iter
+    # wins, and the path from 40 converges at step 5, where converged wins
+    cut = _tabulated_case(_path(0, 20) | _path(30, 35) | {35: 30} | _path(40, 45), 50, [0, 30, 40], 5)
+    # T = 1/x: start 1e20 converges at step 0, and its squares overflow at
+    # step 3 of the block, which is replayed; start 1.5 runs on
+    overflow = (ConeMetricSpace(ConeSpec.orthant(2), IntervalCarrier(0.0, 1.7976931348623157e308),
+                                DirectionMetric([1.0, 2.0])),
+                MapPair(PowerMap(-1), PowerMap(2)), [1e20, 1.5], StoppingRule())
+    return [beside, escape, wrap, repeat, cut, overflow]
+
+
+def _assert_batch_equals_the_per_start_loop(space, maps, starts, rule):
+    """Every row as a run of its own start, or, when a start fails, the
+    error of the first failing start, at its own step."""
     want, first_error, memo = [], None, {}
     for x0 in starts:
         key = (type(x0), point_key(x0))
@@ -856,16 +870,91 @@ def test_batch_engine_equals_the_per_start_loop(case):
         _assert_same_run(trace, reference)
 
 
+@settings(max_examples=100, deadline=None)
+@given(case=engine_cases())
+@example(case=_first_block_cases()[0])
+@example(case=_first_block_cases()[1])
+@example(case=_first_block_cases()[2])
+@example(case=_first_block_cases()[3])
+@example(case=_first_block_cases()[4])
+@example(case=_first_block_cases()[5])
+@example(case=_block_cases()[0])
+@example(case=_block_cases()[1])
+@example(case=_block_cases()[2])
+@example(case=_block_cases()[3])
+@example(case=_block_cases()[4])
+@example(case=_block_cases()[5])
+@example(case=_rotation_case(60, [7 * k % 60 for k in range(300)], 300))   # 300 cycles of 60 steps
+@example(case=_rotation_case(60, list(range(60)) + [60] + list(range(60)), 300))   # label 60 is outside
+@example(case=_long_rotation_case())
+@example(case=(_unit_interval(), MapPair(IdentityMap(), AffineMap(255 / 256)), [1.0, 0.5, 0.0, 1.0],
+               StoppingRule(max_iter=1300)))    # runs of 1,300 steps stopped by max_iter
+def test_batch_engine_equals_the_per_start_loop(case):
+    _assert_batch_equals_the_per_start_loop(*case)
+
+
+@st.composite
+def start_pass_cases(draw):
+    """Valid starts, 1-40 of them (wide batches too), with one more start at
+    a random row that the array pass over the starts must leave to the
+    per-start checks, or must get right to the type of its T-image: a start
+    outside the carrier, one whose T-image is outside it, one where a power
+    T is not finite, a bool, a string or a numpy scalar on an interval, a
+    bool or a missing label on a finite carrier, and an integral float on
+    an integer-labelled finite carrier."""
+    kind = draw(st.sampled_from(["outside", "t_image", "power", "bool", "str", "numpy",
+                                 "finite_bool", "finite_missing", "float_label"]))
+    rule = StoppingRule(max_iter=draw(st.sampled_from([3, 60, 1000])))
+    interval, T = _unit_interval(), draw(st.sampled_from([IdentityMap(), AffineMap(0.5, 0.25)]))
+    pool = st.one_of(st.floats(0.0, 1.0), st.integers(0, 1))
+    if kind == "outside":
+        space, maps = interval, MapPair(T, AffineMap(0.5))
+        odd = draw(st.sampled_from([1.5, -0.25, 2, math.nan, math.inf]))
+    elif kind == "t_image":
+        # T = 2x keeps [0, 0.5] in the carrier; the odd start is in (0.5, 1]
+        space, maps, pool = interval, MapPair(AffineMap(2.0), AffineMap(0.5)), st.floats(0.0, 0.5)
+        odd = draw(st.one_of(st.floats(0.5, 1.0, exclude_min=True), st.just(1)))
+    elif kind == "power":
+        # T = 1/x maps [0.25, 4] into itself and S into [1.125, 3]; 1/0 is not finite
+        space = ConeMetricSpace(ConeSpec.orthant(2), IntervalCarrier(0.0, 4.0), DirectionMetric([1.0, 2.0]))
+        maps, pool, odd = MapPair(PowerMap(-1), AffineMap(0.5, 1.0)), st.floats(0.25, 4.0), draw(st.sampled_from([0.0, 0]))
+    elif kind in ("bool", "str", "numpy"):
+        # a numpy scalar is a carrier point: identity S keeps its type in x_sequence
+        space, maps = interval, MapPair(T, IdentityMap() if kind == "numpy" else AffineMap(0.5))
+        odd = draw({"bool": st.booleans(), "str": st.sampled_from(["0.5", "1"]),
+                    "numpy": st.sampled_from([np.float64(0.5), np.float32(0.25), np.float64(1.0)])}[kind])
+    else:
+        n = draw(st.sampled_from([5, 12]))
+        points = list(range(n))
+        images = [draw(st.integers(0, n - 1)) for _ in points]
+        space = ConeMetricSpace(ConeSpec.orthant(2), FinitePointsCarrier(points), DirectionMetric([1.0, 2.0]))
+        T = IdentityMap() if kind == "float_label" else draw(st.sampled_from([IdentityMap(), TabulatedMap(points, points[::-1])]))
+        maps, pool = MapPair(T, TabulatedMap(points, images)), st.integers(0, n - 1)
+        odd = {"finite_bool": draw(st.booleans()), "finite_missing": n, "float_label": float(draw(st.integers(0, n - 1)))}[kind]
+    starts = draw(st.lists(pool, min_size=0, max_size=39))
+    row = draw(st.integers(0, len(starts)))
+    return space, maps, starts[:row] + [odd] + starts[row:], rule
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=start_pass_cases())
+def test_start_pass_equals_the_per_start_checks(case):
+    _assert_batch_equals_the_per_start_loop(*case)
+
+
 def test_a_long_lone_run_steps_in_blocks():
-    # 1,500 steps to max_iter take one carrier mask per single step or
-    # block: 16 single steps, then blocks of 8, 16, ..., 256 steps
+    # 1,500 steps to max_iter take one carrier mask per block, after the
+    # start pass's one mask: blocks of 8, 16, ..., 256 steps from step 0,
+    # then 256-step blocks, the last cut to 229 steps by max_iter
     space, maps = _unit_interval(), MapPair(IdentityMap(), AffineMap(255 / 256))
     rule, masks, mask = StoppingRule(max_iter=1500), [], space.carrier.mask
     space.carrier.mask = lambda xs: masks.append(len(xs)) or mask(xs)
     trace = picard_iterate(space, maps, 0.640625, rule)
     _assert_same_run(trace, _reference_picard(space, maps, 0.640625, rule))
-    assert trace.stop_reason == MAX_ITER and len(trace.gaps) == sum(masks) == 1501
-    assert len(masks) < 30 and max(masks) == 256
+    start, *steps = masks
+    assert start == 1       # the start pass: one mask over the one start (T is the identity)
+    assert trace.stop_reason == MAX_ITER and len(trace.gaps) == sum(steps) == 1501
+    assert steps == [8, 16, 32, 64, 128, 256, 256, 256, 256, 229]
 
 
 def _overflowing_swap():
@@ -1118,7 +1207,7 @@ def _reference_emit_trace(trace, fmt, h, K):
         "rows": [{"n": n, "x_n": x, "gap_vector": gap, "gap_norm": norm, "cumulative_bound": bound}
                  for n, x, gap, norm, bound in rows],
     }
-    return _dump_json(payload, None)
+    return json.dumps(_plain(payload), sort_keys=True, indent=2) + "\n"
 
 
 _LABELS = ["p0", "a,b", 'say "hi"', "line\nbreak", "cr\rlf", "p5"]
