@@ -39,6 +39,14 @@ returns, which no CLI artifact shows in full:
   witness) and ``exhaustive_reduction_check`` for TZ (every violation),
   where the ``oracle`` artifact keeps 50 of each list; ``()`` otherwise.
 
+On a file with a tabulated metric a ``scan`` line follows: the sha256 of
+each of the five masks of ``metric_table_failures``, at slack 0 and at
+the cone's slack, on the table and cone the CLI reads before
+``FiniteInstance`` validates the table, so a refused table is
+fingerprinted in full too (``verify`` tabulates at most 125 points, and a
+refused file shows only its first failure); a file whose space does not
+build shows the sha256 of its errors.
+
 Run it on two checkouts (``PYTHONPATH=<checkout>/src``) and ``diff`` the
 outputs to confirm the results are byte-identical.
 """
@@ -165,6 +173,27 @@ def api_digest(path: str) -> str:
     return f"{path} [api] " + " ".join(parts)
 
 
+def scan_digest(path: str) -> str | None:
+    try:
+        doc = cli._decode(Path(path).read_text(encoding="utf-8"), "syntax")
+    except cli.InstanceValidationError:      # the api line shows the syntax error
+        return None
+    space_doc = doc.get("space") if isinstance(doc, dict) else None
+    metric = space_doc.get("metric") if isinstance(space_doc, dict) else None
+    if not isinstance(metric, dict) or metric.get("kind") != "tabulated":
+        return None
+    errors: list[str] = []
+    built = {"cone": cli._walk(doc.get("cone"), "cone", cli.CONE, errors, {})}
+    space = cli._walk(space_doc, "space", cli.INSTANCE.variants[None].required["space"], errors, built)
+    if errors:
+        return f"{path} [scan] errors={_sha(repr(errors).encode())}"
+    parts = []
+    for slack in (0.0, space.cone.slack):
+        for axiom, mask in cone_space.metric_table_failures(space.metric.table, space.cone, slack).items():
+            parts.append(f"{axiom}@{slack!r}={_sha(mask.tobytes())}")
+    return f"{path} [scan] " + " ".join(parts)
+
+
 def main(paths: list[str]) -> int:
     if not paths:
         print(__doc__.strip(), file=sys.stderr)
@@ -173,6 +202,9 @@ def main(paths: list[str]) -> int:
         for command, extra in COMMANDS:
             print(digest(path, command, extra), flush=True)
         print(api_digest(path), flush=True)
+        scan = scan_digest(path)
+        if scan is not None:
+            print(scan, flush=True)
     return 0
 
 

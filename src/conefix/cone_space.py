@@ -719,6 +719,31 @@ def point_key(x):
     return x
 
 
+# The d3 scan's early-exit test runs on int32 copies k of the projected
+# table when proj == k * 2**-s for one shift s with every |k| < 2**29: then
+# a.d(x, z) + a.d(z, y) is (k + k') * 2**-s with |k + k'| < 2**30, a float
+# sum that is exact or overflows past every finite a.d(x, y), so each
+# int32 compare decides what the float compare decides.  Several x are
+# tested per numpy call while their (r, x, y, z) sums stay within
+# _SCAN_CELLS int32 cells (256 KB): 1.2-2x faster at n <= 144, no slower
+# at n = 200 (2-CPU Xeon).
+_EXACT_BITS = 29
+_SCAN_CELLS = 2 ** 16
+
+
+def _exact_ints(proj: np.ndarray, top: float) -> np.ndarray | None:
+    """The int32 k with proj == k * 2**-s, s chosen so that every |k| <
+    2**_EXACT_BITS, given top = max |proj| (finite); None when some entry is
+    not such a multiple.  Scaling back catches a fraction (the cast
+    truncates it) and an entry that ldexp rounded below the subnormal range
+    alike; it compares values, and a -0.0 that becomes 0 adds and compares
+    as 0 did.  ldexp casts into k in numpy's buffered chunks and k is
+    scaled back one row at a time, so no float copy of proj is made."""
+    s = _EXACT_BITS - math.frexp(top)[1]        # top < 2**frexp(top)[1]
+    k = np.ldexp(proj, s, out=np.empty(proj.shape, np.int32), casting="unsafe")
+    return k if all(np.array_equal(np.ldexp(row, -s), p) for row, p in zip(k, proj)) else None
+
+
 def metric_table_failures(table: np.ndarray, cone: ConeSpec, slack: float) -> dict[str, np.ndarray]:
     """Where the metric table d[i, j] (shape (n, n, m)) breaks d1-d3, with
     cone tests at relative ``slack``: one failure mask per axiom, in
@@ -729,44 +754,60 @@ def metric_table_failures(table: np.ndarray, cone: ConeSpec, slack: float) -> di
     rows on dyadic tables); at slack > 0 those triples are tested again on
     d(x, z) + d(z, y) - d(x, y).  When the table and its projection are
     both exactly symmetric, (y, x, z) fails exactly when (x, y, z) does,
-    so only y >= x is scanned and the result mirrored."""
+    so only y >= x is scanned and the result mirrored.  Which x have a
+    failing triple is first decided on int32 copies of the projection
+    where they are exact (``_exact_ints``), else in float64."""
     n, m = table.shape[0], table.shape[-1]
 
     def outside(vs: np.ndarray) -> np.ndarray:
         return ~all_last(cone.inequality_mask(vs.reshape(-1, m), slack)).reshape(vs.shape[:-1])
 
-    asymmetric = any_last(table != np.swapaxes(table, 0, 1))
-    proj = np.ascontiguousarray(np.moveaxis(table @ cone.ineq_matrix.T, -1, 0))   # (r, n, n)
-    # BLAS may round d(x, y) and d(y, x) apart, so proj is tested itself
-    half = not asymmetric.any() and np.array_equal(proj, proj.transpose(0, 2, 1))
-    # proj_t[:, y, z] = a.d(z, y); a symmetric proj is its own transpose
-    proj_t = proj if half else np.ascontiguousarray(proj.transpose(0, 2, 1))
-    # While every triangle holds the mask is a read-only view of one
-    # all-False (y, z) slice: a valid table allocates no n^3 mask.
-    triangle = np.broadcast_to(np.zeros((n, n), dtype=bool), (n, n, n))
-    for x in range(n):
-        lo = x if half else 0
-        # some (y, z) fails iff min_z a.d(x, z) + a.d(z, y) < a.d(x, y) for a row a (fmin skips NaN)
-        if not (np.fmin.reduce(proj[:, x, None, :] + proj_t[:, lo:], axis=2) < proj[:, x, lo:]).any():
-            continue
-        # bad[y - lo, z]: a.d(x, z) + a.d(z, y) < a.d(x, y) for some row a
-        bad = np.any(proj[:, x, None, :] + proj_t[:, lo:] < proj[:, x, lo:, None], axis=0)
-        if slack > 0.0:
-            ys, zs = np.nonzero(bad)
-            bad[ys, zs] = outside(table[x, zs] + table[zs, ys + lo] - table[x, ys + lo])
-        if bad.any():
-            if not triangle.flags.writeable:
-                triangle = np.zeros((n, n, n), dtype=bool)
-            triangle[x, lo:] = bad
-            if half:
-                triangle[lo:, x] = bad
-    return {
+    # the masks over pairs and points first, while no copy of the table for the d3 scan is alive
+    failures = {
         "d1-cone": outside(table),
         "d1-separation": all_last(table == 0.0) & ~np.eye(n, dtype=bool),
         "d1-identity": any_last(table[np.arange(n), np.arange(n)] != 0.0),
-        "d2-symmetry": asymmetric,
-        "d3-triangle": triangle,
+        "d2-symmetry": any_last(table != np.swapaxes(table, 0, 1)),
     }
+    proj = np.ascontiguousarray(np.moveaxis(table @ cone.ineq_matrix.T, -1, 0))   # (r, n, n)
+    # BLAS may round d(x, y) and d(y, x) apart, so proj is tested itself
+    half = not failures["d2-symmetry"].any() and np.array_equal(proj, proj.transpose(0, 2, 1))
+    # proj_t[:, y, z] = a.d(z, y); a symmetric proj is its own transpose
+    proj_t = proj if half else np.ascontiguousarray(proj.transpose(0, 2, 1))
+    top = float(np.abs(proj).max(initial=0.0))      # NaN or inf when some entry is not finite
+    finite = math.isfinite(top)
+    least = np.minimum if finite else np.fmin       # fmin skips a NaN sum, which only inf + -inf makes
+    ints = _exact_ints(proj, top) if finite else None
+    test, test_t = (proj, proj_t) if ints is None else \
+        (ints, ints if half else np.ascontiguousarray(ints.transpose(0, 2, 1)))
+    # While every triangle holds the mask is a read-only view of one
+    # all-False (y, z) slice: a valid table allocates no n^3 mask.
+    triangle = np.broadcast_to(np.zeros((n, n), dtype=bool), (n, n, n))
+    r, start = max(len(proj), 1), 0       # a cone may have no rows
+    while start < n:
+        first = start if half else 0        # the least y any x of the group scans
+        stop = min(n, start + max(1, _SCAN_CELLS // (r * n * (n - first))))
+        # fails[x - start, y - first]: min_z a.d(x, z) + a.d(z, y) < a.d(x, y) for a row a
+        fails = (least.reduce(test[:, start:stop, None, :] + test_t[:, None, first:], axis=3)
+                 < test[:, start:stop, first:]).any(axis=0)
+        for x in range(start, stop):
+            lo = x if half else 0
+            if not fails[x - start, lo - first:].any():
+                continue
+            # bad[y - lo, z]: a.d(x, z) + a.d(z, y) < a.d(x, y) for some row a
+            bad = np.any(proj[:, x, None, :] + proj_t[:, lo:] < proj[:, x, lo:, None], axis=0)
+            if slack > 0.0:
+                ys, zs = np.nonzero(bad)
+                bad[ys, zs] = outside(table[x, zs] + table[zs, ys + lo] - table[x, ys + lo])
+            if bad.any():
+                if not triangle.flags.writeable:
+                    triangle = np.zeros((n, n, n), dtype=bool)
+                triangle[x, lo:] = bad
+                if half:
+                    triangle[lo:, x] = bad
+        start = stop
+    failures["d3-triangle"] = triangle
+    return failures
 
 
 def verify_metric_axioms(space: ConeMetricSpace, plan: SamplingPlan | None = None, *,

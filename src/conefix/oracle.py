@@ -41,6 +41,22 @@ _TABLE_ERRORS = {
 }
 
 
+def _index_table(name: str, given, n: int) -> np.ndarray:
+    """``given`` as an array of n label indices.  A bool or a non-integral
+    entry is refused by name, where a cast to int would read True as 1 and
+    1.7 as 1."""
+    if any(isinstance(v, (bool, np.bool_)) for v in np.asarray(given, dtype=object).flat):
+        raise ConfigError(f"{name} entries must be label indices, not bools")
+    values = np.asarray(given)
+    with np.errstate(invalid="ignore"):     # NaN and inf casts are refused just below
+        tab = values.astype(int)
+    if not np.array_equal(tab, values):
+        raise ConfigError(f"{name} entries must be integral label indices")
+    if tab.shape != (n,) or np.any(tab < 0) or np.any(tab >= n):
+        raise ConfigError(f"{name} must map the {n} labels into themselves")
+    return tab
+
+
 @dataclass(eq=False)
 class FiniteInstance:
     """Tabulated cone metric space with index maps for T and S.
@@ -69,11 +85,8 @@ class FiniteInstance:
                 f"metric table must have shape ({n}, {n}, {self.cone.dimension}), "
                 f"got {self.metric_table.shape}"
             )
-        self.t_table = np.asarray(self.t_table, dtype=int)
-        self.s_table = np.asarray(self.s_table, dtype=int)
-        for name, tab in (("t_table", self.t_table), ("s_table", self.s_table)):
-            if tab.shape != (n,) or np.any(tab < 0) or np.any(tab >= n):
-                raise ConfigError(f"{name} must map the {n} labels into themselves")
+        self.t_table = _index_table("t_table", self.t_table, n)
+        self.s_table = _index_table("s_table", self.s_table, n)
         failures = metric_table_failures(self.metric_table, self.cone, 0.0)
         for axiom, message in _TABLE_ERRORS.items():
             if failures[axiom].any():

@@ -1429,23 +1429,24 @@ def test_artifact_digest_runs_on_a_fixture(capsys):
     path = str(Path(__file__).resolve().parent.parent / "fixtures" / "instance_d.json")
     assert digest.main([path]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == len(digest.COMMANDS) + 1
+    assert len(lines) == len(digest.COMMANDS) + 2       # the commands, the api line, the scan line
     assert all(line.startswith(f"{path} [") for line in lines)
+    api = lines[-2]
     assert " [oracle] exit=1 " in lines[digest.COMMANDS.index(("oracle", ()))]
     # instance D is not TB(0.5): the condition hash covers its violations
     pairs_checked, violations = digest._api_condition(load_instance(path))
     assert pairs_checked == 100 and violations
     condition = digest._sha(repr((pairs_checked, violations)).encode())
-    assert f" condition={condition} " in lines[-1]
+    assert f" condition={condition} " in api
     # the axioms hash covers every axiom violation, witness and residual
     axioms = digest._api_axioms(load_instance(path))
     assert [len(a) for a in axioms] == [3, 3]
-    assert f" axioms={digest._sha(repr(axioms).encode())} " in lines[-1]
+    assert f" axioms={digest._sha(repr(axioms).encode())} " in api
     # the oracle hash covers every violating pair of the exhaustive check
     # and every witness of the tightest-constant fit
     report, tight = digest._api_oracle(load_instance(path))
     assert report.violating_pairs and report.pairs_checked == 100 and tight.kind == "TB"
-    assert lines[-1].endswith(f" oracle={digest._sha(repr((report, tight)).encode())}")
+    assert api.endswith(f" oracle={digest._sha(repr((report, tight)).encode())}")
     # the terms hash covers the bytes, dtype and shape of each of the six
     # pair-term columns the oracle reads off the table
     terms = digest._api_terms(load_instance(path))
@@ -1453,7 +1454,35 @@ def test_artifact_digest_runs_on_a_fixture(capsys):
         ("lhs", (10, 10, 2)), ("d_tx_ty", (10, 10, 2)), ("d_tx_tsx", (10, 1, 2)),
         ("d_ty_tsy", (1, 10, 2)), ("d_tx_tsy", (10, 10, 2)), ("d_ty_tsx", (10, 10, 2))]
     assert all(dtype == "<f8" for _, dtype, _, _ in terms)
-    assert f" terms={digest._sha(repr(terms).encode())} " in lines[-1]
+    assert f" terms={digest._sha(repr(terms).encode())} " in api
+    # the scan line hashes the five masks of the table scan at slack 0 and at the cone's slack
+    inst = load_instance(path)
+    masks = [(axiom, slack, mask) for slack in (0.0, inst.space.cone.slack)
+             for axiom, mask in cone_space.metric_table_failures(inst.space.metric.table, inst.space.cone,
+                                                                 slack).items()]
+    assert len(masks) == 10
+    assert lines[-1] == f"{path} [scan] " + " ".join(f"{a}@{s!r}={digest._sha(m.tobytes())}" for a, s, m in masks)
+
+
+def test_artifact_digest_scans_a_refused_table(tmp_path):
+    # FiniteInstance refuses the table at its first failure; the scan line
+    # still fingerprints every failing triple, and a file without a table
+    # has no scan line
+    digest = _script("artifact_digest")
+    doc = fixture_doc("instance_d")
+    table = np.array(doc["space"]["metric"]["table"])
+    table[0, 4] = table[4, 0] = 4.0 * table[0, 4] + 8.0 * table[0, 1]
+    table[1, 2] = table[2, 1] = 16.0 * table[1, 2]
+    doc["space"]["metric"]["table"] = table.tolist()
+    path = tmp_path / "refused.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(InstanceValidationError, match="d3 at triple"):
+        load_instance(path)
+    cone = ConeSpec.orthant(2, slack=0.0)
+    triangle = cone_space.metric_table_failures(table, cone, 0.0)["d3-triangle"]
+    assert np.count_nonzero(triangle) > 2
+    assert digest.scan_digest(str(path)).split()[6] == f"d3-triangle@0.0={digest._sha(triangle.tobytes())}"
+    assert digest.scan_digest(str(Path(__file__).resolve().parent.parent / "fixtures" / "instance_a.json")) is None
 
 
 def test_artifact_digest_records_a_raising_command_and_goes_on(monkeypatch, capsys):
@@ -1471,7 +1500,7 @@ def test_artifact_digest_records_a_raising_command_and_goes_on(monkeypatch, caps
     monkeypatch.setattr(cli, "main", failing)
     assert digest.main([first, second]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 2 * (len(digest.COMMANDS) + 1)
+    assert len(lines) == 2 * (len(digest.COMMANDS) + 1) + 1      # instance D's table has a scan line
     raised = f"ValueError:{digest._sha(message.encode())}"
     solves = [i for i, (command, _) in enumerate(digest.COMMANDS) if command == "solve"]
     assert [f" exit={raised} " in lines[i] for i in solves] == [True] * len(solves)

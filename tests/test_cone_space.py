@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -611,6 +612,94 @@ def test_metric_table_scan_skips_nan_sums_beside_a_failing_triple(one_sided, sla
             assert got["d3-triangle"][x, y, z] and got["d3-triangle"][y, x, z]
             if one_sided:
                 assert np.argwhere(got["d3-triangle"]).tolist() == sorted([[x, y, z], [y, x, z]])
+
+
+# Rows that project _NEAR to (inf, -inf) and _FAR to (-inf, inf), as in
+# _overflowing_table, and a direction in their cone.
+_WIDE = ConeSpec.polyhedral([[2.0, -1.0], [-1.0, 2.0]], slack=0.0), np.array([1.0, 1.0])
+_NEAR, _FAR = np.array([1.5, -1.5]) * 2.0 ** 1022, np.array([-1.25, 1.75]) * 2.0 ** 1022
+
+# The path each kind of table takes through the scan's early-exit test.
+_SCAN_PATHS = {"dyadic": "int32", "one-sided": "int32", "corrupted": "int32",
+               "non-dyadic": "minimum", "subnormal": "minimum", "overflowing": "fmin"}
+
+
+def _scan_case(kind: str, n: int, seed: int) -> tuple[np.ndarray, ConeSpec]:
+    """A table of ``kind`` on n points and a cone the scan is exact on:
+    dyadic tables (a line or tree metric times a dyadic direction, scaled
+    by a power of two) on any cone, symmetric or changed on one side, or
+    corrupted to break d1-d3 with negative entries among them; non-dyadic
+    tables on unit-row cones; on unit-row cones a table of multiples of
+    the least subnormal beside one symmetric entry of 2^40 or more, which
+    puts them below the int32 scale; and a dyadic table beside a point
+    whose distances project past the float range."""
+    rng = np.random.default_rng(seed)
+    unit_rows = ["orthant", "scaled_orthant"]
+    cone, u = _WIDE if kind == "overflowing" else \
+        CONES[str(rng.choice(unit_rows if kind in ("non-dyadic", "subnormal") else list(CONES)))]
+    size = n - 1 if kind == "overflowing" else n
+    if rng.random() < 0.5:
+        table = _tree_table(rng, size, u)
+    else:
+        table = np.abs(np.subtract.outer(*[rng.integers(0, 64, size) / 8.0] * 2))[:, :, None] * u
+    if kind == "one-sided":
+        p, q = rng.choice(n, size=2, replace=False)
+        table[p, q] = 2.0 * table[p, q] + u
+    elif kind == "corrupted":
+        table = _corrupt(rng, table, int(rng.integers(1, 5)))
+        p, q = rng.choice(n, size=2, replace=False)
+        table[p, q] = table[q, p] = -table[p, q]
+    if kind in ("dyadic", "one-sided", "corrupted"):
+        table *= 2.0 ** int(rng.integers(-40, 41))
+    elif kind == "non-dyadic":
+        noise = rng.random((n, n, 2))
+        table = table * np.pi + (noise + noise.transpose(1, 0, 2) if rng.random() < 0.5 else noise) * u
+    elif kind == "subnormal":
+        table = _corrupt(rng, table * 8.0 * 2.0 ** -1074, int(rng.integers(0, 4)))
+        p, q = rng.choice(n, size=2, replace=False)
+        table[p, q] = table[q, p] = 2.0 ** int(rng.integers(40, 80)) * u
+    elif kind == "overflowing":
+        table = _corrupt(rng, table, int(rng.integers(0, 3)))
+        far = int(rng.integers(n))
+        table = np.insert(np.insert(table, far, 0.0, axis=0), far, 0.0, axis=1)
+        for i in set(range(n)) - {far}:
+            table[i, far] = (_NEAR, _FAR)[int(rng.integers(2))]
+            table[far, i] = table[i, far] if rng.random() < 0.5 else (_NEAR, _FAR)[int(rng.integers(2))]
+    return table, cone
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_SCAN_PATHS)), st.integers(3, 8), st.integers(0, 2 ** 32 - 1))
+@example("dyadic", 8, 0)
+@example("one-sided", 8, 0)
+@example("corrupted", 8, 0)
+@example("non-dyadic", 8, 0)
+@example("subnormal", 8, 1)
+@example("overflowing", 8, 0)
+def test_metric_table_scan_paths_match_brute_force(kind, n, seed):
+    # Which x have a failing triple is decided on int32 copies of the
+    # projection where they are exact, else in float64 (np.minimum, or
+    # np.fmin when a projection is not finite).  Each path must give the
+    # brute force's masks at slack 0 and at slack 0.5, and only an x with a
+    # failing projected triple (at y >= x when the half scan runs) may build
+    # a mask, which at slack 0.5 costs one more cone test.
+    # (run with --hypothesis-show-statistics for how many draws took each path)
+    table, cone = _scan_case(kind, n, seed)
+    exact_ints, found = cone_space._exact_ints, []
+    with np.errstate(over="ignore", invalid="ignore"), \
+            mock.patch.object(cone_space, "_exact_ints", lambda *a: found.append(exact_ints(*a)) or found[-1]):
+        got = _assert_scan_matches(table, cone, 0.0)
+        path = "fmin" if not found else "minimum" if found[0] is None else "int32"
+        event(f"path: {path}")
+        assert path == _SCAN_PATHS[kind]
+        proj = table @ cone.ineq_matrix.T
+        half = not got["d2-symmetry"].any() and np.array_equal(proj, proj.transpose(1, 0, 2))
+        failing = got["d3-triangle"]
+        flagged = sum(bool(failing[x, x if half else 0:].any()) for x in range(len(table)))
+        with mock.patch.object(cone, "inequality_mask", wraps=cone.inequality_mask) as tests:
+            _assert_scan_matches(table, cone, 0.5)
+        assert tests.call_count == 1 + flagged      # d1-cone, then one re-test per flagged x
+    event(f"d3 fails: {failing.any()}")
 
 
 @pytest.mark.parametrize("family", ["orthant", "scaled_orthant"])

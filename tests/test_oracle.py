@@ -42,6 +42,24 @@ def test_table_validation_rejects_triangle_violation():
         FiniteInstance([0, 1, 2], table, [0, 1, 2], [0, 1, 2], _orthant())
 
 
+@pytest.mark.parametrize("which", ["t_table", "s_table"])
+@pytest.mark.parametrize("entries, message", [
+    ([0.5, 1.7, 2.9], "entries must be integral label indices"),     # a cast to int reads [0, 1, 2]
+    ([0, 1, float("nan")], "entries must be integral label indices"),
+    ([True, 1, 2], "entries must be label indices, not bools"),       # a cast to int reads True as 1
+    ([0, np.False_, 2], "entries must be label indices, not bools"),
+    (np.array([True, False, True]), "entries must be label indices, not bools"),
+])
+def test_index_tables_refuse_bools_and_fractions(which, entries, message):
+    table = np.abs(np.subtract.outer(np.arange(3.0), np.arange(3.0)))[:, :, None] * np.array([1.0, 2.0])
+    tables = {"t_table": [0, 1, 2], "s_table": [0, 1, 2], which: entries}
+    with pytest.raises(ConfigError, match=f"^{which} {message}$"):
+        FiniteInstance([0, 1, 2], table, tables["t_table"], tables["s_table"], _orthant())
+    tables[which] = [0.0, 1.0, 2.0]      # integral floats are indices
+    fin = FiniteInstance([0, 1, 2], table, tables["t_table"], tables["s_table"], _orthant())
+    assert getattr(fin, which).tolist() == [0, 1, 2] and enumerate_fixed_points(fin) == [0, 1, 2]
+
+
 def _orthant():
     from conefix.cone_space import ConeSpec
 

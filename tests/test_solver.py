@@ -942,6 +942,21 @@ def test_start_pass_equals_the_per_start_checks(case):
     _assert_batch_equals_the_per_start_loop(*case)
 
 
+def test_a_bool_image_is_not_a_label():
+    # a dict of labels finds True under 1, but the carrier never takes a
+    # bool for a label: the table's array form marks the image outside,
+    # and the engine raises what the scalar path and require_point raise
+    points = [0, 1, 2]
+    space = ConeMetricSpace(ConeSpec.orthant(2), FinitePointsCarrier(points), DirectionMetric([1.0, 2.0]))
+    S = TabulatedMap(points, [True, 2, 2])
+    assert S.image_index.tolist() == [-1, 2, 2]
+    with pytest.raises(DomainError, match="^S-image True lies outside the carrier$"):
+        space.require_point(S(0), "S-image")
+    for maps in (MapPair(IdentityMap(), S), MapPair(IdentityMap(), lambda x: S.mapping[x])):
+        with pytest.raises(DomainError, match="^iterate 0 escaped the carrier: S-image True lies outside the carrier$"):
+            picard_iterate(space, maps, 0, StoppingRule())
+
+
 def test_a_long_lone_run_steps_in_blocks():
     # 1,500 steps to max_iter take one carrier mask per block, after the
     # start pass's one mask: blocks of 8, 16, ..., 256 steps from step 0,
