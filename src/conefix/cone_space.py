@@ -548,6 +548,17 @@ class BoxCarrier:
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
+def label_position(index: dict, x) -> int:
+    """x's position under ``index`` (label -> position), -1 when x is not a
+    label there: a bool never is, though the dict finds True under 1."""
+    if isinstance(x, (bool, np.bool_)):
+        return -1
+    try:
+        return index.get(x, -1)
+    except TypeError:       # unhashable: not a label
+        return -1
+
+
 @dataclass
 class FinitePointsCarrier:
     points: list
@@ -565,12 +576,7 @@ class FinitePointsCarrier:
         return self._position(x) >= 0
 
     def _position(self, x) -> int:
-        if isinstance(x, (bool, np.bool_)):     # never a label: the dict finds True under 1
-            return -1
-        try:
-            return self.index.get(x, -1)
-        except TypeError:       # unhashable: not a point of the carrier
-            return -1
+        return label_position(self.index, x)
 
     # Array form of a point list: the point indices, -1 for a point that is
     # not in the carrier.
@@ -775,9 +781,7 @@ def metric_table_failures(table: np.ndarray, cone: ConeSpec, slack: float) -> di
     # proj_t[:, y, z] = a.d(z, y); a symmetric proj is its own transpose
     proj_t = proj if half else np.ascontiguousarray(proj.transpose(0, 2, 1))
     top = float(np.abs(proj).max(initial=0.0))      # NaN or inf when some entry is not finite
-    finite = math.isfinite(top)
-    least = np.minimum if finite else np.fmin       # fmin skips a NaN sum, which only inf + -inf makes
-    ints = _exact_ints(proj, top) if finite else None
+    ints = _exact_ints(proj, top) if math.isfinite(top) else None
     test, test_t = (proj, proj_t) if ints is None else \
         (ints, ints if half else np.ascontiguousarray(ints.transpose(0, 2, 1)))
     # While every triangle holds the mask is a read-only view of one
@@ -787,8 +791,9 @@ def metric_table_failures(table: np.ndarray, cone: ConeSpec, slack: float) -> di
     while start < n:
         first = start if half else 0        # the least y any x of the group scans
         stop = min(n, start + max(1, _SCAN_CELLS // (r * n * (n - first))))
-        # fails[x - start, y - first]: min_z a.d(x, z) + a.d(z, y) < a.d(x, y) for a row a
-        fails = (least.reduce(test[:, start:stop, None, :] + test_t[:, None, first:], axis=3)
+        # fails[x - start, y - first]: min_z a.d(x, z) + a.d(z, y) < a.d(x, y) for a row a;
+        # fmin skips a NaN sum, which only inf + -inf makes
+        fails = (np.fmin.reduce(test[:, start:stop, None, :] + test_t[:, None, first:], axis=3)
                  < test[:, start:stop, first:]).any(axis=0)
         for x in range(start, stop):
             lo = x if half else 0

@@ -42,8 +42,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .cone_space import (ConeMetricSpace, ConeSpec, ConfigError, DomainError, FinitePointsCarrier, LazyRows,
-                         all_last, any_last, table_take)
+from .cone_space import (ConeMetricSpace, ConeSpec, ConfigError, DomainError, LazyRows, all_last, any_last,
+                         label_position, table_take)
 
 TB = "TB"
 TK = "TK"
@@ -139,8 +139,8 @@ class TabulatedMap:
         self.mapping = dict(zip(points, images))
         if len(self.mapping) != len(points):
             raise ConfigError("tabulated map points must be distinct")
-        # the carrier's rule: a bool is never a label, though the dict finds True under 1
-        self.image_index = FinitePointsCarrier(self.points).to_array(images)
+        index = {p: i for i, p in enumerate(self.points)}
+        self.image_index = np.array([label_position(index, y) for y in images], dtype=np.intp)
 
     def __call__(self, x):
         try:

@@ -621,7 +621,7 @@ _NEAR, _FAR = np.array([1.5, -1.5]) * 2.0 ** 1022, np.array([-1.25, 1.75]) * 2.0
 
 # The path each kind of table takes through the scan's early-exit test.
 _SCAN_PATHS = {"dyadic": "int32", "one-sided": "int32", "corrupted": "int32",
-               "non-dyadic": "minimum", "subnormal": "minimum", "overflowing": "fmin"}
+               "non-dyadic": "float", "subnormal": "float", "overflowing": "non-finite"}
 
 
 def _scan_case(kind: str, n: int, seed: int) -> tuple[np.ndarray, ConeSpec]:
@@ -668,34 +668,43 @@ def _scan_case(kind: str, n: int, seed: int) -> tuple[np.ndarray, ConeSpec]:
     return table, cone
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from(sorted(_SCAN_PATHS)), st.integers(3, 8), st.integers(0, 2 ** 32 - 1))
-@example("dyadic", 8, 0)
-@example("one-sided", 8, 0)
-@example("corrupted", 8, 0)
-@example("non-dyadic", 8, 0)
-@example("subnormal", 8, 1)
-@example("overflowing", 8, 0)
-def test_metric_table_scan_paths_match_brute_force(kind, n, seed):
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_SCAN_PATHS)), st.integers(3, 10), st.integers(0, 2 ** 32 - 1), st.integers(0, 60))
+@example("dyadic", 8, 0, 0)
+@example("one-sided", 8, 0, 0)
+@example("corrupted", 8, 0, 0)
+@example("non-dyadic", 8, 0, 0)
+@example("subnormal", 8, 1, 0)
+@example("overflowing", 8, 0, 0)
+@example("one-sided", 10, 0, 30)      # the full scan in groups of 3, 3, 3 and 1 x
+@example("dyadic", 10, 0, 25)         # the half scan in groups of 2, 3 and 5 x
+def test_metric_table_scan_paths_match_brute_force(kind, n, seed, cells):
     # Which x have a failing triple is decided on int32 copies of the
-    # projection where they are exact, else in float64 (np.minimum, or
-    # np.fmin when a projection is not finite).  Each path must give the
-    # brute force's masks at slack 0 and at slack 0.5, and only an x with a
-    # failing projected triple (at y >= x when the half scan runs) may build
-    # a mask, which at slack 0.5 costs one more cone test.
+    # projection where they are exact, else in float64 ("float", and
+    # "non-finite" when a projection is not finite).  Each path must give
+    # the brute force's masks at slack 0 and at slack 0.5, and only an x
+    # with a failing projected triple (at y >= x when the half scan runs)
+    # may build a mask, which at slack 0.5 costs one more cone test.
+    # cells > 0 sets the scan's group budget to r * n * cells sums, so a
+    # group holds cells // (n - first) x: one, several, or all of them,
+    # with a trailing partial group; cells = 0 keeps the constant.
     # (run with --hypothesis-show-statistics for how many draws took each path)
     table, cone = _scan_case(kind, n, seed)
     exact_ints, found = cone_space._exact_ints, []
-    with np.errstate(over="ignore", invalid="ignore"), \
+    budget = cells * len(cone.ineq_matrix) * n or cone_space._SCAN_CELLS
+    with np.errstate(over="ignore", invalid="ignore"), mock.patch.object(cone_space, "_SCAN_CELLS", budget), \
             mock.patch.object(cone_space, "_exact_ints", lambda *a: found.append(exact_ints(*a)) or found[-1]):
         got = _assert_scan_matches(table, cone, 0.0)
-        path = "fmin" if not found else "minimum" if found[0] is None else "int32"
+        path = "non-finite" if not found else "float" if found[0] is None else "int32"
         event(f"path: {path}")
         assert path == _SCAN_PATHS[kind]
+        group = max(1, cells // n) if cells else n      # the first group's x
+        event("first group: " + ("one x" if group == 1 else "several x" if group < n else "all x"))
         proj = table @ cone.ineq_matrix.T
         half = not got["d2-symmetry"].any() and np.array_equal(proj, proj.transpose(1, 0, 2))
         failing = got["d3-triangle"]
         flagged = sum(bool(failing[x, x if half else 0:].any()) for x in range(len(table)))
+        event(f"a failing x past the first group: {failing[group:].any()}")
         with mock.patch.object(cone, "inequality_mask", wraps=cone.inequality_mask) as tests:
             _assert_scan_matches(table, cone, 0.5)
         assert tests.call_count == 1 + flagged      # d1-cone, then one re-test per flagged x
