@@ -300,9 +300,24 @@ def _tabulated_map(images, *, carrier) -> TabulatedMap | None:
     return TabulatedMap(pts, [pts[i] for i in images])
 
 
+def _takes_numbers(name: str, carrier) -> None:
+    """Refuse a map that computes on numbers (``name`` says which) on a
+    finite carrier with a string label."""
+    labels = carrier.points if isinstance(carrier, FinitePointsCarrier) else ()
+    text = next((p for p in labels if type(p) is str), None)
+    if text is not None:
+        raise ConfigError(f"{name} takes numbers, not the label {json.dumps(text)}")
+
+
+def _affine_map(alpha: float, beta: float = 0.0, *, carrier) -> AffineMap:
+    _takes_numbers("an affine map", carrier)
+    return AffineMap(alpha, beta)
+
+
 def _power_map(exponent: float, *, carrier) -> PowerMap:
     if isinstance(carrier, BoxCarrier):
         raise ConfigError("a power map takes numbers, not the vectors of a box carrier")
+    _takes_numbers("a power map", carrier)
     return PowerMap(exponent)
 
 
@@ -340,7 +355,7 @@ METRIC = Section({
 
 MAP = Section({
     "identity": Variant(IdentityMap),
-    "affine": Variant(AffineMap, {"alpha": _finite_float}, {"beta": _finite_float}),
+    "affine": Variant(_affine_map, {"alpha": _finite_float}, {"beta": _finite_float}, needs=("carrier",)),
     "power": Variant(_power_map, {"exponent": _finite_float}, needs=("carrier",)),
     "tabulated": Variant(_tabulated_map, {"images": _json_list("images")}, needs=("carrier",)),
 }, "family", "map family")

@@ -753,31 +753,40 @@ def _exact_ints(proj: np.ndarray, top: float) -> np.ndarray | None:
 def metric_table_failures(table: np.ndarray, cone: ConeSpec, slack: float) -> dict[str, np.ndarray]:
     """Where the metric table d[i, j] (shape (n, n, m)) breaks d1-d3, with
     cone tests at relative ``slack``: one failure mask per axiom, in
-    reporting order.  Masks are (n, n) over pairs, (n,) over points for
-    "d1-identity", and (n, n, n) over (x, y, z) for "d3-triangle": where
-    a.d(x, z) + a.d(z, y) < a.d(x, y) for a cone row a, on the table
-    projected onto the rows once (exact for unit rows, and for polyhedral
-    rows on dyadic tables); at slack > 0 those triples are tested again on
-    d(x, z) + d(z, y) - d(x, y).  When the table and its projection are
-    both exactly symmetric, (y, x, z) fails exactly when (x, y, z) does,
-    so only y >= x is scanned and the result mirrored.  Which x have a
-    failing triple is first decided on int32 copies of the projection
-    where they are exact (``_exact_ints``), else in float64."""
+    reporting order, the d1 and d2 masks of ``table_pair_failures`` and
+    then the d3 mask of ``table_triangle_failures``."""
+    failures = table_pair_failures(table, cone, slack)
+    failures["d3-triangle"] = table_triangle_failures(table, cone, slack, not failures["d2-symmetry"].any())
+    return failures
+
+
+def table_pair_failures(table: np.ndarray, cone: ConeSpec, slack: float) -> dict[str, np.ndarray]:
+    """The d1 and d2 masks of ``metric_table_failures``: (n, n) over pairs,
+    and (n,) over points for "d1-identity"."""
     n, m = table.shape[0], table.shape[-1]
-
-    def outside(vs: np.ndarray) -> np.ndarray:
-        return ~all_last(cone.inequality_mask(vs.reshape(-1, m), slack)).reshape(vs.shape[:-1])
-
-    # the masks over pairs and points first, while no copy of the table for the d3 scan is alive
-    failures = {
-        "d1-cone": outside(table),
+    return {
+        "d1-cone": ~all_last(cone.inequality_mask(table.reshape(-1, m), slack)).reshape(n, n),
         "d1-separation": all_last(table == 0.0) & ~np.eye(n, dtype=bool),
         "d1-identity": any_last(table[np.arange(n), np.arange(n)] != 0.0),
         "d2-symmetry": any_last(table != np.swapaxes(table, 0, 1)),
     }
+
+
+def table_triangle_failures(table: np.ndarray, cone: ConeSpec, slack: float, symmetric: bool) -> np.ndarray:
+    """The d3 mask of ``metric_table_failures``, (n, n, n) over (x, y, z):
+    where a.d(x, z) + a.d(z, y) < a.d(x, y) for a cone row a, on the table
+    projected onto the rows once (exact for unit rows, and for polyhedral
+    rows on dyadic tables); at slack > 0 those triples are tested again on
+    d(x, z) + d(z, y) - d(x, y).  When the table is ``symmetric`` (exactly,
+    as "d2-symmetry" tests) and so is its projection, (y, x, z) fails
+    exactly when (x, y, z) does, so only y >= x is scanned and the result
+    mirrored.  Which x have a failing triple is first decided on int32
+    copies of the projection where they are exact (``_exact_ints``), else
+    in float64."""
+    n = table.shape[0]
     proj = np.ascontiguousarray(np.moveaxis(table @ cone.ineq_matrix.T, -1, 0))   # (r, n, n)
     # BLAS may round d(x, y) and d(y, x) apart, so proj is tested itself
-    half = not failures["d2-symmetry"].any() and np.array_equal(proj, proj.transpose(0, 2, 1))
+    half = symmetric and np.array_equal(proj, proj.transpose(0, 2, 1))
     # proj_t[:, y, z] = a.d(z, y); a symmetric proj is its own transpose
     proj_t = proj if half else np.ascontiguousarray(proj.transpose(0, 2, 1))
     top = float(np.abs(proj).max(initial=0.0))      # NaN or inf when some entry is not finite
@@ -803,7 +812,8 @@ def metric_table_failures(table: np.ndarray, cone: ConeSpec, slack: float) -> di
             bad = np.any(proj[:, x, None, :] + proj_t[:, lo:] < proj[:, x, lo:, None], axis=0)
             if slack > 0.0:
                 ys, zs = np.nonzero(bad)
-                bad[ys, zs] = outside(table[x, zs] + table[zs, ys + lo] - table[x, ys + lo])
+                bad[ys, zs] = ~all_last(cone.inequality_mask(table[x, zs] + table[zs, ys + lo] - table[x, ys + lo],
+                                                             slack))
             if bad.any():
                 if not triangle.flags.writeable:
                     triangle = np.zeros((n, n, n), dtype=bool)
@@ -811,8 +821,7 @@ def metric_table_failures(table: np.ndarray, cone: ConeSpec, slack: float) -> di
                 if half:
                     triangle[lo:, x] = bad
         start = stop
-    failures["d3-triangle"] = triangle
-    return failures
+    return triangle
 
 
 def verify_metric_axioms(space: ConeMetricSpace, plan: SamplingPlan | None = None, *,
@@ -827,18 +836,19 @@ def verify_metric_axioms(space: ConeMetricSpace, plan: SamplingPlan | None = Non
     space's table, whose construction refused every failure at slack 0.
     When its ``metric_table`` and ``cone`` are this space's own objects, a
     failure at the cone's slack (>= 0) would be one at slack 0, so the
-    tabulated report has no violations and the table is not scanned again.
+    report has no violations and counts all n^2 pairs and n^3 triples, at
+    any n: the table is neither scanned again nor sampled.
     """
     plan = plan or SamplingPlan()
     rng = plan.rng()
     carrier, cone = space.carrier, space.cone
     groups: list[tuple[str, tuple, np.ndarray]] = []     # AxiomViolations' groups
 
-    if carrier.finite and len(carrier.points) ** 3 <= max(plan.count, 2_000_000):
-        n = len(carrier.points)
-        table = getattr(space.metric, "table", None)
-        if scanned_by is not None and scanned_by.metric_table is table and scanned_by.cone is cone:
-            return AxiomReport(["d1", "d2", "d3"], AxiomViolations(carrier.from_array, groups), n * n + n ** 3)
+    n = len(carrier.points) if carrier.finite else 0
+    table = getattr(space.metric, "table", None)
+    if scanned_by is not None and scanned_by.metric_table is table and scanned_by.cone is cone:
+        return AxiomReport(["d1", "d2", "d3"], AxiomViolations(carrier.from_array, groups), n * n + n ** 3)
+    if carrier.finite and n ** 3 <= max(plan.count, 2_000_000):
         indices = np.arange(n)
         d = space.pairwise(np.repeat(indices, n), np.tile(indices, n)).reshape(n, n, -1)
         residuals = {

@@ -155,18 +155,17 @@ class TabulatedMap:
         return f"TabulatedMap({len(self.mapping)} points)"
 
 
-def _array_form(space: ConeMetricSpace, f: Callable) -> Callable | None:
-    """The map's own array form on the carrier's array form, or None."""
-    if space.carrier.finite:
-        return f.on_indices if isinstance(f, TabulatedMap) and f.points == list(space.carrier.points) else None
-    return getattr(f, "on_array", None)
-
-
 def _array_map(space: ConeMetricSpace, f: Callable) -> Callable:
-    """f as a function of the carrier's array form: the map's own array
-    form where it has one, else f point by point."""
+    """f as a function of the carrier's array form: ``on_indices`` for a
+    tabulated map on the carrier's own points, ``on_array`` on an interval
+    or a box, else f point by point."""
     carrier = space.carrier
-    return _array_form(space, f) or (lambda xs: carrier.to_array([f(p) for p in carrier.from_array(xs)]))
+    if carrier.finite:
+        if isinstance(f, TabulatedMap) and f.points == list(carrier.points):
+            return f.on_indices
+    elif hasattr(f, "on_array"):
+        return f.on_array
+    return lambda xs: carrier.to_array([f(p) for p in carrier.from_array(xs)])
 
 
 @dataclass

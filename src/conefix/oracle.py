@@ -21,8 +21,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .cone_space import (
-    ConeMetricSpace, ConeSpec, ConfigError, FinitePointsCarrier, TabulatedMetric, metric_table_failures,
-    table_take,
+    ConeMetricSpace, ConeSpec, ConfigError, FinitePointsCarrier, TabulatedMetric, table_pair_failures, table_take,
+    table_triangle_failures,
 )
 from .contractions import (
     TB, TC, TK, TW, TW_DUAL, TWU, TZ,
@@ -65,7 +65,8 @@ class FiniteInstance:
     failure ``metric_table_failures`` finds at slack 0 (all n^3 triples,
     the scan ``verify_metric_axioms`` runs on finite carriers, d3 on the
     table projected onto the cone's rows) is raised, a d3 failure at its
-    smallest z, so every downstream check may assume d1-d3.
+    smallest z, so every downstream check may assume d1-d3.  A table that
+    fails d1 or d2 is refused before the d3 scan.
     """
 
     points: list[int]
@@ -87,11 +88,12 @@ class FiniteInstance:
             )
         self.t_table = _index_table("t_table", self.t_table, n)
         self.s_table = _index_table("s_table", self.s_table, n)
-        failures = metric_table_failures(self.metric_table, self.cone, 0.0)
+        failures = table_pair_failures(self.metric_table, self.cone, 0.0)
         for axiom, message in _TABLE_ERRORS.items():
             if failures[axiom].any():
                 raise ConfigError(f"metric table violates {message}")
-        triangle = failures["d3-triangle"].transpose(2, 0, 1)   # (z, x, y): smallest z first
+        # d2 holds here, so the scan may take the symmetric half; (z, x, y): smallest z first
+        triangle = table_triangle_failures(self.metric_table, self.cone, 0.0, True).transpose(2, 0, 1)
         if triangle.any():
             k, i, j = np.argwhere(triangle)[0]
             raise ConfigError(f"metric table violates d3 at triple ({i}, {j}, {k})")

@@ -30,9 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .cone_space import (BoxCarrier, ConeMetricSpace, ConfigError, DirectionMetric, DomainError, FunctionMetric,
-                         point_key)
-from .contractions import AffineMap, IdentityMap, MapPair, PowerMap, _array_form, _array_map
+from .cone_space import BoxCarrier, ConeMetricSpace, ConfigError, DirectionMetric, DomainError, point_key
+from .contractions import AffineMap, IdentityMap, MapPair, PowerMap, _array_map
 
 CONVERGED = "converged"
 MAX_ITER = "max_iter"
@@ -174,15 +173,15 @@ BLOCK_MIN, BLOCK_ROWS, BLOCK_CELLS = 8, 16, 256
 
 def _start_arrays(space: ConeMetricSpace, maps: MapPair, T, starts: list) -> tuple | None:
     """The starts and their T-images in the carrier's array form, and the
-    T-images as objects, from one array pass (T's array form ``T``, or the
-    identity, which gives each start itself), when that pass is sure to
-    find what ``require_point`` and ``maps.T`` find start by start: no
-    failure, and T-images of the types ``maps.T`` gives.  None where it is
-    not: on a box, for a start of a type ``contains`` may refuse (on an
-    interval, anything but an int or a float), and where a start or a
-    T-image lies outside the carrier or the array form raises."""
+    T-images as the carrier's objects (each start itself when T is the
+    identity), from one array pass through T's array form ``T``, when that
+    pass is sure to find what ``require_point`` and ``maps.T`` find start
+    by start: no failure.  None where it is not: on a box, for a start
+    of a type ``contains`` may refuse (on an interval, anything but an int
+    or a float), and where a start or a T-image lies outside the carrier
+    or the array form raises."""
     carrier, identity = space.carrier, isinstance(maps.T, IdentityMap)
-    if isinstance(carrier, BoxCarrier) or not (identity or T):
+    if isinstance(carrier, BoxCarrier):
         return None
     if not carrier.finite and not set(map(type, starts)) <= {int, float}:
         return None
@@ -212,21 +211,20 @@ def _picard_runs(space: ConeMetricSpace, maps: MapPair, starts: list,
     The starts are checked in one array pass (``_start_arrays``), whose
     arrays feed step 0; where that pass does not apply, each start and its
     T-image are checked in turn, which names the first failing start.
-    A batch of more than BLOCK_ROWS rows, or with a map or metric without
-    an array form, advances one step at a time.  A narrower batch advances
-    n steps at a time from step 0: the active rows apply S and T n times,
-    and the carrier mask, one ``pairwise`` and one ``norm_rows`` call and
-    the stop tests then run once over the n x k block.  A row stops at its
-    first converged step, the max_iter step or its first repeat, in that
-    order at a tie, and keeps its cells up to its stop, step-major, in one
-    record of arrays (rows, S-images, T-images, gaps and gap norms), so no
-    statement runs per row; each trace takes its row of the records.  A
-    block that raises, or has an image outside the carrier (a tabulated
-    map's -1 wraps around), keeps nothing and is replayed one step at a
-    time, which finds and names a failure at its own step."""
+    The batch width alone picks the step: a batch of more than BLOCK_ROWS
+    rows advances one step at a time, a narrower one n steps at a time from
+    step 0, where the active rows apply S and T n times, and the carrier
+    mask, one ``pairwise`` and one ``norm_rows`` call and the stop tests
+    then run once over the n x k block.  A row stops at its first
+    converged step, the max_iter step or its first repeat, in that order at
+    a tie, and keeps its cells up to its stop, step-major, in one record of
+    arrays (rows, S-images, T-images, gaps and gap norms), so no statement
+    runs per row; each trace takes its row of the records.  A block that
+    raises, or has an image outside the carrier (a finite carrier's -1
+    wraps around), keeps nothing and is replayed one step at a time, which
+    finds and names a failure at its own step."""
     carrier = space.carrier
-    S, T = _array_form(space, maps.S), _array_form(space, maps.T)
-    narrow = BLOCK_ROWS if S and T and not isinstance(space.metric, FunctionMetric) else 0
+    S, T = _array_map(space, maps.S), _array_map(space, maps.T)
     failure, checked = None, _start_arrays(space, maps, T, starts)
     if checked is None:
         t0 = []
@@ -240,7 +238,6 @@ def _picard_runs(space: ConeMetricSpace, maps: MapPair, starts: list,
         xs, ts = carrier.to_array(starts[:len(t0)]), carrier.to_array(t0)
     else:
         xs, ts, t0 = checked
-    S, T = S or _array_map(space, maps.S), T or _array_map(space, maps.T)
     ids = np.arange(len(t0))
     rowkeys = ids * 1j                          # each row's part of its visits' keys
     seen = set(_visits(rowkeys, xs))            # (row, point) for every point a run visited
@@ -251,7 +248,7 @@ def _picard_runs(space: ConeMetricSpace, maps: MapPair, starts: list,
     grown, single = BLOCK_MIN // 2, 0           # the last block's size; steps before `single` go one by one
     with np.errstate(all="ignore"):
         while ids.size:
-            if len(ids) > narrow or step < single:      # one step: a wide batch, or a failed block's replay
+            if len(ids) > BLOCK_ROWS or step < single:      # one step: a wide batch, or a failed block's replay
                 try:
                     ys = S(xs)
                     tys = T(ys)
@@ -522,13 +519,8 @@ def _uniqueness_verdict(space: ConeMetricSpace, maps: MapPair, traces: list[Iter
     apart = np.zeros((k, k), dtype=bool)
     apart[a, b] = space.cone.norm_rows(space.pairwise(zs.take(a, axis=0), zs.take(b, axis=0))) > tol
     chosen = _representatives(apart)
-    zs = zs.take(chosen, axis=0)
-    if isinstance(maps.S, IdentityMap):     # each run's last point is its start object (``last``)
-        reps = [traces[z].start for z in chosen]
-    else:
-        reps = space.carrier.from_array(zs)
-
-    certified = _certified(space, maps, reps, zs, rule.epsilon)
+    reps = [traces[z].last for z in chosen]
+    certified = _certified(space, maps, reps, zs.take(chosen, axis=0), rule.epsilon)
     if len(certified) >= 2:
         return UniquenessVerdict(NON_UNIQUE, None, certified, traces)
     return UniquenessVerdict(UNKNOWN, None, certified, traces)

@@ -548,6 +548,31 @@ def test_box_carrier_rejects_a_power_map(tmp_path, capsys, command):
             f"instance rejected:\n  - maps.{name}: a power map takes numbers, not the vectors of a box carrier\n")
 
 
+@pytest.mark.parametrize("command", ["verify", "solve", "oracle", "fit"])
+@pytest.mark.parametrize("family", [{"family": "affine", "alpha": 0.5}, {"family": "power", "exponent": 2}],
+                         ids=["affine", "power"])
+def test_string_labels_reject_a_map_on_numbers(tmp_path, capsys, command, family):
+    # an affine or a power map takes numbers: on the label "a" it died with
+    # an uncaught TypeError (affine) or ValueError (power) in every command
+    article = "an" if family["family"] == "affine" else "a"
+    for name in ("T", "S"):
+        doc = {
+            "schema_version": "1",
+            "cone": {"family": "orthant", "dimension": 1},
+            "space": {
+                "carrier": {"kind": "finite", "points": [0, "a", "b"]},
+                "metric": {"kind": "tabulated", "table": [[[abs(i - j)] for j in range(3)] for i in range(3)]},
+            },
+            "maps": {"T": {"family": "identity"}, "S": {"family": "identity"}, name: family},
+            "contraction": {"class": "TB", "a": 0.5},
+            "run": {"x0": "a"},
+        }
+        path = _write(tmp_path, "labels.json", doc)
+        assert main([command, "--instance", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f'instance rejected:\n  - maps.{name}: {article} {family["family"]} map takes numbers, not the label "a"\n')
+
+
 @pytest.mark.parametrize("image", [-1, 10, 1.7])
 def test_tabulated_map_rejects_bad_image_index(image):
     doc = fixture_doc("instance_d")
@@ -1514,8 +1539,8 @@ def test_verify_scans_a_tabulated_table_once(monkeypatch, tmp_path):
     # metric report follows from that scan
     scans = []
     for module in (cone_space, oracle):
-        scan = module.metric_table_failures
-        monkeypatch.setattr(module, "metric_table_failures", lambda *a, scan=scan: scans.append(a) or scan(*a))
+        scan = module.table_triangle_failures
+        monkeypatch.setattr(module, "table_triangle_failures", lambda *a, scan=scan: scans.append(a) or scan(*a))
     path = _write(tmp_path, "d.json", fixture_doc("instance_d"))
     out = tmp_path / "verify.json"
     main(["verify", "--instance", str(path), "--out", str(out)])

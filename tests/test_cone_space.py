@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from conefix import cone_space
+from conefix import cone_space, oracle
 from conefix.cone_space import (
     AxiomViolation, BoxCarrier, ConeMetricSpace, ConeSpec, ConfigError, DirectionMetric, DomainError,
     FinitePointsCarrier, FunctionMetric, IntervalCarrier, SamplingPlan, TabulatedMetric, all_last,
@@ -380,6 +380,20 @@ def test_a_table_the_instance_did_not_scan_is_scanned(fin_d, monkeypatch):
     assert verify_metric_axioms(space, SamplingPlan(), scanned_by=fin_d).passed and len(scans) == 1
 
 
+def test_a_scanned_table_is_not_sampled_at_any_size(monkeypatch):
+    # 130^3 triples exceed the exhaustive budget, where an unscanned table
+    # is sampled; the instance's own scan covered every triple at slack 0
+    n = 130
+    values = np.arange(n) / 64.0
+    labels = list(range(n))
+    fin = FiniteInstance(labels, np.abs(values[:, None] - values)[:, :, None] * np.array([1.0, 2.0]),
+                         labels, labels, ConeSpec.orthant(2))
+    space, _ = fin.as_space_and_maps()
+    monkeypatch.setattr(FinitePointsCarrier, "sample", lambda *a: pytest.fail("a scanned table was sampled"))
+    report = verify_metric_axioms(space, SamplingPlan(), scanned_by=fin)
+    assert report.passed and report.sample_count == n * n + n ** 3
+
+
 def test_identity_violation_reported_once_per_point():
     def fn(x, y):
         return np.array([1.0, 2.0]) * abs(x - y) + (0.25 if x == y == 3 else 0.0)
@@ -523,17 +537,21 @@ def _assert_scan_matches(table: np.ndarray, cone: ConeSpec, slack: float):
     ("triangle", "metric table violates d3 at triple (0, 4, 1)"),
     ("two triangles", "metric table violates d3 at triple (1, 2, 0)"),
 ])
-def test_metric_table_scan_matches_brute_force(corruption, message, slack, family):
+def test_metric_table_scan_matches_brute_force(corruption, message, slack, family, monkeypatch):
     cone, u = CONES[family]
     table = _line_table(corruption, u)
     _assert_scan_matches(table, cone, slack)
     labels = list(range(len(LINE)))
+    scans, scan = [], oracle.table_triangle_failures
+    monkeypatch.setattr(oracle, "table_triangle_failures", lambda *a: scans.append(a) or scan(*a))
     if message is None:
         FiniteInstance(labels, table, labels, labels, cone)
     else:
         with pytest.raises(ConfigError) as exc:
             FiniteInstance(labels, table, labels, labels, cone)
         assert str(exc.value) == message
+    # a table refused for d1 or d2 never enters the triangle scan
+    assert len(scans) == (message is None or " d3 " in message)
 
 
 @pytest.mark.parametrize("family", list(CONES))

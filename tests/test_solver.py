@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from conefix import solver
@@ -439,11 +439,21 @@ def test_diagnose_equals_the_exact_check_on_a_dyadic_grid(a, b, T):
 # Array passes against per-point reference loops
 # ---------------------------------------------------------------------------
 
+def _label(space, f, image):
+    """What a run keeps for f's scalar image on a finite carrier: the label
+    equal to it (an affine map gives -3.0 for the label -3), except for the
+    identity, which returns its point, and an image that is not a label."""
+    carrier = space.carrier
+    if not carrier.finite or isinstance(f, IdentityMap) or not carrier.contains(image):
+        return image
+    return carrier.from_array(carrier.to_array([image]))[0]
+
+
 def _reference_picard(space, maps, x0, rule):
     """Picard iteration one point at a time, the stopping rule as documented
-    on ``picard_iterate``."""
+    on ``picard_iterate``; on a finite carrier a map's image is its label."""
     space.require_point(x0, "start point")
-    pts, t_images = [x0], [space.require_point(maps.T(x0), "T-image")]
+    pts, t_images = [x0], [_label(space, maps.T, space.require_point(maps.T(x0), "T-image"))]
     gaps, norms, seen = [], [], {point_key(x0)}
     while True:
         # a map undefined at a point raises its own error; an image outside
@@ -455,6 +465,7 @@ def _reference_picard(space, maps, x0, rule):
         ty = maps.T(y)
         if not space.carrier.contains(ty):
             raise DomainError(f"{escaped}: T-image {ty!r} lies outside the carrier")
+        y, ty = _label(space, maps.S, y), _label(space, maps.T, ty)
         gaps.append(space.d(t_images[-1], ty))
         norms.append(space.cone.norm(gaps[-1]))
         if not norms[-1] <= rule.epsilon and len(pts) > rule.max_iter:
@@ -704,6 +715,19 @@ def _nan_metric(x, y):
     return [np.nan, np.nan]
 
 
+def _three_quarters(x):
+    """A plain function, without ``on_array``: about 95 steps to converge."""
+    return 0.75 * x + 0.25
+
+
+def _double(x):
+    return 2.0 * x
+
+
+# 2, 4, 16, ..., 2^512: x^2 walks them and overflows at 2^512, at step 9 from 2
+SQUARES = [2 ** 2 ** k for k in range(10)]
+
+
 @st.composite
 def engine_cases(draw):
     """A space, maps, 1-300 starts (with repeats, and sometimes points
@@ -711,8 +735,11 @@ def engine_cases(draw):
     starts (identity S), period-2 cycles, rotations of up to 70 points
     (cycles longer than 50 steps), slow runs stopped by max_iter, NaN gap
     norms, and runs that leave the carrier, or reach a point the metric
-    refuses, at a step that depends on the start."""
-    kind = draw(st.sampled_from(["interval", "box", "tabulated", "numeric", "nan", "refusing"]))
+    refuses, or a point where S fails, at a step that depends on the start.
+    On finite carriers, affine and power maps (no array form of their own)
+    run on integer labels; on an interval, S may be a plain function."""
+    kind = draw(st.sampled_from(["interval", "box", "tabulated", "numeric", "nan", "refusing",
+                                 "labels", "plain", "squares"]))
     rule = StoppingRule(epsilon=draw(st.sampled_from([1e-12, 1e-3])),
                         max_iter=draw(st.sampled_from([1, 3, 60, 300])))
     outside = draw(st.booleans())
@@ -741,6 +768,26 @@ def engine_cases(draw):
         T = draw(st.sampled_from([IdentityMap(), AffineMap(-1.0, 1.0)]))
         S = draw(st.sampled_from([AffineMap(-1.0, 1.0), AffineMap(0.0, 0.5), AffineMap(0.5), IdentityMap()]))
         pool = [0.0, 0.25, 0.5, 0.75, 1.0] + ([0.3] if outside else [])
+    elif kind == "labels":
+        # x + 1 walks -40..40 through several blocks and leaves at step 40 - x0
+        space = ConeMetricSpace(ConeSpec.orthant(2), FinitePointsCarrier(list(range(-40, 41))),
+                                DirectionMetric([1.0, 2.0], rho=draw(st.sampled_from(["absdiff", "max"]))))
+        T = draw(st.sampled_from([IdentityMap(), AffineMap(-1.0), PowerMap(1), PowerMap(3)]))
+        S = draw(st.sampled_from([AffineMap(1.0, 1.0), AffineMap(-1.0), AffineMap(-1.0, 1.0), AffineMap(0.5),
+                                  AffineMap(0.0, 3.0), PowerMap(2), PowerMap(-1), IdentityMap()]))
+        pool = [-40, -3, -1, 0, 1, 2, 3, 40] + draw(st.lists(st.integers(-40, 40), max_size=4))
+        pool += [41] if outside else []
+    elif kind == "plain":
+        space = _unit_interval()
+        T = draw(st.sampled_from([IdentityMap(), AffineMap(0.5, 0.25)]))
+        S = draw(st.sampled_from([_three_quarters, _fold, _double]))
+        pool = [0.0, 1.0, 0.5, 0.3, 0.01] + draw(st.lists(floats, max_size=4)) + ([1.5] if outside else [])
+    elif kind == "squares":
+        # x^2 fails (OverflowError) at the visited point 2^512: from 2 and 4
+        # inside the second block, from 16 on inside the first
+        space = ConeMetricSpace(ConeSpec.orthant(2), FinitePointsCarrier(SQUARES), DirectionMetric([1.0, 2.0]))
+        T, S = IdentityMap(), PowerMap(2)
+        pool = SQUARES
     elif kind == "nan":
         space = ConeMetricSpace(ConeSpec.orthant(2), IntervalCarrier(0.0, 1.0), FunctionMetric(_nan_metric))
         T, S = IdentityMap(), draw(st.sampled_from([AffineMap(255 / 256), IdentityMap(), AffineMap(-1.0, 1.0)]))
@@ -853,24 +900,27 @@ def _assert_batch_equals_the_per_start_loop(space, maps, starts, rule):
         if key not in memo:
             try:
                 memo[key] = _reference_picard(space, maps, x0, rule)
-            except DomainError as exc:
+            except (DomainError, OverflowError) as exc:
                 memo[key] = exc
         if isinstance(memo[key], Exception):
             first_error = memo[key]
             break
         want.append(memo[key])
     if first_error is not None:
-        with pytest.raises(DomainError) as got:
+        with pytest.raises((DomainError, OverflowError)) as got:
             _picard_runs(space, maps, list(starts), rule)
         assert (type(got.value), str(got.value)) == (type(first_error), str(first_error))
-        return
+        return "raised"
     runs = _picard_runs(space, maps, list(starts), rule)
     assert len(runs) == len(want)
     for trace, reference in zip(runs, want):
         _assert_same_run(trace, reference)
+    # the rows still running at the last step ran it in a block when they were few enough
+    lengths = [len(trace.gaps) for trace in runs]
+    return "ran a block" if lengths.count(max(lengths)) <= solver.BLOCK_ROWS else "single steps only"
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(case=engine_cases())
 @example(case=_first_block_cases()[0])
 @example(case=_first_block_cases()[1])
@@ -890,7 +940,11 @@ def _assert_batch_equals_the_per_start_loop(space, maps, starts, rule):
 @example(case=(_unit_interval(), MapPair(IdentityMap(), AffineMap(255 / 256)), [1.0, 0.5, 0.0, 1.0],
                StoppingRule(max_iter=1300)))    # runs of 1,300 steps stopped by max_iter
 def test_batch_engine_equals_the_per_start_loop(case):
-    _assert_batch_equals_the_per_start_loop(*case)
+    space, maps = case[:2]
+    kind = "untabulated" if space.carrier.finite and not isinstance(maps.S, TabulatedMap) else \
+        "plain S" if not hasattr(maps.S, "on_array") and not space.carrier.finite else \
+        "function metric" if isinstance(space.metric, FunctionMetric) else "own array forms"
+    event(f"{kind}: {_assert_batch_equals_the_per_start_loop(*case)}")
 
 
 @st.composite
@@ -972,6 +1026,34 @@ def test_a_long_lone_run_steps_in_blocks():
     assert steps == [8, 16, 32, 64, 128, 256, 256, 256, 256, 229]
 
 
+def _walk_the_labels():
+    """x + 1 on the labels 0..2000: an affine map has no array form on a
+    finite carrier, so it runs point by point."""
+    space = ConeMetricSpace(ConeSpec.orthant(2), FinitePointsCarrier(list(range(2001))), DirectionMetric([1.0, 2.0]))
+    return space, MapPair(IdentityMap(), AffineMap(1.0, 1.0)), 0
+
+
+def _halving_under_a_function_metric():
+    space = ConeMetricSpace(ConeSpec.orthant(2), IntervalCarrier(0.0, 1.0),
+                            FunctionMetric(lambda x, y: np.array([1.0, 2.0]) * abs(x - y)))
+    return space, MapPair(IdentityMap(), AffineMap(255 / 256)), 0.640625
+
+
+@pytest.mark.parametrize("case", [_walk_the_labels, _halving_under_a_function_metric],
+                         ids=["untabulated_map", "function_metric"])
+def test_a_long_lone_run_steps_in_blocks_without_array_forms(case):
+    # the batch width alone picks the step: the blocks above, one pairwise
+    # call each, for a map applied point by point and for a metric called
+    # pair by pair
+    space, maps, x0 = case()
+    rule, calls, pairwise = StoppingRule(max_iter=1500), [], space.pairwise
+    space.pairwise = lambda xs, ys: calls.append(len(xs)) or pairwise(xs, ys)
+    trace = picard_iterate(space, maps, x0, rule)
+    _assert_same_run(trace, _reference_picard(space, maps, x0, rule))
+    assert trace.stop_reason == MAX_ITER and len(trace.gaps) == sum(calls) == 1501
+    assert calls == [8, 16, 32, 64, 128, 256, 256, 256, 256, 229]
+
+
 def _overflowing_swap():
     """S = -x on [-1e308, 1e308]: from 1e308 every gap overflows to inf."""
     space = ConeMetricSpace(ConeSpec.orthant(2), IntervalCarrier(-1e308, 1e308), DirectionMetric([1.0, 2.0]))
@@ -1018,7 +1100,7 @@ def test_decay_check_equals_the_per_step_loop(case, h, K, seed):
     space, maps, starts, rule = case
     try:
         runs = _picard_runs(space, maps, list(starts), rule)
-    except DomainError:
+    except (DomainError, OverflowError):      # a failing run (x^2 overflows on SQUARES)
         return
     for trace in runs[:2]:
         report = geometric_decay_check(trace, h, K, seed=seed)
@@ -1070,7 +1152,7 @@ def test_merge_equals_the_greedy_merge_over_all_pairs(case):
     space, maps, starts, rule = case
     try:
         runs = _picard_runs(space, maps, list(starts), rule)
-    except DomainError:
+    except (DomainError, OverflowError):      # a failing run (x^2 overflows on SQUARES)
         return
     got = _uniqueness_verdict(space, maps, runs, rule)
     verdict, point, witnesses = _greedy_merge(space, maps, runs, rule)
@@ -1132,7 +1214,7 @@ def test_every_trace_has_a_gap(case):
     space, maps, starts, rule = case
     try:
         runs = _picard_runs(space, maps, list(starts), rule)
-    except DomainError:
+    except (DomainError, OverflowError):      # a failing run (x^2 overflows on SQUARES)
         return
     assert all(len(t.gaps) >= 1 and len(t.norms) == len(t.gaps) for t in runs)
     assert {len(t.gaps) - t.n_final for t in runs} <= {0, 1}
@@ -1263,7 +1345,7 @@ def test_trace_writer_equals_the_per_number_writer(case, h, K):
     space, maps, starts, rule = case
     try:
         runs = _picard_runs(space, maps, list(starts), rule)
-    except DomainError:
+    except (DomainError, OverflowError):      # a failing run (x^2 overflows on SQUARES)
         return
     for trace in runs[:3]:
         for fmt in ("csv", "json"):
