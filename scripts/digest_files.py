@@ -1,0 +1,132 @@
+#!/usr/bin/env python3
+"""Write the instance files that ``scripts/artifact_digest.py`` fingerprints for an engine change.
+
+    python scripts/digest_files.py OUTDIR
+
+Writes 185 files, all drawn from the benchmark's generators
+(``perfbench/gen.py`` and ``perfbench/workloads.py``, read, never changed):
+
+* 148 benchmark files: the 4 fixtures (``fixture_<name>``); ``finite_set``
+  of seeds 0 and 1 at n = 6, 12, 24, 48, 80, 144 and 200, seven classes
+  each; ``interval_set`` of seed 0 at grids 21 and 41; and the 18
+  ``picard_solve`` instances of seeds 0 and 1.  A seeded file's name starts
+  with its seed (``s0_``, ``s1_``), since both seeds use the same names.
+* 37 table variants (``table_<base>_<variant>``), from seed 0's
+  ``fin024_TB_tree``, ``fin024_TK_tree``, ``fin200_TB_tree`` and
+  ``fin200_TK_tree``, nine of each:
+
+  - ``d3_once``: d(0, 4) = d(4, 0) = 2 (d(0, 1) + d(1, 4)), one triangle
+    failure through the pair (0, 4);
+  - ``d3_twice``: that, and d(2, 5) = d(5, 2) = 2 (d(2, 3) + d(3, 5));
+  - ``pi`` and ``third``: the table times pi, and divided by 3 (not
+    dyadic);
+  - ``e1000`` and ``e1018``: the table times 2^1000, and times 2^1018,
+    which overflows, so the file holds Infinity;
+  - ``wide``: d(0, 1) = d(1, 0) times 2^31 and d(0, 2) = d(2, 0) times
+    2^-1060 (subnormal), an entry past the int32 range beside one that
+    underflows;
+  - ``negated``: d(0, 1) = d(1, 0) negated, outside the cone;
+  - ``one_sided``: d(0, 1) doubled, d(1, 0) kept, not symmetric;
+
+  and ``table_overflow``: 7 points, d(i, j) = (1e308, 1e308) for i != j,
+  under the polyhedral cone of the matrix 2I, whose projection of the
+  table overflows.
+
+Write two checkouts' digests over the same files, with this script and
+``scripts/finite_map_files.py``, and ``diff`` them:
+
+    python scripts/digest_files.py /tmp/files
+    PYTHONPATH=src python scripts/artifact_digest.py /tmp/files/*.json
+"""
+
+import copy
+import json
+import math
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+sys.dont_write_bytecode = True      # leave the benchmark's directory as it is
+
+import gen          # noqa: E402
+import workloads    # noqa: E402
+
+FIXTURES = ("instance_a", "instance_c", "instance_d", "instance_d_twu")
+SIZES = (6, 12, 24, 48, 80, 144, 200)
+BASES = ("fin024_TB_tree", "fin024_TK_tree", "fin200_TB_tree", "fin200_TK_tree")
+
+
+def _scale(entry: list, factor: float) -> list:
+    return [v * factor for v in entry]
+
+
+def _set(table: list, i: int, j: int, entry: list) -> None:
+    table[i][j] = list(entry)
+    table[j][i] = list(entry)
+
+
+def _detour(table: list, i: int, k: int, j: int) -> list:
+    """2 (d(i, k) + d(k, j)): longer than the way through k."""
+    return [2.0 * (a + b) for a, b in zip(table[i][k], table[k][j])]
+
+
+def _variants(table: list) -> dict:
+    out = {name: copy.deepcopy(table) for name in ("d3_once", "d3_twice", "wide", "negated", "one_sided")}
+    _set(out["d3_once"], 0, 4, _detour(table, 0, 1, 4))
+    _set(out["d3_twice"], 0, 4, _detour(table, 0, 1, 4))
+    _set(out["d3_twice"], 2, 5, _detour(table, 2, 3, 5))
+    _set(out["wide"], 0, 1, _scale(table[0][1], 2.0 ** 31))
+    _set(out["wide"], 0, 2, _scale(table[0][2], 2.0 ** -1060))
+    _set(out["negated"], 0, 1, _scale(table[0][1], -1.0))
+    out["one_sided"][0][1] = _scale(table[0][1], 2.0)
+    for name, factor in (("pi", math.pi), ("third", 1 / 3), ("e1000", 2.0 ** 1000), ("e1018", 2.0 ** 1018)):
+        out[name] = [[_scale(entry, factor) for entry in row] for row in table]
+    return out
+
+
+def _overflowing_table() -> dict:
+    n = 7
+    return {
+        "schema_version": "1",
+        "cone": {"family": "polyhedral", "dimension": 2, "matrix": [[2.0, 0.0], [0.0, 2.0]]},
+        "space": {"carrier": {"kind": "finite", "points": list(range(n))},
+                  "metric": {"kind": "tabulated",
+                             "table": [[[0.0, 0.0] if i == j else [1e308, 1e308] for j in range(n)]
+                                       for i in range(n)]}},
+        "maps": {"T": {"family": "identity"}, "S": {"family": "identity"}},
+        "contraction": {"class": "TB", "a": 0.5},
+    }
+
+
+def files() -> dict:
+    """File name (without .json) -> instance document, in writing order."""
+    docs = {f"fixture_{name}": gen.fixture(ROOT, name).doc for name in FIXTURES}
+    for seed in (0, 1):
+        docs.update((f"s{seed}_{i.name}", i.doc) for i in gen.finite_set(seed, SIZES))
+    docs.update((f"s0_{i.name}", i.doc) for i in gen.interval_set(0, (21, 41)))
+    for seed in (0, 1):
+        docs.update((f"s{seed}_{i.name}", i.doc) for i in workloads._picard_instances(seed, smoke=False))
+    for base in BASES:
+        doc = docs[f"s0_{base}"]
+        for name, table in _variants(doc["space"]["metric"]["table"]).items():
+            variant = copy.deepcopy(doc)
+            variant["space"]["metric"]["table"] = table
+            docs[f"table_{base}_{name}"] = variant
+    docs["table_overflow"] = _overflowing_table()
+    return docs
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    out = Path(argv[0])
+    out.mkdir(parents=True, exist_ok=True)
+    for name, doc in files().items():
+        (out / f"{name}.json").write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

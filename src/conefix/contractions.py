@@ -62,8 +62,9 @@ CLASS_KINDS = (TB, TK, TC, TZ, TW, TW_DUAL, TWU)
 #
 # Besides the call on one point, each family has an array form that maps a
 # whole point list at once and gives the same bits as the call point by
-# point: ``on_array`` on a float array (interval or box points) and, for a
-# tabulated map, ``on_indices`` on the indices of its own points.
+# point: ``on_array`` on a float array (interval or box points; the
+# identity's on any array, indices too) and, for a tabulated map,
+# ``on_indices`` on the indices of its own points.
 
 @dataclass(frozen=True)
 class IdentityMap:
@@ -157,15 +158,25 @@ class TabulatedMap:
 
 def _array_map(space: ConeMetricSpace, f: Callable) -> Callable:
     """f as a function of the carrier's array form: ``on_indices`` for a
-    tabulated map on the carrier's own points, ``on_array`` on an interval
-    or a box, else f point by point."""
+    tabulated map on the carrier's own points, ``on_array`` for the identity
+    (exact on indices too) and for any map on an interval or a box, else f
+    point by point.  Point by point on an interval or a box, an image that
+    ``carrier.contains`` refuses (a bool, a string) fails the array pass, so
+    the caller's scalar replay raises its error; a finite carrier gives such
+    an image the index -1."""
     carrier = space.carrier
-    if carrier.finite:
-        if isinstance(f, TabulatedMap) and f.points == list(carrier.points):
-            return f.on_indices
-    elif hasattr(f, "on_array"):
+    if isinstance(f, IdentityMap) or (hasattr(f, "on_array") and not carrier.finite):
         return f.on_array
-    return lambda xs: carrier.to_array([f(p) for p in carrier.from_array(xs)])
+    if isinstance(f, TabulatedMap) and carrier.finite and f.points == list(carrier.points):
+        return f.on_indices
+
+    def point_by_point(xs: np.ndarray) -> np.ndarray:
+        images = [f(p) for p in carrier.from_array(xs)]
+        if not carrier.finite and not all(map(carrier.contains, images)):
+            raise DomainError("an image lies outside the carrier")
+        return carrier.to_array(images)
+
+    return point_by_point
 
 
 @dataclass

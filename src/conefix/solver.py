@@ -8,10 +8,10 @@ rule is well defined on any carrier.
 Every check is an array pass over the carrier's array form of its points
 (see ``cone_space``).  One engine, ``_picard_runs``, checks every start
 in one array pass (or, where that pass does not apply, start by start),
-runs them together, step-major, in blocks of steps from step 0 when the
-batch is narrow (a block that fails is replayed step by step) and one
-step at a time when it is wide, and decides the stops with array tests;
-a trace is its row of the kept records.
+runs them together, step-major, through one loop body that advances
+a block of steps and decides the stops with array tests; a single step
+is a block of one (a wide batch, and the replay of a block that fails,
+step one at a time).  A trace is its row of the kept records.
 ``picard_iterate`` is its one-row case; ``uniqueness_probe`` is one engine
 call and the merge ``_uniqueness_verdict``, which ``solve`` shares.  The
 merge tests every limit against the first with one
@@ -211,18 +211,21 @@ def _picard_runs(space: ConeMetricSpace, maps: MapPair, starts: list,
     The starts are checked in one array pass (``_start_arrays``), whose
     arrays feed step 0; where that pass does not apply, each start and its
     T-image are checked in turn, which names the first failing start.
-    The batch width alone picks the step: a batch of more than BLOCK_ROWS
-    rows advances one step at a time, a narrower one n steps at a time from
-    step 0, where the active rows apply S and T n times, and the carrier
-    mask, one ``pairwise`` and one ``norm_rows`` call and the stop tests
-    then run once over the n x k block.  A row stops at its first
+    Each pass of the loop advances the k active rows n steps: they apply S
+    and T n times, and the carrier mask, one ``pairwise`` and one
+    ``norm_rows`` call and the stop tests then run once over the n x k
+    cells.  n is 1 (a single step is a block of one) when the batch has
+    more than BLOCK_ROWS rows or the step lies in a failed block's replay;
+    else it is the block size, BLOCK_MIN steps at step 0, doubling up to
+    BLOCK_CELLS cells, and never past max_iter.  A row stops at its first
     converged step, the max_iter step or its first repeat, in that order at
     a tie, and keeps its cells up to its stop, step-major, in one record of
     arrays (rows, S-images, T-images, gaps and gap norms), so no statement
-    runs per row; each trace takes its row of the records.  A block that
-    raises, or has an image outside the carrier (a finite carrier's -1
-    wraps around), keeps nothing and is replayed one step at a time, which
-    finds and names a failure at its own step."""
+    runs per row; each trace takes its row of the records.  A block of
+    n > 1 steps that raises, or has an image outside the carrier (a finite
+    carrier's -1 wraps around), keeps nothing and is replayed one step at a
+    time; a failing single step names its lowest failing row
+    (``_first_failure``) at its own step."""
     carrier = space.carrier
     S, T = _array_map(space, maps.S), _array_map(space, maps.T)
     failure, checked = None, _start_arrays(space, maps, T, starts)
@@ -248,91 +251,76 @@ def _picard_runs(space: ConeMetricSpace, maps: MapPair, starts: list,
     grown, single = BLOCK_MIN // 2, 0           # the last block's size; steps before `single` go one by one
     with np.errstate(all="ignore"):
         while ids.size:
-            if len(ids) > BLOCK_ROWS or step < single:      # one step: a wide batch, or a failed block's replay
-                try:
-                    ys = S(xs)
-                    tys = T(ys)
-                    inside = mask(ys) if tys is ys else mask(ys) & mask(tys)
-                    if count(inside) < len(inside):
-                        raise DomainError("an image lies outside the carrier")
-                    gaps = pairwise(ts, tys)
-                    norms = norm_rows(gaps)
-                except Exception as exc:
-                    found = _first_failure(space, maps, xs, ts, step)
-                    if found is None:
-                        raise exc
-                    row, error = found
-                    failure = (int(ids[row]), error)
-                    ids, rowkeys, xs, ts = ids[:row], rowkeys[:row], xs[:row], ts[:row]
-                    continue
-                recent.append((ids, ys, tys, gaps, norms))
-                xs, ts = ys, tys
-                done = norms <= eps     # a NaN norm is not converged
-                if count(done):
-                    reasons[ids[done]] = CONVERGED
-                    going = ~done
-                    ids, rowkeys, xs, ts = ids[going], rowkeys[going], xs[going], ts[going]
-                if step >= max_iter:    # a run stopped by max_iter keeps no new point
-                    reasons[ids] = MAX_ITER
-                    break
-                visits = _visits(rowkeys, xs)
-                if not seen.isdisjoint(visits):     # S is deterministic: a repeat is a cycle
-                    cycled = np.fromiter(map(seen.__contains__, visits), bool, len(visits))
-                    reasons[ids[cycled]] = CYCLE_DETECTED
-                    going = ~cycled
-                    ids, rowkeys, xs, ts = ids[going], rowkeys[going], xs[going], ts[going]
-                seen.update(visits)
-                step += 1
-            else:                       # a block of n steps
-                k = len(ids)
+            k = len(ids)
+            if k > BLOCK_ROWS or step < single:     # one step: a wide batch, or a failed block's replay
+                n = 1
+            else:
                 n = grown = min(2 * grown, BLOCK_CELLS // k, max_iter + 1 - step)
-                try:                    # the block's cells, step-major
-                    ylist = [S(xs)]
-                    tlist = [T(ylist[0])]
-                    for _ in range(n - 1):
-                        ylist.append(S(ylist[-1]))
-                        tlist.append(T(ylist[-1]))
+            try:                        # the n x k cells, step-major
+                ylist = [S(xs)]
+                tlist = [T(ylist[0])]
+                for _ in range(n - 1):
+                    ylist.append(S(ylist[-1]))
+                    tlist.append(T(ylist[-1]))
+                if n == 1:
+                    ys, tys, before = ylist[0], tlist[0], ts
+                else:
                     ys = np.concatenate(ylist)
                     tys = ys if tlist[0] is ylist[0] else np.concatenate(tlist)
-                    inside = mask(ys) if tys is ys else mask(ys) & mask(tys)
-                    if count(inside) < len(inside):
-                        raise DomainError("an image lies outside the carrier")
-                    gaps = pairwise(np.concatenate([ts, tys[:-k]]), tys)
-                    norms = norm_rows(gaps)
-                except Exception:       # replay the block one step at a time
+                    before = np.concatenate([ts, tys[:-k]])
+                inside = mask(ys) if tys is ys else mask(ys) & mask(tys)
+                if count(inside) < len(inside):
+                    raise DomainError("an image lies outside the carrier")
+                gaps = pairwise(before, tys)
+                norms = norm_rows(gaps)
+            except Exception as exc:
+                if n > 1:               # replay the block one step at a time
                     single = step + n
                     continue
-                rows, done = ids[None].repeat(n, 0).ravel(), norms <= eps       # each step's rows
-                live = ~done            # a converged cell's visit decides nothing
-                visits = _visits(rowkeys[None].repeat(n, 0).ravel()[live], ys[live])
-                # S is deterministic: a repeat of an earlier visit, before or in the block, is a cycle
-                repeats = None if seen.isdisjoint(visits) else np.fromiter(map(seen.__contains__, visits), bool)
-                seen.update(visits)
-                if len(set(visits)) < len(visits):
-                    first = dict(zip(visits[::-1], range(len(visits) - 1, -1, -1)))
-                    again = np.fromiter(map(first.__getitem__, visits), np.intp) != np.arange(len(visits))
-                    repeats = again if repeats is None else again | repeats
-                last = step + n > max_iter      # the block ends on the max_iter step, which keeps no new point
-                xs, ts = ylist[-1], tlist[-1]
-                if repeats is not None or last or count(done):
-                    stop = done.copy()
-                    if repeats is not None:
-                        stop[live] |= repeats
-                    if last:
-                        stop[-k:] = True
-                    # a row's cells after its first stop are dropped
+                found = _first_failure(space, maps, xs, ts, step)
+                if found is None:
+                    raise exc
+                row, error = found
+                failure = (int(ids[row]), error)
+                ids, rowkeys, xs, ts = ids[:row], rowkeys[:row], xs[:row], ts[:row]
+                continue
+            rows, keys = ids, rowkeys   # each cell's row, and the row's part of the cell's visit key
+            if n > 1:
+                rows, keys = ids[None].repeat(n, 0).ravel(), rowkeys[None].repeat(n, 0).ravel()
+            done = norms <= eps         # a NaN norm is not converged
+            converged = count(done)
+            live = ~done if converged else slice(None)      # a converged cell's visit decides nothing
+            visits = _visits(keys[live], ys[live]) if converged else _visits(keys, ys)     # no copy when none did
+            # S is deterministic: a repeat of an earlier visit, before or in the block, is a cycle
+            repeats = None if seen.isdisjoint(visits) else np.fromiter(map(seen.__contains__, visits), bool)
+            seen.update(visits)
+            if n > 1 and len(set(visits)) < len(visits):
+                first = dict(zip(visits[::-1], range(len(visits) - 1, -1, -1)))
+                again = np.fromiter(map(first.__getitem__, visits), np.intp) != np.arange(len(visits))
+                repeats = again if repeats is None else again | repeats
+            last = step + n > max_iter      # the pass ends on the max_iter step, which keeps no new point
+            xs, ts = ylist[-1], tlist[-1]
+            if repeats is not None or last or converged:
+                stop = done.copy() if repeats is not None or last else done
+                if repeats is not None:
+                    stop[live] |= repeats
+                if last:
+                    stop[-k:] = True
+                going, reached = ~stop, ids     # the rows that go on, and those that reach the last step
+                if n > 1:               # a row's cells after its first stop are dropped
                     ended = np.logical_or.accumulate(stop.reshape(n, k))
                     keep = np.concatenate([np.ones(k, dtype=bool), ~ended[:-1].ravel()])
                     rows, ys, tys, gaps, norms, stop, done = (a[keep] for a in (rows, ys, tys, gaps, norms, stop, done))
-                    if repeats is not None:
-                        reasons[rows[stop]] = CYCLE_DETECTED
-                    if last:            # the rows that reach the max_iter step: there max_iter wins over
-                        reasons[ids[keep[-k:]]] = MAX_ITER      # a cycle, converged over both
+                    going, reached = ~ended[-1], ids[keep[-k:]]
+                if repeats is not None:
+                    reasons[rows[stop]] = CYCLE_DETECTED
+                if last:                # there max_iter wins over a cycle, converged over both
+                    reasons[reached] = MAX_ITER
+                if converged:
                     reasons[rows[done]] = CONVERGED
-                    going = ~ended[-1]
-                    ids, rowkeys, xs, ts = ids[going], rowkeys[going], xs[going], ts[going]
-                recent.append((rows, ys, tys, gaps, norms))
-                step += n
+                ids, rowkeys, xs, ts = ids[going], rowkeys[going], xs[going], ts[going]
+            recent.append((rows, ys, tys, gaps, norms))
+            step += n
             if len(recent) == STEP_CHUNK:
                 steps.append(tuple(map(np.concatenate, zip(*recent))))
                 recent = []
@@ -349,7 +337,7 @@ def _traces(space: ConeMetricSpace, maps: MapPair, starts: list, t0: list, reaso
     rows, ys, tys, gaps, norms = (np.concatenate([s[i] for s in steps]) for i in range(5))
     order = np.argsort(rows, kind="stable")
     ends = np.cumsum(np.bincount(rows, minlength=len(starts))).tolist()
-    ys, tys, gaps, norms = ys[order], tys[order], gaps[order], norms[order]
+    ys, tys, gaps, norms = (a.take(order, axis=0) for a in (ys, tys, gaps, norms))    # a[order], at a third of the cost
     traces, begin = [], 0
     for x0, tx0, reason, end in zip(starts, t0, reasons, ends):
         kept = end - (reason == MAX_ITER)

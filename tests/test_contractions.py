@@ -249,6 +249,16 @@ def test_fit_reports_hard_witnesses():
     assert result.hard_witnesses == [(0, 1)]
 
 
+def test_fit_reports_tw_hard_witnesses():
+    # Tx = Ty = TSx for (0, 1) while TSx != TSy: both of TW's terms,
+    # d(Tx, Ty) and d(Ty, TSx), are 0 under a positive lhs
+    fin = finite_from_values([0.0, 1.0, 2.0], t_table=[0, 0, 2], s_table=[0, 2, 2])
+    space, maps = fin.as_space_and_maps()
+    result = fit_constants(space, maps, "TW", all_pairs(space))
+    assert not result.feasible and result.spec is None
+    assert (0, 1) in result.hard_witnesses
+
+
 def test_fit_rejects_empty_pairs(space_a):
     space, maps = space_a
     with pytest.raises(ConfigError):

@@ -16,7 +16,9 @@ from conefix.cone_space import (
     BoxCarrier, ConeMetricSpace, ConeSpec, ConfigError, DirectionMetric, DomainError,
     FinitePointsCarrier, FunctionMetric, IntervalCarrier, TabulatedMetric, point_key,
 )
-from conefix.contractions import AffineMap, IdentityMap, MapPair, PowerMap, TabulatedMap
+from conefix.contractions import (
+    AffineMap, ClassSpec, IdentityMap, MapPair, PowerMap, TabulatedMap, all_pairs, check_condition, grid_pairs,
+)
 from conefix.instances import instance_a, instance_d
 from conefix.oracle import finite_from_values
 
@@ -1054,6 +1056,107 @@ def test_a_long_lone_run_steps_in_blocks_without_array_forms(case):
     assert calls == [8, 16, 32, 64, 128, 256, 256, 256, 256, 229]
 
 
+def test_a_wide_batch_steps_one_by_one_until_it_narrows():
+    # 20 rows take single steps; the 4 fixed starts converge at step 0, and
+    # the 16 rows left go on in blocks of 8, 16, 16, ... steps, the last
+    # cut to 12 steps by max_iter 100
+    space, maps = _unit_interval(), MapPair(IdentityMap(), AffineMap(255 / 256))
+    starts, rule = [0.0] * 4 + [k / 16 for k in range(1, 17)], StoppingRule(max_iter=100)
+    calls, pairwise = [], space.pairwise
+    space.pairwise = lambda xs, ys: calls.append(len(xs)) or pairwise(xs, ys)
+    runs = _picard_runs(space, maps, starts, rule)
+    assert calls == [20, 8 * 16, 16 * 16, 16 * 16, 16 * 16, 16 * 16, 16 * 16, 12 * 16]
+    for trace, x0 in zip(runs, starts):
+        _assert_same_run(trace, _reference_picard(space, maps, x0, rule))
+
+
+def _wide_slow_batch():
+    """20 starts of 255/256 x on [0, 1] to max_iter 600: 601 single steps,
+    one kept record each, more than one chunk (STEP_CHUNK)."""
+    return _unit_interval(), MapPair(IdentityMap(), AffineMap(255 / 256)), [k / 20 for k in range(1, 21)], \
+        StoppingRule(max_iter=600)
+
+
+def _lone_slow_run():
+    """One run of 255/256 x to max_iter 1500: ten blocks."""
+    return _unit_interval(), MapPair(IdentityMap(), AffineMap(255 / 256)), [0.640625], StoppingRule(max_iter=1500)
+
+
+@pytest.mark.parametrize("case", [_wide_slow_batch, _lone_slow_run], ids=["wide", "lone"])
+def test_traces_do_not_depend_on_the_record_chunk(monkeypatch, case):
+    # the kept records merge every STEP_CHUNK records; where they merge
+    # changes no bit of any trace
+    space, maps, starts, rule = case()
+    want = [_reference_picard(space, maps, x0, rule) for x0 in starts]
+    for chunk in (1, 3, 512):
+        monkeypatch.setattr(solver, "STEP_CHUNK", chunk)
+        runs = _picard_runs(space, maps, starts, rule)
+        assert [t.stop_reason for t in runs] == [MAX_ITER] * len(starts)
+        for trace, reference in zip(runs, want):
+            _assert_same_run(trace, reference)
+
+
+def test_an_identity_t_on_a_finite_carrier_maps_indices(monkeypatch):
+    # IdentityMap's array form is exact on indices: no scalar T call, and
+    # the runs, probe, condition and diagnosis of a tabulated identity T
+    points = list(range(40))
+    space = ConeMetricSpace(ConeSpec.orthant(2), FinitePointsCarrier(points), DirectionMetric([1.0, 2.0]))
+    S = TabulatedMap(points, [min(p + 1, 30) for p in points])
+    identity, tabulated = MapPair(IdentityMap(), S), MapPair(TabulatedMap(points, points), S)
+    rule, starts, pairs = StoppingRule(max_iter=50), [0, 3, 31, 39] * 5, all_pairs(space)
+    want = [_reference_picard(space, tabulated, x0, rule) for x0 in starts]
+    condition = check_condition(space, tabulated, ClassSpec.tb(0.5), pairs)
+    diagnosis = diagnose_T(space, tabulated)
+    calls, call = [], IdentityMap.__call__      # every scalar IdentityMap call
+    monkeypatch.setattr(IdentityMap, "__call__", lambda self, x: calls.append(x) or call(self, x))
+    _assert_same_run(picard_iterate(space, identity, 3, rule), want[1])
+    for width in (4, 20):       # blocks, and single steps
+        probe = uniqueness_probe(space, identity, starts[:width], rule)
+        assert probe.verdict == UNIQUE and probe.fixed_point == 30
+        for trace, reference in zip(probe.traces, want):
+            _assert_same_run(trace, reference)
+    got = check_condition(space, identity, ClassSpec.tb(0.5), pairs)
+    assert [(v.x, v.y, _bits(v.lhs), _bits(v.rhs)) for v in got.violations] == \
+        [(v.x, v.y, _bits(v.lhs), _bits(v.rhs)) for v in condition.violations]
+    assert dataclasses.astuple(diagnose_T(space, identity)) == dataclasses.astuple(diagnosis)
+    assert calls == []
+
+
+def _true(x):
+    return True
+
+
+def _text(x):
+    return "0.5"
+
+
+@pytest.mark.parametrize("f, image", [(_true, "True"), (_text, "'0.5'")], ids=["bool", "str"])
+def test_a_plain_map_image_the_interval_refuses_raises(f, image):
+    # IntervalCarrier.to_array reads True as 1.0 and "0.5" as 0.5, but the
+    # carrier refuses both: the engine and the condition check raise what
+    # the scalar path raises
+    space = _unit_interval()
+    escaped = f"iterate 0 escaped the carrier: S-image {image} lies outside the carrier"
+    with pytest.raises(DomainError, match=f"^S-image {image} lies outside the carrier$"):
+        space.require_point(f(0.25), "S-image")
+    for T in (IdentityMap(), AffineMap(0.5, 0.25)):
+        maps = MapPair(T, f)
+        with pytest.raises(DomainError, match=f"^{escaped}$"):
+            picard_iterate(space, maps, 0.25)
+        for starts in ([0.25, 0.5], [k / 20 for k in range(20)]):
+            with pytest.raises(DomainError, match=f"^{escaped}$"):
+                uniqueness_probe(space, maps, starts)
+        with pytest.raises(DomainError, match=f"^S-image {image} lies outside the carrier$"):
+            check_condition(space, maps, ClassSpec.tb(0.5), grid_pairs(space))
+    # as T: the start's T-image
+    maps = MapPair(f, AffineMap(0.5))
+    for call in (lambda: picard_iterate(space, maps, 0.25), lambda: uniqueness_probe(space, maps, [0.25] * 20)):
+        with pytest.raises(DomainError, match=f"^T-image {image} lies outside the carrier$"):
+            call()
+    with pytest.raises(DomainError, match=f"^T-image {image} lies outside the carrier$"):
+        check_condition(space, maps, ClassSpec.tb(0.5), grid_pairs(space))
+
+
 def _overflowing_swap():
     """S = -x on [-1e308, 1e308]: from 1e308 every gap overflows to inf."""
     space = ConeMetricSpace(ConeSpec.orthant(2), IntervalCarrier(-1e308, 1e308), DirectionMetric([1.0, 2.0]))
@@ -1195,6 +1298,15 @@ def test_all_apart_merge_of_256_limits(carrier):
     verdict, point, witnesses = _greedy_merge(space, maps, runs, rule)
     assert got.verdict == verdict == NON_UNIQUE and len(got.witnesses) == 256
     assert repr(got.witnesses) == repr(witnesses) and list(map(type, got.witnesses)) == list(map(type, witnesses))
+
+
+def test_certification_replays_an_escaping_representative():
+    # T = 0: every run converges at step 0, to 0.7 and 0.9, which lie apart;
+    # S(0.7) leaves [0, 1], so each representative is certified in turn and
+    # the first raises its own error
+    space, maps = _unit_interval(), MapPair(AffineMap(0.0), AffineMap(1.0, 0.6))
+    with pytest.raises(DomainError, match=r"^S-image 1\.2999999999999998 lies outside the carrier$"):
+        uniqueness_probe(space, maps, [0.1, 0.3])
 
 
 # ---------------------------------------------------------------------------
