@@ -3,8 +3,10 @@
 
     python scripts/digest_files.py OUTDIR
 
-Writes 185 files, all drawn from the benchmark's generators
-(``perfbench/gen.py`` and ``perfbench/workloads.py``, read, never changed):
+Writes 311 files: the 126 of ``scripts/finite_map_files.py`` (identity,
+affine and power maps on finite carriers), and 185 drawn from the
+benchmark's generators (``perfbench/gen.py`` and ``perfbench/workloads.py``,
+read, never changed):
 
 * 148 benchmark files: the 4 fixtures (``fixture_<name>``); ``finite_set``
   of seeds 0 and 1 at n = 6, 12, 24, 48, 80, 144 and 200, seven classes
@@ -32,8 +34,7 @@ Writes 185 files, all drawn from the benchmark's generators
   under the polyhedral cone of the matrix 2I, whose projection of the
   table overflows.
 
-Write two checkouts' digests over the same files, with this script and
-``scripts/finite_map_files.py``, and ``diff`` them:
+Write two checkouts' digests over the same files and ``diff`` them:
 
     python scripts/digest_files.py /tmp/files
     PYTHONPATH=src python scripts/artifact_digest.py /tmp/files/*.json
@@ -49,8 +50,9 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 sys.dont_write_bytecode = True      # leave the benchmark's directory as it is
 
-import gen          # noqa: E402
-import workloads    # noqa: E402
+import finite_map_files     # noqa: E402
+import gen                  # noqa: E402
+import workloads            # noqa: E402
 
 FIXTURES = ("instance_a", "instance_c", "instance_d", "instance_d_twu")
 SIZES = (6, 12, 24, 48, 80, 144, 200)
@@ -125,7 +127,7 @@ def main(argv: list[str]) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for name, doc in files().items():
         (out / f"{name}.json").write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
-    return 0
+    return finite_map_files.main([str(out)])
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ from .cone_space import (
 from .contractions import (
     CLASS_KINDS, TB, TC, TK, TW, TW_DUAL, TZ,
     AffineMap, ClassSpec, ConditionReport, IdentityMap, MapPair, PairSet,
-    PowerMap, TabulatedMap, _array_map, all_pairs, check_condition, constant_names, fit_constants,
+    PowerMap, TabulatedMap, all_pairs, check_condition, constant_names, fit_constants, image_indices,
     grid_pairs, map_points, rate_from_primary_form, sampled_pairs, verify_zamfirescu_reduction,
     zamfirescu_delta,
 )
@@ -428,12 +428,15 @@ def parse_instance(text: str, flags: dict | None = None) -> LoadedInstance:
         space, maps = parts["space"], parts["maps"]
         finite = None
         if isinstance(space.metric, TabulatedMetric):
-            pts = list(space.carrier.points)
+            tables = []
             try:
-                t_tab, s_tab = (_array_map(space, f)(np.arange(len(pts))) for f in (maps.T, maps.S))
-                finite = FiniteInstance(pts, space.metric.table, t_tab, s_tab, space.cone)
+                for name in "TS":
+                    where = f"maps.{name}"
+                    tables.append(image_indices(space, getattr(maps, name), f"{name}-image"))
+                where = "space"
+                finite = FiniteInstance(list(space.carrier.points), space.metric.table, *tables, space.cone)
             except (ConfigError, DomainError) as exc:
-                raise InstanceValidationError([f"space: {exc}"]) from exc
+                raise InstanceValidationError([f"{where}: {exc}"]) from exc
         contraction, pinned = parts.get("contraction", (None, False))
         return LoadedInstance(space, maps, contraction, parts["run"], finite, pinned)
     finally:
@@ -508,9 +511,8 @@ def _json(value, nl: str, out: list[str]) -> None:
     sort_keys=True, indent=2)`` writes it, for the values reports hold:
     dicts, lists, tuples, strings, numbers, booleans, None, and numpy arrays
     and scalars, converted as ``_plain`` converts them.  A non-finite float
-    becomes the string of its repr, and a list of finite floats is written
-    by one ``join``.  ``nl`` is the newline and indentation the value
-    starts on."""
+    becomes the string of its repr.  ``nl`` is the newline and indentation
+    the value starts on."""
     if isinstance(value, np.ndarray):
         value = value.tolist()
     kind = type(value)
@@ -538,11 +540,6 @@ def _json(value, nl: str, out: list[str]) -> None:
             text = _records(value, nl)
             if text is not None:
                 out.append(text)
-                return
-        if set(map(type, value)) == {float}:
-            text = sep.join(map(float.__repr__, value))
-            if "n" not in text:         # every repr is finite: no nan, inf or -inf
-                out.append(head + text + nl + "]")
                 return
         for v in value:
             out.append(head)
@@ -860,8 +857,8 @@ def run(command: str, inst: LoadedInstance, options: Options) -> tuple[int, dict
         if kind not in (TB, TK, TC, TW):
             raise UsageError(f"fit supports TB/TK/TC/TW, not {kind}")
         pairs = _condition_pairs(inst)
-        pinned = {"delta": inst.contraction.delta} if (kind == TW and inst.tw_delta_pinned) else None
-        result = fit_constants(inst.space, inst.maps, kind, pairs, pinned=pinned)
+        pinned = inst.contraction.delta if (kind == TW and inst.tw_delta_pinned) else None
+        result = fit_constants(inst.space, inst.maps, kind, pairs, pinned_delta=pinned)
         out = {
             "schema_version": SCHEMA_VERSION,
             "command": "fit",

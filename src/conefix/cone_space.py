@@ -25,7 +25,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, repeat
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -285,11 +285,40 @@ class SamplingPlan:
         return np.random.default_rng(self.seed)
 
 
+def as_tuple(*row) -> tuple:
+    """The entry of a view whose entries are plain tuples, such as pairs."""
+    return row
+
+
+def _same(a, b) -> bool:
+    """``a == b`` for report entries, where an array equals one of the same
+    shape and values, and a tuple or a dataclass entry compares field by
+    field (a list of entries holding arrays cannot compare)."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    if type(a) is type(b) and hasattr(a, "__dataclass_fields__"):
+        a, b = tuple(vars(a).values()), tuple(vars(b).values())
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
 class LazyRows(Sequence):
-    """A read-only sequence of report entries kept as array rows: an entry
-    is built only when read (by index, slice or iteration), so a length or
-    a truth test builds none.  A subclass gives ``__len__`` and
-    ``_build(rows)``, the list of the entries at the positions of a slice."""
+    """A read-only sequence of report entries kept as array columns: an
+    entry is built only when read (by index, slice or iteration), so a
+    length or a truth test builds none.  Each group ``(make, points,
+    values)`` holds equal-length columns, and its entry i is
+    ``make(*points_i, *values_i)``: ``from_array`` turns the rows of a point
+    column into objects (a carrier's points, or ints for index arrays) and
+    a value column's rows pass as they are.  The view equals a list or a
+    view of equal entries, and prints as the list it stands for."""
+
+    def __init__(self, from_array: Callable, groups: list[tuple[Callable, tuple, tuple]]):
+        self._from_array, self._groups = from_array, groups
+        self._ends = list(accumulate(len((*points, *values)[0]) for _, points, values in groups))
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
 
     def __getitem__(self, key):
         if isinstance(key, slice):
@@ -302,8 +331,26 @@ class LazyRows(Sequence):
     def __iter__(self):
         return iter(self._build(slice(None)))
 
+    def __eq__(self, other):
+        if isinstance(other, (LazyRows, list)):
+            return len(self) == len(other) and all(map(_same, self, other))
+        return NotImplemented
+
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({len(self)} rows)"
+        return repr(self._build(slice(None)))
+
+    def _build(self, rows: slice) -> list:
+        picked = range(len(self))[rows]
+        if picked.step < 0:
+            return self._build(slice(picked[-1], picked[0] + 1, -picked.step))[::-1] if picked else []
+        out, lo = [], 0
+        for (make, points, values), hi in zip(self._groups, self._ends):
+            part = picked[bisect_left(picked, lo):bisect_left(picked, hi)]
+            if part:
+                at = slice(part.start - lo, part.stop - lo, part.step)
+                out += map(make, *(self._from_array(p[at]) for p in points), *(v[at] for v in values))
+            lo = hi
+        return out
 
 
 @dataclass
@@ -313,41 +360,10 @@ class AxiomViolation:
     residual: object
 
 
-class AxiomViolations(LazyRows):
-    """The violations of an axiom check, axiom by axiom in reporting order.
-    Each group ``(axiom, forms, residuals)`` keeps an axiom's failing
-    entries: one array per witness point, whose rows ``from_array`` turns
-    into points, and the residual of each entry (an array's rows, or a
-    list)."""
-
-    def __init__(self, from_array: Callable, groups: list[tuple[str, tuple, Sequence]]):
-        self._from_array, self._groups = from_array, groups
-        self._ends = list(accumulate(len(residuals) for _, _, residuals in groups))
-
-    def __len__(self) -> int:
-        return self._ends[-1] if self._ends else 0
-
-    def __eq__(self, other):
-        """Equal to a list or a view of equal entries, as the list of its
-        entries would be, so axiom reports compare as they did when they
-        held lists."""
-        if isinstance(other, (AxiomViolations, list)):
-            return len(self) == len(other) and list(self) == list(other)
-        return NotImplemented
-
-    def _build(self, rows: slice) -> list[AxiomViolation]:
-        picked = range(len(self))[rows]
-        if picked.step < 0:
-            return self._build(slice(picked[-1], picked[0] + 1, -picked.step))[::-1] if picked else []
-        out, lo = [], 0
-        for (axiom, forms, residuals), hi in zip(self._groups, self._ends):
-            part = picked[bisect_left(picked, lo):bisect_left(picked, hi)]
-            if part:
-                at = slice(part.start - lo, part.stop - lo, part.step)
-                points = [self._from_array(f[at]) for f in forms]
-                out += map(AxiomViolation, repeat(axiom), zip(*points) if points else repeat(()), residuals[at])
-            lo = hi
-        return out
+def _axiom_group(axiom: str, points: tuple, residuals: Sequence) -> tuple:
+    """The ``LazyRows`` group of an axiom's failing entries: one column per
+    witness point, and the residual of each entry."""
+    return (lambda *row: AxiomViolation(axiom, row[:-1], row[-1])), points, (residuals,)
 
 
 @dataclass
@@ -378,14 +394,14 @@ def verify_cone_axioms(cone: ConeSpec, plan: SamplingPlan | None = None) -> Axio
     """
     rows, groups = cone.exact_rows, []
     if not (cone.contains(_interior_witness(cone), "interior") or _has_interior(rows, cone.dimension)):
-        groups.append(("P1-interior-nonempty", (), [None]))
+        groups.append(_axiom_group("P1-interior-nonempty", (), [None]))
     basis = _nullspace(rows, cone.dimension)
     if basis:
         # a huge entry is scaled by a power of two to stay finite
         vs = np.array([[x / (1 << max(0, max(map(abs, ints)).bit_length() - 1000)) for x in ints]
                        for ints in basis])
-        groups.append(("P3-pointed", (vs,), [cone.ineq_matrix @ v for v in vs]))
-    return AxiomReport(["P1", "P2", "P3"], AxiomViolations(list, groups), 0)
+        groups.append(_axiom_group("P3-pointed", (vs,), [cone.ineq_matrix @ v for v in vs]))
+    return AxiomReport(["P1", "P2", "P3"], LazyRows(list, groups), 0)
 
 
 def _interior_witness(cone: ConeSpec) -> np.ndarray:
@@ -842,12 +858,12 @@ def verify_metric_axioms(space: ConeMetricSpace, plan: SamplingPlan | None = Non
     plan = plan or SamplingPlan()
     rng = plan.rng()
     carrier, cone = space.carrier, space.cone
-    groups: list[tuple[str, tuple, np.ndarray]] = []     # AxiomViolations' groups
+    groups: list[tuple] = []     # LazyRows groups
 
     n = len(carrier.points) if carrier.finite else 0
     table = getattr(space.metric, "table", None)
     if scanned_by is not None and scanned_by.metric_table is table and scanned_by.cone is cone:
-        return AxiomReport(["d1", "d2", "d3"], AxiomViolations(carrier.from_array, groups), n * n + n ** 3)
+        return AxiomReport(["d1", "d2", "d3"], LazyRows(carrier.from_array, groups), n * n + n ** 3)
     if carrier.finite and n ** 3 <= max(plan.count, 2_000_000):
         indices = np.arange(n)
         d = space.pairwise(np.repeat(indices, n), np.tile(indices, n)).reshape(n, n, -1)
@@ -861,8 +877,8 @@ def verify_metric_axioms(space: ConeMetricSpace, plan: SamplingPlan | None = Non
         for axiom, mask in metric_table_failures(d, cone, cone.slack).items():
             if mask.any():      # on the all-False n^3 d3 mask argwhere costs ~40x mask.any()
                 at = tuple(np.argwhere(mask).T)     # the failing points' indices, one array per witness point
-                groups.append((axiom, at, residuals[axiom](*at)))
-        return AxiomReport(["d1", "d2", "d3"], AxiomViolations(carrier.from_array, groups), n * n + n ** 3)
+                groups.append(_axiom_group(axiom, at, residuals[axiom](*at)))
+        return AxiomReport(["d1", "d2", "d3"], LazyRows(carrier.from_array, groups), n * n + n ** 3)
 
     xs, ys, txs, tys, tzs = (carrier.to_array(carrier.sample(rng, plan.count)) for _ in range(5))
     dxy, dyx, diag = space.pairwise(xs, ys), space.pairwise(ys, xs), space.pairwise(xs, xs)
@@ -881,8 +897,8 @@ def verify_metric_axioms(space: ConeMetricSpace, plan: SamplingPlan | None = Non
     for axiom, bad, forms, residual in checks:
         rows = np.flatnonzero(bad)
         if rows.size:
-            groups.append((axiom, tuple(f.take(rows, axis=0) for f in forms), residual.take(rows, axis=0)))
-    return AxiomReport(["d1", "d2", "d3"], AxiomViolations(carrier.from_array, groups), 2 * plan.count)
+            groups.append(_axiom_group(axiom, tuple(f.take(rows, axis=0) for f in forms), residual.take(rows, axis=0)))
+    return AxiomReport(["d1", "d2", "d3"], LazyRows(carrier.from_array, groups), 2 * plan.count)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from itertools import repeat
 import numpy as np
 
 from .cone_space import (ConeMetricSpace, ConeSpec, ConfigError, DomainError, LazyRows, all_last, any_last,
-                         label_position, table_take)
+                         as_tuple, label_position, table_take)
 
 TB = "TB"
 TK = "TK"
@@ -179,6 +179,18 @@ def _array_map(space: ConeMetricSpace, f: Callable) -> Callable:
     return point_by_point
 
 
+def image_indices(space: ConeMetricSpace, f: Callable, what: str) -> np.ndarray:
+    """The indices of f's images of a finite carrier's points, in one array
+    pass; where an image is not a point, the scalar map's error at the first
+    such point (``what`` names the image in it)."""
+    points = space.carrier.points
+    images = _array_map(space, f)(np.arange(len(points)))
+    outside = np.flatnonzero(images < 0)
+    if outside.size:
+        space.require_point(f(points[outside[0]]), what)
+    return images
+
+
 @dataclass
 class MapPair:
     T: Callable
@@ -284,27 +296,6 @@ class ConditionViolation:
     lhs: np.ndarray
     rhs: np.ndarray
     residual: np.ndarray
-
-
-class Violations(LazyRows):
-    """The violations of a condition check as a read-only sequence.  It
-    keeps only the violating rows: the pairs' points in array form and
-    their lhs, rhs and residual rows.  A ``ConditionViolation`` is built
-    for each row read, so counting the violations builds none."""
-
-    def __init__(self, space: ConeMetricSpace, pairs: PairSet, bad: np.ndarray, lhs: np.ndarray,
-                 rhs: np.ndarray, residual: np.ndarray):
-        """The pairs at positions ``bad`` of ``pairs``, with their rows."""
-        xs, ys = pairs.points.take(pairs.ix[bad], axis=0), pairs.points.take(pairs.iy[bad], axis=0)
-        self._carrier, self._rows = space.carrier, (xs, ys, lhs, rhs, residual)
-
-    def __len__(self) -> int:
-        return len(self._rows[0])
-
-    def _build(self, rows: slice) -> list[ConditionViolation]:
-        xs, ys, lhs, rhs, res = (a[rows] for a in self._rows)
-        from_array = self._carrier.from_array
-        return list(map(ConditionViolation, from_array(xs), from_array(ys), lhs, rhs, res))
 
 
 @dataclass
@@ -483,7 +474,7 @@ def _condition_report(space: ConeMetricSpace, spec: ClassSpec, pairs: PairSet,
         rhs, res = table_take(rhs, best, bad), table_take(res, best, bad)
     else:
         rhs, res = rhs.take(bad, axis=0), res.take(bad, axis=0)
-    violations = Violations(space, pairs, bad, t.lhs.take(bad, axis=0), rhs, res)
+    violations = pairs.witnesses(space, bad, ConditionViolation, t.lhs.take(bad, axis=0), rhs, res)
     return ConditionReport(spec, len(pairs), violations, v.branch_stats, notes=notes)
 
 
@@ -575,8 +566,8 @@ def verify_zamfirescu_reduction(
         v = cleared_check(tz, weak_kind, t, space.cone, space.cone.slack)
         bad = np.flatnonzero(~v.ok)
         lhs, res = t.lhs.take(bad, axis=0), v.residual.take(bad, axis=0)
-        forms.append(ConditionReport(label, len(pairs), Violations(space, pairs, bad, lhs, res + lhs, res),
-                                     notes=note))
+        forms.append(ConditionReport(label, len(pairs), pairs.witnesses(space, bad, ConditionViolation, lhs,
+                                                                        res + lhs, res), notes=note))
     return ReductionReport(delta, True, tz_report, *forms)
 
 
@@ -688,13 +679,16 @@ def fit_terms(
     """Smallest constants for which the class inequality holds on every
     pair of ``t``: a for TB, b for TK, c for TC, and for TW the smallest
     delta (constrained only by inequality rows where the L-term vanishes)
-    followed by the smallest L at that delta, unless delta is pinned.
+    followed by the smallest L at that delta, unless delta is pinned (TW
+    only).
 
     A pair with an inequality row where every RHS term is 0 but the LHS is
     positive is a hard witness: no constant can repair it.
     """
     if kind not in (TB, TK, TC, TW):
         raise ConfigError(f"constant fitting supports TB/TK/TC/TW, not {kind!r}")
+    if pinned_delta is not None and kind != TW:
+        raise ConfigError(f"only TW has a delta to pin, not {kind}")
     a_t = cone.ineq_matrix.T
     lv = t.lhs @ a_t
 
@@ -737,7 +731,7 @@ class FitResult:
     kind: str
     feasible: bool
     spec: ClassSpec | None
-    hard_witnesses: list[tuple]
+    hard_witnesses: Sequence[tuple]
 
 
 def fit_constants(
@@ -746,20 +740,17 @@ def fit_constants(
     class_kind: str,
     pairs: PairSet,
     *,
-    pinned: dict[str, float] | None = None,
+    pinned_delta: float | None = None,
 ) -> FitResult:
     """Smallest constants (the exact smallest passing floats) for which the
     class inequality passes on the pair set: a for TB, b for TK, c for TC,
-    and for TW the minimal delta followed by the minimal L (delta may be
-    pinned via ``pinned={'delta': v}``).  Pairs no constant can repair are
-    returned as infeasibility witnesses.
+    and for TW the minimal delta followed by the minimal L (or the minimal
+    L at ``pinned_delta``).  Pairs no constant can repair are returned as
+    infeasibility witnesses.
     """
     if not len(pairs):
         raise ConfigError("constant fitting needs a nonempty pair set")
-    fit = fit_terms(
-        class_kind, pair_terms(space, maps, pairs), space.cone, space.cone.slack,
-        (pinned or {}).get("delta"),
-    )
+    fit = fit_terms(class_kind, pair_terms(space, maps, pairs), space.cone, space.cone.slack, pinned_delta)
     spec = ClassSpec(class_kind, **fit.values) if fit.feasible else None
     return FitResult(class_kind, fit.feasible, spec, pairs.witnesses(space, np.flatnonzero(fit.witnesses)))
 
@@ -787,10 +778,12 @@ class PairSet:
         ix = np.arange(0, len(points), 2)
         return cls(space.array_form(points, "pair point"), ix, ix + 1)
 
-    def witnesses(self, space: ConeMetricSpace, idx: np.ndarray) -> list[tuple]:
-        """The pairs at positions ``idx`` as (x, y) carrier points."""
-        from_array = space.carrier.from_array
-        return list(zip(from_array(self.points[self.ix[idx]]), from_array(self.points[self.iy[idx]])))
+    def witnesses(self, space: ConeMetricSpace, idx: np.ndarray, make: Callable = as_tuple, *values) -> LazyRows:
+        """The pairs at positions ``idx`` as the entries ``make(x, y, *rows)``
+        of a view, x and y carrier points and ``rows`` those of ``values``
+        (by default the pairs (x, y) themselves)."""
+        xs, ys = (self.points.take(i.take(idx), axis=0) for i in (self.ix, self.iy))
+        return LazyRows(space.carrier.from_array, [(make, (xs, ys), values)])
 
 
 def _square(xs: np.ndarray) -> PairSet:

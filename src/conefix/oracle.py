@@ -21,8 +21,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .cone_space import (
-    ConeMetricSpace, ConeSpec, ConfigError, FinitePointsCarrier, TabulatedMetric, table_pair_failures, table_take,
-    table_triangle_failures,
+    ConeMetricSpace, ConeSpec, ConfigError, FinitePointsCarrier, LazyRows, TabulatedMetric, as_tuple,
+    table_pair_failures, table_take, table_triangle_failures,
 )
 from .contractions import (
     TB, TC, TK, TW, TW_DUAL, TWU, TZ,
@@ -158,17 +158,17 @@ def enumerate_fixed_points(fin: FiniteInstance) -> list[int]:
     return [fin.points[i] for i in idx]
 
 
-def _index_pairs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """The True entries of an (n, n) mask as (x, y) tuples of ints, row-major."""
-    ix, iy = np.nonzero(mask)
-    return list(zip(ix.tolist(), iy.tolist()))
+def _index_pairs(mask: np.ndarray) -> LazyRows:
+    """The True entries of an (n, n) mask as a view of (x, y) tuples of
+    ints, row-major."""
+    return LazyRows(np.ndarray.tolist, [(as_tuple, np.nonzero(mask), ())])
 
 
 @dataclass
 class OracleConditionReport:
     spec: ClassSpec
     holds: bool
-    violating_pairs: list[tuple[int, int]]
+    violating_pairs: Sequence[tuple[int, int]]
     pairs_checked: int
     branch_stats: dict[str, int] | None = None
 
@@ -189,7 +189,7 @@ class TightestResult:
     feasible: bool
     constants: dict[str, float] | None
     supremum: dict[str, float]
-    infeasible_witnesses: list[tuple[int, int]]
+    infeasible_witnesses: Sequence[tuple[int, int]]
 
 
 def tightest_constants(
@@ -221,8 +221,8 @@ class ReductionExhaustive:
     applicable: bool
     primary_ok: bool
     dual_ok: bool
-    primary_violations: list[tuple[int, int]]
-    dual_violations: list[tuple[int, int]]
+    primary_violations: Sequence[tuple[int, int]]
+    dual_violations: Sequence[tuple[int, int]]
 
     @property
     def holds(self) -> bool:
@@ -252,8 +252,8 @@ class PromotionExhaustive:
     promoted: ClassSpec
     weak_ok: bool
     weak_dual_ok: bool
-    weak_violations: list[tuple[int, int]]
-    weak_dual_violations: list[tuple[int, int]]
+    weak_violations: Sequence[tuple[int, int]]
+    weak_dual_violations: Sequence[tuple[int, int]]
 
     @property
     def holds(self) -> bool:

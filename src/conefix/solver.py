@@ -30,8 +30,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .cone_space import BoxCarrier, ConeMetricSpace, ConfigError, DirectionMetric, DomainError, point_key
-from .contractions import AffineMap, IdentityMap, MapPair, PowerMap, _array_map
+from .cone_space import (BoxCarrier, ConeMetricSpace, ConfigError, DirectionMetric, DomainError, LazyRows, as_tuple,
+                         point_key)
+from .contractions import AffineMap, IdentityMap, MapPair, PowerMap, _array_map, image_indices
 
 CONVERGED = "converged"
 MAX_ITER = "max_iter"
@@ -71,7 +72,6 @@ class IterationTrace:
 
     space: ConeMetricSpace
     maps: MapPair
-    rule: StoppingRule
     stop_reason: str
     start: object
     t_start: object
@@ -326,11 +326,11 @@ def _picard_runs(space: ConeMetricSpace, maps: MapPair, starts: list,
                 recent = []
     if failure is not None:
         raise failure[1]
-    return _traces(space, maps, starts, t0, reasons.tolist(), steps + recent, rule)
+    return _traces(space, maps, starts, t0, reasons.tolist(), steps + recent)
 
 
 def _traces(space: ConeMetricSpace, maps: MapPair, starts: list, t0: list, reasons: list,
-            steps: list, rule: StoppingRule) -> list[IterationTrace]:
+            steps: list) -> list[IterationTrace]:
     """Each start's trace: its entries of the kept steps, grouped by row in
     step order.  A run stopped by max_iter keeps the gap of its last step
     but not the point."""
@@ -341,7 +341,7 @@ def _traces(space: ConeMetricSpace, maps: MapPair, starts: list, t0: list, reaso
     traces, begin = [], 0
     for x0, tx0, reason, end in zip(starts, t0, reasons, ends):
         kept = end - (reason == MAX_ITER)
-        traces.append(IterationTrace(space, maps, rule, reason, x0, tx0, ys[begin:kept], tys[begin:kept],
+        traces.append(IterationTrace(space, maps, reason, x0, tx0, ys[begin:kept], tys[begin:kept],
                                      gaps[begin:end], norms[begin:end]))
         begin = end
     return traces
@@ -370,9 +370,9 @@ class DecayReport:
     h: float
     K: float
     per_step_ok: bool
-    per_step_violations: list[tuple[int, float, float]]
+    per_step_violations: Sequence[tuple[int, float, float]]
     cauchy_ok: bool
-    cauchy_violations: list[tuple[int, int, float, float]]
+    cauchy_violations: Sequence[tuple[int, int, float, float]]
     cauchy_pairs_checked: int
 
     @property
@@ -417,7 +417,7 @@ def geometric_decay_check(trace: IterationTrace, h: float, K: float = 1.0, *,
     with np.errstate(invalid="ignore", over="ignore"):     # 0 * inf is NaN, as in Python floats
         bounds = K * powers[:len(norms)] * d0 * headroom
     bad = np.flatnonzero(~(norms <= bounds))
-    step_violations = list(zip(bad.tolist(), norms[bad].tolist(), bounds[bad].tolist()))
+    step_violations = LazyRows(np.ndarray.tolist, [(as_tuple, (bad, norms[bad], bounds[bad]), ())])
 
     space = trace.space
     ts = np.concatenate([space.carrier.to_array([trace.t_start]), trace.images])
@@ -427,18 +427,9 @@ def geometric_decay_check(trace: IterationTrace, h: float, K: float = 1.0, *,
     with np.errstate(invalid="ignore"):
         bound = K * d0 / (1.0 - h) * headroom * powers[nn]
     bad = np.flatnonzero(~(actual <= bound))
-    cauchy_violations = list(zip(mm[bad].tolist(), nn[bad].tolist(),
-                                 actual[bad].tolist(), bound[bad].tolist()))
+    cauchy_violations = LazyRows(np.ndarray.tolist, [(as_tuple, (mm[bad], nn[bad], actual[bad], bound[bad]), ())])
 
-    return DecayReport(
-        h=h,
-        K=K,
-        per_step_ok=not step_violations,
-        per_step_violations=step_violations,
-        cauchy_ok=not cauchy_violations,
-        cauchy_violations=cauchy_violations,
-        cauchy_pairs_checked=len(mm),
-    )
+    return DecayReport(h, K, not step_violations, step_violations, not cauchy_violations, cauchy_violations, len(mm))
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +599,7 @@ class TDiagnostics:
     subsequentially_convergent: bool | None
     sequentially_convergent: bool | None
     rules: dict[str, str]
-    injectivity_violations: list[tuple]
+    injectivity_violations: Sequence[tuple]
 
 
 def _injectivity(T, lo, hi) -> tuple[bool, str, list]:
@@ -645,13 +636,8 @@ def diagnose_T(space: ConeMetricSpace, maps: MapPair) -> TDiagnostics:
     metric's topology, leaves open is None."""
     carrier, T = space.carrier, maps.T
     if carrier.finite:
-        pts = list(carrier.points)
-        images = _array_map(space, T)(np.arange(len(pts)))
-        outside = np.flatnonzero(images < 0)
-        if outside.size:
-            space.require_point(T(pts[outside[0]]), "T-image")
-        i, j = np.nonzero(np.triu(images[:, None] == images, 1))
-        violations = [(pts[a], pts[b]) for a, b in zip(i.tolist(), j.tolist())]
+        images = image_indices(space, T, "T-image")
+        violations = LazyRows(carrier.from_array, [(as_tuple, np.nonzero(np.triu(images[:, None] == images, 1)), ())])
         discrete = "finite carrier: discrete topology"
         rules = {"continuous": discrete, "injective": "finite carrier: injective iff image indices differ",
                  "subsequentially_convergent": discrete, "sequentially_convergent": "finite carrier: iff injective"}

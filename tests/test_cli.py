@@ -734,6 +734,33 @@ def test_report_on_stdout_equals_the_out_file(tmp_path, capsys, command, fixture
     assert capsys.readouterr().out == out.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("command, edit, err", [
+    ("fit", lambda doc: {k: v for k, v in doc.items() if k != "contraction"},
+     "error: fit requires a contraction section naming the class\n"),
+    ("fit", lambda doc: {**doc, "contraction": {"class": "TZ", "a": 0.5, "b": 0.25, "c": 0.25}},
+     "error: fit supports TB/TK/TC/TW, not TZ\n"),
+    ("verify", lambda doc: {**doc, "space": {**doc["space"], "metric": {"kind": "tabulated", "table": [[[0.0, 0.0]]]}}},
+     "instance rejected:\n  - space.metric: tabulated metrics require a finite carrier\n"),
+    ("verify", lambda doc: {**doc, "maps": {**doc["maps"], "S": {"family": "tabulated", "images": [0]}}},
+     "instance rejected:\n  - maps.S: tabulated maps require a finite carrier\n"),
+    ("verify", lambda doc: [doc], "instance rejected:\n  - top level must be an object\n"),
+])
+def test_refusals_exit_2_with_their_text(tmp_path, capsys, command, edit, err):
+    # instance A (an interval) edited into a file each command refuses
+    path = _write(tmp_path, "a.json", edit(fixture_doc("instance_a")))
+    assert main([command, "--instance", str(path)]) == 2
+    assert capsys.readouterr() == ("", err)
+
+
+def test_an_unknown_trace_format_is_refused(tmp_path, capsys):
+    space, maps = instance_a()
+    with pytest.raises(ConfigError, match="^unknown trace format 'xml'$"):
+        emit_trace(picard_iterate(space, maps, 1.0), "xml")
+    path = _write(tmp_path, "a.json", fixture_doc("instance_a"))
+    assert main(["solve", "--instance", str(path), "--format", "xml"]) == 2
+    assert "argument --format: invalid choice: 'xml'" in capsys.readouterr().err
+
+
 def test_verify_passes_on_instance_a(tmp_path):
     path = _write(tmp_path, "a.json", fixture_doc("instance_a"))
     out = tmp_path / "report.json"
@@ -1129,7 +1156,27 @@ def test_map_off_the_finite_labels_is_rejected():
     doc["maps"]["S"] = {"family": "affine", "alpha": 0.5}
     with pytest.raises(InstanceValidationError) as exc:
         parse_instance(json.dumps(doc))
-    assert exc.value.errors == ["space: s_table must map the 10 labels into themselves"]
+    assert exc.value.errors == ["maps.S: S-image 0.5 lies outside the carrier"]
+
+
+_HALF = {"family": "affine", "alpha": 0.5}
+
+
+@pytest.mark.parametrize("maps, error", [
+    ({"S": _HALF}, "maps.S: S-image 0.5 lies outside the carrier"),
+    ({"T": _HALF, "S": _HALF}, "maps.T: T-image 0.5 lies outside the carrier"),     # T is checked first
+    ({"S": {"family": "power", "exponent": -1.0}}, "maps.S: power map produced a non-finite value at 0"),
+    ({"T": {"family": "power", "exponent": -1.0}}, "maps.T: power map produced a non-finite value at 0"),
+])
+def test_a_map_off_the_labels_is_named_by_every_command(tmp_path, capsys, maps, error):
+    # the labels 0..9 of instance D: the map and its first point off them
+    # are named, on every command
+    doc = fixture_doc("instance_d")
+    doc["maps"].update(maps)
+    path = _write(tmp_path, "d.json", doc)
+    for command in ("verify", "solve", "oracle", "fit"):
+        assert main([command, "--instance", str(path)]) == 2
+        assert capsys.readouterr().err == f"instance rejected:\n  - {error}\n"
 
 
 # ---------------------------------------------------------------------------

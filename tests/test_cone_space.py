@@ -952,8 +952,26 @@ def _condition_violations():
 
 
 @pytest.mark.parametrize("views", ["axiom", "condition"])
+def test_a_view_equals_its_list_and_prints_as_it(views):
+    # entries holding arrays compare by their values, field by field
+    def build():
+        if views == "axiom":
+            return verify_metric_axioms(MANY_VIOLATIONS["interval-function"], SamplingPlan(300, 1)).violations
+        return _condition_violations()
+
+    view = build()
+    entries = list(view)
+    assert view == entries and entries == view and view == build() and not view != entries
+    assert repr(view) == repr(entries)
+    assert view != entries[:-1] and view != entries[::-1] and view != tuple(entries)
+    changed = entries[:]
+    changed[-1] = dataclasses.replace(changed[-1], residual=changed[-1].residual + 1.0)
+    assert view != changed
+
+
+@pytest.mark.parametrize("views", ["axiom", "condition"])
 def test_lazy_views_index_as_lists_do(views):
-    # AxiomViolations (several axioms) and Violations read like the list of
+    # the views of several axioms and of a condition read like the list of
     # their entries: by index, negative index, any slice, and IndexError
     if views == "axiom":
         view, key = verify_metric_axioms(MANY_VIOLATIONS["interval-function"], SamplingPlan(300, 1)).violations, _bits

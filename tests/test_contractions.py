@@ -17,7 +17,7 @@ from conefix.contractions import (
     verify_zamfirescu_reduction, zamfirescu_delta,
 )
 from conefix.instances import instance_a, instance_c
-from conefix.oracle import exhaustive_promotion_check, finite_from_values
+from conefix.oracle import exhaustive_promotion_check, finite_from_values, tightest_constants
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +223,23 @@ def test_fit_tb_minimality():
 
 def test_fit_tw_with_pinned_delta_on_instance_c():
     space, maps = instance_c(grid=41)
-    result = fit_constants(space, maps, "TW", grid_pairs(space), pinned={"delta": 0.9})
+    result = fit_constants(space, maps, "TW", grid_pairs(space), pinned_delta=0.9)
     assert result.feasible
     assert result.spec.delta == 0.9
     assert result.spec.L == pytest.approx(0.1, abs=1e-6)
+
+
+@pytest.mark.parametrize("kind", ["TB", "TK", "TC"])
+def test_only_tw_takes_a_pinned_delta(kind):
+    # a pin on a class without delta is refused, not ignored
+    space, maps = instance_a(grid=21)
+    with pytest.raises(ConfigError, match=f"only TW has a delta to pin, not {kind}"):
+        fit_constants(space, maps, kind, grid_pairs(space), pinned_delta=0.9)
+    fin = finite_from_values([0.0, 1.0, 2.0], t_table=[0, 1, 2], s_table=[0, 0, 1])
+    with pytest.raises(ConfigError, match="only TW has a delta to pin"):
+        tightest_constants(fin, kind, pinned_delta=0.9)
+    with pytest.raises(TypeError):      # the one spelling of the pin
+        fit_constants(space, maps, "TW", grid_pairs(space), pinned={"delta": 0.9})
 
 
 def test_fit_infeasible_for_expanding_map():

@@ -74,7 +74,7 @@ def test_sampled_fit_equals_tightest_constants_bitwise(corpora, name):
             if fit.feasible:
                 assert fit.spec.constants() == tight.constants
                 feasible += 1
-        pinned = fit_constants(space, maps, "TW", pairs, pinned={"delta": 0.75})
+        pinned = fit_constants(space, maps, "TW", pairs, pinned_delta=0.75)
         tight = tightest_constants(fin, "TW", pinned_delta=0.75)
         assert pinned.feasible == tight.feasible
         assert pinned.hard_witnesses == tight.infeasible_witnesses

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conefix import oracle
 from conefix.cone_space import ConfigError
 from conefix.contractions import ClassSpec
 from conefix.instances import instance_c_grid
@@ -106,6 +107,22 @@ def test_near_one_tb_fails_on_isometry():
     report = exhaustive_condition_check(fin, ClassSpec.tb(math.nextafter(1.0, 0.0)))
     assert not report.holds
     assert report.violating_pairs  # the maximal-ratio pairs
+
+
+def test_oracle_lists_build_entries_only_when_read(monkeypatch):
+    # an isometry fails TB(1/2) on all 39,800 pairs x != y of 200 points;
+    # the view builds none until read, and then only those read
+    made = []
+    monkeypatch.setattr(oracle, "as_tuple", lambda *row: made.append(row) or row)
+    n = 200
+    fin = finite_from_values(np.arange(float(n)), np.arange(n), np.arange(n))
+    pairs = exhaustive_condition_check(fin, ClassSpec.tb(0.5)).violating_pairs
+    assert len(pairs) == n * (n - 1) and pairs and not made
+    want = [(x, y) for x in range(n) for y in range(n) if x != y]     # row-major
+    first = pairs[:50]
+    assert first == want[:50] and len(made) == 50
+    assert all(type(i) is int for pair in first for i in pair)
+    assert pairs[-1] == want[-1] and pairs == want and repr(pairs) == repr(want)
 
 
 # ---------------------------------------------------------------------------
