@@ -3,8 +3,8 @@
 
     python scripts/digest_files.py OUTDIR
 
-Writes 311 files: the 126 of ``scripts/finite_map_files.py`` (identity,
-affine and power maps on finite carriers), and 185 drawn from the
+Writes 319 files: the 126 of ``scripts/finite_map_files.py`` (identity,
+affine and power maps on finite carriers), and 193 drawn from the
 benchmark's generators (``perfbench/gen.py`` and ``perfbench/workloads.py``,
 read, never changed):
 
@@ -13,9 +13,9 @@ read, never changed):
   each; ``interval_set`` of seed 0 at grids 21 and 41; and the 18
   ``picard_solve`` instances of seeds 0 and 1.  A seeded file's name starts
   with its seed (``s0_``, ``s1_``), since both seeds use the same names.
-* 37 table variants (``table_<base>_<variant>``), from seed 0's
+* 45 table variants (``table_<base>_<variant>``), from seed 0's
   ``fin024_TB_tree``, ``fin024_TK_tree``, ``fin200_TB_tree`` and
-  ``fin200_TK_tree``, nine of each:
+  ``fin200_TK_tree``, eleven of each:
 
   - ``d3_once``: d(0, 4) = d(4, 0) = 2 (d(0, 1) + d(1, 4)), one triangle
     failure through the pair (0, 4);
@@ -29,6 +29,10 @@ read, never changed):
     underflows;
   - ``negated``: d(0, 1) = d(1, 0) negated, outside the cone;
   - ``one_sided``: d(0, 1) doubled, d(1, 0) kept, not symmetric;
+  - ``two_metrics``: the table plus the discrete metric times a second
+    dyadic direction of the cone, not parallel to the table's: a cone
+    metric whose projected rows are not proportional;
+  - ``two_metrics_d3``: that, with d3_once's change;
 
   and ``table_overflow``: 7 points, d(i, j) = (1e308, 1e308) for i != j,
   under the polyhedral cone of the matrix 2I, whose projection of the
@@ -73,7 +77,14 @@ def _detour(table: list, i: int, k: int, j: int) -> list:
     return [2.0 * (a + b) for a, b in zip(table[i][k], table[k][j])]
 
 
-def _variants(table: list) -> dict:
+def _second_direction(doc: dict) -> list:
+    """The first of the cone's directions in ``gen.CONES`` that is not
+    parallel to the table's."""
+    u = next(entry for row in doc["space"]["metric"]["table"] for entry in row if any(entry))
+    return next(list(v) for v in gen.CONES[doc["cone"]["family"]][1] if v[0] * u[1] != v[1] * u[0])
+
+
+def _variants(table: list, second: list) -> dict:
     out = {name: copy.deepcopy(table) for name in ("d3_once", "d3_twice", "wide", "negated", "one_sided")}
     _set(out["d3_once"], 0, 4, _detour(table, 0, 1, 4))
     _set(out["d3_twice"], 0, 4, _detour(table, 0, 1, 4))
@@ -84,6 +95,10 @@ def _variants(table: list) -> dict:
     out["one_sided"][0][1] = _scale(table[0][1], 2.0)
     for name, factor in (("pi", math.pi), ("third", 1 / 3), ("e1000", 2.0 ** 1000), ("e1018", 2.0 ** 1018)):
         out[name] = [[_scale(entry, factor) for entry in row] for row in table]
+    out["two_metrics"] = [[[a + (i != j) * b for a, b in zip(entry, second)] for j, entry in enumerate(row)]
+                          for i, row in enumerate(table)]
+    out["two_metrics_d3"] = copy.deepcopy(out["two_metrics"])
+    _set(out["two_metrics_d3"], 0, 4, _detour(out["two_metrics"], 0, 1, 4))
     return out
 
 
@@ -111,7 +126,7 @@ def files() -> dict:
         docs.update((f"s{seed}_{i.name}", i.doc) for i in workloads._picard_instances(seed, smoke=False))
     for base in BASES:
         doc = docs[f"s0_{base}"]
-        for name, table in _variants(doc["space"]["metric"]["table"]).items():
+        for name, table in _variants(doc["space"]["metric"]["table"], _second_direction(doc)).items():
             variant = copy.deepcopy(doc)
             variant["space"]["metric"]["table"] = table
             docs[f"table_{base}_{name}"] = variant

@@ -353,8 +353,16 @@ class LazyRows(Sequence):
         return out
 
 
-@dataclass
-class AxiomViolation:
+class SameFields:
+    """Report entries compared field by field through ``_same`` (not as
+    tuples, where arrays of two or more values raise)."""
+
+    def __eq__(self, other):
+        return _same(self, other) if type(other) is type(self) else NotImplemented
+
+
+@dataclass(eq=False)
+class AxiomViolation(SameFields):
     axiom: str
     witness: tuple
     residual: object
@@ -371,6 +379,7 @@ class AxiomReport:
     axioms_checked: list[str]
     violations: Sequence[AxiomViolation]
     sample_count: int
+    rule: str       # what decided: "rows" (a cone's), "direction", "table" or "sampled"
 
     @property
     def passed(self) -> bool:
@@ -390,7 +399,8 @@ def verify_cone_axioms(cone: ConeSpec, plan: SamplingPlan | None = None) -> Axio
     when A has rank m; otherwise each vector of an exact nullspace basis
     lies in P and in -P and is reported with its values on all rows of
     ``ineq_matrix``.  Nothing is sampled (``sample_count`` 0, ``plan``
-    unused).  Degenerate cones yield violation entries, never exceptions.
+    unused, rule "rows").  Degenerate cones yield violation entries, never
+    exceptions.
     """
     rows, groups = cone.exact_rows, []
     if not (cone.contains(_interior_witness(cone), "interior") or _has_interior(rows, cone.dimension)):
@@ -401,7 +411,7 @@ def verify_cone_axioms(cone: ConeSpec, plan: SamplingPlan | None = None) -> Axio
         vs = np.array([[x / (1 << max(0, max(map(abs, ints)).bit_length() - 1000)) for x in ints]
                        for ints in basis])
         groups.append(_axiom_group("P3-pointed", (vs,), [cone.ineq_matrix @ v for v in vs]))
-    return AxiomReport(["P1", "P2", "P3"], LazyRows(list, groups), 0)
+    return AxiomReport(["P1", "P2", "P3"], LazyRows(list, groups), 0, "rows")
 
 
 def _interior_witness(cone: ConeSpec) -> np.ndarray:
@@ -766,6 +776,27 @@ def _exact_ints(proj: np.ndarray, top: float) -> np.ndarray | None:
     return k if all(np.array_equal(np.ldexp(row, -s), p) for row, p in zip(k, proj)) else None
 
 
+def _one_row(ints: np.ndarray) -> np.ndarray:
+    """ints[b:b + 1] when every row of the int32 projection ints (r, n, n)
+    is a nonnegative multiple of row b, its first with a positive entry (as
+    on every table rho u with u in P), else ints: a row c k_b with c > 0
+    fails where k_b does, a zero row nowhere.  Row i is c k_b when k_i[p]
+    >= 0 and k_i k_b[p] == k_b k_i[p], p where k_b is largest, in int64
+    (|k| < 2**29 keeps products below 2**58), a few thousand cells a time."""
+    rows = ints.reshape(len(ints), ints.shape[1] * ints.shape[2])
+    positive = rows.max(axis=1, initial=0) > 0
+    if not positive.any():      # no row to scale by (a cone may have no rows)
+        return ints
+    b = int(positive.argmax())
+    scale = rows[:, [int(rows[b].argmax())]].astype(np.int64)      # (r, 1): each row's k[p]
+    step = max(1, _SCAN_CELLS // (8 * len(rows)))
+    if (scale >= 0).all() and all(
+            np.array_equal(rows[:, lo:lo + step] * scale[b], scale * rows[b, lo:lo + step])
+            for lo in range(0, rows.shape[1], step)):
+        return ints[b:b + 1]
+    return ints
+
+
 def metric_table_failures(table: np.ndarray, cone: ConeSpec, slack: float) -> dict[str, np.ndarray]:
     """Where the metric table d[i, j] (shape (n, n, m)) breaks d1-d3, with
     cone tests at relative ``slack``: one failure mask per axiom, in
@@ -797,8 +828,9 @@ def table_triangle_failures(table: np.ndarray, cone: ConeSpec, slack: float, sym
     as "d2-symmetry" tests) and so is its projection, (y, x, z) fails
     exactly when (x, y, z) does, so only y >= x is scanned and the result
     mirrored.  Which x have a failing triple is first decided on int32
-    copies of the projection where they are exact (``_exact_ints``), else
-    in float64."""
+    copies of the projection where they are exact (``_exact_ints``), on
+    one row of them where every row is a nonnegative multiple of it
+    (``_one_row``), else in float64."""
     n = table.shape[0]
     proj = np.ascontiguousarray(np.moveaxis(table @ cone.ineq_matrix.T, -1, 0))   # (r, n, n)
     # BLAS may round d(x, y) and d(y, x) apart, so proj is tested itself
@@ -807,12 +839,13 @@ def table_triangle_failures(table: np.ndarray, cone: ConeSpec, slack: float, sym
     proj_t = proj if half else np.ascontiguousarray(proj.transpose(0, 2, 1))
     top = float(np.abs(proj).max(initial=0.0))      # NaN or inf when some entry is not finite
     ints = _exact_ints(proj, top) if math.isfinite(top) else None
-    test, test_t = (proj, proj_t) if ints is None else \
-        (ints, ints if half else np.ascontiguousarray(ints.transpose(0, 2, 1)))
+    test = proj if ints is None else _one_row(ints)
+    # test_t[:, y, z] = test[:, z, y], as proj_t is to proj
+    test_t = test if half else proj_t if test is proj else np.ascontiguousarray(test.transpose(0, 2, 1))
     # While every triangle holds the mask is a read-only view of one
     # all-False (y, z) slice: a valid table allocates no n^3 mask.
     triangle = np.broadcast_to(np.zeros((n, n), dtype=bool), (n, n, n))
-    r, start = max(len(proj), 1), 0       # a cone may have no rows
+    r, start = max(len(test), 1), 0       # a cone may have no rows
     while start < n:
         first = start if half else 0        # the least y any x of the group scans
         stop = min(n, start + max(1, _SCAN_CELLS // (r * n * (n - first))))
@@ -843,10 +876,13 @@ def table_triangle_failures(table: np.ndarray, cone: ConeSpec, slack: float, sym
 def verify_metric_axioms(space: ConeMetricSpace, plan: SamplingPlan | None = None, *,
                          scanned_by: FiniteInstance | None = None) -> AxiomReport:
     """Check d1 (cone-valued, zero exactly on the diagonal), d2 (symmetry),
-    and d3 (triangle inequality in the cone order) on sampled pairs and
-    triples.  An affordable finite carrier is tabulated instead (one metric
-    call per ordered pair) and scanned by ``metric_table_failures`` at the
-    cone's slack, the scan that validates every ``FiniteInstance``.
+    and d3 (triangle inequality in the cone order).  The report's ``rule``
+    names what decided: "direction", a ``DirectionMetric``'s form
+    (``_direction_groups``, ``sample_count`` 0); "table", the scan that
+    validates every ``FiniteInstance`` (``metric_table_failures`` at the
+    cone's slack) of a finite carrier's table, tabulated first (one call
+    per ordered pair) for a function metric; "sampled", pairs and triples
+    of a function metric on a carrier too large to tabulate.
 
     ``scanned_by`` may be the ``oracle.FiniteInstance`` built on this
     space's table, whose construction refused every failure at slack 0.
@@ -858,12 +894,15 @@ def verify_metric_axioms(space: ConeMetricSpace, plan: SamplingPlan | None = Non
     plan = plan or SamplingPlan()
     rng = plan.rng()
     carrier, cone = space.carrier, space.cone
+    axioms = ["d1", "d2", "d3"]
+    if isinstance(space.metric, DirectionMetric):
+        return AxiomReport(axioms, LazyRows(carrier.from_array, _direction_groups(space)), 0, "direction")
     groups: list[tuple] = []     # LazyRows groups
 
     n = len(carrier.points) if carrier.finite else 0
     table = getattr(space.metric, "table", None)
     if scanned_by is not None and scanned_by.metric_table is table and scanned_by.cone is cone:
-        return AxiomReport(["d1", "d2", "d3"], LazyRows(carrier.from_array, groups), n * n + n ** 3)
+        return AxiomReport(axioms, LazyRows(carrier.from_array, groups), n * n + n ** 3, "table")
     if carrier.finite and n ** 3 <= max(plan.count, 2_000_000):
         indices = np.arange(n)
         d = space.pairwise(np.repeat(indices, n), np.tile(indices, n)).reshape(n, n, -1)
@@ -878,7 +917,7 @@ def verify_metric_axioms(space: ConeMetricSpace, plan: SamplingPlan | None = Non
             if mask.any():      # on the all-False n^3 d3 mask argwhere costs ~40x mask.any()
                 at = tuple(np.argwhere(mask).T)     # the failing points' indices, one array per witness point
                 groups.append(_axiom_group(axiom, at, residuals[axiom](*at)))
-        return AxiomReport(["d1", "d2", "d3"], LazyRows(carrier.from_array, groups), n * n + n ** 3)
+        return AxiomReport(axioms, LazyRows(carrier.from_array, groups), n * n + n ** 3, "table")
 
     xs, ys, txs, tys, tzs = (carrier.to_array(carrier.sample(rng, plan.count)) for _ in range(5))
     dxy, dyx, diag = space.pairwise(xs, ys), space.pairwise(ys, xs), space.pairwise(xs, xs)
@@ -898,7 +937,27 @@ def verify_metric_axioms(space: ConeMetricSpace, plan: SamplingPlan | None = Non
         rows = np.flatnonzero(bad)
         if rows.size:
             groups.append(_axiom_group(axiom, tuple(f.take(rows, axis=0) for f in forms), residual.take(rows, axis=0)))
-    return AxiomReport(["d1", "d2", "d3"], LazyRows(carrier.from_array, groups), 2 * plan.count)
+    return AxiomReport(axioms, LazyRows(carrier.from_array, groups), 2 * plan.count, "sampled")
+
+
+def _direction_groups(space: ConeMetricSpace) -> list[tuple]:
+    """The ``LazyRows`` groups of d(x, y) = rho(x, y) u, by its form (Huang
+    and Zhang, JMAA 332, 2007, Example 1): rho is a metric, so each d1 and
+    d3 residual is c u with c >= 0 (c > 0 off the diagonal) and d1-d3 hold
+    exactly when u is in P (``ConeSpec.contains``: exact, whatever the
+    slack) and u != 0.  Else one witness at the carrier's two bounds (a
+    box's lows and highs, a finite carrier's first two points): d1-cone
+    with residual d(lo, hi) when u is outside P, d1-separation when u = 0.
+    One point passes whatever u is.  The verdict is about the real metric,
+    as ``diagnose_T``'s is about the real map: a float overflow of rho (on
+    [-1e308, 1e308]) is the class check's business."""
+    carrier, u = space.carrier, space.metric.direction
+    bounds = ([carrier.lows, carrier.highs] if isinstance(carrier, BoxCarrier) else
+              carrier.points[:2] if carrier.finite else [carrier.lo, carrier.hi])
+    if len(bounds) < 2 or (space.cone.contains(u) and u.any()):
+        return []
+    lo, hi = carrier.to_array(bounds[:1]), carrier.to_array(bounds[1:])
+    return [_axiom_group("d1-cone" if u.any() else "d1-separation", (lo, hi), space.pairwise(lo, hi))]
 
 
 # ---------------------------------------------------------------------------

@@ -42,8 +42,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .cone_space import (ConeMetricSpace, ConeSpec, ConfigError, DomainError, LazyRows, all_last, any_last,
-                         as_tuple, label_position, table_take)
+from .cone_space import (ConeMetricSpace, ConeSpec, ConfigError, DomainError, LazyRows, SameFields, all_last,
+                         any_last, as_tuple, label_position, table_take)
 
 TB = "TB"
 TK = "TK"
@@ -289,8 +289,8 @@ class ClassSpec:
         return {k: float(getattr(self, k)) for k in _UPPER if getattr(self, k) is not None}
 
 
-@dataclass
-class ConditionViolation:
+@dataclass(eq=False)
+class ConditionViolation(SameFields):
     x: object
     y: object
     lhs: np.ndarray

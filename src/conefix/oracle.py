@@ -233,13 +233,13 @@ def exhaustive_reduction_check(fin: FiniteInstance, a: float, b: float, c: float
     """Exact all-pairs check of the reduced inequality (primary and dual
     forms) with delta = max{a, b/(1-b), c/(1-c)}, evaluated with the
     denominator multiplied through so dyadic tables are decided exactly.
-    Requires TZ(a, b, c) to hold exhaustively first.
+    Requires TZ(a, b, c) to hold exhaustively first: where it fails the
+    reduction does not apply, and neither form is checked (no violations).
     """
     delta = zamfirescu_delta(a, b, c)
     tz = ClassSpec.tz(a, b, c)
-    tz_ok = fin.verdict(tz).ok
-    if not tz_ok.all():
-        return ReductionExhaustive(delta, False, False, False, _index_pairs(~tz_ok), [])
+    if not fin.verdict(tz).ok.all():
+        return ReductionExhaustive(delta, False, False, False, [], [])
     ok_p, ok_d = (cleared_check(tz, kind, fin.terms, fin.cone, 0.0).ok for kind in (TWU, TW_DUAL))
     return ReductionExhaustive(
         delta, True, bool(ok_p.all()), bool(ok_d.all()), _index_pairs(~ok_p), _index_pairs(~ok_d)

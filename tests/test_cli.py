@@ -1595,3 +1595,39 @@ def test_verify_scans_a_tabulated_table_once(monkeypatch, tmp_path):
     inst = load_instance(path)
     full = verify_metric_axioms(inst.space, SamplingPlan(count=inst.run.samples, seed=inst.run.seed))
     assert json.loads(out.read_text())["metric_axioms"] == json.loads(json.dumps(cli._axiom_report_dict(full)))
+
+
+def test_oracle_lists_no_reduced_form_violations_where_tz_fails(tmp_path):
+    # TZ(0.1, 0.1, 0.1) fails on instance D: its violating pairs are the
+    # condition's, and the reduction, not applicable, lists none
+    doc = fixture_doc("instance_d")
+    doc["contraction"] = {"class": "TZ", "a": 0.1, "b": 0.1, "c": 0.1}
+    out = tmp_path / "oracle.json"
+    assert main(["oracle", "--instance", str(_write(tmp_path, "d.json", doc)), "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["condition"]["violating_pairs"][:2] == [[0, 2], [0, 3]]
+    assert report["reduction"] == {**report["reduction"], "applicable": False, "holds": False,
+                                   "primary_violations": [], "dual_violations": []}
+
+
+def test_verify_decides_a_direction_metric_by_its_form(tmp_path):
+    # d = |x - y| u with u = (0.75, 1) inside the cone: on 10,000 sampled
+    # triples the float residual of d3 read (-1.1e-16, 0) and the like as
+    # 390 failures; the metric's form decides d1-d3 with nothing sampled
+    doc = {
+        "schema_version": "1",
+        "cone": {"family": "polyhedral", "dimension": 2, "matrix": [[1.0, -0.5], [-0.25, 1.0]], "norm": "max"},
+        "space": {"carrier": {"kind": "interval", "lo": 0.0, "hi": 1.0, "grid": 41},
+                  "metric": {"kind": "direction", "direction": [0.75, 1.0], "scalar": "absdiff"}},
+        "maps": {"T": {"family": "power", "exponent": 1.5}, "S": {"family": "affine", "alpha": 0.125, "beta": 0.0}},
+        "run": {"seed": 2525, "x0": 1.0, "epsilon": 1e-12},
+        "contraction": {"class": "TB", "a": 0.5},
+    }
+    path, out = _write(tmp_path, "power.json", doc), tmp_path / "verify.json"
+    assert main(["verify", "--instance", str(path), "--out", str(out)]) == 0
+    metric = json.loads(out.read_text())["metric_axioms"]
+    assert metric == {"passed": True, "axioms_checked": ["d1", "d2", "d3"], "sample_count": 0, "violations": [],
+                      "violation_count": 0}
+    inst = load_instance(path)
+    report = verify_metric_axioms(inst.space, SamplingPlan(count=inst.run.samples, seed=inst.run.seed))
+    assert report.rule == "direction" and report.passed

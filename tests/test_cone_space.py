@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -447,6 +448,93 @@ CONES = {
 }
 
 
+# Two rays per cone of CONES: p r1 + q r2 lies inside it for p, q > 0 (the
+# scaled orthant's cone is the ray r1 alone), on its boundary when one is 0,
+# outside it when one is negative.
+_RAYS = {"orthant": ((1.0, 0.0), (0.0, 1.0)), "scaled_orthant": ((1.0, 0.0), (0.0, 1.0)),
+         "polyhedral": ((0.5, 1.0), (1.0, 0.25))}
+
+
+def _fraction_axioms_hold(cone: ConeSpec, points: list, rho, u) -> bool:
+    """d1-d3 of d = rho u over every pair and triple of points, in Fractions."""
+    rows = [[Fraction(a) for a in row] for row in cone.ineq_matrix.tolist()]
+    u = [Fraction(c) for c in u]
+
+    def d(x, y):
+        return [rho(x, y) * c for c in u]
+
+    def in_cone(v):
+        return all(sum(a * c for a, c in zip(row, v)) >= 0 for row in rows)
+
+    for x in points:
+        for y in points:
+            dxy = d(x, y)
+            if not in_cone(dxy) or any(dxy) != (x != y) or dxy != d(y, x):
+                return False
+            if not all(in_cone([a + b - c for a, b, c in zip(d(x, z), d(z, y), dxy)]) for z in points):
+                return False
+    return True
+
+
+def _quarters(lo: int, hi: int, count: int) -> list[Fraction]:
+    return [Fraction(lo, 4) + Fraction(hi - lo, 4) * Fraction(k, count - 1) for k in range(count)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(CONES)), st.integers(-2, 2), st.integers(-2, 2),
+       st.sampled_from(["interval", "box", "finite"]), st.lists(st.integers(-8, 8), min_size=1, max_size=5, unique=True))
+@example("orthant", 1, 1, "finite", [3])         # one point passes whatever u is
+@example("orthant", 0, 0, "finite", [3])
+@example("orthant", -1, 1, "finite", [3])
+def test_direction_rule_equals_an_exact_check(family, p, q, kind, ends):
+    # a direction metric's verdict is decided by its form; it must be the
+    # verdict of d1-d3 checked in Fractions over a dyadic grid of the
+    # carrier, for u inside the cone, on its boundary, outside it, and 0
+    (cone, _), (r1, r2) = CONES[family], _RAYS[family]
+    u = np.array([p * a + q * b for a, b in zip(r1, r2)]) / 2.0
+    event("u: " + ("0" if not u.any() else "inside" if cone.contains(u, "interior")
+                   else "boundary" if cone.contains(u) else "outside"))
+    if kind == "finite":
+        points = [k / 4 for k in ends]
+        carrier, grid, rho = FinitePointsCarrier(points), [Fraction(x) for x in points], lambda x, y: abs(x - y)
+        bounds = points[:2]
+    else:
+        lo, hi = min(ends), max(max(ends), min(ends) + 1)
+        if kind == "interval":
+            carrier, bounds = IntervalCarrier(lo / 4, hi / 4), [lo / 4, hi / 4]
+            grid, rho = _quarters(lo, hi, 5), lambda x, y: abs(x - y)
+        else:
+            carrier = BoxCarrier([lo / 4, 0.0], [hi / 4, 0.5])
+            bounds = [carrier.lows, carrier.highs]
+            grid = list(itertools.product(_quarters(lo, hi, 3), _quarters(0, 2, 3)))
+            rho = lambda x, y: max(abs(a - b) for a, b in zip(x, y))      # noqa: E731
+    space = ConeMetricSpace(cone, carrier, DirectionMetric(u, "absdiff" if kind != "box" else "max"))
+    report = verify_metric_axioms(space, SamplingPlan(count=50, seed=0))
+    assert (report.rule, report.sample_count) == ("direction", 0)
+    assert report.passed == _fraction_axioms_hold(cone, grid, rho, u)
+    if not report.passed:       # one exact witness at the carrier's bounds
+        axiom = "d1-cone" if u.any() else "d1-separation"
+        assert report.violations == [AxiomViolation(axiom, tuple(bounds), space.d(*bounds))]
+
+
+def test_direction_rule_witnesses():
+    # u outside P fails d1-cone at the carrier's bounds with residual
+    # d(lo, hi), u = 0 fails d1-separation there, and the cone's slack does
+    # not admit a u outside P
+    cone = ConeSpec.orthant(2, slack=0.5)
+    line = IntervalCarrier(-1.0, 3.0)
+    for u, axiom, residual in (([1.0, -0.25], "d1-cone", [4.0, -1.0]), ([0.0, -0.0], "d1-separation", [0.0, 0.0])):
+        report = verify_metric_axioms(ConeMetricSpace(cone, line, DirectionMetric(u)))
+        assert report.violations == [AxiomViolation(axiom, (-1.0, 3.0), np.array(residual))]
+    box = BoxCarrier([0.0, 0.0], [3.0, 4.0])
+    report = verify_metric_axioms(ConeMetricSpace(cone, box, DirectionMetric([-1.0, 2.0], "euclidean")))
+    assert report.violations == [AxiomViolation("d1-cone", (box.lows, box.highs), np.array([-5.0, 10.0]))]
+    fin = FinitePointsCarrier([2.5, 0.5, 7.0])
+    report = verify_metric_axioms(ConeMetricSpace(cone, fin, DirectionMetric([-1.0, 2.0])))
+    assert report.violations == [AxiomViolation("d1-cone", (2.5, 0.5), np.array([-2.0, 4.0]))]
+    assert report.violations[0].witness[0] is fin.points[0]
+
+
 def _line_table(corruption: str, u=np.array([1.0, 2.0])) -> np.ndarray:
     """d(i, j) = u |LINE[i] - LINE[j]|, corrupted as named."""
     table = np.abs(LINE[:, None] - LINE[None, :])[:, :, None] * u
@@ -638,8 +726,8 @@ _WIDE = ConeSpec.polyhedral([[2.0, -1.0], [-1.0, 2.0]], slack=0.0), np.array([1.
 _NEAR, _FAR = np.array([1.5, -1.5]) * 2.0 ** 1022, np.array([-1.25, 1.75]) * 2.0 ** 1022
 
 # The path each kind of table takes through the scan's early-exit test.
-_SCAN_PATHS = {"dyadic": "int32", "one-sided": "int32", "corrupted": "int32",
-               "non-dyadic": "float", "subnormal": "float", "overflowing": "non-finite"}
+_SCAN_PATHS = {"dyadic": "int32", "one-sided": "int32", "corrupted": "int32", "proportional": "int32",
+               "near-miss": "int32", "non-dyadic": "float", "subnormal": "float", "overflowing": "non-finite"}
 
 
 def _scan_case(kind: str, n: int, seed: int) -> tuple[np.ndarray, ConeSpec]:
@@ -650,11 +738,19 @@ def _scan_case(kind: str, n: int, seed: int) -> tuple[np.ndarray, ConeSpec]:
     tables on unit-row cones; on unit-row cones a table of multiples of
     the least subnormal beside one symmetric entry of 2^40 or more, which
     puts them below the int32 scale; and a dyadic table beside a point
-    whose distances project past the float range."""
+    whose distances project past the float range.  "proportional" tables
+    are a line or tree metric times a direction inside, on or outside the
+    cone, or 0, with a detour that breaks d3 or an entry doubled on one
+    side (the projected rows stay multiples of one row); a "near-miss" is
+    rho (x) u with u in the cone and one entry's second coordinate lowered
+    by one unit of the int32 scale, on one side or both."""
     rng = np.random.default_rng(seed)
     unit_rows = ["orthant", "scaled_orthant"]
-    cone, u = _WIDE if kind == "overflowing" else \
-        CONES[str(rng.choice(unit_rows if kind in ("non-dyadic", "subnormal") else list(CONES)))]
+    family = None if kind == "overflowing" else \
+        str(rng.choice(unit_rows if kind in ("non-dyadic", "subnormal") else list(CONES)))
+    cone, u = _WIDE if family is None else CONES[family]
+    if kind == "proportional":
+        u = np.array(_RAYS[family]).T @ (rng.integers(-1, 3, 2) / 2.0)
     size = n - 1 if kind == "overflowing" else n
     if rng.random() < 0.5:
         table = _tree_table(rng, size, u)
@@ -667,7 +763,22 @@ def _scan_case(kind: str, n: int, seed: int) -> tuple[np.ndarray, ConeSpec]:
         table = _corrupt(rng, table, int(rng.integers(1, 5)))
         p, q = rng.choice(n, size=2, replace=False)
         table[p, q] = table[q, p] = -table[p, q]
-    if kind in ("dyadic", "one-sided", "corrupted"):
+    elif kind == "proportional":
+        p, q, k = rng.choice(n, size=3, replace=False)
+        if rng.random() < 0.5:
+            table[p, q] = table[q, p] = 2.0 * (table[p, k] + table[k, q])
+        else:
+            table[p, q] *= 2.0
+    elif kind == "near-miss":
+        # the pair whose projections are least, so the largest stays the largest
+        proj = np.abs(table @ cone.ineq_matrix.T).max(axis=2) + np.diag(np.full(n, np.inf))
+        p, q = np.unravel_index(proj.argmin(), proj.shape)
+        col = cone.ineq_matrix[:, 1]
+        unit = 2.0 ** (math.frexp(np.abs(table @ cone.ineq_matrix.T).max())[1] - cone_space._EXACT_BITS)
+        table[p, q, 1] -= unit / np.abs(col[col != 0.0]).min()
+        if rng.random() < 0.5:
+            table[q, p] = table[p, q]
+    if kind in ("dyadic", "one-sided", "corrupted", "proportional", "near-miss"):
         table *= 2.0 ** int(rng.integers(-40, 41))
     elif kind == "non-dyadic":
         noise = rng.random((n, n, 2))
@@ -696,20 +807,35 @@ def _scan_case(kind: str, n: int, seed: int) -> tuple[np.ndarray, ConeSpec]:
 @example("overflowing", 8, 0, 0)
 @example("one-sided", 10, 0, 30)      # the full scan in groups of 3, 3, 3 and 1 x
 @example("dyadic", 10, 0, 25)         # the half scan in groups of 2, 3 and 5 x
+@example("proportional", 8, 0, 0)
+@example("near-miss", 8, 0, 0)
+@example("near-miss", 10, 0, 30)
 def test_metric_table_scan_paths_match_brute_force(kind, n, seed, cells):
     # Which x have a failing triple is decided on int32 copies of the
-    # projection where they are exact, else in float64 ("float", and
+    # projection where they are exact, on one row of them where every row
+    # is a nonnegative multiple of it, else in float64 ("float", and
     # "non-finite" when a projection is not finite).  Each path must give
     # the brute force's masks at slack 0 and at slack 0.5, and only an x
     # with a failing projected triple (at y >= x when the half scan runs)
     # may build a mask, which at slack 0.5 costs one more cone test.
-    # cells > 0 sets the scan's group budget to r * n * cells sums, so a
-    # group holds cells // (n - first) x: one, several, or all of them,
-    # with a trailing partial group; cells = 0 keeps the constant.
+    # cells > 0 sets the scan's group budget to r * n * cells sums for the
+    # r rows scanned, so a group holds cells // (n - first) x: one,
+    # several, or all of them, with a trailing partial group; cells = 0
+    # keeps the constant.
     # (run with --hypothesis-show-statistics for how many draws took each path)
     table, cone = _scan_case(kind, n, seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        proj = np.ascontiguousarray(np.moveaxis(table @ cone.ineq_matrix.T, -1, 0))
+        top = np.abs(proj).max()
+    ints = cone_space._exact_ints(proj, top) if np.isfinite(top) else None
+    rows = len(proj) if ints is None else len(cone_space._one_row(ints))
+    event("rows scanned: " + ("one of several" if rows < len(proj) else "all"))
+    if kind in ("dyadic", "one-sided") and table.any():     # rho (x) u with u in the cone
+        assert rows == 1
+    if kind == "near-miss":
+        assert rows == len(proj)
     exact_ints, found = cone_space._exact_ints, []
-    budget = cells * len(cone.ineq_matrix) * n or cone_space._SCAN_CELLS
+    budget = cells * rows * n or cone_space._SCAN_CELLS
     with np.errstate(over="ignore", invalid="ignore"), mock.patch.object(cone_space, "_SCAN_CELLS", budget), \
             mock.patch.object(cone_space, "_exact_ints", lambda *a: found.append(exact_ints(*a)) or found[-1]):
         got = _assert_scan_matches(table, cone, 0.0)
@@ -718,8 +844,7 @@ def test_metric_table_scan_paths_match_brute_force(kind, n, seed, cells):
         assert path == _SCAN_PATHS[kind]
         group = max(1, cells // n) if cells else n      # the first group's x
         event("first group: " + ("one x" if group == 1 else "several x" if group < n else "all x"))
-        proj = table @ cone.ineq_matrix.T
-        half = not got["d2-symmetry"].any() and np.array_equal(proj, proj.transpose(1, 0, 2))
+        half = not got["d2-symmetry"].any() and np.array_equal(proj, proj.transpose(0, 2, 1))
         failing = got["d3-triangle"]
         flagged = sum(bool(failing[x, x if half else 0:].any()) for x in range(len(table)))
         event(f"a failing x past the first group: {failing[group:].any()}")
@@ -727,6 +852,14 @@ def test_metric_table_scan_paths_match_brute_force(kind, n, seed, cells):
             _assert_scan_matches(table, cone, 0.5)
         assert tests.call_count == 1 + flagged      # d1-cone, then one re-test per flagged x
     event(f"d3 fails: {failing.any()}")
+
+
+def test_metric_table_scan_on_a_cone_without_rows():
+    # P = R^2 has no row to project onto (nor one to scan alone): nothing
+    # leaves the cone, so no triple fails
+    cone = ConeSpec.polyhedral(np.zeros((0, 2)), slack=0.0)
+    for table in (_line_table("none"), _line_table("triangle"), -_line_table("cone")):
+        assert not _assert_scan_matches(table, cone, 0.0)["d3-triangle"].any()
 
 
 @pytest.mark.parametrize("family", ["orthant", "scaled_orthant"])
@@ -916,21 +1049,30 @@ def _lopsided(x, y):
     return np.array([x - y + 0.25 * (x > 0.5), abs(x - y)])
 
 
+def _outside(x, y, rho=lambda v: abs(v)):
+    """rho(x - y) times a direction u = (1, -1) outside the orthant, as a
+    function metric: a direction metric is decided by its form, unsampled."""
+    return rho(np.subtract(x, y)) * np.array([1.0, -1.0])
+
+
+def _euclidean_outside(x, y):
+    return _outside(x, y, lambda v: float(np.linalg.norm(v)))
+
+
 _ORTHANT = ConeSpec.orthant(2)
-# Spaces with many violations of several axioms: a direction u = (1, -1)
-# outside the orthant (d1-cone at every pair of distinct points, d3 at every
-# strict triangle), a broken function metric, and sampled pairs (interval,
-# box, 130 points) or a scanned table (10 or 12 points).
+# Spaces with many violations of several axioms: the formula of a direction
+# u = (1, -1) outside the orthant (d1-cone at every pair of distinct points,
+# d3 at every strict triangle), a broken function metric, and sampled pairs
+# (interval, box, 130 points) or a scanned table (10 or 12 points).
 MANY_VIOLATIONS = {
-    "interval-direction": ConeMetricSpace(_ORTHANT, IntervalCarrier(-1.0, 1.0), DirectionMetric([1.0, -1.0])),
+    "interval-direction": ConeMetricSpace(_ORTHANT, IntervalCarrier(-1.0, 1.0), FunctionMetric(_outside)),
     "interval-function": ConeMetricSpace(_ORTHANT, IntervalCarrier(-1.0, 1.0), FunctionMetric(_lopsided)),
-    "box-direction": ConeMetricSpace(_ORTHANT, BoxCarrier([0.0, -1.0], [1.0, 1.0]),
-                                     DirectionMetric([1.0, -1.0], rho="euclidean")),
+    "box-direction": ConeMetricSpace(_ORTHANT, BoxCarrier([0.0, -1.0], [1.0, 1.0]), FunctionMetric(_euclidean_outside)),
     "finite-table": ConeMetricSpace(_ORTHANT, FinitePointsCarrier([0, 1, 0.1, 0.7, 1 / 3, 2.2, 13.1, -1.9, -0.45, 8.8]),
-                                    DirectionMetric([1.0, -1.0])),
+                                    FunctionMetric(_outside)),
     "finite-table-function": ConeMetricSpace(_ORTHANT, FinitePointsCarrier([x / 4 for x in range(-4, 8)]),
                                              FunctionMetric(_lopsided)),
-    "finite-sampled": ConeMetricSpace(_ORTHANT, FinitePointsCarrier(list(range(130))), DirectionMetric([1.0, -1.0])),
+    "finite-sampled": ConeMetricSpace(_ORTHANT, FinitePointsCarrier(list(range(130))), FunctionMetric(_outside)),
 }
 
 
@@ -967,6 +1109,22 @@ def test_a_view_equals_its_list_and_prints_as_it(views):
     changed = entries[:]
     changed[-1] = dataclasses.replace(changed[-1], residual=changed[-1].residual + 1.0)
     assert view != changed
+
+
+def test_report_entries_compare_field_by_field(space_a):
+    # an entry holding arrays of two values compared as a tuple of fields,
+    # and numpy's == on the arrays raised ValueError
+    space, maps = space_a
+    outside = ConeMetricSpace(space.cone, space.carrier, FunctionMetric(_outside))
+    entries = [verify_metric_axioms(outside, SamplingPlan(50, 0)).violations[0],
+               check_condition(space, maps, ClassSpec.tb(0.01), PairSet.of(space, [(0.0, 1.0)])).violations[0]]
+    for entry in entries:
+        assert entry.residual.shape == (2,)
+        same = dataclasses.replace(entry, residual=entry.residual.copy())
+        assert entry == same and not entry != same
+        assert entry != dataclasses.replace(entry, residual=entry.residual + 1.0)
+        assert entry != dataclasses.astuple(entry) and entry != None     # noqa: E711
+    assert entries[0] != entries[1]
 
 
 @pytest.mark.parametrize("views", ["axiom", "condition"])

@@ -183,8 +183,13 @@ def test_tightest_consistency_minimal_float(tz_corpus):
 # ---------------------------------------------------------------------------
 
 def test_reduction_oracle_requires_tz(fin_d):
-    report = exhaustive_reduction_check(fin_d, 0.25, 0.0, 0.0)
-    assert not report.applicable
+    # where TZ fails neither reduced form is checked: no pair is a
+    # violation of either (TZ's own violations are the condition's)
+    for a, b, c in ((0.25, 0.0, 0.0), (0.1, 0.1, 0.1)):
+        assert not exhaustive_condition_check(fin_d, ClassSpec.tz(a, b, c)).holds
+        report = exhaustive_reduction_check(fin_d, a, b, c)
+        assert not (report.applicable or report.holds or report.primary_ok or report.dual_ok)
+        assert report.primary_violations == [] and report.dual_violations == []
 
 
 def test_reduction_oracle_on_corpus(tz_corpus):
