@@ -24,7 +24,7 @@ from conefix.solver import StoppingRule, uniqueness_probe
 
 
 def measure(instance):
-    space, maps = instance.fin.as_space_and_maps()
+    space, maps = instance.fin.space, instance.fin.maps
     traces = uniqueness_probe(space, maps, instance.fin.points, StoppingRule(max_iter=200)).traces
     return [r for trace in traces for r in trace.step_ratios()]
 

@@ -29,7 +29,7 @@ from .cone_space import (
 from .contractions import (
     CLASS_KINDS, TB, TC, TK, TW, TW_DUAL, TZ,
     AffineMap, ClassSpec, ConditionReport, IdentityMap, MapPair, PairSet,
-    PowerMap, TabulatedMap, all_pairs, check_condition, constant_names, fit_constants, image_indices,
+    PowerMap, TabulatedMap, all_pairs, check_condition, constant_names, fit_constants,
     grid_pairs, map_points, rate_from_primary_form, sampled_pairs, verify_zamfirescu_reduction,
     zamfirescu_delta,
 )
@@ -428,15 +428,12 @@ def parse_instance(text: str, flags: dict | None = None) -> LoadedInstance:
         space, maps = parts["space"], parts["maps"]
         finite = None
         if isinstance(space.metric, TabulatedMetric):
-            tables = []
             try:
-                for name in "TS":
-                    where = f"maps.{name}"
-                    tables.append(image_indices(space, getattr(maps, name), f"{name}-image"))
-                where = "space"
-                finite = FiniteInstance(list(space.carrier.points), space.metric.table, *tables, space.cone)
-            except (ConfigError, DomainError) as exc:
-                raise InstanceValidationError([f"{where}: {exc}"]) from exc
+                finite = FiniteInstance(space, maps)
+            except DomainError as exc:      # its text names the map
+                raise InstanceValidationError([str(exc)]) from exc
+            except ConfigError as exc:
+                raise InstanceValidationError([f"space: {exc}"]) from exc
         contraction, pinned = parts.get("contraction", (None, False))
         return LoadedInstance(space, maps, contraction, parts["run"], finite, pinned)
     finally:
@@ -728,7 +725,7 @@ def run(command: str, inst: LoadedInstance, options: Options) -> tuple[int, dict
     if command == "verify":
         cone_report = verify_cone_axioms(inst.space.cone)
         plan = SamplingPlan(count=inst.run.samples, seed=inst.run.seed)
-        metric_report = verify_metric_axioms(inst.space, plan, scanned_by=inst.finite)
+        metric_report = inst.finite.metric_axioms if inst.finite else verify_metric_axioms(inst.space, plan)
         report = {
             "schema_version": SCHEMA_VERSION,
             "command": "verify",

@@ -26,12 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .oracle import FiniteInstance
 
 ORTHANT = "orthant"
 SCALED_ORTHANT = "scaled_orthant"
@@ -386,7 +382,7 @@ class AxiomReport:
         return not self.violations
 
 
-def verify_cone_axioms(cone: ConeSpec, plan: SamplingPlan | None = None) -> AxiomReport:
+def verify_cone_axioms(cone: ConeSpec) -> AxiomReport:
     """Decide the cone laws exactly from the nonzero rows A of the
     inequality matrix, ``cone.exact_rows``.  P = {v : A v >= 0} holds 0
     and every nonnegative combination of its points by construction (P1's
@@ -398,9 +394,8 @@ def verify_cone_axioms(cone: ConeSpec, plan: SamplingPlan | None = None) -> Axio
     exact fallback, Discrete Comput. Geom. 18, 1997).  P is pointed (P3) exactly
     when A has rank m; otherwise each vector of an exact nullspace basis
     lies in P and in -P and is reported with its values on all rows of
-    ``ineq_matrix``.  Nothing is sampled (``sample_count`` 0, ``plan``
-    unused, rule "rows").  Degenerate cones yield violation entries, never
-    exceptions.
+    ``ineq_matrix``.  Nothing is sampled (``sample_count`` 0, rule
+    "rows").  Degenerate cones yield violation entries, never exceptions.
     """
     rows, groups = cone.exact_rows, []
     if not (cone.contains(_interior_witness(cone), "interior") or _has_interior(rows, cone.dimension)):
@@ -873,23 +868,15 @@ def table_triangle_failures(table: np.ndarray, cone: ConeSpec, slack: float, sym
     return triangle
 
 
-def verify_metric_axioms(space: ConeMetricSpace, plan: SamplingPlan | None = None, *,
-                         scanned_by: FiniteInstance | None = None) -> AxiomReport:
+def verify_metric_axioms(space: ConeMetricSpace, plan: SamplingPlan | None = None) -> AxiomReport:
     """Check d1 (cone-valued, zero exactly on the diagonal), d2 (symmetry),
     and d3 (triangle inequality in the cone order).  The report's ``rule``
     names what decided: "direction", a ``DirectionMetric``'s form
-    (``_direction_groups``, ``sample_count`` 0); "table", the scan that
-    validates every ``FiniteInstance`` (``metric_table_failures`` at the
-    cone's slack) of a finite carrier's table, tabulated first (one call
-    per ordered pair) for a function metric; "sampled", pairs and triples
-    of a function metric on a carrier too large to tabulate.
-
-    ``scanned_by`` may be the ``oracle.FiniteInstance`` built on this
-    space's table, whose construction refused every failure at slack 0.
-    When its ``metric_table`` and ``cone`` are this space's own objects, a
-    failure at the cone's slack (>= 0) would be one at slack 0, so the
-    report has no violations and counts all n^2 pairs and n^3 triples, at
-    any n: the table is neither scanned again nor sampled.
+    (``_direction_groups``, ``sample_count`` 0); "table", the exact scan
+    ``metric_table_failures`` at the cone's slack, of a ``TabulatedMetric``'s
+    own table at any n, or of a function metric on a finite carrier
+    tabulated first (one call per ordered pair) while its n^3 triples fit
+    the budget; "sampled", pairs and triples of any other function metric.
     """
     plan = plan or SamplingPlan()
     rng = plan.rng()
@@ -900,12 +887,11 @@ def verify_metric_axioms(space: ConeMetricSpace, plan: SamplingPlan | None = Non
     groups: list[tuple] = []     # LazyRows groups
 
     n = len(carrier.points) if carrier.finite else 0
-    table = getattr(space.metric, "table", None)
-    if scanned_by is not None and scanned_by.metric_table is table and scanned_by.cone is cone:
-        return AxiomReport(axioms, LazyRows(carrier.from_array, groups), n * n + n ** 3, "table")
-    if carrier.finite and n ** 3 <= max(plan.count, 2_000_000):
+    d = getattr(space.metric, "table", None)
+    if d is None and carrier.finite and n ** 3 <= max(plan.count, 2_000_000):
         indices = np.arange(n)
         d = space.pairwise(np.repeat(indices, n), np.tile(indices, n)).reshape(n, n, -1)
+    if d is not None:
         residuals = {
             "d1-cone": lambda i, j: table_take(d, i, j),
             "d1-separation": lambda i, j: table_take(d, i, j),

@@ -1,15 +1,15 @@
 """Exact brute-force engine on finite instances.
 
 A finite instance is a tabulated cone metric space on at most 200 labelled
-points together with index maps for T and S.  All checks here scan every
-ordered pair (or triple) with exact cone tests: tables are built from
-dyadic values, so plain float comparisons are exact and the tolerance is
-genuinely zero.  The load-time d3 scan compares the table's projections
-onto the cone's rows, exact for unit-row cones on any table.  The class
-inequalities, their cleared-denominator weak forms and the constant fit
-come from the engine in ``contractions``; the oracle only supplies the
-terms of all n^2 index pairs, looked up in the tables once per instance
-(``FiniteInstance.terms``), and runs that engine at slack 0.
+points together with maps T and S, tabulated as index arrays once.  All
+checks here scan every ordered pair (or triple) with exact cone tests:
+tables are built from dyadic values, so plain float comparisons are exact
+and the tolerance is genuinely zero.  The load-time d3 scan compares the
+table's projections onto the cone's rows, exact for unit-row cones on any
+table.  The class inequalities, their cleared-denominator weak forms and
+the constant fit come from the engine in ``contractions``; the oracle only
+supplies the terms of all n^2 index pairs, looked up in the tables once
+per instance (``FiniteInstance.terms``), and runs that engine at slack 0.
 """
 
 from __future__ import annotations
@@ -21,13 +21,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .cone_space import (
-    ConeMetricSpace, ConeSpec, ConfigError, FinitePointsCarrier, LazyRows, TabulatedMetric, as_tuple,
-    table_pair_failures, table_take, table_triangle_failures,
+    AxiomReport, ConeMetricSpace, ConeSpec, ConfigError, DomainError, FinitePointsCarrier, LazyRows,
+    TabulatedMetric, as_tuple, table_pair_failures, table_take, table_triangle_failures,
 )
 from .contractions import (
     TB, TC, TK, TW, TW_DUAL, TWU, TZ,
     ClassSpec, MapPair, PairTerms, TabulatedMap, Verdict,
-    cleared_check, evaluate, fit_terms, pair_columns, promote_to_weak, zamfirescu_delta,
+    cleared_check, evaluate, fit_terms, image_indices, pair_columns, promote_to_weak, zamfirescu_delta,
 )
 
 MAX_POINTS = 200
@@ -41,53 +41,41 @@ _TABLE_ERRORS = {
 }
 
 
-def _index_table(name: str, given, n: int) -> np.ndarray:
-    """``given`` as an array of n label indices.  A bool or a non-integral
-    entry is refused by name, where a cast to int would read True as 1 and
-    1.7 as 1."""
-    if any(isinstance(v, (bool, np.bool_)) for v in np.asarray(given, dtype=object).flat):
-        raise ConfigError(f"{name} entries must be label indices, not bools")
-    values = np.asarray(given)
-    with np.errstate(invalid="ignore"):     # NaN and inf casts are refused just below
-        tab = values.astype(int)
-    if not np.array_equal(tab, values):
-        raise ConfigError(f"{name} entries must be integral label indices")
-    if tab.shape != (n,) or np.any(tab < 0) or np.any(tab >= n):
-        raise ConfigError(f"{name} must map the {n} labels into themselves")
-    return tab
-
-
 @dataclass(eq=False)
 class FiniteInstance:
-    """Tabulated cone metric space with index maps for T and S.
-
-    The metric table is validated exactly at construction: the first
-    failure ``metric_table_failures`` finds at slack 0 (all n^3 triples,
-    the scan ``verify_metric_axioms`` runs on finite carriers, d3 on the
-    table projected onto the cone's rows) is raised, a d3 failure at its
-    smallest z, so every downstream check may assume d1-d3.  A table that
-    fails d1 or d2 is refused before the d3 scan.
+    """A cone metric space with a tabulated metric on 1..200 points, and
+    maps T and S of its points into themselves, checked exactly at
+    construction.  T's and S's images are indexed (``t_table``,
+    ``s_table``; an image off the carrier is a ``DomainError`` naming its
+    map), then the first failure ``metric_table_failures`` finds at slack 0
+    (all n^3 triples, as ``verify_metric_axioms`` scans a tabulated metric,
+    d3 on the table projected onto the cone's rows) is raised, a d3 failure
+    at its smallest z, so every downstream check may assume d1-d3.  A table
+    that fails d1 or d2 is refused before the d3 scan.
     """
 
-    points: list[int]
-    metric_table: np.ndarray
-    t_table: np.ndarray
-    s_table: np.ndarray
-    cone: ConeSpec
+    space: ConeMetricSpace
+    maps: MapPair
+    t_table: np.ndarray = field(init=False, repr=False)
+    s_table: np.ndarray = field(init=False, repr=False)
     _verdicts: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        n = len(self.points)
+        if not isinstance(self.space.metric, TabulatedMetric):
+            raise ConfigError("finite instances need a tabulated metric")
+        tables = []
+        for name in "TS":
+            try:
+                tables.append(image_indices(self.space, getattr(self.maps, name), f"{name}-image"))
+            except DomainError as exc:
+                raise DomainError(f"maps.{name}: {exc}") from exc
+        self.t_table, self.s_table = tables
+        n = self.n
         if not 1 <= n <= MAX_POINTS:
             raise ConfigError(f"finite instances support 1..{MAX_POINTS} points, got {n}")
-        self.metric_table = np.asarray(self.metric_table, dtype=float)
         if self.metric_table.shape != (n, n, self.cone.dimension):
-            raise ConfigError(
-                f"metric table must have shape ({n}, {n}, {self.cone.dimension}), "
-                f"got {self.metric_table.shape}"
-            )
-        self.t_table = _index_table("t_table", self.t_table, n)
-        self.s_table = _index_table("s_table", self.s_table, n)
+            raise ConfigError(f"metric table must have shape ({n}, {n}, {self.cone.dimension}), "
+                              f"got {self.metric_table.shape}")
         failures = table_pair_failures(self.metric_table, self.cone, 0.0)
         for axiom, message in _TABLE_ERRORS.items():
             if failures[axiom].any():
@@ -97,6 +85,29 @@ class FiniteInstance:
         if triangle.any():
             k, i, j = np.argwhere(triangle)[0]
             raise ConfigError(f"metric table violates d3 at triple ({i}, {j}, {k})")
+
+    @property
+    def points(self) -> list:
+        return self.space.carrier.points
+
+    @property
+    def metric_table(self) -> np.ndarray:
+        return self.space.metric.table
+
+    @property
+    def cone(self) -> ConeSpec:
+        return self.space.cone
+
+    @property
+    def n(self) -> int:
+        return len(self.points)
+
+    @property
+    def metric_axioms(self) -> AxiomReport:
+        """``verify_metric_axioms``' report on ``space``, read off the scan
+        above: a failure at the cone's slack (>= 0) is one at slack 0, so
+        d1-d3 hold on all n^2 pairs and n^3 triples."""
+        return AxiomReport(["d1", "d2", "d3"], [], self.n ** 2 + self.n ** 3, "table")
 
     @cached_property
     def terms(self) -> PairTerms:
@@ -115,20 +126,8 @@ class FiniteInstance:
         return self._verdicts[spec]
 
     @property
-    def n(self) -> int:
-        return len(self.points)
-
-    @property
     def t_injective(self) -> bool:
         return len(set(self.t_table.tolist())) == self.n
-
-    def as_space_and_maps(self) -> tuple[ConeMetricSpace, MapPair]:
-        carrier = FinitePointsCarrier(list(self.points))
-        metric = TabulatedMetric(self.metric_table)
-        space = ConeMetricSpace(self.cone, carrier, metric)
-        t_map = TabulatedMap(self.points, [self.points[i] for i in self.t_table])
-        s_map = TabulatedMap(self.points, [self.points[i] for i in self.s_table])
-        return space, MapPair(t_map, s_map)
 
 
 def finite_from_values(
@@ -139,13 +138,16 @@ def finite_from_values(
     direction: Sequence[float] = (1.0, 2.0),
     cone: ConeSpec | None = None,
 ) -> FiniteInstance:
-    """Line-geometry instance: d(i, j) = direction * |values[i] - values[j]|."""
+    """Line-geometry instance on the labels 0..n-1: d(i, j) = direction *
+    |values[i] - values[j]|, and T and S map label i to t_table[i] and
+    s_table[i], entries taken as given (a bool or a fraction is no label)."""
     vals = np.asarray(values, dtype=float)
     u = np.asarray(direction, dtype=float)
     cone = cone or ConeSpec.orthant(len(u), slack=0.0)
     diff = np.abs(vals[:, None] - vals[None, :])
-    table = diff[:, :, None] * u
-    return FiniteInstance(list(range(len(vals))), table, np.asarray(t_table), np.asarray(s_table), cone)
+    points = list(range(len(vals)))
+    space = ConeMetricSpace(cone, FinitePointsCarrier(points), TabulatedMetric(diff[:, :, None] * u))
+    return FiniteInstance(space, MapPair(TabulatedMap(points, list(t_table)), TabulatedMap(points, list(s_table))))
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@ from pathlib import Path
 
 import pytest
 
+from conefix.cone_space import ConeMetricSpace, FinitePointsCarrier, TabulatedMetric
+from conefix.contractions import MapPair, TabulatedMap
 from conefix.instances import instance_a, instance_b, instance_c, instance_d
-from conefix.oracle import generate_twu_corpus, generate_tz_corpus, random_finite_instance
+from conefix.oracle import FiniteInstance, generate_twu_corpus, generate_tz_corpus, random_finite_instance
 
 import numpy as np
 
@@ -18,6 +20,13 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 def fixture_doc(name: str) -> dict:
     """A committed instance file from ``fixtures/``, as a fresh dict to edit."""
     return json.loads((FIXTURES / f"{name}.json").read_text(encoding="utf-8"))
+
+
+def tabulated_instance(points: list, table, t_images, s_images, cone) -> FiniteInstance:
+    """The FiniteInstance of the metric ``table`` on ``points`` under
+    ``cone``, with T and S given by their images of the points, in order."""
+    space = ConeMetricSpace(cone, FinitePointsCarrier(list(points)), TabulatedMetric(table))
+    return FiniteInstance(space, MapPair(TabulatedMap(points, list(t_images)), TabulatedMap(points, list(s_images))))
 
 
 @pytest.fixture

@@ -33,14 +33,14 @@ def test_criterion_01_axiom_suite(plain_corpus):
     violations = 0
     for space, _ in (instance_a(), instance_b(), instance_c()):
         violations += len(verify_metric_axioms(space, plan).violations)
-        violations += len(verify_cone_axioms(space.cone, plan).violations)
+        violations += len(verify_cone_axioms(space.cone).violations)
     assert len(plain_corpus) == 20
     for fin in plain_corpus:
-        space, _ = fin.as_space_and_maps()
+        space = fin.space
         report = verify_metric_axioms(space, plan)
         assert report.sample_count == fin.n ** 2 + fin.n ** 3  # exhaustive for finite
         violations += len(report.violations)
-        violations += len(verify_cone_axioms(fin.cone, plan).violations)
+        violations += len(verify_cone_axioms(fin.cone).violations)
     elapsed = time.perf_counter() - t0
     _criterion(
         1, violations == 0 and elapsed < 5.0,
@@ -52,7 +52,7 @@ def test_criterion_02_reduction_inequality(tz_corpus):
     assert len(tz_corpus) == 100
     bad = 0
     for g in tz_corpus:
-        space, maps = g.fin.as_space_and_maps()
+        space, maps = g.fin.space, g.fin.maps
         assert space.cone.slack == 0.0  # zero tolerance on dyadic tables
         report = verify_zamfirescu_reduction(
             space, maps, g.spec.a, g.spec.b, g.spec.c, all_pairs(space)
@@ -89,7 +89,7 @@ def test_criterion_04_rate_discrepancy(tz_corpus):
     evidence = []
     for g in tz_corpus:
         delta = zamfirescu_delta(g.spec.a, g.spec.b, g.spec.c)
-        space, maps = g.fin.as_space_and_maps()
+        space, maps = g.fin.space, g.fin.maps
         ratios = []
         for start in g.fin.points:
             trace = picard_iterate(space, maps, start, StoppingRule(max_iter=100))
@@ -120,7 +120,7 @@ def test_criterion_05_oracle_equivalence(tz_corpus):
             bad.append((idx, "fixed-point count"))
             continue
         (fp,) = cv.fixed_points
-        space, maps = g.fin.as_space_and_maps()
+        space, maps = g.fin.space, g.fin.maps
         for start in g.fin.points:
             trace = picard_iterate(space, maps, start, StoppingRule(max_iter=100))
             if trace.stop_reason != CONVERGED or trace.n_final > 20 or trace.last != fp:
@@ -131,7 +131,7 @@ def test_criterion_05_oracle_equivalence(tz_corpus):
 
 def test_criterion_06_non_uniqueness_of_weak_contractions():
     fin = instance_c_grid(101)
-    space, maps = fin.as_space_and_maps()
+    space, maps = fin.space, fin.maps
     cond = check_condition(space, maps, ClassSpec.tw(0.5, 0.5), all_pairs(space))
     fps = enumerate_fixed_points(fin)
     verdict = uniqueness_probe(space, maps, [fin.points[20], fin.points[80]])

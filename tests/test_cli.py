@@ -622,6 +622,7 @@ def test_tabulated_map_images_must_be_a_list_with_one_image_per_point(images, er
 def test_parse_finite_instance_builds_oracle_tables():
     inst = parse_instance(json.dumps(fixture_doc("instance_d")))
     assert inst.finite is not None
+    assert inst.finite.space is inst.space and inst.finite.maps is inst.maps     # one object, not a copy
     assert inst.finite.n == 10
     assert isinstance(inst.space.carrier, FinitePointsCarrier)
 

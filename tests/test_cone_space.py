@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from conefix import cone_space, oracle
+from conefix import cli, cone_space, oracle
 from conefix.cone_space import (
     AxiomViolation, BoxCarrier, ConeMetricSpace, ConeSpec, ConfigError, DirectionMetric, DomainError,
     FinitePointsCarrier, FunctionMetric, IntervalCarrier, SamplingPlan, TabulatedMetric, all_last,
@@ -23,7 +23,7 @@ from conefix.cone_space import (
 from conefix.contractions import ClassSpec, IdentityMap, MapPair, PairSet, check_condition, pair_columns
 from conefix.oracle import FiniteInstance, finite_from_values
 
-from conftest import fixture_doc
+from conftest import fixture_doc, tabulated_instance
 
 dyadic = st.integers(-256, 256).map(lambda k: k / 64.0)
 dyadic_vec = st.tuples(dyadic, dyadic).map(np.asarray)
@@ -113,7 +113,7 @@ def test_interior_test_needs_no_margin():
 # ---------------------------------------------------------------------------
 
 def test_orthant_axioms_pass():
-    report = verify_cone_axioms(ConeSpec.orthant(2), SamplingPlan(count=100, seed=1))
+    report = verify_cone_axioms(ConeSpec.orthant(2))
     assert report.passed
     assert report.axioms_checked == ["P1", "P2", "P3"]
     assert report.sample_count == 0
@@ -179,12 +179,12 @@ def _report_form(report):
 
 
 @pytest.mark.parametrize("name", sorted(EXACT_REPORTS))
-@pytest.mark.parametrize("count, seed", [(10_000, 0), (500, 7), (40, 3), (0, 0)])
-def test_cone_report_is_exact_whatever_the_plan(name, count, seed):
-    # the plan is accepted and unused: any budget and seed give the report
-    # the matrix decides, with residual A v = 0 on every P3 witness
+@pytest.mark.parametrize("slack", [0.0, 1e-12, 0.25, 0.5])
+def test_cone_report_is_exact_whatever_the_slack(name, slack):
+    # the relative slack of order tests plays no part: every slack gives the
+    # report the matrix decides, with residual A v = 0 on every P3 witness
     cone, expected = EXACT_REPORTS[name]
-    report = verify_cone_axioms(cone, SamplingPlan(count=count, seed=seed))
+    report = verify_cone_axioms(dataclasses.replace(cone, slack=slack))
     assert _report_form(report) == _report_form(verify_cone_axioms(cone))
     assert _report_form(report) == (
         ["P1", "P2", "P3"], 0,
@@ -345,54 +345,63 @@ def test_broken_triangle_detected():
 
 
 def test_metric_axioms_exhaustive_for_finite(fin_d):
-    space, _ = fin_d.as_space_and_maps()
+    space = fin_d.space
     report = verify_metric_axioms(space, SamplingPlan(count=10_000, seed=5))
     assert report.passed
     assert report.sample_count == 10 * 10 + 10 ** 3
 
 
 @pytest.mark.parametrize("slack", [0.0, 1e-12, 0.3])
-def test_a_scanned_table_reports_what_its_scan_reports(slack, plain_corpus, tz_corpus):
+def test_a_loaded_table_reports_what_its_scan_reports(slack, plain_corpus, tz_corpus):
     # the FiniteInstance refused every failure at slack 0, and a failure at
-    # a larger slack is one at slack 0, so skipping the scan changes nothing
+    # a larger slack is one at slack 0, so its report is the scan's
     for fin in [*plain_corpus, *(g.fin for g in tz_corpus[:10])]:
-        fin = dataclasses.replace(fin, cone=dataclasses.replace(fin.cone, slack=slack))
-        space = ConeMetricSpace(fin.cone, FinitePointsCarrier(list(fin.points)), TabulatedMetric(fin.metric_table))
+        cone = dataclasses.replace(fin.cone, slack=slack)
+        fin = FiniteInstance(dataclasses.replace(fin.space, cone=cone), fin.maps)
         for plan in (SamplingPlan(), SamplingPlan(count=0)):
-            full = verify_metric_axioms(space, plan)
-            assert verify_metric_axioms(space, plan, scanned_by=fin) == full and full.passed
+            assert fin.metric_axioms == verify_metric_axioms(fin.space, plan) and fin.metric_axioms.passed
 
 
-def test_a_table_the_instance_did_not_scan_is_scanned(fin_d, monkeypatch):
-    # fin_d scanned its own table: not this copy with d(0, 1) halved
-    table = fin_d.metric_table.copy()
-    table[0, 1] /= 2.0
-    space = ConeMetricSpace(fin_d.cone, FinitePointsCarrier(list(fin_d.points)), TabulatedMetric(table))
-    report = verify_metric_axioms(space, SamplingPlan(), scanned_by=fin_d)
-    assert "d2-symmetry" in {v.axiom for v in report.violations}
-    # nor its table under another cone object, equal as it may be
-    scans = []
-    scan = cone_space.metric_table_failures
-    monkeypatch.setattr(cone_space, "metric_table_failures", lambda *a: scans.append(a) or scan(*a))
-    cone = dataclasses.replace(fin_d.cone)
-    space = ConeMetricSpace(cone, FinitePointsCarrier(list(fin_d.points)), TabulatedMetric(fin_d.metric_table))
-    assert verify_metric_axioms(space, SamplingPlan(), scanned_by=fin_d).passed and len(scans) == 1
-    space = ConeMetricSpace(fin_d.cone, FinitePointsCarrier(list(fin_d.points)), TabulatedMetric(fin_d.metric_table))
-    assert verify_metric_axioms(space, SamplingPlan(), scanned_by=fin_d).passed and len(scans) == 1
+def test_verify_reads_the_load_report_without_a_second_scan(tmp_path, monkeypatch):
+    # the load scans the table once; verify reports that scan
+    scans, scan = [], oracle.table_triangle_failures
+    monkeypatch.setattr(oracle, "table_triangle_failures", lambda *a: scans.append(a) or scan(*a))
+    monkeypatch.setattr(cone_space, "metric_table_failures", lambda *a: pytest.fail("a loaded table was scanned again"))
+    doc, path, out = fixture_doc("instance_d"), tmp_path / "d.json", tmp_path / "report.json"
+    del doc["contraction"]      # the axioms alone decide the exit status
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["verify", "--instance", str(path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))["metric_axioms"]
+    assert len(scans) == 1 and (report["passed"], report["sample_count"]) == (True, 10 * 10 + 10 ** 3)
+    assert (report["violations"], report["violation_count"]) == ([], 0)
 
 
-def test_a_scanned_table_is_not_sampled_at_any_size(monkeypatch):
-    # 130^3 triples exceed the exhaustive budget, where an unscanned table
-    # is sampled; the instance's own scan covered every triple at slack 0
+def test_a_loaded_table_is_not_sampled_at_any_size(monkeypatch):
+    # 130^3 triples exceed the exhaustive budget of a function metric; a
+    # table is scanned, and the load's scan covered every triple at slack 0
     n = 130
     values = np.arange(n) / 64.0
     labels = list(range(n))
-    fin = FiniteInstance(labels, np.abs(values[:, None] - values)[:, :, None] * np.array([1.0, 2.0]),
-                         labels, labels, ConeSpec.orthant(2))
-    space, _ = fin.as_space_and_maps()
-    monkeypatch.setattr(FinitePointsCarrier, "sample", lambda *a: pytest.fail("a scanned table was sampled"))
-    report = verify_metric_axioms(space, SamplingPlan(), scanned_by=fin)
-    assert report.passed and report.sample_count == n * n + n ** 3
+    fin = tabulated_instance(labels, np.abs(values[:, None] - values)[:, :, None] * np.array([1.0, 2.0]),
+                             labels, labels, ConeSpec.orthant(2))
+    monkeypatch.setattr(FinitePointsCarrier, "sample", lambda *a: pytest.fail("a table was sampled"))
+    for report in (fin.metric_axioms, verify_metric_axioms(fin.space, SamplingPlan())):
+        assert report.passed and (report.rule, report.sample_count) == ("table", n * n + n ** 3)
+
+
+@pytest.mark.parametrize("n", [126, 200])
+def test_a_tabulated_metric_is_scanned_past_the_triple_budget(n):
+    # 126^3 > 2,000,000: the line metric with d(0, 2) = d(2, 0) tripled
+    # fails d3 at four triples, which sampling 10,000 triples misses
+    values = np.arange(n) / 64.0
+    table = np.abs(values[:, None] - values)[:, :, None] * np.array([1.0, 2.0])
+    table[0, 2] = table[2, 0] = 3.0 * table[0, 2]
+    space = ConeMetricSpace(ConeSpec.orthant(2), FinitePointsCarrier(list(range(n))), TabulatedMetric(table))
+    report = verify_metric_axioms(space)
+    assert (report.rule, report.sample_count) == ("table", n * n + n ** 3)
+    assert [(v.axiom, v.witness, v.residual.tolist()) for v in report.violations] == [
+        ("d3-triangle", (0, 2, 1), [-4 / 64, -8 / 64]), ("d3-triangle", (0, 2, 3), [-2 / 64, -4 / 64]),
+        ("d3-triangle", (2, 0, 1), [-4 / 64, -8 / 64]), ("d3-triangle", (2, 0, 3), [-2 / 64, -4 / 64])]
 
 
 def test_identity_violation_reported_once_per_point():
@@ -417,13 +426,22 @@ def test_sampled_metric_check_reads_a_tabulated_carrier():
     carrier, cone = FinitePointsCarrier(list(range(n))), ConeSpec.orthant(2)
     tab = verify_metric_axioms(ConeMetricSpace(cone, carrier, TabulatedMetric(table)))
     fun = verify_metric_axioms(ConeMetricSpace(cone, carrier, FunctionMetric(lambda x, y: table[x, y])))
-    assert tab.sample_count == fun.sample_count == 20_000
-    assert {v.axiom for v in tab.violations} == {
-        "d1-cone", "d1-separation", "d1-identity", "d2-symmetry", "d3-triangle"}
-    assert len(tab.violations) == len(fun.violations)
-    for got, want in zip(tab.violations, fun.violations):
-        assert (got.axiom, got.witness) == (want.axiom, want.witness)
-        assert np.array_equal(got.residual, want.residual)
+    assert (tab.rule, tab.sample_count) == ("table", n * n + n ** 3)
+    assert (fun.rule, fun.sample_count) == ("sampled", 20_000)
+    # the brute force over every pair and triple: the entries are multiples
+    # of 1/64, so a value leaves the orthant exactly when a coordinate is < 0
+    residual = table[:, None] + table.transpose(1, 0, 2)[None] - table[:, :, None]    # [x, y, z]
+    masks = {
+        "d1-cone": (table < 0.0).any(axis=2),
+        "d1-separation": ~table.any(axis=2) & ~np.eye(n, dtype=bool),
+        "d1-identity": table[np.arange(n), np.arange(n)].any(axis=1),
+        "d2-symmetry": (table != table.transpose(1, 0, 2)).any(axis=2),
+        "d3-triangle": (residual < 0.0).any(axis=3),
+    }
+    assert all(mask.any() for mask in masks.values())
+    assert [(v.axiom, v.witness) for v in tab.violations] == [
+        (axiom, tuple(w)) for axiom, mask in masks.items() for w in np.argwhere(mask).tolist()]
+    assert fun.violations and all(masks[v.axiom][v.witness] for v in fun.violations)
 
 
 def test_tabulated_metric_must_cover_the_carrier():
@@ -633,10 +651,10 @@ def test_metric_table_scan_matches_brute_force(corruption, message, slack, famil
     scans, scan = [], oracle.table_triangle_failures
     monkeypatch.setattr(oracle, "table_triangle_failures", lambda *a: scans.append(a) or scan(*a))
     if message is None:
-        FiniteInstance(labels, table, labels, labels, cone)
+        tabulated_instance(labels, table, labels, labels, cone)
     else:
         with pytest.raises(ConfigError) as exc:
-            FiniteInstance(labels, table, labels, labels, cone)
+            tabulated_instance(labels, table, labels, labels, cone)
         assert str(exc.value) == message
     # a table refused for d1 or d2 never enters the triangle scan
     assert len(scans) == (message is None or " d3 " in message)
@@ -673,7 +691,7 @@ def test_metric_table_scan_differential(family, slack):
             if slack == 0.0 and first.any() and not any(got[a].any() for a in got if a != "d3-triangle"):
                 k, i, j = np.argwhere(first)[0]      # smallest z first
                 with pytest.raises(ConfigError, match=rf"d3 at triple \({i}, {j}, {k}\)$"):
-                    FiniteInstance(labels, table, labels, labels, cone)
+                    tabulated_instance(labels, table, labels, labels, cone)
         assert got["d2-symmetry"].any()     # the last table is the one-sided one
     assert failing >= 4     # the corruptions reach the d3 scan
     assert symmetric_failing >= 2 and one_sided_failing >= 2, (symmetric_failing, one_sided_failing)
@@ -736,9 +754,10 @@ def _scan_case(kind: str, n: int, seed: int) -> tuple[np.ndarray, ConeSpec]:
     by a power of two) on any cone, symmetric or changed on one side, or
     corrupted to break d1-d3 with negative entries among them; non-dyadic
     tables on unit-row cones; on unit-row cones a table of multiples of
-    the least subnormal beside one symmetric entry of 2^40 or more, which
-    puts them below the int32 scale; and a dyadic table beside a point
-    whose distances project past the float range.  "proportional" tables
+    the least subnormal, at least one nonzero off the diagonal, beside one
+    symmetric entry of 2^40 or more, which puts them below the int32
+    scale; and a dyadic table beside a point whose distances project past
+    the float range.  "proportional" tables
     are a line or tree metric times a direction inside, on or outside the
     cone, or 0, with a detour that breaks d3 or an entry doubled on one
     side (the projected rows stay multiples of one row); a "near-miss" is
@@ -786,6 +805,9 @@ def _scan_case(kind: str, n: int, seed: int) -> tuple[np.ndarray, ConeSpec]:
     elif kind == "subnormal":
         table = _corrupt(rng, table * 8.0 * 2.0 ** -1074, int(rng.integers(0, 4)))
         p, q = rng.choice(n, size=2, replace=False)
+        k = min({0, 1, 2} - {p, q})
+        if not table[p, k].any():       # an all-zero small part would be exact on int32
+            table[p, k] = table[k, p] = 8.0 * 2.0 ** -1074 * u
         table[p, q] = table[q, p] = 2.0 ** int(rng.integers(40, 80)) * u
     elif kind == "overflowing":
         table = _corrupt(rng, table, int(rng.integers(0, 3)))
@@ -804,6 +826,7 @@ def _scan_case(kind: str, n: int, seed: int) -> tuple[np.ndarray, ConeSpec]:
 @example("corrupted", 8, 0, 0)
 @example("non-dyadic", 8, 0, 0)
 @example("subnormal", 8, 1, 0)
+@example("subnormal", 3, 3370939, 0)     # a small part that is all zero without its kept entry
 @example("overflowing", 8, 0, 0)
 @example("one-sided", 10, 0, 30)      # the full scan in groups of 3, 3, 3 and 1 x
 @example("dyadic", 10, 0, 25)         # the half scan in groups of 2, 3 and 5 x

@@ -150,7 +150,7 @@ def test_reduction_on_pair_where_only_tz2_holds():
     fin = finite_from_values(
         [0.0, 8.0, 4.0, 5.0], t_table=[0, 1, 2, 3], s_table=[2, 3, 2, 3]
     )
-    space, maps = fin.as_space_and_maps()
+    space, maps = fin.space, fin.maps
     pair = PairSet.of(space, [(0, 1)])
     assert not check_condition(space, maps, ClassSpec.tb(0.0), pair).holds
     assert not check_condition(space, maps, ClassSpec.tc(0.0), pair).holds
@@ -256,7 +256,7 @@ def test_fit_reports_hard_witnesses():
     # T collapses 0 and 1 while their S-images stay separated through T:
     # d(Tx, Ty) = 0 with lhs != 0, so no constant can help.
     fin = finite_from_values([0.0, 1.0, 2.0], t_table=[0, 0, 2], s_table=[2, 0, 2])
-    space, maps = fin.as_space_and_maps()
+    space, maps = fin.space, fin.maps
     result = fit_constants(space, maps, "TB", PairSet.of(space, [(0, 1)]))
     assert not result.feasible
     assert result.hard_witnesses == [(0, 1)]
@@ -266,7 +266,7 @@ def test_fit_reports_tw_hard_witnesses():
     # Tx = Ty = TSx for (0, 1) while TSx != TSy: both of TW's terms,
     # d(Tx, Ty) and d(Ty, TSx), are 0 under a positive lhs
     fin = finite_from_values([0.0, 1.0, 2.0], t_table=[0, 0, 2], s_table=[0, 2, 2])
-    space, maps = fin.as_space_and_maps()
+    space, maps = fin.space, fin.maps
     result = fit_constants(space, maps, "TW", all_pairs(space))
     assert not result.feasible and result.spec is None
     assert (0, 1) in result.hard_witnesses
@@ -284,7 +284,7 @@ def test_fit_tk_matches_hand_ratio():
     fin = finite_from_values(
         [0.0, 8.0, 4.0, 5.0], t_table=[0, 1, 2, 3], s_table=[2, 3, 2, 3]
     )
-    space, maps = fin.as_space_and_maps()
+    space, maps = fin.space, fin.maps
     result = fit_constants(space, maps, "TK", PairSet.of(space, [(0, 1)]))
     assert result.feasible
     assert result.spec.b == pytest.approx(1.0 / 7.0, abs=1e-6)
@@ -292,7 +292,7 @@ def test_fit_tk_matches_hand_ratio():
 
 def test_fit_tc_on_constant_map():
     fin = finite_from_values(np.arange(6.0), np.arange(6), np.full(6, 2))
-    space, maps = fin.as_space_and_maps()
+    space, maps = fin.space, fin.maps
     result = fit_constants(space, maps, "TC", all_pairs(space))
     assert result.feasible
     assert result.spec.c == pytest.approx(0.0, abs=1e-6)
@@ -347,7 +347,7 @@ def _finite_tabulated():
     rng = np.random.default_rng(11)
     fin = finite_from_values(rng.permutation(64)[:12] / 8.0, rng.integers(0, 12, size=12),
                              rng.integers(0, 12, size=12))
-    return fin.as_space_and_maps()
+    return fin.space, fin.maps
 
 
 def _finite_foreign_map():

@@ -47,7 +47,7 @@ def corpora(tz_corpus, twu_corpus, plain_corpus):
 def test_sampled_violations_equal_oracle_pairs(corpora, name):
     failing = holding = 0
     for g, fin in zip(corpora[name], _fins(corpora[name])):
-        space, maps = fin.as_space_and_maps()
+        space, maps = fin.space, fin.maps
         assert space.cone.slack == 0.0
         pairs = all_pairs(space)
         for spec in _specs(g):
@@ -64,7 +64,7 @@ def test_sampled_violations_equal_oracle_pairs(corpora, name):
 def test_sampled_fit_equals_tightest_constants_bitwise(corpora, name):
     feasible = 0
     for fin in _fins(corpora[name]):
-        space, maps = fin.as_space_and_maps()
+        space, maps = fin.space, fin.maps
         pairs = all_pairs(space)
         for kind in FIT_KINDS:
             fit = fit_constants(space, maps, kind, pairs)
@@ -85,7 +85,7 @@ def test_sampled_fit_equals_tightest_constants_bitwise(corpora, name):
 
 def test_sampled_reduction_equals_oracle(tz_corpus):
     for g in tz_corpus:
-        space, maps = g.fin.as_space_and_maps()
+        space, maps = g.fin.space, g.fin.maps
         s = g.spec
         sampled = verify_zamfirescu_reduction(space, maps, s.a, s.b, s.c, all_pairs(space))
         exact = exhaustive_reduction_check(g.fin, s.a, s.b, s.c)

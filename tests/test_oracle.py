@@ -1,18 +1,21 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from conefix import oracle
-from conefix.cone_space import ConfigError
+from conefix.cone_space import ConfigError, DomainError
 from conefix.contractions import ClassSpec
 from conefix.instances import instance_c_grid
 from conefix.oracle import (
-    FiniteInstance, cross_validate, enumerate_fixed_points, exhaustive_condition_check,
+    cross_validate, enumerate_fixed_points, exhaustive_condition_check,
     exhaustive_promotion_check, exhaustive_reduction_check, finite_from_values,
     generate_twu_corpus, generate_tz_corpus, random_finite_instance, tightest_constants,
 )
 from conefix.solver import CONVERGED, StoppingRule, picard_iterate
+
+from conftest import tabulated_instance
 
 
 # ---------------------------------------------------------------------------
@@ -23,7 +26,7 @@ def test_table_validation_rejects_nonzero_diagonal():
     table = np.zeros((2, 2, 2))
     table[0, 0] = [1.0, 1.0]
     with pytest.raises(ConfigError, match="d1"):
-        FiniteInstance([0, 1], table, [0, 1], [0, 1], _orthant())
+        tabulated_instance([0, 1], table, [0, 1], [0, 1], _orthant())
 
 
 def test_table_validation_rejects_asymmetry():
@@ -31,7 +34,7 @@ def test_table_validation_rejects_asymmetry():
     table[0, 1] = [1.0, 2.0]
     table[1, 0] = [2.0, 1.0]
     with pytest.raises(ConfigError, match="d2"):
-        FiniteInstance([0, 1], table, [0, 1], [0, 1], _orthant())
+        tabulated_instance([0, 1], table, [0, 1], [0, 1], _orthant())
 
 
 def test_table_validation_rejects_triangle_violation():
@@ -40,24 +43,24 @@ def test_table_validation_rejects_triangle_violation():
         table[i, j] = v
         table[j, i] = v
     with pytest.raises(ConfigError, match="d3"):
-        FiniteInstance([0, 1, 2], table, [0, 1, 2], [0, 1, 2], _orthant())
+        tabulated_instance([0, 1, 2], table, [0, 1, 2], [0, 1, 2], _orthant())
 
 
 @pytest.mark.parametrize("which", ["t_table", "s_table"])
-@pytest.mark.parametrize("entries, message", [
-    ([0.5, 1.7, 2.9], "entries must be integral label indices"),     # a cast to int reads [0, 1, 2]
-    ([0, 1, float("nan")], "entries must be integral label indices"),
-    ([True, 1, 2], "entries must be label indices, not bools"),       # a cast to int reads True as 1
-    ([0, np.False_, 2], "entries must be label indices, not bools"),
-    (np.array([True, False, True]), "entries must be label indices, not bools"),
+@pytest.mark.parametrize("entries, image", [
+    ([0.5, 1.7, 2.9], "0.5"),       # a cast to int reads [0, 1, 2]
+    ([0, 1, float("nan")], "nan"),
+    ([True, 1, 2], "True"),         # a cast to int reads True as 1
+    ([0, np.False_, 2], repr(np.False_)),
+    (np.array([True, False, True]), repr(np.True_)),
 ])
-def test_index_tables_refuse_bools_and_fractions(which, entries, message):
+def test_index_tables_refuse_bools_and_fractions(which, entries, image):
     table = np.abs(np.subtract.outer(np.arange(3.0), np.arange(3.0)))[:, :, None] * np.array([1.0, 2.0])
-    tables = {"t_table": [0, 1, 2], "s_table": [0, 1, 2], which: entries}
-    with pytest.raises(ConfigError, match=f"^{which} {message}$"):
-        FiniteInstance([0, 1, 2], table, tables["t_table"], tables["s_table"], _orthant())
-    tables[which] = [0.0, 1.0, 2.0]      # integral floats are indices
-    fin = FiniteInstance([0, 1, 2], table, tables["t_table"], tables["s_table"], _orthant())
+    tables, name = {"t_table": [0, 1, 2], "s_table": [0, 1, 2], which: entries}, which[0].upper()
+    with pytest.raises(DomainError, match=f"^maps.{name}: {name}-image {re.escape(image)} lies outside the carrier$"):
+        tabulated_instance([0, 1, 2], table, tables["t_table"], tables["s_table"], _orthant())
+    tables[which] = [0.0, 1.0, 2.0]      # integral floats are labels
+    fin = tabulated_instance([0, 1, 2], table, tables["t_table"], tables["s_table"], _orthant())
     assert getattr(fin, which).tolist() == [0, 1, 2] and enumerate_fixed_points(fin) == [0, 1, 2]
 
 
@@ -236,7 +239,7 @@ def test_oracle_and_solver_agree_bitwise(tz_corpus):
     g = tz_corpus[1]
     cv = cross_validate(g.fin, g.spec)
     (fp,) = cv.fixed_points
-    space, maps = g.fin.as_space_and_maps()
+    space, maps = g.fin.space, g.fin.maps
     for start in g.fin.points:
         trace = picard_iterate(space, maps, start, StoppingRule(max_iter=100))
         assert trace.stop_reason == CONVERGED

@@ -20,7 +20,7 @@ from conefix.contractions import (
     AffineMap, ClassSpec, IdentityMap, MapPair, PowerMap, TabulatedMap, all_pairs, check_condition, grid_pairs,
 )
 from conefix.instances import instance_a, instance_d
-from conefix.oracle import finite_from_values
+from conefix.oracle import FiniteInstance, finite_from_values
 
 from conftest import fixture_doc
 from conefix.solver import (
@@ -90,7 +90,7 @@ def test_cycle_detection_on_rotation():
         fin = finite_from_values(
             np.arange(n, dtype=float), t_table=np.arange(n), s_table=(np.arange(n) + 1) % n
         )
-        space, maps = fin.as_space_and_maps()
+        space, maps = fin.space, fin.maps
         trace = picard_iterate(space, maps, 0, StoppingRule(max_iter=max_iter))
         assert trace.stop_reason == CYCLE_DETECTED
         assert trace.n_final == n
@@ -261,7 +261,7 @@ def test_unknown_when_runs_cycle():
     fin = finite_from_values(
         np.arange(6, dtype=float), t_table=np.arange(6), s_table=(np.arange(6) + 1) % 6
     )
-    space, maps = fin.as_space_and_maps()
+    space, maps = fin.space, fin.maps
     verdict = uniqueness_probe(space, maps, [0, 3], StoppingRule(max_iter=50))
     assert verdict.verdict == UNKNOWN
 
@@ -523,9 +523,10 @@ def _finite_cases():
     values = np.sort(rng.uniform(0.0, 4.0, n))
     rotation = finite_from_values(values, np.arange(n), (np.arange(n) + 1) % n)
     random_maps = finite_from_values(values, rng.permutation(n), rng.integers(0, n, n))
-    yield rotation.as_space_and_maps(), list(range(n))
-    yield random_maps.as_space_and_maps(), list(range(n))
-    yield instance_d().as_space_and_maps(), [9, 0, 5, 5, 3]
+    fin_d = instance_d()
+    yield (rotation.space, rotation.maps), list(range(n))
+    yield (random_maps.space, random_maps.maps), list(range(n))
+    yield (fin_d.space, fin_d.maps), [9, 0, 5, 5, 3]
     # numeric points under a direction metric, maps given as formulas
     points = [0.0, 0.25, 0.5, 0.75, 1.0]
     for rho in ("absdiff", "max", "euclidean"):
@@ -656,7 +657,8 @@ def test_cauchy_violations_equal_the_per_pair_loop():
 
 
 def test_diagnose_on_a_finite_carrier():
-    space, maps = finite_from_values(np.arange(8.0), [0, 1, 2, 3, 3, 2, 1, 0], np.arange(8)).as_space_and_maps()
+    fin = finite_from_values(np.arange(8.0), [0, 1, 2, 3, 3, 2, 1, 0], np.arange(8))
+    space, maps = fin.space, fin.maps
     report = diagnose_T(space, maps)
     assert _verdicts(report) == (True, False, True, False)
     assert report.injectivity_violations == [(0, 7), (1, 6), (2, 5), (3, 4)]
@@ -670,10 +672,10 @@ def test_diagnose_on_a_finite_carrier():
 def test_diagnose_agrees_with_the_oracle(tz_corpus, twu_corpus, plain_corpus):
     # every corpus T is injective, so each instance also runs with its S table as T
     fins = [g.fin for g in tz_corpus] + [g.fin for g in twu_corpus] + list(plain_corpus)
-    fins += [dataclasses.replace(fin, t_table=fin.s_table) for fin in fins]
+    fins += [FiniteInstance(fin.space, MapPair(fin.maps.S, fin.maps.S)) for fin in fins]
     assert len(fins) == 280 and sum(not fin.t_injective for fin in fins) > 100
     for fin in fins:
-        report = diagnose_T(*fin.as_space_and_maps())
+        report = diagnose_T(fin.space, fin.maps)
         t = fin.t_table.tolist()
         want = [(i, j) for i in range(fin.n) for j in range(i + 1, fin.n) if t[i] == t[j]]
         assert report.injective == fin.t_injective == report.sequentially_convergent
@@ -764,7 +766,7 @@ def engine_cases(draw):
         rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
         s_table = (np.arange(n) + 1) % n if draw(st.booleans()) else rng.integers(0, n, n)
         fin = finite_from_values(np.sort(rng.uniform(0.0, 4.0, n)), rng.integers(0, n, n), s_table)
-        (space, maps), pool = fin.as_space_and_maps(), list(range(n + outside))    # label n is not a point
+        (space, maps), pool = (fin.space, fin.maps), list(range(n + outside))    # label n is not a point
     elif kind == "numeric":
         space = _numeric_finite(draw(st.sampled_from(["absdiff", "max", "euclidean"])))
         T = draw(st.sampled_from([IdentityMap(), AffineMap(-1.0, 1.0)]))
@@ -807,7 +809,7 @@ def engine_cases(draw):
 
 def _rotation_case(n, starts, max_iter):
     fin = finite_from_values(np.arange(n, dtype=float), np.arange(n), (np.arange(n) + 1) % n)
-    return (*fin.as_space_and_maps(), starts, StoppingRule(max_iter=max_iter))
+    return (fin.space, fin.maps, starts, StoppingRule(max_iter=max_iter))
 
 
 def _long_rotation_case():
@@ -1353,7 +1355,8 @@ def test_solve_runs_x0_once(monkeypatch, name, x0):
 
 
 def test_solve_reads_an_integral_float_as_the_integer_point():
-    space, maps = instance_d().as_space_and_maps()
+    fin = instance_d()
+    space, maps = fin.space, fin.maps
     trace, check, decay, probe = solve(space, maps, 9.0, StoppingRule())
     assert type(trace.start) is int and trace.x_sequence[0] == 9
     assert decay.h == 0.0 and probe.verdict == UNIQUE
