@@ -26,9 +26,9 @@ returns, which no CLI artifact shows in full:
   ``verify_zamfirescu_reduction`` over the same pairs (every violation of
   each, or None for a form not checked);
 * ``axioms``: ``verify_cone_axioms``, and ``verify_metric_axioms`` with the
-  plan ``verify`` uses (every violation's axiom, witness and residual,
-  where the artifact keeps 50), floats as their shortest repr, so every
-  bit counts, the sign of a zero included;
+  sample count and seed ``verify`` uses (every violation's axiom, witness
+  and residual, where the artifact keeps 50), floats as their shortest
+  repr, so every bit counts, the sign of a zero included;
 * ``terms``: the six pair-term columns (each one's name, dtype, shape and
   the sha256 of its bytes), so the row gathers and metric products are
   compared bit for bit, not only through the verdicts they lead to: on a
@@ -43,12 +43,11 @@ On a file with a tabulated metric a ``scan`` line follows: the sha256 of
 each of the five masks of ``metric_table_failures``, at slack 0 and at
 the cone's slack, on the table and cone the CLI reads before
 ``FiniteInstance`` validates the table, so a refused table is
-fingerprinted in full too (``verify`` tabulates at most 125 points, and a
-refused file shows only its first failure); a file whose space does not
-build shows the sha256 of its errors.
+fingerprinted in full too (a refused file shows only its first failure);
+a file whose space does not build shows the sha256 of its errors.
 
-Run it on two checkouts (``PYTHONPATH=<checkout>/src``) and ``diff`` the
-outputs to confirm the results are byte-identical.
+``scripts/digest_diff.py`` runs it on two checkouts over the same files
+and prints the lines that differ.
 """
 
 import contextlib
@@ -133,9 +132,8 @@ def _api_condition(inst) -> tuple:
 
 
 def _api_axioms(inst) -> tuple:
-    plan = cone_space.SamplingPlan(count=inst.run.samples, seed=inst.run.seed)
     reports = (cone_space.verify_cone_axioms(inst.space.cone),
-               cone_space.verify_metric_axioms(inst.space, plan))
+               cone_space.verify_metric_axioms(inst.space, inst.run.samples, inst.run.seed))
     return [(r.axioms_checked, r.sample_count, cli._plain([(v.axiom, v.witness, v.residual) for v in r.violations]))
             for r in reports]
 

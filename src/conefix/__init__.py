@@ -4,7 +4,7 @@ iteration, and exact finite-instance oracles."""
 from .cone_space import (
     AxiomReport, AxiomViolation, BoxCarrier, ConeMetricSpace, ConeSpec, ConfigError,
     DirectionMetric, DomainError, FinitePointsCarrier, FunctionMetric, IntervalCarrier,
-    NormalConstantEstimate, SamplingPlan, TabulatedMetric, as_vector,
+    NormalConstantEstimate, TabulatedMetric, as_vector,
     estimate_normal_constant, verify_cone_axioms, verify_metric_axioms,
 )
 from .contractions import (

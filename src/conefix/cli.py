@@ -23,7 +23,7 @@ import numpy as np
 from . import solver
 from .cone_space import (
     BoxCarrier, ConeMetricSpace, ConeSpec, ConfigError, DirectionMetric, DomainError,
-    FinitePointsCarrier, IntervalCarrier, SamplingPlan, TabulatedMetric,
+    FinitePointsCarrier, IntervalCarrier, TabulatedMetric,
     verify_cone_axioms, verify_metric_axioms,
 )
 from .contractions import (
@@ -724,8 +724,8 @@ def run(command: str, inst: LoadedInstance, options: Options) -> tuple[int, dict
     """Dispatch one command; returns (exit status, artifacts)."""
     if command == "verify":
         cone_report = verify_cone_axioms(inst.space.cone)
-        plan = SamplingPlan(count=inst.run.samples, seed=inst.run.seed)
-        metric_report = inst.finite.metric_axioms if inst.finite else verify_metric_axioms(inst.space, plan)
+        metric_report = (inst.finite.metric_axioms if inst.finite else
+                         verify_metric_axioms(inst.space, inst.run.samples, inst.run.seed))
         report = {
             "schema_version": SCHEMA_VERSION,
             "command": "verify",

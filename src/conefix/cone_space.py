@@ -123,7 +123,8 @@ def as_vector(v, dimension: int) -> np.ndarray:
 
 @dataclass(eq=False)
 class ConeSpec:
-    """A closed convex cone in R^m with an inequality description.
+    """A closed convex cone in R^m with an inequality description: the
+    rows r of ``ineq_matrix``, with P = {v : r . v >= 0 for all rows}.
 
     ``slack`` is the relative tolerance eps_p applied by order/inequality
     tests (a violation must exceed slack * ||v|| in at least one defining
@@ -148,7 +149,7 @@ class ConeSpec:
             raise ConfigError("slack must be finite")
         m = self.dimension
         if self.family == ORTHANT:
-            self._ineq = np.eye(m)
+            self.ineq_matrix = np.eye(m)
         elif self.family == SCALED_ORTHANT:
             if self.weights is None:
                 raise ConfigError("scaled_orthant requires weights")
@@ -161,7 +162,7 @@ class ConeSpec:
             self.weights = w
             # a collapsed coordinate (weight 0) is v_i = 0: the rows e_i and -e_i
             eye = np.eye(m)
-            self._ineq = np.insert(eye, np.flatnonzero(w == 0) + 1, -eye[w == 0], axis=0)
+            self.ineq_matrix = np.insert(eye, np.flatnonzero(w == 0) + 1, -eye[w == 0], axis=0)
         elif self.family == POLYHEDRAL:
             if self.matrix is None:
                 raise ConfigError("polyhedral cone requires an inequality matrix")
@@ -171,7 +172,7 @@ class ConeSpec:
             if not np.all(np.isfinite(a)):
                 raise ConfigError("inequality matrix has non-finite entries")
             self.matrix = a
-            self._ineq = a
+            self.ineq_matrix = a
         else:
             raise ConfigError(f"unknown cone family {self.family!r}")
 
@@ -193,11 +194,6 @@ class ConeSpec:
 
     # -- geometry -----------------------------------------------------------
 
-    @property
-    def ineq_matrix(self) -> np.ndarray:
-        """Rows r with P = {v : r . v >= 0 for all rows}."""
-        return self._ineq
-
     def norm(self, v) -> float:
         return float(self.norm_rows(np.asarray(v, dtype=float)))
 
@@ -211,7 +207,7 @@ class ConeSpec:
     def exact_rows(self) -> list[list[Fraction]]:
         """The nonzero rows of ``ineq_matrix`` as Fractions (a zero row
         constrains nothing): membership and the cone axioms read only these."""
-        return [[Fraction(x) for x in row] for row in self._ineq.tolist() if any(row)]
+        return [[Fraction(x) for x in row] for row in self.ineq_matrix.tolist() if any(row)]
 
     def contains(self, v, mode: str = "closed") -> bool:
         """Exact membership: a . v >= 0 on every row ("closed"), or v != 0 and
@@ -227,7 +223,7 @@ class ConeSpec:
     def inequality_mask(self, vs: np.ndarray, slack: float) -> np.ndarray:
         """Per row of vs and per defining inequality: does the value reach
         -slack * ||row||?  A row lies in P up to slack when all of them do."""
-        vals = vs @ self._ineq.T
+        vals = vs @ self.ineq_matrix.T
         if slack == 0.0:
             return vals >= 0.0
         bound = -(slack * self.norm_rows(vs))
@@ -237,9 +233,6 @@ class ConeSpec:
         for j in range(vals.shape[-1]):
             np.greater_equal(vals[..., j], bound, out=out[..., j])
         return out
-
-    def contains_relaxed_rows(self, vs: np.ndarray) -> np.ndarray:
-        return all_last(self.inequality_mask(vs, self.slack))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw up to ``size`` points of P (rejection for polyhedral cones).
@@ -256,7 +249,7 @@ class ConeSpec:
             budget, got = 0, []
             while sum(len(g) for g in got) < size and budget < 200:
                 cand = rng.standard_normal((max(size, 256), m))
-                keep = cand[all_last(cand @ self._ineq.T >= 0.0)]
+                keep = cand[all_last(cand @ self.ineq_matrix.T >= 0.0)]
                 got.append(keep)
                 budget += 1
             pts = np.concatenate(got)[:size] if got else np.zeros((0, m))
@@ -267,19 +260,8 @@ class ConeSpec:
 
 
 # ---------------------------------------------------------------------------
-# Axiom reports and sampling plans
+# Axiom reports
 # ---------------------------------------------------------------------------
-
-@dataclass
-class SamplingPlan:
-    """Seeded, reproducible sampling budget for verification runs."""
-
-    count: int = 10_000
-    seed: int = 0
-
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
-
 
 def as_tuple(*row) -> tuple:
     """The entry of a view whose entries are plain tuples, such as pairs."""
@@ -733,9 +715,6 @@ class ConeMetricSpace:
             xs, ys = self.carrier.from_array(xs), self.carrier.from_array(ys)
         return np.asarray(self.metric.pairwise(xs, ys), dtype=float)
 
-    def gap_norm(self, x, y) -> float:
-        return self.cone.norm(self.d(x, y))
-
 
 def point_key(x):
     """Hashable identity of a carrier point (box points are arrays)."""
@@ -868,7 +847,7 @@ def table_triangle_failures(table: np.ndarray, cone: ConeSpec, slack: float, sym
     return triangle
 
 
-def verify_metric_axioms(space: ConeMetricSpace, plan: SamplingPlan | None = None) -> AxiomReport:
+def verify_metric_axioms(space: ConeMetricSpace, count: int = 10_000, seed: int = 0) -> AxiomReport:
     """Check d1 (cone-valued, zero exactly on the diagonal), d2 (symmetry),
     and d3 (triangle inequality in the cone order).  The report's ``rule``
     names what decided: "direction", a ``DirectionMetric``'s form
@@ -878,8 +857,7 @@ def verify_metric_axioms(space: ConeMetricSpace, plan: SamplingPlan | None = Non
     tabulated first (one call per ordered pair) while its n^3 triples fit
     the budget; "sampled", pairs and triples of any other function metric.
     """
-    plan = plan or SamplingPlan()
-    rng = plan.rng()
+    rng = np.random.default_rng(seed)
     carrier, cone = space.carrier, space.cone
     axioms = ["d1", "d2", "d3"]
     if isinstance(space.metric, DirectionMetric):
@@ -888,7 +866,7 @@ def verify_metric_axioms(space: ConeMetricSpace, plan: SamplingPlan | None = Non
 
     n = len(carrier.points) if carrier.finite else 0
     d = getattr(space.metric, "table", None)
-    if d is None and carrier.finite and n ** 3 <= max(plan.count, 2_000_000):
+    if d is None and carrier.finite and n ** 3 <= max(count, 2_000_000):
         indices = np.arange(n)
         d = space.pairwise(np.repeat(indices, n), np.tile(indices, n)).reshape(n, n, -1)
     if d is not None:
@@ -905,7 +883,7 @@ def verify_metric_axioms(space: ConeMetricSpace, plan: SamplingPlan | None = Non
                 groups.append(_axiom_group(axiom, at, residuals[axiom](*at)))
         return AxiomReport(axioms, LazyRows(carrier.from_array, groups), n * n + n ** 3, "table")
 
-    xs, ys, txs, tys, tzs = (carrier.to_array(carrier.sample(rng, plan.count)) for _ in range(5))
+    xs, ys, txs, tys, tzs = (carrier.to_array(carrier.sample(rng, count)) for _ in range(5))
     dxy, dyx, diag = space.pairwise(xs, ys), space.pairwise(ys, xs), space.pairwise(xs, xs)
     res = space.pairwise(txs, tzs) + space.pairwise(tzs, tys) - space.pairwise(txs, tys)
     same = all_last((xs == ys).reshape(len(xs), -1))
@@ -913,17 +891,17 @@ def verify_metric_axioms(space: ConeMetricSpace, plan: SamplingPlan | None = Non
     # d1: values in the cone, zero exactly on the diagonal; d2: exact
     # symmetry; d3: d(x,z) + d(z,y) - d(x,y) stays in the cone.
     checks = (
-        ("d1-cone", ~cone.contains_relaxed_rows(dxy), (xs, ys), dxy),
+        ("d1-cone", ~all_last(cone.inequality_mask(dxy, cone.slack)), (xs, ys), dxy),
         ("d1-separation", all_last(dxy == 0.0) & ~same, (xs, ys), dxy),
         ("d1-identity", ~all_last(diag == 0.0), (xs,), diag),
         ("d2-symmetry", ~all_last(dxy == dyx), (xs, ys), dxy - dyx),
-        ("d3-triangle", ~cone.contains_relaxed_rows(res), (txs, tys, tzs), res),
+        ("d3-triangle", ~all_last(cone.inequality_mask(res, cone.slack)), (txs, tys, tzs), res),
     )
     for axiom, bad, forms, residual in checks:
         rows = np.flatnonzero(bad)
         if rows.size:
             groups.append(_axiom_group(axiom, tuple(f.take(rows, axis=0) for f in forms), residual.take(rows, axis=0)))
-    return AxiomReport(axioms, LazyRows(carrier.from_array, groups), 2 * plan.count, "sampled")
+    return AxiomReport(axioms, LazyRows(carrier.from_array, groups), 2 * count, "sampled")
 
 
 def _direction_groups(space: ConeMetricSpace) -> list[tuple]:
@@ -958,13 +936,8 @@ class NormalConstantEstimate:
     pairs_used: int
     inconclusive: bool
 
-    def __float__(self) -> float:
-        return self.value
 
-
-def estimate_normal_constant(cone: ConeSpec,
-                             sampler: Callable[[np.random.Generator, int], np.ndarray] | None = None,
-                             n: int = 100_000, *, seed: int = 0) -> NormalConstantEstimate:
+def estimate_normal_constant(cone: ConeSpec, n: int = 100_000, *, seed: int = 0) -> NormalConstantEstimate:
     """Supremum of ||x|| / ||y|| over n sampled ordered pairs 0 <= x <= y.
 
     Pairs are built as (p, p + q) with p, q sampled from P, so both order
@@ -975,7 +948,6 @@ def estimate_normal_constant(cone: ConeSpec,
     """
     if n < 1:
         raise ConfigError("need at least one sample")
-    draw = sampler or (lambda rng, size: cone.sample(rng, size))
     rng = np.random.default_rng(seed)
     best = 0.0
     used = 0
@@ -986,8 +958,7 @@ def estimate_normal_constant(cone: ConeSpec,
         take = min(chunk, remaining)
         remaining -= take
         u = rng.random(take)
-        p = np.asarray(draw(rng, take), dtype=float)
-        q = np.asarray(draw(rng, take), dtype=float)
+        p, q = cone.sample(rng, take), cone.sample(rng, take)
         k = min(len(p), len(q), take)
         if k == 0:
             continue

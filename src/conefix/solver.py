@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .cone_space import (BoxCarrier, ConeMetricSpace, ConfigError, DirectionMetric, DomainError, LazyRows, as_tuple,
-                         point_key)
+                         label_position, point_key)
 from .contractions import AffineMap, IdentityMap, MapPair, PowerMap, _array_map, image_indices
 
 CONVERGED = "converged"
@@ -156,7 +156,7 @@ def _first_failure(space, maps, xs, ts, step) -> tuple[int, Exception] | None:
         try:
             y = inside(maps.S(x), "S-image")
             ty = inside(maps.T(y), "T-image")
-            space.gap_norm(tx, ty)
+            space.cone.norm(space.d(tx, ty))
         except Exception as exc:
             return row, exc
     return None
@@ -566,9 +566,9 @@ def solve(space: ConeMetricSpace, maps: MapPair, x0, rule: StoppingRule, *, h: f
     ``DecayReport`` at rate h (else the largest step ratio if below 1,
     else 0) and the ``UniquenessVerdict`` on ``solve_starts(space.carrier,
     x0)``, whose engine call runs the carrier's starts and reuses x0's run.
-    On a finite carrier an integral float x0 is the integer point."""
-    if space.carrier.finite and isinstance(x0, float) and x0.is_integer():
-        x0 = int(x0)
+    On a finite carrier an x0 equal to a label is that label."""
+    if space.carrier.finite and (i := label_position(space.carrier.index, x0)) >= 0:
+        x0 = space.carrier.points[i]
     trace = picard_iterate(space, maps, x0, rule)
     check = certify_fixed_point(space, maps, trace.last, rule.epsilon)
     if h is None:

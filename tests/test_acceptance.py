@@ -7,7 +7,7 @@ import time
 import numpy as np
 
 from conefix.cli import main
-from conefix.cone_space import ConeSpec, SamplingPlan, estimate_normal_constant, verify_cone_axioms, verify_metric_axioms
+from conefix.cone_space import ConeSpec, estimate_normal_constant, verify_cone_axioms, verify_metric_axioms
 from conefix.contractions import (
     ClassSpec, all_pairs, check_condition, rate_from_primary_form,
     verify_zamfirescu_reduction, zamfirescu_delta,
@@ -29,15 +29,15 @@ def _criterion(num: int, ok: bool, detail: str = ""):
 
 def test_criterion_01_axiom_suite(plain_corpus):
     t0 = time.perf_counter()
-    plan = SamplingPlan(count=10_000, seed=101)
+    count, seed = 10_000, 101
     violations = 0
     for space, _ in (instance_a(), instance_b(), instance_c()):
-        violations += len(verify_metric_axioms(space, plan).violations)
+        violations += len(verify_metric_axioms(space, count, seed).violations)
         violations += len(verify_cone_axioms(space.cone).violations)
     assert len(plain_corpus) == 20
     for fin in plain_corpus:
         space = fin.space
-        report = verify_metric_axioms(space, plan)
+        report = verify_metric_axioms(space, count, seed)
         assert report.sample_count == fin.n ** 2 + fin.n ** 3  # exhaustive for finite
         violations += len(report.violations)
         violations += len(verify_cone_axioms(fin.cone).violations)

@@ -23,7 +23,7 @@ from conefix.cli import (
     InstanceValidationError, _condition_pairs, emit_trace, load_instance, main, parse_instance,
 )
 from conefix.cone_space import (
-    BoxCarrier, ConeSpec, ConfigError, DomainError, FinitePointsCarrier, IntervalCarrier, SamplingPlan,
+    BoxCarrier, ConeSpec, ConfigError, DomainError, FinitePointsCarrier, IntervalCarrier,
     verify_cone_axioms, verify_metric_axioms,
 )
 from conefix.contractions import CLASS_KINDS, AffineMap, ClassSpec, evaluate, zamfirescu_delta
@@ -753,6 +753,33 @@ def test_refusals_exit_2_with_their_text(tmp_path, capsys, command, edit, err):
     assert capsys.readouterr() == ("", err)
 
 
+def _line_table_doc(n: int, m: int) -> dict:
+    """n points 0..n-1 under the 2-D orthant, d(i, j) = |i - j| (1, ..., 1)
+    with m entries, and identity maps."""
+    return {"schema_version": "1", "cone": {"family": "orthant", "dimension": 2},
+            "space": {"carrier": {"kind": "finite", "points": list(range(n))},
+                      "metric": {"kind": "tabulated",
+                                 "table": [[[float(abs(i - j))] * m for j in range(n)] for i in range(n)]}},
+            "maps": {"T": {"family": "identity"}, "S": {"family": "identity"}}}
+
+
+@pytest.mark.parametrize("n, m, error", [
+    (201, 2, "finite instances support 1..200 points, got 201"),
+    (4, 3, "metric table must have shape (4, 4, 2), got (4, 4, 3)"),
+])
+def test_a_table_no_finite_instance_holds_exits_2(tmp_path, capsys, n, m, error):
+    path = _write(tmp_path, "table.json", _line_table_doc(n, m))
+    assert main(["verify", "--instance", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"instance rejected:\n  - space: {error}\n")
+
+
+def test_run_refuses_an_unknown_command(tmp_path):
+    inst = load_instance(_write(tmp_path, "a.json", fixture_doc("instance_a")))
+    with pytest.raises(cli.UsageError) as info:
+        cli.run("prove", inst, cli.Options())
+    assert str(info.value) == "unknown command 'prove'"
+
+
 def test_an_unknown_trace_format_is_refused(tmp_path, capsys):
     space, maps = instance_a()
     with pytest.raises(ConfigError, match="^unknown trace format 'xml'$"):
@@ -974,6 +1001,21 @@ def test_a_start_outside_the_carrier_keeps_its_own_error(tmp_path, capsys):
     path = _write(tmp_path, "box.json", BOX)
     assert main(["solve", "--instance", str(path), "--x0", "[[1, 2]]"]) == 1
     assert capsys.readouterr().err == "check failed: start point array([[1., 2.]]) lies outside the carrier\n"
+
+
+@pytest.mark.parametrize("x0", ["1.0", "1"])
+def test_solve_runs_a_start_equal_to_a_float_label_as_that_label(tmp_path, capsys, x0):
+    # the labels are floats: --x0 1 and --x0 1.0 both start at the label 1.0
+    doc = {"schema_version": "1", "cone": {"family": "orthant", "dimension": 2},
+           "space": {"carrier": {"kind": "finite", "points": [0.0, 0.5, 1.0, 2.0]},
+                     "metric": {"kind": "direction", "direction": [1.0, 2.0]}},
+           "maps": {"T": {"family": "identity"}, "S": {"family": "identity"}}}
+    path, out = _write(tmp_path, "labels.json", doc), tmp_path / "trace.json"
+    assert main(["solve", "--instance", str(path), "--x0", x0, "--format", "json", "--out", str(out)]) == 0
+    cert = json.loads(capsys.readouterr().out.splitlines()[-1])
+    rows = json.loads(out.read_text(encoding="utf-8"))["rows"]
+    assert [type(r["x_n"]) for r in rows] == [float] and type(cert["fixed_point"]) is float
+    assert cert["fixed_point"] == 1.0 and cert["witnesses"] == [0.0, 1.0, 2.0]
 
 
 def test_solve_requires_start_point(tmp_path):
@@ -1594,7 +1636,7 @@ def test_verify_scans_a_tabulated_table_once(monkeypatch, tmp_path):
     main(["verify", "--instance", str(path), "--out", str(out)])
     assert len(scans) == 1
     inst = load_instance(path)
-    full = verify_metric_axioms(inst.space, SamplingPlan(count=inst.run.samples, seed=inst.run.seed))
+    full = verify_metric_axioms(inst.space, count=inst.run.samples, seed=inst.run.seed)
     assert json.loads(out.read_text())["metric_axioms"] == json.loads(json.dumps(cli._axiom_report_dict(full)))
 
 
@@ -1630,5 +1672,5 @@ def test_verify_decides_a_direction_metric_by_its_form(tmp_path):
     assert metric == {"passed": True, "axioms_checked": ["d1", "d2", "d3"], "sample_count": 0, "violations": [],
                       "violation_count": 0}
     inst = load_instance(path)
-    report = verify_metric_axioms(inst.space, SamplingPlan(count=inst.run.samples, seed=inst.run.seed))
+    report = verify_metric_axioms(inst.space, count=inst.run.samples, seed=inst.run.seed)
     assert report.rule == "direction" and report.passed

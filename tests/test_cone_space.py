@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from conefix import cli, cone_space, oracle
 from conefix.cone_space import (
     AxiomViolation, BoxCarrier, ConeMetricSpace, ConeSpec, ConfigError, DirectionMetric, DomainError,
-    FinitePointsCarrier, FunctionMetric, IntervalCarrier, SamplingPlan, TabulatedMetric, all_last,
+    FinitePointsCarrier, FunctionMetric, IntervalCarrier, TabulatedMetric, all_last,
     estimate_normal_constant, metric_table_failures, verify_cone_axioms, verify_metric_axioms,
 )
 from conefix.contractions import ClassSpec, IdentityMap, MapPair, PairSet, check_condition, pair_columns
@@ -304,7 +304,7 @@ def test_eval_metric_outside_carrier(space_a):
 
 def test_metric_axioms_instance_a(space_a):
     space, _ = space_a
-    report = verify_metric_axioms(space, SamplingPlan(count=10_000, seed=2))
+    report = verify_metric_axioms(space, count=10_000, seed=2)
     assert report.passed
 
 
@@ -324,7 +324,7 @@ def _broken_space(fn):
 
 def test_broken_symmetry_detected():
     space = _broken_space(lambda x, y: np.array([x - y, 2.0 * abs(x - y)]))
-    report = verify_metric_axioms(space, SamplingPlan(count=500, seed=3))
+    report = verify_metric_axioms(space, count=500, seed=3)
     assert any(v.axiom == "d2-symmetry" for v in report.violations)
     assert np.array_equal(space.d(0.0, 1.0), [-1.0, 2.0])
     assert np.array_equal(space.d(1.0, 0.0), [1.0, 2.0])
@@ -332,7 +332,7 @@ def test_broken_symmetry_detected():
 
 def test_broken_positivity_detected():
     space = _broken_space(lambda x, y: np.array([abs(x - y) - 0.5, abs(x - y)]))
-    report = verify_metric_axioms(space, SamplingPlan(count=500, seed=3))
+    report = verify_metric_axioms(space, count=500, seed=3)
     assert any(v.axiom == "d1-cone" for v in report.violations)
     assert np.array_equal(space.d(0.0, 0.2), [-0.3, 0.2])
 
@@ -340,13 +340,13 @@ def test_broken_positivity_detected():
 def test_broken_triangle_detected():
     # rho(x, y) = |x - y|^2 violates the triangle inequality
     space = _broken_space(lambda x, y: np.array([(x - y) ** 2, 2.0 * (x - y) ** 2]))
-    report = verify_metric_axioms(space, SamplingPlan(count=2_000, seed=4))
+    report = verify_metric_axioms(space, count=2_000, seed=4)
     assert any(v.axiom == "d3-triangle" for v in report.violations)
 
 
 def test_metric_axioms_exhaustive_for_finite(fin_d):
     space = fin_d.space
-    report = verify_metric_axioms(space, SamplingPlan(count=10_000, seed=5))
+    report = verify_metric_axioms(space, count=10_000, seed=5)
     assert report.passed
     assert report.sample_count == 10 * 10 + 10 ** 3
 
@@ -358,8 +358,8 @@ def test_a_loaded_table_reports_what_its_scan_reports(slack, plain_corpus, tz_co
     for fin in [*plain_corpus, *(g.fin for g in tz_corpus[:10])]:
         cone = dataclasses.replace(fin.cone, slack=slack)
         fin = FiniteInstance(dataclasses.replace(fin.space, cone=cone), fin.maps)
-        for plan in (SamplingPlan(), SamplingPlan(count=0)):
-            assert fin.metric_axioms == verify_metric_axioms(fin.space, plan) and fin.metric_axioms.passed
+        for count in (10_000, 0):
+            assert fin.metric_axioms == verify_metric_axioms(fin.space, count) and fin.metric_axioms.passed
 
 
 def test_verify_reads_the_load_report_without_a_second_scan(tmp_path, monkeypatch):
@@ -385,7 +385,7 @@ def test_a_loaded_table_is_not_sampled_at_any_size(monkeypatch):
     fin = tabulated_instance(labels, np.abs(values[:, None] - values)[:, :, None] * np.array([1.0, 2.0]),
                              labels, labels, ConeSpec.orthant(2))
     monkeypatch.setattr(FinitePointsCarrier, "sample", lambda *a: pytest.fail("a table was sampled"))
-    for report in (fin.metric_axioms, verify_metric_axioms(fin.space, SamplingPlan())):
+    for report in (fin.metric_axioms, verify_metric_axioms(fin.space)):
         assert report.passed and (report.rule, report.sample_count) == ("table", n * n + n ** 3)
 
 
@@ -409,13 +409,13 @@ def test_identity_violation_reported_once_per_point():
         return np.array([1.0, 2.0]) * abs(x - y) + (0.25 if x == y == 3 else 0.0)
 
     space = ConeMetricSpace(ConeSpec.orthant(2), FinitePointsCarrier(list(range(6))), FunctionMetric(fn))
-    report = verify_metric_axioms(space, SamplingPlan(count=10_000, seed=0))
+    report = verify_metric_axioms(space, count=10_000, seed=0)
     assert [(v.axiom, v.witness) for v in report.violations] == [("d1-identity", (3,))]
     assert np.array_equal(report.violations[0].residual, [0.25, 0.25])
 
 
 def test_sampled_metric_check_reads_a_tabulated_carrier():
-    # 130^3 triples exceed the exhaustive budget: the default plan samples
+    # 130^3 triples exceed the exhaustive budget: the default count samples
     n = 130
     values = np.arange(n) / 64.0
     table = np.abs(values[:, None] - values[None, :])[:, :, None] * np.array([1.0, 2.0])
@@ -527,7 +527,7 @@ def test_direction_rule_equals_an_exact_check(family, p, q, kind, ends):
             grid = list(itertools.product(_quarters(lo, hi, 3), _quarters(0, 2, 3)))
             rho = lambda x, y: max(abs(a - b) for a, b in zip(x, y))      # noqa: E731
     space = ConeMetricSpace(cone, carrier, DirectionMetric(u, "absdiff" if kind != "box" else "max"))
-    report = verify_metric_axioms(space, SamplingPlan(count=50, seed=0))
+    report = verify_metric_axioms(space, count=50, seed=0)
     assert (report.rule, report.sample_count) == ("direction", 0)
     assert report.passed == _fraction_axioms_hold(cone, grid, rho, u)
     if not report.passed:       # one exact witness at the carrier's bounds
@@ -1000,14 +1000,6 @@ def test_normal_constant_is_one_for_every_sample_size():
         assert estimate_normal_constant(cone, n=n, seed=0).value == 1.0
 
 
-def test_normal_constant_accepts_custom_sampler():
-    cone = ConeSpec.orthant(2, norm_kind="max")
-    ray = lambda rng, size: np.outer(rng.uniform(0.5, 2.0, size), [1.0, 1.0])
-    est = estimate_normal_constant(cone, sampler=ray, n=1_000, seed=0)
-    assert est.value == 1.0
-    assert est.pairs_used == 1_000
-
-
 def test_degenerate_ray_cone_still_concludes():
     # scaled orthant with a collapsed coordinate is a single ray; ordered
     # pairs still exist along it and the max-norm is monotone there.
@@ -1017,13 +1009,20 @@ def test_degenerate_ray_cone_still_concludes():
     assert est.value == 1.0
 
 
-def _eager_metric_violations(space, plan):
+def test_normal_constant_on_the_zero_cone_is_inconclusive():
+    # P = {0}: the rejection sampler keeps no draw, so no pair is built
+    cone = ConeSpec.polyhedral([[1, 0], [-1, 0], [0, 1], [0, -1]])
+    est = estimate_normal_constant(cone, n=10)
+    assert (est.value, est.pairs_used, est.inconclusive) == (0.0, 0, True)
+
+
+def _eager_metric_violations(space, count, seed):
     """The violations of ``verify_metric_axioms`` built one by one, in
     report order: the reference for the report's lazy view."""
-    rng = plan.rng()
+    rng = np.random.default_rng(seed)
     carrier, cone = space.carrier, space.cone
     out = []
-    if carrier.finite and len(carrier.points) ** 3 <= max(plan.count, 2_000_000):
+    if carrier.finite and len(carrier.points) ** 3 <= max(count, 2_000_000):
         pts = list(carrier.points)
         n = len(pts)
         indices = np.arange(n)
@@ -1039,16 +1038,16 @@ def _eager_metric_violations(space, plan):
             for idx in np.argwhere(mask).tolist():
                 out.append(AxiomViolation(axiom, tuple(pts[i] for i in idx), residuals[axiom](*idx)))
         return out
-    xs, ys, txs, tys, tzs = (carrier.to_array(carrier.sample(rng, plan.count)) for _ in range(5))
+    xs, ys, txs, tys, tzs = (carrier.to_array(carrier.sample(rng, count)) for _ in range(5))
     dxy, dyx, diag = space.pairwise(xs, ys), space.pairwise(ys, xs), space.pairwise(xs, xs)
     res = space.pairwise(txs, tzs) + space.pairwise(tzs, tys) - space.pairwise(txs, tys)
     same = all_last((xs == ys).reshape(len(xs), -1))
     checks = (
-        ("d1-cone", ~cone.contains_relaxed_rows(dxy), (xs, ys), dxy),
+        ("d1-cone", ~cone.inequality_mask(dxy, cone.slack).all(axis=-1), (xs, ys), dxy),
         ("d1-separation", all_last(dxy == 0.0) & ~same, (xs, ys), dxy),
         ("d1-identity", ~all_last(diag == 0.0), (xs,), diag),
         ("d2-symmetry", ~all_last(dxy == dyx), (xs, ys), dxy - dyx),
-        ("d3-triangle", ~cone.contains_relaxed_rows(res), (txs, tys, tzs), res),
+        ("d3-triangle", ~cone.inequality_mask(res, cone.slack).all(axis=-1), (txs, tys, tzs), res),
     )
     for axiom, bad, forms, residual in checks:
         for idx in np.flatnonzero(bad):
@@ -1102,8 +1101,7 @@ MANY_VIOLATIONS = {
 @pytest.mark.parametrize("name", sorted(MANY_VIOLATIONS))
 def test_lazy_axiom_violations_equal_the_eager_list(name):
     space = MANY_VIOLATIONS[name]
-    plan = SamplingPlan(count=400, seed=2)
-    view, eager = verify_metric_axioms(space, plan).violations, _eager_metric_violations(space, plan)
+    view, eager = verify_metric_axioms(space, count=400, seed=2).violations, _eager_metric_violations(space, 400, 2)
     assert len(view) == len(eager) > 100 and len({v.axiom for v in eager}) >= 2
     assert list(map(_bits, view)) == list(map(_bits, eager))
     if space.carrier.finite:        # the witnesses are the carrier's own point objects
@@ -1121,7 +1119,7 @@ def test_a_view_equals_its_list_and_prints_as_it(views):
     # entries holding arrays compare by their values, field by field
     def build():
         if views == "axiom":
-            return verify_metric_axioms(MANY_VIOLATIONS["interval-function"], SamplingPlan(300, 1)).violations
+            return verify_metric_axioms(MANY_VIOLATIONS["interval-function"], count=300, seed=1).violations
         return _condition_violations()
 
     view = build()
@@ -1139,7 +1137,7 @@ def test_report_entries_compare_field_by_field(space_a):
     # and numpy's == on the arrays raised ValueError
     space, maps = space_a
     outside = ConeMetricSpace(space.cone, space.carrier, FunctionMetric(_outside))
-    entries = [verify_metric_axioms(outside, SamplingPlan(50, 0)).violations[0],
+    entries = [verify_metric_axioms(outside, count=50, seed=0).violations[0],
                check_condition(space, maps, ClassSpec.tb(0.01), PairSet.of(space, [(0.0, 1.0)])).violations[0]]
     for entry in entries:
         assert entry.residual.shape == (2,)
@@ -1155,7 +1153,7 @@ def test_lazy_views_index_as_lists_do(views):
     # the views of several axioms and of a condition read like the list of
     # their entries: by index, negative index, any slice, and IndexError
     if views == "axiom":
-        view, key = verify_metric_axioms(MANY_VIOLATIONS["interval-function"], SamplingPlan(300, 1)).violations, _bits
+        view, key = verify_metric_axioms(MANY_VIOLATIONS["interval-function"], count=300, seed=1).violations, _bits
         assert len({v.axiom for v in view}) >= 3
     else:
         view = _condition_violations()
@@ -1174,6 +1172,34 @@ def test_lazy_views_index_as_lists_do(views):
 
 
 # ---------------------------------------------------------------------------
+# Input refusals
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ConeSpec.orthant(2, slack=math.inf), "slack must be finite"),
+    (lambda: ConeSpec(2, family="scaled_orthant"), "scaled_orthant requires weights"),
+    (lambda: ConeSpec(2, family="scaled_orthant", weights=[1.0, 2.0, 3.0]), "weights length 3 != dimension 2"),
+    (lambda: ConeSpec.scaled_orthant([1.0, -1.0]), "scaled_orthant weights must be >= 0"),
+    (lambda: ConeSpec(2, family="polyhedral"), "polyhedral cone requires an inequality matrix"),
+    (lambda: ConeSpec.polyhedral([[1.0, math.nan]]), "inequality matrix has non-finite entries"),
+    (lambda: ConeSpec(2, family="ball"), "unknown cone family 'ball'"),
+    (lambda: ConeSpec.orthant(2).contains([1.0, 1.0], "open"), "unknown membership mode 'open'"),
+    (lambda: BoxCarrier([0.0, 1.0], [1.0, 1.0]), "box carrier requires lows < highs componentwise"),
+    (lambda: FinitePointsCarrier([0, 1, 0]), "finite carrier points must be distinct"),
+    (lambda: DirectionMetric([1.0, 2.0], rho="taxicab"), "unknown scalar metric 'taxicab'"),
+])
+def test_cone_space_refuses_bad_input(build, message):
+    with pytest.raises(ConfigError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_an_unhashable_point_is_not_in_a_finite_carrier():
+    carrier = FinitePointsCarrier([0, 1])
+    assert not carrier.contains([0]) and carrier.to_array([[0], 1]).tolist() == [-1, 1]
+
+
+# ---------------------------------------------------------------------------
 # Box carriers
 # ---------------------------------------------------------------------------
 
@@ -1183,7 +1209,7 @@ def test_box_carrier_metric_axioms():
     cone = ConeSpec.orthant(2)
     carrier = BoxCarrier(np.zeros(2), np.ones(2), grid=5)
     space = ConeMetricSpace(cone, carrier, DirectionMetric([1.0, 2.0], rho="euclidean"))
-    report = verify_metric_axioms(space, SamplingPlan(count=2_000, seed=6))
+    report = verify_metric_axioms(space, count=2_000, seed=6)
     assert report.passed
     assert np.allclose(
         space.d(np.array([0.0, 0.0]), np.array([3.0 / 8, 0.5])), [0.625, 1.25]

@@ -12,8 +12,8 @@ from conefix.cone_space import (
 )
 from conefix.contractions import (
     CLASS_KINDS, TW_DUAL, TWU, AffineMap, ClassSpec, ConditionViolation, IdentityMap, MapPair, PairSet,
-    PowerMap, TabulatedMap, _power, all_pairs, check_condition, cleared_check, constant_names, evaluate,
-    fit_constants, grid_pairs, pair_terms, promote_to_weak, rate_from_primary_form, sampled_pairs,
+    PowerMap, TabulatedMap, _power, all_pairs, check_condition, cleared_check, cleared_constants, constant_names,
+    evaluate, fit_constants, grid_pairs, pair_terms, promote_to_weak, rate_from_primary_form, sampled_pairs,
     verify_zamfirescu_reduction, zamfirescu_delta,
 )
 from conefix.instances import instance_a, instance_c
@@ -623,3 +623,17 @@ def test_reduction_views_are_exercised():
         space, maps, pairs = _table_case(seed)
         red = verify_zamfirescu_reduction(space, maps, 0.75, 0.375, 0.375, pairs)
         assert red.applicable and red.primary.violations and red.dual.violations
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: TabulatedMap([0, 0], [0, 1]), ConfigError, "tabulated map points must be distinct"),
+    (lambda: TabulatedMap([0, 1], [1, 0])(2), DomainError, "point 2 is not in the tabulated map"),
+    (lambda: ClassSpec("TX"), ConfigError, "unknown contraction class 'TX'"),
+    (lambda: cleared_constants(ClassSpec.tw(0.5, 1.0)), ConfigError, "class TW has no cleared weak form"),
+    (lambda: fit_constants(*instance_a(), "TZ", grid_pairs(instance_a()[0])), ConfigError,
+     "constant fitting supports TB/TK/TC/TW, not 'TZ'"),
+])
+def test_contractions_refuse_bad_input(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message

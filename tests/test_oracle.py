@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from conefix import oracle
-from conefix.cone_space import ConfigError, DomainError
-from conefix.contractions import ClassSpec
+from conefix.cone_space import ConeMetricSpace, ConfigError, DirectionMetric, DomainError, FinitePointsCarrier
+from conefix.contractions import ClassSpec, IdentityMap, MapPair
 from conefix.instances import instance_c_grid
 from conefix.oracle import (
     cross_validate, enumerate_fixed_points, exhaustive_condition_check,
@@ -68,6 +68,30 @@ def _orthant():
     from conefix.cone_space import ConeSpec
 
     return ConeSpec.orthant(2, slack=0.0)
+
+
+def _line(n: int, m: int = 2) -> np.ndarray:
+    """The (n, n, m) table |i - j| (1, ..., 1) on the points 0..n-1."""
+    idx = np.arange(n, dtype=float)
+    return np.abs(idx[:, None] - idx)[:, :, None] * np.ones(m)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: oracle.FiniteInstance(
+        ConeMetricSpace(_orthant(), FinitePointsCarrier([0, 1]), DirectionMetric([1.0, 2.0])),
+        MapPair(IdentityMap(), IdentityMap())), "finite instances need a tabulated metric"),
+    (lambda: tabulated_instance(range(201), _line(201), range(201), range(201), _orthant()),
+     "finite instances support 1..200 points, got 201"),
+    (lambda: tabulated_instance(range(4), _line(4, 3), range(4), range(4), _orthant()),
+     "metric table must have shape (4, 4, 2), got (4, 4, 3)"),
+    (lambda: exhaustive_promotion_check(tabulated_instance(range(4), _line(4), range(4), [0, 0, 1, 2], _orthant()),
+                                        ClassSpec.tw(0.5, 1.0)),
+     "promotion oracle applies to TB/TK/TC/TZ, not 'TW'"),
+])
+def test_oracle_refuses_bad_input(build, message):
+    with pytest.raises(ConfigError) as info:
+        build()
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -618,7 +618,7 @@ def test_merge_keeps_the_first_of_coinciding_limits():
     tol = 10.0 * rule.epsilon
     reps = []
     for z in starts:
-        if all(space.gap_norm(z, r) > tol for r in reps):
+        if all(space.cone.norm(space.d(z, r)) > tol for r in reps):
             reps.append(z)
     verdict = uniqueness_probe(space, maps, starts, rule)
     assert len(starts) == 256 and 64 < len(reps) < 256
@@ -649,7 +649,7 @@ def test_cauchy_violations_equal_the_per_pair_loop():
     tail = trace.gap_norms[0] / (1.0 - h) * (1.0 + 1e-9)
     want = []
     for mm, nn in zip(*(a.tolist() for a in _cauchy_pairs(len(trace.t_images), 2000, 4))):
-        actual = space.gap_norm(trace.t_images[mm], trace.t_images[nn])
+        actual = space.cone.norm(space.d(trace.t_images[mm], trace.t_images[nn]))
         if actual > tail * h ** nn:
             want.append((mm, nn, actual, tail * h ** nn))
     assert want and report.cauchy_violations == want
@@ -1191,7 +1191,7 @@ def _reference_decay(trace, h, K, seed):
     pairs, tail = [], K * d0 / (1.0 - h) * headroom
     for m, n in zip(*(a.tolist() for a in _cauchy_pairs(len(trace.t_images), 2000, seed))):
         with np.errstate(over="ignore", invalid="ignore"):
-            actual = trace.space.gap_norm(trace.t_images[m], trace.t_images[n])
+            actual = trace.space.cone.norm(trace.space.d(trace.t_images[m], trace.t_images[n]))
         if not actual <= tail * powers[n]:
             pairs.append((m, n, actual, tail * powers[n]))
     return steps, pairs
@@ -1360,6 +1360,25 @@ def test_solve_reads_an_integral_float_as_the_integer_point():
     trace, check, decay, probe = solve(space, maps, 9.0, StoppingRule())
     assert type(trace.start) is int and trace.x_sequence[0] == 9
     assert decay.h == 0.0 and probe.verdict == UNIQUE
+
+
+@pytest.mark.parametrize("x0", [1.0, 1, np.int64(1)])
+def test_solve_runs_a_start_equal_to_a_float_label_as_that_label(x0):
+    labels = [0.0, 0.5, 1.0, 2.0]
+    space = ConeMetricSpace(ConeSpec.orthant(2), FinitePointsCarrier(labels), DirectionMetric([1.0, 2.0]))
+    trace, check, _, probe = solve(space, MapPair(IdentityMap(), IdentityMap()), x0, StoppingRule())
+    assert trace.start is labels[2] and trace.x_sequence == [1.0, 1.0] and type(check.point) is float
+    assert probe.verdict == NON_UNIQUE and probe.witnesses == [0.0, 1.0, 2.0]
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: StoppingRule(max_iter=0), "max_iter must be >= 1"),
+    (lambda: uniqueness_probe(*instance_a(), []), "uniqueness probe needs at least one start point"),
+])
+def test_solver_refuses_bad_input(build, message):
+    with pytest.raises(ConfigError) as info:
+        build()
+    assert str(info.value) == message
 
 
 _bound = st.floats(allow_nan=False, allow_infinity=False)
