@@ -492,10 +492,9 @@ def _condition_report_dict(report: ConditionReport) -> dict:
         "inconclusive": report.inconclusive,
         "branch_stats": report.branch_stats,
         "notes": list(report.notes),
-        "violations": [
-            {"x": v.x, "y": v.y, "lhs": v.lhs, "rhs": v.rhs, "residual": v.residual}
-            for v in report.violations[:50]
-        ],
+        # the first 50 entries go to the record template as the view's columns
+        "violations": Columns(dict(zip(("x", "y", "lhs", "rhs", "residual"), report.violations.head_columns(50))))
+                      if report.violations else [],
         "violation_count": len(report.violations),
     }
 
@@ -576,10 +575,11 @@ def _records(records, nl: str) -> str | None:
 
 @dataclass
 class Columns:
-    """A nonempty list of records given by columns: record i holds
-    ``columns[key][i]`` under each key.  A column is a list, or a 2-D
-    float64 array whose rows are the records' vectors.  ``_json`` writes it
-    as the list of the records."""
+    """A nonempty list of records given by columns (a JSON trace's rows, a
+    condition report's violations): record i holds ``columns[key][i]``
+    under each key.  A column is a list, or a 2-D float64 array whose rows
+    are the records' vectors.  ``_json`` writes it as the list of the
+    records, and builds the records only when the template does not apply."""
 
     columns: dict
 

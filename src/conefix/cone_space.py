@@ -209,6 +209,13 @@ class ConeSpec:
         constrains nothing): membership and the cone axioms read only these."""
         return [[Fraction(x) for x in row] for row in self.ineq_matrix.tolist() if any(row)]
 
+    @cached_property
+    def has_interior(self) -> bool:
+        """P1: is the interior of P nonempty?  Decided exactly, once per
+        cone: one float witness (``_interior_witness``) tested exactly, and
+        only when it fails the phase-one simplex (``_has_interior``)."""
+        return self.contains(_interior_witness(self), "interior") or _has_interior(self.exact_rows, self.dimension)
+
     def contains(self, v, mode: str = "closed") -> bool:
         """Exact membership: a . v >= 0 on every row ("closed"), or v != 0 and
         a . v > 0 on every row ("interior", nonempty exactly when P1 holds)."""
@@ -245,6 +252,8 @@ class ConeSpec:
             pts = np.abs(rng.standard_normal((size, m)))
         elif self.family == SCALED_ORTHANT:
             pts = np.abs(rng.standard_normal((size, m))) * self.weights
+        elif not self.has_interior:      # a draw lands in P with probability 0
+            pts = np.zeros((0, m))
         else:
             budget, got = 0, []
             while sum(len(g) for g in got) < size and budget < 200:
@@ -317,6 +326,22 @@ class LazyRows(Sequence):
     def __repr__(self) -> str:
         return repr(self._build(slice(None)))
 
+    def head_columns(self, k: int) -> list:
+        """The fields of the first ``k`` entries as columns, in the order
+        ``make`` takes them, with no entry built: a point column as the list
+        ``from_array`` makes of its rows, a value column as a slice of its
+        array.  The groups' columns are joined when the head spans several."""
+        parts, lo = [], 0
+        for (_, points, values), hi in zip(self._groups, self._ends):
+            if lo >= k:
+                break
+            at = slice(0, k - lo)
+            parts.append([*(self._from_array(p[at]) for p in points), *(v[at] for v in values)])
+            lo = hi
+        if len(parts) == 1:
+            return parts[0]
+        return [sum(c, []) if type(c[0]) is list else np.concatenate(c) for c in zip(*parts)]
+
     def _build(self, rows: slice) -> list:
         picked = range(len(self))[rows]
         if picked.step < 0:
@@ -379,10 +404,10 @@ def verify_cone_axioms(cone: ConeSpec) -> AxiomReport:
     ``ineq_matrix``.  Nothing is sampled (``sample_count`` 0, rule
     "rows").  Degenerate cones yield violation entries, never exceptions.
     """
-    rows, groups = cone.exact_rows, []
-    if not (cone.contains(_interior_witness(cone), "interior") or _has_interior(rows, cone.dimension)):
+    groups = []
+    if not cone.has_interior:
         groups.append(_axiom_group("P1-interior-nonempty", (), [None]))
-    basis = _nullspace(rows, cone.dimension)
+    basis = _nullspace(cone.exact_rows, cone.dimension)
     if basis:
         # a huge entry is scaled by a power of two to stay finite
         vs = np.array([[x / (1 << max(0, max(map(abs, ints)).bit_length() - 1000)) for x in ints]
@@ -469,9 +494,9 @@ def spread(place: Callable, lo, hi):
     a grid).  Where some hi - lo overflows, twice its points between lo / 2
     and hi / 2, from the same draws: near the float limit halving and
     doubling are exact, so every point is finite and between lo and hi."""
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):       # np.linspace's last step may overflow before it pins hi
         wide = np.isinf(np.subtract(hi, lo)).any()
-    return 2.0 * place(0.5 * lo, 0.5 * hi) if wide else place(lo, hi)
+        return 2.0 * place(0.5 * lo, 0.5 * hi) if wide else place(lo, hi)
 
 
 @dataclass

@@ -26,7 +26,10 @@ from conefix.cone_space import (
     BoxCarrier, ConeSpec, ConfigError, DomainError, FinitePointsCarrier, IntervalCarrier,
     verify_cone_axioms, verify_metric_axioms,
 )
-from conefix.contractions import CLASS_KINDS, AffineMap, ClassSpec, evaluate, zamfirescu_delta
+from conefix.contractions import (
+    CLASS_KINDS, AffineMap, ClassSpec, ConditionReport, ConditionViolation, MapPair, evaluate, grid_pairs,
+    verify_zamfirescu_reduction, zamfirescu_delta,
+)
 from conefix.instances import instance_a
 from conefix.solver import (
     StoppingRule, certify_fixed_point, geometric_decay_check, picard_iterate, uniqueness_probe,
@@ -1449,6 +1452,77 @@ def test_column_records_equal_json_dumps_of_plain(rows):
     records = [{key: column[i] for key, column in rows.columns.items()} for i in range(count)]
     want = json.dumps(cli._plain({"rows": records, "n": 1}), sort_keys=True, indent=2) + "\n"
     assert cli._dump_json({"rows": rows, "n": 1}, None) == want
+
+
+_LABELS = st.lists(st.integers(-5, 5) | _FINITE | st.text(max_size=3), min_size=1, max_size=6, unique=True)
+
+
+def _refuse_entries(*row):
+    raise AssertionError("the artifact path built a report entry")
+
+
+@st.composite
+def _condition_reports(draw):
+    """A ``ConditionReport`` pair as the engine builds one: the same rows in
+    a view of ``ConditionViolation``s (the reference) and in a view whose
+    entries cannot be built.  Rows are split into one or two groups; points
+    are interval floats, finite labels or box points; values are (k, m)
+    arrays, with NaN and +-inf in some draws."""
+    k, m = draw(st.sampled_from([0, 1, 2, 50, 51])), draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["interval", "finite", "box"]))
+    if kind == "interval":
+        carrier = IntervalCarrier(-1.0, 1.0)
+        points = np.array(draw(st.lists(_FINITE | _EDGE_FLOATS, min_size=2 * k, max_size=2 * k)), dtype=float)
+    elif kind == "box":
+        carrier = BoxCarrier([0.0, 0.0], [1.0, 1.0])
+        cells = draw(st.lists(_FINITE | _EDGE_FLOATS, min_size=4 * k, max_size=4 * k))
+        points = np.array(cells, dtype=float).reshape(2 * k, 2)
+    else:
+        carrier = FinitePointsCarrier(draw(_LABELS))
+        points = np.array(draw(st.lists(st.integers(0, len(carrier.points) - 1), min_size=2 * k, max_size=2 * k)),
+                          dtype=np.intp)
+    floats = st.floats() if draw(st.booleans()) else _FINITE | _EDGE_FLOATS
+    values = [draw(hnp.arrays(np.float64, (k, m), elements=floats)) for _ in range(3)]
+    cut = draw(st.integers(0, k))
+    views = [cone_space.LazyRows(carrier.from_array, [
+        (make, (points[:k][rows], points[k:][rows]), tuple(v[rows] for v in values))
+        for rows in ([slice(None)] if cut == k else [slice(0, cut), slice(cut, None)])])
+        for make in (ConditionViolation, _refuse_entries)]
+    spec = ClassSpec.tz(0.1, 0.2, 0.3)
+    return [ConditionReport(spec, 2 * k, view, {"a": k}, notes=("n",)) for view in views]
+
+
+@st.composite
+def _engine_reports(draw):
+    """The reports ``verify`` writes for a TZ instance: the TZ check, whose
+    rows come from the best branch, and the reduced forms when it holds."""
+    space, maps = instance_a(draw(st.integers(2, 12)))
+    maps = MapPair(maps.T, AffineMap(draw(st.sampled_from([0.0, 0.5, 0.75, 1.0]))))
+    a, b, c = (draw(st.sampled_from([0.0, 0.1, 0.25, 0.45])) for _ in range(3))
+    red = verify_zamfirescu_reduction(space, maps, a, b, c, grid_pairs(space))
+    report = draw(st.sampled_from([r for r in (red.tz_report, red.primary, red.dual) if r is not None]))
+    return [report, report]
+
+
+def _per_row_dict(report) -> dict:
+    """``_condition_report_dict`` with one dict per printed violation: the
+    form the writer's bytes are held to."""
+    return {**cli._condition_report_dict(report), "violations": [
+        {"x": v.x, "y": v.y, "lhs": v.lhs, "rhs": v.rhs, "residual": v.residual} for v in report.violations[:50]]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(reports=_condition_reports() | _engine_reports())
+@example(reports=[ConditionReport(ClassSpec.tb(0.5), 0, [], inconclusive=True)] * 2)
+def test_condition_reports_are_written_from_columns_with_the_bytes_of_per_row_dicts(reports):
+    # violations reach the writer as the view's columns, with no entry built,
+    # and the artifact keeps the bytes of json.dumps of one dict per row
+    reference, report = reports
+    want = json.dumps(cli._plain({"condition": _per_row_dict(reference), "reduction": {
+        "primary": _per_row_dict(reference)}}), sort_keys=True, indent=2) + "\n"
+    d = cli._condition_report_dict(report)
+    assert cli._dump_json({"condition": d, "reduction": {"primary": d}}, None) == want
+    assert d["violation_count"] == len(reference.violations)
 
 
 def test_record_template_writes_trace_rows_and_violations():

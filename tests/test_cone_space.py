@@ -249,7 +249,41 @@ def test_p1_verdict_equals_the_simplex(cone):
     event(f"P1 decided by the witness: {decided}")
     assert expected or not decided
     found = {v.axiom for v in verify_cone_axioms(cone).violations}
-    assert ("P1-interior-nonempty" not in found) == expected
+    assert ("P1-interior-nonempty" not in found) == expected == cone.has_interior
+
+
+def _rejection_sample(cone, rng, size):
+    """The rejection loop ``ConeSpec.sample`` runs on a polyhedral cone,
+    as it ran on every one before P1 gated it: the reference for a solid
+    cone's draws."""
+    budget, got = 0, []
+    while sum(len(g) for g in got) < size and budget < 200:
+        cand = rng.standard_normal((max(size, 256), cone.dimension))
+        got.append(cand[np.all(cand @ cone.ineq_matrix.T >= 0.0, axis=1)])
+        budget += 1
+    pts = np.concatenate(got)[:size] if got else np.zeros((0, cone.dimension))
+    return pts * np.exp(rng.normal(0.0, 1.0, size=len(pts)))[:, None] if len(pts) else pts
+
+
+@settings(max_examples=200, deadline=None)
+@given(cone=_p1_cones, seed=st.integers(0, 2 ** 16), size=st.integers(0, 300))
+@example(cone=ConeSpec.polyhedral([[1, 0], [-1, 0], [0, 1], [0, -1]]), seed=0, size=100)     # the zero cone
+@example(cone=ConeSpec.polyhedral([[1.0, -1.0], [-1.0, 1.0], [1.0, 0.0]]), seed=1, size=5)   # a ray
+@example(cone=ConeSpec.scaled_orthant([2.0, 0.0]), seed=2, size=50)
+@example(cone=ConeSpec.polyhedral([[1.0, 0.0], [-1.0, 1e-3]]), seed=3, size=300)          # a thin wedge
+def test_a_cone_sample_draws_only_where_the_interior_is_nonempty(cone, seed, size):
+    # a solid polyhedral cone draws the bits of the rejection loop; one
+    # without interior returns no row and draws nothing, since a normal draw
+    # lands on it with probability 0; a scaled orthant samples its face
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    pts = cone.sample(rng, size)
+    if cone.family == cone_space.SCALED_ORTHANT:
+        assert pts.shape == (size, cone.dimension) and (pts[:, cone.weights == 0.0] == 0.0).all()
+        assert all(cone.contains(p) for p in pts)
+        return
+    want = _rejection_sample(cone, ref, size) if cone.has_interior else np.zeros((0, cone.dimension))
+    assert pts.shape == want.shape and pts.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_cone_check_runs_exactly_on_awkward_entries():
@@ -1011,9 +1045,10 @@ def test_degenerate_ray_cone_still_concludes():
 
 def test_normal_constant_on_the_zero_cone_is_inconclusive():
     # P = {0}: the rejection sampler keeps no draw, so no pair is built
+    # (the sampler draws nothing there, so the default n costs no rejection rounds)
     cone = ConeSpec.polyhedral([[1, 0], [-1, 0], [0, 1], [0, -1]])
-    est = estimate_normal_constant(cone, n=10)
-    assert (est.value, est.pairs_used, est.inconclusive) == (0.0, 0, True)
+    for est in (estimate_normal_constant(cone, n=10), estimate_normal_constant(cone)):
+        assert (est.value, est.pairs_used, est.inconclusive) == (0.0, 0, True)
 
 
 def _eager_metric_violations(space, count, seed):
@@ -1229,11 +1264,15 @@ def _carriers(lo, hi, grid):
     could overflow."""
     from conefix.cone_space import BoxCarrier
 
+    def linspace(a, b):
+        with np.errstate(over="ignore"):       # the last step may overflow before numpy pins b
+            return np.linspace(a, b, grid)
+
     return [(IntervalCarrier(lo, hi, grid), lambda rng, n: rng.uniform(lo, hi, size=n),
-             lambda: np.linspace(lo, hi, grid)),
+             lambda: linspace(lo, hi)),
             (BoxCarrier([lo, 0.0], [hi, 1.0], grid), lambda rng, n: rng.uniform([lo, 0.0], [hi, 1.0], size=(n, 2)),
-             lambda: np.stack([m.ravel() for m in np.meshgrid(np.linspace(lo, hi, grid), np.linspace(0.0, 1.0, grid),
-                                                               indexing="ij")], axis=-1))]
+             lambda: np.stack([m.ravel() for m in np.meshgrid(linspace(lo, hi), linspace(0.0, 1.0), indexing="ij")],
+                              axis=-1))]
 
 
 @settings(max_examples=200, deadline=None)
