@@ -3,7 +3,7 @@
 
     python scripts/digest_diff.py [REV]
 
-Writes the 319 files of ``scripts/digest_files.py`` once, into a temporary
+Writes the 332 files of ``scripts/digest_files.py`` once, into a temporary
 directory.  Extracts REV's (default ``HEAD``) ``src/`` and ``scripts/``
 beside them with ``git archive``, so the working tree, the index and the
 refs stay as they are.  Runs each side's own ``scripts/artifact_digest.py``

@@ -3,9 +3,9 @@
 
     python scripts/digest_files.py OUTDIR
 
-Writes 319 files: the 126 of ``scripts/finite_map_files.py`` (identity,
-affine and power maps on finite carriers), and 193 drawn from the
-benchmark's generators (``perfbench/gen.py`` and ``perfbench/workloads.py``,
+Writes 332 files: the 126 of ``scripts/finite_map_files.py`` (identity,
+affine and power maps on finite carriers), 13 box-carrier files, and 193
+drawn from the benchmark's generators (``perfbench/gen.py`` and ``perfbench/workloads.py``,
 read, never changed):
 
 * 148 benchmark files: the 4 fixtures (``fixture_<name>``); ``finite_set``
@@ -38,6 +38,15 @@ read, never changed):
   under the polyhedral cone of the matrix 2I, whose projection of the
   table overflows.
 
+The box files (``box_<scalar>_<maps>_<class>``) put [0, 1]^2 under the
+orthant of R^2 and the direction (1, 2), with the ``max`` or the
+``euclidean`` scalar, x0 = (1, 0.5) and grid 5, so their pairs are the
+grid's; the maps are T = x with S = x/2 (``half``) or S = 1 - x
+(``flip``), or T = x/2 with S = x (``t_half``); the class is TB(0.5) or
+TZ(0.1, 0.2, 0.3).  ``box_sampled`` is ``box_max_flip_TB`` at grid 11
+with 100 samples, fewer than the grid's 14,641 pairs, so its pairs are
+sampled.
+
 Write two checkouts' digests over the same files and ``diff`` them:
 
     python scripts/digest_files.py /tmp/files
@@ -45,6 +54,7 @@ Write two checkouts' digests over the same files and ``diff`` them:
 """
 
 import copy
+import itertools
 import json
 import math
 import sys
@@ -116,6 +126,27 @@ def _overflowing_table() -> dict:
     }
 
 
+BOX_MAPS = {
+    "half": ({"family": "identity"}, {"family": "affine", "alpha": 0.5}),
+    "flip": ({"family": "identity"}, {"family": "affine", "alpha": -1.0, "beta": 1.0}),
+    "t_half": ({"family": "affine", "alpha": 0.5}, {"family": "identity"}),
+}
+BOX_CLASSES = {"TB": {"class": "TB", "a": 0.5}, "TZ": {"class": "TZ", "a": 0.1, "b": 0.2, "c": 0.3}}
+
+
+def _box(scalar: str, maps: str, kind: str, grid: int = 5, samples: int = 10_000) -> dict:
+    T, S = BOX_MAPS[maps]
+    return {
+        "schema_version": "1",
+        "cone": {"family": "orthant", "dimension": 2, "norm": "max"},
+        "space": {"carrier": {"kind": "box", "lows": [0.0, 0.0], "highs": [1.0, 1.0], "grid": grid},
+                  "metric": {"kind": "direction", "direction": [1.0, 2.0], "scalar": scalar}},
+        "maps": {"T": T, "S": S},
+        "contraction": BOX_CLASSES[kind],
+        "run": {"x0": [1.0, 0.5], "samples": samples},
+    }
+
+
 def files() -> dict:
     """File name (without .json) -> instance document, in writing order."""
     docs = {f"fixture_{name}": gen.fixture(ROOT, name).doc for name in FIXTURES}
@@ -131,6 +162,9 @@ def files() -> dict:
             variant["space"]["metric"]["table"] = table
             docs[f"table_{base}_{name}"] = variant
     docs["table_overflow"] = _overflowing_table()
+    for scalar, maps, kind in itertools.product(("max", "euclidean"), BOX_MAPS, BOX_CLASSES):
+        docs[f"box_{scalar}_{maps}_{kind}"] = _box(scalar, maps, kind)
+    docs["box_sampled"] = _box("max", "flip", "TB", grid=11, samples=100)
     return docs
 
 

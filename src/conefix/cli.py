@@ -178,7 +178,7 @@ def _integer(name: str) -> Callable:
     """int(value), refusing what int() would silently convert: booleans,
     strings and non-integral numbers."""
     def coerce(value):
-        fraction = isinstance(value, float) and math.isfinite(value) and not value.is_integer()
+        fraction = isinstance(value, float) and not value.is_integer()
         if isinstance(value, (bool, str)) or fraction:
             raise ConfigError(f"{name} must be an integer, got {json.dumps(value)}")
         return int(value)
@@ -224,6 +224,14 @@ def _numbers(value) -> np.ndarray:
     return np.array(level, dtype=float).reshape(shape)
 
 
+def _finite_numbers(value) -> np.ndarray:
+    """``_numbers``, refusing inf as ``_finite_float`` does."""
+    numbers = _numbers(value)
+    if not np.isfinite(numbers).all():
+        raise ConfigError(f"non-finite number {numbers[~np.isfinite(numbers)][0]} is not admitted")
+    return numbers
+
+
 def _json_list(name: str) -> Callable:
     """A JSON list as it is; list() would read a string or an object as a list."""
     def coerce(value) -> list:
@@ -239,12 +247,16 @@ def _labels(value) -> list:
     bad = [x for x in _json_list("points")(value) if type(x) not in (int, float, str)]
     if bad:
         raise ConfigError(f"points must be numbers or strings, got {json.dumps(bad[0])}")
+    _finite_numbers([x for x in value if type(x) is float])
     return value
 
 
 def _start_point(value):
-    """A JSON list is a box point: the float vector a box carrier takes."""
-    return _numbers(value) if isinstance(value, list) else value
+    """A JSON list is a box point: the float vector a box carrier takes.  A
+    number or a label is kept as it is; no number may be inf."""
+    if isinstance(value, list):
+        return _finite_numbers(value)
+    return _finite_float(value) if type(value) is float else value
 
 
 def _schema_version(value):
@@ -278,8 +290,6 @@ def _direction_metric(direction, scalar="absdiff", *, cone, carrier) -> Directio
 
 
 def _tabulated_metric(table, *, carrier) -> TabulatedMetric | None:
-    if not np.isfinite(table).all():    # an overflowing literal such as 1e400 reads as inf
-        raise ConfigError(f"non-finite number {table[~np.isfinite(table)][0]} is not admitted")
     if carrier is None:         # the carrier's own error is already reported
         return None
     if not isinstance(carrier, FinitePointsCarrier):
@@ -350,7 +360,7 @@ CARRIER = Section({
 METRIC = Section({
     "direction": Variant(_direction_metric, {"direction": _numbers}, {"scalar": _as_is},
                          needs=("cone", "carrier")),
-    "tabulated": Variant(_tabulated_metric, {"table": _numbers}, needs=("carrier",)),
+    "tabulated": Variant(_tabulated_metric, {"table": _finite_numbers}, needs=("carrier",)),
 }, "kind", "metric kind")
 
 MAP = Section({
@@ -532,11 +542,6 @@ def _json(value, nl: str, out: list[str]) -> None:
             out.append(nl + "}")
             return
         head = "[" + inner
-        if len(value) > 1 and type(value[0]) is dict:
-            text = _records(value, nl)
-            if text is not None:
-                out.append(text)
-                return
         for v in value:
             out.append(head)
             head = sep
@@ -562,17 +567,6 @@ def _json(value, nl: str, out: list[str]) -> None:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def _records(records, nl: str) -> str | None:
-    """The text ``_json`` writes for a list of dicts, through ``_columns``,
-    when the dicts share one nonempty set of ``str`` keys; else None, and
-    each value must be walked."""
-    keys = records[0].keys()
-    if not keys or not all(type(k) is str for k in keys) or not all(
-            type(r) is dict and r.keys() == keys for r in records):
-        return None
-    return _columns({key: [r[key] for r in records] for key in keys}, nl)
-
-
 @dataclass
 class Columns:
     """A nonempty list of records given by columns (a JSON trace's rows, a
@@ -584,8 +578,7 @@ class Columns:
     columns: dict
 
     def records(self) -> list[dict]:
-        keys = list(self.columns)
-        return [dict(zip(keys, row)) for row in zip(*(self.columns[key] for key in keys))]
+        return [dict(zip(self.columns, row)) for row in zip(*self.columns.values())]
 
 
 def _vector_field(size: int, nl: str) -> str:
@@ -599,41 +592,32 @@ def _columns(columns: dict, nl: str) -> str | None:
     values are the ``str``-keyed ``columns`` (as ``Columns`` holds them),
     through one ``%`` template built for the whole list, or None when the
     template does not apply and each value must be walked.  It applies
-    when each column holds one kind of value: finite floats (``%r`` is
-    ``float.__repr__``), ints that are not bools, strings, or flat vectors
-    of finite floats of one length (lists, tuples, 1-D float64 arrays, or
-    the rows of a 2-D float64 array).  Every other value (None, a bool, a
-    numpy scalar, a non-finite float, a nested list or dict) is left to the
-    walk."""
+    when each column is a 2-D float64 array of finite values (its rows are
+    the records' vectors), a list of 1-D float64 arrays of one shape (a box
+    carrier's points, stacked into such an array), or a list of strings,
+    of ints that are not bools, or of finite floats (``%r`` is
+    ``float.__repr__``).  Every other column is left to the walk."""
     inner, deep = nl + "  ", nl + "    "
-    fields, cells, floats = [], [], []     # floats: every float the template writes, to test finiteness
+    fields, cells = [], []
     for key in sorted(columns):
         column = columns[key]
-        if type(column) is np.ndarray:
-            if column.dtype != np.float64 or column.ndim != 2 or not np.isfinite(column).all():
+        kinds = {np.ndarray} if type(column) is np.ndarray else set(map(type, column))
+        if kinds == {np.ndarray}:
+            if type(column) is list and len({(v.dtype, v.shape) for v in column}) == 1:
+                column = np.stack(column)   # one dtype: np.stack upcasts a float32 vector beside float64 ones
+            if type(column) is list or column.dtype != np.float64 or column.ndim != 2 or not np.isfinite(column).all():
                 return None
             cols, field = column.T.tolist(), _vector_field(column.shape[1], deep)
+        elif kinds == {str}:
+            field, cols = "%s", [list(map(_ascii, column))]
+        elif kinds == {int}:
+            field, cols = "%d", [column]
+        elif kinds == {float} and all(map(math.isfinite, column)):
+            field, cols = "%r", [column]
         else:
-            kinds = set(map(type, column))
-            if kinds == {str}:
-                field, cols = "%s", [list(map(_ascii, column))]
-            elif kinds == {int}:
-                field, cols = "%d", [column]
-            elif kinds == {float}:
-                field, cols = "%r", [column]
-                floats.append(column)
-            else:
-                vectors = [v.tolist() if type(v) is np.ndarray and v.dtype == np.float64 and v.ndim == 1 else v
-                           for v in column]
-                if not all(type(v) is list or type(v) is tuple for v in vectors) or len(set(map(len, vectors))) > 1:
-                    return None
-                cols, field = list(zip(*vectors)), _vector_field(len(vectors[0]), deep)
-                floats.extend(cols)
+            return None
         fields.append(_ascii(key).replace("%", "%%") + ": " + field)
         cells.extend(cols)
-    every = list(chain.from_iterable(floats))
-    if set(map(type, every)) - {float} or not all(map(math.isfinite, every)):
-        return None
     template = "{" + deep + ("," + deep).join(fields) + inner + "}"
     rows = zip(*cells) if cells else repeat((), len(column))       # empty vectors only: no arguments
     return "[" + inner + ("," + inner).join(map(template.__mod__, rows)) + nl + "]"
@@ -702,12 +686,6 @@ def emit_trace(
 # Commands
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Options:
-    out: Path | None = None
-    fmt: str = "csv"
-
-
 def _condition_pairs(inst: LoadedInstance) -> PairSet:
     """All pairs of a finite carrier; else the grid's pairs, or sampled
     pairs when the grid (sized, not built) has more pairs than ``run.samples``."""
@@ -720,8 +698,9 @@ def _condition_pairs(inst: LoadedInstance) -> PairSet:
     return grid_pairs(space)
 
 
-def run(command: str, inst: LoadedInstance, options: Options) -> tuple[int, dict]:
-    """Dispatch one command; returns (exit status, artifacts)."""
+def run(command: str, inst: LoadedInstance, path: Path | None = None, fmt: str = "csv") -> tuple[int, dict]:
+    """Dispatch one command, also writing its artifact (a trace in ``fmt``)
+    to ``path`` when one is given; returns (exit status, artifacts)."""
     if command == "verify":
         cone_report = verify_cone_axioms(inst.space.cone)
         metric_report = (inst.finite.metric_axioms if inst.finite else
@@ -755,7 +734,7 @@ def run(command: str, inst: LoadedInstance, options: Options) -> tuple[int, dict
                 }
                 ok = ok and red.holds
         report["status"] = "pass" if ok else "fail"
-        return (0 if ok else 1), {"text": _dump_json(report, options.out)}
+        return (0 if ok else 1), {"text": _dump_json(report, path)}
 
     if command == "solve":
         x0 = inst.run.x0
@@ -767,7 +746,7 @@ def run(command: str, inst: LoadedInstance, options: Options) -> tuple[int, dict
         trace, check, decay, probe = solver.solve(
             inst.space, inst.maps, x0, rule, h=inst.run.rate_h if inst.run.rate_h is not None else delta,
             K=inst.run.normal_k, seed=inst.run.seed)
-        trace_text = emit_trace(trace, options.fmt, options.out, h=decay.h, K=inst.run.normal_k)
+        trace_text = emit_trace(trace, fmt, path, h=decay.h, K=inst.run.normal_k)
         cert_dict = {
             "fixed_point": _plain(check.point if check.certified else None),
             "residual_norm": check.residual_norm,
@@ -845,7 +824,7 @@ def run(command: str, inst: LoadedInstance, options: Options) -> tuple[int, dict
             }
             ok = ok and cv.passed
         out["status"] = "pass" if ok else "fail"
-        return (0 if ok else 1), {"text": _dump_json(out, options.out)}
+        return (0 if ok else 1), {"text": _dump_json(out, path)}
 
     if command == "fit":
         if inst.contraction is None:
@@ -865,7 +844,7 @@ def run(command: str, inst: LoadedInstance, options: Options) -> tuple[int, dict
             "hard_witnesses": result.hard_witnesses[:50],
             "status": "pass" if result.feasible else "fail",
         }
-        return (0 if result.feasible else 1), {"text": _dump_json(out, options.out)}
+        return (0 if result.feasible else 1), {"text": _dump_json(out, path)}
 
     raise UsageError(f"unknown command {command!r}")
 
@@ -922,9 +901,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  - {err}", file=sys.stderr)
         return 2
 
-    options = Options(out=Path(args.out) if args.out else None, fmt=args.fmt)
     try:
-        status, artifacts = run(args.command, inst, options)
+        status, artifacts = run(args.command, inst, Path(args.out) if args.out else None, args.fmt)
     except (UsageError, ConfigError, InstanceValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -936,10 +914,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     if args.command == "solve":
-        if options.out is None:
+        if not args.out:
             sys.stdout.write(artifacts["trace_text"])
         print(json.dumps(_plain(artifacts["certificate"]), sort_keys=True))
-    elif options.out is None:
+    elif not args.out:
         sys.stdout.write(artifacts["text"])
     return status
 

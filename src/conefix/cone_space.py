@@ -327,20 +327,12 @@ class LazyRows(Sequence):
         return repr(self._build(slice(None)))
 
     def head_columns(self, k: int) -> list:
-        """The fields of the first ``k`` entries as columns, in the order
-        ``make`` takes them, with no entry built: a point column as the list
-        ``from_array`` makes of its rows, a value column as a slice of its
-        array.  The groups' columns are joined when the head spans several."""
-        parts, lo = [], 0
-        for (_, points, values), hi in zip(self._groups, self._ends):
-            if lo >= k:
-                break
-            at = slice(0, k - lo)
-            parts.append([*(self._from_array(p[at]) for p in points), *(v[at] for v in values)])
-            lo = hi
-        if len(parts) == 1:
-            return parts[0]
-        return [sum(c, []) if type(c[0]) is list else np.concatenate(c) for c in zip(*parts)]
+        """The fields of the first ``k`` entries of a one-group view (as
+        ``PairSet.witnesses`` builds) as columns, in the order ``make`` takes
+        them, with no entry built: a point column as the list ``from_array``
+        makes of its rows, a value column as a slice of its array."""
+        (_, points, values), = self._groups
+        return [*(self._from_array(p[:k]) for p in points), *(v[:k] for v in values)]
 
     def _build(self, rows: slice) -> list:
         picked = range(len(self))[rows]

@@ -20,15 +20,15 @@ from hypothesis.extra import numpy as hnp
 
 from conefix import cli, cone_space, oracle, solver
 from conefix.cli import (
-    InstanceValidationError, _condition_pairs, emit_trace, load_instance, main, parse_instance,
+    SCHEMA_VERSION, InstanceValidationError, _condition_pairs, emit_trace, load_instance, main, parse_instance,
 )
 from conefix.cone_space import (
-    BoxCarrier, ConeSpec, ConfigError, DomainError, FinitePointsCarrier, IntervalCarrier,
-    verify_cone_axioms, verify_metric_axioms,
+    BoxCarrier, ConeMetricSpace, ConeSpec, ConfigError, DirectionMetric, DomainError, FinitePointsCarrier,
+    IntervalCarrier, verify_cone_axioms, verify_metric_axioms,
 )
 from conefix.contractions import (
-    CLASS_KINDS, AffineMap, ClassSpec, ConditionReport, ConditionViolation, MapPair, evaluate, grid_pairs,
-    verify_zamfirescu_reduction, zamfirescu_delta,
+    CLASS_KINDS, AffineMap, ClassSpec, ConditionReport, ConditionViolation, IdentityMap, MapPair, evaluate,
+    grid_pairs, verify_zamfirescu_reduction, zamfirescu_delta,
 )
 from conefix.instances import instance_a
 from conefix.solver import (
@@ -175,6 +175,18 @@ BOX_INF = "space.carrier: box carrier bounds must be finite"
                  {"kind": "box", "lows": [0.0, 0.0], "highs": [1.0, "1e400"]}, BOX_INF, id="highs"),
     pytest.param("instance_d", ("space", "metric", "table", 0, 1, 0), "1e400", f"space.metric: {INF}",
                  marks=pytest.mark.filterwarnings("error::RuntimeWarning"), id="table"),
+    pytest.param("instance_a", ("run", "x0"), "1e400", f"run: {INF}", id="x0"),
+    pytest.param("instance_a", ("run", "x0"), ["1e400", 0.5], f"run: {INF}", id="box-x0"),
+    pytest.param("instance_d", ("space", "carrier", "points", 0), "1e400", f"space.carrier: {INF}", id="label"),
+    pytest.param("instance_a", ("run", "seed"), "1e400", "run: seed must be an integer, got Infinity", id="seed"),
+    pytest.param("instance_a", ("run", "samples"), "1e400", "run: samples must be an integer, got Infinity",
+                 id="samples"),
+    pytest.param("instance_a", ("run", "max_iter"), "1e400", "run: max_iter must be an integer, got Infinity",
+                 id="max_iter"),
+    pytest.param("instance_a", ("cone", "dimension"), "1e400", "cone: dimension must be an integer, got Infinity",
+                 id="dimension"),
+    pytest.param("instance_a", ("space", "carrier", "grid"), "1e400",
+                 "space.carrier: grid must be an integer, got Infinity", id="grid"),
 ])
 def test_overflowing_literals_are_rejected(tmp_path, name, path, value, error):
     doc = fixture_doc(name)
@@ -191,6 +203,18 @@ def test_overflowing_literals_are_rejected(tmp_path, name, path, value, error):
 def test_epsilon_flag_rejects_overflow(tmp_path):
     path = _write(tmp_path, "a.json", fixture_doc("instance_a"))
     assert main(["solve", "--instance", str(path), "--epsilon", "1e400"]) == 2
+
+
+@pytest.mark.parametrize("flag, value, error", [
+    pytest.param("--x0", "1e400", f"run: {INF}", id="x0"),
+    pytest.param("--x0", "[1e400, 0.5]", f"run: {INF}", id="box-x0"),
+    pytest.param("--seed", "1e400", "run: seed must be an integer, got Infinity", id="seed"),
+    pytest.param("--samples", "1e400", "run: samples must be an integer, got Infinity", id="samples"),
+])
+def test_overflowing_flags_are_rejected(tmp_path, capsys, flag, value, error):
+    path = _write(tmp_path, "a.json", fixture_doc("instance_a"))
+    assert main(["solve", "--instance", str(path), flag, value]) == 2
+    assert capsys.readouterr() == ("", f"instance rejected:\n  - {error}\n")
 
 
 def _d3_failing_doc() -> dict:
@@ -779,7 +803,7 @@ def test_a_table_no_finite_instance_holds_exits_2(tmp_path, capsys, n, m, error)
 def test_run_refuses_an_unknown_command(tmp_path):
     inst = load_instance(_write(tmp_path, "a.json", fixture_doc("instance_a")))
     with pytest.raises(cli.UsageError) as info:
-        cli.run("prove", inst, cli.Options())
+        cli.run("prove", inst)
     assert str(info.value) == "unknown command 'prove'"
 
 
@@ -928,7 +952,7 @@ def test_solve_equals_picard_iterate_then_uniqueness_probe(name, maps, x0, fmt):
     try:
         trace, check, decay, probe = _composed_solve(inst)
     except DomainError as want:
-        for call in (lambda: _library_solve(inst), lambda: cli.run("solve", inst, cli.Options(fmt=fmt))):
+        for call in (lambda: _library_solve(inst), lambda: cli.run("solve", inst, fmt=fmt)):
             with pytest.raises(DomainError) as got:
                 call()
             assert str(got.value) == str(want)
@@ -941,7 +965,7 @@ def test_solve_equals_picard_iterate_then_uniqueness_probe(name, maps, x0, fmt):
     assert json.dumps(cli._plain([got[3].verdict, got[3].fixed_point, got[3].witnesses])) == json.dumps(
         cli._plain([probe.verdict, probe.fixed_point, probe.witnesses]))
 
-    status, artifacts = cli.run("solve", inst, cli.Options(fmt=fmt))
+    status, artifacts = cli.run("solve", inst, fmt=fmt)
     cert = artifacts["certificate"]
     assert artifacts["trace_text"] == emit_trace(trace, fmt, h=decay.h, K=inst.run.normal_k)
     got = [cert[key] for key in ("fixed_point", "residual_norm", "bound_h", "decay_per_step_ok", "cauchy_bound_ok",
@@ -958,7 +982,7 @@ def test_solve_keeps_an_integer_start_apart_from_the_equal_carrier_start():
     inst = _solve_instance("instance_c", None, 0)
     starts = solver.solve_starts(inst.space.carrier, 0)
     assert [(s, type(s)) for s in starts] == [(0.0, float), (0.5, float), (1.0, float)]
-    status, artifacts = cli.run("solve", inst, cli.Options(fmt="json"))
+    status, artifacts = cli.run("solve", inst, fmt="json")
     cert = artifacts["certificate"]
     assert status == 0 and type(cert["fixed_point"]) is int and cert["fixed_point"] == 0
     assert cert["uniqueness"] == "non_unique" and json.dumps(cert["witnesses"]) == "[0.0, 0.5, 1.0]"
@@ -1465,9 +1489,9 @@ def _refuse_entries(*row):
 def _condition_reports(draw):
     """A ``ConditionReport`` pair as the engine builds one: the same rows in
     a view of ``ConditionViolation``s (the reference) and in a view whose
-    entries cannot be built.  Rows are split into one or two groups; points
-    are interval floats, finite labels or box points; values are (k, m)
-    arrays, with NaN and +-inf in some draws."""
+    entries cannot be built, each of one group as ``PairSet.witnesses``
+    builds it.  Points are interval floats, finite labels or box points;
+    values are (k, m) arrays, with NaN and +-inf in some draws."""
     k, m = draw(st.sampled_from([0, 1, 2, 50, 51])), draw(st.integers(1, 3))
     kind = draw(st.sampled_from(["interval", "finite", "box"]))
     if kind == "interval":
@@ -1483,11 +1507,8 @@ def _condition_reports(draw):
                           dtype=np.intp)
     floats = st.floats() if draw(st.booleans()) else _FINITE | _EDGE_FLOATS
     values = [draw(hnp.arrays(np.float64, (k, m), elements=floats)) for _ in range(3)]
-    cut = draw(st.integers(0, k))
-    views = [cone_space.LazyRows(carrier.from_array, [
-        (make, (points[:k][rows], points[k:][rows]), tuple(v[rows] for v in values))
-        for rows in ([slice(None)] if cut == k else [slice(0, cut), slice(cut, None)])])
-        for make in (ConditionViolation, _refuse_entries)]
+    views = [cone_space.LazyRows(carrier.from_array, [(make, (points[:k], points[k:]), tuple(values))])
+             for make in (ConditionViolation, _refuse_entries)]
     spec = ClassSpec.tz(0.1, 0.2, 0.3)
     return [ConditionReport(spec, 2 * k, view, {"a": k}, notes=("n",)) for view in views]
 
@@ -1525,19 +1546,91 @@ def test_condition_reports_are_written_from_columns_with_the_bytes_of_per_row_di
     assert d["violation_count"] == len(reference.violations)
 
 
-def test_record_template_writes_trace_rows_and_violations():
-    # the rows of a JSON trace and a verify violation list take the template;
-    # a value of another kind sends the whole list to the walk
-    trace = [{"n": n, "x_n": 0.5 ** n, "gap_vector": [0.25 ** n, 0.5], "gap_norm": 0.5, "cumulative_bound": 1.0}
-             for n in range(3)]
-    violations = [{"x": 0.25, "y": 0.5, "lhs": np.array([0.5, 1.0]), "rhs": np.array([0.25, 0.5]),
-                   "residual": np.array([-0.25, -0.5])}] * 2
-    assert cli._records(trace, "\n") is not None and cli._records(violations, "\n  ") is not None
-    for walked in ([{"a": math.nan}, {"a": 1.0}], [{"a": np.float64(1.0)}, {"a": 1.0}], [{"a": True}, {"a": 1}],
-                   [{"a": None}, {"a": None}], [{}, {}], [{"a": 1}, {"a": 1, "b": 2}], [{0: 1.0}, {0: 2.0}],
-                   [{"a": [1.0]}, {"a": [1.0, 2.0]}], [{"a": np.zeros(2, np.float32)}, {"a": np.zeros(2)}],
-                   [{"a": [1.0, math.inf]}, {"a": [1.0, 2.0]}], [{"a": 1}, {"a": "1"}]):
-        assert cli._records(walked, "\n") is None, walked
+def test_column_template_writes_trace_rows_and_violation_tables():
+    # trace rows with a 2-D gap array and a violation table with box points
+    # take the template; a column of another kind sends the table to the walk
+    trace = {"n": [0, 1, 2], "x_n": [1.0, 0.5, 0.25], "gap_vector": np.array([[0.5, 1.0], [0.25, 0.5], [0.0, -0.0]]),
+             "gap_norm": [1.0, 0.5, 5e-324], "cumulative_bound": [1.0, 0.5, 0.25]}
+    violations = {"x": [np.array([0.25, 0.5])] * 2, "y": ["a", "b"], "lhs": np.ones((2, 2)), "rhs": np.zeros((2, 2)),
+                  "residual": -np.ones((2, 2))}
+    vector, vector32 = np.zeros(2), np.zeros(2, np.float32)
+    walked = [{"a": [math.nan, 1.0]}, {"a": [1.0, math.inf]}, {"a": [True, 1]}, {"a": [None, None]},
+              {"a": [np.float64(1.0), 1.0]}, {"a": [np.int64(1), 1]}, {"a": [vector, np.zeros(3)]}, {"a": [1, "1"]},
+              {"a": [1, 1.0]}, {"a": [vector32, vector]}, {"a": [vector32, vector32]}, {"a": [[1.0], [2.0]]},
+              {"a": [(1.0,), (2.0,)]}, {"a": [vector, [0.0, 0.0]]}, {"a": [np.zeros((1, 2))] * 2},
+              {"a": np.zeros((2, 2), np.float32)}, {"a": np.array([[1.0], [math.inf]])}, {"a": np.zeros(2)},
+              {**trace, "gap_norm": [1.0, 0.5, math.nan]}]
+    for i, columns in enumerate([trace, violations, *walked]):
+        rows = cli.Columns(columns)
+        assert (cli._columns(columns, "\n") is None) == (i >= 2), columns
+        want = json.dumps(cli._plain({"rows": rows.records()}), sort_keys=True, indent=2) + "\n"
+        assert cli._dump_json({"rows": rows}, None) == want
+
+
+def _records_for_columns(value):
+    """``value`` with every ``cli.Columns`` replaced by the list of its records."""
+    if isinstance(value, cli.Columns):
+        return value.records()
+    if isinstance(value, dict):
+        return {k: _records_for_columns(v) for k, v in value.items()}
+    return value
+
+
+def _box_solve_doc(S: dict) -> dict:
+    doc = fixture_doc("instance_a")
+    doc["space"] = {"carrier": {"kind": "box", "lows": [0.0, 0.0], "highs": [1.0, 1.0], "grid": 5},
+                    "metric": {"kind": "direction", "direction": [1.0, 2.0], "scalar": "euclidean"}}
+    doc["maps"] = {"T": {"family": "identity"}, "S": S}
+    doc["run"]["x0"] = [1.0, 0.5]
+    return doc
+
+
+def _cone_doc(name: str, cone: dict, **metric) -> dict:
+    doc = fixture_doc(name)
+    doc["cone"] = cone
+    doc["space"]["metric"].update(metric)
+    return doc
+
+
+_LINE_TABLE = [[[0.0, abs(i - j)] for j in range(10)] for i in range(10)]
+
+
+@pytest.mark.parametrize("command, doc", [
+    pytest.param("verify", _cone_doc("instance_a", {"family": "polyhedral", "dimension": 2, "matrix": [[0, 0]]}),
+                 id="zero-row"),
+    pytest.param("verify", _cone_doc("instance_a", {"family": "polyhedral", "dimension": 3, "matrix": [[1, 0, 0]]},
+                                     direction=[1.0, 1.0, 1.0]), id="half-space-3d"),
+    pytest.param("verify", _cone_doc("instance_d", {"family": "polyhedral", "dimension": 2,
+                                                    "matrix": [[1, 0], [-1, 0]]}, table=_LINE_TABLE), id="line"),
+    pytest.param("solve", _box_solve_doc({"family": "affine", "alpha": 0.5}), id="box-trace"),
+    pytest.param("solve", _box_solve_doc({"family": "identity"}), id="box-trace-identity"),
+])
+def test_artifacts_keep_the_bytes_of_json_dumps(monkeypatch, command, doc):
+    # axiom reports (P1 and P3 entries) and box traces from an array start
+    # are written with the bytes of json.dumps of what the command built
+    seen, dump = [], cli._dump_json
+    monkeypatch.setattr(cli, "_dump_json", lambda obj, path: seen.append(obj) or dump(obj, path))
+    status, artifacts = cli.run(command, parse_instance(json.dumps(doc)), fmt="json")
+    want = json.dumps(cli._plain(_records_for_columns(seen[0])), sort_keys=True, indent=2) + "\n"
+    assert artifacts["trace_text" if command == "solve" else "text"] == want
+    if command == "solve":     # the box points are stacked into one array for the template
+        assert cli._columns(seen[0]["rows"].columns, "\n") is not None
+    else:
+        checks = [v["check"] for v in json.loads(want)["cone_axioms"]["violations"]]
+        assert status == 1 and checks in (["P3-pointed"] * 2, ["P1-interior-nonempty", "P3-pointed"])
+
+
+@pytest.mark.parametrize("S", [AffineMap(0.5), IdentityMap()])
+def test_a_box_trace_from_a_list_start_keeps_the_bytes_of_json_dumps(S):
+    space = ConeMetricSpace(ConeSpec.orthant(2), BoxCarrier([0.0, 0.0], [1.0, 1.0]),
+                            DirectionMetric([1.0, 2.0], rho="euclidean"))
+    trace = picard_iterate(space, MapPair(IdentityMap(), S), [1.0, 0.5])
+    assert type(trace.x_sequence[0]) is list
+    norms = trace.norms.tolist()
+    rows = [{"n": n, "x_n": trace.x_sequence[n], "gap_vector": trace.gaps[n], "gap_norm": norms[n],
+             "cumulative_bound": 0.5 ** n * norms[0]} for n in range(len(norms))]
+    want = {"schema_version": SCHEMA_VERSION, "h": 0.5, "K": 1.0, "stop_reason": trace.stop_reason, "rows": rows}
+    assert emit_trace(trace, "json", h=0.5) == json.dumps(cli._plain(want), sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
